@@ -1,5 +1,5 @@
-"""Noisy-protocol fidelity by exact Kraus-branch enumeration, plus the
-closed-form curves and the count post-processing arithmetic.
+"""Exact noisy-protocol fidelity, plus the closed-form curves and the
+count post-processing arithmetic.
 
 Noise model: one single-qubit channel applied independently to each of
 the k = 2|E| resource qubits, either right after the pairs are prepared
@@ -19,15 +19,27 @@ number:
   ((1+sqrt(1-p))/2)^k to machine precision, identically for both
   insertion points.
 
-* metric="conditional" runs every Kraus branch through the remaining
-  circuit, projects every outcome, corrects, and sums the squared
-  overlaps with the target state.  This is the operational fidelity of
-  the state actually delivered.  It sits above the strict value at
-  order p^2 and cannot reproduce the closed forms: on any single edge
-  the pair errors X(x)Z, Z(x)X and Y(x)Y leave the shared pair state
-  invariant, so the correction step silently repairs some multi-error
-  patterns that the strict accounting already wrote off.  The two
-  metrics agree at p=0 and conditional >= strict everywhere.
+* metric="conditional" is the operational fidelity of the state
+  actually delivered: every error branch runs through the remaining
+  circuit, every outcome is projected and corrected, and the squared
+  overlaps with the target state are summed.  It sits above the strict
+  value at order p^2 and cannot reproduce the closed forms: on any
+  single edge the pair errors X(x)Z, Z(x)X and Y(x)Y leave the shared
+  pair state invariant, so the correction step silently repairs some
+  multi-error patterns that the strict accounting already wrote off.
+  The two metrics agree at p=0 and conditional >= strict everywhere.
+
+How conditional is enumerated depends on the channel.  Depolarizing
+noise is a Pauli channel and phase damping equals a Z flip with
+probability (1-sqrt(1-p))/2, so for these two every error branch is a
+Pauli error that the Clifford walk carries to a data-Z frame, and the
+conditional fidelity is the probability that the frames of all k
+qubits cancel.  That distribution over GF(2)^|V| is enumerated
+exactly, one qubit at a time, with no statevector; the qubit budget
+applies to |V| there and the term budget does not.  Amplitude damping
+has no Pauli form and runs every Kraus branch through a dense
+statevector, under both budgets.  The strict metric is computed the
+same way for every channel.
 
 The default is strict because the closed-form curves are the quantity
 the rest of the toolchain (effective-p extraction, channel comparisons)
@@ -45,6 +57,7 @@ import numpy as np
 from . import statevector as sv
 from .graphs import Graph, graph_state
 from .protocol import (
+    Outcome,
     _after_prep,
     _premeasurement,
     _resource_row,
@@ -257,10 +270,12 @@ def noisy_protocol_fidelity(
     """Exact fidelity of the distributed state under independent noise
     on every resource qubit.
 
-    Everything is enumerated: all m^k Kraus branches over the k = 2|E|
+    Everything is enumerated: every error branch over the k = 2|E|
     resource qubits and all 4^|E| measurement outcomes, with the
-    noiseless correction formula applied per outcome.  See the module
-    docstring for what the two metrics count; both reduce to 1 at p=0.
+    noiseless correction formula applied per outcome.  The conditional
+    metric of a Pauli channel enumerates data-Z frames instead of
+    statevectors; see the module docstring for what the two metrics
+    count.  Both reduce to 1 at p=0.
     """
     if insertion not in INSERTION_POINTS:
         raise ValueError(
@@ -268,26 +283,41 @@ def noisy_protocol_fidelity(
         )
     if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}; expected one of {METRICS}")
+    if metric == "conditional" and channel.kind != "amplitude_damping":
+        _check_frame_budget(graph, max_qubits)
+        return _frame_fidelity(
+            graph, _pauli_probabilities(channel), correction_kind, insertion
+        )
     ops = kraus_ops(channel)
     _check_budget(graph, len(ops), max_qubits, max_terms)
+    if metric == "conditional":
+        return _branch_fidelity(graph, ops, correction_kind, insertion)
+
+    # weight of a branch = prod_i |tr(K_{b_i})/2|^2, the probability
+    # that qubit i comes through error-free; the no-error fraction
+    # then multiplies the exact noiseless outcome enumeration
+    targets = _correction_targets(graph, correction_kind)
+    k = 2 * graph.n_edges
+    retention = [abs(np.trace(op)) ** 2 / 4.0 for op in ops]
+    branch_weights = [
+        math.prod(retention[b] for b in branch)
+        for branch in iter_product(range(len(ops)), repeat=k)
+    ]
+    clean = _premeasurement_amps(graph)
+    noiseless = math.fsum(_outcome_overlaps(graph, clean, targets).tolist())
+    return math.fsum(branch_weights) * noiseless
+
+
+def _branch_fidelity(
+    graph: Graph, ops: tuple[np.ndarray, ...], correction_kind: str, insertion: str
+) -> float:
+    """Conditional fidelity by running each of the m^k Kraus branches
+    through a dense statevector: the path for amplitude damping, and
+    the reference the Pauli-frame engine is tested against."""
     layout = build_layout(graph)
     targets = _correction_targets(graph, correction_kind)
     resource_qubits = layout.resource_qubits()
     k = len(resource_qubits)
-
-    if metric == "strict":
-        # weight of a branch = prod_i |tr(K_{b_i})/2|^2, the probability
-        # that qubit i comes through error-free; the no-error fraction
-        # then multiplies the exact noiseless outcome enumeration
-        retention = [abs(np.trace(op)) ** 2 / 4.0 for op in ops]
-        branch_weights = [
-            math.prod(retention[b] for b in branch)
-            for branch in iter_product(range(len(ops)), repeat=k)
-        ]
-        clean = _premeasurement_amps(graph)
-        noiseless = math.fsum(_outcome_overlaps(graph, clean, targets).tolist())
-        return math.fsum(branch_weights) * noiseless
-
     branch_totals = []
     prepped = _after_prep(graph).amplitudes
     for branch in iter_product(range(len(ops)), repeat=k):
@@ -304,6 +334,94 @@ def noisy_protocol_fidelity(
             math.fsum(_outcome_overlaps(graph, amps, targets).tolist())
         )
     return math.fsum(branch_totals)
+
+
+# -- Pauli-frame enumeration -------------------------------------------------
+
+
+def _pauli_probabilities(channel: NoiseChannel) -> tuple[float, float, float, float]:
+    """(I, X, Y, Z) probabilities of the Pauli channel equal to this
+    one; phase damping is a Z flip with q = (1 - sqrt(1-p))/2."""
+    p = channel.p
+    if channel.kind == "depolarizing":
+        return (1.0 - 0.75 * p, p / 4.0, p / 4.0, p / 4.0)
+    q = (1.0 - math.sqrt(1.0 - p)) / 2.0
+    return (1.0 - q, 0.0, 0.0, q)
+
+
+def _check_frame_budget(graph: Graph, max_qubits) -> None:
+    # the frame distribution has one entry per data-Z pattern, 2^|V|
+    budget = DEFAULT_TOTAL_QUBIT_BUDGET if max_qubits is None else max_qubits
+    if graph.n_vertices > budget:
+        raise ResourceError(
+            f"Pauli-frame enumeration over {graph.n_vertices} vertices exceeds "
+            f"the budget of {budget}; pick a smaller graph or raise max_qubits"
+        )
+
+
+def _misread_frames(graph: Graph, correction_kind: str) -> list[int]:
+    """Entry m is the data-Z frame, a bitmask in vertex order, left
+    behind when resource bit m is read flipped.
+
+    Every correction plan is linear in the outcome bits, so applying
+    the plan for s while the data carry the byproduct of s xor e_m
+    leaves the plan of the unit outcome e_m.  Multiplying by K_v =
+    X_v Z_{N(v)} for every X_v in it reduces it modulo Stab(|G>) to a
+    pure Z string, and no nonzero Z string stabilizes |G>, so the frame
+    is harmless exactly when it is zero.
+    """
+    neighbor_masks = [
+        sum(1 << graph.vertex_index(u) for u in graph.neighbors(v))
+        for v in graph.vertices
+    ]
+    k = 2 * graph.n_edges
+    frames = []
+    for m in range(k):
+        unit = Outcome(graph, tuple(int(i == m) for i in range(k)))
+        plan = correction_plan(graph, unit, correction_kind)
+        frame = 0
+        for i, (_, x, z) in enumerate(plan.exponents):
+            if z:
+                frame ^= 1 << i
+            if x:
+                frame ^= neighbor_masks[i]
+        frames.append(frame)
+    return frames
+
+
+def _frame_fidelity(
+    graph: Graph,
+    probabilities: tuple[float, float, float, float],
+    correction_kind: str,
+    insertion: str,
+) -> float:
+    """Conditional fidelity of a Pauli channel as the probability that
+    the data-Z frames of all resource-qubit errors cancel.
+
+    On v's half of an edge, after the pairs are prepared, X passes the
+    CZ to v's data qubit as Z_v and then becomes a harmless Z on the
+    measured qubit, Z becomes a misread bit, and Y does both.  Just
+    before measurement X and Y misread the bit and Z does nothing.
+    Every outcome stays equally likely, so only the frame matters.
+    """
+    misread = _misread_frames(graph, correction_kind)
+    index = np.arange(2**graph.n_vertices)
+    dist = np.zeros(index.size)
+    dist[0] = 1.0
+    for m, flip in enumerate(misread):
+        edge = graph.edges[m // 2]
+        kick = 1 << graph.vertex_index(edge[m % 2])
+        if insertion == "post_prep":
+            frames = (0, kick, kick ^ flip, flip)
+        else:
+            frames = (0, flip, flip, 0)
+        weights: dict[int, float] = {}
+        for frame, prob in zip(frames, probabilities):
+            weights[frame] = weights.get(frame, 0.0) + prob
+        dist = sum(
+            prob * dist[index ^ frame] for frame, prob in weights.items() if prob
+        )
+    return float(dist[0])
 
 
 def _premeasurement_amps(graph: Graph) -> np.ndarray:

@@ -141,6 +141,37 @@ def test_noise_budget_exit(capsys):
     assert "budget" in capsys.readouterr().err
 
 
+def test_noise_conditional_pauli_reaches_house(capsys):
+    # 17 qubits in all, but the frame engine only needs 2^5 frames
+    code = main(
+        ["noise", "--graph", "house", "--channel", "dep", "--p", "0.1",
+         "--metric", "conditional", "--format", "json"]
+    )
+    assert code == EXIT_PASS
+    (got,) = json.loads(capsys.readouterr().out)["fidelities"]
+    assert (1.0 - 0.75 * 0.1) ** 12 < got < 1.0
+
+
+def test_noise_house_phase_damping_before_measurement_is_exact(capsys):
+    code = main(
+        ["noise", "--graph", "house", "--channel", "pd", "--p", "0.4",
+         "--metric", "conditional", "--insertion", "pre_measure", "--format", "json"]
+    )
+    assert code == EXIT_PASS
+    assert json.loads(capsys.readouterr().out)["fidelities"] == [1.0]
+
+
+def test_noise_frame_budget_names_vertex_count(tmp_path, capsys):
+    edges = tmp_path / "path13.txt"
+    edges.write_text("".join(f"v{i} v{i + 1}\n" for i in range(12)))
+    code = main(
+        ["noise", "--graph", f"@{edges}", "--channel", "pd", "--p", "0.1",
+         "--metric", "conditional"]
+    )
+    assert code == EXIT_BUDGET
+    assert "13 vertices" in capsys.readouterr().err
+
+
 def test_noise_output_file(tmp_path):
     out = tmp_path / "sweep.csv"
     code = main(

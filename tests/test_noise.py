@@ -12,12 +12,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pqw.graphs import Graph, catalog_lookup
+from pqw.graphs import Graph, catalog_lookup, catalog_names, parse_edge_list
 from pqw.noise import (
     CHANNEL_KINDS,
     NoiseChannel,
     NoiseReport,
     ResourceError,
+    _branch_fidelity,
     bhattacharyya_fidelity,
     extract_p_eff,
     f_star_dep,
@@ -27,6 +28,7 @@ from pqw.noise import (
     parse_channel,
     t1_damping_estimate,
 )
+from pqw.protocol import CORRECTION_KINDS, Outcome, correction_plan
 
 P4 = catalog_lookup("P4")
 K2 = Graph(("A", "B"), (("A", "B"),))
@@ -258,18 +260,65 @@ def test_qubit_budget_guard():
 
 
 def test_term_budget_guard():
-    k4 = catalog_lookup("K4")
+    # amplitude damping is the one channel still enumerated branch by
+    # branch; 16^7 terms on a 7-edge ring exceed the default of 2^24
+    ring7 = parse_edge_list("".join(f"v{i} v{(i + 1) % 7}\n" for i in range(7)))
+    ad = NoiseChannel("amplitude_damping", 0.1)
     with pytest.raises(ResourceError, match="term"):
-        noisy_protocol_fidelity(
-            k4,
-            NoiseChannel("depolarizing", 0.1),
-            metric="conditional",
-            max_qubits=16,
-        )
+        noisy_protocol_fidelity(ring7, ad, metric="conditional", max_qubits=21)
     with pytest.raises(ResourceError, match="term"):
-        noisy_protocol_fidelity(
-            P4, NoiseChannel("depolarizing", 0.1), metric="conditional", max_terms=1
-        )
+        noisy_protocol_fidelity(P4, ad, metric="conditional", max_terms=1)
+
+
+def test_frame_engine_ignores_term_budget():
+    got = noisy_protocol_fidelity(
+        P4, NoiseChannel("depolarizing", 0.1), metric="conditional", max_terms=1
+    )
+    assert abs(got - 0.634501750000) < 1e-9
+
+
+def test_frame_budget_counts_vertices():
+    house = catalog_lookup("house")
+    pd = NoiseChannel("phase_damping", 0.1)
+    with pytest.raises(ResourceError, match="5 vertices"):
+        noisy_protocol_fidelity(house, pd, metric="conditional", max_qubits=4)
+    assert noisy_protocol_fidelity(house, pd, metric="conditional", max_qubits=5) < 1.0
+
+
+# -- Pauli frames against dense Kraus branches ------------------------------------
+
+
+def _frame_vs_dense_cases():
+    # every distinct catalog graph the dense engine reaches; dense
+    # depolarizing costs 4^(2|E|) branches, so it stops at three edges
+    cases = []
+    seen = []
+    for name in catalog_names():
+        graph = catalog_lookup(name)
+        if graph in seen or graph.n_vertices + 2 * graph.n_edges > 12:
+            continue
+        seen.append(graph)
+        channels = ("phase_damping",) + (("depolarizing",) if graph.n_edges <= 3 else ())
+        for kind in CORRECTION_KINDS:
+            try:
+                correction_plan(graph, Outcome.from_index(graph, 0), kind)
+            except ValueError:
+                continue
+            for channel in channels:
+                for insertion in ("post_prep", "pre_measure"):
+                    cases.append((name, kind, channel, insertion))
+    return cases
+
+
+@pytest.mark.parametrize("name,kind,channel,insertion", _frame_vs_dense_cases())
+def test_frame_engine_matches_dense_branches(name, kind, channel, insertion):
+    graph = catalog_lookup(name)
+    noise = NoiseChannel(channel, 0.3)
+    dense = _branch_fidelity(graph, kraus_ops(noise), kind, insertion)
+    frame = noisy_protocol_fidelity(
+        graph, noise, kind, insertion, metric="conditional"
+    )
+    assert abs(frame - dense) < 1e-12
 
 
 # -- calibration helpers ----------------------------------------------------------
