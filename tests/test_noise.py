@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from pqw.graphs import Graph, catalog_lookup, catalog_names, parse_edge_list
 from pqw.noise import (
     CHANNEL_KINDS,
+    INSERTION_POINTS,
     NoiseChannel,
     NoiseReport,
     ResourceError,
@@ -271,10 +272,11 @@ def test_term_budget_guard():
 
 
 def test_frame_engine_ignores_term_budget():
+    kind, p, want = CONDITIONAL_ORACLES[0]
     got = noisy_protocol_fidelity(
-        P4, NoiseChannel("depolarizing", 0.1), metric="conditional", max_terms=1
+        P4, NoiseChannel(kind, p), metric="conditional", max_terms=1
     )
-    assert abs(got - 0.634501750000) < 1e-9
+    assert abs(got - want) < 1e-9
 
 
 def test_frame_budget_counts_vertices():
@@ -305,7 +307,7 @@ def _frame_vs_dense_cases():
             except ValueError:
                 continue
             for channel in channels:
-                for insertion in ("post_prep", "pre_measure"):
+                for insertion in INSERTION_POINTS:
                     cases.append((name, kind, channel, insertion))
     return cases
 
