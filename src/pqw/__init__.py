@@ -58,7 +58,6 @@ from .stabilizer import (
     conjugate,
     extract_sign,
     measure_z,
-    measure_z_sampled,
     zero_state_tableau,
 )
 from .statevector import (

@@ -7,15 +7,15 @@ malformed input files), 3 resource budget exceeded.
 
 Output is deterministic: JSON with sorted keys for structured reports,
 CSV with a header row and 12 significant digits for plot-ready curves.
-The PQW_JOBS environment variable sets the default parallelism; --jobs
-overrides it.
+Every command runs in one thread; --jobs is still accepted, must be a
+positive integer, and is otherwise ignored, so that existing scripts
+keep running.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -68,7 +68,6 @@ class RunConfig:
     metric: str = "strict"
     fmt: str = "json"
     out: str | None = None
-    jobs: int = 1
     cuts: tuple[str, ...] = ()
     state_a: str | None = None
     state_b: str | None = None
@@ -79,8 +78,6 @@ class RunConfig:
     unsquared: bool = False
 
     def __post_init__(self):
-        if self.jobs < 1:
-            raise UsageError(f"jobs must be at least 1, got {self.jobs}")
         if self.command == "noise":
             if self.compare is None and self.channel is None:
                 raise UsageError("noise needs --channel (or --compare)")
@@ -98,14 +95,6 @@ class RunConfig:
                 raise UsageError("counts needs either --counts/--ideal or --fidelity")
             if self.k is None:
                 raise UsageError("counts needs --k")
-
-
-def _default_jobs() -> int:
-    raw = os.environ.get("PQW_JOBS", "1")
-    try:
-        return int(raw)
-    except ValueError:
-        raise UsageError(f"PQW_JOBS must be an integer, got {raw!r}")
 
 
 def _parse_p_grid(spec: str) -> tuple[float, ...]:
@@ -220,9 +209,7 @@ def cmd_verify(config: RunConfig) -> int:
     reports = []
     for spec in names:
         name, graph = _resolve_graph(spec)
-        reports.append(
-            verify_all_outcomes(graph, config.correction, jobs=config.jobs, name=name)
-        )
+        reports.append(verify_all_outcomes(graph, config.correction, name=name))
     if config.fmt == "json":
         if len(reports) == 1:
             payload = _report_dict(reports[0])
@@ -270,7 +257,6 @@ def cmd_noise(config: RunConfig) -> int:
         correction_kind=config.correction,
         insertion=config.insertion,
         metric=config.metric,
-        jobs=config.jobs,
     )
     if config.fmt == "json":
         payload = {
@@ -367,7 +353,13 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser, default_fmt: str) -> None:
         p.add_argument("--format", choices=("json", "csv"), default=default_fmt)
         p.add_argument("--out", default=None, help="output file (default stdout)")
-        p.add_argument("--jobs", type=int, default=None, help="parallel workers")
+        p.add_argument(
+            "--jobs",
+            type=int,
+            default=None,
+            help="ignored: every command runs in one thread; kept so that "
+            "existing scripts still run",
+        )
 
     p_verify = sub.add_parser(
         "verify", help="enumerate every outcome and check the corrected state"
@@ -422,8 +414,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
-    jobs = args.jobs if args.jobs is not None else _default_jobs()
-    common = {"command": args.cmd, "fmt": args.format, "out": args.out, "jobs": jobs}
+    if args.jobs is not None and args.jobs < 1:
+        raise UsageError(f"jobs must be at least 1, got {args.jobs}")
+    common = {"command": args.cmd, "fmt": args.format, "out": args.out}
     if args.cmd == "verify":
         return RunConfig(graph=args.graph, correction=args.correction, **common)
     if args.cmd == "noise":

@@ -10,14 +10,14 @@ clean.
 Two fidelity accountings are provided, and they are not the same
 number:
 
-* metric="strict" charges every resource-qubit error as a loss.  Each
-  Kraus branch carries the weight prod_i |tr(K_{b_i})/2|^2, the
-  probability that qubit i retains no error under the branch, and the
-  no-error branch weight multiplies the exact noiseless outcome
-  enumeration.  The branch sum telescopes per qubit, which is why the
-  result matches the closed-form curves (1-3p/4)^k and
-  ((1+sqrt(1-p))/2)^k to machine precision, identically for both
-  insertion points.
+* metric="strict" charges every resource-qubit error as a loss.  A
+  qubit comes through error-free with probability
+  sum_b |tr(K_b)/2|^2, independently of the others, so the no-error
+  fraction is that per-qubit retention to the power k; it multiplies
+  the exact noiseless outcome enumeration, which is 1 for a valid plan
+  and below 1 for a broken one.  This is why the result matches the
+  closed-form curves (1-3p/4)^k and ((1+sqrt(1-p))/2)^k to machine
+  precision, identically for both insertion points.
 
 * metric="conditional" is the operational fidelity of the state
   actually delivered: every error branch runs through the remaining
@@ -39,7 +39,8 @@ exactly, one qubit at a time, with no statevector; the qubit budget
 applies to |V| there and the term budget does not.  Amplitude damping
 has no Pauli form and runs every Kraus branch through a dense
 statevector, under both budgets.  The strict metric is computed the
-same way for every channel.
+same way for every channel and is held to the qubit budget only: its
+one dense enumeration is the noiseless one.
 
 The default is strict because the closed-form curves are the quantity
 the rest of the toolchain (effective-p extraction, channel comparisons)
@@ -54,14 +55,14 @@ from itertools import product as iter_product
 
 import numpy as np
 
-from . import statevector as sv
-from .graphs import Graph, graph_state
+from .graphs import Graph
 from .protocol import (
     Outcome,
     _after_prep,
+    _correction_targets,
+    _outcome_overlaps,
     _premeasurement,
-    _resource_row,
-    all_outcomes,
+    _walk,
     build_layout,
     correction_plan,
 )
@@ -214,47 +215,12 @@ def _apply_one_qubit_matrix(amps: np.ndarray, mat: np.ndarray, qubit: int) -> np
     return out.reshape(amps.size)
 
 
-def _correction_targets(graph: Graph, correction_kind: str) -> np.ndarray:
-    """Row r holds conj(C_s^dagger |G>) for the outcome s whose resource
-    register reads r, so that row . slab = <G| C_s |slab>."""
-    target = graph_state(graph)
-    rows = np.empty((graph.outcome_count(), 2**graph.n_vertices), dtype=complex)
-    for outcome in all_outcomes(graph):
-        plan = correction_plan(graph, outcome, correction_kind)
-        bra = target
-        # (Z^z then X^x)^dagger = X^x then Z^z at each vertex
-        for i, (_, x, z) in enumerate(plan.exponents):
-            if x:
-                bra = sv.apply_gate(bra, "X", (i,))
-            if z:
-                bra = sv.apply_gate(bra, "Z", (i,))
-        rows[_resource_row(graph, outcome)] = bra.amplitudes.conj()
-    return rows
-
-
-def _outcome_overlaps(
-    graph: Graph, branch_amps: np.ndarray, targets: np.ndarray
-) -> np.ndarray:
-    """|<G| C_s |slab_s>|^2 for every outcome of one Kraus branch."""
-    slabs = branch_amps.reshape(-1, 2**graph.n_vertices)
-    return np.abs(np.einsum("ij,ij->i", targets, slabs)) ** 2
-
-
-def _check_budget(graph: Graph, n_kraus: int, max_qubits, max_terms) -> None:
-    total = graph.n_vertices + 2 * graph.n_edges
-    qubit_budget = DEFAULT_TOTAL_QUBIT_BUDGET if max_qubits is None else max_qubits
-    if total > qubit_budget:
+def _check_qubit_budget(what: str, size: int, max_qubits) -> None:
+    budget = DEFAULT_TOTAL_QUBIT_BUDGET if max_qubits is None else max_qubits
+    if size > budget:
         raise ResourceError(
-            f"noisy enumeration over {total} qubits exceeds the budget of "
-            f"{qubit_budget}; pick a smaller graph or raise max_qubits"
-        )
-    k = 2 * graph.n_edges
-    terms = n_kraus**k * graph.outcome_count()
-    term_budget = DEFAULT_TERM_BUDGET if max_terms is None else max_terms
-    if terms > term_budget:
-        raise ResourceError(
-            f"{n_kraus}^{k} branches x {graph.outcome_count()} outcomes = "
-            f"{terms} terms exceeds the budget of {term_budget}"
+            f"{what} exceeds the budget of {budget}; "
+            "pick a smaller graph or raise max_qubits"
         )
 
 
@@ -270,12 +236,12 @@ def noisy_protocol_fidelity(
     """Exact fidelity of the distributed state under independent noise
     on every resource qubit.
 
-    Everything is enumerated: every error branch over the k = 2|E|
-    resource qubits and all 4^|E| measurement outcomes, with the
-    noiseless correction formula applied per outcome.  The conditional
-    metric of a Pauli channel enumerates data-Z frames instead of
-    statevectors; see the module docstring for what the two metrics
-    count.  Both reduce to 1 at p=0.
+    All 4^|E| measurement outcomes are enumerated, with the noiseless
+    correction formula applied per outcome.  The conditional metric
+    also enumerates every error branch over the k = 2|E| resource
+    qubits: as data-Z frames for a Pauli channel, as dense Kraus
+    branches for amplitude damping.  See the module docstring for what
+    the two metrics count.  Both reduce to 1 at p=0.
     """
     if insertion not in INSERTION_POINTS:
         raise ValueError(
@@ -284,28 +250,36 @@ def noisy_protocol_fidelity(
     if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}; expected one of {METRICS}")
     if metric == "conditional" and channel.kind != "amplitude_damping":
-        _check_frame_budget(graph, max_qubits)
+        # the frame distribution has one entry per data-Z pattern, 2^|V|
+        _check_qubit_budget(
+            f"Pauli-frame enumeration over {graph.n_vertices} vertices",
+            graph.n_vertices,
+            max_qubits,
+        )
         return _frame_fidelity(
             graph, _pauli_probabilities(channel), correction_kind, insertion
         )
+    total = graph.n_vertices + 2 * graph.n_edges
+    _check_qubit_budget(f"noisy enumeration over {total} qubits", total, max_qubits)
     ops = kraus_ops(channel)
-    _check_budget(graph, len(ops), max_qubits, max_terms)
-    if metric == "conditional":
-        return _branch_fidelity(graph, ops, correction_kind, insertion)
-
-    # weight of a branch = prod_i |tr(K_{b_i})/2|^2, the probability
-    # that qubit i comes through error-free; the no-error fraction
-    # then multiplies the exact noiseless outcome enumeration
-    targets = _correction_targets(graph, correction_kind)
     k = 2 * graph.n_edges
-    retention = [abs(np.trace(op)) ** 2 / 4.0 for op in ops]
-    branch_weights = [
-        math.prod(retention[b] for b in branch)
-        for branch in iter_product(range(len(ops)), repeat=k)
-    ]
-    clean = _premeasurement_amps(graph)
-    noiseless = math.fsum(_outcome_overlaps(graph, clean, targets).tolist())
-    return math.fsum(branch_weights) * noiseless
+    if metric == "strict":
+        # each qubit comes through error-free with probability
+        # sum_b |tr(K_b)/2|^2, independently of the others; that
+        # fraction multiplies the exact noiseless outcome enumeration
+        retention = math.fsum(abs(np.trace(op)) ** 2 / 4.0 for op in ops)
+        targets = _correction_targets(graph, correction_kind)
+        clean = _premeasurement(graph).amplitudes
+        noiseless = math.fsum(_outcome_overlaps(graph, clean, targets).tolist())
+        return retention**k * noiseless
+    terms = len(ops) ** k * graph.outcome_count()
+    term_budget = DEFAULT_TERM_BUDGET if max_terms is None else max_terms
+    if terms > term_budget:
+        raise ResourceError(
+            f"{len(ops)}^{k} branches x {graph.outcome_count()} outcomes = "
+            f"{terms} terms exceeds the budget of {term_budget}"
+        )
+    return _branch_fidelity(graph, ops, correction_kind, insertion)
 
 
 def _branch_fidelity(
@@ -322,12 +296,12 @@ def _branch_fidelity(
     prepped = _after_prep(graph).amplitudes
     for branch in iter_product(range(len(ops)), repeat=k):
         if insertion == "post_prep":
-            amps = prepped.copy()
+            amps = prepped
             for q, b in zip(resource_qubits, branch):
                 amps = _apply_one_qubit_matrix(amps, ops[b], q)
-            amps = _walk_amps(graph, amps)
+            amps = _walk(graph, amps)
         else:
-            amps = _premeasurement_amps(graph).copy()
+            amps = _premeasurement(graph).amplitudes
             for q, b in zip(resource_qubits, branch):
                 amps = _apply_one_qubit_matrix(amps, ops[b], q)
         branch_totals.append(
@@ -347,16 +321,6 @@ def _pauli_probabilities(channel: NoiseChannel) -> tuple[float, float, float, fl
         return (1.0 - 0.75 * p, p / 4.0, p / 4.0, p / 4.0)
     q = (1.0 - math.sqrt(1.0 - p)) / 2.0
     return (1.0 - q, 0.0, 0.0, q)
-
-
-def _check_frame_budget(graph: Graph, max_qubits) -> None:
-    # the frame distribution has one entry per data-Z pattern, 2^|V|
-    budget = DEFAULT_TOTAL_QUBIT_BUDGET if max_qubits is None else max_qubits
-    if graph.n_vertices > budget:
-        raise ResourceError(
-            f"Pauli-frame enumeration over {graph.n_vertices} vertices exceeds "
-            f"the budget of {budget}; pick a smaller graph or raise max_qubits"
-        )
 
 
 def _misread_frames(graph: Graph, correction_kind: str) -> list[int]:
@@ -422,21 +386,3 @@ def _frame_fidelity(
             prob * dist[index ^ frame] for frame, prob in weights.items() if prob
         )
     return float(dist[0])
-
-
-def _premeasurement_amps(graph: Graph) -> np.ndarray:
-    return _premeasurement(graph).amplitudes
-
-
-def _walk_amps(graph: Graph, amps: np.ndarray) -> np.ndarray:
-    """Apply the entangling walk + coin rotation to raw, possibly
-    unnormalized amplitudes."""
-    layout = build_layout(graph)
-    for edge in graph.edges:
-        for v in edge:
-            amps = sv._apply_cz(
-                amps, layout.data_index[v], layout.resource_index[(edge, v)]
-            )
-    for q in layout.resource_qubits():
-        amps = sv._apply_h(amps, q)
-    return amps

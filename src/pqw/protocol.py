@@ -194,25 +194,24 @@ def _after_prep(graph: Graph) -> sv.StateVector:
     return state
 
 
-def _apply_walk(state: sv.StateVector, graph: Graph) -> sv.StateVector:
-    """S3: the entangling CZ for every incidence, then H on every
-    resource qubit."""
+def _walk(graph: Graph, amps: np.ndarray) -> np.ndarray:
+    """S3 on raw, possibly unnormalized amplitudes: the entangling CZ
+    for every incidence, then H on every resource qubit."""
     layout = build_layout(graph)
     for edge in graph.edges:
         for v in edge:
-            state = sv.apply_gate(
-                state,
-                "CZ",
-                (layout.data_index[v], layout.resource_index[(edge, v)]),
+            amps = sv._apply_cz(
+                amps, layout.data_index[v], layout.resource_index[(edge, v)]
             )
     for q in layout.resource_qubits():
-        state = sv.apply_gate(state, "H", (q,))
-    return state
+        amps = sv._apply_h(amps, q)
+    return amps
 
 
 @lru_cache(maxsize=32)
 def _premeasurement(graph: Graph) -> sv.StateVector:
-    return _apply_walk(_after_prep(graph), graph)
+    prepped = _after_prep(graph)
+    return sv.StateVector(prepped.n_qubits, _walk(graph, prepped.amplitudes))
 
 
 def _resource_row(graph: Graph, outcome: Outcome) -> int:
@@ -413,25 +412,14 @@ def tree_correction(
     return CorrectionPlan.from_maps(graph, x, z)
 
 
-def apply_correction(
-    state: sv.StateVector, plan: CorrectionPlan, layout: Layout | None = None
-) -> sv.StateVector:
-    """Apply Z^{z_v} then X^{x_v} at each vertex's data qubit.
-
-    Without a layout the state is taken to be a bare data register in
-    vertex order, which matches run_protocol's output; with one, the
-    plan lands on the data qubits of a full protocol register.
-    """
-    index = (
-        layout.data_index
-        if layout is not None
-        else {v: i for i, v in enumerate(plan.graph.vertices)}
-    )
-    for v, x, z in plan.exponents:
+def apply_correction(state: sv.StateVector, plan: CorrectionPlan) -> sv.StateVector:
+    """Apply Z^{z_v} then X^{x_v} at each vertex's qubit of a bare data
+    register in vertex order, which matches run_protocol's output."""
+    for i, (_, x, z) in enumerate(plan.exponents):
         if z:
-            state = sv.apply_gate(state, "Z", (index[v],))
+            state = sv.apply_gate(state, "Z", (i,))
         if x:
-            state = sv.apply_gate(state, "X", (index[v],))
+            state = sv.apply_gate(state, "X", (i,))
     return state
 
 
@@ -468,3 +456,62 @@ def correction_plan(graph: Graph, outcome: Outcome, kind: str) -> CorrectionPlan
     if kind == "tree":
         return tree_correction(graph, outcome)
     raise ValueError(f"unknown correction kind {kind!r}; expected {CORRECTION_KINDS}")
+
+
+# -- the outcome engine ------------------------------------------------------
+#
+# Every outcome's slab is contracted with its corrected target in one
+# pass; run_protocol, apply_correction and corrected_fidelity above are
+# the per-outcome reference this is tested against.
+
+
+def _correction_targets(graph: Graph, correction_kind: str) -> np.ndarray:
+    """Row r holds conj(C_s^dagger |G>) for the outcome s whose resource
+    register reads r, so that row . slab = <G| C_s |slab>."""
+    bra = graph_state(graph).amplitudes.conj()
+    basis = np.arange(bra.size)
+    # C_s^dagger = Z^z X^x at each vertex: X^x moves amplitude j to j ^ x,
+    # and Z^z flips the sign wherever j and z share an odd number of bits
+    moved = bra[basis[:, None] ^ basis]
+    signs = 1.0 - 2.0 * (np.bitwise_count(basis[:, None] & basis) & 1)
+    rows = np.empty((graph.outcome_count(), bra.size), dtype=complex)
+    for outcome in all_outcomes(graph):
+        plan = correction_plan(graph, outcome, correction_kind)
+        x_mask = z_mask = 0
+        for i, (_, x, z) in enumerate(plan.exponents):
+            x_mask |= x << i
+            z_mask |= z << i
+        row = rows[_resource_row(graph, outcome)]
+        np.multiply(signs[z_mask], moved[x_mask], out=row)
+    return rows
+
+
+def _outcome_overlaps(
+    graph: Graph, amps: np.ndarray, targets: np.ndarray
+) -> np.ndarray:
+    """|<G| C_s |slab_s>|^2 per resource row of a full, possibly
+    unnormalized protocol register."""
+    slabs = amps.reshape(-1, 2**graph.n_vertices)
+    return np.abs(np.einsum("ij,ij->i", targets, slabs)) ** 2
+
+
+def _outcome_table(
+    graph: Graph, correction_kind: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """Probability and corrected fidelity of every outcome, in outcome
+    index order, from one contraction of the premeasurement state."""
+    amps = _premeasurement(graph).amplitudes
+    slabs = amps.reshape(-1, 2**graph.n_vertices)
+    # squared row norms through the real and imaginary views, so the
+    # register is never copied
+    probabilities = np.einsum("ij,ij->i", slabs.real, slabs.real)
+    probabilities += np.einsum("ij,ij->i", slabs.imag, slabs.imag)
+    targets = _correction_targets(graph, correction_kind)
+    fidelities = _outcome_overlaps(graph, amps, targets) / probabilities
+    # row bit m is sequence bit m, so reversing the bit axes of the rows
+    # lists them by big-endian outcome index
+    bit_axes = (2,) * (2 * graph.n_edges)
+    return (
+        probabilities.reshape(bit_axes).T.ravel(),
+        fidelities.reshape(bit_axes).T.ravel(),
+    )

@@ -286,18 +286,6 @@ def measure_z(tableau: Tableau, qubit: int, forced_outcome: int) -> Tableau:
     return Tableau(tableau.n_qubits, tuple(new_gens))
 
 
-def measure_z_sampled(tableau: Tableau, qubit: int, rng) -> tuple[int, Tableau]:
-    """Sampling wrapper: draws a uniform bit when the outcome is
-    indeterminate, otherwise returns the determined outcome."""
-    anti = [g for g in tableau.generators if (g.x_bits >> qubit) & 1]
-    if anti:
-        outcome = int(rng.integers(0, 2))
-    else:
-        sign = extract_sign(tableau, single_z(tableau.n_qubits, qubit))
-        outcome = 0 if sign == 1 else 1
-    return outcome, measure_z(tableau, qubit, outcome)
-
-
 def check_stabilizes(state: StateVector, tableau: Tableau, tol: float = 1e-10) -> bool:
     """True iff every generator fixes the state with eigenvalue +1."""
     if state.n_qubits != tableau.n_qubits:

@@ -8,16 +8,21 @@ randomness is the choice of spot-check outcomes for very large outcome
 sets, and that is driven by a caller-controlled generator.  Reports are
 plain data and render elsewhere; two runs over the same inputs produce
 equal reports.
+
+The outcome sweep is a single contraction of the premeasurement state
+with the table of corrected targets, both owned by pqw.protocol and
+shared with the noise engine; nothing is split over threads.
 """
 
 from __future__ import annotations
 
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import statevector as sv
-from .graphs import Graph, graph_state, stabilizer_generators
+from .graphs import Graph, stabilizer_generators
 from .noise import (
     CHANNEL_ALIASES,
     NoiseChannel,
@@ -26,13 +31,7 @@ from .noise import (
     f_star_pd,
     noisy_protocol_fidelity,
 )
-from .protocol import (
-    Outcome,
-    apply_correction,
-    correction_plan,
-    run_protocol,
-    run_protocol_tableau,
-)
+from .protocol import Outcome, _outcome_table, run_protocol_tableau
 from .stabilizer import extract_sign
 
 FIDELITY_TOL = 1e-12
@@ -68,58 +67,26 @@ class VerificationReport:
         )
 
 
-def _check_outcomes(
-    graph: Graph, correction_kind: str, indices, target: sv.StateVector
-) -> list[OutcomeRecord]:
-    records = []
-    for index in indices:
-        outcome = Outcome.from_index(graph, index)
-        prob, data = run_protocol(graph, outcome)
-        plan = correction_plan(graph, outcome, correction_kind)
-        fid = sv.fidelity(apply_correction(data, plan), target)
-        records.append(OutcomeRecord(index, prob, fid))
-    return records
-
-
 def verify_all_outcomes(
-    graph: Graph,
-    correction_kind: str = "universal",
-    jobs: int = 1,
-    name: str | None = None,
+    graph: Graph, correction_kind: str = "universal", name: str | None = None
 ) -> VerificationReport:
-    """Run the protocol for every outcome, correct, and compare with the
-    target graph state.
-
-    Work is split over outcome-index chunks; the per-outcome records are
-    concatenated back in index order, so the report does not depend on
-    the degree of parallelism.
-    """
+    """Correct every outcome and compare it with the target graph state,
+    all in one contraction of the premeasurement state."""
     if name is None:
         name = f"graph-{graph.n_vertices}v-{graph.n_edges}e"
     count = graph.outcome_count()
-    target = graph_state(graph)
-    if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
-    if jobs == 1:
-        records = _check_outcomes(graph, correction_kind, range(count), target)
-    else:
-        chunk = max(1, count // (jobs * 8))
-        spans = [range(lo, min(lo + chunk, count)) for lo in range(0, count, chunk)]
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            parts = pool.map(
-                lambda span: _check_outcomes(graph, correction_kind, span, target),
-                spans,
-            )
-            records = [rec for part in parts for rec in part]
-    expected = 1.0 / count
+    probabilities, fidelities = _outcome_table(graph, correction_kind)
     return VerificationReport(
         graph_name=name,
         correction_kind=correction_kind,
         outcome_count=count,
-        min_fidelity=min(r.fidelity for r in records),
-        max_fidelity=max(r.fidelity for r in records),
-        max_probability_deviation=max(abs(r.probability - expected) for r in records),
-        records=tuple(records),
+        min_fidelity=float(fidelities.min()),
+        max_fidelity=float(fidelities.max()),
+        max_probability_deviation=float(np.abs(probabilities - 1.0 / count).max()),
+        records=tuple(
+            OutcomeRecord(i, p, f)
+            for i, (p, f) in enumerate(zip(probabilities.tolist(), fidelities.tolist()))
+        ),
     )
 
 
@@ -198,7 +165,6 @@ def noise_sweep(
     correction_kind: str = "universal",
     insertion: str = "post_prep",
     metric: str = "strict",
-    jobs: int = 1,
     max_qubits: int | None = None,
     max_terms: int | None = None,
 ) -> NoiseReport:
@@ -208,9 +174,8 @@ def noise_sweep(
     kind = CHANNEL_ALIASES.get(channel_kind, channel_kind)
     grid = tuple(float(p) for p in p_grid)
     k = 2 * graph.n_edges
-
-    def one(p: float) -> float:
-        return noisy_protocol_fidelity(
+    fidelities = tuple(
+        noisy_protocol_fidelity(
             graph,
             NoiseChannel(kind, p),
             correction_kind=correction_kind,
@@ -219,12 +184,8 @@ def noise_sweep(
             max_qubits=max_qubits,
             max_terms=max_terms,
         )
-
-    if jobs == 1 or len(grid) <= 1:
-        fidelities = tuple(one(p) for p in grid)
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            fidelities = tuple(pool.map(one, grid))
+        for p in grid
+    )
     if kind == "depolarizing":
         analytic = tuple(f_star_dep(p, k) for p in grid)
     elif kind == "phase_damping":

@@ -1,6 +1,7 @@
 """Command-line surface: argument handling, output formats, exit codes."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -47,6 +48,30 @@ def test_verify_all_graphs_summary(capsys):
     assert code == EXIT_PASS
     assert payload["all_passed"] is True
     assert len(payload["reports"]) == 18
+
+
+REFERENCE_DIR = Path(__file__).resolve().parents[1] / "bench" / "reference"
+
+
+@pytest.mark.parametrize(
+    "reference,argv",
+    (
+        (
+            "verify-catalog.out",
+            ["verify", "--graph", "all", "--correction", "universal",
+             "--format", "csv", "--jobs", "1"],
+        ),
+        (
+            "noise-dep.out",
+            ["noise", "--graph", "P4", "--channel", "dep", "--p", "0.1:0.3:0.1",
+             "--metric", "conditional", "--format", "csv", "--jobs", "1"],
+        ),
+    ),
+)
+def test_cli_output_matches_benchmark_reference(reference, argv, capsys):
+    assert main(argv) == EXIT_PASS
+    expected = (REFERENCE_DIR / reference).read_bytes().decode("utf-8")
+    assert capsys.readouterr().out == expected
 
 
 def test_verify_exit_fail_on_doctored_report(monkeypatch, capsys):
@@ -305,13 +330,6 @@ def test_counts_modes_are_exclusive():
 
 
 # -- shared plumbing --------------------------------------------------------------
-
-
-def test_jobs_env_fallback(monkeypatch, capsys):
-    monkeypatch.setenv("PQW_JOBS", "2")
-    assert main(["verify", "--graph", "P3"]) == EXIT_PASS
-    monkeypatch.setenv("PQW_JOBS", "zero")
-    assert main(["verify", "--graph", "P3"]) == EXIT_USAGE
 
 
 def test_explicit_jobs_must_be_positive():

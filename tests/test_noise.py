@@ -153,6 +153,14 @@ def test_strict_metric_matches_phase_damping_form(p):
     assert abs(got - f_star_pd(p, 6)) < 1e-10
 
 
+def test_strict_metric_skips_term_budget():
+    # strict is a per-qubit closed form times one noiseless enumeration,
+    # so it enumerates no Kraus branches for the term budget to count
+    channel = NoiseChannel("depolarizing", 0.3)
+    got = noisy_protocol_fidelity(P4, channel, metric="strict", max_terms=1)
+    assert got == pytest.approx(f_star_dep(0.3, 6), abs=1e-12)
+
+
 def test_strict_metric_ignores_insertion_point():
     for kind in CHANNEL_KINDS:
         channel = NoiseChannel(kind, 0.23)

@@ -12,7 +12,6 @@ from pqw.protocol import (
     CorrectionPlan,
     Outcome,
     all_outcomes,
-    apply_correction,
     build_layout,
     byproduct_step,
     c4_correction,
@@ -172,16 +171,6 @@ def test_plan_as_pauli_bitmasks():
     assert plan.x_of("B") == 1 and plan.z_of("B") == 0
     assert not plan.is_identity()
     assert CorrectionPlan.from_maps(P4, {}, {}).is_identity()
-
-
-def test_apply_correction_with_layout_targets_data_qubits():
-    layout = build_layout(K2)
-    plan = CorrectionPlan.from_maps(K2, {"A": 1}, {"B": 1})
-    state = sv.new_plus(layout.total_qubits)
-    moved = apply_correction(state, plan, layout)
-    by_hand = sv.apply_gate(state, "Z", (1,))
-    by_hand = sv.apply_gate(by_hand, "X", (0,))
-    assert sv.fidelity(moved, by_hand) > 1.0 - 1e-12
 
 
 def test_pair_correction_matches_near_far_reading():

@@ -19,7 +19,6 @@ from pqw.stabilizer import (
     conjugate,
     extract_sign,
     measure_z,
-    measure_z_sampled,
     single_x,
     single_z,
     zero_state_tableau,
@@ -287,19 +286,6 @@ def test_measure_z_validates_arguments():
         measure_z(tab, 1, 0)
     with pytest.raises(ValueError, match="outcome"):
         measure_z(tab, 0, 2)
-
-
-def test_measure_z_sampled():
-    rng = np.random.default_rng(5)
-    plus = conjugate(zero_state_tableau(1), "H", (0,))
-    seen = set()
-    for _ in range(20):
-        outcome, after = measure_z_sampled(plus, 0, rng)
-        seen.add(outcome)
-        assert extract_sign(after, single_z(1, 0)) == (1 if outcome == 0 else -1)
-    assert seen == {0, 1}
-    outcome, after = measure_z_sampled(zero_state_tableau(1), 0, rng)
-    assert outcome == 0
 
 
 # -- dense/tableau agreement on random circuits ------------------------------

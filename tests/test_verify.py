@@ -5,9 +5,17 @@ import dataclasses
 
 import pytest
 
+from pqw import protocol
 from pqw import statevector as sv
-from pqw.graphs import catalog_lookup, ghz_state, graph_state, parse_edge_list
+from pqw.graphs import (
+    TABLE_ORDER,
+    catalog_lookup,
+    ghz_state,
+    graph_state,
+    parse_edge_list,
+)
 from pqw.noise import f_star_dep
+from pqw.protocol import CorrectionPlan, Outcome, corrected_fidelity, run_protocol
 from pqw.verify import (
     EXHAUSTIVE_OUTCOME_LIMIT,
     FIDELITY_TOL,
@@ -44,12 +52,6 @@ def test_verify_is_deterministic():
     assert a == b
 
 
-def test_verify_parallel_matches_serial():
-    serial = verify_all_outcomes(P4, "l4", name="P4")
-    threaded = verify_all_outcomes(P4, "l4", name="P4", jobs=3)
-    assert serial == threaded
-
-
 @pytest.mark.parametrize(
     "name,kind",
     (("C4", "c4"), ("P4", "l4"), ("K1_3", "tree"), ("K3", "universal")),
@@ -59,6 +61,50 @@ def test_verify_topology_specific_plans(name, kind):
     report = verify_all_outcomes(graph, kind, name=name)
     assert report.passed
     assert report.outcome_count == graph.outcome_count()
+
+
+def _contraction_cases():
+    # every catalog graph the table lists, plus K4, under every plan
+    # that applies to it
+    cases = []
+    for name in TABLE_ORDER + ("K4",):
+        graph = catalog_lookup(name)
+        cases.append((name, "universal"))
+        if name == "P4":
+            cases.append((name, "l4"))
+        if name == "C4":
+            cases.append((name, "c4"))
+        if graph.is_tree():
+            cases.append((name, "tree"))
+    return cases
+
+
+@pytest.mark.parametrize("name,kind", _contraction_cases())
+def test_contraction_matches_per_outcome_reference(name, kind):
+    graph = catalog_lookup(name)
+    report = verify_all_outcomes(graph, kind, name=name)
+    assert [r.index for r in report.records] == list(range(graph.outcome_count()))
+    for record in report.records:
+        outcome = Outcome.from_index(graph, record.index)
+        plan = protocol.correction_plan(graph, outcome, kind)
+        assert record.probability == pytest.approx(
+            run_protocol(graph, outcome)[0], abs=1e-12
+        )
+        assert record.fidelity == pytest.approx(
+            corrected_fidelity(graph, outcome, plan), abs=1e-12
+        )
+
+
+def test_contraction_applies_the_plan(monkeypatch):
+    # with every correction dropped, some outcome must miss the target
+    monkeypatch.setattr(
+        protocol,
+        "correction_plan",
+        lambda graph, outcome, kind: CorrectionPlan.from_maps(graph, {}, {}),
+    )
+    report = verify_all_outcomes(P4, "universal")
+    assert report.passed is False
+    assert min(r.fidelity for r in report.records) < 1.0 - FIDELITY_TOL
 
 
 def test_report_pass_logic():
@@ -156,12 +202,6 @@ def test_noise_sweep_amplitude_damping_has_no_overlay():
     assert all(a >= b - 1e-12 for a, b in zip(fids, fids[1:]))
     pd = noise_sweep(P4, "pd", (0.0, 0.2, 0.4)).fidelities
     assert all(x <= y + 1e-12 for x, y in zip(fids, pd))
-
-
-def test_noise_sweep_parallel_matches_serial():
-    a = noise_sweep(P4, "dep", (0.0, 0.05, 0.1), jobs=2)
-    b = noise_sweep(P4, "dep", (0.0, 0.05, 0.1), jobs=1)
-    assert a == b
 
 
 def test_reports_are_frozen():
