@@ -12,7 +12,6 @@ from .graphs import (
     CatalogError,
     Graph,
     TABLE_ORDER,
-    catalog_entries,
     catalog_lookup,
     catalog_names,
     ghz_state,
@@ -72,7 +71,6 @@ from .statevector import (
     new_plus,
     new_zero,
     schmidt_rank,
-    states_equal,
 )
 from .verify import (
     LcReport,

@@ -109,16 +109,6 @@ _CATALOG = _load_catalog()
 TABLE_ORDER: tuple[str, ...] = tuple(_CATALOG["table_order"])
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
-    name: str
-    graph: Graph
-
-    @property
-    def expected_outcome_count(self) -> int:
-        return self.graph.outcome_count()
-
-
 def catalog_names() -> tuple[str, ...]:
     return tuple(_CATALOG["graphs"]) + tuple(_CATALOG["aliases"])
 
@@ -136,11 +126,6 @@ def catalog_lookup(name: str) -> Graph:
         tuple(raw["vertices"]),
         tuple((u, v) for u, v in raw["edges"]),
     )
-
-
-def catalog_entries() -> tuple[CatalogEntry, ...]:
-    """The verification table rows, in documented order."""
-    return tuple(CatalogEntry(name, catalog_lookup(name)) for name in TABLE_ORDER)
 
 
 def parse_edge_list(text: str) -> Graph:
@@ -199,12 +184,3 @@ def ghz_state(n_qubits: int = 4) -> sv.StateVector:
     amps[0] = amps[-1] = 1.0
     return sv.from_amplitudes(amps, normalize=True)
 
-
-def ghz_from_star() -> sv.StateVector:
-    """The four-qubit GHZ state built from the K1_3 graph state by a
-    Hadamard on each leaf; equals ghz_state(4) exactly."""
-    star = catalog_lookup("K1_3")
-    state = graph_state(star)
-    for leaf in ("B", "C", "D"):
-        state = sv.apply_gate(state, "H", (star.vertex_index(leaf),))
-    return state

@@ -123,13 +123,6 @@ class Outcome:
             acc ^= self.far(edge, v)
         return acc
 
-    def f(self, v: str) -> int:
-        """XOR of near-side bits over the edges at v."""
-        acc = 0
-        for edge in self.graph.incident_edges(v):
-            acc ^= self.near(edge, v)
-        return acc
-
 
 def all_outcomes(graph: Graph):
     for index in range(graph.outcome_count()):
@@ -178,7 +171,6 @@ class CorrectionPlan:
 # -- protocol circuit ------------------------------------------------------
 
 
-@lru_cache(maxsize=32)
 def _after_prep(graph: Graph) -> sv.StateVector:
     """State after S1 + S2 (data and resource qubits all prepared)."""
     layout = build_layout(graph)
@@ -210,8 +202,10 @@ def _walk(graph: Graph, amps: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=32)
 def _premeasurement(graph: Graph) -> sv.StateVector:
-    prepped = _after_prep(graph)
-    return sv.StateVector(prepped.n_qubits, _walk(graph, prepped.amplitudes))
+    # no name holds the prepared register, so the walk frees it after
+    # its first gate instead of keeping one more register alive
+    amps = _walk(graph, _after_prep(graph).amplitudes)
+    return sv.StateVector(graph.n_vertices + 2 * graph.n_edges, amps)
 
 
 def _resource_row(graph: Graph, outcome: Outcome) -> int:
@@ -248,11 +242,31 @@ def run_protocol(graph: Graph, outcome: Outcome) -> tuple[float, sv.StateVector]
     return prob, sv.StateVector(graph.n_vertices, slab / np.sqrt(prob))
 
 
-def run_protocol_tableau(graph: Graph, outcome: Outcome) -> Tableau:
-    """Symbolic mirror of run_protocol: track the stabilizer group
-    through S1-S4 and return the data-qubit group with its signs."""
-    if outcome.graph != graph:
-        raise ValueError("outcome belongs to a different graph")
+def _outcome_bit(graph: Graph, m: int) -> int:
+    """Sequence bit m as a mask over the big-endian outcome index."""
+    return 1 << (2 * graph.n_edges - 1 - m)
+
+
+def far_side_mask(graph: Graph, v: str) -> int:
+    """g_v as an outcome-bit mask: Outcome.g(v) is the parity of this
+    mask AND-ed with the outcome index."""
+    mask = 0
+    for j, edge in enumerate(graph.edges):
+        if v in edge:
+            far = 2 * j + (1 if v == edge[0] else 0)
+            mask |= _outcome_bit(graph, far)
+    return mask
+
+
+@lru_cache(maxsize=32)
+def symbolic_protocol_tableau(graph: Graph) -> Tableau:
+    """Track the stabilizer group through S1-S4 once for every outcome
+    and return the data-qubit group.
+
+    Every resource measurement is random, so each is left free: the
+    generator it installs carries its outcome bit, and every sign of the
+    result is i^phase (-1)^{|outcome_mask & s|} at outcome index s.
+    """
     layout = build_layout(graph)
     nv = graph.n_vertices
     tableau = zero_state_tableau(layout.total_qubits)
@@ -271,14 +285,14 @@ def run_protocol_tableau(graph: Graph, outcome: Outcome) -> Tableau:
             )
     for q in layout.resource_qubits():
         tableau = conjugate(tableau, "H", (q,))
-    for m, bit in enumerate(outcome.bits):  # S4 measurements
-        tableau = measure_z(tableau, nv + m, bit)
+    for m in range(2 * graph.n_edges):  # S4 measurements
+        tableau = measure_z(tableau, nv + m, 0, _outcome_bit(graph, m))
     # eliminate the measured register: clear every Z_r with the installed
     # (-1)^{s_r} Z_r generator, then keep the data-only generators
     gens = list(tableau.generators)
-    for m, bit in enumerate(outcome.bits):
+    for m in range(2 * graph.n_edges):
         q = nv + m
-        installed = PauliString(tableau.n_qubits, 0, 1 << q, 2 * bit)
+        installed = PauliString(tableau.n_qubits, 0, 1 << q, 0, _outcome_bit(graph, m))
         for i, g in enumerate(gens):
             if g.same_paulis(installed):
                 continue
@@ -294,12 +308,24 @@ def run_protocol_tableau(graph: Graph, outcome: Outcome) -> Tableau:
             if g.x_bits == 0 and (g.z_bits & data_mask) == 0:
                 continue
             raise AssertionError(f"unexpected mixed generator {g.label()}")
-        data_gens.append(PauliString(nv, g.x_bits & data_mask, g.z_bits & data_mask, g.phase))
+        data_gens.append(
+            PauliString(
+                nv, g.x_bits & data_mask, g.z_bits & data_mask, g.phase, g.outcome_mask
+            )
+        )
     if len(data_gens) != nv:
         raise AssertionError(
             f"expected {nv} data generators, got {len(data_gens)}"
         )
     return Tableau(nv, tuple(data_gens))
+
+
+def run_protocol_tableau(graph: Graph, outcome: Outcome) -> Tableau:
+    """Symbolic mirror of run_protocol: the data-qubit stabilizer group
+    with its signs at one outcome, read off the symbolic run."""
+    if outcome.graph != graph:
+        raise ValueError("outcome belongs to a different graph")
+    return symbolic_protocol_tableau(graph).evaluate(outcome.to_index())
 
 
 def byproduct_step(s: int) -> tuple[float, sv.StateVector]:

@@ -14,6 +14,14 @@ The protocol circuits only ever produce generators with real signs, but
 products computed along the way pass through imaginary phases, so the
 phase is tracked mod 4 throughout and collapsed to a sign only at the
 boundary (the .sign property).
+
+A sign may also depend on measurement outcomes that are left free: a
+string carries an outcome mask, and at outcome index s its full sign is
+i^phase (-1)^{|outcome_mask & s|}.  Products add the phases and XOR the
+masks, conjugation keeps the mask, and only a free measurement (measure_z
+with an outcome mask) puts a new outcome bit into a generator.  Pivots
+are chosen from x and z bits alone, so one symbolic run covers every
+outcome, and .evaluate(s) gives the run at outcome s.
 """
 
 from __future__ import annotations
@@ -35,19 +43,32 @@ class PauliString:
     x_bits: int
     z_bits: int
     phase: int = 0  # exponent of i, mod 4
+    outcome_mask: int = 0  # extra sign (-1)^{|outcome_mask & s|} at outcome s
 
     def __post_init__(self):
         limit = 1 << self.n_qubits
         if not (0 <= self.x_bits < limit and 0 <= self.z_bits < limit):
             raise ValueError("bit masks exceed the qubit count")
+        if self.outcome_mask < 0:
+            raise ValueError("outcome mask must be non-negative")
         object.__setattr__(self, "phase", self.phase % 4)
 
     @property
     def sign(self) -> int:
-        """+1 or -1; raises if the operator carries an imaginary phase."""
+        """+1 or -1; raises if the operator carries an imaginary phase or
+        a sign that depends on the outcome."""
         if self.phase % 2:
             raise ValueError(f"phase i^{self.phase} is not a real sign")
+        if self.outcome_mask:
+            raise ValueError("the sign depends on the outcome; evaluate it first")
         return 1 if self.phase == 0 else -1
+
+    def evaluate(self, outcome_index: int) -> "PauliString":
+        """The string at one outcome: the mask folded into the phase."""
+        flips = _parity(self.outcome_mask & outcome_index)
+        return PauliString(
+            self.n_qubits, self.x_bits, self.z_bits, self.phase + 2 * flips
+        )
 
     def is_identity(self) -> bool:
         return self.x_bits == 0 and self.z_bits == 0
@@ -63,6 +84,7 @@ class PauliString:
             self.x_bits ^ other.x_bits,
             self.z_bits ^ other.z_bits,
             (self.phase + other.phase + 2 * swaps) % 4,
+            self.outcome_mask ^ other.outcome_mask,
         )
 
     def commutes_with(self, other: "PauliString") -> bool:
@@ -81,6 +103,8 @@ class PauliString:
         the X block permutes j to j ^ x."""
         if state.n_qubits != self.n_qubits:
             raise ValueError("qubit counts differ")
+        if self.outcome_mask:
+            raise ValueError("the sign depends on the outcome; evaluate it first")
         indices = np.arange(state.amplitudes.size, dtype=np.uint64)
         z_par = np.bitwise_count(indices & np.uint64(self.z_bits)) & np.uint64(1)
         signs = 1.0 - 2.0 * z_par.astype(float)
@@ -97,6 +121,8 @@ class PauliString:
         for k in range(self.n_qubits):
             body += site[((self.x_bits >> k) & 1, (self.z_bits >> k) & 1)]
         prefix = {0: "+", 1: "+i", 2: "-", 3: "-i"}[self.phase]
+        if self.outcome_mask:
+            body += f" (-1)^(s&{self.outcome_mask:#x})"
         return prefix + body
 
 
@@ -151,7 +177,7 @@ def _conj_one(p: PauliString, gate: str, targets) -> PauliString:
             z ^= 1 << control
     else:
         raise ValueError(f"unknown gate {gate!r}")
-    return PauliString(p.n_qubits, x, z, phase % 4)
+    return PauliString(p.n_qubits, x, z, phase % 4, p.outcome_mask)
 
 
 @dataclass(frozen=True)
@@ -167,6 +193,12 @@ class Tableau:
                 raise ValueError("generator qubit count mismatch")
             if g.phase % 2:
                 raise ValueError(f"generator {g.label()} has imaginary phase")
+
+    def evaluate(self, outcome_index: int) -> "Tableau":
+        """The group at one outcome of the free measurements."""
+        return Tableau(
+            self.n_qubits, tuple(g.evaluate(outcome_index) for g in self.generators)
+        )
 
 
 def zero_state_tableau(n_qubits: int) -> Tableau:
@@ -193,7 +225,8 @@ def _reduce(generators: tuple[PauliString, ...], target: PauliString) -> PauliSt
     exactly one row), then clears every pivot bit of the target.  The
     returned residual is the identity iff +-target or +-i*target lies in
     the group.  Generators commute pairwise, so no multiplication order
-    can change a sign.
+    can change a sign.  Pivots are chosen from x and z bits only, so the
+    residual's outcome mask is the same sum at every outcome.
     """
     rows = list(generators)
     used_rows: set[int] = set()
@@ -227,9 +260,9 @@ def _reduce(generators: tuple[PauliString, ...], target: PauliString) -> PauliSt
     return residual
 
 
-def extract_sign(tableau: Tableau, target: PauliString):
-    """Return +1 or -1 if (sign * target) lies in the generated group,
-    else None ("absent")."""
+def extract_sign_form(tableau: Tableau, target: PauliString):
+    """Return (sign, mask) if sign (-1)^{|mask & s|} target lies in the
+    generated group at every outcome s, else None ("absent")."""
     if target.n_qubits != tableau.n_qubits:
         raise ValueError("qubit counts differ")
     residual = _reduce(tableau.generators, target)
@@ -239,30 +272,51 @@ def extract_sign(tableau: Tableau, target: PauliString):
     # group element's phase, so target's sign is the residual's inverse.
     if residual.phase % 2:
         return None
-    return 1 if residual.phase == 0 else -1
+    return (1 if residual.phase == 0 else -1), residual.outcome_mask
+
+
+def extract_sign(tableau: Tableau, target: PauliString):
+    """Return +1 or -1 if (sign * target) lies in the generated group,
+    else None ("absent").  Raises if the sign depends on the outcome."""
+    form = extract_sign_form(tableau, target)
+    if form is None:
+        return None
+    sign, mask = form
+    if mask:
+        raise ValueError("the sign depends on the outcome; use extract_sign_form")
+    return sign
 
 
 class ZeroProbabilityBranch(ValueError):
     """Forced measurement outcome conflicts with a determined stabilizer."""
 
 
-def measure_z(tableau: Tableau, qubit: int, forced_outcome: int) -> Tableau:
+def measure_z(
+    tableau: Tableau, qubit: int, forced_outcome: int, outcome_mask: int = 0
+) -> Tableau:
     """Measure Z on one qubit with an outcome imposed by the caller.
 
     The verifier enumerates outcomes exogenously, so instead of sampling
     this installs (-1)^forced_outcome Z_qubit.  When the measurement is
     already determined and disagrees with the forced outcome, the branch
     has probability zero and is rejected loudly.
+
+    A nonzero outcome_mask leaves the outcome free: the installed sign is
+    (-1)^{forced_outcome + |outcome_mask & s|} at outcome index s.  Only a
+    random measurement can be free, so a determined one is rejected.
     """
     if not 0 <= qubit < tableau.n_qubits:
         raise ValueError(f"qubit {qubit} out of range")
     if forced_outcome not in (0, 1):
         raise ValueError(f"outcome must be 0 or 1, got {forced_outcome}")
-    z_target = single_z(tableau.n_qubits, qubit)
     anti = [i for i, g in enumerate(tableau.generators) if (g.x_bits >> qubit) & 1]
     if not anti:
         # deterministic: +-Z_qubit is in the group
-        have = extract_sign(tableau, z_target)
+        if outcome_mask:
+            raise ZeroProbabilityBranch(
+                f"qubit {qubit} is determined, so its outcome cannot be free"
+            )
+        have = extract_sign(tableau, single_z(tableau.n_qubits, qubit))
         if have is None:
             raise AssertionError("full-rank tableau must determine Z here")
         want = 1 if forced_outcome == 0 else -1
@@ -273,7 +327,7 @@ def measure_z(tableau: Tableau, qubit: int, forced_outcome: int) -> Tableau:
         return tableau
     pivot = tableau.generators[anti[0]]
     replacement = PauliString(
-        tableau.n_qubits, 0, 1 << qubit, 2 * forced_outcome
+        tableau.n_qubits, 0, 1 << qubit, 2 * forced_outcome, outcome_mask
     )
     new_gens = []
     for i, g in enumerate(tableau.generators):

@@ -232,10 +232,6 @@ def fidelity(a: StateVector, b: StateVector) -> float:
     return float(abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2)
 
 
-def states_equal(a: StateVector, b: StateVector, tol: float = 1e-12) -> bool:
-    return fidelity(a, b) >= 1.0 - tol
-
-
 def schmidt_rank(state: StateVector, cut: Bipartition, tol: float = 1e-9) -> int:
     """Rank of the coefficient matrix across the cut.
 

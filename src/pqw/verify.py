@@ -3,11 +3,9 @@ checked against the target state, symbolic signs are checked against
 the dense run, and noise curves are swept with their closed-form
 overlays.
 
-Everything here is exact; nothing is sampled statistically.  The only
-randomness is the choice of spot-check outcomes for very large outcome
-sets, and that is driven by a caller-controlled generator.  Reports are
-plain data and render elsewhere; two runs over the same inputs produce
-equal reports.
+Everything here is exact; nothing is sampled.  Reports are plain data
+and render elsewhere; two runs over the same inputs produce equal
+reports.
 
 The outcome sweep is a single contraction of the premeasurement state
 with the table of corrected targets, both owned by pqw.protocol and
@@ -16,7 +14,6 @@ shared with the noise engine; nothing is split over threads.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,15 +28,11 @@ from .noise import (
     f_star_pd,
     noisy_protocol_fidelity,
 )
-from .protocol import Outcome, _outcome_table, run_protocol_tableau
-from .stabilizer import extract_sign
+from .protocol import _outcome_table, far_side_mask, symbolic_protocol_tableau
+from .stabilizer import extract_sign_form
 
 FIDELITY_TOL = 1e-12
 PROBABILITY_TOL = 1e-12
-
-# exhaustive sign checking is cheap up to this many outcomes; beyond it
-# the check falls back to random spot checks
-EXHAUSTIVE_OUTCOME_LIMIT = 4096
 
 
 @dataclass(frozen=True)
@@ -90,32 +83,21 @@ def verify_all_outcomes(
     )
 
 
-def phase_lemma_check(
-    graph: Graph, sample_count: int = 64, rng: random.Random | None = None
-) -> bool:
-    """Confirm the symbolic run: for each vertex v the tableau after the
-    protocol contains K_v with sign (-1)^{g_v}, g_v the XOR of far-side
-    bits at v.
+def phase_lemma_check(graph: Graph) -> bool:
+    """Confirm the symbolic run: for each vertex v the data group after
+    the protocol contains K_v with sign (-1)^{g_v(s)} at every outcome s,
+    g_v the XOR of far-side bits at v.
 
-    All outcomes are checked when there are at most 4096; otherwise
-    sample_count outcomes are drawn without replacement.
+    The tableau runs once with every sign an affine form in the outcome
+    bits, so comparing K_v's form with g_v's far-side mask checks all
+    4^|E| outcomes at once, at every graph size.
     """
-    count = graph.outcome_count()
-    if count <= EXHAUSTIVE_OUTCOME_LIMIT:
-        indices = range(count)
-    else:
-        if rng is None:
-            rng = random.Random(2024)
-        indices = sorted(rng.sample(range(count), min(sample_count, count)))
+    tableau = symbolic_protocol_tableau(graph)
     generators = stabilizer_generators(graph).generators
-    for index in indices:
-        outcome = Outcome.from_index(graph, index)
-        tableau = run_protocol_tableau(graph, outcome)
-        for v, k_v in zip(graph.vertices, generators):
-            expected = -1 if outcome.g(v) else 1
-            if extract_sign(tableau, k_v) != expected:
-                return False
-    return True
+    return all(
+        extract_sign_form(tableau, k_v) == (1, far_side_mask(graph, v))
+        for v, k_v in zip(graph.vertices, generators)
+    )
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,6 @@
 """Shared test machinery: random Clifford circuits applied both densely
-and symbolically, and explicit matrix builders used as oracles for the
-reshape-based gate kernels."""
+and symbolically, explicit matrix builders used as oracles for the
+reshape-based gate kernels, and small comparisons that only tests use."""
 
 from __future__ import annotations
 
@@ -9,6 +9,8 @@ import random
 import numpy as np
 
 from pqw import statevector as sv
+from pqw.graphs import catalog_lookup, graph_state
+from pqw.protocol import Outcome
 from pqw.stabilizer import Tableau, conjugate, zero_state_tableau
 
 GATE_ARITY = {"H": 1, "X": 1, "Z": 1, "CZ": 2, "CNOT": 2}
@@ -81,3 +83,26 @@ def apply_matrix_oracle(amps: np.ndarray, gate: str, targets) -> np.ndarray:
 def random_state(rng: np.random.Generator, n_qubits: int) -> sv.StateVector:
     amps = rng.normal(size=2**n_qubits) + 1j * rng.normal(size=2**n_qubits)
     return sv.from_amplitudes(amps, normalize=True)
+
+
+def states_equal(a: sv.StateVector, b: sv.StateVector, tol: float = 1e-12) -> bool:
+    return sv.fidelity(a, b) >= 1.0 - tol
+
+
+def ghz_from_star() -> sv.StateVector:
+    """The four-qubit GHZ state built from the K1_3 graph state by a
+    Hadamard on each leaf; equals ghz_state(4) exactly."""
+    star = catalog_lookup("K1_3")
+    state = graph_state(star)
+    for leaf in ("B", "C", "D"):
+        state = sv.apply_gate(state, "H", (star.vertex_index(leaf),))
+    return state
+
+
+def near_parity(outcome: Outcome, v: str) -> int:
+    """XOR of near-side bits over the edges at v; the wrong reading of
+    the sign exponent, which the far-side g_v replaces."""
+    acc = 0
+    for edge in outcome.graph.incident_edges(v):
+        acc ^= outcome.near(edge, v)
+    return acc

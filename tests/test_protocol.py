@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import near_parity
 from pqw import statevector as sv
-from pqw.graphs import Graph, catalog_lookup, graph_state
+from pqw.graphs import TABLE_ORDER, Graph, catalog_lookup, graph_state
 from pqw.protocol import (
     CorrectionPlan,
     Outcome,
@@ -17,6 +18,7 @@ from pqw.protocol import (
     c4_correction,
     corrected_fidelity,
     correction_plan,
+    far_side_mask,
     l4_correction,
     plans_equivalent,
     run_protocol,
@@ -25,6 +27,7 @@ from pqw.protocol import (
     universal_correction,
 )
 from pqw.stabilizer import check_stabilizes, extract_sign
+from pqw.verify import phase_lemma_check
 
 P4 = catalog_lookup("P4")
 C4 = catalog_lookup("C4")
@@ -75,13 +78,13 @@ def test_near_far_parities():
     assert outcome.far(("A", "B"), "A") == 0
     assert outcome.g("A") == 0
     assert outcome.g("B") == 1  # far side of AB at B is the bit at A
-    assert outcome.f("A") == 1
-    assert outcome.f("B") == 0
+    assert near_parity(outcome, "A") == 1
+    assert near_parity(outcome, "B") == 0
     mixed = Outcome(P4, (0, 1, 1, 0, 0, 1))
     assert mixed.g("B") == 0  # far bits at B: AB@A=0, BC@C=0
     assert mixed.g("C") == 0  # far bits at C: BC@B=1, CD@D=1
-    assert mixed.f("C") == 0  # near bits at C: BC@C=0, CD@C=0
-    assert mixed.f("D") == 1
+    assert near_parity(mixed, "C") == 0  # near bits at C: BC@C=0, CD@C=0
+    assert near_parity(mixed, "D") == 1
 
 
 # -- dense protocol run -------------------------------------------------------
@@ -129,13 +132,57 @@ def test_tableau_run_signs_match_far_parities():
             assert extract_sign(tableau, gen) == want
 
 
+def test_far_side_mask_is_g_as_a_form():
+    for name in ("P4", "C4", "K1_3", "K3"):
+        graph = catalog_lookup(name)
+        masks = {v: far_side_mask(graph, v) for v in graph.vertices}
+        for outcome in all_outcomes(graph):
+            index = outcome.to_index()
+            for v, mask in masks.items():
+                assert (mask & index).bit_count() % 2 == outcome.g(v)
+
+
 def test_tableau_run_stabilizes_dense_state():
-    graph = catalog_lookup("K3")
-    for index in (0, 7, 23, 41, 63):
-        outcome = Outcome.from_index(graph, index)
-        tableau = run_protocol_tableau(graph, outcome)
-        _, data = run_protocol(graph, outcome)
-        assert check_stabilizes(data, tableau)
+    # every outcome of every catalog graph with at most 256 outcomes:
+    # the symbolic run evaluated there against the dense engine
+    names = [
+        name
+        for name in TABLE_ORDER + ("K4",)
+        if catalog_lookup(name).outcome_count() <= 256
+    ]
+    assert len(names) >= 8
+    for name in names:
+        graph = catalog_lookup(name)
+        for outcome in all_outcomes(graph):
+            _, data = run_protocol(graph, outcome)
+            assert check_stabilizes(data, run_protocol_tableau(graph, outcome))
+
+
+@st.composite
+def small_connected_graphs(draw):
+    """Connected graphs of at most 14 total qubits: a random spanning
+    tree plus the extra edges that still fit, each edge drawn in either
+    orientation and the edge list shuffled."""
+    n = draw(st.integers(min_value=2, max_value=5))
+    tree = {(draw(st.integers(min_value=0, max_value=i - 1)), i) for i in range(1, n)}
+    spare = [(i, j) for i in range(n) for j in range(i + 1, n) if (i, j) not in tree]
+    room = (14 - n) // 2 - len(tree)
+    extra = draw(st.sets(st.sampled_from(spare), max_size=room)) if spare else set()
+    edges = []
+    for i, j in draw(st.permutations(sorted(tree | extra))):
+        edges.append((f"v{j}", f"v{i}") if draw(st.booleans()) else (f"v{i}", f"v{j}"))
+    return Graph(tuple(f"v{i}" for i in range(n)), tuple(edges))
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_connected_graphs(), st.data())
+def test_symbolic_run_matches_dense_on_random_graphs(graph, data):
+    assert graph.n_vertices + 2 * graph.n_edges <= 14
+    assert phase_lemma_check(graph) is True
+    index = data.draw(st.integers(min_value=0, max_value=graph.outcome_count() - 1))
+    outcome = Outcome.from_index(graph, index)
+    _, state = run_protocol(graph, outcome)
+    assert check_stabilizes(state, run_protocol_tableau(graph, outcome))
 
 
 # -- byproduct primitive ------------------------------------------------------
@@ -268,7 +315,7 @@ def test_verbatim_parity_reading_fails_on_the_path():
     for outcome in all_outcomes(P4):
         literal = CorrectionPlan.from_maps(
             P4,
-            {v: outcome.f(v) for v in "BCD"},
+            {v: near_parity(outcome, v) for v in "BCD"},
             {v: outcome.g(v) for v in "BCD"},
         )
         worst = min(worst, corrected_fidelity(P4, outcome, literal))

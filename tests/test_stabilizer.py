@@ -1,5 +1,5 @@
 """Symbolic engine: multiplication signs, conjugation rules against a
-dense oracle, group-membership extraction, and forced measurements."""
+dense oracle, group-membership extraction, and forced and free measurements."""
 
 import random
 
@@ -18,6 +18,7 @@ from pqw.stabilizer import (
     check_stabilizes,
     conjugate,
     extract_sign,
+    extract_sign_form,
     measure_z,
     single_x,
     single_z,
@@ -53,6 +54,24 @@ def test_sign_property():
     assert PauliString(2, 1, 2, 2).sign == -1
     with pytest.raises(ValueError, match="not a real sign"):
         _ = Y1.sign
+
+
+def test_outcome_mask_rides_along():
+    # products XOR the masks, conjugation keeps them, evaluation folds
+    # the outcome bits into the phase
+    a = PauliString(2, 0b01, 0b10, 0, 0b101)
+    b = PauliString(2, 0b10, 0b01, 2, 0b011)
+    assert (a * b).outcome_mask == 0b110
+    assert (a * b).evaluate(0b100) == a.evaluate(0b100) * b.evaluate(0b100)
+    assert _conj_one(a, "H", (0,)).outcome_mask == 0b101
+    assert a.evaluate(0b001) == PauliString(2, 0b01, 0b10, 2)
+    assert a.evaluate(0b101) == PauliString(2, 0b01, 0b10, 0)
+    with pytest.raises(ValueError, match="depends on the outcome"):
+        _ = a.sign
+    with pytest.raises(ValueError, match="depends on the outcome"):
+        a.apply_to(sv.new_plus(2))
+    with pytest.raises(ValueError, match="non-negative"):
+        PauliString(1, 0, 0, 0, -1)
 
 
 def test_mask_validation():
@@ -278,6 +297,41 @@ def test_measure_z_correlated_pair():
     with pytest.raises(ZeroProbabilityBranch):
         measure_z(after, 1, 0)
     assert measure_z(after, 1, 1) == after
+
+
+def test_free_measurement_installs_the_outcome_bit():
+    plus = conjugate(zero_state_tableau(1), "H", (0,))
+    free = measure_z(plus, 0, 0, outcome_mask=0b1)
+    assert free.generators == (PauliString(1, 0, 1, 0, 0b1),)
+    assert extract_sign_form(free, single_z(1, 0)) == (1, 0b1)
+    with pytest.raises(ValueError, match="depends on the outcome"):
+        extract_sign(free, single_z(1, 0))
+    for bit in (0, 1):
+        assert free.evaluate(bit) == measure_z(plus, 0, bit)
+    # a determined qubit has no free outcome
+    with pytest.raises(ZeroProbabilityBranch, match="determined"):
+        measure_z(zero_state_tableau(1), 0, 0, outcome_mask=0b1)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=1, max_value=5))
+def test_free_measurements_evaluate_to_forced_ones(seed, n_qubits):
+    # measure every random qubit of a random circuit twice over: once
+    # free, once per forced outcome; the free run evaluated at each
+    # outcome must be the forced run, generator for generator
+    rng = random.Random(seed)
+    tableau = run_tableau(n_qubits, random_circuit(rng, n_qubits, depth=20))
+    free = tableau
+    qubits = []
+    for q in range(n_qubits):
+        if any((g.x_bits >> q) & 1 for g in free.generators):
+            free = measure_z(free, q, 0, outcome_mask=1 << len(qubits))
+            qubits.append(q)
+    for index in range(2 ** len(qubits)):
+        forced = tableau
+        for m, q in enumerate(qubits):
+            forced = measure_z(forced, q, (index >> m) & 1)
+        assert free.evaluate(index) == forced
 
 
 def test_measure_z_validates_arguments():

@@ -6,7 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import apply_matrix_oracle, random_circuit, random_state, run_dense
+from helpers import (
+    apply_matrix_oracle,
+    random_circuit,
+    random_state,
+    run_dense,
+    states_equal,
+)
 from pqw import statevector as sv
 
 # -- construction and validation --------------------------------------------
@@ -181,8 +187,8 @@ def test_fidelity_rejects_size_mismatch():
 def test_states_equal_tolerance():
     a = sv.new_plus(2)
     b = sv.apply_gate(a, "Z", (0,))
-    assert sv.states_equal(a, a)
-    assert not sv.states_equal(a, b)
+    assert states_equal(a, a)
+    assert not states_equal(a, b)
 
 
 # -- bipartitions and Schmidt rank -------------------------------------------

@@ -5,7 +5,7 @@ import dataclasses
 
 import pytest
 
-from pqw import protocol
+from pqw import protocol, verify
 from pqw import statevector as sv
 from pqw.graphs import (
     TABLE_ORDER,
@@ -17,7 +17,6 @@ from pqw.graphs import (
 from pqw.noise import f_star_dep
 from pqw.protocol import CorrectionPlan, Outcome, corrected_fidelity, run_protocol
 from pqw.verify import (
-    EXHAUSTIVE_OUTCOME_LIMIT,
     FIDELITY_TOL,
     LcReport,
     OutcomeRecord,
@@ -123,22 +122,48 @@ def test_phase_lemma_on_p4_is_exhaustive():
     assert phase_lemma_check(P4) is True
 
 
-def test_phase_lemma_sampled_on_a_long_path():
-    # seven edges: 16384 outcomes, beyond the exhaustive cutoff, and
-    # 22 total qubits, beyond any dense enumeration budget
+def test_phase_lemma_exhaustive_on_a_long_path():
+    # seven edges: 16384 outcomes and 22 total qubits, all covered by
+    # the one symbolic run
     graph = parse_edge_list(
         "\n".join(("A B", "B C", "C D", "D E", "E F", "F G", "G H"))
     )
-    assert graph.outcome_count() > EXHAUSTIVE_OUTCOME_LIMIT
-    assert phase_lemma_check(graph, sample_count=24) is True
+    assert graph.outcome_count() == 16384
+    assert phase_lemma_check(graph) is True
 
 
-def test_phase_lemma_sampling_is_seeded():
-    graph = parse_edge_list("\n".join(("A B", "B C", "C D", "D E", "E F", "F G", "G H")))
-    # same seed, same verdict and no randomness leaking across calls
-    assert phase_lemma_check(graph, sample_count=8) == phase_lemma_check(
-        graph, sample_count=8
-    )
+def _grid(rows: int, cols: int):
+    lines = []
+    for r in range(rows):
+        for c in range(cols):
+            if c + 1 < cols:
+                lines.append(f"r{r}c{c} r{r}c{c + 1}")
+            if r + 1 < rows:
+                lines.append(f"r{r}c{c} r{r + 1}c{c}")
+    return parse_edge_list("\n".join(lines))
+
+
+def test_phase_lemma_on_a_grid_past_the_dense_ceiling():
+    # 5x5 grid: 40 edges, 105 total qubits, 4^40 outcomes
+    graph = _grid(5, 5)
+    assert graph.n_vertices + 2 * graph.n_edges == 105
+    assert phase_lemma_check(graph) is True
+
+
+def _near_side_mask(graph, v):
+    # the near-side reading: the bit at v's own half of each edge
+    last = 2 * graph.n_edges - 1
+    mask = 0
+    for j, edge in enumerate(graph.edges):
+        if v in edge:
+            mask |= 1 << (last - 2 * j - edge.index(v))
+    return mask
+
+
+def test_phase_lemma_rejects_the_near_side_sign_form(monkeypatch):
+    monkeypatch.setattr(verify, "far_side_mask", _near_side_mask)
+    assert phase_lemma_check(P4) is False
+    assert phase_lemma_check(_grid(3, 3)) is False
 
 
 # -- entanglement rank comparison -------------------------------------------------
