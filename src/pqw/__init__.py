@@ -41,6 +41,7 @@ from .protocol import (
     byproduct_step,
     c4_correction,
     corrected_fidelity,
+    correction_forms,
     correction_plan,
     l4_correction,
     plans_equivalent,

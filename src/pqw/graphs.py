@@ -78,17 +78,6 @@ class Graph:
     def degree(self, v: str) -> int:
         return len(self.neighbors(v))
 
-    def incident_edges(self, v: str) -> tuple[tuple[str, str], ...]:
-        return tuple(e for e in self.edges if v in e)
-
-    def other_end(self, edge: tuple[str, str], v: str) -> str:
-        a, b = edge
-        if v == a:
-            return b
-        if v == b:
-            return a
-        raise ValueError(f"{v} is not an endpoint of {edge}")
-
     def is_tree(self) -> bool:
         # connected is guaranteed, so the edge count decides
         return self.n_edges == self.n_vertices - 1

@@ -57,14 +57,14 @@ import numpy as np
 
 from .graphs import Graph
 from .protocol import (
-    Outcome,
     _after_prep,
     _correction_targets,
+    _outcome_bit,
     _outcome_overlaps,
     _premeasurement,
     _walk,
     build_layout,
-    correction_plan,
+    correction_forms,
 )
 from .statevector import ResourceError
 
@@ -327,29 +327,24 @@ def _misread_frames(graph: Graph, correction_kind: str) -> list[int]:
     """Entry m is the data-Z frame, a bitmask in vertex order, left
     behind when resource bit m is read flipped.
 
-    Every correction plan is linear in the outcome bits, so applying
-    the plan for s while the data carry the byproduct of s xor e_m
-    leaves the plan of the unit outcome e_m.  Multiplying by K_v =
-    X_v Z_{N(v)} for every X_v in it reduces it modulo Stab(|G>) to a
-    pure Z string, and no nonzero Z string stabilizes |G>, so the frame
-    is harmless exactly when it is zero.
+    Every plan is a linear form in the outcome bits, so applying the
+    plan for s while the data carry the byproduct of s xor e_m leaves
+    the plan read at e_m.  Multiplying by K_u = X_u Z_{N(u)} for every
+    X_u in it reduces it modulo Stab(|G>) to a pure Z string, whose bit
+    at v is bit m of z_v xor (xor of x_u over u ~ v).  No nonzero Z
+    string stabilizes |G>, so the frame is harmless exactly when it is
+    zero.
     """
-    neighbor_masks = [
-        sum(1 << graph.vertex_index(u) for u in graph.neighbors(v))
-        for v in graph.vertices
-    ]
-    k = 2 * graph.n_edges
+    forms = correction_forms(graph, correction_kind)
+    frame_forms = []
+    for v, (_, z) in zip(graph.vertices, forms):
+        for u in graph.neighbors(v):
+            z ^= forms[graph.vertex_index(u)][0]
+        frame_forms.append(z)
     frames = []
-    for m in range(k):
-        unit = Outcome(graph, tuple(int(i == m) for i in range(k)))
-        plan = correction_plan(graph, unit, correction_kind)
-        frame = 0
-        for i, (_, x, z) in enumerate(plan.exponents):
-            if z:
-                frame ^= 1 << i
-            if x:
-                frame ^= neighbor_masks[i]
-        frames.append(frame)
+    for m in range(2 * graph.n_edges):
+        bit = _outcome_bit(graph, m)
+        frames.append(sum(1 << i for i, form in enumerate(frame_forms) if form & bit))
     return frames
 
 

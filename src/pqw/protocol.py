@@ -26,6 +26,13 @@ reduces to the parity condition
 
 where g_v is the XOR of the far-side bits at v, which is exactly what
 the sign-tracking tableau run exhibits on the data stabilizers.
+
+Every correction kind is a function of the graph alone: it returns
+per-vertex (x, z) outcome-bit forms, masks over the big-endian outcome
+index like far_side_mask, and the plan of outcome s is those forms read
+at s by parity.  The parity condition is then one identity of forms per
+vertex, with g_v = far_side_mask(v), and the outcome engine, the noise
+frames and the per-outcome reference all evaluate the same forms.
 """
 
 from __future__ import annotations
@@ -98,30 +105,6 @@ class Outcome:
         for b in self.bits:
             value = (value << 1) | b
         return value
-
-    def _position(self, edge: Edge, v: str) -> int:
-        j = self.graph.edges.index(edge)
-        if v == edge[0]:
-            return 2 * j
-        if v == edge[1]:
-            return 2 * j + 1
-        raise ValueError(f"{v} is not an endpoint of {edge}")
-
-    def near(self, edge: Edge, v: str) -> int:
-        """The bit measured at v's own resource half of this edge."""
-        return self.bits[self._position(edge, v)]
-
-    def far(self, edge: Edge, v: str) -> int:
-        """The bit measured at the opposite endpoint's half."""
-        return self.bits[self._position(edge, self.graph.other_end(edge, v))]
-
-    def g(self, v: str) -> int:
-        """XOR of far-side bits over the edges at v; the sign exponent
-        the data stabilizer K_v acquires."""
-        acc = 0
-        for edge in self.graph.incident_edges(v):
-            acc ^= self.far(edge, v)
-        return acc
 
 
 def all_outcomes(graph: Graph):
@@ -208,13 +191,16 @@ def _premeasurement(graph: Graph) -> sv.StateVector:
     return sv.StateVector(graph.n_vertices + 2 * graph.n_edges, amps)
 
 
-def _resource_row(graph: Graph, outcome: Outcome) -> int:
-    # resource qubit n_vertices + m holds sequence bit m, and in the
-    # (resources, data) reshape the row integer has qubit nv+m at bit m
-    row = 0
-    for m, b in enumerate(outcome.bits):
-        row |= b << m
-    return row
+def _bit_reversed(graph: Graph, value):
+    """Outcome index to resource row and back, for an int or an integer
+    array: resource qubit n_vertices + m holds sequence bit m, which is
+    bit m of the row in the (resources, data) reshape and bit 2|E|-1-m
+    of the big-endian index, so the map is its own inverse."""
+    k = 2 * graph.n_edges
+    out = 0
+    for m in range(k):
+        out = out | (((value >> (k - 1 - m)) & 1) << m)
+    return out
 
 
 def data_slab(graph: Graph, outcome: Outcome) -> np.ndarray:
@@ -222,7 +208,7 @@ def data_slab(graph: Graph, outcome: Outcome) -> np.ndarray:
     qubits onto the outcome; squared norm is the outcome probability."""
     pre = _premeasurement(graph)
     rows = pre.amplitudes.reshape(-1, 2**graph.n_vertices)
-    return rows[_resource_row(graph, outcome)]
+    return rows[_bit_reversed(graph, outcome.to_index())]
 
 
 def run_protocol(graph: Graph, outcome: Outcome) -> tuple[float, sv.StateVector]:
@@ -248,8 +234,8 @@ def _outcome_bit(graph: Graph, m: int) -> int:
 
 
 def far_side_mask(graph: Graph, v: str) -> int:
-    """g_v as an outcome-bit mask: Outcome.g(v) is the parity of this
-    mask AND-ed with the outcome index."""
+    """g_v as an outcome-bit form: the XOR of the far-side bits at v is
+    the parity of this mask AND-ed with the outcome index."""
     mask = 0
     for j, edge in enumerate(graph.edges):
         if v in edge:
@@ -351,48 +337,49 @@ def byproduct_step(s: int) -> tuple[float, sv.StateVector]:
 
 # -- correction formulas ---------------------------------------------------
 
+# one (x, z) pair of outcome-bit forms per vertex, in vertex order
+Forms = tuple[tuple[int, int], ...]
 
-def universal_correction(graph: Graph, outcome: Outcome) -> CorrectionPlan:
+
+def _forms(graph: Graph, x: dict[str, int], z: dict[str, int]) -> Forms:
+    return tuple((x.get(v, 0), z.get(v, 0)) for v in graph.vertices)
+
+
+def universal_correction(graph: Graph) -> Forms:
     """Z at exactly the vertices with odd far-side parity; valid for
     every connected graph and every outcome."""
-    return CorrectionPlan.from_maps(
-        graph, {}, {v: outcome.g(v) for v in graph.vertices}
-    )
+    return _forms(graph, {}, {v: far_side_mask(graph, v) for v in graph.vertices})
 
 
-def l4_correction(outcome: Outcome) -> CorrectionPlan:
+def l4_correction(graph: Graph) -> Forms:
     """The four-vertex path formula in its published per-vertex form:
     A untouched, B gets X^{s2}, C gets X^{s1 xor s4}, D collects both
     X and Z parities from the remaining bits."""
-    graph = outcome.graph
     if graph != catalog_lookup("P4"):
         raise ValueError("this formula is specific to the catalog P4 labeling")
-    s1, s2, s3, s4, s5, s6 = outcome.bits
-    return CorrectionPlan.from_maps(
+    s1, s2, s3, s4, s5, s6 = (_outcome_bit(graph, m) for m in range(6))
+    return _forms(
         graph,
         {"B": s2, "C": s1 ^ s4, "D": s2 ^ s3 ^ s6},
         {"D": s1 ^ s4 ^ s5},
     )
 
 
-def c4_correction(outcome: Outcome) -> CorrectionPlan:
+def c4_correction(graph: Graph) -> Forms:
     """The four-cycle formula: two adjacent vertices stay untouched and
     the opposite pair absorbs all eight bits."""
-    graph = outcome.graph
     if graph != catalog_lookup("C4"):
         raise ValueError("this formula is specific to the catalog C4 labeling")
-    s1, s2, s3, s4, s5, s6, s7, s8 = outcome.bits
-    return CorrectionPlan.from_maps(
+    s1, s2, s3, s4, s5, s6, s7, s8 = (_outcome_bit(graph, m) for m in range(8))
+    return _forms(
         graph,
         {"C": s1 ^ s4, "D": s2 ^ s7},
         {"C": s2 ^ s3 ^ s6 ^ s7, "D": s1 ^ s4 ^ s5 ^ s8},
     )
 
 
-def tree_correction(
-    graph: Graph, outcome: Outcome, reference: str | None = None
-) -> CorrectionPlan:
-    """Tree plan with one designated leaf left untouched.
+def tree_correction(graph: Graph) -> Forms:
+    """Tree plan with the first leaf in vertex-label order left untouched.
 
     X exponents are assigned by walking the tree away from the
     reference leaf: at each vertex q the first child (sorted order)
@@ -404,15 +391,10 @@ def tree_correction(
     four-vertex path, so that reading is rejected by construction; the
     test suite pins the counterexample.
     """
-    if outcome.graph != graph:
-        raise ValueError("outcome belongs to a different graph")
     if not graph.is_tree():
         raise ValueError("tree correction requires a tree")
-    leaves = [v for v in graph.vertices if graph.degree(v) == 1]
-    if reference is None:
-        reference = min(leaves)
-    if graph.degree(reference) != 1:
-        raise ValueError(f"reference {reference!r} is not a leaf")
+    reference = min(v for v in graph.vertices if graph.degree(v) == 1)
+    g = {v: far_side_mask(graph, v) for v in graph.vertices}
     x: dict[str, int] = {v: 0 for v in graph.vertices}
     parent: dict[str, str | None] = {reference: None}
     order = [reference]
@@ -428,14 +410,14 @@ def tree_correction(
             order.append(c)
         if children:
             inherited = 0 if parent[q] is None else x[parent[q]]
-            x[children[0]] = outcome.g(q) ^ inherited
+            x[children[0]] = g[q] ^ inherited
     z: dict[str, int] = {}
     for v in graph.vertices:
-        acc = outcome.g(v)
+        acc = g[v]
         for u in graph.neighbors(v):
             acc ^= x[u]
         z[v] = acc
-    return CorrectionPlan.from_maps(graph, x, z)
+    return _forms(graph, x, z)
 
 
 def apply_correction(state: sv.StateVector, plan: CorrectionPlan) -> sv.StateVector:
@@ -470,18 +452,34 @@ def plans_equivalent(plan_a: CorrectionPlan, plan_b: CorrectionPlan, graph: Grap
 CORRECTION_KINDS = ("universal", "l4", "c4", "tree")
 
 
-def correction_plan(graph: Graph, outcome: Outcome, kind: str) -> CorrectionPlan:
-    """Dispatch by kind name; raises ValueError when the kind does not
-    apply to this graph."""
+@lru_cache(maxsize=32)
+def correction_forms(graph: Graph, kind: str) -> Forms:
+    """The kind's per-vertex (x, z) outcome-bit forms; raises ValueError
+    when the kind does not apply to this graph."""
     if kind == "universal":
-        return universal_correction(graph, outcome)
+        return universal_correction(graph)
     if kind == "l4":
-        return l4_correction(outcome)
+        return l4_correction(graph)
     if kind == "c4":
-        return c4_correction(outcome)
+        return c4_correction(graph)
     if kind == "tree":
-        return tree_correction(graph, outcome)
+        return tree_correction(graph)
     raise ValueError(f"unknown correction kind {kind!r}; expected {CORRECTION_KINDS}")
+
+
+def correction_plan(graph: Graph, outcome: Outcome, kind: str) -> CorrectionPlan:
+    """The kind's plan for one outcome: its forms read at the outcome
+    index by parity."""
+    if outcome.graph != graph:
+        raise ValueError("outcome belongs to a different graph")
+    index = outcome.to_index()
+    return CorrectionPlan(
+        graph,
+        tuple(
+            (v, (x & index).bit_count() & 1, (z & index).bit_count() & 1)
+            for v, (x, z) in zip(graph.vertices, correction_forms(graph, kind))
+        ),
+    )
 
 
 # -- the outcome engine ------------------------------------------------------
@@ -500,14 +498,15 @@ def _correction_targets(graph: Graph, correction_kind: str) -> np.ndarray:
     # and Z^z flips the sign wherever j and z share an odd number of bits
     moved = bra[basis[:, None] ^ basis]
     signs = 1.0 - 2.0 * (np.bitwise_count(basis[:, None] & basis) & 1)
-    rows = np.empty((graph.outcome_count(), bra.size), dtype=complex)
-    for outcome in all_outcomes(graph):
-        plan = correction_plan(graph, outcome, correction_kind)
-        x_mask = z_mask = 0
-        for i, (_, x, z) in enumerate(plan.exponents):
-            x_mask |= x << i
-            z_mask |= z << i
-        row = rows[_resource_row(graph, outcome)]
+    # each row's plan is the forms read at that row's outcome index
+    index = _bit_reversed(graph, np.arange(graph.outcome_count()))
+    x_masks = np.zeros_like(index)
+    z_masks = np.zeros_like(index)
+    for i, (x, z) in enumerate(correction_forms(graph, correction_kind)):
+        x_masks |= (np.bitwise_count(index & x) & 1).astype(index.dtype) << i
+        z_masks |= (np.bitwise_count(index & z) & 1).astype(index.dtype) << i
+    rows = np.empty((index.size, bra.size), dtype=complex)
+    for row, x_mask, z_mask in zip(rows, x_masks.tolist(), z_masks.tolist()):
         np.multiply(signs[z_mask], moved[x_mask], out=row)
     return rows
 
@@ -534,10 +533,6 @@ def _outcome_table(
     probabilities += np.einsum("ij,ij->i", slabs.imag, slabs.imag)
     targets = _correction_targets(graph, correction_kind)
     fidelities = _outcome_overlaps(graph, amps, targets) / probabilities
-    # row bit m is sequence bit m, so reversing the bit axes of the rows
-    # lists them by big-endian outcome index
-    bit_axes = (2,) * (2 * graph.n_edges)
-    return (
-        probabilities.reshape(bit_axes).T.ravel(),
-        fidelities.reshape(bit_axes).T.ravel(),
-    )
+    # the resource row of each outcome index, in index order
+    rows = _bit_reversed(graph, np.arange(graph.outcome_count()))
+    return probabilities[rows], fidelities[rows]

@@ -134,6 +134,9 @@ def single_z(n_qubits: int, qubit: int) -> PauliString:
     return PauliString(n_qubits, 0, 1 << qubit)
 
 
+_GATE_ARITY = {"H": 1, "X": 1, "Z": 1, "CZ": 2, "CNOT": 2}
+
+
 def _conj_one(p: PauliString, gate: str, targets) -> PauliString:
     """Conjugate p by the gate: returns U p U^dagger in normal form.
 
@@ -169,14 +172,12 @@ def _conj_one(p: PauliString, gate: str, targets) -> PauliString:
             z ^= 1 << a
         if (x >> a) & 1:
             z ^= 1 << b
-    elif gate == "CNOT":
+    else:  # CNOT
         control, target = targets
         if (x >> control) & 1:
             x ^= 1 << target
         if (z >> target) & 1:
             z ^= 1 << control
-    else:
-        raise ValueError(f"unknown gate {gate!r}")
     return PauliString(p.n_qubits, x, z, phase % 4, p.outcome_mask)
 
 
@@ -206,15 +207,27 @@ def zero_state_tableau(n_qubits: int) -> Tableau:
 
 
 def conjugate(tableau: Tableau, gate: str, targets) -> Tableau:
+    """Conjugate every generator by the gate.  A generator with no
+    support on the targets commutes with it and is kept as it is, so a
+    gate costs one rebuild per generator it touches."""
     targets = tuple(targets)
+    if gate not in _GATE_ARITY:
+        raise ValueError(f"unknown gate {gate!r}")
+    if len(targets) != _GATE_ARITY[gate]:
+        raise ValueError(f"{gate} takes {_GATE_ARITY[gate]} targets, got {targets}")
+    support = 0
     for q in targets:
         if not 0 <= q < tableau.n_qubits:
             raise ValueError(f"qubit {q} out of range")
+        support |= 1 << q
     if len(set(targets)) != len(targets):
         raise ValueError(f"duplicate targets {targets}")
     return Tableau(
         tableau.n_qubits,
-        tuple(_conj_one(g, gate, targets) for g in tableau.generators),
+        tuple(
+            _conj_one(g, gate, targets) if (g.x_bits | g.z_bits) & support else g
+            for g in tableau.generators
+        ),
     )
 
 

@@ -9,7 +9,7 @@ import random
 import numpy as np
 
 from pqw import statevector as sv
-from pqw.graphs import catalog_lookup, graph_state
+from pqw.graphs import Graph, catalog_lookup, graph_state, parse_edge_list
 from pqw.protocol import Outcome
 from pqw.stabilizer import Tableau, conjugate, zero_state_tableau
 
@@ -99,10 +99,30 @@ def ghz_from_star() -> sv.StateVector:
     return state
 
 
+def near_side_mask(graph: Graph, v: str) -> int:
+    """The near-side reading as an outcome-bit form: the bit at v's own
+    half of each edge at v, in far_side_mask's big-endian convention."""
+    last = 2 * graph.n_edges - 1
+    mask = 0
+    for j, edge in enumerate(graph.edges):
+        if v in edge:
+            mask |= 1 << (last - 2 * j - edge.index(v))
+    return mask
+
+
 def near_parity(outcome: Outcome, v: str) -> int:
     """XOR of near-side bits over the edges at v; the wrong reading of
     the sign exponent, which the far-side g_v replaces."""
-    acc = 0
-    for edge in outcome.graph.incident_edges(v):
-        acc ^= outcome.near(edge, v)
-    return acc
+    return (near_side_mask(outcome.graph, v) & outcome.to_index()).bit_count() & 1
+
+
+def grid(rows: int, cols: int) -> Graph:
+    """The rows x cols grid graph, vertices labelled r<row>c<col>."""
+    lines = []
+    for r in range(rows):
+        for c in range(cols):
+            if c + 1 < cols:
+                lines.append(f"r{r}c{c} r{r}c{c + 1}")
+            if r + 1 < rows:
+                lines.append(f"r{r}c{c} r{r + 1}c{c}")
+    return parse_edge_list("\n".join(lines))

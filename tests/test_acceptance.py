@@ -30,13 +30,10 @@ from pqw.protocol import (
     Outcome,
     all_outcomes,
     byproduct_step,
-    c4_correction,
     corrected_fidelity,
-    l4_correction,
+    correction_plan,
     plans_equivalent,
     run_protocol,
-    tree_correction,
-    universal_correction,
 )
 from pqw.stabilizer import check_stabilizes
 from pqw.verify import phase_lemma_check, verify_all_outcomes
@@ -63,7 +60,8 @@ def test_criterion_01_path_exhaustive():
     for outcome in all_outcomes(P4):
         prob, _ = run_protocol(P4, outcome)
         worst_dp = max(worst_dp, abs(prob - 1.0 / 64.0))
-        worst_f = min(worst_f, corrected_fidelity(P4, outcome, l4_correction(outcome)))
+        plan = correction_plan(P4, outcome, "l4")
+        worst_f = min(worst_f, corrected_fidelity(P4, outcome, plan))
     elapsed = time.perf_counter() - start
     ok = worst_f >= 1.0 - 1e-12 and worst_dp <= 1e-12 and elapsed < 1.0
     _report(
@@ -77,7 +75,7 @@ def test_criterion_01_path_exhaustive():
 def test_criterion_02_ring_exhaustive():
     start = time.perf_counter()
     worst_f = min(
-        corrected_fidelity(C4, outcome, c4_correction(outcome))
+        corrected_fidelity(C4, outcome, correction_plan(C4, outcome, "c4"))
         for outcome in all_outcomes(C4)
     )
     elapsed = time.perf_counter() - start
@@ -191,22 +189,13 @@ def test_criterion_08_oracle_equivalence():
 def test_criterion_09_formula_concordance():
     checked = 0
     ok = True
-    for outcome in all_outcomes(P4):
-        ok = ok and plans_equivalent(
-            l4_correction(outcome), universal_correction(P4, outcome), P4
-        )
-        checked += 1
-    for outcome in all_outcomes(C4):
-        ok = ok and plans_equivalent(
-            c4_correction(outcome), universal_correction(C4, outcome), C4
-        )
-        checked += 1
-    for name in TREE_NAMES:
-        graph = catalog_lookup(name)
+    cases = [(P4, "l4"), (C4, "c4")]
+    cases += [(catalog_lookup(name), "tree") for name in TREE_NAMES]
+    for graph, kind in cases:
         for outcome in all_outcomes(graph):
             ok = ok and plans_equivalent(
-                tree_correction(graph, outcome),
-                universal_correction(graph, outcome),
+                correction_plan(graph, outcome, kind),
+                correction_plan(graph, outcome, "universal"),
                 graph,
             )
             checked += 1

@@ -56,10 +56,6 @@ def test_accessors():
     assert p4.n_vertices == 4 and p4.n_edges == 3
     assert p4.neighbors("B") == ("A", "C")
     assert p4.degree("A") == 1 and p4.degree("C") == 2
-    assert p4.incident_edges("C") == (("B", "C"), ("C", "D"))
-    assert p4.other_end(("B", "C"), "C") == "B"
-    with pytest.raises(ValueError, match="endpoint"):
-        p4.other_end(("B", "C"), "D")
     assert p4.vertex_index("D") == 3
     assert p4.is_tree()
     assert not catalog_lookup("C4").is_tree()

@@ -29,7 +29,7 @@ from pqw.noise import (
     parse_channel,
     t1_damping_estimate,
 )
-from pqw.protocol import CORRECTION_KINDS, Outcome, correction_plan
+from pqw.protocol import CORRECTION_KINDS, correction_forms
 
 P4 = catalog_lookup("P4")
 K2 = Graph(("A", "B"), (("A", "B"),))
@@ -311,7 +311,7 @@ def _frame_vs_dense_cases():
         channels = ("phase_damping",) + (("depolarizing",) if graph.n_edges <= 3 else ())
         for kind in CORRECTION_KINDS:
             try:
-                correction_plan(graph, Outcome.from_index(graph, 0), kind)
+                correction_forms(graph, kind)
             except ValueError:
                 continue
             for channel in channels:

@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import near_parity
+from helpers import grid, near_parity, near_side_mask
+from pqw import protocol
 from pqw import statevector as sv
 from pqw.graphs import TABLE_ORDER, Graph, catalog_lookup, graph_state
 from pqw.protocol import (
+    CORRECTION_KINDS,
     CorrectionPlan,
     Outcome,
     all_outcomes,
@@ -17,6 +19,7 @@ from pqw.protocol import (
     byproduct_step,
     c4_correction,
     corrected_fidelity,
+    correction_forms,
     correction_plan,
     far_side_mask,
     l4_correction,
@@ -70,19 +73,32 @@ def test_outcome_validation():
         Outcome(P4, (0, 0, 0, 0, 0, 2))
 
 
+def _g(graph, outcome, v):
+    return (far_side_mask(graph, v) & outcome.to_index()).bit_count() & 1
+
+
 def test_near_far_parities():
-    # bits: AB@A, AB@B, BC@B, BC@C, CD@C, CD@D
+    # bits: AB@A, AB@B, BC@B, BC@C, CD@C, CD@D, read as a big-endian index
+    assert {v: near_side_mask(P4, v) for v in "ABCD"} == {
+        "A": 0b100000,
+        "B": 0b011000,
+        "C": 0b000110,
+        "D": 0b000001,
+    }
+    assert {v: far_side_mask(P4, v) for v in "ABCD"} == {
+        "A": 0b010000,
+        "B": 0b100100,
+        "C": 0b001001,
+        "D": 0b000010,
+    }
     outcome = Outcome(P4, (1, 0, 0, 0, 0, 0))
-    assert outcome.near(("A", "B"), "A") == 1
-    assert outcome.far(("A", "B"), "B") == 1
-    assert outcome.far(("A", "B"), "A") == 0
-    assert outcome.g("A") == 0
-    assert outcome.g("B") == 1  # far side of AB at B is the bit at A
+    assert _g(P4, outcome, "A") == 0
+    assert _g(P4, outcome, "B") == 1  # far side of AB at B is the bit at A
     assert near_parity(outcome, "A") == 1
     assert near_parity(outcome, "B") == 0
     mixed = Outcome(P4, (0, 1, 1, 0, 0, 1))
-    assert mixed.g("B") == 0  # far bits at B: AB@A=0, BC@C=0
-    assert mixed.g("C") == 0  # far bits at C: BC@B=1, CD@D=1
+    assert _g(P4, mixed, "B") == 0  # far bits at B: AB@A=0, BC@C=0
+    assert _g(P4, mixed, "C") == 0  # far bits at C: BC@B=1, CD@D=1
     assert near_parity(mixed, "C") == 0  # near bits at C: BC@C=0, CD@C=0
     assert near_parity(mixed, "D") == 1
 
@@ -112,7 +128,7 @@ def test_run_protocol_rejects_foreign_outcome():
 def test_universal_correction_steers_every_p3_outcome():
     graph = catalog_lookup("P3")
     for outcome in all_outcomes(graph):
-        plan = universal_correction(graph, outcome)
+        plan = correction_plan(graph, outcome, "universal")
         assert all(x == 0 for _, x, _ in plan.exponents)  # Z-only
         assert corrected_fidelity(graph, outcome, plan) > 1.0 - 1e-12
 
@@ -128,18 +144,24 @@ def test_tableau_run_signs_match_far_parities():
     for outcome in all_outcomes(graph):
         tableau = run_protocol_tableau(graph, outcome)
         for gen, v in zip(plain, graph.vertices):
-            want = -1 if outcome.g(v) else 1
+            want = -1 if _g(graph, outcome, v) else 1
             assert extract_sign(tableau, gen) == want
 
 
 def test_far_side_mask_is_g_as_a_form():
-    for name in ("P4", "C4", "K1_3", "K3"):
+    # bit s_m of a graph with k resource bits is 1 << (k - m)
+    masks = {
+        "P4": {"A": 0b010000, "B": 0b100100, "C": 0b001001, "D": 0b000010},
+        "C4": {"A": 0b01000010, "B": 0b10010000, "C": 0b00100100, "D": 0b00001001},
+        "K1_3": {"A": 0b010101, "B": 0b100000, "C": 0b001000, "D": 0b000010},
+        "K3": {"A": 0b010010, "B": 0b100100, "C": 0b001001},
+    }
+    for name, want in masks.items():
         graph = catalog_lookup(name)
-        masks = {v: far_side_mask(graph, v) for v in graph.vertices}
-        for outcome in all_outcomes(graph):
-            index = outcome.to_index()
-            for v, mask in masks.items():
-                assert (mask & index).bit_count() % 2 == outcome.g(v)
+        assert {v: far_side_mask(graph, v) for v in graph.vertices} == want
+    # C4 at s2 = s3 = s8 = 1: g_A = s2^s7, g_B = s1^s4, g_C = s3^s6, g_D = s5^s8
+    outcome = Outcome(C4, (0, 1, 1, 0, 0, 0, 0, 1))
+    assert [_g(C4, outcome, v) for v in "ABCD"] == [1, 0, 1, 1]
 
 
 def test_tableau_run_stabilizes_dense_state():
@@ -221,14 +243,12 @@ def test_plan_as_pauli_bitmasks():
 
 
 def test_pair_correction_matches_near_far_reading():
-    # on a single edge the plan that works is X^near Z^far at each end
+    # on a single edge the plan that works is X^near Z^far at each end;
+    # the bits are AB@A (far at B) and AB@B (near at B)
     for outcome in all_outcomes(K2):
-        plan = tree_correction(K2, outcome, reference=None)
-        explicit = CorrectionPlan.from_maps(
-            K2,
-            {"B": outcome.near(("A", "B"), "B")},
-            {"B": outcome.far(("A", "B"), "B")},
-        )
+        plan = correction_plan(K2, outcome, "tree")
+        far, near = outcome.bits
+        explicit = CorrectionPlan.from_maps(K2, {"B": near}, {"B": far})
         assert plan == explicit
         assert corrected_fidelity(K2, outcome, plan) > 1.0 - 1e-12
 
@@ -238,7 +258,7 @@ def test_pair_correction_matches_near_far_reading():
 
 def test_l4_formula_exponents():
     s = Outcome(P4, (1, 1, 0, 1, 0, 0))
-    plan = l4_correction(s)
+    plan = correction_plan(P4, s, "l4")
     assert plan.x_of("A") == 0 and plan.z_of("A") == 0
     assert plan.x_of("B") == 1  # s2
     assert plan.x_of("C") == 0  # s1 xor s4
@@ -248,22 +268,24 @@ def test_l4_formula_exponents():
 
 def test_l4_passes_all_64_outcomes():
     for outcome in all_outcomes(P4):
-        assert corrected_fidelity(P4, outcome, l4_correction(outcome)) > 1.0 - 1e-12
+        plan = correction_plan(P4, outcome, "l4")
+        assert corrected_fidelity(P4, outcome, plan) > 1.0 - 1e-12
 
 
 def test_l4_rejects_other_graphs():
     with pytest.raises(ValueError, match="P4"):
-        l4_correction(Outcome.from_index(C4, 0))
+        l4_correction(C4)
 
 
 def test_c4_passes_all_256_outcomes():
     for outcome in all_outcomes(C4):
-        assert corrected_fidelity(C4, outcome, c4_correction(outcome)) > 1.0 - 1e-12
+        plan = correction_plan(C4, outcome, "c4")
+        assert corrected_fidelity(C4, outcome, plan) > 1.0 - 1e-12
 
 
 def test_c4_rejects_other_graphs():
     with pytest.raises(ValueError, match="C4"):
-        c4_correction(Outcome.from_index(P4, 0))
+        c4_correction(P4)
 
 
 # -- tree correction ------------------------------------------------------------
@@ -271,39 +293,39 @@ def test_c4_rejects_other_graphs():
 
 def test_tree_correction_matches_l4_formula_exactly():
     # the leaf-anchored propagation reproduces the published path plan
-    # bit for bit, not just up to stabilizer equivalence
-    for outcome in all_outcomes(P4):
-        assert tree_correction(P4, outcome) == l4_correction(outcome)
+    # form for form, so bit for bit at every outcome, not just up to
+    # stabilizer equivalence
+    assert tree_correction(P4) == l4_correction(P4)
 
 
 @pytest.mark.parametrize("name", TREE_NAMES)
 def test_tree_correction_passes_exhaustively(name):
     graph = catalog_lookup(name)
     for outcome in all_outcomes(graph):
-        plan = tree_correction(graph, outcome)
+        plan = correction_plan(graph, outcome, "tree")
         assert corrected_fidelity(graph, outcome, plan) > 1.0 - 1e-12
 
 
 def test_tree_correction_reference_is_untouched():
+    # the reference is the first leaf by label: A on the path, B on the
+    # star whose hub is A
     for index in (5, 21, 40, 63):
         outcome = Outcome.from_index(P4, index)
-        for reference in ("A", "D"):
-            plan = tree_correction(P4, outcome, reference=reference)
-            assert plan.x_of(reference) == 0 and plan.z_of(reference) == 0
-            assert corrected_fidelity(P4, outcome, plan) > 1.0 - 1e-12
+        plan = correction_plan(P4, outcome, "tree")
+        assert plan.x_of("A") == 0 and plan.z_of("A") == 0
+        assert corrected_fidelity(P4, outcome, plan) > 1.0 - 1e-12
+    star = catalog_lookup("K1_3")
+    assert tree_correction(star)[star.vertex_index("B")] == (0, 0)
 
 
 def test_tree_correction_interior_vertices_are_z_free():
-    for outcome in all_outcomes(P4):
-        plan = tree_correction(P4, outcome)
-        assert plan.z_of("B") == 0 and plan.z_of("C") == 0
+    forms = dict(zip(P4.vertices, tree_correction(P4)))
+    assert forms["B"][1] == 0 and forms["C"][1] == 0
 
 
 def test_tree_correction_validation():
     with pytest.raises(ValueError, match="requires a tree"):
-        tree_correction(C4, Outcome.from_index(C4, 0))
-    with pytest.raises(ValueError, match="not a leaf"):
-        tree_correction(P4, Outcome.from_index(P4, 0), reference="B")
+        tree_correction(C4)
 
 
 def test_verbatim_parity_reading_fails_on_the_path():
@@ -316,7 +338,7 @@ def test_verbatim_parity_reading_fails_on_the_path():
         literal = CorrectionPlan.from_maps(
             P4,
             {v: near_parity(outcome, v) for v in "BCD"},
-            {v: outcome.g(v) for v in "BCD"},
+            {v: _g(P4, outcome, v) for v in "BCD"},
         )
         worst = min(worst, corrected_fidelity(P4, outcome, literal))
     assert worst < 1e-12
@@ -341,12 +363,16 @@ def test_lone_x_is_not_equivalent_to_identity():
 def test_topology_plans_equivalent_to_universal():
     for outcome in all_outcomes(P4):
         assert plans_equivalent(
-            l4_correction(outcome), universal_correction(P4, outcome), P4
+            correction_plan(P4, outcome, "l4"),
+            correction_plan(P4, outcome, "universal"),
+            P4,
         )
     for index in (0, 100, 200, 255):
         outcome = Outcome.from_index(C4, index)
         assert plans_equivalent(
-            c4_correction(outcome), universal_correction(C4, outcome), C4
+            correction_plan(C4, outcome, "c4"),
+            correction_plan(C4, outcome, "universal"),
+            C4,
         )
 
 
@@ -360,12 +386,83 @@ def test_plans_equivalent_rejects_foreign_plans():
 
 
 def test_correction_plan_dispatch():
-    outcome = Outcome.from_index(P4, 9)
-    assert correction_plan(P4, outcome, "universal") == universal_correction(P4, outcome)
-    assert correction_plan(P4, outcome, "l4") == l4_correction(outcome)
-    assert correction_plan(P4, outcome, "tree") == tree_correction(P4, outcome)
+    assert correction_forms(P4, "universal") == universal_correction(P4)
+    assert correction_forms(P4, "l4") == l4_correction(P4)
+    assert correction_forms(P4, "tree") == tree_correction(P4)
+    assert correction_forms(C4, "c4") == c4_correction(C4)
+    # s1, s3, s4 set: g_C = s3^s6 = 1 is the only odd far parity, and
+    # the l4 formula puts X^{s2^s3^s6} on D instead
+    outcome = Outcome(P4, (1, 0, 1, 1, 0, 0))
+    assert correction_plan(P4, outcome, "universal") == CorrectionPlan.from_maps(
+        P4, {}, {"C": 1}
+    )
+    assert correction_plan(P4, outcome, "l4") == CorrectionPlan.from_maps(
+        P4, {"D": 1}, {}
+    )
     with pytest.raises(ValueError, match="unknown correction"):
         correction_plan(P4, outcome, "bogus")
+    with pytest.raises(ValueError, match="different graph"):
+        correction_plan(C4, outcome, "universal")
+    with pytest.raises(ValueError, match="P4"):
+        correction_plan(C4, Outcome.from_index(C4, 0), "l4")
+
+
+# -- the parity condition as forms -----------------------------------------------
+
+
+def _parity_condition_holds(graph, kind):
+    # z_v xor (xor of x_u over u ~ v) must equal g_v as forms, which is
+    # the plan's validity at every outcome at once
+    forms = correction_forms(graph, kind)
+    for v, (_, z) in zip(graph.vertices, forms):
+        for u in graph.neighbors(v):
+            z ^= forms[graph.vertex_index(u)][0]
+        if z != far_side_mask(graph, v):
+            return False
+    return True
+
+
+def _catalog_kinds():
+    cases = []
+    for name in TABLE_ORDER + ("K4",):
+        for kind in CORRECTION_KINDS:
+            try:
+                correction_forms(catalog_lookup(name), kind)
+            except ValueError:
+                continue
+            cases.append((name, kind))
+    return cases
+
+
+@pytest.mark.parametrize("name,kind", _catalog_kinds())
+def test_parity_condition_holds_as_forms(name, kind):
+    assert _parity_condition_holds(catalog_lookup(name), kind)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_connected_graphs())
+def test_parity_condition_holds_as_forms_on_random_graphs(graph):
+    assert _parity_condition_holds(graph, "universal")
+    if graph.is_tree():
+        assert _parity_condition_holds(graph, "tree")
+
+
+def test_parity_condition_holds_as_forms_past_the_dense_ceiling():
+    # 6x6 grid: 60 edges, 156 total qubits, 4^60 outcomes
+    assert _parity_condition_holds(grid(6, 6), "universal")
+
+
+def test_parity_condition_rejects_a_dropped_bit(monkeypatch):
+    real = protocol.far_side_mask
+    monkeypatch.setattr(
+        protocol, "far_side_mask", lambda graph, v: real(graph, v) & (real(graph, v) - 1)
+    )
+    protocol.correction_forms.cache_clear()
+    try:
+        assert not _parity_condition_holds(P4, "universal")
+        assert not _parity_condition_holds(P4, "tree")
+    finally:
+        protocol.correction_forms.cache_clear()
 
 
 # -- resource-pair structure -----------------------------------------------------

@@ -202,6 +202,15 @@ def test_conjugate_validates_targets():
         conjugate(tab, "T", (0,))
 
 
+def test_conjugate_keeps_untouched_generators():
+    tab = conjugate(zero_state_tableau(3), "H", (0,))
+    moved = conjugate(tab, "CZ", (0, 1))
+    assert moved.generators[2] is tab.generators[2]
+    assert moved.generators[0] == PauliString(3, 0b001, 0b010)
+    with pytest.raises(ValueError, match="takes 2 targets"):
+        conjugate(tab, "CZ", (2,))
+
+
 # -- tableau construction and membership -------------------------------------
 
 

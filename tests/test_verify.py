@@ -5,6 +5,7 @@ import dataclasses
 
 import pytest
 
+from helpers import grid, near_side_mask
 from pqw import protocol, verify
 from pqw import statevector as sv
 from pqw.graphs import (
@@ -15,7 +16,7 @@ from pqw.graphs import (
     parse_edge_list,
 )
 from pqw.noise import f_star_dep
-from pqw.protocol import CorrectionPlan, Outcome, corrected_fidelity, run_protocol
+from pqw.protocol import Outcome, corrected_fidelity, run_protocol
 from pqw.verify import (
     FIDELITY_TOL,
     LcReport,
@@ -98,8 +99,8 @@ def test_contraction_applies_the_plan(monkeypatch):
     # with every correction dropped, some outcome must miss the target
     monkeypatch.setattr(
         protocol,
-        "correction_plan",
-        lambda graph, outcome, kind: CorrectionPlan.from_maps(graph, {}, {}),
+        "correction_forms",
+        lambda graph, kind: ((0, 0),) * graph.n_vertices,
     )
     report = verify_all_outcomes(P4, "universal")
     assert report.passed is False
@@ -132,38 +133,17 @@ def test_phase_lemma_exhaustive_on_a_long_path():
     assert phase_lemma_check(graph) is True
 
 
-def _grid(rows: int, cols: int):
-    lines = []
-    for r in range(rows):
-        for c in range(cols):
-            if c + 1 < cols:
-                lines.append(f"r{r}c{c} r{r}c{c + 1}")
-            if r + 1 < rows:
-                lines.append(f"r{r}c{c} r{r + 1}c{c}")
-    return parse_edge_list("\n".join(lines))
-
-
 def test_phase_lemma_on_a_grid_past_the_dense_ceiling():
     # 5x5 grid: 40 edges, 105 total qubits, 4^40 outcomes
-    graph = _grid(5, 5)
+    graph = grid(5, 5)
     assert graph.n_vertices + 2 * graph.n_edges == 105
     assert phase_lemma_check(graph) is True
 
 
-def _near_side_mask(graph, v):
-    # the near-side reading: the bit at v's own half of each edge
-    last = 2 * graph.n_edges - 1
-    mask = 0
-    for j, edge in enumerate(graph.edges):
-        if v in edge:
-            mask |= 1 << (last - 2 * j - edge.index(v))
-    return mask
-
-
 def test_phase_lemma_rejects_the_near_side_sign_form(monkeypatch):
-    monkeypatch.setattr(verify, "far_side_mask", _near_side_mask)
+    monkeypatch.setattr(verify, "far_side_mask", near_side_mask)
     assert phase_lemma_check(P4) is False
-    assert phase_lemma_check(_grid(3, 3)) is False
+    assert phase_lemma_check(grid(3, 3)) is False
 
 
 # -- entanglement rank comparison -------------------------------------------------
