@@ -14,10 +14,10 @@ number:
   qubit comes through error-free with probability
   sum_b |tr(K_b)/2|^2, independently of the others, so the no-error
   fraction is that per-qubit retention to the power k; it multiplies
-  the exact noiseless outcome enumeration, which is 1 for a valid plan
-  and below 1 for a broken one.  This is why the result matches the
-  closed-form curves (1-3p/4)^k and ((1+sqrt(1-p))/2)^k to machine
-  precision, identically for both insertion points.
+  the exact noiseless fidelity, which is 1 for a valid plan and below 1
+  for a broken one.  This is why the result matches the closed-form
+  curves (1-3p/4)^k and ((1+sqrt(1-p))/2)^k to machine precision,
+  identically for both insertion points.
 
 * metric="conditional" is the operational fidelity of the state
   actually delivered: every error branch runs through the remaining
@@ -29,18 +29,24 @@ number:
   multi-error patterns that the strict accounting already wrote off.
   The two metrics agree at p=0 and conditional >= strict everywhere.
 
-How conditional is enumerated depends on the channel.  Depolarizing
-noise is a Pauli channel and phase damping equals a Z flip with
-probability (1-sqrt(1-p))/2, so for these two every error branch is a
-Pauli error that the Clifford walk carries to a data-Z frame, and the
-conditional fidelity is the probability that the frames of all k
-qubits cancel.  That distribution over GF(2)^|V| is enumerated
-exactly, one qubit at a time, with no statevector; the qubit budget
-applies to |V| there and the term budget does not.  Amplitude damping
-has no Pauli form and runs every Kraus branch through a dense
-statevector, under both budgets.  The strict metric is computed the
-same way for every channel and is held to the qubit budget only: its
-one dense enumeration is the noiseless one.
+Two exact engines compute these numbers, and neither touches a
+statevector.  Depolarizing noise is a Pauli channel and phase damping
+equals a Z flip with probability (1-sqrt(1-p))/2, so for these two
+every error branch is a Pauli error that the Clifford walk carries to a
+data-Z frame, and the conditional fidelity is the probability that the
+frames of all k qubits cancel.  That distribution over GF(2)^|V| is
+enumerated exactly, one qubit at a time.  Amplitude damping just before
+measurement only misreads bits, so it runs on the same frames.
+
+Amplitude damping after prep, and the noiseless factor of strict, run
+as a Heisenberg-picture sum.  The corrected-fidelity operator
+M = sum_s |s><s| (x) C_s^dagger |G><G| C_s is the projector of a
+stabilizer code with one generator K_v (x) Z_R^{phi_v} per vertex, so
+F = tr(M rho) is 2^-|V| times the sum of the expectations of its 2^|V|
+elements.  Each element is carried back through the walk and through
+the adjoint channel, where the prepared state factors into |+> per data
+qubit and CZ|++> per edge.  Both engines cost 2^|V| terms, so the
+qubit budget bounds |V| on every path.
 
 The default is strict because the closed-form curves are the quantity
 the rest of the toolchain (effective-p extraction, channel comparisons)
@@ -51,21 +57,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product as iter_product
+from functools import lru_cache
 
 import numpy as np
 
-from .graphs import Graph
-from .protocol import (
-    _after_prep,
-    _correction_targets,
-    _outcome_bit,
-    _outcome_overlaps,
-    _premeasurement,
-    _walk,
-    build_layout,
-    correction_forms,
-)
+from .graphs import Graph, stabilizer_generators
+from .protocol import _bit_reversed, _outcome_bit, correction_forms, walk_gates
+from .stabilizer import PauliString, Tableau, conjugate
 from .statevector import ResourceError
 
 CHANNEL_KINDS = ("depolarizing", "phase_damping", "amplitude_damping")
@@ -78,8 +76,7 @@ CHANNEL_ALIASES = {
 INSERTION_POINTS = ("post_prep", "pre_measure")
 METRICS = ("strict", "conditional")
 
-DEFAULT_TOTAL_QUBIT_BUDGET = 12
-DEFAULT_TERM_BUDGET = 2**24  # branch-outcome pairs
+DEFAULT_VERTEX_BUDGET = 12
 
 
 @dataclass(frozen=True)
@@ -209,21 +206,6 @@ class NoiseReport:
 # -- exact enumeration -------------------------------------------------------
 
 
-def _apply_one_qubit_matrix(amps: np.ndarray, mat: np.ndarray, qubit: int) -> np.ndarray:
-    view = amps.reshape(-1, 2, 2**qubit)
-    out = np.einsum("ab,ibj->iaj", mat, view)
-    return out.reshape(amps.size)
-
-
-def _check_qubit_budget(what: str, size: int, max_qubits) -> None:
-    budget = DEFAULT_TOTAL_QUBIT_BUDGET if max_qubits is None else max_qubits
-    if size > budget:
-        raise ResourceError(
-            f"{what} exceeds the budget of {budget}; "
-            "pick a smaller graph or raise max_qubits"
-        )
-
-
 def noisy_protocol_fidelity(
     graph: Graph,
     channel: NoiseChannel,
@@ -231,17 +213,19 @@ def noisy_protocol_fidelity(
     insertion: str = "post_prep",
     metric: str = "strict",
     max_qubits: int | None = None,
-    max_terms: int | None = None,
 ) -> float:
     """Exact fidelity of the distributed state under independent noise
     on every resource qubit.
 
-    All 4^|E| measurement outcomes are enumerated, with the noiseless
-    correction formula applied per outcome.  The conditional metric
-    also enumerates every error branch over the k = 2|E| resource
-    qubits: as data-Z frames for a Pauli channel, as dense Kraus
-    branches for amplitude damping.  See the module docstring for what
-    the two metrics count.  Both reduce to 1 at p=0.
+    Every one of the 4^|E| measurement outcomes and every error branch
+    over the k = 2|E| resource qubits is accounted for, with the
+    noiseless correction formula applied per outcome.  Pauli channels,
+    and amplitude damping before measurement, run as data-Z frames;
+    amplitude damping after prep and the strict metric run as a
+    Heisenberg-picture sum over the code of the corrected fidelity.
+    Both engines cost 2^|V| terms, so max_qubits bounds the vertex
+    count.  See the module docstring for what the two metrics count.
+    Both reduce to 1 at p=0.
     """
     if insertion not in INSERTION_POINTS:
         raise ValueError(
@@ -249,65 +233,130 @@ def noisy_protocol_fidelity(
         )
     if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}; expected one of {METRICS}")
-    if metric == "conditional" and channel.kind != "amplitude_damping":
-        # the frame distribution has one entry per data-Z pattern, 2^|V|
-        _check_qubit_budget(
-            f"Pauli-frame enumeration over {graph.n_vertices} vertices",
-            graph.n_vertices,
-            max_qubits,
+    heisenberg = metric == "strict" or (
+        channel.kind == "amplitude_damping" and insertion == "post_prep"
+    )
+    budget = DEFAULT_VERTEX_BUDGET if max_qubits is None else max_qubits
+    if graph.n_vertices > budget:
+        engine = "Heisenberg sum" if heisenberg else "Pauli-frame enumeration"
+        raise ResourceError(
+            f"{engine} over {graph.n_vertices} vertices exceeds the budget of "
+            f"{budget}; pick a smaller graph or raise max_qubits"
         )
+    if not heisenberg:
         return _frame_fidelity(
             graph, _pauli_probabilities(channel), correction_kind, insertion
         )
-    total = graph.n_vertices + 2 * graph.n_edges
-    _check_qubit_budget(f"noisy enumeration over {total} qubits", total, max_qubits)
     ops = kraus_ops(channel)
-    k = 2 * graph.n_edges
-    if metric == "strict":
-        # each qubit comes through error-free with probability
-        # sum_b |tr(K_b)/2|^2, independently of the others; that
-        # fraction multiplies the exact noiseless outcome enumeration
-        retention = math.fsum(abs(np.trace(op)) ** 2 / 4.0 for op in ops)
-        targets = _correction_targets(graph, correction_kind)
-        clean = _premeasurement(graph).amplitudes
-        noiseless = math.fsum(_outcome_overlaps(graph, clean, targets).tolist())
-        return retention**k * noiseless
-    terms = len(ops) ** k * graph.outcome_count()
-    term_budget = DEFAULT_TERM_BUDGET if max_terms is None else max_terms
-    if terms > term_budget:
-        raise ResourceError(
-            f"{len(ops)}^{k} branches x {graph.outcome_count()} outcomes = "
-            f"{terms} terms exceeds the budget of {term_budget}"
-        )
-    return _branch_fidelity(graph, ops, correction_kind, insertion)
+    if metric == "conditional":
+        return _heisenberg_fidelity(graph, ops, correction_kind)
+    # each qubit comes through error-free with probability
+    # sum_b |tr(K_b)/2|^2, independently of the others; that fraction
+    # multiplies the noiseless sum
+    retention = math.fsum(abs(np.trace(op)) ** 2 / 4.0 for op in ops)
+    noiseless = _heisenberg_fidelity(graph, (np.eye(2),), correction_kind)
+    return retention ** (2 * graph.n_edges) * noiseless
 
 
-def _branch_fidelity(
-    graph: Graph, ops: tuple[np.ndarray, ...], correction_kind: str, insertion: str
+def _sign_forms(graph: Graph, correction_kind: str) -> list[int]:
+    """phi_v = z_v xor (xor of x_u over u ~ v) per vertex, as outcome-bit
+    forms: the plan for outcome s flips the sign of K_v by
+    (-1)^{|phi_v & s|}, so it is valid exactly when phi_v equals
+    far_side_mask(v)."""
+    forms = correction_forms(graph, correction_kind)
+    phis = []
+    for v, (_, z) in zip(graph.vertices, forms):
+        for u in graph.neighbors(v):
+            z ^= forms[graph.vertex_index(u)][0]
+        phis.append(z)
+    return phis
+
+
+# -- Heisenberg-picture sum ----------------------------------------------------
+
+
+@lru_cache(maxsize=32)
+def _heisenberg_generators(graph: Graph, correction_kind: str) -> tuple[PauliString, ...]:
+    """W^dagger S_v W for the generators S_v = K_v (x) Z_R^{phi_v} of the
+    code whose projector is the corrected-fidelity operator
+    M = sum_s |s><s| (x) C_s^dagger |G><G| C_s, W the walk.
+
+    C_s^dagger K_v C_s = (-1)^{|phi_v & s|} K_v, and Z_R^{phi_v} reads that
+    sign off the resource register, so M = prod_v (1 + S_v)/2.
+    """
+    nv = graph.n_vertices
+    total = nv + 2 * graph.n_edges
+    generators = []
+    for k_v, phi in zip(
+        stabilizer_generators(graph).generators, _sign_forms(graph, correction_kind)
+    ):
+        # resource qubit nv + m holds sequence bit m of the outcome
+        z_r = _bit_reversed(graph, phi) << nv
+        generators.append(PauliString(total, k_v.x_bits, k_v.z_bits | z_r))
+    tableau = Tableau(total, tuple(generators))
+    # every walk gate is its own inverse, so W^dagger P W is the walk run
+    # backwards in the Schroedinger rule U P U^dagger
+    for gate, targets in reversed(walk_gates(graph)):
+        tableau = conjugate(tableau, gate, targets)
+    return tableau.generators
+
+
+_PAIR = np.array([1.0, 1.0, 1.0, -1.0]) / 2.0  # CZ|++>
+_SITE_PAULIS = {  # X^x Z^z at key (x, z)
+    (0, 0): np.eye(2),
+    (1, 0): np.array([[0.0, 1.0], [1.0, 0.0]]),
+    (0, 1): np.array([[1.0, 0.0], [0.0, -1.0]]),
+    (1, 1): np.array([[0.0, -1.0], [1.0, 0.0]]),
+}
+
+
+def _edge_table(ops: tuple[np.ndarray, ...]) -> list[complex]:
+    """<CZ++| E^dagger(P_0) (x) E^dagger(P_1) |CZ++> for the pair's Paulis
+    P_h = X^{x_h} Z^{z_h}, at index x + 4z with x = x_0 + 2 x_1 and
+    z = z_0 + 2 z_1; E^dagger(P) = sum_b K_b^dagger P K_b is the adjoint
+    channel."""
+    adjoint = {
+        site: sum(op.conj().T @ pauli @ op for op in ops)
+        for site, pauli in _SITE_PAULIS.items()
+    }
+    return [
+        complex(_PAIR @ np.kron(adjoint[x >> 1, z >> 1], adjoint[x & 1, z & 1]) @ _PAIR)
+        for z in range(4)
+        for x in range(4)
+    ]
+
+
+def _heisenberg_fidelity(
+    graph: Graph, ops: tuple[np.ndarray, ...], correction_kind: str
 ) -> float:
-    """Conditional fidelity by running each of the m^k Kraus branches
-    through a dense statevector: the path for amplitude damping, and
-    the reference the Pauli-frame engine is tested against."""
-    layout = build_layout(graph)
-    targets = _correction_targets(graph, correction_kind)
-    resource_qubits = layout.resource_qubits()
-    k = len(resource_qubits)
-    branch_totals = []
-    prepped = _after_prep(graph).amplitudes
-    for branch in iter_product(range(len(ops)), repeat=k):
-        if insertion == "post_prep":
-            amps = prepped
-            for q, b in zip(resource_qubits, branch):
-                amps = _apply_one_qubit_matrix(amps, ops[b], q)
-            amps = _walk(graph, amps)
-        else:
-            amps = _premeasurement(graph).amplitudes
-            for q, b in zip(resource_qubits, branch):
-                amps = _apply_one_qubit_matrix(amps, ops[b], q)
-        branch_totals.append(
-            math.fsum(_outcome_overlaps(graph, amps, targets).tolist())
-        )
-    return math.fsum(branch_totals)
+    """Conditional fidelity of a channel with these Kraus operators on
+    every resource qubit right after the pairs are prepared:
+
+        F = 2^-|V| sum_{A subset V} <psi_prep| E^dagger(W^dagger S_A W) |psi_prep>
+
+    with S_A the product of the code generators in A.  psi_prep is |+>
+    on each data qubit, where a Z gives 0, and CZ|++> on each edge, where
+    the adjoint channel on both halves gives one entry of the edge table.
+    The subsets run in Gray-code order, one generator product a step.
+    """
+    table = _edge_table(ops)
+    generators = _heisenberg_generators(graph, correction_kind)
+    nv = graph.n_vertices
+    data = (1 << nv) - 1
+    term = PauliString(nv + 2 * graph.n_edges, 0, 0)
+    values = []
+    for step in range(1 << nv):
+        if step:
+            term = term * generators[(step & -step).bit_length() - 1]
+        if term.z_bits & data:
+            continue
+        x, z = term.x_bits >> nv, term.z_bits >> nv
+        value = 1j**term.phase
+        for _ in range(graph.n_edges):
+            value *= table[(x & 3) | (z & 3) << 2]
+            x, z = x >> 2, z >> 2
+        values.append(value.real)
+    return math.fsum(values) / (1 << nv)
 
 
 # -- Pauli-frame enumeration -------------------------------------------------
@@ -315,10 +364,17 @@ def _branch_fidelity(
 
 def _pauli_probabilities(channel: NoiseChannel) -> tuple[float, float, float, float]:
     """(I, X, Y, Z) probabilities of the Pauli channel equal to this
-    one; phase damping is a Z flip with q = (1 - sqrt(1-p))/2."""
+    one; phase damping is a Z flip with q = (1 - sqrt(1-p))/2.
+
+    Amplitude damping has no Pauli form, but just before a Z
+    measurement it only reads a 1 as 0 with probability p.  Every bit is
+    uniform, so there it acts as an X flip with probability p/2; the
+    result holds for insertion "pre_measure" only."""
     p = channel.p
     if channel.kind == "depolarizing":
         return (1.0 - 0.75 * p, p / 4.0, p / 4.0, p / 4.0)
+    if channel.kind == "amplitude_damping":
+        return (1.0 - p / 2.0, p / 2.0, 0.0, 0.0)
     q = (1.0 - math.sqrt(1.0 - p)) / 2.0
     return (1.0 - q, 0.0, 0.0, q)
 
@@ -335,12 +391,7 @@ def _misread_frames(graph: Graph, correction_kind: str) -> list[int]:
     string stabilizes |G>, so the frame is harmless exactly when it is
     zero.
     """
-    forms = correction_forms(graph, correction_kind)
-    frame_forms = []
-    for v, (_, z) in zip(graph.vertices, forms):
-        for u in graph.neighbors(v):
-            z ^= forms[graph.vertex_index(u)][0]
-        frame_forms.append(z)
+    frame_forms = _sign_forms(graph, correction_kind)
     frames = []
     for m in range(2 * graph.n_edges):
         bit = _outcome_bit(graph, m)
@@ -361,7 +412,9 @@ def _frame_fidelity(
     CZ to v's data qubit as Z_v and then becomes a harmless Z on the
     measured qubit, Z becomes a misread bit, and Y does both.  Just
     before measurement X and Y misread the bit and Z does nothing.
-    Every outcome stays equally likely, so only the frame matters.
+    Every outcome stays equally likely, so only the frame matters.  The
+    frames are relative to the noiseless run, so this assumes a plan
+    that corrects every noiseless outcome, as every correction kind does.
     """
     misread = _misread_frames(graph, correction_kind)
     index = np.arange(2**graph.n_vertices)

@@ -31,8 +31,8 @@ Every correction kind is a function of the graph alone: it returns
 per-vertex (x, z) outcome-bit forms, masks over the big-endian outcome
 index like far_side_mask, and the plan of outcome s is those forms read
 at s by parity.  The parity condition is then one identity of forms per
-vertex, with g_v = far_side_mask(v), and the outcome engine, the noise
-frames and the per-outcome reference all evaluate the same forms.
+vertex, with g_v = far_side_mask(v), and the outcome engine, both noise
+engines and the per-outcome reference all evaluate the same forms.
 """
 
 from __future__ import annotations
@@ -126,22 +126,6 @@ class CorrectionPlan:
         if any(x not in (0, 1) or z not in (0, 1) for _, x, z in self.exponents):
             raise ValueError("exponents must be bits")
 
-    @classmethod
-    def from_maps(cls, graph: Graph, x: dict[str, int], z: dict[str, int]):
-        return cls(
-            graph,
-            tuple((v, x.get(v, 0), z.get(v, 0)) for v in graph.vertices),
-        )
-
-    def x_of(self, v: str) -> int:
-        return self.exponents[self.graph.vertex_index(v)][1]
-
-    def z_of(self, v: str) -> int:
-        return self.exponents[self.graph.vertex_index(v)][2]
-
-    def is_identity(self) -> bool:
-        return all(x == 0 and z == 0 for _, x, z in self.exponents)
-
     def as_pauli(self) -> PauliString:
         x_bits = 0
         z_bits = 0
@@ -169,17 +153,27 @@ def _after_prep(graph: Graph) -> sv.StateVector:
     return state
 
 
-def _walk(graph: Graph, amps: np.ndarray) -> np.ndarray:
-    """S3 on raw, possibly unnormalized amplitudes: the entangling CZ
-    for every incidence, then H on every resource qubit."""
+def walk_gates(graph: Graph) -> tuple[tuple[str, tuple[int, ...]], ...]:
+    """S3 as a gate list, the one copy of the walk circuit: the
+    entangling CZ(data, own resource half) for every incidence in edge
+    order, then H on every resource qubit."""
     layout = build_layout(graph)
-    for edge in graph.edges:
-        for v in edge:
-            amps = sv._apply_cz(
-                amps, layout.data_index[v], layout.resource_index[(edge, v)]
-            )
-    for q in layout.resource_qubits():
-        amps = sv._apply_h(amps, q)
+    gates = [
+        ("CZ", (layout.data_index[v], layout.resource_index[(edge, v)]))
+        for edge in graph.edges
+        for v in edge
+    ]
+    gates += [("H", (q,)) for q in layout.resource_qubits()]
+    return tuple(gates)
+
+
+def _walk(graph: Graph, amps: np.ndarray) -> np.ndarray:
+    """S3 on raw, possibly unnormalized amplitudes."""
+    for gate, targets in walk_gates(graph):
+        if gate == "CZ":
+            amps = sv._apply_cz(amps, *targets)
+        else:
+            amps = sv._apply_h(amps, *targets)
     return amps
 
 
@@ -264,13 +258,8 @@ def symbolic_protocol_tableau(graph: Graph) -> Tableau:
         tableau = conjugate(tableau, "H", (r0,))
         tableau = conjugate(tableau, "H", (r1,))
         tableau = conjugate(tableau, "CZ", (r0, r1))
-    for edge in graph.edges:  # S3
-        for v in edge:
-            tableau = conjugate(
-                tableau, "CZ", (layout.data_index[v], layout.resource_index[(edge, v)])
-            )
-    for q in layout.resource_qubits():
-        tableau = conjugate(tableau, "H", (q,))
+    for gate, targets in walk_gates(graph):  # S3
+        tableau = conjugate(tableau, gate, targets)
     for m in range(2 * graph.n_edges):  # S4 measurements
         tableau = measure_z(tableau, nv + m, 0, _outcome_bit(graph, m))
     # eliminate the measured register: clear every Z_r with the installed

@@ -8,8 +8,8 @@ and render elsewhere; two runs over the same inputs produce equal
 reports.
 
 The outcome sweep is a single contraction of the premeasurement state
-with the table of corrected targets, both owned by pqw.protocol and
-shared with the noise engine; nothing is split over threads.
+with the table of corrected targets, both owned by pqw.protocol;
+nothing is split over threads.
 """
 
 from __future__ import annotations
@@ -54,9 +54,11 @@ class VerificationReport:
 
     @property
     def passed(self) -> bool:
+        # every outcome has probability 1/count, so the deviation is
+        # judged relative to that
         return (
             self.min_fidelity >= 1.0 - FIDELITY_TOL
-            and self.max_probability_deviation <= PROBABILITY_TOL
+            and self.max_probability_deviation * self.outcome_count <= PROBABILITY_TOL
         )
 
 
@@ -148,7 +150,6 @@ def noise_sweep(
     insertion: str = "post_prep",
     metric: str = "strict",
     max_qubits: int | None = None,
-    max_terms: int | None = None,
 ) -> NoiseReport:
     """Enumerate the exact fidelity on each grid point and attach the
     closed-form curve where one exists (depolarizing and phase damping;
@@ -164,7 +165,6 @@ def noise_sweep(
             insertion=insertion,
             metric=metric,
             max_qubits=max_qubits,
-            max_terms=max_terms,
         )
         for p in grid
     )

@@ -1,16 +1,30 @@
 """Shared test machinery: random Clifford circuits applied both densely
 and symbolically, explicit matrix builders used as oracles for the
-reshape-based gate kernels, and small comparisons that only tests use."""
+reshape-based gate kernels, the dense Kraus-branch reference for the
+noise engines, random graphs, and small comparisons that only tests
+use."""
 
 from __future__ import annotations
 
+import math
 import random
+from itertools import product as iter_product
 
 import numpy as np
+from hypothesis import strategies as st
 
 from pqw import statevector as sv
 from pqw.graphs import Graph, catalog_lookup, graph_state, parse_edge_list
-from pqw.protocol import Outcome
+from pqw.protocol import (
+    CorrectionPlan,
+    Outcome,
+    _after_prep,
+    _correction_targets,
+    _outcome_overlaps,
+    _premeasurement,
+    _walk,
+    build_layout,
+)
 from pqw.stabilizer import Tableau, conjugate, zero_state_tableau
 
 GATE_ARITY = {"H": 1, "X": 1, "Z": 1, "CZ": 2, "CNOT": 2}
@@ -126,3 +140,65 @@ def grid(rows: int, cols: int) -> Graph:
             if r + 1 < rows:
                 lines.append(f"r{r}c{c} r{r + 1}c{c}")
     return parse_edge_list("\n".join(lines))
+
+
+def plan_from_maps(graph: Graph, x: dict[str, int], z: dict[str, int]) -> CorrectionPlan:
+    """A plan from sparse exponent maps; a vertex not named gets 0."""
+    return CorrectionPlan(
+        graph, tuple((v, x.get(v, 0), z.get(v, 0)) for v in graph.vertices)
+    )
+
+
+@st.composite
+def small_connected_graphs(draw, max_qubits: int = 14):
+    """Connected graphs of at most max_qubits total qubits: a random
+    spanning tree plus the extra edges that still fit, each edge drawn in
+    either orientation and the edge list shuffled."""
+    # a tree on n vertices takes n + 2(n - 1) qubits
+    n = draw(st.integers(min_value=2, max_value=min(5, (max_qubits + 2) // 3)))
+    tree = {(draw(st.integers(min_value=0, max_value=i - 1)), i) for i in range(1, n)}
+    spare = [(i, j) for i in range(n) for j in range(i + 1, n) if (i, j) not in tree]
+    room = (max_qubits - n) // 2 - len(tree)
+    extra = draw(st.sets(st.sampled_from(spare), max_size=room)) if spare else set()
+    edges = []
+    for i, j in draw(st.permutations(sorted(tree | extra))):
+        edges.append((f"v{j}", f"v{i}") if draw(st.booleans()) else (f"v{i}", f"v{j}"))
+    return Graph(tuple(f"v{i}" for i in range(n)), tuple(edges))
+
+
+# -- dense Kraus-branch reference for the noise engines ----------------------
+
+
+def apply_one_qubit_matrix(amps: np.ndarray, mat: np.ndarray, qubit: int) -> np.ndarray:
+    view = amps.reshape(-1, 2, 2**qubit)
+    out = np.einsum("ab,ibj->iaj", mat, view)
+    return out.reshape(amps.size)
+
+
+def branch_fidelity(
+    graph: Graph, ops: tuple[np.ndarray, ...], correction_kind: str, insertion: str
+) -> float:
+    """Conditional fidelity by running each of the m^k Kraus branches
+    through a dense statevector: the reference the Pauli-frame and
+    Heisenberg engines are tested against.  With ops = (identity,) it is
+    the noiseless outcome contraction."""
+    layout = build_layout(graph)
+    targets = _correction_targets(graph, correction_kind)
+    resource_qubits = layout.resource_qubits()
+    k = len(resource_qubits)
+    branch_totals = []
+    prepped = _after_prep(graph).amplitudes
+    for branch in iter_product(range(len(ops)), repeat=k):
+        if insertion == "post_prep":
+            amps = prepped
+            for q, b in zip(resource_qubits, branch):
+                amps = apply_one_qubit_matrix(amps, ops[b], q)
+            amps = _walk(graph, amps)
+        else:
+            amps = _premeasurement(graph).amplitudes
+            for q, b in zip(resource_qubits, branch):
+                amps = apply_one_qubit_matrix(amps, ops[b], q)
+        branch_totals.append(
+            math.fsum(_outcome_overlaps(graph, amps, targets).tolist())
+        )
+    return math.fsum(branch_totals)

@@ -1,6 +1,7 @@
 """Command-line surface: argument handling, output formats, exit codes."""
 
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -160,10 +161,36 @@ def test_noise_json_carries_metadata(capsys):
     assert payload["fidelities"][0] == pytest.approx(0.63450175, abs=1e-9)
 
 
-def test_noise_budget_exit(capsys):
-    code = main(["noise", "--graph", "K4", "--channel", "dep", "--p", "0.1"])
+def test_noise_budget_exit(tmp_path, capsys):
+    edges = tmp_path / "path13.txt"
+    edges.write_text("".join(f"v{i} v{i + 1}\n" for i in range(12)))
+    code = main(["noise", "--graph", f"@{edges}", "--channel", "dep", "--p", "0.1"])
     assert code == EXIT_BUDGET
-    assert "budget" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "budget" in err and "13 vertices" in err
+
+
+def test_noise_strict_reaches_p5(capsys):
+    # 13 qubits in all, but the strict sum only needs 2^5 terms
+    code = main(["noise", "--graph", "P5", "--channel", "dep", "--p", "0.1:0.3:0.1"])
+    assert code == EXIT_PASS
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "p,F_exact,F_analytic"
+    rows = [line.split(",") for line in lines[1:]]
+    assert len(rows) == 3
+    assert all(exact == analytic for _, exact, analytic in rows)
+
+
+def test_noise_conditional_amplitude_damping_reaches_house(capsys):
+    code = main(
+        ["noise", "--graph", "house", "--channel", "ad", "--p", "0.1",
+         "--metric", "conditional", "--format", "json"]
+    )
+    assert code == EXIT_PASS
+    (got,) = json.loads(capsys.readouterr().out)["fidelities"]
+    # the strict value is the squared phase-damping retention per qubit
+    strict = ((1.0 + math.sqrt(0.9)) / 2.0) ** (2 * 12)
+    assert strict < got < 1.0
 
 
 def test_noise_conditional_pauli_reaches_house(capsys):

@@ -12,6 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import branch_fidelity, small_connected_graphs
+from pqw import noise, protocol
 from pqw.graphs import Graph, catalog_lookup, catalog_names, parse_edge_list
 from pqw.noise import (
     CHANNEL_KINDS,
@@ -19,7 +21,6 @@ from pqw.noise import (
     NoiseChannel,
     NoiseReport,
     ResourceError,
-    _branch_fidelity,
     bhattacharyya_fidelity,
     extract_p_eff,
     f_star_dep,
@@ -153,14 +154,6 @@ def test_strict_metric_matches_phase_damping_form(p):
     assert abs(got - f_star_pd(p, 6)) < 1e-10
 
 
-def test_strict_metric_skips_term_budget():
-    # strict is a per-qubit closed form times one noiseless enumeration,
-    # so it enumerates no Kraus branches for the term budget to count
-    channel = NoiseChannel("depolarizing", 0.3)
-    got = noisy_protocol_fidelity(P4, channel, metric="strict", max_terms=1)
-    assert got == pytest.approx(f_star_dep(0.3, 6), abs=1e-12)
-
-
 def test_strict_metric_ignores_insertion_point():
     for kind in CHANNEL_KINDS:
         channel = NoiseChannel(kind, 0.23)
@@ -263,28 +256,17 @@ def test_amplitude_damping_is_monotone_and_analytic_free():
 
 
 def test_qubit_budget_guard():
-    k4 = catalog_lookup("K4")
-    with pytest.raises(ResourceError, match="16 qubits"):
-        noisy_protocol_fidelity(k4, NoiseChannel("depolarizing", 0.1))
-
-
-def test_term_budget_guard():
-    # amplitude damping is the one channel still enumerated branch by
-    # branch; 16^7 terms on a 7-edge ring exceed the default of 2^24
-    ring7 = parse_edge_list("".join(f"v{i} v{(i + 1) % 7}\n" for i in range(7)))
-    ad = NoiseChannel("amplitude_damping", 0.1)
-    with pytest.raises(ResourceError, match="term"):
-        noisy_protocol_fidelity(ring7, ad, metric="conditional", max_qubits=21)
-    with pytest.raises(ResourceError, match="term"):
-        noisy_protocol_fidelity(P4, ad, metric="conditional", max_terms=1)
-
-
-def test_frame_engine_ignores_term_budget():
-    kind, p, want = CONDITIONAL_ORACLES[0]
-    got = noisy_protocol_fidelity(
-        P4, NoiseChannel(kind, p), metric="conditional", max_terms=1
-    )
-    assert abs(got - want) < 1e-9
+    # every engine sums 2^|V| terms, so every path checks the vertex count
+    path13 = parse_edge_list("".join(f"v{i} v{i + 1}\n" for i in range(12)))
+    for kind, insertion, metric in (
+        ("depolarizing", "post_prep", "strict"),
+        ("amplitude_damping", "post_prep", "conditional"),
+        ("amplitude_damping", "pre_measure", "conditional"),
+    ):
+        with pytest.raises(ResourceError, match="13 vertices"):
+            noisy_protocol_fidelity(
+                path13, NoiseChannel(kind, 0.1), insertion=insertion, metric=metric
+            )
 
 
 def test_frame_budget_counts_vertices():
@@ -295,10 +277,10 @@ def test_frame_budget_counts_vertices():
     assert noisy_protocol_fidelity(house, pd, metric="conditional", max_qubits=5) < 1.0
 
 
-# -- Pauli frames against dense Kraus branches ------------------------------------
+# -- noise engines against dense Kraus branches ----------------------------------
 
 
-def _frame_vs_dense_cases():
+def _engine_vs_dense_cases():
     # every distinct catalog graph the dense engine reaches; dense
     # depolarizing costs 4^(2|E|) branches, so it stops at three edges
     cases = []
@@ -308,7 +290,9 @@ def _frame_vs_dense_cases():
         if graph in seen or graph.n_vertices + 2 * graph.n_edges > 12:
             continue
         seen.append(graph)
-        channels = ("phase_damping",) + (("depolarizing",) if graph.n_edges <= 3 else ())
+        channels = ("phase_damping", "amplitude_damping")
+        if graph.n_edges <= 3:
+            channels += ("depolarizing",)
         for kind in CORRECTION_KINDS:
             try:
                 correction_forms(graph, kind)
@@ -320,15 +304,65 @@ def _frame_vs_dense_cases():
     return cases
 
 
-@pytest.mark.parametrize("name,kind,channel,insertion", _frame_vs_dense_cases())
+def _assert_engines_match_dense(graph, kind, channel, insertion):
+    # conditional runs on frames or on the Heisenberg sum; strict is the
+    # per-qubit retention times the noiseless Heisenberg sum
+    ops = kraus_ops(channel)
+    dense = branch_fidelity(graph, ops, kind, insertion)
+    got = noisy_protocol_fidelity(graph, channel, kind, insertion, metric="conditional")
+    assert abs(got - dense) < 1e-12
+    retention = sum(abs(np.trace(op)) ** 2 for op in ops) / 4.0
+    noiseless = branch_fidelity(graph, (np.eye(2),), kind, insertion)
+    strict = noisy_protocol_fidelity(graph, channel, kind, insertion, metric="strict")
+    assert abs(strict - retention ** (2 * graph.n_edges) * noiseless) < 1e-12
+    return got, strict
+
+
+@pytest.mark.parametrize("name,kind,channel,insertion", _engine_vs_dense_cases())
 def test_frame_engine_matches_dense_branches(name, kind, channel, insertion):
-    graph = catalog_lookup(name)
-    noise = NoiseChannel(channel, 0.3)
-    dense = _branch_fidelity(graph, kraus_ops(noise), kind, insertion)
-    frame = noisy_protocol_fidelity(
-        graph, noise, kind, insertion, metric="conditional"
+    # the name predates the Heisenberg engine; every case checks the
+    # conditional and the strict metric, whichever engine runs them
+    _assert_engines_match_dense(
+        catalog_lookup(name), kind, NoiseChannel(channel, 0.3), insertion
     )
-    assert abs(frame - dense) < 1e-12
+
+
+@pytest.mark.parametrize("name", ("P4", "C4", "K1_3"))
+def test_noise_engines_apply_the_plan(monkeypatch, name):
+    # with every correction dropped, the engines must follow the dense
+    # reference down instead of assuming a valid plan
+    graph = catalog_lookup(name)
+
+    def identity_forms(graph, kind):
+        return ((0, 0),) * graph.n_vertices
+
+    monkeypatch.setattr(protocol, "correction_forms", identity_forms)
+    monkeypatch.setattr(noise, "correction_forms", identity_forms)
+    noise._heisenberg_generators.cache_clear()
+    try:
+        # the frame engine assumes a valid plan, so only the Heisenberg
+        # paths (conditional amplitude damping after prep, and strict)
+        # are held to the dense value here
+        ad = NoiseChannel("amplitude_damping", 0.3)
+        cond, strict = _assert_engines_match_dense(graph, "universal", ad, "post_prep")
+        assert cond < 0.5 and strict < 0.5
+        clean = noisy_protocol_fidelity(graph, NoiseChannel("depolarizing", 0.0))
+        assert clean == 2.0**-graph.n_vertices
+    finally:
+        noise._heisenberg_generators.cache_clear()
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    small_connected_graphs(max_qubits=12),
+    st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
+    st.sampled_from(INSERTION_POINTS),
+)
+def test_noise_engines_match_dense_on_random_graphs(graph, p, insertion):
+    assert graph.n_vertices + 2 * graph.n_edges <= 12
+    _assert_engines_match_dense(
+        graph, "universal", NoiseChannel("amplitude_damping", p), insertion
+    )
 
 
 # -- calibration helpers ----------------------------------------------------------

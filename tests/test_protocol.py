@@ -6,7 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import grid, near_parity, near_side_mask
+from helpers import (
+    grid,
+    near_parity,
+    near_side_mask,
+    plan_from_maps,
+    small_connected_graphs,
+)
 from pqw import protocol
 from pqw import statevector as sv
 from pqw.graphs import TABLE_ORDER, Graph, catalog_lookup, graph_state
@@ -180,22 +186,6 @@ def test_tableau_run_stabilizes_dense_state():
             assert check_stabilizes(data, run_protocol_tableau(graph, outcome))
 
 
-@st.composite
-def small_connected_graphs(draw):
-    """Connected graphs of at most 14 total qubits: a random spanning
-    tree plus the extra edges that still fit, each edge drawn in either
-    orientation and the edge list shuffled."""
-    n = draw(st.integers(min_value=2, max_value=5))
-    tree = {(draw(st.integers(min_value=0, max_value=i - 1)), i) for i in range(1, n)}
-    spare = [(i, j) for i in range(n) for j in range(i + 1, n) if (i, j) not in tree]
-    room = (14 - n) // 2 - len(tree)
-    extra = draw(st.sets(st.sampled_from(spare), max_size=room)) if spare else set()
-    edges = []
-    for i, j in draw(st.permutations(sorted(tree | extra))):
-        edges.append((f"v{j}", f"v{i}") if draw(st.booleans()) else (f"v{i}", f"v{j}"))
-    return Graph(tuple(f"v{i}" for i in range(n)), tuple(edges))
-
-
 @settings(max_examples=40, deadline=None)
 @given(small_connected_graphs(), st.data())
 def test_symbolic_run_matches_dense_on_random_graphs(graph, data):
@@ -228,18 +218,18 @@ def test_plan_validation():
     with pytest.raises(ValueError, match="every vertex"):
         CorrectionPlan(P4, (("B", 0, 0), ("A", 0, 0), ("C", 0, 0), ("D", 0, 0)))
     with pytest.raises(ValueError, match="bits"):
-        CorrectionPlan.from_maps(P4, {"A": 2}, {})
+        plan_from_maps(P4, {"A": 2}, {})
 
 
 def test_plan_as_pauli_bitmasks():
-    plan = CorrectionPlan.from_maps(P4, {"B": 1}, {"D": 1})
+    plan = plan_from_maps(P4, {"B": 1}, {"D": 1})
     pauli = plan.as_pauli()
     assert pauli.x_bits == 0b0010
     assert pauli.z_bits == 0b1000
     assert pauli.phase == 0
-    assert plan.x_of("B") == 1 and plan.z_of("B") == 0
-    assert not plan.is_identity()
-    assert CorrectionPlan.from_maps(P4, {}, {}).is_identity()
+    assert plan.exponents == (("A", 0, 0), ("B", 1, 0), ("C", 0, 0), ("D", 0, 1))
+    assert not pauli.is_identity()
+    assert plan_from_maps(P4, {}, {}).as_pauli().is_identity()
 
 
 def test_pair_correction_matches_near_far_reading():
@@ -248,7 +238,7 @@ def test_pair_correction_matches_near_far_reading():
     for outcome in all_outcomes(K2):
         plan = correction_plan(K2, outcome, "tree")
         far, near = outcome.bits
-        explicit = CorrectionPlan.from_maps(K2, {"B": near}, {"B": far})
+        explicit = plan_from_maps(K2, {"B": near}, {"B": far})
         assert plan == explicit
         assert corrected_fidelity(K2, outcome, plan) > 1.0 - 1e-12
 
@@ -259,11 +249,9 @@ def test_pair_correction_matches_near_far_reading():
 def test_l4_formula_exponents():
     s = Outcome(P4, (1, 1, 0, 1, 0, 0))
     plan = correction_plan(P4, s, "l4")
-    assert plan.x_of("A") == 0 and plan.z_of("A") == 0
-    assert plan.x_of("B") == 1  # s2
-    assert plan.x_of("C") == 0  # s1 xor s4
-    assert plan.x_of("D") == 1  # s2 xor s3 xor s6
-    assert plan.z_of("D") == 0  # s1 xor s4 xor s5
+    # (vertex, x, z): B gets X^{s2}, C X^{s1 xor s4}, D X^{s2 xor s3 xor s6}
+    # and Z^{s1 xor s4 xor s5}
+    assert plan.exponents == (("A", 0, 0), ("B", 1, 0), ("C", 0, 0), ("D", 1, 0))
 
 
 def test_l4_passes_all_64_outcomes():
@@ -312,7 +300,7 @@ def test_tree_correction_reference_is_untouched():
     for index in (5, 21, 40, 63):
         outcome = Outcome.from_index(P4, index)
         plan = correction_plan(P4, outcome, "tree")
-        assert plan.x_of("A") == 0 and plan.z_of("A") == 0
+        assert plan.exponents[P4.vertex_index("A")] == ("A", 0, 0)
         assert corrected_fidelity(P4, outcome, plan) > 1.0 - 1e-12
     star = catalog_lookup("K1_3")
     assert tree_correction(star)[star.vertex_index("B")] == (0, 0)
@@ -335,7 +323,7 @@ def test_verbatim_parity_reading_fails_on_the_path():
     # orthogonal to the target
     worst = 1.0
     for outcome in all_outcomes(P4):
-        literal = CorrectionPlan.from_maps(
+        literal = plan_from_maps(
             P4,
             {v: near_parity(outcome, v) for v in "BCD"},
             {v: _g(P4, outcome, v) for v in "BCD"},
@@ -348,15 +336,15 @@ def test_verbatim_parity_reading_fails_on_the_path():
 
 
 def test_plans_differing_by_a_stabilizer_are_equivalent():
-    identity = CorrectionPlan.from_maps(P4, {}, {})
+    identity = plan_from_maps(P4, {}, {})
     # X_A Z_B is a stabilizer generator of the path state
-    shifted = CorrectionPlan.from_maps(P4, {"A": 1}, {"B": 1})
+    shifted = plan_from_maps(P4, {"A": 1}, {"B": 1})
     assert plans_equivalent(identity, shifted, P4)
 
 
 def test_lone_x_is_not_equivalent_to_identity():
-    identity = CorrectionPlan.from_maps(P4, {}, {})
-    lone = CorrectionPlan.from_maps(P4, {"B": 1}, {})
+    identity = plan_from_maps(P4, {}, {})
+    lone = plan_from_maps(P4, {"B": 1}, {})
     assert not plans_equivalent(identity, lone, P4)
 
 
@@ -379,8 +367,8 @@ def test_topology_plans_equivalent_to_universal():
 def test_plans_equivalent_rejects_foreign_plans():
     with pytest.raises(ValueError, match="over the given graph"):
         plans_equivalent(
-            CorrectionPlan.from_maps(P4, {}, {}),
-            CorrectionPlan.from_maps(C4, {}, {}),
+            plan_from_maps(P4, {}, {}),
+            plan_from_maps(C4, {}, {}),
             P4,
         )
 
@@ -393,10 +381,10 @@ def test_correction_plan_dispatch():
     # s1, s3, s4 set: g_C = s3^s6 = 1 is the only odd far parity, and
     # the l4 formula puts X^{s2^s3^s6} on D instead
     outcome = Outcome(P4, (1, 0, 1, 1, 0, 0))
-    assert correction_plan(P4, outcome, "universal") == CorrectionPlan.from_maps(
+    assert correction_plan(P4, outcome, "universal") == plan_from_maps(
         P4, {}, {"C": 1}
     )
-    assert correction_plan(P4, outcome, "l4") == CorrectionPlan.from_maps(
+    assert correction_plan(P4, outcome, "l4") == plan_from_maps(
         P4, {"D": 1}, {}
     )
     with pytest.raises(ValueError, match="unknown correction"):

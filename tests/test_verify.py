@@ -116,6 +116,13 @@ def test_report_pass_logic():
     assert not drifted.passed
 
 
+def test_probability_tolerance_is_relative():
+    # at 4,096 outcomes an absolute 1e-13 is a 4e-10 relative error
+    wide = VerificationReport("toy", "universal", 4096, 1.0, 1.0, 1e-13, ())
+    assert not wide.passed
+    assert VerificationReport("toy", "universal", 4096, 1.0, 1.0, 2e-16, ()).passed
+
+
 # -- symbolic sign check ---------------------------------------------------------
 
 
