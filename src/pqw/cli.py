@@ -465,7 +465,7 @@ def main(argv=None) -> int:
         return EXIT_BUDGET
     except (UsageError, CatalogError, ValueError, OSError) as err:
         # CatalogError carries a quoted message; unwrap the KeyError repr
-        message = err.args[0] if err.args else err
+        message = err.args[0] if isinstance(err, CatalogError) else err
         print(f"pqw: {message}", file=sys.stderr)
         return EXIT_USAGE
 

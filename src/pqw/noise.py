@@ -29,24 +29,17 @@ number:
   multi-error patterns that the strict accounting already wrote off.
   The two metrics agree at p=0 and conditional >= strict everywhere.
 
-Two exact engines compute these numbers, and neither touches a
-statevector.  Depolarizing noise is a Pauli channel and phase damping
-equals a Z flip with probability (1-sqrt(1-p))/2, so for these two
-every error branch is a Pauli error that the Clifford walk carries to a
-data-Z frame, and the conditional fidelity is the probability that the
-frames of all k qubits cancel.  That distribution over GF(2)^|V| is
-enumerated exactly, one qubit at a time.  Amplitude damping just before
-measurement only misreads bits, so it runs on the same frames.
-
-Amplitude damping after prep, and the noiseless factor of strict, run
-as a Heisenberg-picture sum.  The corrected-fidelity operator
+One exact engine computes every one of these numbers, with no
+statevector.  The corrected-fidelity operator
 M = sum_s |s><s| (x) C_s^dagger |G><G| C_s is the projector of a
 stabilizer code with one generator K_v (x) Z_R^{phi_v} per vertex, so
 F = tr(M rho) is 2^-|V| times the sum of the expectations of its 2^|V|
-elements.  Each element is carried back through the walk and through
-the adjoint channel, where the prepared state factors into |+> per data
-qubit and CZ|++> per edge.  Both engines cost 2^|V| terms, so the
-qubit budget bounds |V| on every path.
+elements, taken in Gray-code order.  After prep, each element is
+carried back through the walk and the adjoint channel to the prepared
+state, |+> per data qubit and CZ|++> per edge.  Before measurement the
+channel only reaches Z_R, and the walk fixes each expectation by two
+xor-linear outcome-bit masks.  Every path costs 2^|V| terms, so the
+qubit budget bounds |V|.
 
 The default is strict because the closed-form curves are the quantity
 the rest of the toolchain (effective-p extraction, channel comparisons)
@@ -56,13 +49,15 @@ is built around.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 
 import numpy as np
 
 from .graphs import Graph, stabilizer_generators
-from .protocol import _bit_reversed, _outcome_bit, correction_forms, walk_gates
+from .protocol import _bit_reversed, correction_forms, far_side_mask, walk_gates
 from .stabilizer import PauliString, Tableau, conjugate
 from .statevector import ResourceError
 
@@ -219,13 +214,11 @@ def noisy_protocol_fidelity(
 
     Every one of the 4^|E| measurement outcomes and every error branch
     over the k = 2|E| resource qubits is accounted for, with the
-    noiseless correction formula applied per outcome.  Pauli channels,
-    and amplitude damping before measurement, run as data-Z frames;
-    amplitude damping after prep and the strict metric run as a
-    Heisenberg-picture sum over the code of the corrected fidelity.
-    Both engines cost 2^|V| terms, so max_qubits bounds the vertex
-    count.  See the module docstring for what the two metrics count.
-    Both reduce to 1 at p=0.
+    noiseless correction formula applied per outcome.  Every channel,
+    insertion point and metric runs as one Heisenberg-picture sum over
+    the 2^|V| elements of the code of the corrected fidelity, so
+    max_qubits bounds the vertex count.  See the module docstring for
+    what the two metrics count.  Both reduce to 1 at p=0.
     """
     if insertion not in INSERTION_POINTS:
         raise ValueError(
@@ -233,29 +226,29 @@ def noisy_protocol_fidelity(
         )
     if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}; expected one of {METRICS}")
-    heisenberg = metric == "strict" or (
-        channel.kind == "amplitude_damping" and insertion == "post_prep"
-    )
     budget = DEFAULT_VERTEX_BUDGET if max_qubits is None else max_qubits
     if graph.n_vertices > budget:
-        engine = "Heisenberg sum" if heisenberg else "Pauli-frame enumeration"
         raise ResourceError(
-            f"{engine} over {graph.n_vertices} vertices exceeds the budget of "
-            f"{budget}; pick a smaller graph or raise max_qubits"
+            f"Heisenberg sum over {graph.n_vertices} vertices exceeds the budget "
+            f"of {budget}; pick a smaller graph or raise max_qubits"
         )
-    if not heisenberg:
-        return _frame_fidelity(
-            graph, _pauli_probabilities(channel), correction_kind, insertion
-        )
-    ops = kraus_ops(channel)
-    if metric == "conditional":
-        return _heisenberg_fidelity(graph, ops, correction_kind)
-    # each qubit comes through error-free with probability
-    # sum_b |tr(K_b)/2|^2, independently of the others; that fraction
-    # multiplies the noiseless sum
-    retention = math.fsum(abs(np.trace(op)) ** 2 / 4.0 for op in ops)
-    noiseless = _heisenberg_fidelity(graph, (np.eye(2),), correction_kind)
-    return retention ** (2 * graph.n_edges) * noiseless
+    # plain nested lists: a matrix product on 2x2 operands would only
+    # wake BLAS, which costs peak memory and buys no speed
+    ops = [op.tolist() for op in kraus_ops(channel)]
+    if metric == "strict":
+        # each qubit comes through error-free with probability
+        # sum_b |tr(K_b)/2|^2, independently of the others; that fraction
+        # multiplies the noiseless sum, where E^dagger(Z) = Z
+        retention = math.fsum(abs(op[0][0] + op[1][1]) ** 2 / 4.0 for op in ops)
+        noiseless = _measured_sum(graph, correction_kind, 0.0, 1.0)
+        return retention ** (2 * graph.n_edges) * noiseless
+    if insertion == "post_prep":
+        return _prepared_sum(graph, ops, correction_kind)
+    # every channel here is diagonal in E^dagger(Z) = a + b Z
+    z = _adjoint(ops, _SITE_PAULIS[0, 1])
+    a = (z[0][0] + z[1][1]).real / 2.0
+    b = (z[0][0] - z[1][1]).real / 2.0
+    return _measured_sum(graph, correction_kind, a, b)
 
 
 def _sign_forms(graph: Graph, correction_kind: str) -> list[int]:
@@ -273,6 +266,46 @@ def _sign_forms(graph: Graph, correction_kind: str) -> list[int]:
 
 
 # -- Heisenberg-picture sum ----------------------------------------------------
+
+
+def _code_sum(identity, generators, multiply, read) -> float:
+    """2^-n times the sum of read(S_A) over the 2^n products S_A of the
+    n generators, in Gray-code order: one product a step."""
+    term, values = identity, [read(identity)]
+    for step in range(1, 1 << len(generators)):
+        term = multiply(term, generators[(step & -step).bit_length() - 1])
+        values.append(read(term))
+    return math.fsum(values) / (1 << len(generators))
+
+
+def _measured_sum(graph: Graph, correction_kind: str, a: float, b: float) -> float:
+    """Conditional fidelity of a channel with E^dagger(Z) = a + b Z on
+    every resource qubit just before it is measured:
+
+        F = 2^-|V| sum_{A subset V} <psi_pre| E^dagger(K_A (x) Z_R^{phi_A}) |psi_pre>
+
+    E^dagger turns Z_R^{phi_A} into the sum over T subset phi_A of
+    a^{|phi_A - T|} b^{|T|} Z_R^T, and the walk leaves
+    <K_A (x) Z_R^T> = [T = far_A] (the phase lemma that
+    phase_lemma_check proves), with far_A the xor of far_side_mask(v)
+    over A.  So per resource bit (phi_A, far_A) reads (0,0) -> 1,
+    (1,0) -> a, (1,1) -> b and (0,1) -> 0.  Both masks are xor-linear in
+    A, so a code element is the pair packed into one int.
+    """
+    k = 2 * graph.n_edges
+    low = (1 << k) - 1
+    generators = [
+        phi | far_side_mask(graph, v) << k
+        for v, phi in zip(graph.vertices, _sign_forms(graph, correction_kind))
+    ]
+
+    def read(term: int) -> float:
+        phi, far = term & low, term >> k
+        if far & ~phi:
+            return 0.0
+        return a ** (phi ^ far).bit_count() * b ** far.bit_count()
+
+    return _code_sum(0, generators, operator.xor, read)
 
 
 @lru_cache(maxsize=32)
@@ -301,34 +334,51 @@ def _heisenberg_generators(graph: Graph, correction_kind: str) -> tuple[PauliStr
     return tableau.generators
 
 
-_PAIR = np.array([1.0, 1.0, 1.0, -1.0]) / 2.0  # CZ|++>
+_PAIR = (0.5, 0.5, 0.5, -0.5)  # CZ|++>
 _SITE_PAULIS = {  # X^x Z^z at key (x, z)
-    (0, 0): np.eye(2),
-    (1, 0): np.array([[0.0, 1.0], [1.0, 0.0]]),
-    (0, 1): np.array([[1.0, 0.0], [0.0, -1.0]]),
-    (1, 1): np.array([[0.0, -1.0], [1.0, 0.0]]),
+    (0, 0): ((1.0, 0.0), (0.0, 1.0)),
+    (1, 0): ((0.0, 1.0), (1.0, 0.0)),
+    (0, 1): ((1.0, 0.0), (0.0, -1.0)),
+    (1, 1): ((0.0, -1.0), (1.0, 0.0)),
 }
 
 
-def _edge_table(ops: tuple[np.ndarray, ...]) -> list[complex]:
-    """<CZ++| E^dagger(P_0) (x) E^dagger(P_1) |CZ++> for the pair's Paulis
-    P_h = X^{x_h} Z^{z_h}, at index x + 4z with x = x_0 + 2 x_1 and
-    z = z_0 + 2 z_1; E^dagger(P) = sum_b K_b^dagger P K_b is the adjoint
-    channel."""
-    adjoint = {
-        site: sum(op.conj().T @ pauli @ op for op in ops)
-        for site, pauli in _SITE_PAULIS.items()
-    }
+def _adjoint(ops: list, pauli) -> list[list[complex]]:
+    """E^dagger(P) = sum_b K_b^dagger P K_b, the adjoint channel, on 2x2
+    nested lists."""
+    pairs = tuple(product((0, 1), repeat=2))
     return [
-        complex(_PAIR @ np.kron(adjoint[x >> 1, z >> 1], adjoint[x & 1, z & 1]) @ _PAIR)
-        for z in range(4)
-        for x in range(4)
+        [
+            sum(
+                op[r][i].conjugate() * pauli[r][c] * op[c][j]
+                for op in ops
+                for r, c in pairs
+            )
+            for j in (0, 1)
+        ]
+        for i in (0, 1)
     ]
 
 
-def _heisenberg_fidelity(
-    graph: Graph, ops: tuple[np.ndarray, ...], correction_kind: str
-) -> float:
+def _edge_table(ops: list) -> list[complex]:
+    """<CZ++| E^dagger(P_0) (x) E^dagger(P_1) |CZ++> for the pair's Paulis
+    P_h = X^{x_h} Z^{z_h}, at index x + 4z with x = x_0 + 2 x_1 and
+    z = z_0 + 2 z_1; P_1 is the high factor of the pair's index."""
+    adjoint = {site: _adjoint(ops, pauli) for site, pauli in _SITE_PAULIS.items()}
+    table = []
+    for z in range(4):
+        for x in range(4):
+            high, low = adjoint[x >> 1, z >> 1], adjoint[x & 1, z & 1]
+            table.append(
+                sum(
+                    _PAIR[2 * i + k] * high[i][j] * low[k][l] * _PAIR[2 * j + l]
+                    for i, j, k, l in product((0, 1), repeat=4)
+                )
+            )
+    return table
+
+
+def _prepared_sum(graph: Graph, ops: list, correction_kind: str) -> float:
     """Conditional fidelity of a channel with these Kraus operators on
     every resource qubit right after the pairs are prepared:
 
@@ -337,100 +387,21 @@ def _heisenberg_fidelity(
     with S_A the product of the code generators in A.  psi_prep is |+>
     on each data qubit, where a Z gives 0, and CZ|++> on each edge, where
     the adjoint channel on both halves gives one entry of the edge table.
-    The subsets run in Gray-code order, one generator product a step.
     """
     table = _edge_table(ops)
-    generators = _heisenberg_generators(graph, correction_kind)
     nv = graph.n_vertices
     data = (1 << nv) - 1
-    term = PauliString(nv + 2 * graph.n_edges, 0, 0)
-    values = []
-    for step in range(1 << nv):
-        if step:
-            term = term * generators[(step & -step).bit_length() - 1]
+
+    def read(term: PauliString) -> float:
         if term.z_bits & data:
-            continue
+            return 0.0
         x, z = term.x_bits >> nv, term.z_bits >> nv
         value = 1j**term.phase
         for _ in range(graph.n_edges):
             value *= table[(x & 3) | (z & 3) << 2]
             x, z = x >> 2, z >> 2
-        values.append(value.real)
-    return math.fsum(values) / (1 << nv)
+        return value.real
 
-
-# -- Pauli-frame enumeration -------------------------------------------------
-
-
-def _pauli_probabilities(channel: NoiseChannel) -> tuple[float, float, float, float]:
-    """(I, X, Y, Z) probabilities of the Pauli channel equal to this
-    one; phase damping is a Z flip with q = (1 - sqrt(1-p))/2.
-
-    Amplitude damping has no Pauli form, but just before a Z
-    measurement it only reads a 1 as 0 with probability p.  Every bit is
-    uniform, so there it acts as an X flip with probability p/2; the
-    result holds for insertion "pre_measure" only."""
-    p = channel.p
-    if channel.kind == "depolarizing":
-        return (1.0 - 0.75 * p, p / 4.0, p / 4.0, p / 4.0)
-    if channel.kind == "amplitude_damping":
-        return (1.0 - p / 2.0, p / 2.0, 0.0, 0.0)
-    q = (1.0 - math.sqrt(1.0 - p)) / 2.0
-    return (1.0 - q, 0.0, 0.0, q)
-
-
-def _misread_frames(graph: Graph, correction_kind: str) -> list[int]:
-    """Entry m is the data-Z frame, a bitmask in vertex order, left
-    behind when resource bit m is read flipped.
-
-    Every plan is a linear form in the outcome bits, so applying the
-    plan for s while the data carry the byproduct of s xor e_m leaves
-    the plan read at e_m.  Multiplying by K_u = X_u Z_{N(u)} for every
-    X_u in it reduces it modulo Stab(|G>) to a pure Z string, whose bit
-    at v is bit m of z_v xor (xor of x_u over u ~ v).  No nonzero Z
-    string stabilizes |G>, so the frame is harmless exactly when it is
-    zero.
-    """
-    frame_forms = _sign_forms(graph, correction_kind)
-    frames = []
-    for m in range(2 * graph.n_edges):
-        bit = _outcome_bit(graph, m)
-        frames.append(sum(1 << i for i, form in enumerate(frame_forms) if form & bit))
-    return frames
-
-
-def _frame_fidelity(
-    graph: Graph,
-    probabilities: tuple[float, float, float, float],
-    correction_kind: str,
-    insertion: str,
-) -> float:
-    """Conditional fidelity of a Pauli channel as the probability that
-    the data-Z frames of all resource-qubit errors cancel.
-
-    On v's half of an edge, after the pairs are prepared, X passes the
-    CZ to v's data qubit as Z_v and then becomes a harmless Z on the
-    measured qubit, Z becomes a misread bit, and Y does both.  Just
-    before measurement X and Y misread the bit and Z does nothing.
-    Every outcome stays equally likely, so only the frame matters.  The
-    frames are relative to the noiseless run, so this assumes a plan
-    that corrects every noiseless outcome, as every correction kind does.
-    """
-    misread = _misread_frames(graph, correction_kind)
-    index = np.arange(2**graph.n_vertices)
-    dist = np.zeros(index.size)
-    dist[0] = 1.0
-    for m, flip in enumerate(misread):
-        edge = graph.edges[m // 2]
-        kick = 1 << graph.vertex_index(edge[m % 2])
-        if insertion == "post_prep":
-            frames = (0, kick, kick ^ flip, flip)
-        else:
-            frames = (0, flip, flip, 0)
-        weights: dict[int, float] = {}
-        for frame, prob in zip(frames, probabilities):
-            weights[frame] = weights.get(frame, 0.0) + prob
-        dist = sum(
-            prob * dist[index ^ frame] for frame, prob in weights.items() if prob
-        )
-    return float(dist[0])
+    identity = PauliString(nv + 2 * graph.n_edges, 0, 0)
+    generators = _heisenberg_generators(graph, correction_kind)
+    return _code_sum(identity, generators, operator.mul, read)

@@ -179,9 +179,9 @@ def branch_fidelity(
     graph: Graph, ops: tuple[np.ndarray, ...], correction_kind: str, insertion: str
 ) -> float:
     """Conditional fidelity by running each of the m^k Kraus branches
-    through a dense statevector: the reference the Pauli-frame and
-    Heisenberg engines are tested against.  With ops = (identity,) it is
-    the noiseless outcome contraction."""
+    through a dense statevector: the reference the Heisenberg-sum noise
+    engine is tested against.  With ops = (identity,) it is the noiseless
+    outcome contraction."""
     layout = build_layout(graph)
     targets = _correction_targets(graph, correction_kind)
     resource_qubits = layout.resource_qubits()

@@ -67,6 +67,11 @@ REFERENCE_DIR = Path(__file__).resolve().parents[1] / "bench" / "reference"
             ["noise", "--graph", "P4", "--channel", "dep", "--p", "0.1:0.3:0.1",
              "--metric", "conditional", "--format", "csv", "--jobs", "1"],
         ),
+        (
+            "noise-ad.out",
+            ["noise", "--graph", "C4", "--channel", "ad", "--p", "0:0.5:0.05",
+             "--metric", "conditional", "--format", "csv", "--jobs", "1"],
+        ),
     ),
 )
 def test_cli_output_matches_benchmark_reference(reference, argv, capsys):
@@ -194,7 +199,7 @@ def test_noise_conditional_amplitude_damping_reaches_house(capsys):
 
 
 def test_noise_conditional_pauli_reaches_house(capsys):
-    # 17 qubits in all, but the frame engine only needs 2^5 frames
+    # 17 qubits in all, but the Heisenberg sum only needs 2^5 terms
     code = main(
         ["noise", "--graph", "house", "--channel", "dep", "--p", "0.1",
          "--metric", "conditional", "--format", "json"]
@@ -231,6 +236,23 @@ def test_noise_output_file(tmp_path):
     )
     assert code == EXIT_PASS
     assert out.read_text().startswith("p,F_exact,F_analytic\n")
+
+
+def test_missing_graph_file_names_the_path(capsys):
+    code = main(
+        ["noise", "--graph", "@/nonexistent/graph.txt", "--channel", "dep", "--p", "0.1"]
+    )
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "No such file or directory" in err and "/nonexistent/graph.txt" in err
+
+
+def test_unwritable_output_names_the_path(tmp_path, capsys):
+    out = tmp_path / "missing" / "sweep.csv"
+    code = main(["noise", "--channel", "dep", "--p", "0.2", "--out", str(out)])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "No such file or directory" in err and str(out) in err
 
 
 def test_bad_p_grid_is_usage_error(capsys):

@@ -18,6 +18,7 @@ from pqw.graphs import Graph, catalog_lookup, catalog_names, parse_edge_list
 from pqw.noise import (
     CHANNEL_KINDS,
     INSERTION_POINTS,
+    METRICS,
     NoiseChannel,
     NoiseReport,
     ResourceError,
@@ -256,7 +257,7 @@ def test_amplitude_damping_is_monotone_and_analytic_free():
 
 
 def test_qubit_budget_guard():
-    # every engine sums 2^|V| terms, so every path checks the vertex count
+    # the one sum costs 2^|V| terms, so every path checks the vertex count
     path13 = parse_edge_list("".join(f"v{i} v{i + 1}\n" for i in range(12)))
     for kind, insertion, metric in (
         ("depolarizing", "post_prep", "strict"),
@@ -280,9 +281,15 @@ def test_frame_budget_counts_vertices():
 # -- noise engines against dense Kraus branches ----------------------------------
 
 
+def _dense_channels(graph):
+    # dense depolarizing costs 4^(2|E|) branches, so it stops at three edges
+    if graph.n_edges <= 3:
+        return CHANNEL_KINDS
+    return ("phase_damping", "amplitude_damping")
+
+
 def _engine_vs_dense_cases():
-    # every distinct catalog graph the dense engine reaches; dense
-    # depolarizing costs 4^(2|E|) branches, so it stops at three edges
+    # every distinct catalog graph the dense engine reaches
     cases = []
     seen = []
     for name in catalog_names():
@@ -290,23 +297,20 @@ def _engine_vs_dense_cases():
         if graph in seen or graph.n_vertices + 2 * graph.n_edges > 12:
             continue
         seen.append(graph)
-        channels = ("phase_damping", "amplitude_damping")
-        if graph.n_edges <= 3:
-            channels += ("depolarizing",)
         for kind in CORRECTION_KINDS:
             try:
                 correction_forms(graph, kind)
             except ValueError:
                 continue
-            for channel in channels:
+            for channel in _dense_channels(graph):
                 for insertion in INSERTION_POINTS:
                     cases.append((name, kind, channel, insertion))
     return cases
 
 
 def _assert_engines_match_dense(graph, kind, channel, insertion):
-    # conditional runs on frames or on the Heisenberg sum; strict is the
-    # per-qubit retention times the noiseless Heisenberg sum
+    # conditional is the Heisenberg sum; strict is the per-qubit
+    # retention times the same sum with no channel
     ops = kraus_ops(channel)
     dense = branch_fidelity(graph, ops, kind, insertion)
     got = noisy_protocol_fidelity(graph, channel, kind, insertion, metric="conditional")
@@ -320,8 +324,8 @@ def _assert_engines_match_dense(graph, kind, channel, insertion):
 
 @pytest.mark.parametrize("name,kind,channel,insertion", _engine_vs_dense_cases())
 def test_frame_engine_matches_dense_branches(name, kind, channel, insertion):
-    # the name predates the Heisenberg engine; every case checks the
-    # conditional and the strict metric, whichever engine runs them
+    # the name predates the single Heisenberg engine and is kept so the
+    # case IDs stay stable; every case checks both metrics
     _assert_engines_match_dense(
         catalog_lookup(name), kind, NoiseChannel(channel, 0.3), insertion
     )
@@ -329,8 +333,9 @@ def test_frame_engine_matches_dense_branches(name, kind, channel, insertion):
 
 @pytest.mark.parametrize("name", ("P4", "C4", "K1_3"))
 def test_noise_engines_apply_the_plan(monkeypatch, name):
-    # with every correction dropped, the engines must follow the dense
-    # reference down instead of assuming a valid plan
+    # with every correction dropped, every channel at both insertion
+    # points must follow the dense reference down instead of assuming a
+    # valid plan
     graph = catalog_lookup(name)
 
     def identity_forms(graph, kind):
@@ -340,14 +345,20 @@ def test_noise_engines_apply_the_plan(monkeypatch, name):
     monkeypatch.setattr(noise, "correction_forms", identity_forms)
     noise._heisenberg_generators.cache_clear()
     try:
-        # the frame engine assumes a valid plan, so only the Heisenberg
-        # paths (conditional amplitude damping after prep, and strict)
-        # are held to the dense value here
-        ad = NoiseChannel("amplitude_damping", 0.3)
-        cond, strict = _assert_engines_match_dense(graph, "universal", ad, "post_prep")
-        assert cond < 0.5 and strict < 0.5
-        clean = noisy_protocol_fidelity(graph, NoiseChannel("depolarizing", 0.0))
-        assert clean == 2.0**-graph.n_vertices
+        for kind in _dense_channels(graph):
+            for insertion in INSERTION_POINTS:
+                channel = NoiseChannel(kind, 0.3)
+                cond, strict = _assert_engines_match_dense(
+                    graph, "universal", channel, insertion
+                )
+                assert cond < 0.5 and strict < 0.5
+        for insertion in INSERTION_POINTS:
+            clean = NoiseChannel("depolarizing", 0.0)
+            for metric in METRICS:
+                got = noisy_protocol_fidelity(
+                    graph, clean, insertion=insertion, metric=metric
+                )
+                assert got == 2.0**-graph.n_vertices
     finally:
         noise._heisenberg_generators.cache_clear()
 
@@ -357,12 +368,12 @@ def test_noise_engines_apply_the_plan(monkeypatch, name):
     small_connected_graphs(max_qubits=12),
     st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
     st.sampled_from(INSERTION_POINTS),
+    st.data(),
 )
-def test_noise_engines_match_dense_on_random_graphs(graph, p, insertion):
+def test_noise_engines_match_dense_on_random_graphs(graph, p, insertion, data):
     assert graph.n_vertices + 2 * graph.n_edges <= 12
-    _assert_engines_match_dense(
-        graph, "universal", NoiseChannel("amplitude_damping", p), insertion
-    )
+    kind = data.draw(st.sampled_from(_dense_channels(graph)))
+    _assert_engines_match_dense(graph, "universal", NoiseChannel(kind, p), insertion)
 
 
 # -- calibration helpers ----------------------------------------------------------
