@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -100,11 +101,14 @@ class RunConfig:
 def _parse_p_grid(spec: str) -> tuple[float, ...]:
     """Either a single value or an inclusive start:stop:step range."""
     parts = spec.split(":")
-    if len(parts) == 1:
-        return (float(spec),)
-    if len(parts) != 3:
+    if len(parts) not in (1, 3):
         raise UsageError(f"bad p spec {spec!r}; expected P or START:STOP:STEP")
-    start, stop, step = (float(x) for x in parts)
+    values = tuple(float(x) for x in parts)
+    if not all(math.isfinite(x) for x in values):
+        raise UsageError(f"p values must be finite, got {spec!r}")
+    if len(values) == 1:
+        return values
+    start, stop, step = values
     if step <= 0:
         raise UsageError(f"p step must be positive, got {step}")
     if stop < start:
@@ -313,6 +317,8 @@ def _load_json_map(path: str, value_type) -> dict:
     for key, value in data.items():
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             raise UsageError(f"{path}: value for {key!r} is not a number")
+        if not abs(value) <= sys.float_info.max:
+            raise UsageError(f"{path}: value for {key!r} is not a finite number")
         out[str(key)] = value_type(value)
     return out
 

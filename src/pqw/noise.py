@@ -57,7 +57,7 @@ from itertools import product
 import numpy as np
 
 from .graphs import Graph, stabilizer_generators
-from .protocol import _bit_reversed, correction_forms, far_side_mask, walk_gates
+from .protocol import _bit_reversed, _sign_forms, far_side_mask, walk_gates
 from .stabilizer import PauliString, Tableau, conjugate
 from .statevector import ResourceError
 
@@ -137,8 +137,8 @@ def f_star_pd(p: float, k: int) -> float:
 def extract_p_eff(fidelity: float, k: int) -> float:
     """Invert the depolarizing curve: the per-qubit strength that would
     produce the observed fidelity over k resource qubits."""
-    if fidelity <= 0.0:
-        raise ValueError(f"fidelity must be positive, got {fidelity}")
+    if not 0.0 < fidelity < math.inf:
+        raise ValueError(f"fidelity must be positive and finite, got {fidelity}")
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
     return (4.0 / 3.0) * (1.0 - fidelity ** (1.0 / k))
@@ -249,20 +249,6 @@ def noisy_protocol_fidelity(
     a = (z[0][0] + z[1][1]).real / 2.0
     b = (z[0][0] - z[1][1]).real / 2.0
     return _measured_sum(graph, correction_kind, a, b)
-
-
-def _sign_forms(graph: Graph, correction_kind: str) -> list[int]:
-    """phi_v = z_v xor (xor of x_u over u ~ v) per vertex, as outcome-bit
-    forms: the plan for outcome s flips the sign of K_v by
-    (-1)^{|phi_v & s|}, so it is valid exactly when phi_v equals
-    far_side_mask(v)."""
-    forms = correction_forms(graph, correction_kind)
-    phis = []
-    for v, (_, z) in zip(graph.vertices, forms):
-        for u in graph.neighbors(v):
-            z ^= forms[graph.vertex_index(u)][0]
-        phis.append(z)
-    return phis
 
 
 # -- Heisenberg-picture sum ----------------------------------------------------

@@ -30,9 +30,11 @@ the sign-tracking tableau run exhibits on the data stabilizers.
 Every correction kind is a function of the graph alone: it returns
 per-vertex (x, z) outcome-bit forms, masks over the big-endian outcome
 index like far_side_mask, and the plan of outcome s is those forms read
-at s by parity.  The parity condition is then one identity of forms per
-vertex, with g_v = far_side_mask(v), and the outcome engine, both noise
-engines and the per-outcome reference all evaluate the same forms.
+at s by parity.  As X_u|G> = Z_{N(u)}|G>, a plan reaches |G> only through
+its sign forms phi_v = z_v xor (xor of x_u over u ~ v), and the parity
+condition is phi_v = g_v = far_side_mask(v).  The outcome engine and the
+noise sum read plans as phi; the per-outcome reference applies (x, z).
+The circuit is written once, as the gate lists prep_gates and walk_gates.
 """
 
 from __future__ import annotations
@@ -138,19 +140,14 @@ class CorrectionPlan:
 # -- protocol circuit ------------------------------------------------------
 
 
-def _after_prep(graph: Graph) -> sv.StateVector:
-    """State after S1 + S2 (data and resource qubits all prepared)."""
+def prep_gates(graph: Graph) -> tuple[tuple[str, tuple[int, ...]], ...]:
+    """S1 + S2 as a gate list, applied after |+> on every qubit: the CZ
+    of each edge's resource pair, in edge order."""
     layout = build_layout(graph)
-    state = sv.new_plus(layout.total_qubits)
-    # new_plus already gives |+> everywhere, so S1 and the Hadamard part
-    # of S2 are free; only the pair CZ remains.
-    for edge in graph.edges:
-        state = sv.apply_gate(
-            state,
-            "CZ",
-            (layout.resource_index[(edge, edge[0])], layout.resource_index[(edge, edge[1])]),
-        )
-    return state
+    return tuple(
+        ("CZ", (layout.resource_index[(edge, edge[0])], layout.resource_index[(edge, edge[1])]))
+        for edge in graph.edges
+    )
 
 
 def walk_gates(graph: Graph) -> tuple[tuple[str, tuple[int, ...]], ...]:
@@ -167,21 +164,26 @@ def walk_gates(graph: Graph) -> tuple[tuple[str, tuple[int, ...]], ...]:
     return tuple(gates)
 
 
-def _walk(graph: Graph, amps: np.ndarray) -> np.ndarray:
-    """S3 on raw, possibly unnormalized amplitudes."""
-    for gate, targets in walk_gates(graph):
-        if gate == "CZ":
-            amps = sv._apply_cz(amps, *targets)
-        else:
-            amps = sv._apply_h(amps, *targets)
+def _run_gates(amps: np.ndarray, gates) -> np.ndarray:
+    """A list of CZ and H gates on raw, possibly unnormalized amplitudes."""
+    for gate, targets in gates:
+        kernel = sv._apply_cz if gate == "CZ" else sv._apply_h
+        amps = kernel(amps, *targets)
     return amps
+
+
+def _after_prep(graph: Graph) -> np.ndarray:
+    """Raw amplitudes after S1 + S2, every qubit prepared."""
+    # no name holds the |+> register, so the first gate frees it
+    n_qubits = graph.n_vertices + 2 * graph.n_edges
+    return _run_gates(sv.new_plus(n_qubits).amplitudes, prep_gates(graph))
 
 
 @lru_cache(maxsize=32)
 def _premeasurement(graph: Graph) -> sv.StateVector:
     # no name holds the prepared register, so the walk frees it after
     # its first gate instead of keeping one more register alive
-    amps = _walk(graph, _after_prep(graph).amplitudes)
+    amps = _run_gates(_after_prep(graph), walk_gates(graph))
     return sv.StateVector(graph.n_vertices + 2 * graph.n_edges, amps)
 
 
@@ -247,18 +249,11 @@ def symbolic_protocol_tableau(graph: Graph) -> Tableau:
     generator it installs carries its outcome bit, and every sign of the
     result is i^phase (-1)^{|outcome_mask & s|} at outcome index s.
     """
-    layout = build_layout(graph)
     nv = graph.n_vertices
-    tableau = zero_state_tableau(layout.total_qubits)
-    for v in graph.vertices:  # S1
-        tableau = conjugate(tableau, "H", (layout.data_index[v],))
-    for edge in graph.edges:  # S2
-        r0 = layout.resource_index[(edge, edge[0])]
-        r1 = layout.resource_index[(edge, edge[1])]
-        tableau = conjugate(tableau, "H", (r0,))
-        tableau = conjugate(tableau, "H", (r1,))
-        tableau = conjugate(tableau, "CZ", (r0, r1))
-    for gate, targets in walk_gates(graph):  # S3
+    tableau = zero_state_tableau(nv + 2 * graph.n_edges)
+    for q in range(tableau.n_qubits):  # |+> on every qubit
+        tableau = conjugate(tableau, "H", (q,))
+    for gate, targets in prep_gates(graph) + walk_gates(graph):  # S1-S3
         tableau = conjugate(tableau, gate, targets)
     for m in range(2 * graph.n_edges):  # S4 measurements
         tableau = measure_z(tableau, nv + m, 0, _outcome_bit(graph, m))
@@ -471,6 +466,20 @@ def correction_plan(graph: Graph, outcome: Outcome, kind: str) -> CorrectionPlan
     )
 
 
+def _sign_forms(graph: Graph, correction_kind: str) -> list[int]:
+    """phi_v = z_v xor (xor of x_u over u ~ v) per vertex, as outcome-bit
+    forms: the plan for outcome s flips the sign of K_v by
+    (-1)^{|phi_v & s|}, so it is valid exactly when phi_v equals
+    far_side_mask(v)."""
+    forms = correction_forms(graph, correction_kind)
+    phis = []
+    for v, (_, z) in zip(graph.vertices, forms):
+        for u in graph.neighbors(v):
+            z ^= forms[graph.vertex_index(u)][0]
+        phis.append(z)
+    return phis
+
+
 # -- the outcome engine ------------------------------------------------------
 #
 # Every outcome's slab is contracted with its corrected target in one
@@ -480,24 +489,20 @@ def correction_plan(graph: Graph, outcome: Outcome, kind: str) -> CorrectionPlan
 
 def _correction_targets(graph: Graph, correction_kind: str) -> np.ndarray:
     """Row r holds conj(C_s^dagger |G>) for the outcome s whose resource
-    register reads r, so that row . slab = <G| C_s |slab>."""
+    register reads r, up to a sign per row, so that row . slab is
+    <G| C_s |slab> up to that sign and its modulus is exact."""
     bra = graph_state(graph).amplitudes.conj()
     basis = np.arange(bra.size)
-    # C_s^dagger = Z^z X^x at each vertex: X^x moves amplitude j to j ^ x,
-    # and Z^z flips the sign wherever j and z share an odd number of bits
-    moved = bra[basis[:, None] ^ basis]
-    signs = 1.0 - 2.0 * (np.bitwise_count(basis[:, None] & basis) & 1)
-    # each row's plan is the forms read at that row's outcome index
+    # X_u|G> = Z_{N(u)}|G>, so C_s^dagger|G> = +-Z^{phi(s)}|G>: row p of
+    # the table is conj(Z^p|G>), whose sign flips wherever j and p share
+    # an odd number of bits
+    table = (1.0 - 2.0 * (np.bitwise_count(basis[:, None] & basis) & 1)) * bra
+    # phi(s) packs the sign forms read at each row's outcome index
     index = _bit_reversed(graph, np.arange(graph.outcome_count()))
-    x_masks = np.zeros_like(index)
-    z_masks = np.zeros_like(index)
-    for i, (x, z) in enumerate(correction_forms(graph, correction_kind)):
-        x_masks |= (np.bitwise_count(index & x) & 1).astype(index.dtype) << i
-        z_masks |= (np.bitwise_count(index & z) & 1).astype(index.dtype) << i
-    rows = np.empty((index.size, bra.size), dtype=complex)
-    for row, x_mask, z_mask in zip(rows, x_masks.tolist(), z_masks.tolist()):
-        np.multiply(signs[z_mask], moved[x_mask], out=row)
-    return rows
+    phi = np.zeros_like(index)
+    for i, form in enumerate(_sign_forms(graph, correction_kind)):
+        phi |= (np.bitwise_count(index & form) & 1).astype(index.dtype) << i
+    return table[phi]
 
 
 def _outcome_overlaps(

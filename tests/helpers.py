@@ -22,8 +22,9 @@ from pqw.protocol import (
     _correction_targets,
     _outcome_overlaps,
     _premeasurement,
-    _walk,
+    _run_gates,
     build_layout,
+    walk_gates,
 )
 from pqw.stabilizer import Tableau, conjugate, zero_state_tableau
 
@@ -187,13 +188,13 @@ def branch_fidelity(
     resource_qubits = layout.resource_qubits()
     k = len(resource_qubits)
     branch_totals = []
-    prepped = _after_prep(graph).amplitudes
+    prepped = _after_prep(graph)
     for branch in iter_product(range(len(ops)), repeat=k):
         if insertion == "post_prep":
             amps = prepped
             for q, b in zip(resource_qubits, branch):
                 amps = apply_one_qubit_matrix(amps, ops[b], q)
-            amps = _walk(graph, amps)
+            amps = _run_gates(amps, walk_gates(graph))
         else:
             amps = _premeasurement(graph).amplitudes
             for q, b in zip(resource_qubits, branch):

@@ -2,12 +2,17 @@
 
 import json
 import math
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
 
+from helpers import branch_fidelity, small_connected_graphs
 from pqw import cli
 from pqw.cli import EXIT_BUDGET, EXIT_FAIL, EXIT_PASS, EXIT_USAGE, main
+from pqw.graphs import parse_edge_list
+from pqw.noise import NoiseChannel, kraus_ops
 from pqw.verify import OutcomeRecord, VerificationReport
 
 FIG4_CSV = (
@@ -218,7 +223,7 @@ def test_noise_house_phase_damping_before_measurement_is_exact(capsys):
     assert json.loads(capsys.readouterr().out)["fidelities"] == [1.0]
 
 
-def test_noise_frame_budget_names_vertex_count(tmp_path, capsys):
+def test_noise_vertex_budget_names_vertex_count(tmp_path, capsys):
     edges = tmp_path / "path13.txt"
     edges.write_text("".join(f"v{i} v{i + 1}\n" for i in range(12)))
     code = main(
@@ -261,8 +266,41 @@ def test_bad_p_grid_is_usage_error(capsys):
     assert main(["noise", "--channel", "dep", "--p", "0:1:0"]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize("spec", ("0:inf:0.1", "0:nan:0.1", "nan:1:0.1", "0:1:nan"))
+def test_non_finite_p_grid_is_usage_error(spec, capsys):
+    # a non-finite bound or step never reaches the grid's exit test
+    assert main(["noise", "--channel", "dep", "--p", spec]) == EXIT_USAGE
+    assert "finite" in capsys.readouterr().err
+
+
 def test_noise_requires_channel_or_compare():
     assert main(["noise", "--p", "0.1"]) == EXIT_USAGE
+
+
+@settings(max_examples=10, deadline=None)
+@given(small_connected_graphs(max_qubits=12))
+def test_graph_file_matches_dense_reference(graph):
+    # the edge file goes through the parser and both commands; the dense
+    # Kraus-branch loop on the parsed graph is the reference
+    text = "".join(f"{u} {v}\n" for u, v in graph.edges)
+    with tempfile.TemporaryDirectory() as scratch:
+        edges = Path(scratch) / "graph.txt"
+        edges.write_text(text)
+        out = Path(scratch) / "out.json"
+        code = main(
+            ["noise", "--graph", f"@{edges}", "--channel", "ad", "--metric",
+             "conditional", "--p", "0.3", "--format", "json", "--out", str(out)]
+        )
+        assert code == EXIT_PASS
+        (got,) = json.loads(out.read_text())["fidelities"]
+        ops = kraus_ops(NoiseChannel("amplitude_damping", 0.3))
+        dense = branch_fidelity(parse_edge_list(text), ops, "universal", "post_prep")
+        assert abs(got - dense) < 1e-12
+        code = main(
+            ["verify", "--graph", f"@{edges}", "--format", "json", "--out", str(out)]
+        )
+        assert code == EXIT_PASS
+        assert json.loads(out.read_text())["passed"] is True
 
 
 # -- lc -------------------------------------------------------------------------
@@ -371,6 +409,31 @@ def test_counts_malformed_json_is_usage_error(tmp_path):
         ["counts", "--counts", str(counts), "--ideal", str(ideal), "--k", "2"]
     )
     assert code == EXIT_USAGE
+
+
+@pytest.mark.parametrize(
+    "counts_text,ideal_text",
+    (('{"00": Infinity}', '{"00": 1.0}'), ('{"00": 1}', '{"00": NaN}')),
+)
+def test_counts_non_finite_file_value_is_usage_error(
+    tmp_path, capsys, counts_text, ideal_text
+):
+    counts = tmp_path / "counts.json"
+    ideal = tmp_path / "ideal.json"
+    counts.write_text(counts_text)
+    ideal.write_text(ideal_text)
+    code = main(
+        ["counts", "--counts", str(counts), "--ideal", str(ideal), "--k", "2"]
+    )
+    assert code == EXIT_USAGE
+    assert "not a finite number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ("nan", "inf"))
+def test_counts_non_finite_fidelity_is_usage_error(value, capsys):
+    assert main(["counts", "--fidelity", value, "--k", "6"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == "" and "finite" in captured.err
 
 
 def test_counts_modes_are_exclusive():

@@ -136,6 +136,9 @@ def test_p_eff_validation():
         extract_p_eff(-0.3, 6)
     with pytest.raises(ValueError, match="at least 1"):
         extract_p_eff(0.9, 0)
+    for fidelity in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="positive and finite"):
+            extract_p_eff(fidelity, 6)
 
 
 # -- exact fidelities, strict metric -------------------------------------------
@@ -270,7 +273,7 @@ def test_qubit_budget_guard():
             )
 
 
-def test_frame_budget_counts_vertices():
+def test_vertex_budget_counts_vertices():
     house = catalog_lookup("house")
     pd = NoiseChannel("phase_damping", 0.1)
     with pytest.raises(ResourceError, match="5 vertices"):
@@ -342,7 +345,6 @@ def test_noise_engines_apply_the_plan(monkeypatch, name):
         return ((0, 0),) * graph.n_vertices
 
     monkeypatch.setattr(protocol, "correction_forms", identity_forms)
-    monkeypatch.setattr(noise, "correction_forms", identity_forms)
     noise._heisenberg_generators.cache_clear()
     try:
         for kind in _dense_channels(graph):

@@ -2,6 +2,7 @@
 check on the symbolic run, entanglement-rank comparison, and noise sweeps."""
 
 import dataclasses
+import random
 
 import pytest
 
@@ -65,7 +66,7 @@ def test_verify_topology_specific_plans(name, kind):
 
 def _contraction_cases():
     # every catalog graph the table lists, plus K4, under every plan
-    # that applies to it
+    # that applies to it, and three graphs under broken plans
     cases = []
     for name in TABLE_ORDER + ("K4",):
         graph = catalog_lookup(name)
@@ -76,12 +77,21 @@ def _contraction_cases():
             cases.append((name, "c4"))
         if graph.is_tree():
             cases.append((name, "tree"))
+    cases += [(name, "broken") for name in ("P4", "C4", "K1_3")]
     return cases
 
 
 @pytest.mark.parametrize("name,kind", _contraction_cases())
-def test_contraction_matches_per_outcome_reference(name, kind):
+def test_contraction_matches_per_outcome_reference(monkeypatch, name, kind):
     graph = catalog_lookup(name)
+    if kind == "broken":
+        # seeded random (x, z) forms: X parts move the sign forms of the
+        # neighbours, and the plan misses the target at some outcomes
+        rng = random.Random(8)
+        k = 2 * graph.n_edges
+        forms = tuple((rng.getrandbits(k), rng.getrandbits(k)) for _ in graph.vertices)
+        assert all(x for x, _ in forms)
+        monkeypatch.setattr(protocol, "correction_forms", lambda graph, kind: forms)
     report = verify_all_outcomes(graph, kind, name=name)
     assert [r.index for r in report.records] == list(range(graph.outcome_count()))
     for record in report.records:
@@ -93,6 +103,8 @@ def test_contraction_matches_per_outcome_reference(name, kind):
         assert record.fidelity == pytest.approx(
             corrected_fidelity(graph, outcome, plan), abs=1e-12
         )
+    if kind == "broken":
+        assert report.min_fidelity < 1e-12
 
 
 def test_contraction_applies_the_plan(monkeypatch):
