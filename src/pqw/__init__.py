@@ -6,11 +6,18 @@ enumerates every measurement outcome, applies a correction formula, and
 checks the delivered state against the target: fidelities, outcome
 statistics, sign bookkeeping, noise curves, and Schmidt-rank
 separations, all computed exactly.
+
+The dense simulator's names (StateVector, apply_gate, ...) load
+pqw.statevector, and with it numpy, on first access; the symbolic
+engines and the noise sum never import either.
 """
+
+__version__ = "0.1.0"
 
 from .graphs import (
     CatalogError,
     Graph,
+    ResourceError,
     TABLE_ORDER,
     catalog_lookup,
     catalog_names,
@@ -60,19 +67,6 @@ from .stabilizer import (
     measure_z,
     zero_state_tableau,
 )
-from .statevector import (
-    Bipartition,
-    ResourceError,
-    StateVector,
-    ZeroProbabilityError,
-    apply_gate,
-    fidelity,
-    from_amplitudes,
-    measure_project,
-    new_plus,
-    new_zero,
-    schmidt_rank,
-)
 from .verify import (
     LcReport,
     VerificationReport,
@@ -82,4 +76,32 @@ from .verify import (
     verify_all_outcomes,
 )
 
-__version__ = "0.1.0"
+_STATEVECTOR_EXPORTS = (
+    "Bipartition",
+    "StateVector",
+    "ZeroProbabilityError",
+    "apply_gate",
+    "fidelity",
+    "from_amplitudes",
+    "measure_project",
+    "new_plus",
+    "new_zero",
+    "schmidt_rank",
+)
+
+
+def __getattr__(name: str):
+    # PEP 562: runs only for names not yet bound here
+    if name == "statevector" or name in _STATEVECTOR_EXPORTS:
+        import importlib
+
+        # not "from . import": that asks this hook for the name again
+        statevector = importlib.import_module(".statevector", __name__)
+        value = statevector if name == "statevector" else getattr(statevector, name)
+        globals()[name] = value
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_STATEVECTOR_EXPORTS) | {"statevector"})

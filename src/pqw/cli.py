@@ -20,10 +20,13 @@ import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
+from . import __version__
 from .graphs import (
     CatalogError,
     Graph,
+    ResourceError,
     TABLE_ORDER,
     catalog_lookup,
     ghz_state,
@@ -37,8 +40,10 @@ from .noise import (
     parse_channel,
 )
 from .protocol import CORRECTION_KINDS
-from .statevector import Bipartition, ResourceError, StateVector
 from .verify import VerificationReport, lc_check, noise_sweep, verify_all_outcomes
+
+if TYPE_CHECKING:
+    from .statevector import Bipartition, StateVector
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -49,6 +54,9 @@ EXIT_BUDGET = 3
 # one Bell pair, a four-party GHZ from one central source, and the
 # four-vertex path protocol with six resource qubits
 COMPARE_CURVES = (("Bell", 1), ("GHZ4", 2), ("L4", 6))
+
+# the most points a --p range may hold; checked before the grid is built
+MAX_P_POINTS = 100_000
 
 
 class UsageError(ValueError):
@@ -113,6 +121,13 @@ def _parse_p_grid(spec: str) -> tuple[float, ...]:
         raise UsageError(f"p step must be positive, got {step}")
     if stop < start:
         raise UsageError(f"p range is empty: {spec!r}")
+    # the loop below keeps start + i * step while it is <= stop + 1e-9
+    span = (stop - start + 1e-9) / step
+    if not span < MAX_P_POINTS:
+        points = f"{span + 1:.0f}" if span < 1e15 else f"about {span:.3g}"
+        raise UsageError(
+            f"p range {spec!r} has {points} points; the limit is {MAX_P_POINTS}"
+        )
     grid = []
     i = 0
     while True:
@@ -146,6 +161,8 @@ def _resolve_state(spec: str) -> tuple[StateVector, tuple[str, ...]]:
 def _parse_cut(spec: str, labels: tuple[str, ...]) -> Bipartition:
     """AC|BD puts vertices A,C on one side and B,D on the other; comma
     separation supports multi-character labels."""
+    from .statevector import Bipartition
+
     halves = spec.split("|")
     if len(halves) != 2:
         raise UsageError(f"bad cut {spec!r}; expected SIDE|SIDE")
@@ -354,6 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact verification and noise analysis of the "
         "phase-walk graph-state distribution protocol.",
     )
+    parser.add_argument("--version", action="version", version=f"pqw {__version__}")
     sub = parser.add_subparsers(dest="cmd", required=True)
 
     def common(p: argparse.ArgumentParser, default_fmt: str) -> None:

@@ -12,13 +12,20 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from importlib import resources
+from typing import TYPE_CHECKING
 
-from . import statevector as sv
 from .stabilizer import PauliString, Tableau
+
+if TYPE_CHECKING:
+    from . import statevector as sv
 
 
 class CatalogError(KeyError):
     """Unknown catalog name."""
+
+
+class ResourceError(RuntimeError):
+    """Raised when a request exceeds the configured memory or time budget."""
 
 
 @dataclass(frozen=True)
@@ -148,6 +155,8 @@ def parse_edge_list(text: str) -> Graph:
 def graph_state(graph: Graph, max_qubits: int | None = None) -> sv.StateVector:
     """CZ along every edge applied to |+> everywhere; qubit k hosts
     vertex graph.vertices[k]."""
+    from . import statevector as sv
+
     state = sv.new_plus(graph.n_vertices, max_qubits=max_qubits)
     for u, v in graph.edges:
         state = sv.apply_gate(state, "CZ", (graph.vertex_index(u), graph.vertex_index(v)))
@@ -169,6 +178,8 @@ def stabilizer_generators(graph: Graph) -> Tableau:
 
 def ghz_state(n_qubits: int = 4) -> sv.StateVector:
     """(|0...0> + |1...1>)/sqrt(2)."""
+    from . import statevector as sv
+
     amps = [0.0] * (2**n_qubits)
     amps[0] = amps[-1] = 1.0
     return sv.from_amplitudes(amps, normalize=True)

@@ -30,7 +30,7 @@ number:
   The two metrics agree at p=0 and conditional >= strict everywhere.
 
 One exact engine computes every one of these numbers, with no
-statevector.  The corrected-fidelity operator
+statevector and no numpy.  The corrected-fidelity operator
 M = sum_s |s><s| (x) C_s^dagger |G><G| C_s is the projector of a
 stabilizer code with one generator K_v (x) Z_R^{phi_v} per vertex, so
 F = tr(M rho) is 2^-|V| times the sum of the expectations of its 2^|V|
@@ -53,13 +53,14 @@ import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .graphs import Graph, stabilizer_generators
+from .graphs import Graph, ResourceError, stabilizer_generators
 from .protocol import _bit_reversed, _sign_forms, far_side_mask, walk_gates
 from .stabilizer import PauliString, Tableau, conjugate
-from .statevector import ResourceError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 CHANNEL_KINDS = ("depolarizing", "phase_damping", "amplitude_damping")
 CHANNEL_ALIASES = {
@@ -94,24 +95,28 @@ def parse_channel(name: str, p: float) -> NoiseChannel:
 
 
 def kraus_ops(channel: NoiseChannel) -> tuple[np.ndarray, ...]:
+    import numpy as np
+
+    return tuple(np.array(op, dtype=complex) for op in _kraus_lists(channel))
+
+
+def _kraus_lists(channel: NoiseChannel) -> tuple[list[list[complex]], ...]:
+    """The Kraus operators as 2x2 nested lists of complex, entry for
+    entry (signed zeros included) the values kraus_ops returns."""
     p = channel.p
     if channel.kind == "depolarizing":
+        c, s = math.sqrt(1.0 - 0.75 * p), math.sqrt(p / 4.0)
         return (
-            math.sqrt(1.0 - 0.75 * p) * np.eye(2, dtype=complex),
-            math.sqrt(p / 4.0) * np.array([[0, 1], [1, 0]], dtype=complex),
-            math.sqrt(p / 4.0) * np.array([[0, -1j], [1j, 0]], dtype=complex),
-            math.sqrt(p / 4.0) * np.array([[1, 0], [0, -1]], dtype=complex),
+            [[complex(c, 0.0), 0j], [0j, complex(c, 0.0)]],
+            [[0j, complex(s, 0.0)], [complex(s, 0.0), 0j]],
+            [[0j, complex(0.0, -s)], [complex(0.0, s), 0j]],
+            [[complex(s, 0.0), 0j], [0j, complex(-s, 0.0)]],
         )
+    kept = [[1 + 0j, 0j], [0j, complex(math.sqrt(1.0 - p), 0.0)]]
     if channel.kind == "phase_damping":
-        return (
-            np.array([[1, 0], [0, math.sqrt(1.0 - p)]], dtype=complex),
-            np.array([[0, 0], [0, math.sqrt(p)]], dtype=complex),
-        )
+        return kept, [[0j, 0j], [0j, complex(math.sqrt(p), 0.0)]]
     # amplitude damping: decay |1> -> |0>
-    return (
-        np.array([[1, 0], [0, math.sqrt(1.0 - p)]], dtype=complex),
-        np.array([[0, math.sqrt(p)], [0, 0]], dtype=complex),
-    )
+    return kept, [[0j, complex(math.sqrt(p), 0.0)], [0j, 0j]]
 
 
 # -- closed forms and count arithmetic --------------------------------------
@@ -234,7 +239,7 @@ def noisy_protocol_fidelity(
         )
     # plain nested lists: a matrix product on 2x2 operands would only
     # wake BLAS, which costs peak memory and buys no speed
-    ops = [op.tolist() for op in kraus_ops(channel)]
+    ops = _kraus_lists(channel)
     if metric == "strict":
         # each qubit comes through error-free with probability
         # sum_b |tr(K_b)/2|^2, independently of the others; that fraction

@@ -35,16 +35,17 @@ its sign forms phi_v = z_v xor (xor of x_u over u ~ v), and the parity
 condition is phi_v = g_v = far_side_mask(v).  The outcome engine and the
 noise sum read plans as phi; the per-outcome reference applies (x, z).
 The circuit is written once, as the gate lists prep_gates and walk_gates.
+The dense functions import numpy and pqw.statevector when they run, so
+the symbolic paths (forms, the tableau run, the noise sum) never load
+them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import statevector as sv
 from .graphs import Graph, catalog_lookup, graph_state, stabilizer_generators
 from .stabilizer import (
     PauliString,
@@ -53,6 +54,11 @@ from .stabilizer import (
     measure_z,
     zero_state_tableau,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from . import statevector as sv
 
 Edge = tuple[str, str]
 
@@ -166,6 +172,8 @@ def walk_gates(graph: Graph) -> tuple[tuple[str, tuple[int, ...]], ...]:
 
 def _run_gates(amps: np.ndarray, gates) -> np.ndarray:
     """A list of CZ and H gates on raw, possibly unnormalized amplitudes."""
+    from . import statevector as sv
+
     for gate, targets in gates:
         kernel = sv._apply_cz if gate == "CZ" else sv._apply_h
         amps = kernel(amps, *targets)
@@ -174,6 +182,8 @@ def _run_gates(amps: np.ndarray, gates) -> np.ndarray:
 
 def _after_prep(graph: Graph) -> np.ndarray:
     """Raw amplitudes after S1 + S2, every qubit prepared."""
+    from . import statevector as sv
+
     # no name holds the |+> register, so the first gate frees it
     n_qubits = graph.n_vertices + 2 * graph.n_edges
     return _run_gates(sv.new_plus(n_qubits).amplitudes, prep_gates(graph))
@@ -181,6 +191,8 @@ def _after_prep(graph: Graph) -> np.ndarray:
 
 @lru_cache(maxsize=32)
 def _premeasurement(graph: Graph) -> sv.StateVector:
+    from . import statevector as sv
+
     # no name holds the prepared register, so the walk frees it after
     # its first gate instead of keeping one more register alive
     amps = _run_gates(_after_prep(graph), walk_gates(graph))
@@ -215,6 +227,10 @@ def run_protocol(graph: Graph, outcome: Outcome) -> tuple[float, sv.StateVector]
     """
     if outcome.graph != graph:
         raise ValueError("outcome belongs to a different graph")
+    import numpy as np
+
+    from . import statevector as sv
+
     slab = data_slab(graph, outcome)
     prob = float(np.vdot(slab, slab).real)
     if prob < 1e-14:
@@ -308,6 +324,8 @@ def byproduct_step(s: int) -> tuple[float, sv.StateVector]:
     """
     if s not in (0, 1):
         raise ValueError("s must be a bit")
+    from . import statevector as sv
+
     state = sv.new_plus(3)
     state = sv.apply_gate(state, "CZ", (1, 2))  # the shared pair
     state = sv.apply_gate(state, "CZ", (0, 1))  # walk step, then coin
@@ -407,6 +425,8 @@ def tree_correction(graph: Graph) -> Forms:
 def apply_correction(state: sv.StateVector, plan: CorrectionPlan) -> sv.StateVector:
     """Apply Z^{z_v} then X^{x_v} at each vertex's qubit of a bare data
     register in vertex order, which matches run_protocol's output."""
+    from . import statevector as sv
+
     for i, (_, x, z) in enumerate(plan.exponents):
         if z:
             state = sv.apply_gate(state, "Z", (i,))
@@ -418,6 +438,8 @@ def apply_correction(state: sv.StateVector, plan: CorrectionPlan) -> sv.StateVec
 def corrected_fidelity(graph: Graph, outcome: Outcome, plan: CorrectionPlan) -> float:
     """Fidelity of the corrected post-measurement data state with the
     target graph state."""
+    from . import statevector as sv
+
     _, data = run_protocol(graph, outcome)
     return sv.fidelity(apply_correction(data, plan), graph_state(graph))
 
@@ -491,6 +513,8 @@ def _correction_targets(graph: Graph, correction_kind: str) -> np.ndarray:
     """Row r holds conj(C_s^dagger |G>) for the outcome s whose resource
     register reads r, up to a sign per row, so that row . slab is
     <G| C_s |slab> up to that sign and its modulus is exact."""
+    import numpy as np
+
     bra = graph_state(graph).amplitudes.conj()
     basis = np.arange(bra.size)
     # X_u|G> = Z_{N(u)}|G>, so C_s^dagger|G> = +-Z^{phi(s)}|G>: row p of
@@ -510,6 +534,8 @@ def _outcome_overlaps(
 ) -> np.ndarray:
     """|<G| C_s |slab_s>|^2 per resource row of a full, possibly
     unnormalized protocol register."""
+    import numpy as np
+
     slabs = amps.reshape(-1, 2**graph.n_vertices)
     return np.abs(np.einsum("ij,ij->i", targets, slabs)) ** 2
 
@@ -519,6 +545,8 @@ def _outcome_table(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Probability and corrected fidelity of every outcome, in outcome
     index order, from one contraction of the premeasurement state."""
+    import numpy as np
+
     amps = _premeasurement(graph).amplitudes
     slabs = amps.reshape(-1, 2**graph.n_vertices)
     # squared row norms through the real and imaginary views, so the

@@ -27,10 +27,10 @@ outcome, and .evaluate(s) gives the run at outcome s.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .statevector import StateVector
+if TYPE_CHECKING:
+    from .statevector import StateVector
 
 
 def _parity(mask: int) -> int:
@@ -105,6 +105,10 @@ class PauliString:
             raise ValueError("qubit counts differ")
         if self.outcome_mask:
             raise ValueError("the sign depends on the outcome; evaluate it first")
+        import numpy as np
+
+        from .statevector import StateVector
+
         indices = np.arange(state.amplitudes.size, dtype=np.uint64)
         z_par = np.bitwise_count(indices & np.uint64(self.z_bits)) & np.uint64(1)
         signs = 1.0 - 2.0 * z_par.astype(float)
@@ -357,6 +361,8 @@ def check_stabilizes(state: StateVector, tableau: Tableau, tol: float = 1e-10) -
     """True iff every generator fixes the state with eigenvalue +1."""
     if state.n_qubits != tableau.n_qubits:
         raise ValueError("qubit counts differ")
+    import numpy as np
+
     for g in tableau.generators:
         moved = g.apply_to(state)
         overlap = np.vdot(state.amplitudes, moved.amplitudes)

@@ -5,6 +5,10 @@ k-th tensor factor and occupies bit k of the basis-state integer, so
 qubit 0 is the least significant bit.  All bit arithmetic in the other
 modules relies on this.
 
+This is the one module that imports numpy at load time; every other
+module reaches it from inside the dense functions that need it, so the
+symbolic engines start without it.
+
 States are value-like: every operation returns a fresh StateVector and
 never mutates its input, so instances are safe to share across threads.
 """
@@ -15,6 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# defined numpy-free so the noise sum can raise it; the same class here
+from .graphs import ResourceError
+
 # Refuse registers above this size unless the caller raises the ceiling.
 # 2^24 complex amplitudes is 256 MB; anything larger is not desk scale.
 DEFAULT_QUBIT_CEILING = 24
@@ -22,10 +29,6 @@ DEFAULT_QUBIT_CEILING = 24
 GATE_NAMES = ("H", "X", "Z", "CZ", "CNOT")
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
-
-
-class ResourceError(RuntimeError):
-    """Raised when a request exceeds the configured memory or time budget."""
 
 
 class ZeroProbabilityError(ValueError):

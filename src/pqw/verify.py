@@ -1,7 +1,7 @@
 """Exhaustive verification: every outcome of every prepared graph is
-checked against the target state, symbolic signs are checked against
-the dense run, and noise curves are swept with their closed-form
-overlays.
+checked against the target state, the symbolic signs of the data
+stabilizers are checked against their far-side forms, and noise curves
+are swept with their closed-form overlays.
 
 Everything here is exact; nothing is sampled.  Reports are plain data
 and render elsewhere; two runs over the same inputs produce equal
@@ -9,16 +9,15 @@ reports.
 
 The outcome sweep is a single contraction of the premeasurement state
 with the table of corrected targets, both owned by pqw.protocol;
-nothing is split over threads.
+nothing is split over threads.  Only the outcome sweep and the rank
+comparison are dense, and they load numpy when they run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import statevector as sv
 from .graphs import Graph, stabilizer_generators
 from .noise import (
     CHANNEL_ALIASES,
@@ -30,6 +29,9 @@ from .noise import (
 )
 from .protocol import _outcome_table, far_side_mask, symbolic_protocol_tableau
 from .stabilizer import extract_sign_form
+
+if TYPE_CHECKING:
+    from . import statevector as sv
 
 FIDELITY_TOL = 1e-12
 PROBABILITY_TOL = 1e-12
@@ -77,7 +79,7 @@ def verify_all_outcomes(
         outcome_count=count,
         min_fidelity=float(fidelities.min()),
         max_fidelity=float(fidelities.max()),
-        max_probability_deviation=float(np.abs(probabilities - 1.0 / count).max()),
+        max_probability_deviation=float(abs(probabilities - 1.0 / count).max()),
         records=tuple(
             OutcomeRecord(i, p, f)
             for i, (p, f) in enumerate(zip(probabilities.tolist(), fidelities.tolist()))
@@ -128,6 +130,8 @@ def lc_check(
     Ranks are invariant under local unitaries, so differing ranks prove
     the states inequivalent; equal ranks prove nothing.
     """
+    from . import statevector as sv
+
     if state_a.n_qubits != state_b.n_qubits:
         raise ValueError(
             f"qubit counts differ: {state_a.n_qubits} vs {state_b.n_qubits}"

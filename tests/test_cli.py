@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 
+import pqw
 from helpers import branch_fidelity, small_connected_graphs
 from pqw import cli
 from pqw.cli import EXIT_BUDGET, EXIT_FAIL, EXIT_PASS, EXIT_USAGE, main
@@ -273,6 +274,29 @@ def test_non_finite_p_grid_is_usage_error(spec, capsys):
     assert "finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "spec, points",
+    (
+        ("0:1:1e-9", "1000000002"),
+        ("0:1:1e-5", "100001"),
+        ("0:1:1e-300", "about 1e+300"),
+        ("-1e308:1e308:1e-10", "about inf"),
+    ),
+)
+def test_oversized_p_grid_is_usage_error(spec, points, capsys):
+    # the point count is checked before the grid is built, so a tiny step
+    # exits at once instead of filling memory
+    assert main(["noise", "--channel", "dep", f"--p={spec}"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"has {points} points" in err and f"limit is {cli.MAX_P_POINTS}" in err
+
+
+def test_p_grid_at_the_point_limit_is_built():
+    grid = cli._parse_p_grid(f"0:1:{1 / (cli.MAX_P_POINTS - 1)}")
+    assert len(grid) == cli.MAX_P_POINTS
+    assert grid[0] == 0.0 and grid[-1] == 1.0
+
+
 def test_noise_requires_channel_or_compare():
     assert main(["noise", "--p", "0.1"]) == EXIT_USAGE
 
@@ -452,6 +476,11 @@ def test_argparse_errors_map_to_usage(capsys):
     assert main(["noise", "--channel", "sparkle", "--p", "0.1"]) == EXIT_USAGE
     assert main(["bogus-subcommand"]) == EXIT_USAGE
     assert main([]) == EXIT_USAGE
+
+
+def test_version_prints_package_version(capsys):
+    assert main(["--version"]) == EXIT_PASS
+    assert capsys.readouterr().out == f"pqw {pqw.__version__}\n"
 
 
 def test_help_exits_zero(capsys):
