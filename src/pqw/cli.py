@@ -40,7 +40,13 @@ from .noise import (
     parse_channel,
 )
 from .protocol import CORRECTION_KINDS
-from .verify import VerificationReport, lc_check, noise_sweep, verify_all_outcomes
+from .verify import (
+    FIDELITY_TOL,
+    VerificationReport,
+    lc_check,
+    noise_sweep,
+    verify_all_outcomes,
+)
 
 if TYPE_CHECKING:
     from .statevector import Bipartition, StateVector
@@ -250,6 +256,17 @@ def cmd_verify(config: RunConfig) -> int:
             _render_csv(("graph", "outcome_index", "probability", "fidelity"), rows),
             config.out,
         )
+    # the first counterexample of each failing report, off the payload
+    for rep in reports:
+        if rep.passed:
+            continue
+        bad = next((r for r in rep.records if r.fidelity < 1.0 - FIDELITY_TOL), None)
+        if bad is not None:
+            print(
+                f"pqw: {rep.graph_name}: outcome {bad.index} has fidelity "
+                f"{_fmt(bad.fidelity)}",
+                file=sys.stderr,
+            )
     return EXIT_PASS if all(r.passed for r in reports) else EXIT_FAIL
 
 

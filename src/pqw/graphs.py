@@ -28,6 +28,11 @@ class ResourceError(RuntimeError):
     """Raised when a request exceeds the configured memory or time budget."""
 
 
+# Refuse registers above this size unless the caller raises the ceiling.
+# 2^24 complex amplitudes is 256 MB; anything larger is not desk scale.
+DEFAULT_QUBIT_CEILING = 24
+
+
 @dataclass(frozen=True)
 class Graph:
     vertices: tuple[str, ...]

@@ -144,6 +144,9 @@ def extract_p_eff(fidelity: float, k: int) -> float:
     produce the observed fidelity over k resource qubits."""
     if not 0.0 < fidelity < math.inf:
         raise ValueError(f"fidelity must be positive and finite, got {fidelity}")
+    # the slack bhattacharyya_fidelity allows on the ideal distribution's sum
+    if fidelity > 1.0 + 1e-9:
+        raise ValueError(f"fidelity must be at most 1, got {fidelity}")
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
     return (4.0 / 3.0) * (1.0 - fidelity ** (1.0 / k))

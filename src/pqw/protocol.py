@@ -32,12 +32,13 @@ per-vertex (x, z) outcome-bit forms, masks over the big-endian outcome
 index like far_side_mask, and the plan of outcome s is those forms read
 at s by parity.  As X_u|G> = Z_{N(u)}|G>, a plan reaches |G> only through
 its sign forms phi_v = z_v xor (xor of x_u over u ~ v), and the parity
-condition is phi_v = g_v = far_side_mask(v).  The outcome engine and the
-noise sum read plans as phi; the per-outcome reference applies (x, z).
-The circuit is written once, as the gate lists prep_gates and walk_gates.
-The dense functions import numpy and pqw.statevector when they run, so
-the symbolic paths (forms, the tableau run, the noise sum) never load
-them.
+condition is phi_v = g_v = far_side_mask(v).  verify and the noise sum
+read plans as phi, verify against the signs of symbolic_protocol_tableau;
+the dense per-outcome reference (run_protocol, corrected_fidelity)
+applies (x, z).  The circuit is written once, as the gate lists
+prep_gates and walk_gates.  The dense functions import numpy and
+pqw.statevector when they run, so the symbolic paths (forms, the tableau
+run, verify's outcome sweep, the noise sum) never load them.
 """
 
 from __future__ import annotations
@@ -500,61 +501,3 @@ def _sign_forms(graph: Graph, correction_kind: str) -> list[int]:
             z ^= forms[graph.vertex_index(u)][0]
         phis.append(z)
     return phis
-
-
-# -- the outcome engine ------------------------------------------------------
-#
-# Every outcome's slab is contracted with its corrected target in one
-# pass; run_protocol, apply_correction and corrected_fidelity above are
-# the per-outcome reference this is tested against.
-
-
-def _correction_targets(graph: Graph, correction_kind: str) -> np.ndarray:
-    """Row r holds conj(C_s^dagger |G>) for the outcome s whose resource
-    register reads r, up to a sign per row, so that row . slab is
-    <G| C_s |slab> up to that sign and its modulus is exact."""
-    import numpy as np
-
-    bra = graph_state(graph).amplitudes.conj()
-    basis = np.arange(bra.size)
-    # X_u|G> = Z_{N(u)}|G>, so C_s^dagger|G> = +-Z^{phi(s)}|G>: row p of
-    # the table is conj(Z^p|G>), whose sign flips wherever j and p share
-    # an odd number of bits
-    table = (1.0 - 2.0 * (np.bitwise_count(basis[:, None] & basis) & 1)) * bra
-    # phi(s) packs the sign forms read at each row's outcome index
-    index = _bit_reversed(graph, np.arange(graph.outcome_count()))
-    phi = np.zeros_like(index)
-    for i, form in enumerate(_sign_forms(graph, correction_kind)):
-        phi |= (np.bitwise_count(index & form) & 1).astype(index.dtype) << i
-    return table[phi]
-
-
-def _outcome_overlaps(
-    graph: Graph, amps: np.ndarray, targets: np.ndarray
-) -> np.ndarray:
-    """|<G| C_s |slab_s>|^2 per resource row of a full, possibly
-    unnormalized protocol register."""
-    import numpy as np
-
-    slabs = amps.reshape(-1, 2**graph.n_vertices)
-    return np.abs(np.einsum("ij,ij->i", targets, slabs)) ** 2
-
-
-def _outcome_table(
-    graph: Graph, correction_kind: str
-) -> tuple[np.ndarray, np.ndarray]:
-    """Probability and corrected fidelity of every outcome, in outcome
-    index order, from one contraction of the premeasurement state."""
-    import numpy as np
-
-    amps = _premeasurement(graph).amplitudes
-    slabs = amps.reshape(-1, 2**graph.n_vertices)
-    # squared row norms through the real and imaginary views, so the
-    # register is never copied
-    probabilities = np.einsum("ij,ij->i", slabs.real, slabs.real)
-    probabilities += np.einsum("ij,ij->i", slabs.imag, slabs.imag)
-    targets = _correction_targets(graph, correction_kind)
-    fidelities = _outcome_overlaps(graph, amps, targets) / probabilities
-    # the resource row of each outcome index, in index order
-    rows = _bit_reversed(graph, np.arange(graph.outcome_count()))
-    return probabilities[rows], fidelities[rows]

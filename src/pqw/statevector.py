@@ -19,12 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# defined numpy-free so the noise sum can raise it; the same class here
-from .graphs import ResourceError
-
-# Refuse registers above this size unless the caller raises the ceiling.
-# 2^24 complex amplitudes is 256 MB; anything larger is not desk scale.
-DEFAULT_QUBIT_CEILING = 24
+# defined numpy-free so the noise sum and verify can use them; the same
+# objects here
+from .graphs import DEFAULT_QUBIT_CEILING, ResourceError
 
 GATE_NAMES = ("H", "X", "Z", "CZ", "CNOT")
 

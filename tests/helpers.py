@@ -19,10 +19,10 @@ from pqw.protocol import (
     CorrectionPlan,
     Outcome,
     _after_prep,
-    _correction_targets,
-    _outcome_overlaps,
+    _bit_reversed,
     _premeasurement,
     _run_gates,
+    _sign_forms,
     build_layout,
     walk_gates,
 )
@@ -176,6 +176,31 @@ def apply_one_qubit_matrix(amps: np.ndarray, mat: np.ndarray, qubit: int) -> np.
     return out.reshape(amps.size)
 
 
+def correction_targets(graph: Graph, correction_kind: str) -> np.ndarray:
+    """Row r holds conj(C_s^dagger |G>) for the outcome s whose resource
+    register reads r, up to a sign per row, so that row . slab is
+    <G| C_s |slab> up to that sign and its modulus is exact."""
+    bra = graph_state(graph).amplitudes.conj()
+    basis = np.arange(bra.size)
+    # X_u|G> = Z_{N(u)}|G>, so C_s^dagger|G> = +-Z^{phi(s)}|G>: row p of
+    # the table is conj(Z^p|G>), whose sign flips wherever j and p share
+    # an odd number of bits
+    table = (1.0 - 2.0 * (np.bitwise_count(basis[:, None] & basis) & 1)) * bra
+    # phi(s) packs the sign forms read at each row's outcome index
+    index = _bit_reversed(graph, np.arange(graph.outcome_count()))
+    phi = np.zeros_like(index)
+    for i, form in enumerate(_sign_forms(graph, correction_kind)):
+        phi |= (np.bitwise_count(index & form) & 1).astype(index.dtype) << i
+    return table[phi]
+
+
+def outcome_overlaps(graph: Graph, amps: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """|<G| C_s |slab_s>|^2 per resource row of a full, possibly
+    unnormalized protocol register."""
+    slabs = amps.reshape(-1, 2**graph.n_vertices)
+    return np.abs(np.einsum("ij,ij->i", targets, slabs)) ** 2
+
+
 def branch_fidelity(
     graph: Graph, ops: tuple[np.ndarray, ...], correction_kind: str, insertion: str
 ) -> float:
@@ -184,7 +209,7 @@ def branch_fidelity(
     engine is tested against.  With ops = (identity,) it is the noiseless
     outcome contraction."""
     layout = build_layout(graph)
-    targets = _correction_targets(graph, correction_kind)
+    targets = correction_targets(graph, correction_kind)
     resource_qubits = layout.resource_qubits()
     k = len(resource_qubits)
     branch_totals = []
@@ -200,6 +225,6 @@ def branch_fidelity(
             for q, b in zip(resource_qubits, branch):
                 amps = apply_one_qubit_matrix(amps, ops[b], q)
         branch_totals.append(
-            math.fsum(_outcome_overlaps(graph, amps, targets).tolist())
+            math.fsum(outcome_overlaps(graph, amps, targets).tolist())
         )
     return math.fsum(branch_totals)

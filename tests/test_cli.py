@@ -10,7 +10,7 @@ from hypothesis import given, settings
 
 import pqw
 from helpers import branch_fidelity, small_connected_graphs
-from pqw import cli
+from pqw import cli, protocol
 from pqw.cli import EXIT_BUDGET, EXIT_FAIL, EXIT_PASS, EXIT_USAGE, main
 from pqw.graphs import parse_edge_list
 from pqw.noise import NoiseChannel, kraus_ops
@@ -92,7 +92,28 @@ def test_verify_exit_fail_on_doctored_report(monkeypatch, capsys):
     monkeypatch.setattr(cli, "verify_all_outcomes", lambda *a, **k: broken)
     code = main(["verify", "--graph", "P3"])
     assert code == EXIT_FAIL
-    assert json.loads(capsys.readouterr().out)["passed"] is False
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["passed"] is False
+    assert captured.err == "pqw: P3: outcome 0 has fidelity 0.5\n"
+
+
+def test_verify_failure_names_its_first_counterexample(monkeypatch, tmp_path, capsys):
+    # with every correction dropped, outcome 0 (no bit set) still reaches
+    # |G>, and outcome 1 (s6 = 1) leaves K_C with the wrong sign
+    monkeypatch.setattr(
+        protocol, "correction_forms", lambda graph, kind: ((0, 0),) * graph.n_vertices
+    )
+    assert main(["verify", "--graph", "P4", "--format", "csv"]) == EXIT_FAIL
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[1:3] == ["P4,0,0.015625,1", "P4,1,0.015625,0"]
+    assert captured.err == "pqw: P4: outcome 1 has fidelity 0\n"
+    out = tmp_path / "p4.csv"
+    assert main(["verify", "--graph", "P4", "--format", "csv", "--out", str(out)]) == (
+        EXIT_FAIL
+    )
+    rerun = capsys.readouterr()
+    assert out.read_text() == captured.out
+    assert rerun.out == "" and rerun.err == captured.err
 
 
 def test_verify_formula_on_wrong_graph_is_usage_error(capsys):
@@ -458,6 +479,12 @@ def test_counts_non_finite_fidelity_is_usage_error(value, capsys):
     assert main(["counts", "--fidelity", value, "--k", "6"]) == EXIT_USAGE
     captured = capsys.readouterr()
     assert captured.out == "" and "finite" in captured.err
+
+
+def test_counts_fidelity_above_one_is_usage_error(capsys):
+    assert main(["counts", "--fidelity", "1.5", "--k", "2"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == "" and "at most 1" in captured.err
 
 
 def test_counts_modes_are_exclusive():

@@ -139,6 +139,12 @@ def test_p_eff_validation():
     for fidelity in (math.nan, math.inf):
         with pytest.raises(ValueError, match="positive and finite"):
             extract_p_eff(fidelity, 6)
+    with pytest.raises(ValueError, match="at most 1"):
+        extract_p_eff(1.5, 2)
+    with pytest.raises(ValueError, match="at most 1"):
+        extract_p_eff(1.0 + 2e-9, 6)
+    # within the slack an ideal sum may carry, the fit is still made
+    assert extract_p_eff(1.0 + 1e-12, 6) == pytest.approx(0.0, abs=1e-12)
 
 
 # -- exact fidelities, strict metric -------------------------------------------

@@ -138,6 +138,8 @@ from pqw.verify import phase_lemma_check
 report("phase_lemma_check C5", 0 if phase_lemma_check(catalog_lookup("C5")) else 1)
 report("pqw.ResourceError", 0 if pqw.ResourceError is pqw.graphs.ResourceError else 1)
 run(["verify", "--graph", "P4"])
+run(["verify", "--graph", "all", "--format", "csv"])
+run(["lc", "--a", "L4", "--b", "GHZ4", "--cut", "AB|CD"])
 """
 
 
@@ -155,10 +157,10 @@ def test_symbolic_entry_points_do_not_import_numpy():
         check=True,
     )
     steps = [json.loads(line) for line in result.stdout.splitlines()]
-    assert len(steps) == 20
+    assert len(steps) == 22
     *numpy_free, dense = steps
     for label, code, loaded in numpy_free:
         assert code == 0, label
         assert not loaded, f"numpy loaded by {label}"
-    # the dense outcome sweep does load it, so the check can fail
-    assert dense == ["verify --graph P4", 0, True]
+    # the Schmidt-rank comparison does load it, so the check can fail
+    assert dense == ["lc --a L4 --b GHZ4 --cut AB|CD", 0, True]

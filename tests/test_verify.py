@@ -5,8 +5,10 @@ import dataclasses
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import grid, near_side_mask
+from helpers import grid, near_side_mask, small_connected_graphs
 from pqw import protocol, verify
 from pqw import statevector as sv
 from pqw.graphs import (
@@ -15,6 +17,7 @@ from pqw.graphs import (
     ghz_state,
     graph_state,
     parse_edge_list,
+    stabilizer_generators,
 )
 from pqw.noise import f_star_dep
 from pqw.protocol import Outcome, corrected_fidelity, run_protocol
@@ -43,8 +46,10 @@ def test_verify_p4_universal():
     assert len(report.records) == 64
     assert report.passed
     assert report.min_fidelity > 1.0 - FIDELITY_TOL
-    assert report.max_probability_deviation <= 1e-12
+    assert report.max_probability_deviation == 0.0
     assert [r.index for r in report.records] == list(range(64))
+    # read off the sign forms, so exact: 4^-|E| and 1, not merely close
+    assert {(r.probability, r.fidelity) for r in report.records} == {(1 / 64, 1.0)}
 
 
 def test_verify_is_deterministic():
@@ -117,6 +122,62 @@ def test_contraction_applies_the_plan(monkeypatch):
     report = verify_all_outcomes(P4, "universal")
     assert report.passed is False
     assert min(r.fidelity for r in report.records) < 1.0 - FIDELITY_TOL
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    graph=small_connected_graphs(max_qubits=12),
+    seed=st.none() | st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_tableau_engine_matches_the_dense_reference(graph, seed):
+    # universal forms when no seed is drawn, else seeded random (x, z)
+    # forms, which miss the target at some outcomes
+    with pytest.MonkeyPatch.context() as mp:
+        if seed is not None:
+            rng = random.Random(seed)
+            k = 2 * graph.n_edges
+            forms = tuple((rng.getrandbits(k), rng.getrandbits(k)) for _ in graph.vertices)
+            mp.setattr(protocol, "correction_forms", lambda graph, kind: forms)
+        report = verify_all_outcomes(graph)
+        assert [r.index for r in report.records] == list(range(graph.outcome_count()))
+        for record in report.records:
+            outcome = Outcome.from_index(graph, record.index)
+            plan = protocol.correction_plan(graph, outcome, "universal")
+            assert record.probability == pytest.approx(
+                run_protocol(graph, outcome)[0], abs=1e-12
+            )
+            assert record.fidelity == pytest.approx(
+                corrected_fidelity(graph, outcome, plan), abs=1e-12
+            )
+    if seed is None:
+        assert report.passed
+
+
+def test_engine_follows_the_tableau_sign_forms(monkeypatch):
+    real = verify.extract_sign_form
+    k_b = stabilizer_generators(P4).generators[P4.vertex_index("B")]
+    s1 = 1 << (2 * P4.n_edges - 1)
+
+    def patched(change):
+        return lambda tableau, target: (
+            change(*real(tableau, target)) if target == k_b else real(tableau, target)
+        )
+
+    # K_B's sign negated: the plan now misses the target at every outcome
+    monkeypatch.setattr(verify, "extract_sign_form", patched(lambda sign, mask: (-sign, mask)))
+    report = verify_all_outcomes(P4)
+    assert not report.passed
+    assert {r.fidelity for r in report.records} == {0.0}
+    # negated and carrying s1 too: exactly the outcomes with s1 = 1 reach |G>
+    monkeypatch.setattr(
+        verify, "extract_sign_form", patched(lambda sign, mask: (-sign, mask ^ s1))
+    )
+    report = verify_all_outcomes(P4)
+    assert [r.fidelity for r in report.records] == [float(i >= 32) for i in range(64)]
+    # K_B absent: the engine cannot answer exactly, so it refuses
+    monkeypatch.setattr(verify, "extract_sign_form", patched(lambda sign, mask: None))
+    with pytest.raises(AssertionError, match="K_B"):
+        verify_all_outcomes(P4)
 
 
 def test_report_pass_logic():
