@@ -63,6 +63,7 @@ from .stabilizer import (
     ZeroProbabilityBranch,
     check_stabilizes,
     conjugate,
+    conjugate_circuit,
     extract_sign,
     measure_z,
     zero_state_tableau,

@@ -228,6 +228,18 @@ def _report_dict(report: VerificationReport) -> dict:
     }
 
 
+def _verify_csv_lines(report: VerificationReport) -> list[str]:
+    """One CSV line per record, each distinct value formatted once.
+
+    Equal floats format alike except 0.0 and -0.0, and verify never
+    reports -0.0: a fidelity is 0.0 or 1.0, a probability 1/count."""
+    records = report.records
+    values = {r.probability for r in records} | {r.fidelity for r in records}
+    text = {x: _fmt(x) for x in values}
+    name = report.graph_name
+    return [f"{name},{i},{text[p]},{text[f]}" for i, p, f in records]
+
+
 def cmd_verify(config: RunConfig) -> int:
     if config.graph == "all":
         names = TABLE_ORDER
@@ -247,15 +259,10 @@ def cmd_verify(config: RunConfig) -> int:
             }
         _emit(_render_json(payload), config.out)
     else:
-        rows = [
-            (rep.graph_name, str(r.index), _fmt(r.probability), _fmt(r.fidelity))
-            for rep in reports
-            for r in rep.records
-        ]
-        _emit(
-            _render_csv(("graph", "outcome_index", "probability", "fidelity"), rows),
-            config.out,
-        )
+        lines = ["graph,outcome_index,probability,fidelity"]
+        for rep in reports:
+            lines += _verify_csv_lines(rep)
+        _emit("\n".join(lines) + "\n", config.out)
     # the first counterexample of each failing report, off the payload
     for rep in reports:
         if rep.passed:

@@ -57,7 +57,7 @@ from typing import TYPE_CHECKING
 
 from .graphs import Graph, ResourceError, stabilizer_generators
 from .protocol import _bit_reversed, _sign_forms, far_side_mask, walk_gates
-from .stabilizer import PauliString, Tableau, conjugate
+from .stabilizer import PauliString, Tableau, conjugate_circuit
 
 if TYPE_CHECKING:
     import numpy as np
@@ -320,12 +320,11 @@ def _heisenberg_generators(graph: Graph, correction_kind: str) -> tuple[PauliStr
         # resource qubit nv + m holds sequence bit m of the outcome
         z_r = _bit_reversed(graph, phi) << nv
         generators.append(PauliString(total, k_v.x_bits, k_v.z_bits | z_r))
-    tableau = Tableau(total, tuple(generators))
     # every walk gate is its own inverse, so W^dagger P W is the walk run
     # backwards in the Schroedinger rule U P U^dagger
-    for gate, targets in reversed(walk_gates(graph)):
-        tableau = conjugate(tableau, gate, targets)
-    return tableau.generators
+    return conjugate_circuit(
+        Tableau(total, tuple(generators)), reversed(walk_gates(graph))
+    ).generators
 
 
 _PAIR = (0.5, 0.5, 0.5, -0.5)  # CZ|++>

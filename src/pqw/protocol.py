@@ -51,7 +51,7 @@ from .graphs import Graph, catalog_lookup, graph_state, stabilizer_generators
 from .stabilizer import (
     PauliString,
     Tableau,
-    conjugate,
+    conjugate_circuit,
     measure_z,
     zero_state_tableau,
 )
@@ -267,11 +267,11 @@ def symbolic_protocol_tableau(graph: Graph) -> Tableau:
     result is i^phase (-1)^{|outcome_mask & s|} at outcome index s.
     """
     nv = graph.n_vertices
-    tableau = zero_state_tableau(nv + 2 * graph.n_edges)
-    for q in range(tableau.n_qubits):  # |+> on every qubit
-        tableau = conjugate(tableau, "H", (q,))
-    for gate, targets in prep_gates(graph) + walk_gates(graph):  # S1-S3
-        tableau = conjugate(tableau, gate, targets)
+    n_qubits = nv + 2 * graph.n_edges
+    plus = tuple(("H", (q,)) for q in range(n_qubits))  # |+> on every qubit
+    tableau = conjugate_circuit(  # S1-S3
+        zero_state_tableau(n_qubits), plus + prep_gates(graph) + walk_gates(graph)
+    )
     for m in range(2 * graph.n_edges):  # S4 measurements
         tableau = measure_z(tableau, nv + m, 0, _outcome_bit(graph, m))
     # eliminate the measured register: clear every Z_r with the installed

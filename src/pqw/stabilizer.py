@@ -141,8 +141,30 @@ def single_z(n_qubits: int, qubit: int) -> PauliString:
 _GATE_ARITY = {"H": 1, "X": 1, "Z": 1, "CZ": 2, "CNOT": 2}
 
 
-def _conj_one(p: PauliString, gate: str, targets) -> PauliString:
-    """Conjugate p by the gate: returns U p U^dagger in normal form.
+def _checked_gates(n_qubits: int, gates) -> list[tuple[str, int, int, int]]:
+    """Validate a gate list and return it as (gate, a, b, support) rows:
+    a and b the targets (b = a for a one-qubit gate), support their mask."""
+    rows = []
+    for gate, targets in gates:
+        targets = tuple(targets)
+        if gate not in _GATE_ARITY:
+            raise ValueError(f"unknown gate {gate!r}")
+        if len(targets) != _GATE_ARITY[gate]:
+            raise ValueError(f"{gate} takes {_GATE_ARITY[gate]} targets, got {targets}")
+        support = 0
+        for q in targets:
+            if not 0 <= q < n_qubits:
+                raise ValueError(f"qubit {q} out of range")
+            support |= 1 << q
+        if len(set(targets)) != len(targets):
+            raise ValueError(f"duplicate targets {targets}")
+        rows.append((gate, targets[0], targets[-1], support))
+    return rows
+
+
+def _conj_bits(x: int, z: int, phase: int, rows) -> tuple[int, int, int]:
+    """Run X^x Z^z i^phase through checked gate rows in order, each step
+    U P U^dagger, on plain ints; the phase comes back unreduced.
 
     Sign bookkeeping, derived once in the X^x Z^z normal form:
       H(q):    swap x_q and z_q; an occupied XZ site reorders, phase += 2.
@@ -150,38 +172,44 @@ def _conj_one(p: PauliString, gate: str, targets) -> PauliString:
       Z(q):    X_q present flips sign.
       CZ(a,b): z_a ^= x_b, z_b ^= x_a; both X's present, phase += 2.
       CNOT(c,t): x_t ^= x_c, z_c ^= z_t; no phase change in this form.
+    A gate with no support under the string commutes with it.
     """
-    x, z, phase = p.x_bits, p.z_bits, p.phase
-    if gate == "H":
-        (q,) = targets
-        bit = 1 << q
-        if x & z & bit:
-            phase += 2
-        xq, zq = x & bit, z & bit
-        x = (x & ~bit) | zq
-        z = (z & ~bit) | xq
-    elif gate == "X":
-        (q,) = targets
-        if z & (1 << q):
-            phase += 2
-    elif gate == "Z":
-        (q,) = targets
-        if x & (1 << q):
-            phase += 2
-    elif gate == "CZ":
-        a, b = targets
-        if (x >> a) & (x >> b) & 1:
-            phase += 2
-        if (x >> b) & 1:
-            z ^= 1 << a
-        if (x >> a) & 1:
-            z ^= 1 << b
-    else:  # CNOT
-        control, target = targets
-        if (x >> control) & 1:
-            x ^= 1 << target
-        if (z >> target) & 1:
-            z ^= 1 << control
+    for gate, a, b, support in rows:
+        if not (x | z) & support:
+            continue
+        if gate == "CZ":
+            xa, xb = (x >> a) & 1, (x >> b) & 1
+            if xa and xb:
+                phase += 2
+            if xb:
+                z ^= 1 << a
+            if xa:
+                z ^= 1 << b
+        elif gate == "H":
+            xq, zq = x & support, z & support
+            if xq and zq:
+                phase += 2
+            x ^= xq ^ zq
+            z ^= xq ^ zq
+        elif gate == "X":
+            if z & support:
+                phase += 2
+        elif gate == "Z":
+            if x & support:
+                phase += 2
+        else:  # CNOT(a, b)
+            if (x >> a) & 1:
+                x ^= 1 << b
+            if (z >> b) & 1:
+                z ^= 1 << a
+    return x, z, phase
+
+
+def _conj_one(p: PauliString, gate: str, targets) -> PauliString:
+    """Conjugate p by the gate: returns U p U^dagger in normal form."""
+    x, z, phase = _conj_bits(
+        p.x_bits, p.z_bits, p.phase, _checked_gates(p.n_qubits, ((gate, targets),))
+    )
     return PauliString(p.n_qubits, x, z, phase % 4, p.outcome_mask)
 
 
@@ -210,29 +238,32 @@ def zero_state_tableau(n_qubits: int) -> Tableau:
     return Tableau(n_qubits, tuple(single_z(n_qubits, q) for q in range(n_qubits)))
 
 
+def conjugate_circuit(tableau: Tableau, gates) -> Tableau:
+    """Conjugate every generator by a gate list, first gate first.
+
+    Every gate is validated before any runs.  Each generator then goes
+    through the whole list on plain ints, and one PauliString is built
+    per generator, so the cost is one pass over the gates per generator
+    rather than one tableau per gate.  A generator that comes out
+    unchanged is kept as it is.
+    """
+    n = tableau.n_qubits
+    rows = _checked_gates(n, gates)
+    generators = []
+    for g in tableau.generators:
+        x, z, phase = _conj_bits(g.x_bits, g.z_bits, g.phase, rows)
+        phase %= 4
+        if x == g.x_bits and z == g.z_bits and phase == g.phase:
+            generators.append(g)
+        else:
+            generators.append(PauliString(n, x, z, phase, g.outcome_mask))
+    return Tableau(n, tuple(generators))
+
+
 def conjugate(tableau: Tableau, gate: str, targets) -> Tableau:
-    """Conjugate every generator by the gate.  A generator with no
-    support on the targets commutes with it and is kept as it is, so a
-    gate costs one rebuild per generator it touches."""
-    targets = tuple(targets)
-    if gate not in _GATE_ARITY:
-        raise ValueError(f"unknown gate {gate!r}")
-    if len(targets) != _GATE_ARITY[gate]:
-        raise ValueError(f"{gate} takes {_GATE_ARITY[gate]} targets, got {targets}")
-    support = 0
-    for q in targets:
-        if not 0 <= q < tableau.n_qubits:
-            raise ValueError(f"qubit {q} out of range")
-        support |= 1 << q
-    if len(set(targets)) != len(targets):
-        raise ValueError(f"duplicate targets {targets}")
-    return Tableau(
-        tableau.n_qubits,
-        tuple(
-            _conj_one(g, gate, targets) if (g.x_bits | g.z_bits) & support else g
-            for g in tableau.generators
-        ),
-    )
+    """Conjugate every generator by one gate; a generator with no support
+    on the targets commutes with it and is kept as it is."""
+    return conjugate_circuit(tableau, ((gate, targets),))
 
 
 def _reduce(generators: tuple[PauliString, ...], target: PauliString) -> PauliString:

@@ -5,7 +5,8 @@ are swept with their closed-form overlays.
 
 Everything here is exact; nothing is sampled.  Reports are plain data
 and render elsewhere; two runs over the same inputs produce equal
-reports.
+reports.  A report is a frozen dataclass and each of its outcome records
+a named tuple.
 
 The outcome sweep reads the symbolic tableau run, not a statevector.
 After S1-S4 the data group holds each K_v with sign
@@ -20,7 +21,8 @@ comparison is dense, and it loads numpy when it runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from itertools import repeat
+from typing import TYPE_CHECKING, NamedTuple
 
 from .graphs import DEFAULT_QUBIT_CEILING, Graph, ResourceError, stabilizer_generators
 from .noise import (
@@ -41,8 +43,10 @@ FIDELITY_TOL = 1e-12
 PROBABILITY_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class OutcomeRecord:
+class OutcomeRecord(NamedTuple):
+    """One outcome of a report; a tuple, so a sweep builds its records in
+    bulk rather than through one __init__ each."""
+
     index: int
     probability: float
     fidelity: float
@@ -112,7 +116,7 @@ def verify_all_outcomes(
         max_fidelity=max(fidelities),
         max_probability_deviation=0.0,
         records=tuple(
-            OutcomeRecord(i, probability, f) for i, f in enumerate(fidelities)
+            map(OutcomeRecord._make, zip(range(count), repeat(probability), fidelities))
         ),
     )
 

@@ -26,7 +26,7 @@ from pqw.protocol import (
     build_layout,
     walk_gates,
 )
-from pqw.stabilizer import Tableau, conjugate, zero_state_tableau
+from pqw.stabilizer import Tableau, conjugate_circuit, zero_state_tableau
 
 GATE_ARITY = {"H": 1, "X": 1, "Z": 1, "CZ": 2, "CNOT": 2}
 
@@ -52,10 +52,7 @@ def run_dense(n_qubits: int, ops) -> sv.StateVector:
 
 
 def run_tableau(n_qubits: int, ops) -> Tableau:
-    tableau = zero_state_tableau(n_qubits)
-    for gate, targets in ops:
-        tableau = conjugate(tableau, gate, targets)
-    return tableau
+    return conjugate_circuit(zero_state_tableau(n_qubits), ops)
 
 
 # Explicit matrix construction, deliberately different from the reshape

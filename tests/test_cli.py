@@ -1,5 +1,6 @@
 """Command-line surface: argument handling, output formats, exit codes."""
 
+import hashlib
 import json
 import math
 import tempfile
@@ -95,6 +96,35 @@ def test_verify_exit_fail_on_doctored_report(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert json.loads(captured.out)["passed"] is False
     assert captured.err == "pqw: P3: outcome 0 has fidelity 0.5\n"
+
+
+def test_verify_csv_formats_each_value_as_fmt_does(monkeypatch, capsys):
+    # each distinct value is formatted once per report; the text must be
+    # what _fmt gives record by record
+    fidelities = (1.0, 0.0, 0.5, 1 / 3)
+    records = tuple(OutcomeRecord(i, 1 / 3, f) for i, f in enumerate(fidelities))
+    doctored = VerificationReport("P3", "universal", 4, 0.0, 1.0, 0.0, records)
+    monkeypatch.setattr(cli, "verify_all_outcomes", lambda *a, **k: doctored)
+    assert main(["verify", "--graph", "P3", "--format", "csv"]) == EXIT_FAIL
+    expected = "graph,outcome_index,probability,fidelity\n" + "".join(
+        f"P3,{r.index},{cli._fmt(r.probability)},{cli._fmt(r.fidelity)}\n"
+        for r in records
+    )
+    assert capsys.readouterr().out == expected
+
+
+C8_CSV_SHA256 = "b4e495ae585d4ac91087a056e2a89e0d53f8cf0b056d2490087411836d524771"
+
+
+def test_verify_8_cycle_csv_golden(tmp_path, capsys):
+    # the largest input verify takes: 8 + 2 * 8 = 24 qubits, 65,536 outcomes
+    cycle = "ABCDEFGH"
+    edges = tmp_path / "c8.txt"
+    edges.write_text("".join(f"{a} {b}\n" for a, b in zip(cycle, cycle[1:] + cycle[0])))
+    assert main(["verify", "--graph", f"@{edges}", "--format", "csv"]) == EXIT_PASS
+    out = capsys.readouterr().out
+    assert out.count("\n") == 1 + 4**8
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == C8_CSV_SHA256
 
 
 def test_verify_failure_names_its_first_counterexample(monkeypatch, tmp_path, capsys):

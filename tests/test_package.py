@@ -37,7 +37,8 @@ EXPORTS = {
     ),
     "stabilizer": (
         "PauliString", "Tableau", "ZeroProbabilityBranch", "check_stabilizes",
-        "conjugate", "extract_sign", "measure_z", "zero_state_tableau",
+        "conjugate", "conjugate_circuit", "extract_sign", "measure_z",
+        "zero_state_tableau",
     ),
     "statevector": (
         "Bipartition", "ResourceError", "StateVector", "ZeroProbabilityError",

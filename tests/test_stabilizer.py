@@ -17,6 +17,7 @@ from pqw.stabilizer import (
     _conj_one,
     check_stabilizes,
     conjugate,
+    conjugate_circuit,
     extract_sign,
     extract_sign_form,
     measure_z,
@@ -209,6 +210,52 @@ def test_conjugate_keeps_untouched_generators():
     assert moved.generators[0] == PauliString(3, 0b001, 0b010)
     with pytest.raises(ValueError, match="takes 2 targets"):
         conjugate(tab, "CZ", (2,))
+
+
+@st.composite
+def tableau_and_circuit(draw):
+    # generators need not commute here: conjugation acts on each one
+    # alone, and the Tableau type only asks for real phases
+    n = draw(st.integers(min_value=1, max_value=5))
+    bits = st.integers(min_value=0, max_value=(1 << n) - 1)
+    generators = tuple(
+        PauliString(n, draw(bits), draw(bits), draw(st.sampled_from((0, 2))), mask)
+        for mask in draw(st.lists(st.integers(0, 255), min_size=1, max_size=6))
+    )
+    gates = []
+    for _ in range(draw(st.integers(min_value=0, max_value=30))):
+        names = ("H", "X", "Z", "CZ", "CNOT") if n > 1 else ("H", "X", "Z")
+        gate = draw(st.sampled_from(names))
+        arity = 2 if gate in ("CZ", "CNOT") else 1
+        targets = draw(st.permutations(range(n)))[:arity]
+        gates.append((gate, tuple(targets)))
+    return Tableau(n, generators), gates
+
+
+@given(tableau_and_circuit())
+@settings(max_examples=200, deadline=None)
+def test_conjugate_circuit_equals_gate_by_gate(case):
+    tableau, gates = case
+    folded = tableau
+    for gate, targets in gates:
+        folded = conjugate(folded, gate, targets)
+    assert conjugate_circuit(tableau, gates) == folded
+
+
+BAD_GATES = [("T", (0,)), ("CZ", (0,)), ("H", (3,)), ("CNOT", (1, 1))]
+
+
+@pytest.mark.parametrize("position", [0, 2, 4])
+@pytest.mark.parametrize("bad", BAD_GATES, ids=["unknown", "arity", "range", "duplicate"])
+def test_conjugate_circuit_rejects_a_bad_gate_anywhere(bad, position):
+    tab = zero_state_tableau(3)
+    with pytest.raises(ValueError) as single:
+        conjugate(tab, *bad)
+    gates = [("H", (0,)), ("CZ", (0, 1)), ("X", (2,)), ("CNOT", (2, 0))]
+    gates.insert(position, bad)
+    with pytest.raises(ValueError) as batched:
+        conjugate_circuit(tab, gates)
+    assert str(batched.value) == str(single.value)
 
 
 # -- tableau construction and membership -------------------------------------

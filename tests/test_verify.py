@@ -189,6 +189,14 @@ def test_report_pass_logic():
     assert not drifted.passed
 
 
+def test_outcome_record_surface():
+    record = OutcomeRecord(3, 0.25, 1.0)
+    assert (record.index, record.probability, record.fidelity) == (3, 0.25, 1.0)
+    with pytest.raises(AttributeError):
+        record.fidelity = 0.0
+    assert verify_all_outcomes(P4).records[5] == OutcomeRecord(5, 1 / 64, 1.0)
+
+
 def test_probability_tolerance_is_relative():
     # at 4,096 outcomes an absolute 1e-13 is a 4e-10 relative error
     wide = VerificationReport("toy", "universal", 4096, 1.0, 1.0, 1e-13, ())
