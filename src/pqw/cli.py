@@ -18,9 +18,8 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import __version__
 from .graphs import (
@@ -69,9 +68,9 @@ class UsageError(ValueError):
     """Inconsistent or malformed command configuration."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """One fully resolved command invocation."""
+class RunConfig(NamedTuple):
+    """One fully resolved command invocation; config_from_args, its only
+    constructor, refuses inconsistent flags."""
 
     command: str
     graph: str | None = None
@@ -91,25 +90,6 @@ class RunConfig:
     k: int | None = None
     fidelity: float | None = None
     unsquared: bool = False
-
-    def __post_init__(self):
-        if self.command == "noise":
-            if self.compare is None and self.channel is None:
-                raise UsageError("noise needs --channel (or --compare)")
-            if self.compare is not None and self.channel is not None:
-                raise UsageError("--compare and --channel are mutually exclusive")
-            if self.p_grid is None:
-                raise UsageError("noise needs --p")
-        if self.command == "counts":
-            file_mode = self.counts_path is not None or self.ideal_path is not None
-            if file_mode and self.fidelity is not None:
-                raise UsageError("--fidelity excludes --counts/--ideal")
-            if file_mode and (self.counts_path is None or self.ideal_path is None):
-                raise UsageError("file mode needs both --counts and --ideal")
-            if not file_mode and self.fidelity is None:
-                raise UsageError("counts needs either --counts/--ideal or --fidelity")
-            if self.k is None:
-                raise UsageError("counts needs --k")
 
 
 def _parse_p_grid(spec: str) -> tuple[float, ...]:
@@ -192,9 +172,17 @@ def _fmt(x: float) -> str:
     return format(x, ".12g")
 
 
+def _csv_field(text: str) -> str:
+    """A field as RFC 4180 writes it: quoted, with its quotes doubled,
+    when it holds a comma, a quote, CR or LF."""
+    if "," in text or '"' in text or "\r" in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def _render_csv(header: tuple[str, ...], rows) -> str:
     lines = [",".join(header)]
-    lines.extend(",".join(row) for row in rows)
+    lines.extend(",".join(map(_csv_field, row)) for row in rows)
     return "\n".join(lines) + "\n"
 
 
@@ -236,7 +224,7 @@ def _verify_csv_lines(report: VerificationReport) -> list[str]:
     records = report.records
     values = {r.probability for r in records} | {r.fidelity for r in records}
     text = {x: _fmt(x) for x in values}
-    name = report.graph_name
+    name = _csv_field(report.graph_name)
     return [f"{name},{i},{text[p]},{text[f]}" for i, p, f in records]
 
 
@@ -468,6 +456,10 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     if args.cmd == "verify":
         return RunConfig(graph=args.graph, correction=args.correction, **common)
     if args.cmd == "noise":
+        if args.compare is None and args.channel is None:
+            raise UsageError("noise needs --channel (or --compare)")
+        if args.compare is not None and args.channel is not None:
+            raise UsageError("--compare and --channel are mutually exclusive")
         return RunConfig(
             graph=args.graph,
             channel=args.channel,
@@ -482,6 +474,14 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         return RunConfig(
             state_a=args.a, state_b=args.b, cuts=tuple(args.cut), **common
         )
+    # counts; argparse already requires --k here, as it requires --p above
+    file_mode = args.counts is not None or args.ideal is not None
+    if file_mode and args.fidelity is not None:
+        raise UsageError("--fidelity excludes --counts/--ideal")
+    if file_mode and (args.counts is None or args.ideal is None):
+        raise UsageError("file mode needs both --counts and --ideal")
+    if not file_mode and args.fidelity is None:
+        raise UsageError("counts needs either --counts/--ideal or --fidelity")
     return RunConfig(
         counts_path=args.counts,
         ideal_path=args.ideal,

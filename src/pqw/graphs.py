@@ -10,11 +10,10 @@ ordering, which is why Graph keeps ordered tuples instead of sets.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from importlib import resources
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
-from .stabilizer import PauliString, Tableau
+from .stabilizer import PauliString, Tableau, _Checked
 
 if TYPE_CHECKING:
     from . import statevector as sv
@@ -33,17 +32,22 @@ class ResourceError(RuntimeError):
 DEFAULT_QUBIT_CEILING = 24
 
 
-@dataclass(frozen=True)
-class Graph:
+class _GraphFields(NamedTuple):
     vertices: tuple[str, ...]
     edges: tuple[tuple[str, str], ...]
 
-    def __post_init__(self):
-        if len(set(self.vertices)) != len(self.vertices):
+
+class Graph(_Checked, _GraphFields):
+    """A connected simple graph with ordered vertices and edges."""
+
+    __slots__ = ()
+
+    def __new__(cls, vertices: tuple[str, ...], edges: tuple[tuple[str, str], ...]):
+        if len(set(vertices)) != len(vertices):
             raise ValueError("duplicate vertex labels")
         seen = set()
-        adjacency = {v: set() for v in self.vertices}
-        for u, v in self.edges:
+        adjacency = {v: set() for v in vertices}
+        for u, v in edges:
             if u == v:
                 raise ValueError(f"self-loop at {u}")
             if u not in adjacency or v not in adjacency:
@@ -56,16 +60,17 @@ class Graph:
             adjacency[v].add(u)
         # connectivity required: the universal correction argument only
         # covers connected graphs
-        if self.vertices:
-            frontier = [self.vertices[0]]
-            reached = {self.vertices[0]}
+        if vertices:
+            frontier = [vertices[0]]
+            reached = {vertices[0]}
             while frontier:
                 for u in adjacency[frontier.pop()]:
                     if u not in reached:
                         reached.add(u)
                         frontier.append(u)
-            if reached != set(self.vertices):
+            if reached != set(vertices):
                 raise ValueError("graph is not connected")
+        return super().__new__(cls, vertices, edges)
 
     @property
     def n_vertices(self) -> int:

@@ -50,14 +50,13 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .graphs import Graph, ResourceError, stabilizer_generators
 from .protocol import _bit_reversed, _sign_forms, far_side_mask, walk_gates
-from .stabilizer import PauliString, Tableau, conjugate_circuit
+from .stabilizer import PauliString, Tableau, _Checked, conjugate_circuit
 
 if TYPE_CHECKING:
     import numpy as np
@@ -75,18 +74,24 @@ METRICS = ("strict", "conditional")
 DEFAULT_VERTEX_BUDGET = 12
 
 
-@dataclass(frozen=True)
-class NoiseChannel:
+class _ChannelFields(NamedTuple):
     kind: str
     p: float
 
-    def __post_init__(self):
-        if self.kind not in CHANNEL_KINDS:
+
+class NoiseChannel(_Checked, _ChannelFields):
+    """A single-qubit channel and its strength."""
+
+    __slots__ = ()
+
+    def __new__(cls, kind: str, p: float):
+        if kind not in CHANNEL_KINDS:
             raise ValueError(
-                f"unknown channel kind {self.kind!r}; expected one of {CHANNEL_KINDS}"
+                f"unknown channel kind {kind!r}; expected one of {CHANNEL_KINDS}"
             )
-        if not 0.0 <= self.p <= 1.0:
-            raise ValueError(f"channel strength must lie in [0, 1], got {self.p}")
+        if not 0.0 <= p <= 1.0:
+            raise ValueError(f"channel strength must lie in [0, 1], got {p}")
+        return super().__new__(cls, kind, p)
 
 
 def parse_channel(name: str, p: float) -> NoiseChannel:
@@ -187,23 +192,33 @@ def bhattacharyya_fidelity(
     return overlap**2 if squared else overlap
 
 
-@dataclass(frozen=True)
-class NoiseReport:
-    """One fidelity curve: the grid, the enumerated values, and the
-    closed-form overlay when one exists for the channel."""
-
+class _ReportFields(NamedTuple):
     p_grid: tuple[float, ...]
     fidelities: tuple[float, ...]
     analytic: tuple[float, ...] | None
     k: int
 
-    def __post_init__(self):
-        if len(self.p_grid) != len(self.fidelities):
+
+class NoiseReport(_Checked, _ReportFields):
+    """One fidelity curve: the grid, the enumerated values, and the
+    closed-form overlay when one exists for the channel."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        p_grid: tuple[float, ...],
+        fidelities: tuple[float, ...],
+        analytic: tuple[float, ...] | None,
+        k: int,
+    ):
+        if len(p_grid) != len(fidelities):
             raise ValueError("p_grid and fidelities must have equal length")
-        if self.analytic is not None and len(self.analytic) != len(self.p_grid):
+        if analytic is not None and len(analytic) != len(p_grid):
             raise ValueError("analytic overlay must match the grid length")
-        if any(f < -1e-12 or f > 1.0 + 1e-12 for f in self.fidelities):
+        if any(f < -1e-12 or f > 1.0 + 1e-12 for f in fidelities):
             raise ValueError("fidelities must lie in [0, 1]")
+        return super().__new__(cls, p_grid, fidelities, analytic, k)
 
 
 # -- exact enumeration -------------------------------------------------------

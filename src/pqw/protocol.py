@@ -43,14 +43,14 @@ run, verify's outcome sweep, the noise sum) never load them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .graphs import Graph, catalog_lookup, graph_state, stabilizer_generators
 from .stabilizer import (
     PauliString,
     Tableau,
+    _Checked,
     conjugate_circuit,
     measure_z,
     zero_state_tableau,
@@ -64,8 +64,7 @@ if TYPE_CHECKING:
 Edge = tuple[str, str]
 
 
-@dataclass(frozen=True)
-class Layout:
+class Layout(NamedTuple):
     """Deterministic qubit assignment: data qubits first in vertex
     order, then one resource pair per edge in edge order."""
 
@@ -86,20 +85,22 @@ def build_layout(graph: Graph) -> Layout:
     return Layout(data, resource, graph.n_vertices + 2 * graph.n_edges)
 
 
-@dataclass(frozen=True)
-class Outcome:
-    """The 2|E| broadcast measurement bits for one protocol run."""
-
+class _OutcomeFields(NamedTuple):
     graph: Graph
     bits: tuple[int, ...]
 
-    def __post_init__(self):
-        if len(self.bits) != 2 * self.graph.n_edges:
-            raise ValueError(
-                f"expected {2 * self.graph.n_edges} bits, got {len(self.bits)}"
-            )
-        if any(b not in (0, 1) for b in self.bits):
+
+class Outcome(_Checked, _OutcomeFields):
+    """The 2|E| broadcast measurement bits for one protocol run."""
+
+    __slots__ = ()
+
+    def __new__(cls, graph: Graph, bits: tuple[int, ...]):
+        if len(bits) != 2 * graph.n_edges:
+            raise ValueError(f"expected {2 * graph.n_edges} bits, got {len(bits)}")
+        if any(b not in (0, 1) for b in bits):
             raise ValueError("outcome bits must be 0 or 1")
+        return super().__new__(cls, graph, bits)
 
     @classmethod
     def from_index(cls, graph: Graph, index: int) -> "Outcome":
@@ -121,19 +122,23 @@ def all_outcomes(graph: Graph):
         yield Outcome.from_index(graph, index)
 
 
-@dataclass(frozen=True)
-class CorrectionPlan:
-    """Per-vertex Pauli exponents (x_v, z_v), vertex order fixed by the
-    graph so plans compare deterministically."""
-
+class _PlanFields(NamedTuple):
     graph: Graph
     exponents: tuple[tuple[str, int, int], ...]
 
-    def __post_init__(self):
-        if tuple(v for v, _, _ in self.exponents) != self.graph.vertices:
+
+class CorrectionPlan(_Checked, _PlanFields):
+    """Per-vertex Pauli exponents (x_v, z_v), vertex order fixed by the
+    graph so plans compare deterministically."""
+
+    __slots__ = ()
+
+    def __new__(cls, graph: Graph, exponents: tuple[tuple[str, int, int], ...]):
+        if tuple(v for v, _, _ in exponents) != graph.vertices:
             raise ValueError("plan must list every vertex once, in graph order")
-        if any(x not in (0, 1) or z not in (0, 1) for _, x, z in self.exponents):
+        if any(x not in (0, 1) or z not in (0, 1) for _, x, z in exponents):
             raise ValueError("exponents must be bits")
+        return super().__new__(cls, graph, exponents)
 
     def as_pauli(self) -> PauliString:
         x_bits = 0

@@ -26,8 +26,7 @@ outcome, and .evaluate(s) gives the run at outcome s.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:
     from .statevector import StateVector
@@ -37,21 +36,63 @@ def _parity(mask: int) -> int:
     return mask.bit_count() & 1
 
 
-@dataclass(frozen=True)
 class PauliString:
-    n_qubits: int
-    x_bits: int
-    z_bits: int
-    phase: int = 0  # exponent of i, mod 4
-    outcome_mask: int = 0  # extra sign (-1)^{|outcome_mask & s|} at outcome s
+    """An immutable Pauli string, equal and hashed by its five fields.
 
-    def __post_init__(self):
-        limit = 1 << self.n_qubits
-        if not (0 <= self.x_bits < limit and 0 <= self.z_bits < limit):
+    A plain slotted class, not a tuple: it has its own product, and a
+    tuple would also lend it +, len and iteration.
+    """
+
+    __slots__ = ("n_qubits", "x_bits", "z_bits", "phase", "outcome_mask")
+
+    def __init__(
+        self,
+        n_qubits: int,
+        x_bits: int,
+        z_bits: int,
+        phase: int = 0,  # exponent of i, mod 4
+        outcome_mask: int = 0,  # extra sign (-1)^{|outcome_mask & s|} at outcome s
+    ):
+        limit = 1 << n_qubits
+        if not (0 <= x_bits < limit and 0 <= z_bits < limit):
             raise ValueError("bit masks exceed the qubit count")
-        if self.outcome_mask < 0:
+        if outcome_mask < 0:
             raise ValueError("outcome mask must be non-negative")
-        object.__setattr__(self, "phase", self.phase % 4)
+        init = object.__setattr__
+        init(self, "n_qubits", n_qubits)
+        init(self, "x_bits", x_bits)
+        init(self, "z_bits", z_bits)
+        init(self, "phase", phase % 4)
+        init(self, "outcome_mask", outcome_mask)
+
+    def _key(self) -> tuple[int, int, int, int, int]:
+        return (self.n_qubits, self.x_bits, self.z_bits, self.phase, self.outcome_mask)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (
+            f"PauliString(n_qubits={self.n_qubits!r}, x_bits={self.x_bits!r}, "
+            f"z_bits={self.z_bits!r}, phase={self.phase!r}, "
+            f"outcome_mask={self.outcome_mask!r})"
+        )
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, since the slots refuse
+        # assignment
+        return PauliString, self._key()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
     @property
     def sign(self) -> int:
@@ -213,19 +254,38 @@ def _conj_one(p: PauliString, gate: str, targets) -> PauliString:
     return PauliString(p.n_qubits, x, z, phase % 4, p.outcome_mask)
 
 
-@dataclass(frozen=True)
-class Tableau:
-    """A stabilizer group given by n_qubits commuting generators."""
+class _Checked:
+    """Base of a named tuple whose checks run in __new__.
 
+    typing.NamedTuple refuses __new__ in its own body, so such a class
+    is a slotted subclass of (_Checked, its fields) that defines __new__.
+    Here _make, and _replace, which builds through it, run __new__ too.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+class _TableauFields(NamedTuple):
     n_qubits: int
     generators: tuple[PauliString, ...]
 
-    def __post_init__(self):
-        for g in self.generators:
-            if g.n_qubits != self.n_qubits:
+
+class Tableau(_Checked, _TableauFields):
+    """A stabilizer group given by n_qubits commuting generators."""
+
+    __slots__ = ()
+
+    def __new__(cls, n_qubits: int, generators: tuple[PauliString, ...]):
+        for g in generators:
+            if g.n_qubits != n_qubits:
                 raise ValueError("generator qubit count mismatch")
             if g.phase % 2:
                 raise ValueError(f"generator {g.label()} has imaginary phase")
+        return super().__new__(cls, n_qubits, generators)
 
     def evaluate(self, outcome_index: int) -> "Tableau":
         """The group at one outcome of the free measurements."""

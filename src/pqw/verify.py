@@ -5,8 +5,8 @@ are swept with their closed-form overlays.
 
 Everything here is exact; nothing is sampled.  Reports are plain data
 and render elsewhere; two runs over the same inputs produce equal
-reports.  A report is a frozen dataclass and each of its outcome records
-a named tuple.
+reports.  A report and each of its outcome records are named tuples,
+whose fields cannot be assigned.
 
 The outcome sweep reads the symbolic tableau run, not a statevector.
 After S1-S4 the data group holds each K_v with sign
@@ -20,7 +20,6 @@ comparison is dense, and it loads numpy when it runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import repeat
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -52,8 +51,7 @@ class OutcomeRecord(NamedTuple):
     fidelity: float
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     graph_name: str
     correction_kind: str
     outcome_count: int
@@ -138,15 +136,13 @@ def phase_lemma_check(graph: Graph) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class CutRecord:
+class CutRecord(NamedTuple):
     cut: sv.Bipartition
     rank_a: int
     rank_b: int
 
 
-@dataclass(frozen=True)
-class LcReport:
+class LcReport(NamedTuple):
     records: tuple[CutRecord, ...]
 
     @property

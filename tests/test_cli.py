@@ -1,6 +1,8 @@
 """Command-line surface: argument handling, output formats, exit codes."""
 
+import csv
 import hashlib
+import io
 import json
 import math
 import tempfile
@@ -348,8 +350,24 @@ def test_p_grid_at_the_point_limit_is_built():
     assert grid[0] == 0.0 and grid[-1] == 1.0
 
 
-def test_noise_requires_channel_or_compare():
-    assert main(["noise", "--p", "0.1"]) == EXIT_USAGE
+def _usage_error(argv, capsys) -> str:
+    """Run argv, which must exit 2 with nothing on stdout; return stderr."""
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return captured.err
+
+
+def test_noise_requires_channel_or_compare(capsys):
+    assert _usage_error(["noise", "--p", "0.1"], capsys) == (
+        "pqw: noise needs --channel (or --compare)\n"
+    )
+    argv = ["noise", "--compare", "fig4", "--channel", "dep", "--p", "0.1"]
+    assert _usage_error(argv, capsys) == (
+        "pqw: --compare and --channel are mutually exclusive\n"
+    )
+    # the parser itself requires --p
+    assert "required: --p" in _usage_error(["noise", "--channel", "dep"], capsys)
 
 
 @settings(max_examples=10, deadline=None)
@@ -417,6 +435,37 @@ def test_lc_same_state_is_not_inequivalent(capsys):
 def test_lc_comma_cut_spelling(capsys):
     code = main(["lc", "--a", "L4", "--b", "GHZ4", "--cut", "A,C|B,D"])
     assert code == EXIT_PASS
+
+
+def _csv_rows(text: str) -> list[list[str]]:
+    return list(csv.reader(io.StringIO(text, newline="")))
+
+
+def test_csv_quotes_a_graph_name_with_a_comma(tmp_path, capsys):
+    path = tmp_path / "a,b.txt"
+    path.write_text("u v\n", encoding="utf-8")
+    assert main(["verify", "--graph", f"@{path}", "--format", "csv"]) == EXIT_PASS
+    header, *rows = _csv_rows(capsys.readouterr().out)
+    assert header == ["graph", "outcome_index", "probability", "fidelity"]
+    assert rows == [["a,b", str(i), "0.25", "1"] for i in range(4)]
+
+
+def test_csv_quotes_a_comma_separated_cut(capsys):
+    argv = ["lc", "--a", "L4", "--b", "GHZ4", "--cut", "A,B|C,D", "--format", "csv"]
+    assert main(argv) == EXIT_PASS
+    assert _csv_rows(capsys.readouterr().out) == [
+        ["cut", "rank_a", "rank_b"],
+        ["A,B|C,D", "2", "2"],
+    ]
+
+
+def test_render_csv_round_trips_every_special_character():
+    header = ("h0", "h1", "h2", "h3", "h4")
+    row = ("plain", "a,b", 'say "hi"', "two\nlines", "carriage\rreturn")
+    text = cli._render_csv(header, [row])
+    assert _csv_rows(text) == [list(header), list(row)]
+    # a field without a special character is written as it is
+    assert text.startswith("h0,h1,h2,h3,h4\nplain,")
 
 
 def test_lc_bad_cut_is_usage_error(capsys):
@@ -517,9 +566,23 @@ def test_counts_fidelity_above_one_is_usage_error(capsys):
     assert captured.out == "" and "at most 1" in captured.err
 
 
-def test_counts_modes_are_exclusive():
-    assert main(["counts", "--fidelity", "0.9", "--counts", "x.json"]) == EXIT_USAGE
-    assert main(["counts", "--k", "6"]) == EXIT_USAGE
+def test_counts_modes_are_exclusive(capsys):
+    # refused before any file is read, so x.json need not exist
+    for argv, message in (
+        (
+            ["counts", "--fidelity", "0.9", "--counts", "x.json", "--k", "6"],
+            "--fidelity excludes --counts/--ideal",
+        ),
+        (
+            ["counts", "--counts", "x.json", "--k", "6"],
+            "file mode needs both --counts and --ideal",
+        ),
+        (["counts", "--k", "6"], "counts needs either --counts/--ideal or --fidelity"),
+    ):
+        assert _usage_error(argv, capsys) == f"pqw: {message}\n"
+    # the parser itself requires --k
+    argv = ["counts", "--fidelity", "0.9", "--counts", "x.json"]
+    assert "required: --k" in _usage_error(argv, capsys)
 
 
 # -- shared plumbing --------------------------------------------------------------

@@ -95,10 +95,11 @@ def test_package_version_matches_pyproject():
     assert pqw.__version__ == match.group(1)
 
 
-# Runs in a fresh interpreter, because this one has loaded numpy already.
-# Each step prints [label, exit code, whether numpy is loaded]; the steps
-# share the interpreter, so every step before the last is numpy-free only
-# if all of them are.
+# Runs in a fresh interpreter, because this one has loaded numpy and
+# dataclasses already.  Each step prints [label, exit code, whether numpy
+# is loaded, whether dataclasses is loaded]; the steps share the
+# interpreter, so every step before the last is free of both only if all
+# of them are.
 GUARD_SCRIPT = r"""
 import contextlib
 import io
@@ -107,7 +108,7 @@ import sys
 
 
 def report(label, code):
-    print(json.dumps([label, code, "numpy" in sys.modules]))
+    print(json.dumps([label, code, "numpy" in sys.modules, "dataclasses" in sys.modules]))
 
 
 def run(argv):
@@ -159,9 +160,11 @@ def test_symbolic_entry_points_do_not_import_numpy():
     )
     steps = [json.loads(line) for line in result.stdout.splitlines()]
     assert len(steps) == 22
-    *numpy_free, dense = steps
-    for label, code, loaded in numpy_free:
+    *symbolic, dense = steps
+    for label, code, numpy_loaded, dataclasses_loaded in symbolic:
         assert code == 0, label
-        assert not loaded, f"numpy loaded by {label}"
-    # the Schmidt-rank comparison does load it, so the check can fail
-    assert dense == ["lc --a L4 --b GHZ4 --cut AB|CD", 0, True]
+        assert not numpy_loaded, f"numpy loaded by {label}"
+        assert not dataclasses_loaded, f"dataclasses loaded by {label}"
+    # the Schmidt-rank comparison loads both, through pqw.statevector, so
+    # the check can fail
+    assert dense == ["lc --a L4 --b GHZ4 --cut AB|CD", 0, True, True]

@@ -1,6 +1,8 @@
 """Symbolic engine: multiplication signs, conjugation rules against a
 dense oracle, group-membership extraction, and forced and free measurements."""
 
+import copy
+import pickle
 import random
 
 import numpy as np
@@ -78,6 +80,21 @@ def test_outcome_mask_rides_along():
 def test_mask_validation():
     with pytest.raises(ValueError, match="exceed"):
         PauliString(1, 2, 0)
+
+
+def test_pauli_string_is_a_value_not_a_tuple():
+    p = PauliString(3, 0b101, 0b011, 7, 0b110)
+    same = PauliString(3, 0b101, 0b011, 3, 0b110)
+    assert p == same and hash(p) == hash(same)
+    assert p != PauliString(3, 0b101, 0b011, 3, 0b010)
+    assert not isinstance(p, tuple)
+    assert p != (3, 0b101, 0b011, 3, 0b110)
+    assert repr(p) == (
+        "PauliString(n_qubits=3, x_bits=5, z_bits=3, phase=3, outcome_mask=6)"
+    )
+    # copies and pickles rebuild through the constructor
+    assert copy.copy(p) == p and copy.deepcopy(p) == p
+    assert pickle.loads(pickle.dumps(p)) == p
 
 
 def test_label():

@@ -1,7 +1,6 @@
 """End-to-end verification drivers: exhaustive outcome sweeps, the sign
 check on the symbolic run, entanglement-rank comparison, and noise sweeps."""
 
-import dataclasses
 import random
 
 import pytest
@@ -9,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import grid, near_side_mask, small_connected_graphs
-from pqw import protocol, verify
+from pqw import cli, protocol, verify
 from pqw import statevector as sv
 from pqw.graphs import (
     TABLE_ORDER,
@@ -19,7 +18,7 @@ from pqw.graphs import (
     parse_edge_list,
     stabilizer_generators,
 )
-from pqw.noise import f_star_dep
+from pqw.noise import NoiseChannel, f_star_dep
 from pqw.protocol import Outcome, corrected_fidelity, run_protocol
 from pqw.verify import (
     FIDELITY_TOL,
@@ -297,7 +296,66 @@ def test_noise_sweep_amplitude_damping_has_no_overlay():
     assert all(x <= y + 1e-12 for x, y in zip(fids, pd))
 
 
-def test_reports_are_frozen():
-    report = verify_all_outcomes(catalog_lookup("P3"), "universal")
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        report.outcome_count = 5
+# one instance of every public value class of the symbolic modules, built
+# when its case runs, and the field each case tries to change
+VALUE_INSTANCES = {
+    "Graph": (lambda: P4, "edges"),
+    "PauliString": (lambda: stabilizer_generators(P4).generators[0], "phase"),
+    "Tableau": (lambda: stabilizer_generators(P4), "generators"),
+    "Layout": (lambda: protocol.build_layout(P4), "total_qubits"),
+    "Outcome": (lambda: Outcome.from_index(P4, 5), "bits"),
+    "CorrectionPlan": (
+        lambda: protocol.correction_plan(P4, Outcome.from_index(P4, 5), "universal"),
+        "exponents",
+    ),
+    "NoiseChannel": (lambda: NoiseChannel("depolarizing", 0.1), "p"),
+    "NoiseReport": (lambda: noise_sweep(P4, "dep", (0.1,)), "fidelities"),
+    "VerificationReport": (
+        lambda: verify_all_outcomes(catalog_lookup("P3"), "universal"),
+        "outcome_count",
+    ),
+    "CutRecord": (
+        lambda: lc_check(ghz_state(4), ghz_state(4), (_cut("ABCD", "AC"),)).records[0],
+        "rank_a",
+    ),
+    "LcReport": (
+        lambda: lc_check(ghz_state(4), ghz_state(4), (_cut("ABCD", "AC"),)),
+        "records",
+    ),
+    "RunConfig": (lambda: cli.RunConfig("verify", graph="P4"), "graph"),
+}
+
+
+@pytest.mark.parametrize("class_name", sorted(VALUE_INSTANCES))
+def test_reports_are_frozen(class_name):
+    make, field = VALUE_INSTANCES[class_name]
+    value = make()
+    assert type(value).__name__ == class_name
+    before = getattr(value, field)
+    with pytest.raises(AttributeError):
+        setattr(value, field, 5)
+    with pytest.raises(AttributeError):
+        delattr(value, field)
+    assert getattr(value, field) == before
+    assert value == make()
+
+
+# _replace builds through _make, so a changed value passes the same checks
+# as a new one
+REPLACE_CASES = {
+    "Graph": ({"edges": P4.edges + (("A", "A"),)}, "self-loop"),
+    "Tableau": ({"n_qubits": 3}, "qubit count mismatch"),
+    "Outcome": ({"bits": (0, 1)}, "expected 6 bits"),
+    "CorrectionPlan": ({"exponents": ()}, "every vertex once"),
+    "NoiseChannel": ({"p": 1.5}, "channel strength"),
+    "NoiseReport": ({"fidelities": ()}, "equal length"),
+}
+
+
+@pytest.mark.parametrize("class_name", sorted(REPLACE_CASES))
+def test_replace_runs_the_constructor_checks(class_name):
+    changes, message = REPLACE_CASES[class_name]
+    value = VALUE_INSTANCES[class_name][0]()
+    with pytest.raises(ValueError, match=message):
+        value._replace(**changes)
+    assert value._replace() == value
