@@ -65,6 +65,7 @@ from .stabilizer import (
     conjugate,
     conjugate_circuit,
     extract_sign,
+    extract_sign_forms,
     measure_z,
     zero_state_tableau,
 )

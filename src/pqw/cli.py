@@ -41,6 +41,8 @@ from .noise import (
 from .protocol import CORRECTION_KINDS
 from .verify import (
     FIDELITY_TOL,
+    OutcomeRecord,
+    OutcomeRecords,
     VerificationReport,
     lc_check,
     noise_sweep,
@@ -216,16 +218,43 @@ def _report_dict(report: VerificationReport) -> dict:
     }
 
 
+class _Formatted(dict):
+    """_fmt of each key, computed once, on its first lookup."""
+
+    def __missing__(self, x: float) -> str:
+        text = self[x] = _fmt(x)
+        return text
+
+
 def _verify_csv_lines(report: VerificationReport) -> list[str]:
     """One CSV line per record, each distinct value formatted once.
 
-    Equal floats format alike except 0.0 and -0.0, and verify never
-    reports -0.0: a fidelity is 0.0 or 1.0, a probability 1/count."""
+    The records are read as index, probability and fidelity columns:
+    an engine report hands them over in bulk, so no record is built,
+    and a tuple of records is transposed.  Equal floats format alike
+    except 0.0 and -0.0, and verify never reports -0.0: a fidelity is
+    0.0 or 1.0, a probability 1/count."""
     records = report.records
-    values = {r.probability for r in records} | {r.fidelity for r in records}
-    text = {x: _fmt(x) for x in values}
+    if isinstance(records, OutcomeRecords):
+        columns = records.columns()
+    else:
+        columns = tuple(zip(*records)) or ((), (), ())
+    indices, probabilities, fidelities = columns
+    text = _Formatted().__getitem__
     name = _csv_field(report.graph_name)
-    return [f"{name},{i},{text[p]},{text[f]}" for i, p, f in records]
+    return [
+        f"{name},{i},{p},{f}"
+        for i, p, f in zip(indices, map(text, probabilities), map(text, fidelities))
+    ]
+
+
+def _first_failure(records) -> OutcomeRecord | None:
+    """The first record that misses the target, if any; an engine report
+    names its index without reading the records before it."""
+    if isinstance(records, OutcomeRecords):
+        index = records.first_failure()
+        return None if index is None else records[index]
+    return next((r for r in records if r.fidelity < 1.0 - FIDELITY_TOL), None)
 
 
 def cmd_verify(config: RunConfig) -> int:
@@ -255,7 +284,7 @@ def cmd_verify(config: RunConfig) -> int:
     for rep in reports:
         if rep.passed:
             continue
-        bad = next((r for r in rep.records if r.fidelity < 1.0 - FIDELITY_TOL), None)
+        bad = _first_failure(rep.records)
         if bad is not None:
             print(
                 f"pqw: {rep.graph_name}: outcome {bad.index} has fidelity "

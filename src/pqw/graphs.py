@@ -10,9 +10,10 @@ ordering, which is why Graph keeps ordered tuples instead of sets.
 from __future__ import annotations
 
 import json
-from importlib import resources
+import os
 from typing import TYPE_CHECKING, NamedTuple
 
+from . import data
 from .stabilizer import PauliString, Tableau, _Checked
 
 if TYPE_CHECKING:
@@ -106,8 +107,11 @@ class Graph(_Checked, _GraphFields):
 
 
 def _load_catalog() -> dict:
-    text = resources.files("pqw.data").joinpath("catalog.json").read_text()
-    return json.loads(text)
+    # read from the package directory: importlib.resources would load
+    # inspect, zipfile and tempfile on Python 3.12 and later
+    (directory,) = data.__path__
+    with open(os.path.join(directory, "catalog.json"), encoding="utf-8") as file:
+        return json.load(file)
 
 
 _CATALOG = _load_catalog()

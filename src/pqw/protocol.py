@@ -51,9 +51,9 @@ from .stabilizer import (
     PauliString,
     Tableau,
     _Checked,
-    conjugate_circuit,
-    measure_z,
-    zero_state_tableau,
+    _checked_gates,
+    _conj_bits,
+    _measure_rows,
 )
 
 if TYPE_CHECKING:
@@ -269,42 +269,39 @@ def symbolic_protocol_tableau(graph: Graph) -> Tableau:
 
     Every resource measurement is random, so each is left free: the
     generator it installs carries its outcome bit, and every sign of the
-    result is i^phase (-1)^{|outcome_mask & s|} at outcome index s.
+    result is i^phase (-1)^{|outcome_mask & s|} at outcome index s.  The
+    whole run works on [x, z, phase, mask] rows and builds one Tableau,
+    of the data generators, at the end.
     """
     nv = graph.n_vertices
     n_qubits = nv + 2 * graph.n_edges
-    plus = tuple(("H", (q,)) for q in range(n_qubits))  # |+> on every qubit
-    tableau = conjugate_circuit(  # S1-S3
-        zero_state_tableau(n_qubits), plus + prep_gates(graph) + walk_gates(graph)
-    )
-    for m in range(2 * graph.n_edges):  # S4 measurements
-        tableau = measure_z(tableau, nv + m, 0, _outcome_bit(graph, m))
-    # eliminate the measured register: clear every Z_r with the installed
-    # (-1)^{s_r} Z_r generator, then keep the data-only generators
-    gens = list(tableau.generators)
-    for m in range(2 * graph.n_edges):
-        q = nv + m
-        installed = PauliString(tableau.n_qubits, 0, 1 << q, 0, _outcome_bit(graph, m))
-        for i, g in enumerate(gens):
-            if g.same_paulis(installed):
-                continue
-            if (g.z_bits >> q) & 1:
-                gens[i] = g * installed
+    gates = _checked_gates(n_qubits, prep_gates(graph) + walk_gates(graph))
+    # |+> on every qubit is stabilized by every X_q; then S1-S3
+    rows = [[*_conj_bits(1 << q, 0, 0, gates), 0] for q in range(n_qubits)]
+    masks = [_outcome_bit(graph, m) for m in range(2 * graph.n_edges)]
+    for m, mask in enumerate(masks):  # S4 measurements
+        _measure_rows(rows, nv + m, 0, mask)
+    # eliminate the measured register: clear every Z_r, except in the
+    # installed (-1)^{s_r} Z_r generator itself, by multiplying with that
+    # generator, then keep the data-only generators
+    for m, mask in enumerate(masks):
+        bit = 1 << (nv + m)
+        for row in rows:
+            if row[1] & bit and (row[0] or row[1] != bit):
+                row[1] ^= bit
+                row[3] ^= mask
     data_mask = (1 << nv) - 1
     data_gens = []
-    for g in gens:
-        if g.x_bits == 0 and g.z_bits == 0:
+    for x, z, phase, mask in rows:
+        if not (x or z):
             continue
-        if (g.x_bits | g.z_bits) >> nv:
+        if (x | z) >> nv:
             # purely-resource generator (one per measured qubit)
-            if g.x_bits == 0 and (g.z_bits & data_mask) == 0:
+            if x == 0 and (z & data_mask) == 0:
                 continue
-            raise AssertionError(f"unexpected mixed generator {g.label()}")
-        data_gens.append(
-            PauliString(
-                nv, g.x_bits & data_mask, g.z_bits & data_mask, g.phase, g.outcome_mask
-            )
-        )
+            mixed = PauliString(n_qubits, x, z, phase, mask)
+            raise AssertionError(f"unexpected mixed generator {mixed.label()}")
+        data_gens.append(PauliString(nv, x, z, phase, mask))
     if len(data_gens) != nv:
         raise AssertionError(
             f"expected {nv} data generators, got {len(data_gens)}"

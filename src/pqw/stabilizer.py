@@ -246,6 +246,21 @@ def _conj_bits(x: int, z: int, phase: int, rows) -> tuple[int, int, int]:
     return x, z, phase
 
 
+def _rows(tableau: Tableau) -> list[list[int]]:
+    """The generators as mutable [x, z, phase, mask] rows."""
+    return [[g.x_bits, g.z_bits, g.phase, g.outcome_mask] for g in tableau.generators]
+
+
+def _times(row: list[int], other) -> None:
+    """row <- row * other on [x, z, phase, mask] rows, in place; the
+    phase is left unreduced, as PauliString reduces it when built."""
+    x, z, phase, mask = row
+    ox, oz, ophase, omask = other
+    # moving other's X block left past row's Z block anticommutes once
+    # per overlapping site
+    row[:] = x ^ ox, z ^ oz, phase + ophase + 2 * (z & ox).bit_count(), mask ^ omask
+
+
 def _conj_one(p: PauliString, gate: str, targets) -> PauliString:
     """Conjugate p by the gate: returns U p U^dagger in normal form."""
     x, z, phase = _conj_bits(
@@ -326,61 +341,62 @@ def conjugate(tableau: Tableau, gate: str, targets) -> Tableau:
     return conjugate_circuit(tableau, ((gate, targets),))
 
 
-def _reduce(generators: tuple[PauliString, ...], target: PauliString) -> PauliString:
-    """Divide target by the group via Gauss-Jordan over GF(2).
+def _reduce(tableau: Tableau) -> list[tuple[int, int, list[int]]]:
+    """Bring the generators to reduced form by Gauss-Jordan over GF(2).
 
-    Brings the generator rows to reduced form (each pivot bit present in
-    exactly one row), then clears every pivot bit of the target.  The
-    returned residual is the identity iff +-target or +-i*target lies in
-    the group.  Generators commute pairwise, so no multiplication order
-    can change a sign.  Pivots are chosen from x and z bits only, so the
-    residual's outcome mask is the same sum at every outcome.
+    Rows are [x, z, phase, mask] lists.  Returns (block, bit, row)
+    triples, block 0 for x and 1 for z, in pivot order, each pivot bit
+    present in its own row alone.  Generators commute pairwise, so no
+    multiplication order can change a sign.  Pivots are chosen from x
+    and z bits only, so every outcome shares one reduction.
     """
-    rows = list(generators)
-    used_rows: set[int] = set()
-    pivots: list[tuple[int, int, int]] = []  # (which, bit, row)
-    for which in (0, 1):  # x block first, then z block
-        for bit in range(target.n_qubits):
-            pick = None
-            for i, row in enumerate(rows):
-                if i in used_rows:
-                    continue
-                mask = row.x_bits if which == 0 else row.z_bits
-                if (mask >> bit) & 1:
-                    pick = i
-                    break
+    rows = _rows(tableau)
+    unused = rows[:]
+    pivots = []
+    for block in (0, 1):  # x block first, then z block
+        for q in range(tableau.n_qubits):
+            bit = 1 << q
+            pick = next((i for i, row in enumerate(unused) if row[block] & bit), None)
             if pick is None:
                 continue
-            used_rows.add(pick)
-            pivot_row = rows[pick]
-            for i, row in enumerate(rows):
-                if i == pick:
-                    continue
-                mask = row.x_bits if which == 0 else row.z_bits
-                if (mask >> bit) & 1:
-                    rows[i] = row * pivot_row
-            pivots.append((which, bit, pick))
-    residual = target
-    for which, bit, i in pivots:
-        mask = residual.x_bits if which == 0 else residual.z_bits
-        if (mask >> bit) & 1:
-            residual = residual * rows[i]
-    return residual
+            pivot = unused.pop(pick)
+            for row in rows:
+                if row is not pivot and row[block] & bit:
+                    _times(row, pivot)
+            pivots.append((block, bit, pivot))
+    return pivots
+
+
+def extract_sign_forms(tableau: Tableau, targets) -> list:
+    """extract_sign_form of each target, from one reduction of the
+    generators: each target's pivot bits are cleared against the shared
+    rows, so k targets cost one elimination and k clearings."""
+    targets = tuple(targets)
+    if any(t.n_qubits != tableau.n_qubits for t in targets):
+        raise ValueError("qubit counts differ")
+    pivots = _reduce(tableau)
+    forms = []
+    for t in targets:
+        # clear every pivot bit of the target: the residual is the
+        # identity iff +-target or +-i*target lies in the group
+        residual = [t.x_bits, t.z_bits, t.phase, t.outcome_mask]
+        for block, bit, row in pivots:
+            if residual[block] & bit:
+                _times(residual, row)
+        x, z, phase, mask = residual
+        if x or z or phase % 2:
+            forms.append(None)  # absent, or only i * target is present
+        else:
+            # the residual's phase is the group element's times target's,
+            # so target's sign is the residual's inverse
+            forms.append((1 if phase % 4 == 0 else -1, mask))
+    return forms
 
 
 def extract_sign_form(tableau: Tableau, target: PauliString):
     """Return (sign, mask) if sign (-1)^{|mask & s|} target lies in the
     generated group at every outcome s, else None ("absent")."""
-    if target.n_qubits != tableau.n_qubits:
-        raise ValueError("qubit counts differ")
-    residual = _reduce(tableau.generators, target)
-    if not residual.is_identity():
-        return None
-    # residual = target * (product of generators); the product carries the
-    # group element's phase, so target's sign is the residual's inverse.
-    if residual.phase % 2:
-        return None
-    return (1 if residual.phase == 0 else -1), residual.outcome_mask
+    return extract_sign_forms(tableau, (target,))[0]
 
 
 def extract_sign(tableau: Tableau, target: PauliString):
@@ -399,6 +415,33 @@ class ZeroProbabilityBranch(ValueError):
     """Forced measurement outcome conflicts with a determined stabilizer."""
 
 
+def _measure_rows(
+    rows: list[list[int]], qubit: int, forced_outcome: int, outcome_mask: int
+) -> bool:
+    """The measurement rule of measure_z on [x, z, phase, mask] rows, in
+    place: the first row that anticommutes with Z_qubit is replaced by
+    (-1)^{forced_outcome + |outcome_mask & s|} Z_qubit and every other
+    anticommuting row is multiplied by it.
+
+    Returns False, with the rows untouched, when the measurement is
+    determined; a determined measurement cannot be free, so that case
+    raises when outcome_mask is nonzero.
+    """
+    bit = 1 << qubit
+    anti = [row for row in rows if row[0] & bit]
+    if not anti:
+        if outcome_mask:
+            raise ZeroProbabilityBranch(
+                f"qubit {qubit} is determined, so its outcome cannot be free"
+            )
+        return False
+    pivot = anti[0]
+    for row in anti[1:]:
+        _times(row, pivot)
+    pivot[:] = 0, bit, 2 * forced_outcome, outcome_mask
+    return True
+
+
 def measure_z(
     tableau: Tableau, qubit: int, forced_outcome: int, outcome_mask: int = 0
 ) -> Tableau:
@@ -413,39 +456,24 @@ def measure_z(
     (-1)^{forced_outcome + |outcome_mask & s|} at outcome index s.  Only a
     random measurement can be free, so a determined one is rejected.
     """
-    if not 0 <= qubit < tableau.n_qubits:
+    n = tableau.n_qubits
+    if not 0 <= qubit < n:
         raise ValueError(f"qubit {qubit} out of range")
     if forced_outcome not in (0, 1):
         raise ValueError(f"outcome must be 0 or 1, got {forced_outcome}")
-    anti = [i for i, g in enumerate(tableau.generators) if (g.x_bits >> qubit) & 1]
-    if not anti:
-        # deterministic: +-Z_qubit is in the group
-        if outcome_mask:
-            raise ZeroProbabilityBranch(
-                f"qubit {qubit} is determined, so its outcome cannot be free"
-            )
-        have = extract_sign(tableau, single_z(tableau.n_qubits, qubit))
-        if have is None:
-            raise AssertionError("full-rank tableau must determine Z here")
-        want = 1 if forced_outcome == 0 else -1
-        if have != want:
-            raise ZeroProbabilityBranch(
-                f"outcome {forced_outcome} on qubit {qubit} has probability 0"
-            )
-        return tableau
-    pivot = tableau.generators[anti[0]]
-    replacement = PauliString(
-        tableau.n_qubits, 0, 1 << qubit, 2 * forced_outcome, outcome_mask
-    )
-    new_gens = []
-    for i, g in enumerate(tableau.generators):
-        if i == anti[0]:
-            new_gens.append(replacement)
-        elif i in anti:
-            new_gens.append(g * pivot)
-        else:
-            new_gens.append(g)
-    return Tableau(tableau.n_qubits, tuple(new_gens))
+    rows = _rows(tableau)
+    if _measure_rows(rows, qubit, forced_outcome, outcome_mask):
+        return Tableau(n, tuple(PauliString(n, *row) for row in rows))
+    # deterministic: +-Z_qubit is in the group
+    have = extract_sign(tableau, single_z(n, qubit))
+    if have is None:
+        raise AssertionError("full-rank tableau must determine Z here")
+    want = 1 if forced_outcome == 0 else -1
+    if have != want:
+        raise ZeroProbabilityBranch(
+            f"outcome {forced_outcome} on qubit {qubit} has probability 0"
+        )
+    return tableau
 
 
 def check_stabilizes(state: StateVector, tableau: Tableau, tol: float = 1e-10) -> bool:

@@ -5,8 +5,8 @@ are swept with their closed-form overlays.
 
 Everything here is exact; nothing is sampled.  Reports are plain data
 and render elsewhere; two runs over the same inputs produce equal
-reports.  A report and each of its outcome records are named tuples,
-whose fields cannot be assigned.
+reports.  A report and each outcome record are named tuples, whose
+fields cannot be assigned.
 
 The outcome sweep reads the symbolic tableau run, not a statevector.
 After S1-S4 the data group holds each K_v with sign
@@ -14,8 +14,12 @@ sign_v (-1)^{|sigma_v & s|} at outcome s, and the plan flips that sign by
 (-1)^{|phi_v & s|}, phi_v its sign form.  Every corrected state is
 therefore a Pauli times |G>: it has fidelity exactly 1 when every
 product is +1 and exactly 0 otherwise, and every outcome has probability
-exactly 4^-|E|, as no measurement is determined.  Only the rank
-comparison is dense, and it loads numpy when it runs.
+exactly 4^-|E|, as no measurement is determined.  So a report keeps the
+GF(2) conditions (sigma_v ^ phi_v) . s = [sign_v = -1] that do not hold
+at every outcome, and nothing per outcome: its minimum and maximum come
+from one elimination of those conditions, and its records are a
+read-only sequence that builds an OutcomeRecord only when one is read.
+Only the rank comparison is dense, and it loads numpy when it runs.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from .noise import (
     noisy_protocol_fidelity,
 )
 from .protocol import _sign_forms, far_side_mask, symbolic_protocol_tableau
-from .stabilizer import extract_sign_form
+from .stabilizer import extract_sign_forms
 
 if TYPE_CHECKING:
     from . import statevector as sv
@@ -43,12 +47,129 @@ PROBABILITY_TOL = 1e-12
 
 
 class OutcomeRecord(NamedTuple):
-    """One outcome of a report; a tuple, so a sweep builds its records in
-    bulk rather than through one __init__ each."""
+    """One outcome of a report."""
 
     index: int
     probability: float
     fidelity: float
+
+
+_FIDELITY = (0.0, 1.0)  # by whether an outcome meets every condition
+_FLIP = bytes.maketrans(b"\0\1", b"\1\0")
+
+
+class OutcomeRecords:
+    """The records of an outcome sweep, read from its sign conditions.
+
+    Outcome s reaches |G> exactly when |mask & s| has parity odd for
+    every (mask, odd) condition, and every outcome has probability
+    1/outcome_count.  An OutcomeRecord is built only when one is read;
+    equality and hash are those of the tuple of all records.
+    """
+
+    __slots__ = ("outcome_count", "conditions")
+
+    def __init__(self, outcome_count: int, conditions: tuple[tuple[int, bool], ...]):
+        init = object.__setattr__
+        init(self, "outcome_count", outcome_count)
+        init(self, "conditions", conditions)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _key(self) -> tuple[int, tuple[tuple[int, bool], ...]]:
+        return self.outcome_count, self.conditions
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, since the slots refuse
+        # assignment
+        return OutcomeRecords, self._key()
+
+    def __repr__(self) -> str:
+        return (
+            f"OutcomeRecords(outcome_count={self.outcome_count!r}, "
+            f"conditions={self.conditions!r})"
+        )
+
+    def __len__(self) -> int:
+        return self.outcome_count
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self[i] for i in range(self.outcome_count)[index])
+        count = self.outcome_count
+        s = index + count if index < 0 else index
+        if not 0 <= s < count:
+            raise IndexError("record index out of range")
+        met = all(((mask & s).bit_count() & 1) == odd for mask, odd in self.conditions)
+        return OutcomeRecord(s, 1.0 / count, _FIDELITY[met])
+
+    def __iter__(self):
+        return map(OutcomeRecord._make, zip(*self.columns()))
+
+    def __eq__(self, other):
+        # equal conditions give equal records; unequal ones still may
+        if isinstance(other, OutcomeRecords) and self._key() == other._key():
+            return True
+        if isinstance(other, (OutcomeRecords, tuple)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def columns(self):
+        """The index, probability and fidelity columns, as iterators
+        that build no object per outcome."""
+        count = self.outcome_count
+        if not self.conditions:
+            fidelities = repeat(1.0, count)
+        else:
+            fidelities = map(_FIDELITY.__getitem__, self._met())
+        return range(count), repeat(1.0 / count, count), fidelities
+
+    def _met(self) -> bytes:
+        """Byte s is 1 when outcome s meets every condition: each
+        condition's column doubles once per outcome bit, its upper half
+        flipped where the mask has that bit, and the columns are ANDed
+        as integers."""
+        count = self.outcome_count
+        met = int.from_bytes(b"\1" * count, "little")
+        for mask, odd in self.conditions:
+            column = b"\0" if odd else b"\1"  # outcome 0 has parity 0
+            while len(column) < count:
+                column += column.translate(_FLIP) if mask & len(column) else column
+            met &= int.from_bytes(column, "little")
+        return met.to_bytes(count, "little")
+
+    def first_failure(self) -> int | None:
+        """The lowest index that misses |G>, or None: outcome 0 fails any
+        odd condition, and else the lowest set bit of a mask is the first
+        index whose parity flips."""
+        if not self.conditions:
+            return None
+        return min(0 if odd else mask & -mask for mask, odd in self.conditions)
+
+
+def _solvable(conditions) -> bool:
+    """Whether some outcome meets every (mask, odd) condition: GF(2)
+    elimination of the rows mask . s = odd, each kept as mask << 1 | odd,
+    fails exactly when a row reduces to 0 = 1."""
+    pivots: dict[int, int] = {}  # leading bit -> row
+    for mask, odd in conditions:
+        row = mask << 1 | odd
+        while row > 1:
+            lead = row.bit_length() - 1
+            if lead not in pivots:
+                pivots[lead] = row
+                break
+            row ^= pivots[lead]
+        if row == 1:
+            return False
+    return True
 
 
 class VerificationReport(NamedTuple):
@@ -58,7 +179,7 @@ class VerificationReport(NamedTuple):
     min_fidelity: float
     max_fidelity: float
     max_probability_deviation: float
-    records: tuple[OutcomeRecord, ...]
+    records: OutcomeRecords | tuple[OutcomeRecord, ...]
 
     @property
     def passed(self) -> bool:
@@ -85,37 +206,30 @@ def verify_all_outcomes(
             f"{n_qubits} qubits exceeds the ceiling of {DEFAULT_QUBIT_CEILING}"
         )
     phis = _sign_forms(graph, correction_kind)
-    tableau = symbolic_protocol_tableau(graph)
+    forms = extract_sign_forms(
+        symbolic_protocol_tableau(graph), stabilizer_generators(graph).generators
+    )
     # outcome s reaches |G> exactly when sign_v (-1)^{|(sigma_v ^ phi_v) & s|}
     # is +1 at every v; a vertex with sign_v = +1 and sigma_v = phi_v holds
     # at every s, so only the others are kept, as (mask, parity needed)
     conditions = []
-    for v, k_v, phi in zip(graph.vertices, stabilizer_generators(graph).generators, phis):
-        form = extract_sign_form(tableau, k_v)
+    for v, form, phi in zip(graph.vertices, forms, phis):
         if form is None:
             raise AssertionError(f"K_{v} is missing from the data group")
         sign, sigma = form
         if sign == -1 or sigma != phi:
             conditions.append((sigma ^ phi, sign == -1))
     count = graph.outcome_count()
-    if conditions:
-        fidelities = [
-            float(all(((mask & s).bit_count() & 1) == odd for mask, odd in conditions))
-            for s in range(count)
-        ]
-    else:
-        fidelities = [1.0] * count
-    probability = 1.0 / count
     return VerificationReport(
         graph_name=name,
         correction_kind=correction_kind,
         outcome_count=count,
-        min_fidelity=min(fidelities),
-        max_fidelity=max(fidelities),
+        # any remaining condition fails some outcome, and some outcome
+        # passes exactly when the conditions can all hold
+        min_fidelity=0.0 if conditions else 1.0,
+        max_fidelity=1.0 if _solvable(conditions) else 0.0,
         max_probability_deviation=0.0,
-        records=tuple(
-            map(OutcomeRecord._make, zip(range(count), repeat(probability), fidelities))
-        ),
+        records=OutcomeRecords(count, tuple(conditions)),
     )
 
 
@@ -128,11 +242,11 @@ def phase_lemma_check(graph: Graph) -> bool:
     bits, so comparing K_v's form with g_v's far-side mask checks all
     4^|E| outcomes at once, at every graph size.
     """
-    tableau = symbolic_protocol_tableau(graph)
-    generators = stabilizer_generators(graph).generators
+    forms = extract_sign_forms(
+        symbolic_protocol_tableau(graph), stabilizer_generators(graph).generators
+    )
     return all(
-        extract_sign_form(tableau, k_v) == (1, far_side_mask(graph, v))
-        for v, k_v in zip(graph.vertices, generators)
+        form == (1, far_side_mask(graph, v)) for v, form in zip(graph.vertices, forms)
     )
 
 

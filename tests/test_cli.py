@@ -13,7 +13,7 @@ from hypothesis import given, settings
 
 import pqw
 from helpers import branch_fidelity, small_connected_graphs
-from pqw import cli, protocol
+from pqw import cli, protocol, verify
 from pqw.cli import EXIT_BUDGET, EXIT_FAIL, EXIT_PASS, EXIT_USAGE, main
 from pqw.graphs import parse_edge_list
 from pqw.noise import NoiseChannel, kraus_ops
@@ -87,6 +87,29 @@ def test_cli_output_matches_benchmark_reference(reference, argv, capsys):
     assert main(argv) == EXIT_PASS
     expected = (REFERENCE_DIR / reference).read_bytes().decode("utf-8")
     assert capsys.readouterr().out == expected
+
+
+class _RefusedRecord(OutcomeRecord):
+    """An OutcomeRecord that cannot be built, by either constructor."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        raise AssertionError("an OutcomeRecord was built")
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+def test_verify_csv_builds_no_outcome_record(monkeypatch, capsys):
+    # the catalog's 14,112 lines come from the records' columns alone
+    monkeypatch.setattr(verify, "OutcomeRecord", _RefusedRecord)
+    assert main(["verify", "--graph", "all", "--format", "csv"]) == EXIT_PASS
+    expected = (REFERENCE_DIR / "verify-catalog.out").read_bytes().decode("utf-8")
+    assert capsys.readouterr().out == expected
+    with pytest.raises(AssertionError, match="was built"):
+        verify.verify_all_outcomes(pqw.catalog_lookup("P3")).records[0]
 
 
 def test_verify_exit_fail_on_doctored_report(monkeypatch, capsys):

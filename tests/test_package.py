@@ -37,8 +37,8 @@ EXPORTS = {
     ),
     "stabilizer": (
         "PauliString", "Tableau", "ZeroProbabilityBranch", "check_stabilizes",
-        "conjugate", "conjugate_circuit", "extract_sign", "measure_z",
-        "zero_state_tableau",
+        "conjugate", "conjugate_circuit", "extract_sign", "extract_sign_forms",
+        "measure_z", "zero_state_tableau",
     ),
     "statevector": (
         "Bipartition", "ResourceError", "StateVector", "ZeroProbabilityError",
@@ -145,20 +145,25 @@ run(["lc", "--a", "L4", "--b", "GHZ4", "--cut", "AB|CD"])
 """
 
 
-def test_symbolic_entry_points_do_not_import_numpy():
+def _run_fresh(script: str) -> str:
+    """stdout of script in a fresh interpreter that imports pqw from src."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, (str(ROOT / "src"), env.get("PYTHONPATH")))
     )
     result = subprocess.run(
-        [sys.executable, "-c", GUARD_SCRIPT],
+        [sys.executable, "-c", script],
         capture_output=True,
         text=True,
         env=env,
         timeout=120,
         check=True,
     )
-    steps = [json.loads(line) for line in result.stdout.splitlines()]
+    return result.stdout
+
+
+def test_symbolic_entry_points_do_not_import_numpy():
+    steps = [json.loads(line) for line in _run_fresh(GUARD_SCRIPT).splitlines()]
     assert len(steps) == 22
     *symbolic, dense = steps
     for label, code, numpy_loaded, dataclasses_loaded in symbolic:
@@ -168,3 +173,17 @@ def test_symbolic_entry_points_do_not_import_numpy():
     # the Schmidt-rank comparison loads both, through pqw.statevector, so
     # the check can fail
     assert dense == ["lc --a L4 --b GHZ4 --cut AB|CD", 0, True, True]
+
+
+# Prints every module loaded once the import line has run.
+MODULES_SCRIPT = "import sys\n{}\nprint(*sys.modules, sep='\\n')"
+
+
+def test_cli_import_loads_no_resource_machinery():
+    # importlib.resources brings inspect, zipfile and tempfile along on
+    # Python 3.12 and later; a site hook may load it at start-up, so only
+    # what the import adds to a bare interpreter counts
+    bare = set(_run_fresh(MODULES_SCRIPT.format("pass")).split())
+    added = set(_run_fresh(MODULES_SCRIPT.format("import pqw.cli")).split()) - bare
+    assert "pqw.cli" in added
+    assert not added & {"importlib.resources", "inspect", "zipfile", "tempfile"}

@@ -35,7 +35,7 @@ from pqw.protocol import (
     tree_correction,
     universal_correction,
 )
-from pqw.stabilizer import check_stabilizes, extract_sign
+from pqw.stabilizer import ZeroProbabilityBranch, check_stabilizes, extract_sign
 from pqw.verify import phase_lemma_check
 
 P4 = catalog_lookup("P4")
@@ -195,6 +195,38 @@ def test_symbolic_run_matches_dense_on_random_graphs(graph, data):
     outcome = Outcome.from_index(graph, index)
     _, state = run_protocol(graph, outcome)
     assert check_stabilizes(state, run_protocol_tableau(graph, outcome))
+
+
+def test_symbolic_run_keeps_its_checks(monkeypatch):
+    # the run works on plain rows; each refusal must still fire
+    run = protocol.symbolic_protocol_tableau.__wrapped__  # past the cache
+    P3 = catalog_lookup("P3")
+    real_measure = protocol._measure_rows
+    with monkeypatch.context() as mp:
+        # H on the first resource qubit leaves it in |0>, so its outcome is
+        # determined and cannot be free
+        mp.setattr(protocol, "prep_gates", lambda graph: ())
+        mp.setattr(protocol, "walk_gates", lambda graph: (("H", (graph.n_vertices,)),))
+        with pytest.raises(ZeroProbabilityBranch, match="qubit 3 is determined"):
+            run(P3)
+    with monkeypatch.context() as mp:
+        # unmeasured resource qubits stay entangled with the data
+        mp.setattr(protocol, "_measure_rows", lambda rows, *args: True)
+        with pytest.raises(AssertionError, match="unexpected mixed generator"):
+            run(P3)
+
+    def dropping(rows, qubit, *args):
+        # after the last measurement, one generator on the data is lost
+        real_measure(rows, qubit, *args)
+        if qubit == 6:
+            next(row for row in rows if (row[0] | row[1]) & 0b111)[:] = 0, 0, 0, 0
+        return True
+
+    with monkeypatch.context() as mp:
+        mp.setattr(protocol, "_measure_rows", dropping)
+        with pytest.raises(AssertionError, match="expected 3 data generators, got 2"):
+            run(P3)
+    assert run(P3) == protocol.symbolic_protocol_tableau(P3)
 
 
 # -- byproduct primitive ------------------------------------------------------

@@ -1,6 +1,10 @@
 """End-to-end verification drivers: exhaustive outcome sweeps, the sign
 check on the symbolic run, entanglement-rank comparison, and noise sweeps."""
 
+import contextlib
+import copy
+import io
+import pickle
 import random
 
 import pytest
@@ -13,17 +17,25 @@ from pqw import statevector as sv
 from pqw.graphs import (
     TABLE_ORDER,
     catalog_lookup,
+    catalog_names,
     ghz_state,
     graph_state,
     parse_edge_list,
     stabilizer_generators,
 )
 from pqw.noise import NoiseChannel, f_star_dep
-from pqw.protocol import Outcome, corrected_fidelity, run_protocol
+from pqw.protocol import (
+    Outcome,
+    corrected_fidelity,
+    run_protocol,
+    symbolic_protocol_tableau,
+)
+from pqw.stabilizer import PauliString, Tableau, extract_sign_form, extract_sign_forms
 from pqw.verify import (
     FIDELITY_TOL,
     LcReport,
     OutcomeRecord,
+    OutcomeRecords,
     VerificationReport,
     lc_check,
     noise_sweep,
@@ -153,30 +165,129 @@ def test_tableau_engine_matches_the_dense_reference(graph, seed):
 
 
 def test_engine_follows_the_tableau_sign_forms(monkeypatch):
-    real = verify.extract_sign_form
+    real = verify.extract_sign_forms
     k_b = stabilizer_generators(P4).generators[P4.vertex_index("B")]
     s1 = 1 << (2 * P4.n_edges - 1)
 
     def patched(change):
-        return lambda tableau, target: (
-            change(*real(tableau, target)) if target == k_b else real(tableau, target)
-        )
+        return lambda tableau, targets: [
+            change(*form) if target == k_b else form
+            for target, form in zip(targets, real(tableau, targets))
+        ]
 
     # K_B's sign negated: the plan now misses the target at every outcome
-    monkeypatch.setattr(verify, "extract_sign_form", patched(lambda sign, mask: (-sign, mask)))
+    monkeypatch.setattr(
+        verify, "extract_sign_forms", patched(lambda sign, mask: (-sign, mask))
+    )
     report = verify_all_outcomes(P4)
     assert not report.passed
     assert {r.fidelity for r in report.records} == {0.0}
     # negated and carrying s1 too: exactly the outcomes with s1 = 1 reach |G>
     monkeypatch.setattr(
-        verify, "extract_sign_form", patched(lambda sign, mask: (-sign, mask ^ s1))
+        verify, "extract_sign_forms", patched(lambda sign, mask: (-sign, mask ^ s1))
     )
     report = verify_all_outcomes(P4)
     assert [r.fidelity for r in report.records] == [float(i >= 32) for i in range(64)]
     # K_B absent: the engine cannot answer exactly, so it refuses
-    monkeypatch.setattr(verify, "extract_sign_form", patched(lambda sign, mask: None))
+    monkeypatch.setattr(verify, "extract_sign_forms", patched(lambda sign, mask: None))
     with pytest.raises(AssertionError, match="K_B"):
         verify_all_outcomes(P4)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    graph=small_connected_graphs(max_qubits=12),
+    mode=st.sampled_from(("universal", "broken", "negated")),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_records_and_summaries_match_enumerating_the_conditions(graph, mode, seed):
+    rng = random.Random(seed)
+    with pytest.MonkeyPatch.context() as mp:
+        if mode == "broken":
+            # seeded random (x, z) forms, which miss the target at some outcomes
+            k = 2 * graph.n_edges
+            forms = tuple((rng.getrandbits(k), rng.getrandbits(k)) for _ in graph.vertices)
+            mp.setattr(protocol, "correction_forms", lambda graph, kind: forms)
+        if mode == "negated":
+            # one K_v negated under the universal plan: its condition reads
+            # 0 = 1, so no outcome reaches |G>
+            negated = rng.randrange(graph.n_vertices)
+            real = verify.extract_sign_forms
+
+            def negating(tableau, targets):
+                forms = real(tableau, targets)
+                sign, mask = forms[negated]
+                forms[negated] = (-sign, mask)
+                return forms
+
+            mp.setattr(verify, "extract_sign_forms", negating)
+        report = verify_all_outcomes(graph, name="G")
+    count = graph.outcome_count()
+    conditions = report.records.conditions
+    fidelities = [
+        float(all(((mask & s).bit_count() & 1) == odd for mask, odd in conditions))
+        for s in range(count)
+    ]
+    expected = tuple(OutcomeRecord(s, 1 / count, f) for s, f in enumerate(fidelities))
+    assert tuple(report.records) == expected
+    assert report.min_fidelity == min(fidelities)
+    assert report.max_fidelity == max(fidelities)
+    assert report.passed is (min(fidelities) == 1.0)
+    if mode == "universal":
+        assert report.passed
+    if mode == "negated":
+        assert report.max_fidelity == 0.0
+    # the CLI writes the same records and names the first failing index
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "verify_all_outcomes", lambda *args, **kwargs: report)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["verify", "--graph", "P3", "--format", "csv"])
+    assert code == (cli.EXIT_PASS if report.passed else cli.EXIT_FAIL)
+    assert out.getvalue().splitlines()[1:] == [
+        f"G,{r.index},{cli._fmt(r.probability)},{cli._fmt(r.fidelity)}" for r in expected
+    ]
+    first = next((s for s, f in enumerate(fidelities) if f < 1.0), None)
+    assert err.getvalue() == (
+        "" if first is None else f"pqw: G: outcome {first} has fidelity 0\n"
+    )
+
+
+def test_outcome_records_read_like_the_tuple_of_records(monkeypatch):
+    # with every correction dropped, records of both fidelities
+    monkeypatch.setattr(
+        protocol, "correction_forms", lambda graph, kind: ((0, 0),) * graph.n_vertices
+    )
+    records = verify_all_outcomes(P4).records
+    assert isinstance(records, OutcomeRecords) and records.conditions
+    built = tuple(records)
+    assert len(records) == len(built) == 64
+    assert {r.fidelity for r in built} == {0.0, 1.0}
+    assert records[-1] == built[-1] and records[-64] == built[0]
+    assert records[5:40:3] == built[5:40:3]
+    assert records[::-1] == built[::-1] and records[70:] == ()
+    for index in (64, -65):
+        with pytest.raises(IndexError):
+            records[index]
+    assert records == built and built == records
+    assert not records != built and not built != records
+    assert records != built[:-1] and built[:-1] != records
+    assert hash(records) == hash(built)
+    assert pickle.loads(pickle.dumps(records)) == records == copy.deepcopy(records)
+    assert built[9] in records and OutcomeRecord(9, 0.5, 1.0) not in records
+    with pytest.raises(TypeError):
+        records[0] = built[0]
+    with pytest.raises(AttributeError):
+        records.outcome_count = 4
+
+
+def test_outcome_records_equal_by_their_records():
+    # a repeated condition changes nothing an outcome sees
+    once = OutcomeRecords(16, ((0b0110, False),))
+    twice = OutcomeRecords(16, ((0b0110, False), (0b0110, False)))
+    assert once == twice and hash(once) == hash(twice)
+    assert once != OutcomeRecords(16, ((0b0110, True),))
+    assert once != OutcomeRecords(4, ((0b0110, False),))
 
 
 def test_report_pass_logic():
@@ -231,6 +342,73 @@ def test_phase_lemma_rejects_the_near_side_sign_form(monkeypatch):
     monkeypatch.setattr(verify, "far_side_mask", near_side_mask)
     assert phase_lemma_check(P4) is False
     assert phase_lemma_check(grid(3, 3)) is False
+
+
+def _form_by_search(tableau: Tableau, target: PauliString):
+    """extract_sign_form by search over all 2^n products of the generators."""
+    n = tableau.n_qubits
+    for chosen in range(1 << len(tableau.generators)):
+        element = PauliString(n, 0, 0)
+        for i, g in enumerate(tableau.generators):
+            if chosen >> i & 1:
+                element = element * g
+        if element.same_paulis(target):
+            turn = (element.phase - target.phase) % 4
+            return None if turn % 2 else ((1 if turn == 0 else -1), element.outcome_mask)
+    return None
+
+
+def _forms_three_ways(tableau: Tableau, targets) -> list:
+    """The shared reduction's forms, checked against the per-target call
+    and the search."""
+    shared = extract_sign_forms(tableau, targets)
+    assert shared == [extract_sign_form(tableau, t) for t in targets]
+    assert shared == [_form_by_search(tableau, t) for t in targets]
+    return shared
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_shared_reduction_matches_per_target_on_the_catalog(name):
+    graph = catalog_lookup(name)
+    generators = stabilizer_generators(graph).generators
+    # every K_v, a product of two, a Z that is absent and an i K_v
+    targets = generators + (
+        generators[0] * generators[1],
+        PauliString(graph.n_vertices, 0, 1),
+        PauliString(graph.n_vertices, generators[0].x_bits, generators[0].z_bits, 1),
+    )
+    forms = _forms_three_ways(symbolic_protocol_tableau(graph), targets)
+    assert forms[: graph.n_vertices] == [
+        (1, protocol.far_side_mask(graph, v)) for v in graph.vertices
+    ]
+    assert forms[-2:] == [None, None]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    graph=small_connected_graphs(max_qubits=12),
+    change=st.sampled_from(("negated", "missing")),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_shared_reduction_matches_per_target_on_changed_tableaus(graph, change, seed):
+    tableau = symbolic_protocol_tableau(graph)
+    targets = stabilizer_generators(graph).generators
+    before = _forms_three_ways(tableau, targets)
+    j = random.Random(seed).randrange(graph.n_vertices)
+    gens = list(tableau.generators)
+    if change == "negated":
+        g = gens[j]
+        gens[j] = PauliString(g.n_qubits, g.x_bits, g.z_bits, g.phase + 2, g.outcome_mask)
+    else:
+        del gens[j]
+    after = _forms_three_ways(Tableau(tableau.n_qubits, tuple(gens)), targets)
+    if change == "negated":
+        # some K_v uses generator j, and only its sign moves
+        flipped = [a != b for a, b in zip(after, before)]
+        assert any(flipped)
+        assert all(a == (-b[0], b[1]) for a, b, f in zip(after, before, flipped) if f)
+    else:
+        assert None in after
 
 
 # -- entanglement rank comparison -------------------------------------------------
@@ -313,6 +491,10 @@ VALUE_INSTANCES = {
     "VerificationReport": (
         lambda: verify_all_outcomes(catalog_lookup("P3"), "universal"),
         "outcome_count",
+    ),
+    "OutcomeRecords": (
+        lambda: verify_all_outcomes(catalog_lookup("P3"), "universal").records,
+        "conditions",
     ),
     "CutRecord": (
         lambda: lc_check(ghz_state(4), ghz_state(4), (_cut("ABCD", "AC"),)).records[0],
