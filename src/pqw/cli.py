@@ -40,9 +40,6 @@ from .noise import (
 )
 from .protocol import CORRECTION_KINDS
 from .verify import (
-    FIDELITY_TOL,
-    OutcomeRecord,
-    OutcomeRecords,
     VerificationReport,
     lc_check,
     noise_sweep,
@@ -203,58 +200,34 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _report_dict(report: VerificationReport) -> dict:
+    probability = 1.0 / report.outcome_count
     return {
         "graph": report.graph_name,
         "correction": report.correction_kind,
         "outcome_count": report.outcome_count,
         "min_fidelity": report.min_fidelity,
         "max_fidelity": report.max_fidelity,
-        "max_probability_deviation": report.max_probability_deviation,
+        # kept so the bytes stay: every probability is exactly 1/outcome_count
+        "max_probability_deviation": 0.0,
         "passed": report.passed,
         "records": [
-            {"index": r.index, "probability": r.probability, "fidelity": r.fidelity}
-            for r in report.records
+            {"index": i, "probability": probability, "fidelity": f}
+            for i, f in enumerate(report.fidelities())
         ],
     }
 
 
-class _Formatted(dict):
-    """_fmt of each key, computed once, on its first lookup."""
-
-    def __missing__(self, x: float) -> str:
-        text = self[x] = _fmt(x)
-        return text
-
-
 def _verify_csv_lines(report: VerificationReport) -> list[str]:
-    """One CSV line per record, each distinct value formatted once.
-
-    The records are read as index, probability and fidelity columns:
-    an engine report hands them over in bulk, so no record is built,
-    and a tuple of records is transposed.  Equal floats format alike
-    except 0.0 and -0.0, and verify never reports -0.0: a fidelity is
-    0.0 or 1.0, a probability 1/count."""
-    records = report.records
-    if isinstance(records, OutcomeRecords):
-        columns = records.columns()
-    else:
-        columns = tuple(zip(*records)) or ((), (), ())
-    indices, probabilities, fidelities = columns
-    text = _Formatted().__getitem__
+    """One CSV line per outcome, read from the fidelity column with no
+    object built per outcome.  Every probability is 1/count and every
+    fidelity 0.0 or 1.0, so each is formatted once."""
     name = _csv_field(report.graph_name)
+    probability = _fmt(1.0 / report.outcome_count)
+    text = {f: _fmt(f) for f in (0.0, 1.0)}
     return [
-        f"{name},{i},{p},{f}"
-        for i, p, f in zip(indices, map(text, probabilities), map(text, fidelities))
+        f"{name},{i},{probability},{f}"
+        for i, f in enumerate(map(text.__getitem__, report.fidelities()))
     ]
-
-
-def _first_failure(records) -> OutcomeRecord | None:
-    """The first record that misses the target, if any; an engine report
-    names its index without reading the records before it."""
-    if isinstance(records, OutcomeRecords):
-        index = records.first_failure()
-        return None if index is None else records[index]
-    return next((r for r in records if r.fidelity < 1.0 - FIDELITY_TOL), None)
 
 
 def cmd_verify(config: RunConfig) -> int:
@@ -282,13 +255,10 @@ def cmd_verify(config: RunConfig) -> int:
         _emit("\n".join(lines) + "\n", config.out)
     # the first counterexample of each failing report, off the payload
     for rep in reports:
-        if rep.passed:
-            continue
-        bad = _first_failure(rep.records)
-        if bad is not None:
+        index = rep.first_failure()
+        if index is not None:
             print(
-                f"pqw: {rep.graph_name}: outcome {bad.index} has fidelity "
-                f"{_fmt(bad.fidelity)}",
+                f"pqw: {rep.graph_name}: outcome {index} has fidelity 0",
                 file=sys.stderr,
             )
     return EXIT_PASS if all(r.passed for r in reports) else EXIT_FAIL
@@ -377,6 +347,8 @@ def _load_json_map(path: str, value_type) -> dict:
             raise UsageError(f"{path}: value for {key!r} is not a number")
         if not abs(value) <= sys.float_info.max:
             raise UsageError(f"{path}: value for {key!r} is not a finite number")
+        if value_type is int and isinstance(value, float) and not value.is_integer():
+            raise UsageError(f"{path}: value for {key!r} is not a whole number")
         out[str(key)] = value_type(value)
     return out
 

@@ -149,12 +149,13 @@ def extract_p_eff(fidelity: float, k: int) -> float:
     produce the observed fidelity over k resource qubits."""
     if not 0.0 < fidelity < math.inf:
         raise ValueError(f"fidelity must be positive and finite, got {fidelity}")
-    # the slack bhattacharyya_fidelity allows on the ideal distribution's sum
+    # the slack bhattacharyya_fidelity allows on the ideal distribution's
+    # sum; a fidelity inside it fits as 1, so p_eff is never negative
     if fidelity > 1.0 + 1e-9:
         raise ValueError(f"fidelity must be at most 1, got {fidelity}")
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
-    return (4.0 / 3.0) * (1.0 - fidelity ** (1.0 / k))
+    return (4.0 / 3.0) * (1.0 - min(fidelity, 1.0) ** (1.0 / k))
 
 
 def t1_damping_estimate(duration_us: float, t1_us: float) -> float:

@@ -5,8 +5,8 @@ are swept with their closed-form overlays.
 
 Everything here is exact; nothing is sampled.  Reports are plain data
 and render elsewhere; two runs over the same inputs produce equal
-reports.  A report and each outcome record are named tuples, whose
-fields cannot be assigned.
+reports.  Every report is a named tuple, whose fields cannot be
+assigned.
 
 The outcome sweep reads the symbolic tableau run, not a statevector.
 After S1-S4 the data group holds each K_v with sign
@@ -14,11 +14,12 @@ sign_v (-1)^{|sigma_v & s|} at outcome s, and the plan flips that sign by
 (-1)^{|phi_v & s|}, phi_v its sign form.  Every corrected state is
 therefore a Pauli times |G>: it has fidelity exactly 1 when every
 product is +1 and exactly 0 otherwise, and every outcome has probability
-exactly 4^-|E|, as no measurement is determined.  So a report keeps the
+exactly 4^-|E|, as no measurement is determined.  So a report is the
 GF(2) conditions (sigma_v ^ phi_v) . s = [sign_v = -1] that do not hold
-at every outcome, and nothing per outcome: its minimum and maximum come
-from one elimination of those conditions, and its records are a
-read-only sequence that builds an OutcomeRecord only when one is read.
+at every outcome, and everything else is read from them: pass/fail and
+the first counterexample from the rows themselves, the maximum fidelity
+from one elimination, and the fidelity of each outcome as one column
+that builds no object per outcome.
 Only the rank comparison is dense, and it loads numpy when it runs.
 """
 
@@ -42,9 +43,6 @@ from .stabilizer import extract_sign_forms
 if TYPE_CHECKING:
     from . import statevector as sv
 
-FIDELITY_TOL = 1e-12
-PROBABILITY_TOL = 1e-12
-
 
 class OutcomeRecord(NamedTuple):
     """One outcome of a report."""
@@ -58,100 +56,18 @@ _FIDELITY = (0.0, 1.0)  # by whether an outcome meets every condition
 _FLIP = bytes.maketrans(b"\0\1", b"\1\0")
 
 
-class OutcomeRecords:
-    """The records of an outcome sweep, read from its sign conditions.
-
-    Outcome s reaches |G> exactly when |mask & s| has parity odd for
-    every (mask, odd) condition, and every outcome has probability
-    1/outcome_count.  An OutcomeRecord is built only when one is read;
-    equality and hash are those of the tuple of all records.
-    """
-
-    __slots__ = ("outcome_count", "conditions")
-
-    def __init__(self, outcome_count: int, conditions: tuple[tuple[int, bool], ...]):
-        init = object.__setattr__
-        init(self, "outcome_count", outcome_count)
-        init(self, "conditions", conditions)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def _key(self) -> tuple[int, tuple[tuple[int, bool], ...]]:
-        return self.outcome_count, self.conditions
-
-    def __reduce__(self):
-        # copy and pickle rebuild through __init__, since the slots refuse
-        # assignment
-        return OutcomeRecords, self._key()
-
-    def __repr__(self) -> str:
-        return (
-            f"OutcomeRecords(outcome_count={self.outcome_count!r}, "
-            f"conditions={self.conditions!r})"
-        )
-
-    def __len__(self) -> int:
-        return self.outcome_count
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return tuple(self[i] for i in range(self.outcome_count)[index])
-        count = self.outcome_count
-        s = index + count if index < 0 else index
-        if not 0 <= s < count:
-            raise IndexError("record index out of range")
-        met = all(((mask & s).bit_count() & 1) == odd for mask, odd in self.conditions)
-        return OutcomeRecord(s, 1.0 / count, _FIDELITY[met])
-
-    def __iter__(self):
-        return map(OutcomeRecord._make, zip(*self.columns()))
-
-    def __eq__(self, other):
-        # equal conditions give equal records; unequal ones still may
-        if isinstance(other, OutcomeRecords) and self._key() == other._key():
-            return True
-        if isinstance(other, (OutcomeRecords, tuple)):
-            return tuple(self) == tuple(other)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(tuple(self))
-
-    def columns(self):
-        """The index, probability and fidelity columns, as iterators
-        that build no object per outcome."""
-        count = self.outcome_count
-        if not self.conditions:
-            fidelities = repeat(1.0, count)
-        else:
-            fidelities = map(_FIDELITY.__getitem__, self._met())
-        return range(count), repeat(1.0 / count, count), fidelities
-
-    def _met(self) -> bytes:
-        """Byte s is 1 when outcome s meets every condition: each
-        condition's column doubles once per outcome bit, its upper half
-        flipped where the mask has that bit, and the columns are ANDed
-        as integers."""
-        count = self.outcome_count
-        met = int.from_bytes(b"\1" * count, "little")
-        for mask, odd in self.conditions:
-            column = b"\0" if odd else b"\1"  # outcome 0 has parity 0
-            while len(column) < count:
-                column += column.translate(_FLIP) if mask & len(column) else column
-            met &= int.from_bytes(column, "little")
-        return met.to_bytes(count, "little")
-
-    def first_failure(self) -> int | None:
-        """The lowest index that misses |G>, or None: outcome 0 fails any
-        odd condition, and else the lowest set bit of a mask is the first
-        index whose parity flips."""
-        if not self.conditions:
-            return None
-        return min(0 if odd else mask & -mask for mask, odd in self.conditions)
+def _met(count: int, conditions) -> bytes:
+    """Byte s is 1 when outcome s meets every condition: each
+    condition's column doubles once per outcome bit, its upper half
+    flipped where the mask has that bit, and the columns are ANDed as
+    integers."""
+    met = int.from_bytes(b"\1" * count, "little")
+    for mask, odd in conditions:
+        column = b"\0" if odd else b"\1"  # outcome 0 has parity 0
+        while len(column) < count:
+            column += column.translate(_FLIP) if mask & len(column) else column
+        met &= int.from_bytes(column, "little")
+    return met.to_bytes(count, "little")
 
 
 def _solvable(conditions) -> bool:
@@ -173,21 +89,51 @@ def _solvable(conditions) -> bool:
 
 
 class VerificationReport(NamedTuple):
+    """The outcome sweep of one graph under one plan, as its sign
+    conditions: outcome s reaches |G> exactly when |mask & s| has parity
+    odd for every (mask, odd) condition, and has probability
+    1/outcome_count.  Each condition fails some outcome, as
+    verify_all_outcomes keeps only those."""
+
     graph_name: str
     correction_kind: str
     outcome_count: int
-    min_fidelity: float
-    max_fidelity: float
-    max_probability_deviation: float
-    records: OutcomeRecords | tuple[OutcomeRecord, ...]
+    conditions: tuple[tuple[int, bool], ...]
 
     @property
     def passed(self) -> bool:
-        # every outcome has probability 1/count, so the deviation is
-        # judged relative to that
-        return (
-            self.min_fidelity >= 1.0 - FIDELITY_TOL
-            and self.max_probability_deviation * self.outcome_count <= PROBABILITY_TOL
+        return not self.conditions
+
+    @property
+    def min_fidelity(self) -> float:
+        return 0.0 if self.conditions else 1.0
+
+    @property
+    def max_fidelity(self) -> float:
+        # some outcome passes exactly when the conditions can all hold
+        return 1.0 if _solvable(self.conditions) else 0.0
+
+    def first_failure(self) -> int | None:
+        """The lowest index that misses |G>, or None: outcome 0 fails any
+        odd condition, and else the lowest set bit of a mask is the first
+        index whose parity flips."""
+        if not self.conditions:
+            return None
+        return min(0 if odd else mask & -mask for mask, odd in self.conditions)
+
+    def fidelities(self):
+        """Each outcome's fidelity, 0.0 or 1.0, in index order, as an
+        iterator that builds no object per outcome."""
+        if not self.conditions:
+            return repeat(1.0, self.outcome_count)
+        return map(_FIDELITY.__getitem__, _met(self.outcome_count, self.conditions))
+
+    @property
+    def records(self) -> tuple[OutcomeRecord, ...]:
+        """Every outcome as an OutcomeRecord, built when this is read."""
+        probability = 1.0 / self.outcome_count
+        return tuple(
+            OutcomeRecord(s, probability, f) for s, f in enumerate(self.fidelities())
         )
 
 
@@ -219,17 +165,8 @@ def verify_all_outcomes(
         sign, sigma = form
         if sign == -1 or sigma != phi:
             conditions.append((sigma ^ phi, sign == -1))
-    count = graph.outcome_count()
     return VerificationReport(
-        graph_name=name,
-        correction_kind=correction_kind,
-        outcome_count=count,
-        # any remaining condition fails some outcome, and some outcome
-        # passes exactly when the conditions can all hold
-        min_fidelity=0.0 if conditions else 1.0,
-        max_fidelity=1.0 if _solvable(conditions) else 0.0,
-        max_probability_deviation=0.0,
-        records=OutcomeRecords(count, tuple(conditions)),
+        name, correction_kind, graph.outcome_count(), tuple(conditions)
     )
 
 

@@ -102,38 +102,49 @@ class _RefusedRecord(OutcomeRecord):
         return cls(*iterable)
 
 
+# sha256 of `pqw verify --graph all` in JSON
+ALL_JSON_SHA256 = "aa763cd60184600f44f1f8aec0660e7a2a6021b54818204333b390b16414149a"
+
+
 def test_verify_csv_builds_no_outcome_record(monkeypatch, capsys):
-    # the catalog's 14,112 lines come from the records' columns alone
+    # the catalog's 14,112 lines and records, in either format, come from
+    # the reports' fidelity columns alone
     monkeypatch.setattr(verify, "OutcomeRecord", _RefusedRecord)
     assert main(["verify", "--graph", "all", "--format", "csv"]) == EXIT_PASS
     expected = (REFERENCE_DIR / "verify-catalog.out").read_bytes().decode("utf-8")
     assert capsys.readouterr().out == expected
+    assert main(["verify", "--graph", "all", "--format", "json"]) == EXIT_PASS
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == ALL_JSON_SHA256
     with pytest.raises(AssertionError, match="was built"):
-        verify.verify_all_outcomes(pqw.catalog_lookup("P3")).records[0]
+        verify.verify_all_outcomes(pqw.catalog_lookup("P3")).records
+
+
+# outcome s of a doctored report meets (mask, odd) when |mask & s| has
+# parity odd: this one fails outcomes 0 and 2 of 4
+DOCTORED = VerificationReport("P3", "universal", 4, ((0b1, True),))
 
 
 def test_verify_exit_fail_on_doctored_report(monkeypatch, capsys):
-    rec = OutcomeRecord(0, 1.0, 0.5)
-    broken = VerificationReport("P3", "universal", 1, 0.5, 0.5, 0.0, (rec,))
-    monkeypatch.setattr(cli, "verify_all_outcomes", lambda *a, **k: broken)
+    monkeypatch.setattr(cli, "verify_all_outcomes", lambda *a, **k: DOCTORED)
     code = main(["verify", "--graph", "P3"])
     assert code == EXIT_FAIL
     captured = capsys.readouterr()
-    assert json.loads(captured.out)["passed"] is False
-    assert captured.err == "pqw: P3: outcome 0 has fidelity 0.5\n"
+    payload = json.loads(captured.out)
+    assert payload["passed"] is False
+    assert (payload["min_fidelity"], payload["max_fidelity"]) == (0.0, 1.0)
+    assert [r["fidelity"] for r in payload["records"]] == [0.0, 1.0, 0.0, 1.0]
+    assert captured.err == "pqw: P3: outcome 0 has fidelity 0\n"
 
 
 def test_verify_csv_formats_each_value_as_fmt_does(monkeypatch, capsys):
     # each distinct value is formatted once per report; the text must be
     # what _fmt gives record by record
-    fidelities = (1.0, 0.0, 0.5, 1 / 3)
-    records = tuple(OutcomeRecord(i, 1 / 3, f) for i, f in enumerate(fidelities))
-    doctored = VerificationReport("P3", "universal", 4, 0.0, 1.0, 0.0, records)
-    monkeypatch.setattr(cli, "verify_all_outcomes", lambda *a, **k: doctored)
+    monkeypatch.setattr(cli, "verify_all_outcomes", lambda *a, **k: DOCTORED)
     assert main(["verify", "--graph", "P3", "--format", "csv"]) == EXIT_FAIL
     expected = "graph,outcome_index,probability,fidelity\n" + "".join(
         f"P3,{r.index},{cli._fmt(r.probability)},{cli._fmt(r.fidelity)}\n"
-        for r in records
+        for r in DOCTORED.records
     )
     assert capsys.readouterr().out == expected
 
@@ -589,6 +600,33 @@ def test_counts_fidelity_above_one_is_usage_error(capsys):
     assert captured.out == "" and "at most 1" in captured.err
 
 
+def test_counts_fidelity_within_the_slack_fits_as_one(capsys):
+    # the 1e-9 slack admits this value, and its p_eff is 0, not negative
+    argv = ["counts", "--fidelity", "1.0000000001", "--k", "3", "--format", "csv"]
+    assert main(argv) == EXIT_PASS
+    assert capsys.readouterr().out == "fidelity,k,p_eff\n1.0000000001,3,0\n"
+
+
+def _run_counts(tmp_path, counts_map):
+    counts = tmp_path / "counts.json"
+    ideal = tmp_path / "ideal.json"
+    counts.write_text(json.dumps(counts_map))
+    ideal.write_text(json.dumps({"00": 0.5, "11": 0.5}))
+    return main(
+        ["counts", "--counts", str(counts), "--ideal", str(ideal), "--k", "2"]
+    )
+
+
+def test_counts_fractional_count_is_usage_error(tmp_path, capsys):
+    assert _run_counts(tmp_path, {"00": 2.7, "11": 3}) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith("value for '00' is not a whole number\n")
+    # a whole count written as a float is still a count
+    assert _run_counts(tmp_path, {"00": 100.0, "11": 100}) == EXIT_PASS
+    assert json.loads(capsys.readouterr().out)["fidelity"] == pytest.approx(1.0)
+
+
 def test_counts_modes_are_exclusive(capsys):
     # refused before any file is read, so x.json need not exist
     for argv, message in (
@@ -619,6 +657,24 @@ def test_argparse_errors_map_to_usage(capsys):
     assert main(["noise", "--channel", "sparkle", "--p", "0.1"]) == EXIT_USAGE
     assert main(["bogus-subcommand"]) == EXIT_USAGE
     assert main([]) == EXIT_USAGE
+
+
+@pytest.mark.parametrize(
+    "argv,report,code",
+    (
+        (["verify", "--graph", "P3"], None, EXIT_PASS),
+        (["verify"], None, EXIT_USAGE),
+        (["verify", "--graph", "P3"], DOCTORED, EXIT_FAIL),
+    ),
+    ids=("pass", "usage", "fail"),
+)
+def test_console_entry_exits_with_the_command_code(monkeypatch, argv, report, code):
+    if report is not None:
+        monkeypatch.setattr(cli, "verify_all_outcomes", lambda *a, **k: report)
+    monkeypatch.setattr("sys.argv", ["pqw", *argv])
+    with pytest.raises(SystemExit) as exit_info:
+        cli.entry()
+    assert exit_info.value.code == code
 
 
 def test_version_prints_package_version(capsys):

@@ -145,6 +145,8 @@ def test_p_eff_validation():
         extract_p_eff(1.0 + 2e-9, 6)
     # within the slack an ideal sum may carry, the fit is still made
     assert extract_p_eff(1.0 + 1e-12, 6) == pytest.approx(0.0, abs=1e-12)
+    # and it fits as 1, so p_eff is never negative
+    assert extract_p_eff(1.0 + 1e-10, 3) == 0.0
 
 
 # -- exact fidelities, strict metric -------------------------------------------

@@ -2,9 +2,8 @@
 check on the symbolic run, entanglement-rank comparison, and noise sweeps."""
 
 import contextlib
-import copy
 import io
-import pickle
+import json
 import random
 
 import pytest
@@ -32,10 +31,8 @@ from pqw.protocol import (
 )
 from pqw.stabilizer import PauliString, Tableau, extract_sign_form, extract_sign_forms
 from pqw.verify import (
-    FIDELITY_TOL,
     LcReport,
     OutcomeRecord,
-    OutcomeRecords,
     VerificationReport,
     lc_check,
     noise_sweep,
@@ -56,8 +53,9 @@ def test_verify_p4_universal():
     assert report.outcome_count == 64
     assert len(report.records) == 64
     assert report.passed
-    assert report.min_fidelity > 1.0 - FIDELITY_TOL
-    assert report.max_probability_deviation == 0.0
+    assert report.conditions == ()
+    assert report.min_fidelity == report.max_fidelity == 1.0
+    assert report.first_failure() is None
     assert [r.index for r in report.records] == list(range(64))
     # read off the sign forms, so exact: 4^-|E| and 1, not merely close
     assert {(r.probability, r.fidelity) for r in report.records} == {(1 / 64, 1.0)}
@@ -132,7 +130,7 @@ def test_contraction_applies_the_plan(monkeypatch):
     )
     report = verify_all_outcomes(P4, "universal")
     assert report.passed is False
-    assert min(r.fidelity for r in report.records) < 1.0 - FIDELITY_TOL
+    assert min(r.fidelity for r in report.records) == 0.0
 
 
 @settings(max_examples=30, deadline=None)
@@ -223,7 +221,7 @@ def test_records_and_summaries_match_enumerating_the_conditions(graph, mode, see
             mp.setattr(verify, "extract_sign_forms", negating)
         report = verify_all_outcomes(graph, name="G")
     count = graph.outcome_count()
-    conditions = report.records.conditions
+    conditions = report.conditions
     fidelities = [
         float(all(((mask & s).bit_count() & 1) == odd for mask, odd in conditions))
         for s in range(count)
@@ -233,70 +231,52 @@ def test_records_and_summaries_match_enumerating_the_conditions(graph, mode, see
     assert report.min_fidelity == min(fidelities)
     assert report.max_fidelity == max(fidelities)
     assert report.passed is (min(fidelities) == 1.0)
+    first = next((s for s, f in enumerate(fidelities) if f < 1.0), None)
+    assert report.first_failure() == first
     if mode == "universal":
         assert report.passed
     if mode == "negated":
         assert report.max_fidelity == 0.0
-    # the CLI writes the same records and names the first failing index
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cli, "verify_all_outcomes", lambda *args, **kwargs: report)
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = cli.main(["verify", "--graph", "P3", "--format", "csv"])
-    assert code == (cli.EXIT_PASS if report.passed else cli.EXIT_FAIL)
-    assert out.getvalue().splitlines()[1:] == [
+    # both CLI formats write the same records and name the first failing index
+    outputs = {}
+    for fmt in ("csv", "json"):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "verify_all_outcomes", lambda *args, **kwargs: report)
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main(["verify", "--graph", "P3", "--format", fmt])
+        assert code == (cli.EXIT_PASS if report.passed else cli.EXIT_FAIL)
+        assert err.getvalue() == (
+            "" if first is None else f"pqw: G: outcome {first} has fidelity 0\n"
+        )
+        outputs[fmt] = out.getvalue()
+    assert outputs["csv"].splitlines()[1:] == [
         f"G,{r.index},{cli._fmt(r.probability)},{cli._fmt(r.fidelity)}" for r in expected
     ]
-    first = next((s for s, f in enumerate(fidelities) if f < 1.0), None)
-    assert err.getvalue() == (
-        "" if first is None else f"pqw: G: outcome {first} has fidelity 0\n"
-    )
-
-
-def test_outcome_records_read_like_the_tuple_of_records(monkeypatch):
-    # with every correction dropped, records of both fidelities
-    monkeypatch.setattr(
-        protocol, "correction_forms", lambda graph, kind: ((0, 0),) * graph.n_vertices
-    )
-    records = verify_all_outcomes(P4).records
-    assert isinstance(records, OutcomeRecords) and records.conditions
-    built = tuple(records)
-    assert len(records) == len(built) == 64
-    assert {r.fidelity for r in built} == {0.0, 1.0}
-    assert records[-1] == built[-1] and records[-64] == built[0]
-    assert records[5:40:3] == built[5:40:3]
-    assert records[::-1] == built[::-1] and records[70:] == ()
-    for index in (64, -65):
-        with pytest.raises(IndexError):
-            records[index]
-    assert records == built and built == records
-    assert not records != built and not built != records
-    assert records != built[:-1] and built[:-1] != records
-    assert hash(records) == hash(built)
-    assert pickle.loads(pickle.dumps(records)) == records == copy.deepcopy(records)
-    assert built[9] in records and OutcomeRecord(9, 0.5, 1.0) not in records
-    with pytest.raises(TypeError):
-        records[0] = built[0]
-    with pytest.raises(AttributeError):
-        records.outcome_count = 4
-
-
-def test_outcome_records_equal_by_their_records():
-    # a repeated condition changes nothing an outcome sees
-    once = OutcomeRecords(16, ((0b0110, False),))
-    twice = OutcomeRecords(16, ((0b0110, False), (0b0110, False)))
-    assert once == twice and hash(once) == hash(twice)
-    assert once != OutcomeRecords(16, ((0b0110, True),))
-    assert once != OutcomeRecords(4, ((0b0110, False),))
+    payload = json.loads(outputs["json"])
+    assert payload["records"] == [r._asdict() for r in expected]
+    assert payload["min_fidelity"] == min(fidelities)
+    assert payload["max_fidelity"] == max(fidelities)
+    assert payload["passed"] is (first is None)
 
 
 def test_report_pass_logic():
-    good = OutcomeRecord(0, 0.25, 1.0)
-    bad = OutcomeRecord(1, 0.25, 0.5)
-    failing = VerificationReport("toy", "universal", 2, 0.5, 1.0, 0.0, (good, bad))
-    assert not failing.passed
-    drifted = VerificationReport("toy", "universal", 2, 1.0, 1.0, 1e-3, (good, good))
-    assert not drifted.passed
+    # outcome s meets (mask, odd) when |mask & s| has parity odd
+    odd_only = VerificationReport("toy", "universal", 4, ((0b1, True),))
+    assert not odd_only.passed and odd_only.first_failure() == 0
+    assert list(odd_only.fidelities()) == [0.0, 1.0, 0.0, 1.0]
+    assert (odd_only.min_fidelity, odd_only.max_fidelity) == (0.0, 1.0)
+    high_even = VerificationReport("toy", "universal", 4, ((0b10, False),))
+    assert high_even.first_failure() == 2
+    assert list(high_even.fidelities()) == [1.0, 1.0, 0.0, 0.0]
+    # 0 = 1 fails every outcome, as do two contradicting rows
+    for conditions in (((0, True),), ((0b11, True), (0b11, False))):
+        never = VerificationReport("toy", "universal", 4, conditions)
+        assert never.first_failure() == 0 and never.max_fidelity == 0.0
+        assert set(never.fidelities()) == {0.0}
+    clean = VerificationReport("toy", "universal", 4, ())
+    assert clean.passed and clean.first_failure() is None
+    assert clean.records == tuple(OutcomeRecord(s, 0.25, 1.0) for s in range(4))
 
 
 def test_outcome_record_surface():
@@ -305,13 +285,6 @@ def test_outcome_record_surface():
     with pytest.raises(AttributeError):
         record.fidelity = 0.0
     assert verify_all_outcomes(P4).records[5] == OutcomeRecord(5, 1 / 64, 1.0)
-
-
-def test_probability_tolerance_is_relative():
-    # at 4,096 outcomes an absolute 1e-13 is a 4e-10 relative error
-    wide = VerificationReport("toy", "universal", 4096, 1.0, 1.0, 1e-13, ())
-    assert not wide.passed
-    assert VerificationReport("toy", "universal", 4096, 1.0, 1.0, 2e-16, ()).passed
 
 
 # -- symbolic sign check ---------------------------------------------------------
@@ -491,10 +464,6 @@ VALUE_INSTANCES = {
     "VerificationReport": (
         lambda: verify_all_outcomes(catalog_lookup("P3"), "universal"),
         "outcome_count",
-    ),
-    "OutcomeRecords": (
-        lambda: verify_all_outcomes(catalog_lookup("P3"), "universal").records,
-        "conditions",
     ),
     "CutRecord": (
         lambda: lc_check(ghz_state(4), ghz_state(4), (_cut("ABCD", "AC"),)).records[0],
