@@ -15,7 +15,6 @@ keep running.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from pathlib import Path
@@ -186,6 +185,8 @@ def _render_csv(header: tuple[str, ...], rows) -> str:
 
 
 def _render_json(obj) -> str:
+    import json  # here, so that no CSV run loads it
+
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
@@ -217,17 +218,20 @@ def _report_dict(report: VerificationReport) -> dict:
     }
 
 
-def _verify_csv_lines(report: VerificationReport) -> list[str]:
-    """One CSV line per outcome, read from the fidelity column with no
-    object built per outcome.  Every probability is 1/count and every
-    fidelity 0.0 or 1.0, so each is formatted once."""
-    name = _csv_field(report.graph_name)
-    probability = _fmt(1.0 / report.outcome_count)
-    text = {f: _fmt(f) for f in (0.0, 1.0)}
-    return [
-        f"{name},{i},{probability},{f}"
-        for i, f in enumerate(map(text.__getitem__, report.fidelities()))
-    ]
+def _verify_csv(reports: list[VerificationReport]) -> str:
+    """The verify CSV, one line per outcome.  Lines of one report differ
+    only in their index and fidelity, so each run of equal fidelities is
+    one join over the index texts, which every report slices from one
+    list, and no text is built per outcome."""
+    index_text = list(map(str, range(max(r.outcome_count for r in reports))))
+    parts = ["graph,outcome_index,probability,fidelity\n"]
+    for report in reports:
+        name = _csv_field(report.graph_name) + ","
+        probability = _fmt(1.0 / report.outcome_count)
+        for start, stop, fidelity in report.fidelity_runs():
+            tail = f",{probability},{_fmt(fidelity)}\n"
+            parts += (name, (tail + name).join(index_text[start:stop]), tail)
+    return "".join(parts)
 
 
 def cmd_verify(config: RunConfig) -> int:
@@ -249,10 +253,7 @@ def cmd_verify(config: RunConfig) -> int:
             }
         _emit(_render_json(payload), config.out)
     else:
-        lines = ["graph,outcome_index,probability,fidelity"]
-        for rep in reports:
-            lines += _verify_csv_lines(rep)
-        _emit("\n".join(lines) + "\n", config.out)
+        _emit(_verify_csv(reports), config.out)
     # the first counterexample of each failing report, off the payload
     for rep in reports:
         index = rep.first_failure()
@@ -338,6 +339,8 @@ def cmd_lc(config: RunConfig) -> int:
 
 
 def _load_json_map(path: str, value_type) -> dict:
+    import json
+
     data = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(data, dict):
         raise UsageError(f"{path}: expected a JSON object")
@@ -410,14 +413,16 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_verify, "json")
 
     p_noise = sub.add_parser("noise", help="exact noisy fidelity curves")
-    p_noise.add_argument("--graph", default="P4", help="catalog name or @edge-list-file")
-    p_noise.add_argument("--channel", choices=("dep", "pd", "ad"), default=None)
-    p_noise.add_argument("--correction", choices=CORRECTION_KINDS, default="universal")
-    p_noise.add_argument("--p", required=True, help="value or START:STOP:STEP")
+    # each option but --p is None when not given, so that --compare can
+    # refuse it; config_from_args fills in the defaults
     p_noise.add_argument(
-        "--insertion", choices=("post_prep", "pre_measure"), default="post_prep"
+        "--graph", default=None, help="catalog name or @edge-list-file (default P4)"
     )
-    p_noise.add_argument("--metric", choices=("strict", "conditional"), default="strict")
+    p_noise.add_argument("--channel", choices=("dep", "pd", "ad"), default=None)
+    p_noise.add_argument("--correction", choices=CORRECTION_KINDS, default=None)
+    p_noise.add_argument("--p", required=True, help="value or START:STOP:STEP")
+    p_noise.add_argument("--insertion", choices=("post_prep", "pre_measure"), default=None)
+    p_noise.add_argument("--metric", choices=("strict", "conditional"), default=None)
     p_noise.add_argument(
         "--compare",
         choices=("fig4",),
@@ -457,19 +462,21 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     if args.cmd == "verify":
         return RunConfig(graph=args.graph, correction=args.correction, **common)
     if args.cmd == "noise":
-        if args.compare is None and args.channel is None:
-            raise UsageError("noise needs --channel (or --compare)")
-        if args.compare is not None and args.channel is not None:
-            raise UsageError("--compare and --channel are mutually exclusive")
+        # the options only a --channel run reads, each None unless given;
+        # RunConfig's defaults fill in the rest
+        given = {
+            name: getattr(args, name)
+            for name in ("channel", "graph", "correction", "insertion", "metric")
+            if getattr(args, name) is not None
+        }
+        if args.compare is None:
+            if args.channel is None:
+                raise UsageError("noise needs --channel (or --compare)")
+            given.setdefault("graph", "P4")
+        elif given:
+            raise UsageError(f"--compare and --{next(iter(given))} are mutually exclusive")
         return RunConfig(
-            graph=args.graph,
-            channel=args.channel,
-            correction=args.correction,
-            p_grid=_parse_p_grid(args.p),
-            compare=args.compare,
-            insertion=args.insertion,
-            metric=args.metric,
-            **common,
+            p_grid=_parse_p_grid(args.p), compare=args.compare, **given, **common
         )
     if args.cmd == "lc":
         return RunConfig(

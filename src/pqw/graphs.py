@@ -5,15 +5,17 @@ A graph state |G> is prepared by applying CZ along every edge of G to
 generators K_v = X_v * prod_{u~v} Z_u.  Vertex order is significant
 here: it fixes qubit indices, measurement-outcome indexing, and report
 ordering, which is why Graph keeps ordered tuples instead of sets.
+
+The catalog's entries are a Python literal in pqw.data.catalog, so the
+interpreter loads them from cached bytecode with no file to open and no
+JSON to parse; catalog_lookup validates each one as a Graph on lookup.
 """
 
 from __future__ import annotations
 
-import json
-import os
 from typing import TYPE_CHECKING, NamedTuple
 
-from . import data
+from .data.catalog import ALIASES, GRAPHS, TABLE_ORDER
 from .stabilizer import PauliString, Tableau, _Checked
 
 if TYPE_CHECKING:
@@ -106,36 +108,19 @@ class Graph(_Checked, _GraphFields):
         return 4**self.n_edges
 
 
-def _load_catalog() -> dict:
-    # read from the package directory: importlib.resources would load
-    # inspect, zipfile and tempfile on Python 3.12 and later
-    (directory,) = data.__path__
-    with open(os.path.join(directory, "catalog.json"), encoding="utf-8") as file:
-        return json.load(file)
-
-
-_CATALOG = _load_catalog()
-
-TABLE_ORDER: tuple[str, ...] = tuple(_CATALOG["table_order"])
-
-
 def catalog_names() -> tuple[str, ...]:
-    return tuple(_CATALOG["graphs"]) + tuple(_CATALOG["aliases"])
+    return tuple(GRAPHS) + tuple(ALIASES)
 
 
 def catalog_lookup(name: str) -> Graph:
     """Resolve a catalog name (or alias) to its documented graph."""
-    resolved = _CATALOG["aliases"].get(name, name)
     try:
-        raw = _CATALOG["graphs"][resolved]
+        vertices, edges = GRAPHS[ALIASES.get(name, name)]
     except KeyError:
         raise CatalogError(
             f"unknown graph {name!r}; valid names: {', '.join(sorted(catalog_names()))}"
         ) from None
-    return Graph(
-        tuple(raw["vertices"]),
-        tuple((u, v) for u, v in raw["edges"]),
-    )
+    return Graph(vertices, edges)
 
 
 def parse_edge_list(text: str) -> Graph:

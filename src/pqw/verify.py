@@ -128,6 +128,26 @@ class VerificationReport(NamedTuple):
             return repeat(1.0, self.outcome_count)
         return map(_FIDELITY.__getitem__, _met(self.outcome_count, self.conditions))
 
+    def fidelity_runs(self) -> list[tuple[int, int, float]]:
+        """The fidelity column as its maximal runs of equal fidelity, each
+        (start, stop, fidelity) in index order: one run on a pass, and
+        else one bytes.find over the column per run, with no step per
+        outcome."""
+        count = self.outcome_count
+        if not self.conditions:
+            return [(0, count, 1.0)]
+        column = _met(count, self.conditions)
+        runs = []
+        start = 0
+        while start < count:
+            met = column[start]
+            stop = column.find(b"\0" if met else b"\1", start)
+            if stop < 0:
+                stop = count
+            runs.append((start, stop, _FIDELITY[met]))
+            start = stop
+        return runs
+
     @property
     def records(self) -> tuple[OutcomeRecord, ...]:
         """Every outcome as an OutcomeRecord, built when this is read."""

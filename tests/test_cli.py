@@ -1,15 +1,18 @@
 """Command-line surface: argument handling, output formats, exit codes."""
 
+import contextlib
 import csv
 import hashlib
 import io
+import itertools
 import json
 import math
 import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import pqw
 from helpers import branch_fidelity, small_connected_graphs
@@ -147,6 +150,52 @@ def test_verify_csv_formats_each_value_as_fmt_does(monkeypatch, capsys):
         for r in DOCTORED.records
     )
     assert capsys.readouterr().out == expected
+
+
+@st.composite
+def _reports(draw):
+    """A report on 1 to 6 edges, under random (mask, odd) conditions,
+    named with the characters CSV must quote."""
+    count = 4 ** draw(st.integers(1, 6))
+    name = draw(st.text(alphabet='A,"\r\n', min_size=1, max_size=4))
+    conditions = draw(
+        st.lists(st.tuples(st.integers(0, count - 1), st.booleans()), max_size=4)
+    )
+    return VerificationReport(name, "universal", count, tuple(conditions))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_reports(), min_size=1, max_size=4))
+# outcomes alternate; every outcome fails; two rows contradict each other
+@example([VerificationReport("a,b", "universal", 16, ((0b1, True),))])
+@example([VerificationReport("P3", "universal", 4, ((0, True),))])
+@example([
+    VerificationReport("big", "universal", 4096, ((0b110, False),)),
+    VerificationReport('"q"', "universal", 4, ((0b10, True), (0b10, False))),
+    VerificationReport("P3", "universal", 16, ()),
+])
+def test_verify_csv_matches_one_line_per_outcome(reports):
+    # the reports share one list of index texts, sliced by each run
+    expected = "graph,outcome_index,probability,fidelity\n" + "".join(
+        f"{cli._csv_field(r.graph_name)},{i},{cli._fmt(1 / r.outcome_count)},"
+        f"{cli._fmt(f)}\n"
+        for r in reports
+        for i, f in enumerate(r.fidelities())
+    )
+    assert cli._verify_csv(reports) == expected
+    # and through the command, on stdout and to --out alike
+    with pytest.MonkeyPatch.context() as patch, tempfile.TemporaryDirectory() as tmp:
+        produced = itertools.cycle(reports)
+        patch.setattr(cli, "TABLE_ORDER", ("P3",) * len(reports))
+        patch.setattr(cli, "verify_all_outcomes", lambda *a, **k: next(produced))
+        stdout, stderr = io.StringIO(), io.StringIO()
+        argv = ["verify", "--graph", "all", "--format", "csv"]
+        code = EXIT_PASS if all(r.passed for r in reports) else EXIT_FAIL
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            assert main(argv) == code
+            assert main([*argv, "--out", f"{tmp}/out.csv"]) == code
+        assert stdout.getvalue() == expected
+        assert Path(tmp, "out.csv").read_bytes() == expected.encode("utf-8")
 
 
 C8_CSV_SHA256 = "b4e495ae585d4ac91087a056e2a89e0d53f8cf0b056d2490087411836d524771"
@@ -402,6 +451,20 @@ def test_noise_requires_channel_or_compare(capsys):
     )
     # the parser itself requires --p
     assert "required: --p" in _usage_error(["noise", "--channel", "dep"], capsys)
+
+
+@pytest.mark.parametrize(
+    "flag,value",
+    (("--graph", "C4"), ("--correction", "universal"), ("--insertion", "pre_measure"),
+     ("--metric", "strict")),
+)
+def test_compare_refuses_each_graph_option(flag, value, capsys):
+    # fig4 draws closed-form curves, so an option that names a graph run
+    # would be ignored; even its default value is refused when given
+    argv = ["noise", "--compare", "fig4", "--p", "0.2", "--format", "csv", flag, value]
+    assert _usage_error(argv, capsys) == (
+        f"pqw: --compare and {flag} are mutually exclusive\n"
+    )
 
 
 @settings(max_examples=10, deadline=None)

@@ -86,6 +86,43 @@ def test_unknown_name_lists_alternatives():
         catalog_lookup("Q7")
 
 
+# The whole catalog as it shipped in catalog.json: each name's vertices
+# in order and its edges in order, one two-letter pair per edge.  Vertex
+# and edge order fix qubit and outcome indices, so every report's bytes
+# depend on them.
+CATALOG_GOLDEN = {
+    "P3": ("ABC", "AB BC"),
+    "P4": ("ABCD", "AB BC CD"),
+    "P5": ("ABCDE", "AB BC CD DE"),
+    "K1_2": ("ABC", "AB AC"),
+    "K1_3": ("ABCD", "AB AC AD"),
+    "K1_4": ("ABCDE", "AB AC AD AE"),
+    "spider": ("ABCDE", "AB AC AD DE"),
+    "C3": ("ABC", "AB BC CA"),
+    "C4": ("ABCD", "AB BC CD DA"),
+    "C5": ("ABCDE", "AB BC CD DE EA"),
+    "diamond": ("ABCD", "AB AC BC BD CD"),
+    "paw": ("ABCD", "AB BC CA AD"),
+    "K3": ("ABC", "AB BC CA"),
+    "bull": ("ABCDE", "AB BC CA BD CE"),
+    "house": ("ABCDE", "AB BC CD DE EA AC"),
+    "cricket": ("ABCDE", "AB BC CA AD AE"),
+    "kite": ("ABCDE", "AB AC BC BD CD CE"),
+    "fork": ("ABCDE", "AB BC CD BE"),
+    "K4": ("ABCD", "AB AC AD BC BD CD"),
+    "GHZ4": ("ABCD", "AB AC AD"),
+}
+
+
+def test_catalog_matches_its_golden_contents():
+    assert catalog_names() == tuple(CATALOG_GOLDEN)
+    assert TABLE_ORDER == tuple(CATALOG_GOLDEN)[:18]
+    for name, (vertices, edges) in CATALOG_GOLDEN.items():
+        graph = catalog_lookup(name)
+        assert graph.vertices == tuple(vertices), name
+        assert graph.edges == tuple(tuple(pair) for pair in edges.split()), name
+
+
 def test_catalog_entries_cover_table_order():
     assert set(TABLE_ORDER) <= set(catalog_names())
     for name in TABLE_ORDER:

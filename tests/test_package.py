@@ -175,6 +175,64 @@ def test_symbolic_entry_points_do_not_import_numpy():
     assert dense == ["lc --a L4 --b GHZ4 --cut AB|CD", 0, True, True]
 
 
+# Runs in a fresh interpreter and imports no json itself.  Each step
+# prints its label, exit code and whether json is loaded, tab-separated;
+# the steps share the interpreter, as in GUARD_SCRIPT.
+JSON_GUARD_SCRIPT = r"""
+import contextlib
+import io
+import sys
+
+
+def report(label, code):
+    print(label, code, "json" in sys.modules, sep="\t")
+
+
+def run(argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    report(" ".join(argv), code)
+
+
+report("start", 0)
+import pqw.cli
+from pqw.cli import main
+
+report("import pqw.cli", 0)
+run(["verify", "--graph", "all", "--format", "csv"])
+run(["noise", "--channel", "dep", "--p", "0:0.2:0.1", "--format", "csv"])
+run(["noise", "--compare", "fig4", "--p", "0.2", "--format", "csv"])
+run(["counts", "--fidelity", "0.9241", "--k", "6", "--format", "csv"])
+from pqw.graphs import catalog_lookup
+from pqw.verify import phase_lemma_check
+
+report("phase_lemma_check C5", 0 if phase_lemma_check(catalog_lookup("C5")) else 1)
+run(["verify", "--graph", "P4", "--format", "json"])
+"""
+
+
+def test_csv_runs_do_not_import_json():
+    # the catalog is compiled Python, so json serves only JSON output and
+    # the counts files
+    steps = [line.split("\t") for line in _run_fresh(JSON_GUARD_SCRIPT).splitlines()]
+    assert [label for label, _, _ in steps] == [
+        "start",
+        "import pqw.cli",
+        "verify --graph all --format csv",
+        "noise --channel dep --p 0:0.2:0.1 --format csv",
+        "noise --compare fig4 --p 0.2 --format csv",
+        "counts --fidelity 0.9241 --k 6 --format csv",
+        "phase_lemma_check C5",
+        "verify --graph P4 --format json",
+    ]
+    *csv_steps, json_step = steps
+    for label, code, json_loaded in csv_steps:
+        assert code == "0", label
+        assert json_loaded == "False", f"json loaded by {label}"
+    # a JSON report loads it, so the check can fail
+    assert json_step == ["verify --graph P4 --format json", "0", "True"]
+
+
 # Prints every module loaded once the import line has run.
 MODULES_SCRIPT = "import sys\n{}\nprint(*sys.modules, sep='\\n')"
 
