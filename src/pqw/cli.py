@@ -10,11 +10,17 @@ CSV with a header row and 12 significant digits for plot-ready curves.
 Every command runs in one thread; --jobs is still accepted, must be a
 positive integer, and is otherwise ignored, so that existing scripts
 keep running.
+
+The command line is parsed from one table, COMMANDS, which maps each
+option to the RunConfig field it fills, with its type, choices, default
+and help; parse_args reads it for parsing, defaults and --help alike,
+with no argparse.  An option may be abbreviated to a unique prefix and
+written as --flag value or --flag=value, and a later use of it wins.  A
+command imports only the engine it runs: verify never loads pqw.noise.
 """
 
 from __future__ import annotations
 
-import argparse
 import math
 import sys
 from pathlib import Path
@@ -30,12 +36,6 @@ from .graphs import (
     ghz_state,
     graph_state,
     parse_edge_list,
-)
-from .noise import (
-    bhattacharyya_fidelity,
-    extract_p_eff,
-    f_star_dep,
-    parse_channel,
 )
 from .protocol import CORRECTION_KINDS
 from .verify import (
@@ -67,7 +67,7 @@ class UsageError(ValueError):
 
 
 class RunConfig(NamedTuple):
-    """One fully resolved command invocation; config_from_args, its only
+    """One fully resolved command invocation; parse_args, its only
     constructor, refuses inconsistent flags."""
 
     command: str
@@ -266,9 +266,9 @@ def cmd_verify(config: RunConfig) -> int:
 
 
 def cmd_noise(config: RunConfig) -> int:
+    from .noise import f_star_dep, parse_channel
+
     if config.compare is not None:
-        if config.compare != "fig4":
-            raise UsageError(f"unknown comparison {config.compare!r}")
         rows = []
         payload = []
         for p in config.p_grid:
@@ -357,6 +357,8 @@ def _load_json_map(path: str, value_type) -> dict:
 
 
 def cmd_counts(config: RunConfig) -> int:
+    from .noise import bhattacharyya_fidelity, extract_p_eff
+
     if config.fidelity is not None:
         fidelity = config.fidelity
     else:
@@ -381,139 +383,198 @@ def cmd_counts(config: RunConfig) -> int:
 # -- argument parsing --------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="pqw",
-        description="Exact verification and noise analysis of the "
-        "phase-walk graph-state distribution protocol.",
-    )
-    parser.add_argument("--version", action="version", version=f"pqw {__version__}")
-    sub = parser.add_subparsers(dest="cmd", required=True)
+class Option(NamedTuple):
+    """One option of a command: the RunConfig field its value fills, the
+    type its text converts to (None for a switch, which takes no text),
+    the texts it accepts, and what help prints for it."""
 
-    def common(p: argparse.ArgumentParser, default_fmt: str) -> None:
-        p.add_argument("--format", choices=("json", "csv"), default=default_fmt)
-        p.add_argument("--out", default=None, help="output file (default stdout)")
-        p.add_argument(
-            "--jobs",
-            type=int,
-            default=None,
-            help="ignored: every command runs in one thread; kept so that "
-            "existing scripts still run",
+    field: str
+    help: str = ""
+    type: object = str
+    choices: tuple[str, ...] = ()
+    default: object = None
+    required: bool = False
+    repeat: bool = False  # each use appends to a tuple
+
+
+def _common(fmt: str) -> dict[str, Option]:
+    return {
+        "--format": Option("fmt", choices=("json", "csv"), default=fmt),
+        "--out": Option("out", "output file (default stdout)"),
+        # not a RunConfig field: parse_args checks it and drops it
+        "--jobs": Option("jobs", "ignored: every command runs in one thread", type=int),
+    }
+
+
+# command -> (summary, options).  A default is filled in after the
+# checks, which see only the options given.
+COMMANDS = {
+    "verify": ("enumerate every outcome and check the corrected state", {
+        "--graph": Option("graph", "catalog name, @edge-list-file, or 'all'", required=True),
+        "--correction": Option("correction", choices=CORRECTION_KINDS, default="universal"),
+        **_common("json"),
+    }),
+    "noise": ("exact noisy fidelity curves", {
+        "--graph": Option("graph", "catalog name or @edge-list-file (default P4)"),
+        "--channel": Option("channel", choices=("dep", "pd", "ad")),
+        "--correction": Option("correction", choices=CORRECTION_KINDS, default="universal"),
+        "--p": Option("p_grid", "value or START:STOP:STEP", required=True),
+        "--insertion": Option(
+            "insertion", choices=("post_prep", "pre_measure"), default="post_prep"
+        ),
+        "--metric": Option("metric", choices=("strict", "conditional"), default="strict"),
+        "--compare": Option("compare", "closed-form curves, not one graph", choices=("fig4",)),
+        **_common("csv"),
+    }),
+    "lc": ("Schmidt ranks across cuts for two states", {
+        "--a": Option("state_a", "L4, GHZ4, catalog name, or @file", required=True),
+        "--b": Option("state_b", "same selectors as --a", required=True),
+        "--cut": Option("cuts", "vertex split like AC|BD; repeatable", required=True, repeat=True),
+        **_common("json"),
+    }),
+    "counts": ("fidelity and effective p from counts", {
+        "--counts": Option("counts_path", "JSON file bitstring->count"),
+        "--ideal": Option("ideal_path", "JSON file bitstring->probability"),
+        "--fidelity": Option("fidelity", "direct mode", type=float),
+        "--k": Option("k", "resource-qubit count", type=int, required=True),
+        "--unsquared": Option("unsquared", "file mode: the unsquared overlap", type=None),
+        **_common("json"),
+    }),
+}
+HELP_FLAGS = ("-h", "--help")
+
+
+def _help(command: str | None) -> str:
+    if command is None:
+        usage = "[--version] {" + ",".join(COMMANDS) + "} ..."
+        summary = (
+            "Exact verification and noise analysis of the phase-walk graph-state "
+            "distribution protocol."
         )
-
-    p_verify = sub.add_parser(
-        "verify", help="enumerate every outcome and check the corrected state"
-    )
-    p_verify.add_argument(
-        "--graph",
-        required=True,
-        help="catalog name, @edge-list-file, or 'all' for the full catalog",
-    )
-    p_verify.add_argument("--correction", choices=CORRECTION_KINDS, default="universal")
-    common(p_verify, "json")
-
-    p_noise = sub.add_parser("noise", help="exact noisy fidelity curves")
-    # each option but --p is None when not given, so that --compare can
-    # refuse it; config_from_args fills in the defaults
-    p_noise.add_argument(
-        "--graph", default=None, help="catalog name or @edge-list-file (default P4)"
-    )
-    p_noise.add_argument("--channel", choices=("dep", "pd", "ad"), default=None)
-    p_noise.add_argument("--correction", choices=CORRECTION_KINDS, default=None)
-    p_noise.add_argument("--p", required=True, help="value or START:STOP:STEP")
-    p_noise.add_argument("--insertion", choices=("post_prep", "pre_measure"), default=None)
-    p_noise.add_argument("--metric", choices=("strict", "conditional"), default=None)
-    p_noise.add_argument(
-        "--compare",
-        choices=("fig4",),
-        default=None,
-        help="closed-form comparison curves instead of one graph",
-    )
-    common(p_noise, "csv")
-
-    p_lc = sub.add_parser("lc", help="Schmidt ranks across cuts for two states")
-    p_lc.add_argument("--a", required=True, help="L4, GHZ4, catalog name, or @file")
-    p_lc.add_argument("--b", required=True, help="same selectors as --a")
-    p_lc.add_argument(
-        "--cut",
-        action="append",
-        required=True,
-        help="vertex split like AC|BD; repeatable",
-    )
-    common(p_lc, "json")
-
-    p_counts = sub.add_parser("counts", help="fidelity and effective p from counts")
-    p_counts.add_argument("--counts", default=None, help="JSON file bitstring->count")
-    p_counts.add_argument("--ideal", default=None, help="JSON file bitstring->probability")
-    p_counts.add_argument("--fidelity", type=float, default=None, help="direct mode")
-    p_counts.add_argument("--k", type=int, required=True, help="resource-qubit count")
-    p_counts.add_argument(
-        "--unsquared", action="store_true", help="report the unsquared overlap"
-    )
-    common(p_counts, "json")
-
-    return parser
+        entries = [(name, text) for name, (text, _) in COMMANDS.items()]
+        entries.append(("--version", "print the version and exit"))
+    else:
+        usage = command + " [options]"
+        summary, options = COMMANDS[command]
+        entries = []
+        for flag, opt in options.items():
+            if opt.choices:
+                flag += " {" + ",".join(opt.choices) + "}"
+            elif opt.type is not None:
+                flag += " " + flag[2:].upper()
+            text = opt.help + (" (required)" if opt.required else "")
+            if opt.default is not None:
+                text += f" (default {opt.default})"
+            entries.append((flag, text.strip()))
+    entries.insert(0, ("-h, --help", "show this help and exit"))
+    lines = [f"usage: pqw {usage}", "", summary, ""]
+    lines += [f"  {name}\n      {text}" if text else f"  {name}" for name, text in entries]
+    return "\n".join(lines) + "\n"
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    if args.jobs is not None and args.jobs < 1:
-        raise UsageError(f"jobs must be at least 1, got {args.jobs}")
-    common = {"command": args.cmd, "fmt": args.format, "out": args.out}
-    if args.cmd == "verify":
-        return RunConfig(graph=args.graph, correction=args.correction, **common)
-    if args.cmd == "noise":
-        # the options only a --channel run reads, each None unless given;
-        # RunConfig's defaults fill in the rest
-        given = {
-            name: getattr(args, name)
-            for name in ("channel", "graph", "correction", "insertion", "metric")
-            if getattr(args, name) is not None
-        }
-        if args.compare is None:
-            if args.channel is None:
+def _is_value(token: str) -> bool:
+    """Whether token can be an option's value: "-" and negative numbers
+    can, any other token that starts with "-" is an option."""
+    return not token.startswith("-") or token == "-" or token[1] in "0123456789."
+
+
+def _match(flag: str, names) -> str:
+    """The one name that flag spells, in full or as a unique prefix of at
+    least one letter after "--"."""
+    if flag in names:
+        return flag
+    found = [name for name in names if name.startswith(flag)] if len(flag) > 2 else []
+    if len(found) > 1:
+        raise UsageError(f"ambiguous option: {flag} could match {', '.join(found)}")
+    if not found:
+        raise UsageError(f"unrecognized arguments: {flag}")
+    return found[0]
+
+
+def parse_args(argv: list[str]) -> RunConfig | str:
+    """The RunConfig that argv asks for, or the help or version text it
+    asks for; any other argv raises UsageError."""
+    if not argv:
+        raise UsageError(f"a command is required: {', '.join(COMMANDS)}")
+    command = argv[0]
+    if not _is_value(command):
+        if _match(command, (*HELP_FLAGS, "--version")) == "--version":
+            return f"pqw {__version__}\n"
+        return _help(None)
+    if command not in COMMANDS:
+        raise UsageError(f"invalid command {command!r}; choose from {', '.join(COMMANDS)}")
+    options = COMMANDS[command][1]
+    given = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if _is_value(token):
+            raise UsageError(f"unrecognized arguments: {token}")
+        flag, equals, text = token.partition("=")
+        flag = _match(flag, (*options, *HELP_FLAGS))
+        if flag in HELP_FLAGS:
+            return _help(command)
+        opt = options[flag]
+        if opt.type is None:
+            if equals:
+                raise UsageError(f"argument {flag}: takes no value, got {text!r}")
+            given[opt.field] = True
+            continue
+        if not equals:
+            text = next(tokens, None)
+            if text is None or not _is_value(text):
+                raise UsageError(f"argument {flag}: expected one argument")
+        try:
+            value = opt.type(text)
+            if opt.choices and value not in opt.choices:
+                raise ValueError(text)
+        except ValueError:
+            expected = f"one of {', '.join(opt.choices)}" if opt.choices else opt.type.__name__
+            message = f"argument {flag}: invalid value {text!r}; expected {expected}"
+            raise UsageError(message) from None
+        given[opt.field] = given.get(opt.field, ()) + (value,) if opt.repeat else value
+    missing = [f for f, opt in options.items() if opt.required and opt.field not in given]
+    if missing:
+        raise UsageError(f"the following arguments are required: {', '.join(missing)}")
+
+    jobs = given.pop("jobs", None)
+    if jobs is not None and jobs < 1:
+        raise UsageError(f"jobs must be at least 1, got {jobs}")
+    if command == "noise":
+        if "compare" not in given:
+            if "channel" not in given:
                 raise UsageError("noise needs --channel (or --compare)")
             given.setdefault("graph", "P4")
-        elif given:
-            raise UsageError(f"--compare and --{next(iter(given))} are mutually exclusive")
-        return RunConfig(
-            p_grid=_parse_p_grid(args.p), compare=args.compare, **given, **common
-        )
-    if args.cmd == "lc":
-        return RunConfig(
-            state_a=args.a, state_b=args.b, cuts=tuple(args.cut), **common
-        )
-    # counts; argparse already requires --k here, as it requires --p above
-    file_mode = args.counts is not None or args.ideal is not None
-    if file_mode and args.fidelity is not None:
-        raise UsageError("--fidelity excludes --counts/--ideal")
-    if file_mode and (args.counts is None or args.ideal is None):
-        raise UsageError("file mode needs both --counts and --ideal")
-    if not file_mode and args.fidelity is None:
-        raise UsageError("counts needs either --counts/--ideal or --fidelity")
-    return RunConfig(
-        counts_path=args.counts,
-        ideal_path=args.ideal,
-        fidelity=args.fidelity,
-        k=args.k,
-        unsquared=args.unsquared,
-        **common,
-    )
+        else:
+            # the options only a --channel run reads, in the order named
+            for field in ("channel", "graph", "correction", "insertion", "metric"):
+                if field in given:
+                    raise UsageError(f"--compare and --{field} are mutually exclusive")
+        given["p_grid"] = _parse_p_grid(given["p_grid"])
+    elif command == "counts":
+        file_mode = "counts_path" in given or "ideal_path" in given
+        if file_mode and "fidelity" in given:
+            raise UsageError("--fidelity excludes --counts/--ideal")
+        if file_mode and not ("counts_path" in given and "ideal_path" in given):
+            raise UsageError("file mode needs both --counts and --ideal")
+        if not file_mode and "fidelity" not in given:
+            raise UsageError("counts needs either --counts/--ideal or --fidelity")
+        if not file_mode and "unsquared" in given:
+            raise UsageError("--unsquared applies only to --counts/--ideal")
+    defaults = {opt.field: opt.default for opt in options.values() if opt.default is not None}
+    return RunConfig(command, **{**defaults, **given})
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exit_request:  # argparse already printed the message
-        code = exit_request.code
-        return code if isinstance(code, int) else EXIT_USAGE
-    try:
-        config = config_from_args(args)
-        if args.cmd == "verify":
+        config = parse_args(sys.argv[1:] if argv is None else list(argv))
+        if isinstance(config, str):  # the help or version text
+            sys.stdout.write(config)
+            return EXIT_PASS
+        if config.command == "verify":
             return cmd_verify(config)
-        if args.cmd == "noise":
+        if config.command == "noise":
             return cmd_noise(config)
-        if args.cmd == "lc":
+        if config.command == "lc":
             return cmd_lc(config)
         return cmd_counts(config)
     except ResourceError as err:
@@ -528,3 +589,7 @@ def main(argv=None) -> int:
 
 def entry() -> None:
     sys.exit(main(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    entry()

@@ -20,7 +20,8 @@ at every outcome, and everything else is read from them: pass/fail and
 the first counterexample from the rows themselves, the maximum fidelity
 from one elimination, and the fidelity of each outcome as one column
 that builds no object per outcome.
-Only the rank comparison is dense, and it loads numpy when it runs.
+Only the rank comparison is dense, and it loads numpy when it runs;
+the noise sweep loads pqw.noise when it runs, so verification never does.
 """
 
 from __future__ import annotations
@@ -29,19 +30,12 @@ from itertools import repeat
 from typing import TYPE_CHECKING, NamedTuple
 
 from .graphs import DEFAULT_QUBIT_CEILING, Graph, ResourceError, stabilizer_generators
-from .noise import (
-    CHANNEL_ALIASES,
-    NoiseChannel,
-    NoiseReport,
-    f_star_dep,
-    f_star_pd,
-    noisy_protocol_fidelity,
-)
 from .protocol import _sign_forms, far_side_mask, symbolic_protocol_tableau
 from .stabilizer import extract_sign_forms
 
 if TYPE_CHECKING:
     from . import statevector as sv
+    from .noise import NoiseReport
 
 
 class OutcomeRecord(NamedTuple):
@@ -259,6 +253,15 @@ def noise_sweep(
     """Enumerate the exact fidelity on each grid point and attach the
     closed-form curve where one exists (depolarizing and phase damping;
     amplitude damping has none and gets no overlay)."""
+    from .noise import (
+        CHANNEL_ALIASES,
+        NoiseChannel,
+        NoiseReport,
+        f_star_dep,
+        f_star_pd,
+        noisy_protocol_fidelity,
+    )
+
     kind = CHANNEL_ALIASES.get(channel_kind, channel_kind)
     grid = tuple(float(p) for p in p_grid)
     k = 2 * graph.n_edges

@@ -7,6 +7,7 @@ import io
 import itertools
 import json
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -709,17 +710,33 @@ def test_counts_modes_are_exclusive(capsys):
     assert "required: --k" in _usage_error(argv, capsys)
 
 
+def test_counts_unsquared_needs_file_mode(capsys):
+    # a direct fidelity has no overlap to leave unsquared
+    argv = ["counts", "--fidelity", "0.9", "--k", "6", "--unsquared"]
+    assert _usage_error(argv, capsys) == "pqw: --unsquared applies only to --counts/--ideal\n"
+
+
+def test_counts_unsquared_reports_the_overlap(tmp_path, capsys):
+    counts = tmp_path / "counts.json"
+    ideal = tmp_path / "ideal.json"
+    counts.write_text(json.dumps({"00": 30, "11": 70}))
+    ideal.write_text(json.dumps({"00": 0.5, "11": 0.5}))
+    argv = ["counts", "--counts", str(counts), "--ideal", str(ideal), "--k", "2"]
+    fidelities = []
+    for extra in ([], ["--unsquared"]):
+        assert main(argv + extra) == EXIT_PASS
+        fidelities.append(json.loads(capsys.readouterr().out)["fidelity"])
+    squared, unsquared = fidelities
+    assert unsquared == pytest.approx(math.sqrt(0.15) + math.sqrt(0.35), rel=1e-12)
+    assert unsquared == pytest.approx(math.sqrt(squared), rel=1e-12)
+    assert unsquared > squared
+
+
 # -- shared plumbing --------------------------------------------------------------
 
 
 def test_explicit_jobs_must_be_positive():
     assert main(["verify", "--graph", "P3", "--jobs", "0"]) == EXIT_USAGE
-
-
-def test_argparse_errors_map_to_usage(capsys):
-    assert main(["noise", "--channel", "sparkle", "--p", "0.1"]) == EXIT_USAGE
-    assert main(["bogus-subcommand"]) == EXIT_USAGE
-    assert main([]) == EXIT_USAGE
 
 
 @pytest.mark.parametrize(
@@ -745,9 +762,26 @@ def test_version_prints_package_version(capsys):
     assert capsys.readouterr().out == f"pqw {pqw.__version__}\n"
 
 
+# the names each help text must list: the commands and --version at the
+# top level, every option of each command
+HELP_NAMES = {
+    (): ("verify", "noise", "lc", "counts", "--version", "--help"),
+    ("verify",): ("--graph", "--correction", "--format", "--out", "--jobs", "--help"),
+    ("noise",): (
+        "--graph", "--channel", "--correction", "--p", "--insertion", "--metric",
+        "--compare", "--format", "--out", "--jobs", "--help",
+    ),
+    ("lc",): ("--a", "--b", "--cut", "--format", "--out", "--jobs", "--help"),
+    ("counts",): (
+        "--counts", "--ideal", "--fidelity", "--k", "--unsquared", "--format", "--out",
+        "--jobs", "--help",
+    ),
+}
+
+
 def test_help_exits_zero(capsys):
-    with pytest.raises(SystemExit):
-        # argparse raises; main() traps it, so call the parser directly
-        cli.build_parser().parse_args(["--help"])
-    assert main(["--help"]) == EXIT_PASS
-    assert "verify" in capsys.readouterr().out
+    for command, names in HELP_NAMES.items():
+        assert main([*command, "--help"]) == EXIT_PASS
+        out = capsys.readouterr().out
+        for name in names:
+            assert re.search(rf"(?<![\w-]){re.escape(name)}(?![\w-])", out), (command, name)

@@ -1,5 +1,5 @@
-"""Package surface: the names pqw exports, its version, and which entry
-points load numpy."""
+"""Package surface: the names pqw exports, its version, and which modules
+each entry point loads."""
 
 import json
 import os
@@ -16,12 +16,12 @@ from pqw.cli import EXIT_BUDGET, main
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# every name pqw exported before the dense simulator's names became lazy,
-# by the module that defines (or, for ResourceError, re-exports) it
+# every name pqw exports, by the module that defines it
 EXPORTS = {
     "graphs": (
-        "CatalogError", "Graph", "TABLE_ORDER", "catalog_lookup", "catalog_names",
-        "ghz_state", "graph_state", "parse_edge_list", "stabilizer_generators",
+        "CatalogError", "Graph", "ResourceError", "TABLE_ORDER", "catalog_lookup",
+        "catalog_names", "ghz_state", "graph_state", "parse_edge_list",
+        "stabilizer_generators",
     ),
     "noise": (
         "NoiseChannel", "NoiseReport", "bhattacharyya_fidelity", "extract_p_eff",
@@ -41,7 +41,7 @@ EXPORTS = {
         "measure_z", "zero_state_tableau",
     ),
     "statevector": (
-        "Bipartition", "ResourceError", "StateVector", "ZeroProbabilityError",
+        "Bipartition", "StateVector", "ZeroProbabilityError",
         "apply_gate", "fidelity", "from_amplitudes", "measure_project", "new_plus",
         "new_zero", "schmidt_rank",
     ),
@@ -50,18 +50,55 @@ EXPORTS = {
         "phase_lemma_check", "verify_all_outcomes",
     ),
 }
-SUBMODULES = ("data", "graphs", "noise", "protocol", "stabilizer", "statevector", "verify")
+# each submodule after every submodule it imports, so that reading
+# pqw.<name> in this order is always the first import of that module
+SUBMODULES = (
+    "data", "stabilizer", "graphs", "protocol", "noise", "verify", "statevector", "cli",
+)
+
+# Runs in a fresh interpreter that has imported nothing of pqw but the
+# package.  For each [attribute, module] pair of argv[1], in order, prints
+# the attribute, whether pqw.<module> was loaded before the attribute was
+# read, whether it is the module's own object (the module itself when
+# the two names are equal), and whether numpy is loaded.
+EXPORT_SCRIPT = r"""
+import json
+import sys
+
+import pqw
+
+for attribute, module in json.loads(sys.argv[1]):
+    loaded_before = f"pqw.{module}" in sys.modules
+    value = getattr(pqw, attribute)
+    defining = sys.modules[f"pqw.{module}"]
+    expected = defining if attribute == module else getattr(defining, attribute)
+    print(json.dumps([attribute, loaded_before, value is expected, "numpy" in sys.modules]))
+print(json.dumps(sorted(dir(pqw))))
+"""
+
+
+def _fresh_exports(pairs) -> tuple[list, list]:
+    *rows, names = map(json.loads, _run_fresh(EXPORT_SCRIPT, json.dumps(pairs)).splitlines())
+    assert [row[0] for row in rows] == [attribute for attribute, _ in pairs]
+    return rows, names
 
 
 def test_exports_resolve_to_their_defining_module():
-    for module, names in EXPORTS.items():
-        defining = sys.modules[f"pqw.{module}"]
-        for name in names:
-            assert getattr(pqw, name) is getattr(defining, name), name
-    for module in SUBMODULES:
-        assert getattr(pqw, module) is sys.modules[f"pqw.{module}"]
-    exported = {name for names in EXPORTS.values() for name in names}
-    assert exported | set(SUBMODULES) <= set(dir(pqw))
+    # fresh interpreters, because this one imported most submodules at
+    # the top of this file and would hide a broken lazy export
+    rows, names = _fresh_exports([(module, module) for module in SUBMODULES])
+    for module, loaded_before, identical, _ in rows:
+        assert not loaded_before, f"pqw.{module} loaded before it was read"
+        assert identical, module
+    exported = [(name, module) for module, names in EXPORTS.items() for name in names]
+    # ResourceError first: it resolves through graphs, not statevector
+    exported.sort(key=lambda pair: pair[0] != "ResourceError")
+    rows, names = _fresh_exports(exported)
+    assert rows[0] == ["ResourceError", False, True, False]
+    for name, _, identical, _ in rows:
+        assert identical, name
+    assert {name for name, _ in exported} | set(SUBMODULES) <= set(names)
+    assert statevector.ResourceError is pqw.ResourceError
 
 
 def test_unknown_attribute_still_raises():
@@ -145,21 +182,41 @@ run(["lc", "--a", "L4", "--b", "GHZ4", "--cut", "AB|CD"])
 """
 
 
-def _run_fresh(script: str) -> str:
-    """stdout of script in a fresh interpreter that imports pqw from src."""
+def _fresh(argv: list[str], check: bool = True) -> subprocess.CompletedProcess:
+    """A fresh interpreter run with argv, importing pqw from src."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, (str(ROOT / "src"), env.get("PYTHONPATH")))
     )
-    result = subprocess.run(
-        [sys.executable, "-c", script],
+    return subprocess.run(
+        [sys.executable, *argv],
         capture_output=True,
         text=True,
         env=env,
         timeout=120,
-        check=True,
+        check=check,
     )
-    return result.stdout
+
+
+def _run_fresh(script: str, *args: str) -> str:
+    """stdout of script, given args, in a fresh interpreter."""
+    return _fresh(["-c", script, *args]).stdout
+
+
+@pytest.mark.parametrize("module", ("pqw", "pqw.cli"))
+@pytest.mark.parametrize(
+    "argv",
+    (["--version"], ["verify", "--graph", "P3", "--format", "csv"], ["verify"]),
+    ids=("version", "verify", "usage"),
+)
+def test_python_m_pqw_runs_the_cli(argv, module, capsys):
+    code = main(argv)
+    expected = capsys.readouterr()
+    result = _fresh(["-m", module, *argv], check=False)
+    assert (result.returncode, result.stdout, result.stderr) == (
+        code, expected.out, expected.err
+    )
+    assert result.stdout or result.stderr
 
 
 def test_symbolic_entry_points_do_not_import_numpy():
@@ -245,3 +302,62 @@ def test_cli_import_loads_no_resource_machinery():
     added = set(_run_fresh(MODULES_SCRIPT.format("import pqw.cli")).split()) - bare
     assert "pqw.cli" in added
     assert not added & {"importlib.resources", "inspect", "zipfile", "tempfile"}
+
+
+# Runs in a fresh interpreter.  Each step prints its label, exit code and
+# the watched modules it finds loaded that the bare interpreter had not,
+# tab-separated; the steps share the interpreter, as in GUARD_SCRIPT.
+STARTUP_GUARD_SCRIPT = r"""
+import contextlib
+import io
+import sys
+
+WATCHED = ("argparse", "gettext", "locale", "pqw.noise")
+bare = {name for name in WATCHED if name in sys.modules}
+
+
+def report(label, code):
+    print(label, code, *[n for n in WATCHED if n in sys.modules and n not in bare], sep="\t")
+
+
+def run(argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    report(" ".join(argv), code)
+
+
+import pqw.cli
+from pqw.cli import main
+
+report("import pqw.cli", 0)
+run(["verify", "--graph", "all", "--format", "csv"])
+from pqw.graphs import catalog_lookup
+from pqw.verify import phase_lemma_check
+
+report("phase_lemma_check", 0 if all(phase_lemma_check(catalog_lookup(g)) for g in ("C5", "diamond")) else 1)
+run(["noise", "--channel", "dep", "--p", "0:0.2:0.1", "--format", "csv"])
+run(["noise", "--graph", "C4", "--channel", "ad", "--p", "0.1", "--metric", "conditional", "--format", "csv"])
+run(["noise", "--compare", "fig4", "--p", "0.2", "--format", "csv"])
+run(["counts", "--fidelity", "0.9241", "--k", "6", "--format", "csv"])
+run(["lc", "--a", "L4", "--b", "GHZ4", "--cut", "AB|CD", "--format", "csv"])
+"""
+
+
+def test_commands_load_no_argparse_and_only_their_engine():
+    # argparse brings gettext and, through it, locale; the CLI parses its
+    # own arguments, and only noise and counts need pqw.noise
+    steps = [line.split("\t") for line in _run_fresh(STARTUP_GUARD_SCRIPT).splitlines()]
+    assert steps == [
+        ["import pqw.cli", "0"],
+        ["verify --graph all --format csv", "0"],
+        ["phase_lemma_check", "0"],
+        ["noise --channel dep --p 0:0.2:0.1 --format csv", "0", "pqw.noise"],
+        [
+            "noise --graph C4 --channel ad --p 0.1 --metric conditional --format csv",
+            "0",
+            "pqw.noise",
+        ],
+        ["noise --compare fig4 --p 0.2 --format csv", "0", "pqw.noise"],
+        ["counts --fidelity 0.9241 --k 6 --format csv", "0", "pqw.noise"],
+        ["lc --a L4 --b GHZ4 --cut AB|CD --format csv", "0", "pqw.noise"],
+    ]
