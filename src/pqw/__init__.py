@@ -8,10 +8,11 @@ statistics, sign bookkeeping, noise curves, and Schmidt-rank
 separations, all computed exactly.
 
 Every exported name, and every submodule, loads on first access, so
-``import pqw.cli`` loads only the engines a command runs.  The dense
-simulator's names (StateVector, apply_gate, ...) load pqw.statevector,
-and with it numpy; the symbolic engines and the noise sum never import
-either.
+``import pqw.cli`` loads only the engines a command runs.  Every command
+runs on the symbolic engines, and no module but pqw.statevector imports
+numpy.  The dense names (StateVector, graph_state, run_protocol,
+kraus_ops, ...) load pqw.statevector, and with it numpy; they are the
+oracles the tests check the symbolic engines against.
 """
 
 __version__ = "0.1.0"
@@ -21,29 +22,30 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "graphs": (
         "CatalogError", "Graph", "ResourceError", "TABLE_ORDER", "catalog_lookup",
-        "catalog_names", "ghz_state", "graph_state", "parse_edge_list",
-        "stabilizer_generators",
+        "catalog_names", "parse_edge_list", "stabilizer_generators",
     ),
     "noise": (
         "NoiseChannel", "NoiseReport", "bhattacharyya_fidelity", "extract_p_eff",
-        "f_star_dep", "f_star_pd", "kraus_ops", "noisy_protocol_fidelity",
-        "parse_channel", "t1_damping_estimate",
+        "f_star_dep", "f_star_pd", "noisy_protocol_fidelity", "parse_channel",
+        "t1_damping_estimate",
     ),
     "protocol": (
-        "CorrectionPlan", "Layout", "Outcome", "all_outcomes", "apply_correction",
-        "build_layout", "byproduct_step", "c4_correction", "corrected_fidelity",
-        "correction_forms", "correction_plan", "l4_correction", "plans_equivalent",
-        "run_protocol", "run_protocol_tableau", "tree_correction",
+        "CorrectionPlan", "Layout", "Outcome", "all_outcomes", "build_layout",
+        "c4_correction", "correction_forms", "correction_plan", "l4_correction",
+        "plans_equivalent", "run_protocol_tableau", "tree_correction",
         "universal_correction",
     ),
     "stabilizer": (
-        "PauliString", "Tableau", "ZeroProbabilityBranch", "check_stabilizes",
-        "conjugate", "conjugate_circuit", "extract_sign", "extract_sign_forms",
-        "measure_z", "zero_state_tableau",
+        "PauliString", "Tableau", "ZeroProbabilityBranch", "conjugate",
+        "conjugate_circuit", "extract_sign", "extract_sign_forms", "measure_z",
+        "zero_state_tableau",
     ),
     "statevector": (
-        "Bipartition", "StateVector", "ZeroProbabilityError", "apply_gate", "fidelity",
-        "from_amplitudes", "measure_project", "new_plus", "new_zero", "schmidt_rank",
+        "Bipartition", "StateVector", "ZeroProbabilityError", "apply_correction",
+        "apply_gate", "apply_pauli", "byproduct_step", "check_stabilizes",
+        "corrected_fidelity", "fidelity", "from_amplitudes", "ghz_state", "graph_state",
+        "kraus_ops", "measure_project", "new_plus", "new_zero", "run_protocol",
+        "schmidt_rank",
     ),
     "verify": (
         "LcReport", "VerificationReport", "lc_check", "noise_sweep",

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 from . import __version__
 from .graphs import (
@@ -33,8 +33,6 @@ from .graphs import (
     ResourceError,
     TABLE_ORDER,
     catalog_lookup,
-    ghz_state,
-    graph_state,
     parse_edge_list,
 )
 from .protocol import CORRECTION_KINDS
@@ -44,9 +42,6 @@ from .verify import (
     noise_sweep,
     verify_all_outcomes,
 )
-
-if TYPE_CHECKING:
-    from .statevector import Bipartition, StateVector
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -130,29 +125,29 @@ def _resolve_graph(spec: str) -> tuple[str, Graph]:
     return spec, catalog_lookup(spec)
 
 
-def _resolve_state(spec: str) -> tuple[StateVector, tuple[str, ...]]:
-    """A state selector: L4 and GHZ4 name the two states of the rank
-    comparison, any catalog name or @edge-list names a graph state."""
+def _resolve_state(spec: str) -> Graph:
+    """The graph a state selector names: L4 the path P4, any catalog name
+    or @edge-list its graph.  GHZ4 is the catalog alias of the star K1_3,
+    whose graph state is GHZ4 up to H on every leaf, which changes no
+    Schmidt rank."""
     if spec == "L4":
-        graph = catalog_lookup("P4")
-        return graph_state(graph), graph.vertices
-    if spec == "GHZ4":
-        return ghz_state(4), ("A", "B", "C", "D")
-    _, graph = _resolve_graph(spec)
-    return graph_state(graph), graph.vertices
+        return catalog_lookup("P4")
+    return _resolve_graph(spec)[1]
 
 
-def _parse_cut(spec: str, labels: tuple[str, ...]) -> Bipartition:
-    """AC|BD puts vertices A,C on one side and B,D on the other; comma
-    separation supports multi-character labels."""
-    from .statevector import Bipartition
-
+def _parse_cut(spec: str, labels: tuple[str, ...]) -> frozenset[int]:
+    """The vertex indices of side A.  AC|BD puts vertices A,C on one side
+    and B,D on the other; comma separation supports multi-character
+    labels, and a side that is one label names that vertex."""
     halves = spec.split("|")
     if len(halves) != 2:
         raise UsageError(f"bad cut {spec!r}; expected SIDE|SIDE")
 
     def side(text: str) -> frozenset[int]:
-        names = text.split(",") if "," in text else list(text)
+        if text in labels:
+            names = [text]
+        else:
+            names = text.split(",") if "," in text else list(text)
         out = set()
         for nm in names:
             if nm not in labels:
@@ -163,7 +158,7 @@ def _parse_cut(spec: str, labels: tuple[str, ...]) -> Bipartition:
     a, b = side(halves[0]), side(halves[1])
     if a | b != frozenset(range(len(labels))) or a & b:
         raise UsageError(f"cut {spec!r} must split the vertices into two disjoint sides")
-    return Bipartition(a, b)
+    return a
 
 
 def _fmt(x: float) -> str:
@@ -314,10 +309,10 @@ def cmd_noise(config: RunConfig) -> int:
 
 
 def cmd_lc(config: RunConfig) -> int:
-    state_a, labels = _resolve_state(config.state_a)
-    state_b, _ = _resolve_state(config.state_b)
-    cuts = [_parse_cut(spec, labels) for spec in config.cuts]
-    report = lc_check(state_a, state_b, cuts)
+    graph_a = _resolve_state(config.state_a)
+    graph_b = _resolve_state(config.state_b)
+    cuts = [_parse_cut(spec, graph_a.vertices) for spec in config.cuts]
+    report = lc_check(graph_a, graph_b, cuts)
     if config.fmt == "json":
         payload = {
             "a": config.state_a,

@@ -1,10 +1,12 @@
-"""Target graphs, the named-topology catalog, and graph-state builders.
+"""Target graphs, the named-topology catalog, and graph-state generators.
 
 A graph state |G> is prepared by applying CZ along every edge of G to
 |+> on every vertex; it is the unique joint +1 eigenstate of the
-generators K_v = X_v * prod_{u~v} Z_u.  Vertex order is significant
-here: it fixes qubit indices, measurement-outcome indexing, and report
-ordering, which is why Graph keeps ordered tuples instead of sets.
+generators K_v = X_v * prod_{u~v} Z_u that stabilizer_generators
+returns (pqw.statevector.graph_state builds its amplitudes).  Vertex
+order is significant here: it fixes qubit indices, measurement-outcome
+indexing, and report ordering, which is why Graph keeps ordered tuples
+instead of sets.
 
 The catalog's entries are a Python literal in pqw.data.catalog, so the
 interpreter loads them from cached bytecode with no file to open and no
@@ -13,13 +15,10 @@ JSON to parse; catalog_lookup validates each one as a Graph on lookup.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 from .data.catalog import ALIASES, GRAPHS, TABLE_ORDER
 from .stabilizer import PauliString, Tableau, _Checked
-
-if TYPE_CHECKING:
-    from . import statevector as sv
 
 
 class CatalogError(KeyError):
@@ -151,17 +150,6 @@ def parse_edge_list(text: str) -> Graph:
     return Graph(tuple(vertices), tuple(edges))
 
 
-def graph_state(graph: Graph, max_qubits: int | None = None) -> sv.StateVector:
-    """CZ along every edge applied to |+> everywhere; qubit k hosts
-    vertex graph.vertices[k]."""
-    from . import statevector as sv
-
-    state = sv.new_plus(graph.n_vertices, max_qubits=max_qubits)
-    for u, v in graph.edges:
-        state = sv.apply_gate(state, "CZ", (graph.vertex_index(u), graph.vertex_index(v)))
-    return state
-
-
 def stabilizer_generators(graph: Graph) -> Tableau:
     """One generator per vertex: X there, Z on each neighbor."""
     n = graph.n_vertices
@@ -173,13 +161,4 @@ def stabilizer_generators(graph: Graph) -> Tableau:
             z_bits |= 1 << graph.vertex_index(u)
         gens.append(PauliString(n, x_bits, z_bits))
     return Tableau(n, tuple(gens))
-
-
-def ghz_state(n_qubits: int = 4) -> sv.StateVector:
-    """(|0...0> + |1...1>)/sqrt(2)."""
-    from . import statevector as sv
-
-    amps = [0.0] * (2**n_qubits)
-    amps[0] = amps[-1] = 1.0
-    return sv.from_amplitudes(amps, normalize=True)
 

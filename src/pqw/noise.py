@@ -52,14 +52,11 @@ import math
 import operator
 from functools import lru_cache
 from itertools import product
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 from .graphs import Graph, ResourceError, stabilizer_generators
 from .protocol import _bit_reversed, _sign_forms, far_side_mask, walk_gates
 from .stabilizer import PauliString, Tableau, _Checked, conjugate_circuit
-
-if TYPE_CHECKING:
-    import numpy as np
 
 CHANNEL_KINDS = ("depolarizing", "phase_damping", "amplitude_damping")
 CHANNEL_ALIASES = {
@@ -99,15 +96,9 @@ def parse_channel(name: str, p: float) -> NoiseChannel:
     return NoiseChannel(CHANNEL_ALIASES.get(name, name), p)
 
 
-def kraus_ops(channel: NoiseChannel) -> tuple[np.ndarray, ...]:
-    import numpy as np
-
-    return tuple(np.array(op, dtype=complex) for op in _kraus_lists(channel))
-
-
 def _kraus_lists(channel: NoiseChannel) -> tuple[list[list[complex]], ...]:
-    """The Kraus operators as 2x2 nested lists of complex, entry for
-    entry (signed zeros included) the values kraus_ops returns."""
+    """The Kraus operators as 2x2 nested lists of complex, signed zeros
+    included; pqw.statevector.kraus_ops gives them as matrices."""
     p = channel.p
     if channel.kind == "depolarizing":
         c, s = math.sqrt(1.0 - 0.75 * p), math.sqrt(p / 4.0)

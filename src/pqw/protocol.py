@@ -33,20 +33,19 @@ index like far_side_mask, and the plan of outcome s is those forms read
 at s by parity.  As X_u|G> = Z_{N(u)}|G>, a plan reaches |G> only through
 its sign forms phi_v = z_v xor (xor of x_u over u ~ v), and the parity
 condition is phi_v = g_v = far_side_mask(v).  verify and the noise sum
-read plans as phi, verify against the signs of symbolic_protocol_tableau;
-the dense per-outcome reference (run_protocol, corrected_fidelity)
-applies (x, z).  The circuit is written once, as the gate lists
-prep_gates and walk_gates.  The dense functions import numpy and
-pqw.statevector when they run, so the symbolic paths (forms, the tableau
-run, verify's outcome sweep, the noise sum) never load them.
+read plans as phi, verify against the signs of symbolic_protocol_tableau.
+The circuit is written once, as the gate lists prep_gates and walk_gates.
+The dense per-outcome reference, which applies (x, z) to amplitudes
+(run_protocol, corrected_fidelity), runs them in pqw.statevector; nothing
+here imports numpy.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
-from .graphs import Graph, catalog_lookup, graph_state, stabilizer_generators
+from .graphs import Graph, catalog_lookup, stabilizer_generators
 from .stabilizer import (
     PauliString,
     Tableau,
@@ -55,11 +54,6 @@ from .stabilizer import (
     _conj_bits,
     _measure_rows,
 )
-
-if TYPE_CHECKING:
-    import numpy as np
-
-    from . import statevector as sv
 
 Edge = tuple[str, str]
 
@@ -176,35 +170,6 @@ def walk_gates(graph: Graph) -> tuple[tuple[str, tuple[int, ...]], ...]:
     return tuple(gates)
 
 
-def _run_gates(amps: np.ndarray, gates) -> np.ndarray:
-    """A list of CZ and H gates on raw, possibly unnormalized amplitudes."""
-    from . import statevector as sv
-
-    for gate, targets in gates:
-        kernel = sv._apply_cz if gate == "CZ" else sv._apply_h
-        amps = kernel(amps, *targets)
-    return amps
-
-
-def _after_prep(graph: Graph) -> np.ndarray:
-    """Raw amplitudes after S1 + S2, every qubit prepared."""
-    from . import statevector as sv
-
-    # no name holds the |+> register, so the first gate frees it
-    n_qubits = graph.n_vertices + 2 * graph.n_edges
-    return _run_gates(sv.new_plus(n_qubits).amplitudes, prep_gates(graph))
-
-
-@lru_cache(maxsize=32)
-def _premeasurement(graph: Graph) -> sv.StateVector:
-    from . import statevector as sv
-
-    # no name holds the prepared register, so the walk frees it after
-    # its first gate instead of keeping one more register alive
-    amps = _run_gates(_after_prep(graph), walk_gates(graph))
-    return sv.StateVector(graph.n_vertices + 2 * graph.n_edges, amps)
-
-
 def _bit_reversed(graph: Graph, value):
     """Outcome index to resource row and back, for an int or an integer
     array: resource qubit n_vertices + m holds sequence bit m, which is
@@ -215,35 +180,6 @@ def _bit_reversed(graph: Graph, value):
     for m in range(k):
         out = out | (((value >> (k - 1 - m)) & 1) << m)
     return out
-
-
-def data_slab(graph: Graph, outcome: Outcome) -> np.ndarray:
-    """Unnormalized data-qubit amplitudes after projecting all resource
-    qubits onto the outcome; squared norm is the outcome probability."""
-    pre = _premeasurement(graph)
-    rows = pre.amplitudes.reshape(-1, 2**graph.n_vertices)
-    return rows[_bit_reversed(graph, outcome.to_index())]
-
-
-def run_protocol(graph: Graph, outcome: Outcome) -> tuple[float, sv.StateVector]:
-    """Run S1-S4 up to (not including) correction.
-
-    Returns the joint probability of the outcome and the post-measurement
-    pure state of the data qubits.
-    """
-    if outcome.graph != graph:
-        raise ValueError("outcome belongs to a different graph")
-    import numpy as np
-
-    from . import statevector as sv
-
-    slab = data_slab(graph, outcome)
-    prob = float(np.vdot(slab, slab).real)
-    if prob < 1e-14:
-        raise sv.ZeroProbabilityError(
-            f"outcome {outcome.to_index()} has probability {prob}"
-        )
-    return prob, sv.StateVector(graph.n_vertices, slab / np.sqrt(prob))
 
 
 def _outcome_bit(graph: Graph, m: int) -> int:
@@ -315,29 +251,6 @@ def run_protocol_tableau(graph: Graph, outcome: Outcome) -> Tableau:
     if outcome.graph != graph:
         raise ValueError("outcome belongs to a different graph")
     return symbolic_protocol_tableau(graph).evaluate(outcome.to_index())
-
-
-def byproduct_step(s: int) -> tuple[float, sv.StateVector]:
-    """The single-edge primitive: entangle one data qubit with one half
-    of CZ|++>, rotate, and measure that half.
-
-    Qubits: 0 = data d, 1 = measured half r, 2 = far half r'.  Returns
-    the outcome probability (always 1/2) and the joint state of (d, r')
-    as a two-qubit register with d at qubit 0.
-    """
-    if s not in (0, 1):
-        raise ValueError("s must be a bit")
-    from . import statevector as sv
-
-    state = sv.new_plus(3)
-    state = sv.apply_gate(state, "CZ", (1, 2))  # the shared pair
-    state = sv.apply_gate(state, "CZ", (0, 1))  # walk step, then coin
-    state = sv.apply_gate(state, "H", (1,))
-    prob, projected = sv.measure_project(state, 1, s)
-    # drop the collapsed qubit: keep (q2, q0) as a 2-qubit register
-    view = projected.amplitudes.reshape(2, 2, 2)  # [q2, q1, q0]
-    pair = view[:, s, :].reshape(4)  # index = 2*q2 + q0 -> (d, r') order
-    return prob, sv.StateVector(2, pair)
 
 
 # -- correction formulas ---------------------------------------------------
@@ -423,28 +336,6 @@ def tree_correction(graph: Graph) -> Forms:
             acc ^= x[u]
         z[v] = acc
     return _forms(graph, x, z)
-
-
-def apply_correction(state: sv.StateVector, plan: CorrectionPlan) -> sv.StateVector:
-    """Apply Z^{z_v} then X^{x_v} at each vertex's qubit of a bare data
-    register in vertex order, which matches run_protocol's output."""
-    from . import statevector as sv
-
-    for i, (_, x, z) in enumerate(plan.exponents):
-        if z:
-            state = sv.apply_gate(state, "Z", (i,))
-        if x:
-            state = sv.apply_gate(state, "X", (i,))
-    return state
-
-
-def corrected_fidelity(graph: Graph, outcome: Outcome, plan: CorrectionPlan) -> float:
-    """Fidelity of the corrected post-measurement data state with the
-    target graph state."""
-    from . import statevector as sv
-
-    _, data = run_protocol(graph, outcome)
-    return sv.fidelity(apply_correction(data, plan), graph_state(graph))
 
 
 def plans_equivalent(plan_a: CorrectionPlan, plan_b: CorrectionPlan, graph: Graph) -> bool:

@@ -26,14 +26,7 @@ outcome, and .evaluate(s) gives the run at outcome s.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, NamedTuple
-
-if TYPE_CHECKING:
-    from .statevector import StateVector
-
-
-def _parity(mask: int) -> int:
-    return mask.bit_count() & 1
+from typing import NamedTuple
 
 
 class PauliString:
@@ -106,13 +99,10 @@ class PauliString:
 
     def evaluate(self, outcome_index: int) -> "PauliString":
         """The string at one outcome: the mask folded into the phase."""
-        flips = _parity(self.outcome_mask & outcome_index)
+        flips = (self.outcome_mask & outcome_index).bit_count() & 1
         return PauliString(
             self.n_qubits, self.x_bits, self.z_bits, self.phase + 2 * flips
         )
-
-    def is_identity(self) -> bool:
-        return self.x_bits == 0 and self.z_bits == 0
 
     def __mul__(self, other: "PauliString") -> "PauliString":
         if self.n_qubits != other.n_qubits:
@@ -127,37 +117,6 @@ class PauliString:
             (self.phase + other.phase + 2 * swaps) % 4,
             self.outcome_mask ^ other.outcome_mask,
         )
-
-    def commutes_with(self, other: "PauliString") -> bool:
-        if self.n_qubits != other.n_qubits:
-            raise ValueError("qubit counts differ")
-        return (
-            _parity(self.x_bits & other.z_bits) ^ _parity(self.z_bits & other.x_bits)
-        ) == 0
-
-    def same_paulis(self, other: "PauliString") -> bool:
-        """Equal up to phase."""
-        return self.x_bits == other.x_bits and self.z_bits == other.z_bits
-
-    def apply_to(self, state: StateVector) -> StateVector:
-        """Dense action: amplitude j picks up i^phase (-1)^{|j & z|}, then
-        the X block permutes j to j ^ x."""
-        if state.n_qubits != self.n_qubits:
-            raise ValueError("qubit counts differ")
-        if self.outcome_mask:
-            raise ValueError("the sign depends on the outcome; evaluate it first")
-        import numpy as np
-
-        from .statevector import StateVector
-
-        indices = np.arange(state.amplitudes.size, dtype=np.uint64)
-        z_par = np.bitwise_count(indices & np.uint64(self.z_bits)) & np.uint64(1)
-        signs = 1.0 - 2.0 * z_par.astype(float)
-        out = np.empty_like(state.amplitudes)
-        out[indices ^ np.uint64(self.x_bits)] = (
-            (1j**self.phase) * signs * state.amplitudes
-        )
-        return StateVector(state.n_qubits, out)
 
     def label(self) -> str:
         """Readable form like '-XZ.ZX' with '.' for identity sites."""
@@ -475,16 +434,3 @@ def measure_z(
         )
     return tableau
 
-
-def check_stabilizes(state: StateVector, tableau: Tableau, tol: float = 1e-10) -> bool:
-    """True iff every generator fixes the state with eigenvalue +1."""
-    if state.n_qubits != tableau.n_qubits:
-        raise ValueError("qubit counts differ")
-    import numpy as np
-
-    for g in tableau.generators:
-        moved = g.apply_to(state)
-        overlap = np.vdot(state.amplitudes, moved.amplitudes)
-        if abs(overlap - 1.0) > tol:
-            return False
-    return True

@@ -1,13 +1,19 @@
-"""Dense pure-state simulator for small qubit registers.
+"""Dense pure-state simulator for small qubit registers, and every dense
+function of the package.
 
 Qubit index convention, used everywhere in this package: qubit k is the
 k-th tensor factor and occupies bit k of the basis-state integer, so
 qubit 0 is the least significant bit.  All bit arithmetic in the other
 modules relies on this.
 
-This is the one module that imports numpy at load time; every other
-module reaches it from inside the dense functions that need it, so the
-symbolic engines start without it.
+This is the one module that imports numpy, and no other module imports
+it: the commands run on the symbolic engines alone.  Besides the
+simulator it holds the dense oracles the tests check those engines
+against: graph_state and ghz_state, the per-outcome protocol reference
+(run_protocol, corrected_fidelity, byproduct_step), the Pauli action
+apply_pauli with check_stabilizes, and the Kraus operators as matrices.
+Gates are checked by the tableau's gate table, so both engines accept
+and refuse the same gate lists.
 
 States are value-like: every operation returns a fresh StateVector and
 never mutates its input, so instances are safe to share across threads.
@@ -16,14 +22,16 @@ never mutates its input, so instances are safe to share across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-# defined numpy-free so the noise sum and verify can use them; the same
-# objects here
-from .graphs import DEFAULT_QUBIT_CEILING, ResourceError
-
-GATE_NAMES = ("H", "X", "Z", "CZ", "CNOT")
+# defined numpy-free in graphs, where verify and the noise sum use them;
+# the same objects here
+from .graphs import DEFAULT_QUBIT_CEILING, Graph, ResourceError
+from .noise import NoiseChannel, _kraus_lists
+from .protocol import CorrectionPlan, Outcome, _bit_reversed, prep_gates, walk_gates
+from .stabilizer import PauliString, Tableau, _checked_gates
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -169,36 +177,16 @@ def _apply_cnot(amps: np.ndarray, control: int, target: int) -> np.ndarray:
     return out.reshape(amps.size)
 
 
+_KERNELS = {
+    "H": _apply_h, "X": _apply_x, "Z": _apply_z, "CZ": _apply_cz, "CNOT": _apply_cnot,
+}
+
+
 def apply_gate(state: StateVector, gate: str, targets) -> StateVector:
     """Apply H, X, Z, CZ, or CNOT; CNOT targets are (control, target)."""
     targets = tuple(targets)
-    arity = 2 if gate in ("CZ", "CNOT") else 1
-    if gate in GATE_NAMES and len(targets) != arity:
-        raise ValueError(f"{gate} expects {arity} target(s), got {targets}")
-    for q in targets:
-        if not 0 <= q < state.n_qubits:
-            raise ValueError(f"qubit {q} out of range for {state.n_qubits} qubits")
-    if len(set(targets)) != len(targets):
-        raise ValueError(f"duplicate targets {targets}")
-    amps = state.amplitudes
-    if gate == "H":
-        (q,) = targets
-        out = _apply_h(amps, q)
-    elif gate == "X":
-        (q,) = targets
-        out = _apply_x(amps, q)
-    elif gate == "Z":
-        (q,) = targets
-        out = _apply_z(amps, q)
-    elif gate == "CZ":
-        q1, q2 = targets
-        out = _apply_cz(amps, q1, q2)
-    elif gate == "CNOT":
-        control, target = targets
-        out = _apply_cnot(amps, control, target)
-    else:
-        raise ValueError(f"unknown gate {gate!r}; expected one of {GATE_NAMES}")
-    return StateVector(state.n_qubits, out)
+    _checked_gates(state.n_qubits, ((gate, targets),))
+    return StateVector(state.n_qubits, _KERNELS[gate](state.amplitudes, *targets))
 
 
 def measure_project(state: StateVector, qubit: int, outcome: int):
@@ -250,3 +238,147 @@ def schmidt_rank(state: StateVector, cut: Bipartition, tol: float = 1e-9) -> int
     )
     singular = np.linalg.svd(matrix, compute_uv=False)
     return int(np.count_nonzero(singular > tol))
+
+
+# -- graph states ------------------------------------------------------------
+
+
+def graph_state(graph: Graph, max_qubits: int | None = None) -> StateVector:
+    """CZ along every edge applied to |+> everywhere; qubit k hosts
+    vertex graph.vertices[k]."""
+    state = new_plus(graph.n_vertices, max_qubits=max_qubits)
+    for u, v in graph.edges:
+        state = apply_gate(state, "CZ", (graph.vertex_index(u), graph.vertex_index(v)))
+    return state
+
+
+def ghz_state(n_qubits: int = 4) -> StateVector:
+    """(|0...0> + |1...1>)/sqrt(2)."""
+    amps = [0.0] * (2**n_qubits)
+    amps[0] = amps[-1] = 1.0
+    return from_amplitudes(amps, normalize=True)
+
+
+# -- Pauli strings ------------------------------------------------------------
+
+
+def apply_pauli(state: StateVector, pauli: PauliString) -> StateVector:
+    """Dense action of a Pauli string: amplitude j picks up
+    i^phase (-1)^{|j & z|}, then the X block permutes j to j ^ x."""
+    if state.n_qubits != pauli.n_qubits:
+        raise ValueError("qubit counts differ")
+    if pauli.outcome_mask:
+        raise ValueError("the sign depends on the outcome; evaluate it first")
+    indices = np.arange(state.amplitudes.size, dtype=np.uint64)
+    z_par = np.bitwise_count(indices & np.uint64(pauli.z_bits)) & np.uint64(1)
+    signs = 1.0 - 2.0 * z_par.astype(float)
+    out = np.empty_like(state.amplitudes)
+    out[indices ^ np.uint64(pauli.x_bits)] = (1j**pauli.phase) * signs * state.amplitudes
+    return StateVector(state.n_qubits, out)
+
+
+def check_stabilizes(state: StateVector, tableau: Tableau, tol: float = 1e-10) -> bool:
+    """True iff every generator fixes the state with eigenvalue +1."""
+    if state.n_qubits != tableau.n_qubits:
+        raise ValueError("qubit counts differ")
+    for g in tableau.generators:
+        overlap = np.vdot(state.amplitudes, apply_pauli(state, g).amplitudes)
+        if abs(overlap - 1.0) > tol:
+            return False
+    return True
+
+
+# -- the protocol, run densely -------------------------------------------------
+# The per-outcome reference the symbolic engines are checked against; the
+# circuit is pqw.protocol's gate lists, run through the kernels above.
+
+
+def _run_gates(amps: np.ndarray, gates) -> np.ndarray:
+    """A gate list on raw, possibly unnormalized amplitudes."""
+    for gate, targets in gates:
+        amps = _KERNELS[gate](amps, *targets)
+    return amps
+
+
+def _after_prep(graph: Graph) -> np.ndarray:
+    """Raw amplitudes after S1 + S2, every qubit prepared."""
+    # no name holds the |+> register, so the first gate frees it
+    n_qubits = graph.n_vertices + 2 * graph.n_edges
+    return _run_gates(new_plus(n_qubits).amplitudes, prep_gates(graph))
+
+
+@lru_cache(maxsize=32)
+def _premeasurement(graph: Graph) -> StateVector:
+    # no name holds the prepared register, so the walk frees it after
+    # its first gate instead of keeping one more register alive
+    amps = _run_gates(_after_prep(graph), walk_gates(graph))
+    return StateVector(graph.n_vertices + 2 * graph.n_edges, amps)
+
+
+def data_slab(graph: Graph, outcome: Outcome) -> np.ndarray:
+    """Unnormalized data-qubit amplitudes after projecting all resource
+    qubits onto the outcome; squared norm is the outcome probability."""
+    rows = _premeasurement(graph).amplitudes.reshape(-1, 2**graph.n_vertices)
+    return rows[_bit_reversed(graph, outcome.to_index())]
+
+
+def run_protocol(graph: Graph, outcome: Outcome) -> tuple[float, StateVector]:
+    """Run S1-S4 up to (not including) correction.
+
+    Returns the joint probability of the outcome and the post-measurement
+    pure state of the data qubits.
+    """
+    if outcome.graph != graph:
+        raise ValueError("outcome belongs to a different graph")
+    slab = data_slab(graph, outcome)
+    prob = float(np.vdot(slab, slab).real)
+    if prob < 1e-14:
+        raise ZeroProbabilityError(f"outcome {outcome.to_index()} has probability {prob}")
+    return prob, StateVector(graph.n_vertices, slab / np.sqrt(prob))
+
+
+def byproduct_step(s: int) -> tuple[float, StateVector]:
+    """The single-edge primitive: entangle one data qubit with one half
+    of CZ|++>, rotate, and measure that half.
+
+    Qubits: 0 = data d, 1 = measured half r, 2 = far half r'.  Returns
+    the outcome probability (always 1/2) and the joint state of (d, r')
+    as a two-qubit register with d at qubit 0.
+    """
+    if s not in (0, 1):
+        raise ValueError("s must be a bit")
+    state = new_plus(3)
+    state = apply_gate(state, "CZ", (1, 2))  # the shared pair
+    state = apply_gate(state, "CZ", (0, 1))  # walk step, then coin
+    state = apply_gate(state, "H", (1,))
+    prob, projected = measure_project(state, 1, s)
+    # drop the collapsed qubit: keep (q2, q0) as a 2-qubit register
+    view = projected.amplitudes.reshape(2, 2, 2)  # [q2, q1, q0]
+    pair = view[:, s, :].reshape(4)  # index = 2*q2 + q0 -> (d, r') order
+    return prob, StateVector(2, pair)
+
+
+def apply_correction(state: StateVector, plan: CorrectionPlan) -> StateVector:
+    """Apply Z^{z_v} then X^{x_v} at each vertex's qubit of a bare data
+    register in vertex order, which matches run_protocol's output."""
+    for i, (_, x, z) in enumerate(plan.exponents):
+        if z:
+            state = apply_gate(state, "Z", (i,))
+        if x:
+            state = apply_gate(state, "X", (i,))
+    return state
+
+
+def corrected_fidelity(graph: Graph, outcome: Outcome, plan: CorrectionPlan) -> float:
+    """Fidelity of the corrected post-measurement data state with the
+    target graph state."""
+    _, data = run_protocol(graph, outcome)
+    return fidelity(apply_correction(data, plan), graph_state(graph))
+
+
+# -- noise ---------------------------------------------------------------------
+
+
+def kraus_ops(channel: NoiseChannel) -> tuple[np.ndarray, ...]:
+    """The channel's Kraus operators as 2x2 complex matrices."""
+    return tuple(np.array(op, dtype=complex) for op in _kraus_lists(channel))

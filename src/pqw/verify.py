@@ -20,8 +20,12 @@ at every outcome, and everything else is read from them: pass/fail and
 the first counterexample from the rows themselves, the maximum fidelity
 from one elimination, and the fidelity of each outcome as one column
 that builds no object per outcome.
-Only the rank comparison is dense, and it loads numpy when it runs;
-the noise sweep loads pqw.noise when it runs, so verification never does.
+
+The rank comparison is symbolic as well.  Across a cut (A, B) a graph
+state has Schmidt rank 2^r, r the GF(2) rank of the cut's block of the
+adjacency matrix (Hein, Eisert & Briegel, quant-ph/0307130), so one
+elimination, _pivots, gives both that rank and the maximum fidelity.
+The noise sweep loads pqw.noise when it runs, so verification never does.
 """
 
 from __future__ import annotations
@@ -34,16 +38,7 @@ from .protocol import _sign_forms, far_side_mask, symbolic_protocol_tableau
 from .stabilizer import extract_sign_forms
 
 if TYPE_CHECKING:
-    from . import statevector as sv
     from .noise import NoiseReport
-
-
-class OutcomeRecord(NamedTuple):
-    """One outcome of a report."""
-
-    index: int
-    probability: float
-    fidelity: float
 
 
 _FIDELITY = (0.0, 1.0)  # by whether an outcome meets every condition
@@ -64,22 +59,27 @@ def _met(count: int, conditions) -> bytes:
     return met.to_bytes(count, "little")
 
 
-def _solvable(conditions) -> bool:
-    """Whether some outcome meets every (mask, odd) condition: GF(2)
-    elimination of the rows mask . s = odd, each kept as mask << 1 | odd,
-    fails exactly when a row reduces to 0 = 1."""
-    pivots: dict[int, int] = {}  # leading bit -> row
-    for mask, odd in conditions:
-        row = mask << 1 | odd
-        while row > 1:
+def _pivots(rows) -> dict[int, int]:
+    """GF(2) elimination of int rows by leading bit: each row is reduced
+    by the pivots found so far and, unless it reduces to 0, becomes the
+    pivot of its leading bit.  Returns {leading bit: row}; their number is
+    the rank."""
+    pivots: dict[int, int] = {}
+    for row in rows:
+        while row:
             lead = row.bit_length() - 1
             if lead not in pivots:
                 pivots[lead] = row
                 break
             row ^= pivots[lead]
-        if row == 1:
-            return False
-    return True
+    return pivots
+
+
+def _solvable(conditions) -> bool:
+    """Whether some outcome meets every (mask, odd) condition: the rows
+    mask . s = odd, each kept as mask << 1 | odd, are inconsistent exactly
+    when one reduces to 0 = 1, a pivot at bit 0."""
+    return 0 not in _pivots(mask << 1 | odd for mask, odd in conditions)
 
 
 class VerificationReport(NamedTuple):
@@ -142,14 +142,6 @@ class VerificationReport(NamedTuple):
             start = stop
         return runs
 
-    @property
-    def records(self) -> tuple[OutcomeRecord, ...]:
-        """Every outcome as an OutcomeRecord, built when this is read."""
-        probability = 1.0 / self.outcome_count
-        return tuple(
-            OutcomeRecord(s, probability, f) for s, f in enumerate(self.fidelities())
-        )
-
 
 def verify_all_outcomes(
     graph: Graph, correction_kind: str = "universal", name: str | None = None
@@ -202,7 +194,7 @@ def phase_lemma_check(graph: Graph) -> bool:
 
 
 class CutRecord(NamedTuple):
-    cut: sv.Bipartition
+    cut: frozenset[int]  # the vertex indices of side A
     rank_a: int
     rank_b: int
 
@@ -217,28 +209,44 @@ class LcReport(NamedTuple):
         return any(r.rank_a != r.rank_b for r in self.records)
 
 
-def lc_check(
-    state_a: sv.StateVector, state_b: sv.StateVector, bipartitions
-) -> LcReport:
-    """Schmidt ranks of both states across each cut.
+def _adjacency(graph: Graph) -> list[int]:
+    """The adjacency matrix as one neighbour mask per vertex index."""
+    rows = [0] * graph.n_vertices
+    for u, v in graph.edges:
+        i, j = graph.vertex_index(u), graph.vertex_index(v)
+        rows[i] |= 1 << j
+        rows[j] |= 1 << i
+    return rows
+
+
+def _schmidt_rank(adjacency: list[int], side_a: frozenset[int]) -> int:
+    """The graph state's Schmidt rank across (A, B): 2^r, r the GF(2)
+    rank of the rows "neighbours of a that lie in B", one per a in A."""
+    in_a = sum(1 << a for a in side_a)
+    return 1 << len(_pivots(adjacency[a] & ~in_a for a in side_a))
+
+
+def lc_check(graph_a: Graph, graph_b: Graph, cuts) -> LcReport:
+    """Schmidt ranks of both graph states across each cut, given as the
+    vertex indices of side A; side B holds the other vertices.
 
     Ranks are invariant under local unitaries, so differing ranks prove
     the states inequivalent; equal ranks prove nothing.
     """
-    from . import statevector as sv
-
-    if state_a.n_qubits != state_b.n_qubits:
-        raise ValueError(
-            f"qubit counts differ: {state_a.n_qubits} vs {state_b.n_qubits}"
-        )
-    records = []
-    for cut in bipartitions:
-        if cut.qubits() != frozenset(range(state_a.n_qubits)):
-            raise ValueError("bipartition must cover exactly the state's qubits")
-        records.append(
-            CutRecord(cut, sv.schmidt_rank(state_a, cut), sv.schmidt_rank(state_b, cut))
-        )
-    return LcReport(tuple(records))
+    n = graph_a.n_vertices
+    if graph_b.n_vertices != n:
+        raise ValueError(f"vertex counts differ: {n} vs {graph_b.n_vertices}")
+    sides = [frozenset(cut) for cut in cuts]
+    for side in sides:
+        if not side or not side < frozenset(range(n)):
+            raise ValueError(
+                f"cut {sorted(side)} is not a non-empty proper subset of "
+                f"the {n} vertex indices"
+            )
+    a, b = _adjacency(graph_a), _adjacency(graph_b)
+    return LcReport(
+        tuple(CutRecord(side, _schmidt_rank(a, side), _schmidt_rank(b, side)) for side in sides)
+    )
 
 
 def noise_sweep(

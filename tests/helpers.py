@@ -14,18 +14,16 @@ import numpy as np
 from hypothesis import strategies as st
 
 from pqw import statevector as sv
-from pqw.graphs import Graph, catalog_lookup, graph_state, parse_edge_list
+from pqw.graphs import Graph, catalog_lookup, parse_edge_list
 from pqw.protocol import (
     CorrectionPlan,
     Outcome,
-    _after_prep,
     _bit_reversed,
-    _premeasurement,
-    _run_gates,
     _sign_forms,
     build_layout,
     walk_gates,
 )
+from pqw.statevector import _after_prep, _premeasurement, _run_gates, graph_state
 from pqw.stabilizer import Tableau, conjugate_circuit, zero_state_tableau
 
 GATE_ARITY = {"H": 1, "X": 1, "Z": 1, "CZ": 2, "CNOT": 2}

@@ -16,12 +16,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pqw
-from helpers import branch_fidelity, small_connected_graphs
-from pqw import cli, protocol, verify
+from helpers import branch_fidelity, grid, small_connected_graphs
+from pqw import cli, protocol
 from pqw.cli import EXIT_BUDGET, EXIT_FAIL, EXIT_PASS, EXIT_USAGE, main
 from pqw.graphs import parse_edge_list
-from pqw.noise import NoiseChannel, kraus_ops
-from pqw.verify import OutcomeRecord, VerificationReport
+from pqw.noise import NoiseChannel
+from pqw.statevector import kraus_ops
+from pqw.verify import VerificationReport
 
 FIG4_CSV = (
     "name,k,p,F\n"
@@ -93,35 +94,19 @@ def test_cli_output_matches_benchmark_reference(reference, argv, capsys):
     assert capsys.readouterr().out == expected
 
 
-class _RefusedRecord(OutcomeRecord):
-    """An OutcomeRecord that cannot be built, by either constructor."""
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        raise AssertionError("an OutcomeRecord was built")
-
-    @classmethod
-    def _make(cls, iterable):
-        return cls(*iterable)
-
-
 # sha256 of `pqw verify --graph all` in JSON
 ALL_JSON_SHA256 = "aa763cd60184600f44f1f8aec0660e7a2a6021b54818204333b390b16414149a"
 
 
-def test_verify_csv_builds_no_outcome_record(monkeypatch, capsys):
+def test_verify_all_matches_the_catalog_goldens(capsys):
     # the catalog's 14,112 lines and records, in either format, come from
-    # the reports' fidelity columns alone
-    monkeypatch.setattr(verify, "OutcomeRecord", _RefusedRecord)
+    # the reports' fidelity columns
     assert main(["verify", "--graph", "all", "--format", "csv"]) == EXIT_PASS
     expected = (REFERENCE_DIR / "verify-catalog.out").read_bytes().decode("utf-8")
     assert capsys.readouterr().out == expected
     assert main(["verify", "--graph", "all", "--format", "json"]) == EXIT_PASS
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == ALL_JSON_SHA256
-    with pytest.raises(AssertionError, match="was built"):
-        verify.verify_all_outcomes(pqw.catalog_lookup("P3")).records
 
 
 # outcome s of a doctored report meets (mask, odd) when |mask & s| has
@@ -147,8 +132,8 @@ def test_verify_csv_formats_each_value_as_fmt_does(monkeypatch, capsys):
     monkeypatch.setattr(cli, "verify_all_outcomes", lambda *a, **k: DOCTORED)
     assert main(["verify", "--graph", "P3", "--format", "csv"]) == EXIT_FAIL
     expected = "graph,outcome_index,probability,fidelity\n" + "".join(
-        f"P3,{r.index},{cli._fmt(r.probability)},{cli._fmt(r.fidelity)}\n"
-        for r in DOCTORED.records
+        f"P3,{s},{cli._fmt(1 / 4)},{cli._fmt(f)}\n"
+        for s, f in enumerate(DOCTORED.fidelities())
     )
     assert capsys.readouterr().out == expected
 
@@ -570,6 +555,41 @@ def test_lc_bad_cut_is_usage_error(capsys):
     assert main(["lc", "--a", "L4", "--b", "GHZ4", "--cut", "AX|BD"]) == EXIT_USAGE
     assert main(["lc", "--a", "L4", "--b", "GHZ4", "--cut", "AB|BD"]) == EXIT_USAGE
     assert main(["lc", "--a", "L4", "--b", "GHZ4", "--cut", "A|B"]) == EXIT_USAGE
+
+
+def test_lc_cut_side_may_be_one_multi_character_label(tmp_path, capsys):
+    path = tmp_path / "ring.txt"
+    path.write_text("r0 r1\nr1 r2\nr2 r3\nr3 r0\n", encoding="utf-8")
+    argv = ["lc", "--a", f"@{path}", "--b", f"@{path}", "--format", "csv"]
+    for cut in ("r0|r1,r2,r3", "r1,r2,r3|r0", "r0,r1|r2,r3"):
+        argv += ["--cut", cut]
+    assert main(argv) == EXIT_PASS
+    assert _csv_rows(capsys.readouterr().out)[1:] == [
+        ["r0|r1,r2,r3", "2", "2"],
+        ["r1,r2,r3|r0", "2", "2"],
+        ["r0,r1|r2,r3", "4", "4"],
+    ]
+    # a trailing comma still names an empty label
+    assert main(["lc", "--a", f"@{path}", "--b", "C4", "--cut", "r0,|r1,r2,r3"]) == EXIT_USAGE
+    assert "cut label ''" in capsys.readouterr().err
+
+
+def test_lc_vertex_count_mismatch_names_both_counts(capsys):
+    assert main(["lc", "--a", "P3", "--b", "GHZ4", "--cut", "A|BC"]) == EXIT_USAGE
+    assert capsys.readouterr().err == "pqw: vertex counts differ: 3 vs 4\n"
+
+
+def test_lc_runs_past_the_dense_ceiling(tmp_path, capsys):
+    # 25 vertices: a graph state of 2^25 amplitudes, which the dense
+    # simulator refuses, but lc reads cut-ranks off the adjacency matrix
+    path = tmp_path / "grid.txt"
+    path.write_text("".join(f"{u} {v}\n" for u, v in grid(5, 5).edges), encoding="utf-8")
+    left = ",".join(f"r{r}c{c}" for r in range(5) for c in range(2))
+    right = ",".join(f"r{r}c{c}" for r in range(5) for c in range(2, 5))
+    argv = ["lc", "--a", f"@{path}", "--b", f"@{path}", "--cut", f"{left}|{right}"]
+    assert main([*argv, "--format", "csv"]) == EXIT_PASS
+    # the five edges across the cut form a matching, so the rank is 2^5
+    assert capsys.readouterr().out == f"cut,rank_a,rank_b\n\"{left}|{right}\",32,32\n"
 
 
 # -- counts ---------------------------------------------------------------------

@@ -12,12 +12,11 @@ from pqw.graphs import (
     TABLE_ORDER,
     catalog_lookup,
     catalog_names,
-    ghz_state,
-    graph_state,
     parse_edge_list,
     stabilizer_generators,
 )
-from pqw.stabilizer import PauliString, check_stabilizes
+from pqw.stabilizer import PauliString
+from pqw.statevector import check_stabilizes, ghz_state, graph_state
 
 K2 = Graph(("A", "B"), (("A", "B"),))
 

@@ -26,12 +26,12 @@ from pqw.noise import (
     extract_p_eff,
     f_star_dep,
     f_star_pd,
-    kraus_ops,
     noisy_protocol_fidelity,
     parse_channel,
     t1_damping_estimate,
 )
 from pqw.protocol import CORRECTION_KINDS, correction_forms
+from pqw.statevector import kraus_ops
 
 P4 = catalog_lookup("P4")
 K2 = Graph(("A", "B"), (("A", "B"),))

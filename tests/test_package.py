@@ -20,30 +20,30 @@ ROOT = Path(__file__).resolve().parents[1]
 EXPORTS = {
     "graphs": (
         "CatalogError", "Graph", "ResourceError", "TABLE_ORDER", "catalog_lookup",
-        "catalog_names", "ghz_state", "graph_state", "parse_edge_list",
-        "stabilizer_generators",
+        "catalog_names", "parse_edge_list", "stabilizer_generators",
     ),
     "noise": (
         "NoiseChannel", "NoiseReport", "bhattacharyya_fidelity", "extract_p_eff",
-        "f_star_dep", "f_star_pd", "kraus_ops", "noisy_protocol_fidelity",
-        "parse_channel", "t1_damping_estimate",
+        "f_star_dep", "f_star_pd", "noisy_protocol_fidelity", "parse_channel",
+        "t1_damping_estimate",
     ),
     "protocol": (
-        "CorrectionPlan", "Layout", "Outcome", "all_outcomes", "apply_correction",
-        "build_layout", "byproduct_step", "c4_correction", "corrected_fidelity",
-        "correction_forms", "correction_plan", "l4_correction", "plans_equivalent",
-        "run_protocol", "run_protocol_tableau", "tree_correction",
+        "CorrectionPlan", "Layout", "Outcome", "all_outcomes", "build_layout",
+        "c4_correction", "correction_forms", "correction_plan", "l4_correction",
+        "plans_equivalent", "run_protocol_tableau", "tree_correction",
         "universal_correction",
     ),
     "stabilizer": (
-        "PauliString", "Tableau", "ZeroProbabilityBranch", "check_stabilizes",
-        "conjugate", "conjugate_circuit", "extract_sign", "extract_sign_forms",
-        "measure_z", "zero_state_tableau",
+        "PauliString", "Tableau", "ZeroProbabilityBranch", "conjugate",
+        "conjugate_circuit", "extract_sign", "extract_sign_forms", "measure_z",
+        "zero_state_tableau",
     ),
     "statevector": (
-        "Bipartition", "StateVector", "ZeroProbabilityError",
-        "apply_gate", "fidelity", "from_amplitudes", "measure_project", "new_plus",
-        "new_zero", "schmidt_rank",
+        "Bipartition", "StateVector", "ZeroProbabilityError", "apply_correction",
+        "apply_gate", "apply_pauli", "byproduct_step", "check_stabilizes",
+        "corrected_fidelity", "fidelity", "from_amplitudes", "ghz_state", "graph_state",
+        "kraus_ops", "measure_project", "new_plus", "new_zero", "run_protocol",
+        "schmidt_rank",
     ),
     "verify": (
         "LcReport", "VerificationReport", "lc_check", "noise_sweep",
@@ -179,6 +179,11 @@ report("pqw.ResourceError", 0 if pqw.ResourceError is pqw.graphs.ResourceError e
 run(["verify", "--graph", "P4"])
 run(["verify", "--graph", "all", "--format", "csv"])
 run(["lc", "--a", "L4", "--b", "GHZ4", "--cut", "AB|CD"])
+from pqw.protocol import Outcome
+from pqw.statevector import run_protocol
+
+P4 = catalog_lookup("P4")
+report("run_protocol P4", 0 if run_protocol(P4, Outcome.from_index(P4, 0))[0] > 0 else 1)
 """
 
 
@@ -221,15 +226,56 @@ def test_python_m_pqw_runs_the_cli(argv, module, capsys):
 
 def test_symbolic_entry_points_do_not_import_numpy():
     steps = [json.loads(line) for line in _run_fresh(GUARD_SCRIPT).splitlines()]
-    assert len(steps) == 22
+    assert len(steps) == 23
     *symbolic, dense = steps
     for label, code, numpy_loaded, dataclasses_loaded in symbolic:
         assert code == 0, label
         assert not numpy_loaded, f"numpy loaded by {label}"
         assert not dataclasses_loaded, f"dataclasses loaded by {label}"
-    # the Schmidt-rank comparison loads both, through pqw.statevector, so
+    # the dense protocol reference loads both, through pqw.statevector, so
     # the check can fail
-    assert dense == ["lc --a L4 --b GHZ4 --cut AB|CD", 0, True, True]
+    assert dense == ["run_protocol P4", 0, True, True]
+
+
+# Runs in a fresh interpreter in which numpy cannot be imported.  Each
+# step prints its label and exit code, tab-separated; the last step
+# imports the dense simulator, which must fail, so the check can fail.
+NO_NUMPY_SCRIPT = r"""
+import contextlib
+import io
+import sys
+
+sys.modules["numpy"] = None  # every import of numpy now raises ImportError
+
+from pqw.cli import main
+
+for argv in (
+    ["verify", "--graph", "all", "--format", "csv"],
+    ["verify", "--graph", "C4", "--correction", "c4", "--format", "json"],
+    ["noise", "--graph", "C4", "--channel", "ad", "--p", "0:0.2:0.1", "--metric", "conditional"],
+    ["noise", "--channel", "dep", "--p", "0.1", "--insertion", "pre_measure", "--format", "json"],
+    ["noise", "--compare", "fig4", "--p", "0.2"],
+    ["lc", "--a", "L4", "--b", "GHZ4", "--cut", "AC|BD", "--cut", "AB|CD"],
+    ["lc", "--a", "C5", "--b", "P5", "--cut", "AC|BDE", "--format", "csv"],
+    ["counts", "--fidelity", "0.9241", "--k", "6"],
+):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    print(" ".join(argv), code, sep="\t")
+try:
+    import pqw.statevector
+except ImportError:
+    print("import pqw.statevector", "ImportError", sep="\t")
+"""
+
+
+def test_every_command_runs_without_numpy():
+    steps = [line.split("\t") for line in _run_fresh(NO_NUMPY_SCRIPT).splitlines()]
+    assert len(steps) == 9
+    *commands, dense = steps
+    for label, code in commands:
+        assert code == "0", label
+    assert dense == ["import pqw.statevector", "ImportError"]
 
 
 # Runs in a fresh interpreter and imports no json itself.  Each step

@@ -94,7 +94,7 @@ def test_apply_gate_rejects_bad_targets():
     state = sv.new_zero(2)
     with pytest.raises(ValueError, match="unknown gate"):
         sv.apply_gate(state, "T", (0,))
-    with pytest.raises(ValueError, match="expects"):
+    with pytest.raises(ValueError, match="H takes 1 targets"):
         sv.apply_gate(state, "H", (0, 1))
     with pytest.raises(ValueError, match="out of range"):
         sv.apply_gate(state, "X", (2,))

@@ -15,24 +15,18 @@ from pqw import cli, protocol, verify
 from pqw import statevector as sv
 from pqw.graphs import (
     TABLE_ORDER,
+    Graph,
     catalog_lookup,
     catalog_names,
-    ghz_state,
-    graph_state,
     parse_edge_list,
     stabilizer_generators,
 )
 from pqw.noise import NoiseChannel, f_star_dep
-from pqw.protocol import (
-    Outcome,
-    corrected_fidelity,
-    run_protocol,
-    symbolic_protocol_tableau,
-)
+from pqw.protocol import Outcome, symbolic_protocol_tableau
 from pqw.stabilizer import PauliString, Tableau, extract_sign_form, extract_sign_forms
+from pqw.statevector import corrected_fidelity, ghz_state, graph_state, run_protocol
 from pqw.verify import (
     LcReport,
-    OutcomeRecord,
     VerificationReport,
     lc_check,
     noise_sweep,
@@ -51,14 +45,12 @@ def test_verify_p4_universal():
     assert report.graph_name == "graph-4v-3e"
     assert report.correction_kind == "universal"
     assert report.outcome_count == 64
-    assert len(report.records) == 64
     assert report.passed
     assert report.conditions == ()
     assert report.min_fidelity == report.max_fidelity == 1.0
     assert report.first_failure() is None
-    assert [r.index for r in report.records] == list(range(64))
-    # read off the sign forms, so exact: 4^-|E| and 1, not merely close
-    assert {(r.probability, r.fidelity) for r in report.records} == {(1 / 64, 1.0)}
+    # read off the sign forms, so exact: 1, not merely close
+    assert list(report.fidelities()) == [1.0] * 64
 
 
 def test_verify_is_deterministic():
@@ -107,14 +99,15 @@ def test_contraction_matches_per_outcome_reference(monkeypatch, name, kind):
         assert all(x for x, _ in forms)
         monkeypatch.setattr(protocol, "correction_forms", lambda graph, kind: forms)
     report = verify_all_outcomes(graph, kind, name=name)
-    assert [r.index for r in report.records] == list(range(graph.outcome_count()))
-    for record in report.records:
-        outcome = Outcome.from_index(graph, record.index)
+    fidelities = list(report.fidelities())
+    assert len(fidelities) == report.outcome_count == graph.outcome_count()
+    for index, fidelity in enumerate(fidelities):
+        outcome = Outcome.from_index(graph, index)
         plan = protocol.correction_plan(graph, outcome, kind)
-        assert record.probability == pytest.approx(
+        assert 1 / report.outcome_count == pytest.approx(
             run_protocol(graph, outcome)[0], abs=1e-12
         )
-        assert record.fidelity == pytest.approx(
+        assert fidelity == pytest.approx(
             corrected_fidelity(graph, outcome, plan), abs=1e-12
         )
     if kind == "broken":
@@ -130,7 +123,7 @@ def test_contraction_applies_the_plan(monkeypatch):
     )
     report = verify_all_outcomes(P4, "universal")
     assert report.passed is False
-    assert min(r.fidelity for r in report.records) == 0.0
+    assert min(report.fidelities()) == 0.0
 
 
 @settings(max_examples=30, deadline=None)
@@ -148,14 +141,15 @@ def test_tableau_engine_matches_the_dense_reference(graph, seed):
             forms = tuple((rng.getrandbits(k), rng.getrandbits(k)) for _ in graph.vertices)
             mp.setattr(protocol, "correction_forms", lambda graph, kind: forms)
         report = verify_all_outcomes(graph)
-        assert [r.index for r in report.records] == list(range(graph.outcome_count()))
-        for record in report.records:
-            outcome = Outcome.from_index(graph, record.index)
+        fidelities = list(report.fidelities())
+        assert len(fidelities) == report.outcome_count == graph.outcome_count()
+        for index, fidelity in enumerate(fidelities):
+            outcome = Outcome.from_index(graph, index)
             plan = protocol.correction_plan(graph, outcome, "universal")
-            assert record.probability == pytest.approx(
+            assert 1 / report.outcome_count == pytest.approx(
                 run_protocol(graph, outcome)[0], abs=1e-12
             )
-            assert record.fidelity == pytest.approx(
+            assert fidelity == pytest.approx(
                 corrected_fidelity(graph, outcome, plan), abs=1e-12
             )
     if seed is None:
@@ -179,13 +173,13 @@ def test_engine_follows_the_tableau_sign_forms(monkeypatch):
     )
     report = verify_all_outcomes(P4)
     assert not report.passed
-    assert {r.fidelity for r in report.records} == {0.0}
+    assert set(report.fidelities()) == {0.0}
     # negated and carrying s1 too: exactly the outcomes with s1 = 1 reach |G>
     monkeypatch.setattr(
         verify, "extract_sign_forms", patched(lambda sign, mask: (-sign, mask ^ s1))
     )
     report = verify_all_outcomes(P4)
-    assert [r.fidelity for r in report.records] == [float(i >= 32) for i in range(64)]
+    assert list(report.fidelities()) == [float(i >= 32) for i in range(64)]
     # K_B absent: the engine cannot answer exactly, so it refuses
     monkeypatch.setattr(verify, "extract_sign_forms", patched(lambda sign, mask: None))
     with pytest.raises(AssertionError, match="K_B"):
@@ -226,8 +220,7 @@ def test_records_and_summaries_match_enumerating_the_conditions(graph, mode, see
         float(all(((mask & s).bit_count() & 1) == odd for mask, odd in conditions))
         for s in range(count)
     ]
-    expected = tuple(OutcomeRecord(s, 1 / count, f) for s, f in enumerate(fidelities))
-    assert tuple(report.records) == expected
+    assert list(report.fidelities()) == fidelities
     assert report.min_fidelity == min(fidelities)
     assert report.max_fidelity == max(fidelities)
     assert report.passed is (min(fidelities) == 1.0)
@@ -251,10 +244,13 @@ def test_records_and_summaries_match_enumerating_the_conditions(graph, mode, see
         )
         outputs[fmt] = out.getvalue()
     assert outputs["csv"].splitlines()[1:] == [
-        f"G,{r.index},{cli._fmt(r.probability)},{cli._fmt(r.fidelity)}" for r in expected
+        f"G,{s},{cli._fmt(1 / count)},{cli._fmt(f)}" for s, f in enumerate(fidelities)
     ]
     payload = json.loads(outputs["json"])
-    assert payload["records"] == [r._asdict() for r in expected]
+    assert payload["records"] == [
+        {"index": s, "probability": 1 / count, "fidelity": f}
+        for s, f in enumerate(fidelities)
+    ]
     assert payload["min_fidelity"] == min(fidelities)
     assert payload["max_fidelity"] == max(fidelities)
     assert payload["passed"] is (first is None)
@@ -276,15 +272,7 @@ def test_report_pass_logic():
         assert set(never.fidelities()) == {0.0}
     clean = VerificationReport("toy", "universal", 4, ())
     assert clean.passed and clean.first_failure() is None
-    assert clean.records == tuple(OutcomeRecord(s, 0.25, 1.0) for s in range(4))
-
-
-def test_outcome_record_surface():
-    record = OutcomeRecord(3, 0.25, 1.0)
-    assert (record.index, record.probability, record.fidelity) == (3, 0.25, 1.0)
-    with pytest.raises(AttributeError):
-        record.fidelity = 0.0
-    assert verify_all_outcomes(P4).records[5] == OutcomeRecord(5, 1 / 64, 1.0)
+    assert list(clean.fidelities()) == [1.0] * 4
 
 
 # -- symbolic sign check ---------------------------------------------------------
@@ -325,7 +313,7 @@ def _form_by_search(tableau: Tableau, target: PauliString):
         for i, g in enumerate(tableau.generators):
             if chosen >> i & 1:
                 element = element * g
-        if element.same_paulis(target):
+        if (element.x_bits, element.z_bits) == (target.x_bits, target.z_bits):
             turn = (element.phase - target.phase) % 4
             return None if turn % 2 else ((1 if turn == 0 else -1), element.outcome_mask)
     return None
@@ -386,45 +374,73 @@ def test_shared_reduction_matches_per_target_on_changed_tableaus(graph, change, 
 
 # -- entanglement rank comparison -------------------------------------------------
 
+# GHZ4 is the graph state of the star K1_3 with H on each leaf
+K1_3 = catalog_lookup("K1_3")
+
 
 def _cut(labels, side):
-    return sv.Bipartition.of(tuple(labels.index(c) for c in side), len(labels))
+    return frozenset(labels.index(c) for c in side)
 
 
 def test_lc_check_separates_line_from_ghz():
-    labels = "ABCD"
-    line = graph_state(P4)
-    ghz = ghz_state(4)
-    report = lc_check(line, ghz, (_cut(labels, "AC"),))
+    report = lc_check(P4, K1_3, (_cut("ABCD", "AC"),))
     assert isinstance(report, LcReport)
     assert report.inequivalent
     (rec,) = report.records
-    assert rec.rank_a == 4 and rec.rank_b == 2
+    assert rec == (frozenset({0, 2}), 4, 2)
 
 
 def test_lc_check_same_state_shows_no_separation():
-    line = graph_state(P4)
-    report = lc_check(line, line, (_cut("ABCD", "AC"), _cut("ABCD", "AB")))
+    report = lc_check(P4, P4, (_cut("ABCD", "AC"), _cut("ABCD", "AB")))
     assert not report.inequivalent
     for rec in report.records:
         assert rec.rank_a == rec.rank_b
 
 
-def test_local_gates_cannot_change_the_ranks():
-    ghz = ghz_state(4)
-    rotated = ghz
-    for q in range(4):
-        rotated = sv.apply_gate(rotated, "H", (q,))
-    report = lc_check(ghz, rotated, (_cut("ABCD", "AC"), _cut("ABCD", "AD")))
-    assert not report.inequivalent
-
-
 def test_lc_check_validation():
-    with pytest.raises(ValueError, match="qubit"):
-        lc_check(ghz_state(4), ghz_state(3), (_cut("ABCD", "AC"),))
-    with pytest.raises(ValueError, match="cover"):
-        undersized = sv.Bipartition.of((0,), 3)
-        lc_check(ghz_state(4), ghz_state(4), (undersized,))
+    with pytest.raises(ValueError, match="vertex counts differ: 4 vs 3"):
+        lc_check(P4, catalog_lookup("P3"), (_cut("ABCD", "AC"),))
+    # empty, the whole register, and an index past it
+    for cut in ((), (0, 1, 2, 3), (0, 4)):
+        with pytest.raises(ValueError, match="proper subset"):
+            lc_check(P4, P4, (cut,))
+
+
+@st.composite
+def connected_graphs(draw, max_vertices: int = 12):
+    """Connected graphs on 2 to max_vertices vertices: a random spanning
+    tree plus any set of further edges."""
+    n = draw(st.integers(min_value=2, max_value=max_vertices))
+    edges = {(draw(st.integers(min_value=0, max_value=i - 1)), i) for i in range(1, n)}
+    spare = [(i, j) for i in range(n) for j in range(i + 1, n) if (i, j) not in edges]
+    if spare:
+        edges |= draw(st.sets(st.sampled_from(spare)))
+    return Graph(
+        tuple(f"v{i}" for i in range(n)),
+        tuple((f"v{i}", f"v{j}") for i, j in sorted(edges)),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(graph=connected_graphs(), data=st.data())
+def test_cut_rank_matches_the_dense_schmidt_rank(graph, data):
+    n = graph.n_vertices
+    sides = st.integers(min_value=1, max_value=2**n - 2).map(
+        lambda m: frozenset(i for i in range(n) if m >> i & 1)
+    )
+    cuts = data.draw(st.lists(sides, min_size=1, max_size=8))
+    state = graph_state(graph)
+    for rec in lc_check(graph, graph, cuts).records:
+        dense = sv.schmidt_rank(state, sv.Bipartition.of(rec.cut, n))
+        assert rec.rank_a == rec.rank_b == dense
+
+
+def test_ghz_ranks_are_the_star_graph_ranks():
+    # every cut of the four qubits
+    cuts = [frozenset(i for i in range(4) if m >> i & 1) for m in range(1, 15)]
+    ghz = ghz_state(4)
+    for rec in lc_check(K1_3, K1_3, cuts).records:
+        assert rec.rank_a == sv.schmidt_rank(ghz, sv.Bipartition.of(rec.cut, 4)) == 2
 
 
 # -- noise sweeps -----------------------------------------------------------------
@@ -466,11 +482,11 @@ VALUE_INSTANCES = {
         "outcome_count",
     ),
     "CutRecord": (
-        lambda: lc_check(ghz_state(4), ghz_state(4), (_cut("ABCD", "AC"),)).records[0],
+        lambda: lc_check(P4, P4, (_cut("ABCD", "AC"),)).records[0],
         "rank_a",
     ),
     "LcReport": (
-        lambda: lc_check(ghz_state(4), ghz_state(4), (_cut("ABCD", "AC"),)),
+        lambda: lc_check(P4, P4, (_cut("ABCD", "AC"),)),
         "records",
     ),
     "RunConfig": (lambda: cli.RunConfig("verify", graph="P4"), "graph"),
