@@ -26,8 +26,8 @@ _EXPORTS = {
     ),
     "noise": (
         "NoiseChannel", "NoiseReport", "bhattacharyya_fidelity", "extract_p_eff",
-        "f_star_dep", "f_star_pd", "noisy_protocol_fidelity", "parse_channel",
-        "t1_damping_estimate",
+        "f_star_dep", "f_star_pd", "noise_sweep", "noisy_protocol_fidelity",
+        "parse_channel", "t1_damping_estimate",
     ),
     "protocol": (
         "CorrectionPlan", "Layout", "Outcome", "all_outcomes", "build_layout",
@@ -48,8 +48,8 @@ _EXPORTS = {
         "schmidt_rank",
     ),
     "verify": (
-        "LcReport", "VerificationReport", "lc_check", "noise_sweep",
-        "phase_lemma_check", "verify_all_outcomes",
+        "LcReport", "VerificationReport", "lc_check", "phase_lemma_check",
+        "verify_all_outcomes",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -36,12 +36,7 @@ from .graphs import (
     parse_edge_list,
 )
 from .protocol import CORRECTION_KINDS
-from .verify import (
-    VerificationReport,
-    lc_check,
-    noise_sweep,
-    verify_all_outcomes,
-)
+from .verify import VerificationReport, lc_check, verify_all_outcomes
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -108,13 +103,13 @@ def _parse_p_grid(spec: str) -> tuple[float, ...]:
             f"p range {spec!r} has {points} points; the limit is {MAX_P_POINTS}"
         )
     grid = []
-    i = 0
-    while True:
+    # bounded by the count above: a step below the float spacing at start
+    # would never move x past stop
+    for i in range(int(span) + 2):
         x = start + i * step
         if x > stop + 1e-9:
             break
         grid.append(round(x, 12))
-        i += 1
     return tuple(grid)
 
 
@@ -261,7 +256,7 @@ def cmd_verify(config: RunConfig) -> int:
 
 
 def cmd_noise(config: RunConfig) -> int:
-    from .noise import f_star_dep, parse_channel
+    from .noise import f_star_dep, noise_sweep, parse_channel
 
     if config.compare is not None:
         rows = []
@@ -312,6 +307,14 @@ def cmd_lc(config: RunConfig) -> int:
     graph_a = _resolve_state(config.state_a)
     graph_b = _resolve_state(config.state_b)
     cuts = [_parse_cut(spec, graph_a.vertices) for spec in config.cuts]
+    # lc_check names both counts when they differ; else a cut, given by
+    # --a's labels, must split --b by the same labels, not the same indices
+    if graph_b.n_vertices == graph_a.n_vertices:
+        labels_b = set(graph_b.vertices)
+        for v in graph_a.vertices:
+            if v not in labels_b:
+                raise UsageError(f"--b has no vertex {v!r} of --a")
+        graph_b = Graph(graph_a.vertices, graph_b.edges)
     report = lc_check(graph_a, graph_b, cuts)
     if config.fmt == "json":
         payload = {

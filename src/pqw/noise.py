@@ -1,5 +1,5 @@
-"""Exact noisy-protocol fidelity, plus the closed-form curves and the
-count post-processing arithmetic.
+"""Exact noisy-protocol fidelity and its sweeps over a strength grid,
+plus the closed-form curves and the count post-processing arithmetic.
 
 Noise model: one single-qubit channel applied independently to each of
 the k = 2|E| resource qubits, either right after the pairs are prepared
@@ -17,7 +17,10 @@ number:
   the exact noiseless fidelity, which is 1 for a valid plan and below 1
   for a broken one.  This is why the result matches the closed-form
   curves (1-3p/4)^k and ((1+sqrt(1-p))/2)^k to machine precision,
-  identically for both insertion points.
+  identically for both insertion points.  The noiseless fidelity is the
+  fraction of outcomes that meet the GF(2) sign conditions pqw.verify
+  reads off one symbolic run, so strict costs one elimination and has
+  no vertex budget.
 
 * metric="conditional" is the operational fidelity of the state
   actually delivered: every error branch runs through the remaining
@@ -29,7 +32,7 @@ number:
   multi-error patterns that the strict accounting already wrote off.
   The two metrics agree at p=0 and conditional >= strict everywhere.
 
-One exact engine computes every one of these numbers, with no
+One exact engine computes every conditional value, with no
 statevector and no numpy.  The corrected-fidelity operator
 M = sum_s |s><s| (x) C_s^dagger |G><G| C_s is the projector of a
 stabilizer code with one generator K_v (x) Z_R^{phi_v} per vertex, so
@@ -38,8 +41,8 @@ elements, taken in Gray-code order.  After prep, each element is
 carried back through the walk and the adjoint channel to the prepared
 state, |+> per data qubit and CZ|++> per edge.  Before measurement the
 channel only reaches Z_R, and the walk fixes each expectation by two
-xor-linear outcome-bit masks.  Every path costs 2^|V| terms, so the
-qubit budget bounds |V|.
+xor-linear outcome-bit masks.  Both conditional paths cost 2^|V|
+terms, so DEFAULT_VERTEX_BUDGET bounds |V| there.
 
 The default is strict because the closed-form curves are the quantity
 the rest of the toolchain (effective-p extraction, channel comparisons)
@@ -57,6 +60,7 @@ from typing import NamedTuple
 from .graphs import Graph, ResourceError, stabilizer_generators
 from .protocol import _bit_reversed, _sign_forms, far_side_mask, walk_gates
 from .stabilizer import PauliString, Tableau, _Checked, conjugate_circuit
+from .verify import _pass_fraction, _sign_conditions
 
 CHANNEL_KINDS = ("depolarizing", "phase_damping", "amplitude_damping")
 CHANNEL_ALIASES = {
@@ -222,18 +226,19 @@ def noisy_protocol_fidelity(
     correction_kind: str = "universal",
     insertion: str = "post_prep",
     metric: str = "strict",
-    max_qubits: int | None = None,
 ) -> float:
     """Exact fidelity of the distributed state under independent noise
     on every resource qubit.
 
     Every one of the 4^|E| measurement outcomes and every error branch
     over the k = 2|E| resource qubits is accounted for, with the
-    noiseless correction formula applied per outcome.  Every channel,
-    insertion point and metric runs as one Heisenberg-picture sum over
-    the 2^|V| elements of the code of the corrected fidelity, so
-    max_qubits bounds the vertex count.  See the module docstring for
-    what the two metrics count.  Both reduce to 1 at p=0.
+    noiseless correction formula applied per outcome.  Strict reads the
+    noiseless fidelity off the sign conditions of one symbolic run;
+    every conditional channel and insertion point runs as one
+    Heisenberg-picture sum over the 2^|V| elements of the code of the
+    corrected fidelity, so DEFAULT_VERTEX_BUDGET bounds the vertex count
+    there.  See the module docstring for what the two metrics count.
+    Both reduce to 1 at p=0.
     """
     if insertion not in INSERTION_POINTS:
         raise ValueError(
@@ -241,22 +246,22 @@ def noisy_protocol_fidelity(
         )
     if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}; expected one of {METRICS}")
-    budget = DEFAULT_VERTEX_BUDGET if max_qubits is None else max_qubits
-    if graph.n_vertices > budget:
-        raise ResourceError(
-            f"Heisenberg sum over {graph.n_vertices} vertices exceeds the budget "
-            f"of {budget}; pick a smaller graph or raise max_qubits"
-        )
     # plain nested lists: a matrix product on 2x2 operands would only
     # wake BLAS, which costs peak memory and buys no speed
     ops = _kraus_lists(channel)
     if metric == "strict":
         # each qubit comes through error-free with probability
         # sum_b |tr(K_b)/2|^2, independently of the others; that fraction
-        # multiplies the noiseless sum, where E^dagger(Z) = Z
+        # multiplies the noiseless fidelity, the share of outcomes that
+        # meet every sign condition
         retention = math.fsum(abs(op[0][0] + op[1][1]) ** 2 / 4.0 for op in ops)
-        noiseless = _measured_sum(graph, correction_kind, 0.0, 1.0)
+        noiseless = _pass_fraction(_sign_conditions(graph, correction_kind))
         return retention ** (2 * graph.n_edges) * noiseless
+    if graph.n_vertices > DEFAULT_VERTEX_BUDGET:
+        raise ResourceError(
+            f"Heisenberg sum over {graph.n_vertices} vertices exceeds the budget "
+            f"of {DEFAULT_VERTEX_BUDGET}; pick a smaller graph"
+        )
     if insertion == "post_prep":
         return _prepared_sum(graph, ops, correction_kind)
     # every channel here is diagonal in E^dagger(Z) = a + b Z
@@ -264,6 +269,39 @@ def noisy_protocol_fidelity(
     a = (z[0][0] + z[1][1]).real / 2.0
     b = (z[0][0] - z[1][1]).real / 2.0
     return _measured_sum(graph, correction_kind, a, b)
+
+
+def noise_sweep(
+    graph: Graph,
+    channel_kind: str,
+    p_grid,
+    correction_kind: str = "universal",
+    insertion: str = "post_prep",
+    metric: str = "strict",
+) -> NoiseReport:
+    """Enumerate the exact fidelity on each grid point and attach the
+    closed-form curve where one exists (depolarizing and phase damping;
+    amplitude damping has none and gets no overlay)."""
+    kind = CHANNEL_ALIASES.get(channel_kind, channel_kind)
+    grid = tuple(float(p) for p in p_grid)
+    k = 2 * graph.n_edges
+    fidelities = tuple(
+        noisy_protocol_fidelity(
+            graph,
+            NoiseChannel(kind, p),
+            correction_kind=correction_kind,
+            insertion=insertion,
+            metric=metric,
+        )
+        for p in grid
+    )
+    if kind == "depolarizing":
+        analytic = tuple(f_star_dep(p, k) for p in grid)
+    elif kind == "phase_damping":
+        analytic = tuple(f_star_pd(p, k) for p in grid)
+    else:
+        analytic = None
+    return NoiseReport(grid, fidelities, analytic, k)
 
 
 # -- Heisenberg-picture sum ----------------------------------------------------

@@ -1,7 +1,7 @@
 """Exhaustive verification: every outcome of every prepared graph is
 checked against the target state, the symbolic signs of the data
-stabilizers are checked against their far-side forms, and noise curves
-are swept with their closed-form overlays.
+stabilizers are checked against their far-side forms, and two graph
+states are compared by their Schmidt ranks across cuts.
 
 Everything here is exact; nothing is sampled.  Reports are plain data
 and render elsewhere; two runs over the same inputs produce equal
@@ -24,22 +24,19 @@ that builds no object per outcome.
 The rank comparison is symbolic as well.  Across a cut (A, B) a graph
 state has Schmidt rank 2^r, r the GF(2) rank of the cut's block of the
 adjacency matrix (Hein, Eisert & Briegel, quant-ph/0307130), so one
-elimination, _pivots, gives both that rank and the maximum fidelity.
-The noise sweep loads pqw.noise when it runs, so verification never does.
+elimination, _pivots, gives both that rank and the fraction of outcomes
+that pass.  That fraction is also the noiseless factor of pqw.noise's
+strict metric, which reads it from _sign_conditions and _pass_fraction.
 """
 
 from __future__ import annotations
 
 from itertools import repeat
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 from .graphs import DEFAULT_QUBIT_CEILING, Graph, ResourceError, stabilizer_generators
 from .protocol import _sign_forms, far_side_mask, symbolic_protocol_tableau
 from .stabilizer import extract_sign_forms
-
-if TYPE_CHECKING:
-    from .noise import NoiseReport
-
 
 _FIDELITY = (0.0, 1.0)  # by whether an outcome meets every condition
 _FLIP = bytes.maketrans(b"\0\1", b"\1\0")
@@ -75,11 +72,13 @@ def _pivots(rows) -> dict[int, int]:
     return pivots
 
 
-def _solvable(conditions) -> bool:
-    """Whether some outcome meets every (mask, odd) condition: the rows
-    mask . s = odd, each kept as mask << 1 | odd, are inconsistent exactly
-    when one reduces to 0 = 1, a pivot at bit 0."""
-    return 0 not in _pivots(mask << 1 | odd for mask, odd in conditions)
+def _pass_fraction(conditions) -> float:
+    """The fraction of outcomes that meet every (mask, odd) condition:
+    the rows mask . s = odd, each kept as mask << 1 | odd, are
+    inconsistent exactly when one reduces to 0 = 1, a pivot at bit 0, and
+    else each pivot halves the outcomes that meet them."""
+    pivots = _pivots(mask << 1 | odd for mask, odd in conditions)
+    return 0.0 if 0 in pivots else 2.0 ** -len(pivots)
 
 
 class VerificationReport(NamedTuple):
@@ -105,7 +104,7 @@ class VerificationReport(NamedTuple):
     @property
     def max_fidelity(self) -> float:
         # some outcome passes exactly when the conditions can all hold
-        return 1.0 if _solvable(self.conditions) else 0.0
+        return 1.0 if _pass_fraction(self.conditions) else 0.0
 
     def first_failure(self) -> int | None:
         """The lowest index that misses |G>, or None: outcome 0 fails any
@@ -143,6 +142,30 @@ class VerificationReport(NamedTuple):
         return runs
 
 
+def _data_sign_forms(graph: Graph) -> list:
+    """The sign form (sign, mask) of each K_v in the data group after one
+    symbolic run, or None where K_v is missing from it."""
+    return extract_sign_forms(
+        symbolic_protocol_tableau(graph), stabilizer_generators(graph).generators
+    )
+
+
+def _sign_conditions(graph: Graph, correction_kind: str) -> tuple[tuple[int, bool], ...]:
+    """The (mask, odd) conditions an outcome s must meet to reach |G>
+    under the plan: sign_v (-1)^{|(sigma_v ^ phi_v) & s|} is +1 at every v.
+    A vertex with sign_v = +1 and sigma_v = phi_v holds at every s, so
+    only the others are kept, as (mask, parity needed)."""
+    phis = _sign_forms(graph, correction_kind)
+    conditions = []
+    for v, form, phi in zip(graph.vertices, _data_sign_forms(graph), phis):
+        if form is None:
+            raise AssertionError(f"K_{v} is missing from the data group")
+        sign, sigma = form
+        if sign == -1 or sigma != phi:
+            conditions.append((sigma ^ phi, sign == -1))
+    return tuple(conditions)
+
+
 def verify_all_outcomes(
     graph: Graph, correction_kind: str = "universal", name: str | None = None
 ) -> VerificationReport:
@@ -157,22 +180,8 @@ def verify_all_outcomes(
         raise ResourceError(
             f"{n_qubits} qubits exceeds the ceiling of {DEFAULT_QUBIT_CEILING}"
         )
-    phis = _sign_forms(graph, correction_kind)
-    forms = extract_sign_forms(
-        symbolic_protocol_tableau(graph), stabilizer_generators(graph).generators
-    )
-    # outcome s reaches |G> exactly when sign_v (-1)^{|(sigma_v ^ phi_v) & s|}
-    # is +1 at every v; a vertex with sign_v = +1 and sigma_v = phi_v holds
-    # at every s, so only the others are kept, as (mask, parity needed)
-    conditions = []
-    for v, form, phi in zip(graph.vertices, forms, phis):
-        if form is None:
-            raise AssertionError(f"K_{v} is missing from the data group")
-        sign, sigma = form
-        if sign == -1 or sigma != phi:
-            conditions.append((sigma ^ phi, sign == -1))
     return VerificationReport(
-        name, correction_kind, graph.outcome_count(), tuple(conditions)
+        name, correction_kind, graph.outcome_count(), _sign_conditions(graph, correction_kind)
     )
 
 
@@ -185,11 +194,9 @@ def phase_lemma_check(graph: Graph) -> bool:
     bits, so comparing K_v's form with g_v's far-side mask checks all
     4^|E| outcomes at once, at every graph size.
     """
-    forms = extract_sign_forms(
-        symbolic_protocol_tableau(graph), stabilizer_generators(graph).generators
-    )
     return all(
-        form == (1, far_side_mask(graph, v)) for v, form in zip(graph.vertices, forms)
+        form == (1, far_side_mask(graph, v))
+        for v, form in zip(graph.vertices, _data_sign_forms(graph))
     )
 
 
@@ -247,47 +254,3 @@ def lc_check(graph_a: Graph, graph_b: Graph, cuts) -> LcReport:
     return LcReport(
         tuple(CutRecord(side, _schmidt_rank(a, side), _schmidt_rank(b, side)) for side in sides)
     )
-
-
-def noise_sweep(
-    graph: Graph,
-    channel_kind: str,
-    p_grid,
-    correction_kind: str = "universal",
-    insertion: str = "post_prep",
-    metric: str = "strict",
-    max_qubits: int | None = None,
-) -> NoiseReport:
-    """Enumerate the exact fidelity on each grid point and attach the
-    closed-form curve where one exists (depolarizing and phase damping;
-    amplitude damping has none and gets no overlay)."""
-    from .noise import (
-        CHANNEL_ALIASES,
-        NoiseChannel,
-        NoiseReport,
-        f_star_dep,
-        f_star_pd,
-        noisy_protocol_fidelity,
-    )
-
-    kind = CHANNEL_ALIASES.get(channel_kind, channel_kind)
-    grid = tuple(float(p) for p in p_grid)
-    k = 2 * graph.n_edges
-    fidelities = tuple(
-        noisy_protocol_fidelity(
-            graph,
-            NoiseChannel(kind, p),
-            correction_kind=correction_kind,
-            insertion=insertion,
-            metric=metric,
-            max_qubits=max_qubits,
-        )
-        for p in grid
-    )
-    if kind == "depolarizing":
-        analytic = tuple(f_star_dep(p, k) for p in grid)
-    elif kind == "phase_damping":
-        analytic = tuple(f_star_pd(p, k) for p in grid)
-    else:
-        analytic = None
-    return NoiseReport(grid, fidelities, analytic, k)

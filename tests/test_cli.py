@@ -7,7 +7,11 @@ import io
 import itertools
 import json
 import math
+import os
+import random
 import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -297,10 +301,20 @@ def test_noise_json_carries_metadata(capsys):
 def test_noise_budget_exit(tmp_path, capsys):
     edges = tmp_path / "path13.txt"
     edges.write_text("".join(f"v{i} v{i + 1}\n" for i in range(12)))
-    code = main(["noise", "--graph", f"@{edges}", "--channel", "dep", "--p", "0.1"])
-    assert code == EXIT_BUDGET
+    argv = ["noise", "--graph", f"@{edges}", "--channel", "dep", "--p", "0.1"]
+    assert main([*argv, "--metric", "conditional"]) == EXIT_BUDGET
     err = capsys.readouterr().err
     assert "budget" in err and "13 vertices" in err
+
+
+def test_noise_strict_runs_a_10x10_grid(tmp_path, capsys):
+    path = tmp_path / "grid10.txt"
+    path.write_text("".join(f"{u} {v}\n" for u, v in grid(10, 10).edges), encoding="utf-8")
+    argv = ["noise", "--graph", f"@{path}", "--channel", "dep", "--p", "0.1"]
+    assert main(argv) == EXIT_PASS
+    (row,) = capsys.readouterr().out.splitlines()[1:]
+    _, exact, analytic = row.split(",")
+    assert exact == analytic == cli._fmt(0.925**360)
 
 
 def test_noise_strict_reaches_p5(capsys):
@@ -411,6 +425,52 @@ def test_oversized_p_grid_is_usage_error(spec, points, capsys):
     assert main(["noise", "--channel", "dep", f"--p={spec}"]) == EXIT_USAGE
     err = capsys.readouterr().err
     assert f"has {points} points" in err and f"limit is {cli.MAX_P_POINTS}" in err
+
+
+def _old_p_grid(start, stop, step):
+    # the unbounded loop the grid used to be built with
+    grid = []
+    i = 0
+    while start + i * step <= stop + 1e-9:
+        grid.append(round(start + i * step, 12))
+        i += 1
+    return tuple(grid)
+
+
+def test_bounded_p_grid_matches_the_old_loop():
+    rng = random.Random(7)
+    for _ in range(2000):
+        start, stop = sorted(round(rng.random(), rng.randrange(1, 6)) for _ in "ab")
+        step = rng.choice((0.1, 0.05, 0.01, 1 / 3, 1e-3, rng.uniform(1e-4, 1.0)))
+        spec = f"{start}:{stop}:{step}"
+        assert cli._parse_p_grid(spec) == _old_p_grid(start, stop, step), spec
+
+
+def test_p_grid_stops_when_the_step_is_below_the_float_spacing():
+    # 1e-9 is below the spacing of floats at 1e9, so x never moves; the
+    # loop is bounded by the point count, floor(span) + 2 for a span of 1
+    assert cli._parse_p_grid("1e9:1e9:1e-9") == (1e9,) * 3
+
+
+def test_huge_p_grid_bound_exits_without_filling_memory():
+    # a fresh interpreter under a 1 GiB address-space cap and a timeout,
+    # as an unbounded grid loop would fill all memory
+    resource = pytest.importorskip("resource")
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    run = subprocess.run(
+        [sys.executable, "-m", "pqw", "noise", "--channel", "dep", "--p", "1e308:1e308:1"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=30,
+        preexec_fn=cap,
+    )
+    assert run.returncode == EXIT_USAGE
+    assert run.stderr == "pqw: channel strength must lie in [0, 1], got 1e+308\n"
 
 
 def test_p_grid_at_the_point_limit_is_built():
@@ -577,6 +637,23 @@ def test_lc_cut_side_may_be_one_multi_character_label(tmp_path, capsys):
 def test_lc_vertex_count_mismatch_names_both_counts(capsys):
     assert main(["lc", "--a", "P3", "--b", "GHZ4", "--cut", "A|BC"]) == EXIT_USAGE
     assert capsys.readouterr().err == "pqw: vertex counts differ: 3 vs 4\n"
+
+
+def test_lc_reads_b_by_label(tmp_path, capsys):
+    # P4 with its vertices listed B, C, A, D: the cut AB|CD must split it
+    # by label, where its rank is 2, not by index
+    path = tmp_path / "p4bc.txt"
+    path.write_text("B C\nA B\nC D\n", encoding="utf-8")
+    argv = ["lc", "--a", "P4", "--b", f"@{path}", "--cut", "AB|CD", "--format", "csv"]
+    assert main(argv) == EXIT_PASS
+    assert capsys.readouterr().out == "cut,rank_a,rank_b\nAB|CD,2,2\n"
+
+
+def test_lc_label_mismatch_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "ring.txt"
+    path.write_text("r0 r1\nr1 r2\nr2 r3\nr3 r0\n", encoding="utf-8")
+    argv = ["lc", "--a", f"@{path}", "--b", "P4", "--cut", "r0,r1|r2,r3"]
+    assert _usage_error(argv, capsys) == "pqw: --b has no vertex 'r0' of --a\n"
 
 
 def test_lc_runs_past_the_dense_ceiling(tmp_path, capsys):

@@ -6,13 +6,14 @@ metric is checked against its closed forms directly.
 """
 
 import math
+import random
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import branch_fidelity, small_connected_graphs
+from helpers import branch_fidelity, grid, small_connected_graphs
 from pqw import noise, protocol
 from pqw.graphs import Graph, catalog_lookup, catalog_names, parse_edge_list
 from pqw.noise import (
@@ -26,6 +27,7 @@ from pqw.noise import (
     extract_p_eff,
     f_star_dep,
     f_star_pd,
+    noise_sweep,
     noisy_protocol_fidelity,
     parse_channel,
     t1_damping_estimate,
@@ -268,25 +270,93 @@ def test_amplitude_damping_is_monotone_and_analytic_free():
 
 
 def test_qubit_budget_guard():
-    # the one sum costs 2^|V| terms, so every path checks the vertex count
+    # each conditional sum costs 2^|V| terms, so both check the vertex
+    # count; strict reads its noiseless factor off the sign conditions
     path13 = parse_edge_list("".join(f"v{i} v{i + 1}\n" for i in range(12)))
-    for kind, insertion, metric in (
-        ("depolarizing", "post_prep", "strict"),
-        ("amplitude_damping", "post_prep", "conditional"),
-        ("amplitude_damping", "pre_measure", "conditional"),
-    ):
+    strict = noisy_protocol_fidelity(path13, NoiseChannel("depolarizing", 0.1))
+    assert abs(strict - f_star_dep(0.1, 24)) < 1e-12
+    for insertion in INSERTION_POINTS:
         with pytest.raises(ResourceError, match="13 vertices"):
             noisy_protocol_fidelity(
-                path13, NoiseChannel(kind, 0.1), insertion=insertion, metric=metric
+                path13,
+                NoiseChannel("amplitude_damping", 0.1),
+                insertion=insertion,
+                metric="conditional",
             )
 
 
-def test_vertex_budget_counts_vertices():
+def test_vertex_budget_counts_vertices(monkeypatch):
     house = catalog_lookup("house")
     pd = NoiseChannel("phase_damping", 0.1)
+    monkeypatch.setattr(noise, "DEFAULT_VERTEX_BUDGET", 4)
     with pytest.raises(ResourceError, match="5 vertices"):
-        noisy_protocol_fidelity(house, pd, metric="conditional", max_qubits=4)
-    assert noisy_protocol_fidelity(house, pd, metric="conditional", max_qubits=5) < 1.0
+        noisy_protocol_fidelity(house, pd, metric="conditional")
+    monkeypatch.setattr(noise, "DEFAULT_VERTEX_BUDGET", 5)
+    assert noisy_protocol_fidelity(house, pd, metric="conditional") < 1.0
+
+
+@pytest.mark.parametrize(
+    "graph", (grid(1, 13), grid(10, 10)), ids=("path13", "grid10x10")
+)
+def test_strict_has_no_vertex_budget(graph):
+    # 100 vertices and 180 edges: far past the conditional budget, but one
+    # symbolic run and one elimination
+    k = 2 * graph.n_edges
+    for p in (0.0, 0.05, 0.3):
+        dep = noisy_protocol_fidelity(graph, NoiseChannel("depolarizing", p))
+        pd = noisy_protocol_fidelity(graph, NoiseChannel("phase_damping", p))
+        assert dep == pytest.approx(f_star_dep(p, k), rel=1e-12, abs=0.0)
+        assert pd == pytest.approx(f_star_pd(p, k), rel=1e-12, abs=0.0)
+
+
+def _retention(channel):
+    return math.fsum(abs(op[0][0] + op[1][1]) ** 2 / 4.0 for op in noise._kraus_lists(channel))
+
+
+def _assert_strict_reads_the_noiseless_sum(graph, kind):
+    k = 2 * graph.n_edges
+    noiseless = noise._measured_sum(graph, kind, 0.0, 1.0)
+    for channel in CHANNEL_KINDS:
+        channel = NoiseChannel(channel, 0.3)
+        want = _retention(channel) ** k * noiseless
+        for insertion in INSERTION_POINTS:
+            assert noisy_protocol_fidelity(graph, channel, kind, insertion) == want
+    return noiseless
+
+
+def test_strict_equals_the_noiseless_sum_on_the_catalog():
+    # the pass fraction of the sign conditions is the noiseless
+    # Heisenberg sum, bit for bit, under every plan that applies
+    for name in catalog_names():
+        graph = catalog_lookup(name)
+        for kind in CORRECTION_KINDS:
+            try:
+                correction_forms(graph, kind)
+            except ValueError:
+                continue
+            assert _assert_strict_reads_the_noiseless_sum(graph, kind) == 1.0
+
+
+def test_strict_equals_the_noiseless_sum_on_broken_plans(monkeypatch):
+    # seeded random (x, z) forms: most plans fail on some outcomes, and
+    # strict must follow the noiseless sum down
+    rng = random.Random(20260)
+    graphs = [catalog_lookup(name) for name in ("P4", "C4", "K1_3", "diamond", "house")]
+    current = {}
+
+    def random_forms(graph, kind):
+        return current[graph]
+
+    monkeypatch.setattr(protocol, "correction_forms", random_forms)
+    seen = set()
+    for _ in range(40):
+        graph = rng.choice(graphs)
+        bits = 2 * graph.n_edges
+        current[graph] = tuple(
+            (rng.getrandbits(bits), rng.getrandbits(bits)) for _ in graph.vertices
+        )
+        seen.add(_assert_strict_reads_the_noiseless_sum(graph, "universal"))
+    assert len(seen) > 2
 
 
 # -- noise engines against dense Kraus branches ----------------------------------
@@ -430,6 +500,26 @@ def test_bhattacharyya_validation():
         bhattacharyya_fidelity({"00": -1}, {"00": 1.0})
     with pytest.raises(ValueError, match="expected 1"):
         bhattacharyya_fidelity({"00": 1}, {"00": 0.7})
+
+
+# -- noise sweeps -----------------------------------------------------------------
+
+
+def test_noise_sweep_depolarizing_against_closed_form():
+    report = noise_sweep(P4, "dep", (0.0, 0.1))
+    assert report.k == 6
+    assert report.fidelities[0] == pytest.approx(1.0, abs=1e-12)
+    assert report.fidelities[1] == pytest.approx(f_star_dep(0.1, 6), abs=1e-10)
+    assert report.analytic[1] == pytest.approx(0.925**6, abs=1e-12)
+
+
+def test_noise_sweep_amplitude_damping_has_no_overlay():
+    report = noise_sweep(P4, "ad", (0.0, 0.2, 0.4))
+    assert report.analytic is None
+    fids = report.fidelities
+    assert all(a >= b - 1e-12 for a, b in zip(fids, fids[1:]))
+    pd = noise_sweep(P4, "pd", (0.0, 0.2, 0.4)).fidelities
+    assert all(x <= y + 1e-12 for x, y in zip(fids, pd))
 
 
 # -- report container ---------------------------------------------------------------

@@ -24,8 +24,8 @@ EXPORTS = {
     ),
     "noise": (
         "NoiseChannel", "NoiseReport", "bhattacharyya_fidelity", "extract_p_eff",
-        "f_star_dep", "f_star_pd", "noisy_protocol_fidelity", "parse_channel",
-        "t1_damping_estimate",
+        "f_star_dep", "f_star_pd", "noise_sweep", "noisy_protocol_fidelity",
+        "parse_channel", "t1_damping_estimate",
     ),
     "protocol": (
         "CorrectionPlan", "Layout", "Outcome", "all_outcomes", "build_layout",
@@ -46,14 +46,14 @@ EXPORTS = {
         "schmidt_rank",
     ),
     "verify": (
-        "LcReport", "VerificationReport", "lc_check", "noise_sweep",
-        "phase_lemma_check", "verify_all_outcomes",
+        "LcReport", "VerificationReport", "lc_check", "phase_lemma_check",
+        "verify_all_outcomes",
     ),
 }
 # each submodule after every submodule it imports, so that reading
 # pqw.<name> in this order is always the first import of that module
 SUBMODULES = (
-    "data", "stabilizer", "graphs", "protocol", "noise", "verify", "statevector", "cli",
+    "data", "stabilizer", "graphs", "protocol", "verify", "noise", "statevector", "cli",
 )
 
 # Runs in a fresh interpreter that has imported nothing of pqw but the
@@ -116,12 +116,11 @@ def test_resource_error_is_one_class(tmp_path, capsys):
     path9.write_text("".join(f"v{i} v{i + 1}\n" for i in range(8)))
     assert main(["verify", "--graph", f"@{path9}"]) == EXIT_BUDGET
     assert "25 qubits" in capsys.readouterr().err
-    # 13 vertices exceed the noise sum's vertex budget
+    # 13 vertices exceed the conditional noise sum's vertex budget
     path13 = tmp_path / "path13.txt"
     path13.write_text("".join(f"v{i} v{i + 1}\n" for i in range(12)))
-    assert main(["noise", "--graph", f"@{path13}", "--channel", "ad", "--p", "0.1"]) == (
-        EXIT_BUDGET
-    )
+    argv = ["noise", "--graph", f"@{path13}", "--channel", "ad", "--p", "0.1"]
+    assert main([*argv, "--metric", "conditional"]) == EXIT_BUDGET
     assert "13 vertices" in capsys.readouterr().err
 
 

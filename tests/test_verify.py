@@ -1,5 +1,5 @@
 """End-to-end verification drivers: exhaustive outcome sweeps, the sign
-check on the symbolic run, entanglement-rank comparison, and noise sweeps."""
+check on the symbolic run, and entanglement-rank comparison."""
 
 import contextlib
 import io
@@ -21,7 +21,7 @@ from pqw.graphs import (
     parse_edge_list,
     stabilizer_generators,
 )
-from pqw.noise import NoiseChannel, f_star_dep
+from pqw.noise import NoiseChannel, noise_sweep
 from pqw.protocol import Outcome, symbolic_protocol_tableau
 from pqw.stabilizer import PauliString, Tableau, extract_sign_form, extract_sign_forms
 from pqw.statevector import corrected_fidelity, ghz_state, graph_state, run_protocol
@@ -29,7 +29,6 @@ from pqw.verify import (
     LcReport,
     VerificationReport,
     lc_check,
-    noise_sweep,
     phase_lemma_check,
     verify_all_outcomes,
 )
@@ -441,26 +440,6 @@ def test_ghz_ranks_are_the_star_graph_ranks():
     ghz = ghz_state(4)
     for rec in lc_check(K1_3, K1_3, cuts).records:
         assert rec.rank_a == sv.schmidt_rank(ghz, sv.Bipartition.of(rec.cut, 4)) == 2
-
-
-# -- noise sweeps -----------------------------------------------------------------
-
-
-def test_noise_sweep_depolarizing_against_closed_form():
-    report = noise_sweep(P4, "dep", (0.0, 0.1))
-    assert report.k == 6
-    assert report.fidelities[0] == pytest.approx(1.0, abs=1e-12)
-    assert report.fidelities[1] == pytest.approx(f_star_dep(0.1, 6), abs=1e-10)
-    assert report.analytic[1] == pytest.approx(0.925**6, abs=1e-12)
-
-
-def test_noise_sweep_amplitude_damping_has_no_overlay():
-    report = noise_sweep(P4, "ad", (0.0, 0.2, 0.4))
-    assert report.analytic is None
-    fids = report.fidelities
-    assert all(a >= b - 1e-12 for a, b in zip(fids, fids[1:]))
-    pd = noise_sweep(P4, "pd", (0.0, 0.2, 0.4)).fidelities
-    assert all(x <= y + 1e-12 for x, y in zip(fids, pd))
 
 
 # one instance of every public value class of the symbolic modules, built
