@@ -5,7 +5,9 @@ The package builds the protocol circuit for any connected target graph,
 enumerates every measurement outcome, applies a correction formula, and
 checks the delivered state against the target: fidelities, outcome
 statistics, sign bookkeeping, noise curves, and Schmidt-rank
-separations, all computed exactly.
+separations, all computed exactly.  An outcome is its big-endian index
+in [0, 4^|E|), and a correction plan is a PauliString on the data
+qubits.
 
 Every exported name, and every submodule, loads on first access, so
 ``import pqw.cli`` loads only the engines a command runs.  Every command
@@ -30,7 +32,6 @@ _EXPORTS = {
         "parse_channel", "t1_damping_estimate",
     ),
     "protocol": (
-        "CorrectionPlan", "Layout", "Outcome", "all_outcomes", "build_layout",
         "c4_correction", "correction_forms", "correction_plan", "l4_correction",
         "plans_equivalent", "run_protocol_tableau", "tree_correction",
         "universal_correction",
@@ -41,11 +42,10 @@ _EXPORTS = {
         "zero_state_tableau",
     ),
     "statevector": (
-        "Bipartition", "StateVector", "ZeroProbabilityError", "apply_correction",
-        "apply_gate", "apply_pauli", "byproduct_step", "check_stabilizes",
-        "corrected_fidelity", "fidelity", "from_amplitudes", "ghz_state", "graph_state",
-        "kraus_ops", "measure_project", "new_plus", "new_zero", "run_protocol",
-        "schmidt_rank",
+        "StateVector", "ZeroProbabilityError", "apply_gate", "apply_pauli",
+        "byproduct_step", "check_stabilizes", "corrected_fidelity", "fidelity",
+        "from_amplitudes", "ghz_state", "graph_state", "kraus_ops", "measure_project",
+        "new_plus", "new_zero", "run_protocol", "schmidt_rank",
     ),
     "verify": (
         "LcReport", "VerificationReport", "lc_check", "phase_lemma_check",

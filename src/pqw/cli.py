@@ -29,6 +29,7 @@ from typing import NamedTuple
 from . import __version__
 from .graphs import (
     CatalogError,
+    DEFAULT_QUBIT_CEILING,
     Graph,
     ResourceError,
     TABLE_ORDER,
@@ -232,6 +233,13 @@ def cmd_verify(config: RunConfig) -> int:
     reports = []
     for spec in names:
         name, graph = _resolve_graph(spec)
+        # the writers list all 4^|E| outcomes, so the register size bounds
+        # the output before anything is written
+        n_qubits = graph.n_vertices + 2 * graph.n_edges
+        if n_qubits > DEFAULT_QUBIT_CEILING:
+            raise ResourceError(
+                f"{n_qubits} qubits exceeds the ceiling of {DEFAULT_QUBIT_CEILING}"
+            )
         reports.append(verify_all_outcomes(graph, config.correction, name=name))
     if config.fmt == "json":
         if len(reports) == 1:

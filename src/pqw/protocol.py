@@ -11,16 +11,20 @@ endpoint.  The steps are:
   S4  measure all resource qubits in the Z basis, broadcast the bits,
       apply a local correction on the data qubits
 
-Outcome indexing, used by every report and test: the resource bits are
-ordered edge by edge (catalog edge order), within an edge first
-endpoint then second endpoint, and the outcome index is the big-endian
-integer of that bit sequence.  For the path A-B-C-D this reproduces the
-conventional labels s1=AB@A, s2=AB@B, s3=BC@B, s4=BC@C, s5=CD@C,
-s6=CD@D; for the cycle A-B-C-D-A it appends s7=DA@D, s8=DA@A.
+Qubit order: vertex v is qubit graph.vertex_index(v), and endpoint e of
+edge j is qubit n_vertices + 2*j + e.  An outcome is its index s in
+[0, 4^|E|), used by every report and test: the resource bits are ordered
+edge by edge (catalog edge order), within an edge first endpoint then
+second endpoint, and s is the big-endian integer of that bit sequence.
+For the path A-B-C-D this reproduces the conventional labels s1=AB@A,
+s2=AB@B, s3=BC@B, s4=BC@C, s5=CD@C, s6=CD@D; for the cycle A-B-C-D-A it
+appends s7=DA@D, s8=DA@A.  Every function that takes s raises ValueError
+outside that range.
 
-A correction plan assigns per-vertex exponents (x_v, z_v); applying it
-means Z^z then X^x at each vertex.  Validity of a plan for outcome s
-reduces to the parity condition
+A correction plan is a Pauli string X^x Z^z on the data qubits, bit i
+of x and z its exponents at vertex i; applying it means Z^z then X^x at
+each vertex.  Validity of a plan for outcome s reduces to the parity
+condition
 
     z_v XOR (XOR of x_u over neighbors u of v)  ==  g_v(s)
 
@@ -35,7 +39,7 @@ its sign forms phi_v = z_v xor (xor of x_u over u ~ v), and the parity
 condition is phi_v = g_v = far_side_mask(v).  verify and the noise sum
 read plans as phi, verify against the signs of symbolic_protocol_tableau.
 The circuit is written once, as the gate lists prep_gates and walk_gates.
-The dense per-outcome reference, which applies (x, z) to amplitudes
+The dense per-outcome reference, which applies plans to amplitudes
 (run_protocol, corrected_fidelity), runs them in pqw.statevector; nothing
 here imports numpy.
 """
@@ -43,104 +47,15 @@ here imports numpy.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import NamedTuple
 
 from .graphs import Graph, catalog_lookup, stabilizer_generators
 from .stabilizer import (
     PauliString,
     Tableau,
-    _Checked,
     _checked_gates,
     _conj_bits,
     _measure_rows,
 )
-
-Edge = tuple[str, str]
-
-
-class Layout(NamedTuple):
-    """Deterministic qubit assignment: data qubits first in vertex
-    order, then one resource pair per edge in edge order."""
-
-    data_index: dict[str, int]
-    resource_index: dict[tuple[Edge, str], int]
-    total_qubits: int
-
-    def resource_qubits(self) -> tuple[int, ...]:
-        return tuple(sorted(self.resource_index.values()))
-
-
-def build_layout(graph: Graph) -> Layout:
-    data = {v: i for i, v in enumerate(graph.vertices)}
-    resource = {}
-    for j, (u, v) in enumerate(graph.edges):
-        resource[((u, v), u)] = graph.n_vertices + 2 * j
-        resource[((u, v), v)] = graph.n_vertices + 2 * j + 1
-    return Layout(data, resource, graph.n_vertices + 2 * graph.n_edges)
-
-
-class _OutcomeFields(NamedTuple):
-    graph: Graph
-    bits: tuple[int, ...]
-
-
-class Outcome(_Checked, _OutcomeFields):
-    """The 2|E| broadcast measurement bits for one protocol run."""
-
-    __slots__ = ()
-
-    def __new__(cls, graph: Graph, bits: tuple[int, ...]):
-        if len(bits) != 2 * graph.n_edges:
-            raise ValueError(f"expected {2 * graph.n_edges} bits, got {len(bits)}")
-        if any(b not in (0, 1) for b in bits):
-            raise ValueError("outcome bits must be 0 or 1")
-        return super().__new__(cls, graph, bits)
-
-    @classmethod
-    def from_index(cls, graph: Graph, index: int) -> "Outcome":
-        m = 2 * graph.n_edges
-        if not 0 <= index < 2**m:
-            raise ValueError(f"outcome index {index} out of range")
-        bits = tuple((index >> (m - 1 - i)) & 1 for i in range(m))
-        return cls(graph, bits)
-
-    def to_index(self) -> int:
-        value = 0
-        for b in self.bits:
-            value = (value << 1) | b
-        return value
-
-
-def all_outcomes(graph: Graph):
-    for index in range(graph.outcome_count()):
-        yield Outcome.from_index(graph, index)
-
-
-class _PlanFields(NamedTuple):
-    graph: Graph
-    exponents: tuple[tuple[str, int, int], ...]
-
-
-class CorrectionPlan(_Checked, _PlanFields):
-    """Per-vertex Pauli exponents (x_v, z_v), vertex order fixed by the
-    graph so plans compare deterministically."""
-
-    __slots__ = ()
-
-    def __new__(cls, graph: Graph, exponents: tuple[tuple[str, int, int], ...]):
-        if tuple(v for v, _, _ in exponents) != graph.vertices:
-            raise ValueError("plan must list every vertex once, in graph order")
-        if any(x not in (0, 1) or z not in (0, 1) for _, x, z in exponents):
-            raise ValueError("exponents must be bits")
-        return super().__new__(cls, graph, exponents)
-
-    def as_pauli(self) -> PauliString:
-        x_bits = 0
-        z_bits = 0
-        for i, (_, x, z) in enumerate(self.exponents):
-            x_bits |= x << i
-            z_bits |= z << i
-        return PauliString(self.graph.n_vertices, x_bits, z_bits)
 
 
 # -- protocol circuit ------------------------------------------------------
@@ -149,24 +64,21 @@ class CorrectionPlan(_Checked, _PlanFields):
 def prep_gates(graph: Graph) -> tuple[tuple[str, tuple[int, ...]], ...]:
     """S1 + S2 as a gate list, applied after |+> on every qubit: the CZ
     of each edge's resource pair, in edge order."""
-    layout = build_layout(graph)
-    return tuple(
-        ("CZ", (layout.resource_index[(edge, edge[0])], layout.resource_index[(edge, edge[1])]))
-        for edge in graph.edges
-    )
+    nv = graph.n_vertices
+    return tuple(("CZ", (nv + 2 * j, nv + 2 * j + 1)) for j in range(graph.n_edges))
 
 
 def walk_gates(graph: Graph) -> tuple[tuple[str, tuple[int, ...]], ...]:
     """S3 as a gate list, the one copy of the walk circuit: the
     entangling CZ(data, own resource half) for every incidence in edge
     order, then H on every resource qubit."""
-    layout = build_layout(graph)
+    nv = graph.n_vertices
     gates = [
-        ("CZ", (layout.data_index[v], layout.resource_index[(edge, v)]))
-        for edge in graph.edges
-        for v in edge
+        ("CZ", (graph.vertex_index(v), nv + 2 * j + e))
+        for j, edge in enumerate(graph.edges)
+        for e, v in enumerate(edge)
     ]
-    gates += [("H", (q,)) for q in layout.resource_qubits()]
+    gates += [("H", (q,)) for q in range(nv, nv + 2 * graph.n_edges)]
     return tuple(gates)
 
 
@@ -245,12 +157,17 @@ def symbolic_protocol_tableau(graph: Graph) -> Tableau:
     return Tableau(nv, tuple(data_gens))
 
 
-def run_protocol_tableau(graph: Graph, outcome: Outcome) -> Tableau:
+def _check_index(graph: Graph, index: int) -> int:
+    """index, or ValueError when it names no outcome of graph."""
+    if not 0 <= index < graph.outcome_count():
+        raise ValueError(f"outcome index {index} out of range")
+    return index
+
+
+def run_protocol_tableau(graph: Graph, index: int) -> Tableau:
     """Symbolic mirror of run_protocol: the data-qubit stabilizer group
-    with its signs at one outcome, read off the symbolic run."""
-    if outcome.graph != graph:
-        raise ValueError("outcome belongs to a different graph")
-    return symbolic_protocol_tableau(graph).evaluate(outcome.to_index())
+    with its signs at outcome index, read off the symbolic run."""
+    return symbolic_protocol_tableau(graph).evaluate(_check_index(graph, index))
 
 
 # -- correction formulas ---------------------------------------------------
@@ -338,15 +255,14 @@ def tree_correction(graph: Graph) -> Forms:
     return _forms(graph, x, z)
 
 
-def plans_equivalent(plan_a: CorrectionPlan, plan_b: CorrectionPlan, graph: Graph) -> bool:
+def plans_equivalent(plan_a: PauliString, plan_b: PauliString, graph: Graph) -> bool:
     """True iff the two plans differ by an element of +-Stab(|G>), i.e.
     they steer every outcome to the same corrected state up to phase."""
-    if plan_a.graph != graph or plan_b.graph != graph:
+    if plan_a.n_qubits != graph.n_vertices or plan_b.n_qubits != graph.n_vertices:
         raise ValueError("plans must be over the given graph")
     from .stabilizer import extract_sign
 
-    difference = plan_a.as_pauli() * plan_b.as_pauli()
-    return extract_sign(stabilizer_generators(graph), difference) is not None
+    return extract_sign(stabilizer_generators(graph), plan_a * plan_b) is not None
 
 
 CORRECTION_KINDS = ("universal", "l4", "c4", "tree")
@@ -367,19 +283,15 @@ def correction_forms(graph: Graph, kind: str) -> Forms:
     raise ValueError(f"unknown correction kind {kind!r}; expected {CORRECTION_KINDS}")
 
 
-def correction_plan(graph: Graph, outcome: Outcome, kind: str) -> CorrectionPlan:
-    """The kind's plan for one outcome: its forms read at the outcome
-    index by parity."""
-    if outcome.graph != graph:
-        raise ValueError("outcome belongs to a different graph")
-    index = outcome.to_index()
-    return CorrectionPlan(
-        graph,
-        tuple(
-            (v, (x & index).bit_count() & 1, (z & index).bit_count() & 1)
-            for v, (x, z) in zip(graph.vertices, correction_forms(graph, kind))
-        ),
-    )
+def correction_plan(graph: Graph, index: int, kind: str) -> PauliString:
+    """The kind's plan for outcome index: X^x Z^z on the data qubits,
+    bit i of x and z the parity of vertex i's forms read at index."""
+    _check_index(graph, index)
+    x_bits = z_bits = 0
+    for i, (x, z) in enumerate(correction_forms(graph, kind)):
+        x_bits |= ((x & index).bit_count() & 1) << i
+        z_bits |= ((z & index).bit_count() & 1) << i
+    return PauliString(graph.n_vertices, x_bits, z_bits)
 
 
 def _sign_forms(graph: Graph, correction_kind: str) -> list[int]:

@@ -220,14 +220,6 @@ def _times(row: list[int], other) -> None:
     row[:] = x ^ ox, z ^ oz, phase + ophase + 2 * (z & ox).bit_count(), mask ^ omask
 
 
-def _conj_one(p: PauliString, gate: str, targets) -> PauliString:
-    """Conjugate p by the gate: returns U p U^dagger in normal form."""
-    x, z, phase = _conj_bits(
-        p.x_bits, p.z_bits, p.phase, _checked_gates(p.n_qubits, ((gate, targets),))
-    )
-    return PauliString(p.n_qubits, x, z, phase % 4, p.outcome_mask)
-
-
 class _Checked:
     """Base of a named tuple whose checks run in __new__.
 

@@ -9,9 +9,10 @@ modules relies on this.
 This is the one module that imports numpy, and no other module imports
 it: the commands run on the symbolic engines alone.  Besides the
 simulator it holds the dense oracles the tests check those engines
-against: graph_state and ghz_state, the per-outcome protocol reference
-(run_protocol, corrected_fidelity, byproduct_step), the Pauli action
-apply_pauli with check_stabilizes, and the Kraus operators as matrices.
+against: graph_state and ghz_state; the per-outcome protocol reference
+(run_protocol, corrected_fidelity, byproduct_step), which names an
+outcome by its index and a plan by its Pauli string; the Pauli action
+apply_pauli with check_stabilizes; and the Kraus operators as matrices.
 Gates are checked by the tableau's gate table, so both engines accept
 and refuse the same gate lists.
 
@@ -26,11 +27,11 @@ from functools import lru_cache
 
 import numpy as np
 
-# defined numpy-free in graphs, where verify and the noise sum use them;
+# defined numpy-free in graphs, where the CLI and the noise sum use them;
 # the same objects here
 from .graphs import DEFAULT_QUBIT_CEILING, Graph, ResourceError
 from .noise import NoiseChannel, _kraus_lists
-from .protocol import CorrectionPlan, Outcome, _bit_reversed, prep_gates, walk_gates
+from .protocol import _bit_reversed, _check_index, prep_gates, walk_gates
 from .stabilizer import PauliString, Tableau, _checked_gates
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
@@ -73,28 +74,6 @@ class StateVector:
 
     def probability(self, basis_index: int) -> float:
         return float(abs(self.amplitudes[basis_index]) ** 2)
-
-
-@dataclass(frozen=True)
-class Bipartition:
-    """A cut of the qubit register into two non-empty disjoint sides."""
-
-    side_a: frozenset[int]
-    side_b: frozenset[int]
-
-    def __post_init__(self):
-        if not self.side_a or not self.side_b:
-            raise ValueError("both sides of a bipartition must be non-empty")
-        if self.side_a & self.side_b:
-            raise ValueError("bipartition sides overlap")
-
-    @classmethod
-    def of(cls, side_a, n_qubits: int) -> "Bipartition":
-        a = frozenset(side_a)
-        return cls(a, frozenset(range(n_qubits)) - a)
-
-    def qubits(self) -> frozenset[int]:
-        return self.side_a | self.side_b
 
 
 def new_plus(n_qubits: int, max_qubits: int | None = None) -> StateVector:
@@ -220,19 +199,24 @@ def fidelity(a: StateVector, b: StateVector) -> float:
     return float(abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2)
 
 
-def schmidt_rank(state: StateVector, cut: Bipartition, tol: float = 1e-9) -> int:
-    """Rank of the coefficient matrix across the cut.
+def schmidt_rank(state: StateVector, side_a, tol: float = 1e-9) -> int:
+    """Rank of the coefficient matrix across the cut between the qubit
+    indices side_a and the rest of the register.
 
     Singular values of stabilizer states are bounded away from zero by
     powers of 1/2, so the default tolerance is safely below any of them.
     """
     n = state.n_qubits
-    if cut.qubits() != frozenset(range(n)):
-        raise ValueError("bipartition does not cover exactly this register")
+    side_a = frozenset(side_a)
+    if not side_a or not side_a < frozenset(range(n)):
+        raise ValueError(
+            f"cut {sorted(side_a)} is not a non-empty proper subset of "
+            f"the {n} qubit indices"
+        )
     tensor = state.amplitudes.reshape([2] * n)
     # axis for qubit k is n-1-k (C order puts qubit n-1 first)
-    a_axes = sorted(n - 1 - q for q in cut.side_a)
-    b_axes = sorted(n - 1 - q for q in cut.side_b)
+    a_axes = sorted(n - 1 - q for q in side_a)
+    b_axes = sorted(n - 1 - q for q in range(n) if q not in side_a)
     matrix = tensor.transpose(a_axes + b_axes).reshape(
         2 ** len(a_axes), 2 ** len(b_axes)
     )
@@ -315,25 +299,25 @@ def _premeasurement(graph: Graph) -> StateVector:
     return StateVector(graph.n_vertices + 2 * graph.n_edges, amps)
 
 
-def data_slab(graph: Graph, outcome: Outcome) -> np.ndarray:
+def data_slab(graph: Graph, index: int) -> np.ndarray:
     """Unnormalized data-qubit amplitudes after projecting all resource
-    qubits onto the outcome; squared norm is the outcome probability."""
-    rows = _premeasurement(graph).amplitudes.reshape(-1, 2**graph.n_vertices)
-    return rows[_bit_reversed(graph, outcome.to_index())]
+    qubits onto outcome index; squared norm is the outcome probability."""
+    # checked first: _bit_reversed would fold an index past the range
+    # onto some row
+    row = _bit_reversed(graph, _check_index(graph, index))
+    return _premeasurement(graph).amplitudes.reshape(-1, 2**graph.n_vertices)[row]
 
 
-def run_protocol(graph: Graph, outcome: Outcome) -> tuple[float, StateVector]:
+def run_protocol(graph: Graph, index: int) -> tuple[float, StateVector]:
     """Run S1-S4 up to (not including) correction.
 
-    Returns the joint probability of the outcome and the post-measurement
-    pure state of the data qubits.
+    Returns the joint probability of outcome index and the
+    post-measurement pure state of the data qubits.
     """
-    if outcome.graph != graph:
-        raise ValueError("outcome belongs to a different graph")
-    slab = data_slab(graph, outcome)
+    slab = data_slab(graph, index)
     prob = float(np.vdot(slab, slab).real)
     if prob < 1e-14:
-        raise ZeroProbabilityError(f"outcome {outcome.to_index()} has probability {prob}")
+        raise ZeroProbabilityError(f"outcome {index} has probability {prob}")
     return prob, StateVector(graph.n_vertices, slab / np.sqrt(prob))
 
 
@@ -358,22 +342,11 @@ def byproduct_step(s: int) -> tuple[float, StateVector]:
     return prob, StateVector(2, pair)
 
 
-def apply_correction(state: StateVector, plan: CorrectionPlan) -> StateVector:
-    """Apply Z^{z_v} then X^{x_v} at each vertex's qubit of a bare data
-    register in vertex order, which matches run_protocol's output."""
-    for i, (_, x, z) in enumerate(plan.exponents):
-        if z:
-            state = apply_gate(state, "Z", (i,))
-        if x:
-            state = apply_gate(state, "X", (i,))
-    return state
-
-
-def corrected_fidelity(graph: Graph, outcome: Outcome, plan: CorrectionPlan) -> float:
-    """Fidelity of the corrected post-measurement data state with the
-    target graph state."""
-    _, data = run_protocol(graph, outcome)
-    return fidelity(apply_correction(data, plan), graph_state(graph))
+def corrected_fidelity(graph: Graph, index: int, plan: PauliString) -> float:
+    """Fidelity of the post-measurement data state at outcome index,
+    corrected by the plan, with the target graph state."""
+    _, data = run_protocol(graph, index)
+    return fidelity(apply_pauli(data, plan), graph_state(graph))
 
 
 # -- noise ---------------------------------------------------------------------

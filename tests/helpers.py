@@ -15,16 +15,9 @@ from hypothesis import strategies as st
 
 from pqw import statevector as sv
 from pqw.graphs import Graph, catalog_lookup, parse_edge_list
-from pqw.protocol import (
-    CorrectionPlan,
-    Outcome,
-    _bit_reversed,
-    _sign_forms,
-    build_layout,
-    walk_gates,
-)
+from pqw.protocol import _bit_reversed, _sign_forms, walk_gates
 from pqw.statevector import _after_prep, _premeasurement, _run_gates, graph_state
-from pqw.stabilizer import Tableau, conjugate_circuit, zero_state_tableau
+from pqw.stabilizer import PauliString, Tableau, conjugate_circuit, zero_state_tableau
 
 GATE_ARITY = {"H": 1, "X": 1, "Z": 1, "CZ": 2, "CNOT": 2}
 
@@ -120,10 +113,10 @@ def near_side_mask(graph: Graph, v: str) -> int:
     return mask
 
 
-def near_parity(outcome: Outcome, v: str) -> int:
-    """XOR of near-side bits over the edges at v; the wrong reading of
-    the sign exponent, which the far-side g_v replaces."""
-    return (near_side_mask(outcome.graph, v) & outcome.to_index()).bit_count() & 1
+def near_parity(graph: Graph, index: int, v: str) -> int:
+    """XOR of near-side bits over the edges at v at outcome index; the
+    wrong reading of the sign exponent, which the far-side g_v replaces."""
+    return (near_side_mask(graph, v) & index).bit_count() & 1
 
 
 def grid(rows: int, cols: int) -> Graph:
@@ -138,11 +131,11 @@ def grid(rows: int, cols: int) -> Graph:
     return parse_edge_list("\n".join(lines))
 
 
-def plan_from_maps(graph: Graph, x: dict[str, int], z: dict[str, int]) -> CorrectionPlan:
-    """A plan from sparse exponent maps; a vertex not named gets 0."""
-    return CorrectionPlan(
-        graph, tuple((v, x.get(v, 0), z.get(v, 0)) for v in graph.vertices)
-    )
+def plan_from_maps(graph: Graph, x: dict[str, int], z: dict[str, int]) -> PauliString:
+    """A plan from sparse exponent bit maps; a vertex not named gets 0."""
+    x_bits = sum(bit << graph.vertex_index(v) for v, bit in x.items())
+    z_bits = sum(bit << graph.vertex_index(v) for v, bit in z.items())
+    return PauliString(graph.n_vertices, x_bits, z_bits)
 
 
 @st.composite
@@ -203,9 +196,8 @@ def branch_fidelity(
     through a dense statevector: the reference the Heisenberg-sum noise
     engine is tested against.  With ops = (identity,) it is the noiseless
     outcome contraction."""
-    layout = build_layout(graph)
     targets = correction_targets(graph, correction_kind)
-    resource_qubits = layout.resource_qubits()
+    resource_qubits = range(graph.n_vertices, graph.n_vertices + 2 * graph.n_edges)
     k = len(resource_qubits)
     branch_totals = []
     prepped = _after_prep(graph)

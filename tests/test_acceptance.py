@@ -20,7 +20,7 @@ from pqw.noise import (
     noisy_protocol_fidelity,
     t1_damping_estimate,
 )
-from pqw.protocol import all_outcomes, correction_plan, plans_equivalent
+from pqw.protocol import correction_plan, plans_equivalent
 from pqw.statevector import (
     byproduct_step,
     corrected_fidelity,
@@ -49,11 +49,11 @@ def test_criterion_01_path_exhaustive():
     start = time.perf_counter()
     worst_f = 1.0
     worst_dp = 0.0
-    for outcome in all_outcomes(P4):
-        prob, _ = run_protocol(P4, outcome)
+    for index in range(P4.outcome_count()):
+        prob, _ = run_protocol(P4, index)
         worst_dp = max(worst_dp, abs(prob - 1.0 / 64.0))
-        plan = correction_plan(P4, outcome, "l4")
-        worst_f = min(worst_f, corrected_fidelity(P4, outcome, plan))
+        plan = correction_plan(P4, index, "l4")
+        worst_f = min(worst_f, corrected_fidelity(P4, index, plan))
     elapsed = time.perf_counter() - start
     ok = worst_f >= 1.0 - 1e-12 and worst_dp <= 1e-12 and elapsed < 1.0
     _report(
@@ -67,8 +67,8 @@ def test_criterion_01_path_exhaustive():
 def test_criterion_02_ring_exhaustive():
     start = time.perf_counter()
     worst_f = min(
-        corrected_fidelity(C4, outcome, correction_plan(C4, outcome, "c4"))
-        for outcome in all_outcomes(C4)
+        corrected_fidelity(C4, index, correction_plan(C4, index, "c4"))
+        for index in range(C4.outcome_count())
     )
     elapsed = time.perf_counter() - start
     ok = worst_f >= 1.0 - 1e-12 and elapsed < 5.0
@@ -144,7 +144,7 @@ def test_criterion_06_hardware_arithmetic():
 
 
 def test_criterion_07_schmidt_ranks():
-    cut = sv.Bipartition.of((0, 2), 4)  # AC vs BD
+    cut = (0, 2)  # AC vs BD
     rank_line = sv.schmidt_rank(graph_state(P4), cut)
     rank_ghz = sv.schmidt_rank(ghz_state(4), cut)
     ok = (rank_line, rank_ghz) == (4, 2)
@@ -184,10 +184,10 @@ def test_criterion_09_formula_concordance():
     cases = [(P4, "l4"), (C4, "c4")]
     cases += [(catalog_lookup(name), "tree") for name in TREE_NAMES]
     for graph, kind in cases:
-        for outcome in all_outcomes(graph):
+        for index in range(graph.outcome_count()):
             ok = ok and plans_equivalent(
-                correction_plan(graph, outcome, kind),
-                correction_plan(graph, outcome, "universal"),
+                correction_plan(graph, index, kind),
+                correction_plan(graph, index, "universal"),
                 graph,
             )
             checked += 1

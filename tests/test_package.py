@@ -28,7 +28,6 @@ EXPORTS = {
         "parse_channel", "t1_damping_estimate",
     ),
     "protocol": (
-        "CorrectionPlan", "Layout", "Outcome", "all_outcomes", "build_layout",
         "c4_correction", "correction_forms", "correction_plan", "l4_correction",
         "plans_equivalent", "run_protocol_tableau", "tree_correction",
         "universal_correction",
@@ -39,11 +38,10 @@ EXPORTS = {
         "zero_state_tableau",
     ),
     "statevector": (
-        "Bipartition", "StateVector", "ZeroProbabilityError", "apply_correction",
-        "apply_gate", "apply_pauli", "byproduct_step", "check_stabilizes",
-        "corrected_fidelity", "fidelity", "from_amplitudes", "ghz_state", "graph_state",
-        "kraus_ops", "measure_project", "new_plus", "new_zero", "run_protocol",
-        "schmidt_rank",
+        "StateVector", "ZeroProbabilityError", "apply_gate", "apply_pauli",
+        "byproduct_step", "check_stabilizes", "corrected_fidelity", "fidelity",
+        "from_amplitudes", "ghz_state", "graph_state", "kraus_ops", "measure_project",
+        "new_plus", "new_zero", "run_protocol", "schmidt_rank",
     ),
     "verify": (
         "LcReport", "VerificationReport", "lc_check", "phase_lemma_check",
@@ -178,11 +176,9 @@ report("pqw.ResourceError", 0 if pqw.ResourceError is pqw.graphs.ResourceError e
 run(["verify", "--graph", "P4"])
 run(["verify", "--graph", "all", "--format", "csv"])
 run(["lc", "--a", "L4", "--b", "GHZ4", "--cut", "AB|CD"])
-from pqw.protocol import Outcome
 from pqw.statevector import run_protocol
 
-P4 = catalog_lookup("P4")
-report("run_protocol P4", 0 if run_protocol(P4, Outcome.from_index(P4, 0))[0] > 0 else 1)
+report("run_protocol P4", 0 if run_protocol(catalog_lookup("P4"), 0)[0] > 0 else 1)
 """
 
 

@@ -1,5 +1,5 @@
-"""The protocol itself: outcome bookkeeping, the dense and symbolic
-runs, the byproduct primitive, and every correction formula."""
+"""The protocol itself: qubit order and outcome indexing, the dense and
+symbolic runs, the byproduct primitive, and every correction formula."""
 
 import numpy as np
 import pytest
@@ -18,10 +18,6 @@ from pqw import statevector as sv
 from pqw.graphs import TABLE_ORDER, Graph, catalog_lookup
 from pqw.protocol import (
     CORRECTION_KINDS,
-    CorrectionPlan,
-    Outcome,
-    all_outcomes,
-    build_layout,
     c4_correction,
     correction_forms,
     correction_plan,
@@ -30,13 +26,16 @@ from pqw.protocol import (
     plans_equivalent,
     run_protocol_tableau,
     tree_correction,
+    prep_gates,
     universal_correction,
+    walk_gates,
 )
-from pqw.stabilizer import ZeroProbabilityBranch, extract_sign
+from pqw.stabilizer import PauliString, ZeroProbabilityBranch, extract_sign
 from pqw.statevector import (
     byproduct_step,
     check_stabilizes,
     corrected_fidelity,
+    data_slab,
     graph_state,
     run_protocol,
 )
@@ -49,42 +48,42 @@ K2 = Graph(("A", "B"), (("A", "B"),))
 TREE_NAMES = ("P3", "P4", "P5", "K1_2", "K1_3", "K1_4", "spider", "fork")
 
 
-# -- layout and outcome indexing ----------------------------------------------
+# -- qubit order and outcome indexing ------------------------------------------
 
 
 def test_layout_data_first_then_edge_pairs():
-    layout = build_layout(P4)
-    assert layout.data_index == {"A": 0, "B": 1, "C": 2, "D": 3}
-    assert layout.resource_index[(("A", "B"), "A")] == 4
-    assert layout.resource_index[(("A", "B"), "B")] == 5
-    assert layout.resource_index[(("C", "D"), "D")] == 9
-    assert layout.total_qubits == 10
-    assert layout.resource_qubits() == (4, 5, 6, 7, 8, 9)
+    # data qubits 0-3 in vertex order, then edge j's endpoints at 4 + 2j
+    # and 5 + 2j
+    assert prep_gates(P4) == (("CZ", (4, 5)), ("CZ", (6, 7)), ("CZ", (8, 9)))
+    assert walk_gates(P4) == (
+        ("CZ", (0, 4)), ("CZ", (1, 5)), ("CZ", (1, 6)),
+        ("CZ", (2, 7)), ("CZ", (2, 8)), ("CZ", (3, 9)),
+        ("H", (4,)), ("H", (5,)), ("H", (6,)), ("H", (7,)), ("H", (8,)), ("H", (9,)),
+    )
 
 
 def test_outcome_index_is_big_endian_over_the_bit_sequence():
-    outcome = Outcome.from_index(P4, 32)
-    assert outcome.bits == (1, 0, 0, 0, 0, 0)
-    assert Outcome.from_index(P4, 3).bits == (0, 0, 0, 0, 1, 1)
+    # index 32 sets only s1 = AB@A, the far bit of B; index 3 sets only
+    # s5 = CD@C and s6 = CD@D, the far bits of D and C
+    assert correction_plan(P4, 32, "universal") == PauliString(4, 0, 0b0010)
+    assert correction_plan(P4, 3, "universal") == PauliString(4, 0, 0b1100)
 
 
-@settings(max_examples=50, deadline=None)
-@given(st.integers(min_value=0, max_value=63))
-def test_outcome_roundtrip(index):
-    assert Outcome.from_index(P4, index).to_index() == index
+def test_index_out_of_range_is_refused():
+    for graph in (P4, C4):
+        for index in (-1, graph.outcome_count()):
+            with pytest.raises(ValueError, match="out of range"):
+                correction_plan(graph, index, "universal")
+            with pytest.raises(ValueError, match="out of range"):
+                run_protocol_tableau(graph, index)
+            with pytest.raises(ValueError, match="out of range"):
+                run_protocol(graph, index)
+            with pytest.raises(ValueError, match="out of range"):
+                data_slab(graph, index)
 
 
-def test_outcome_validation():
-    with pytest.raises(ValueError, match="out of range"):
-        Outcome.from_index(P4, 64)
-    with pytest.raises(ValueError, match="expected 6 bits"):
-        Outcome(P4, (0, 0))
-    with pytest.raises(ValueError, match="0 or 1"):
-        Outcome(P4, (0, 0, 0, 0, 0, 2))
-
-
-def _g(graph, outcome, v):
-    return (far_side_mask(graph, v) & outcome.to_index()).bit_count() & 1
+def _g(graph, index, v):
+    return (far_side_mask(graph, v) & index).bit_count() & 1
 
 
 def test_near_far_parities():
@@ -101,16 +100,16 @@ def test_near_far_parities():
         "C": 0b001001,
         "D": 0b000010,
     }
-    outcome = Outcome(P4, (1, 0, 0, 0, 0, 0))
+    outcome = 0b100000
     assert _g(P4, outcome, "A") == 0
     assert _g(P4, outcome, "B") == 1  # far side of AB at B is the bit at A
-    assert near_parity(outcome, "A") == 1
-    assert near_parity(outcome, "B") == 0
-    mixed = Outcome(P4, (0, 1, 1, 0, 0, 1))
+    assert near_parity(P4, outcome, "A") == 1
+    assert near_parity(P4, outcome, "B") == 0
+    mixed = 0b011001
     assert _g(P4, mixed, "B") == 0  # far bits at B: AB@A=0, BC@C=0
     assert _g(P4, mixed, "C") == 0  # far bits at C: BC@B=1, CD@D=1
-    assert near_parity(mixed, "C") == 0  # near bits at C: BC@C=0, CD@C=0
-    assert near_parity(mixed, "D") == 1
+    assert near_parity(P4, mixed, "C") == 0  # near bits at C: BC@C=0, CD@C=0
+    assert near_parity(P4, mixed, "D") == 1
 
 
 # -- dense protocol run -------------------------------------------------------
@@ -119,28 +118,23 @@ def test_near_far_parities():
 def test_all_zero_outcome_needs_no_correction():
     for name in ("P4", "C4", "K1_3", "K3"):
         graph = catalog_lookup(name)
-        prob, data = run_protocol(graph, Outcome.from_index(graph, 0))
+        prob, data = run_protocol(graph, 0)
         assert sv.fidelity(data, graph_state(graph)) > 1.0 - 1e-12
 
 
 def test_outcomes_are_uniform_on_p3():
     graph = catalog_lookup("P3")
-    for outcome in all_outcomes(graph):
-        prob, _ = run_protocol(graph, outcome)
+    for index in range(graph.outcome_count()):
+        prob, _ = run_protocol(graph, index)
         assert abs(prob - 1.0 / 16.0) < 1e-12
-
-
-def test_run_protocol_rejects_foreign_outcome():
-    with pytest.raises(ValueError, match="different graph"):
-        run_protocol(P4, Outcome.from_index(C4, 0))
 
 
 def test_universal_correction_steers_every_p3_outcome():
     graph = catalog_lookup("P3")
-    for outcome in all_outcomes(graph):
-        plan = correction_plan(graph, outcome, "universal")
-        assert all(x == 0 for _, x, _ in plan.exponents)  # Z-only
-        assert corrected_fidelity(graph, outcome, plan) > 1.0 - 1e-12
+    for index in range(graph.outcome_count()):
+        plan = correction_plan(graph, index, "universal")
+        assert plan.x_bits == 0  # Z-only
+        assert corrected_fidelity(graph, index, plan) > 1.0 - 1e-12
 
 
 # -- symbolic protocol run ----------------------------------------------------
@@ -151,10 +145,10 @@ def test_tableau_run_signs_match_far_parities():
 
     graph = catalog_lookup("P3")
     plain = stabilizer_generators(graph).generators
-    for outcome in all_outcomes(graph):
-        tableau = run_protocol_tableau(graph, outcome)
+    for index in range(graph.outcome_count()):
+        tableau = run_protocol_tableau(graph, index)
         for gen, v in zip(plain, graph.vertices):
-            want = -1 if _g(graph, outcome, v) else 1
+            want = -1 if _g(graph, index, v) else 1
             assert extract_sign(tableau, gen) == want
 
 
@@ -170,8 +164,7 @@ def test_far_side_mask_is_g_as_a_form():
         graph = catalog_lookup(name)
         assert {v: far_side_mask(graph, v) for v in graph.vertices} == want
     # C4 at s2 = s3 = s8 = 1: g_A = s2^s7, g_B = s1^s4, g_C = s3^s6, g_D = s5^s8
-    outcome = Outcome(C4, (0, 1, 1, 0, 0, 0, 0, 1))
-    assert [_g(C4, outcome, v) for v in "ABCD"] == [1, 0, 1, 1]
+    assert [_g(C4, 0b01100001, v) for v in "ABCD"] == [1, 0, 1, 1]
 
 
 def test_tableau_run_stabilizes_dense_state():
@@ -185,9 +178,9 @@ def test_tableau_run_stabilizes_dense_state():
     assert len(names) >= 8
     for name in names:
         graph = catalog_lookup(name)
-        for outcome in all_outcomes(graph):
-            _, data = run_protocol(graph, outcome)
-            assert check_stabilizes(data, run_protocol_tableau(graph, outcome))
+        for index in range(graph.outcome_count()):
+            _, data = run_protocol(graph, index)
+            assert check_stabilizes(data, run_protocol_tableau(graph, index))
 
 
 @settings(max_examples=40, deadline=None)
@@ -196,9 +189,8 @@ def test_symbolic_run_matches_dense_on_random_graphs(graph, data):
     assert graph.n_vertices + 2 * graph.n_edges <= 14
     assert phase_lemma_check(graph) is True
     index = data.draw(st.integers(min_value=0, max_value=graph.outcome_count() - 1))
-    outcome = Outcome.from_index(graph, index)
-    _, state = run_protocol(graph, outcome)
-    assert check_stabilizes(state, run_protocol_tableau(graph, outcome))
+    _, state = run_protocol(graph, index)
+    assert check_stabilizes(state, run_protocol_tableau(graph, index))
 
 
 def test_symbolic_run_keeps_its_checks(monkeypatch):
@@ -250,50 +242,31 @@ def test_byproduct_step_outcomes():
 # -- correction plans ---------------------------------------------------------
 
 
-def test_plan_validation():
-    with pytest.raises(ValueError, match="every vertex"):
-        CorrectionPlan(P4, (("B", 0, 0), ("A", 0, 0), ("C", 0, 0), ("D", 0, 0)))
-    with pytest.raises(ValueError, match="bits"):
-        plan_from_maps(P4, {"A": 2}, {})
-
-
-def test_plan_as_pauli_bitmasks():
-    plan = plan_from_maps(P4, {"B": 1}, {"D": 1})
-    pauli = plan.as_pauli()
-    assert pauli.x_bits == 0b0010
-    assert pauli.z_bits == 0b1000
-    assert pauli.phase == 0
-    assert plan.exponents == (("A", 0, 0), ("B", 1, 0), ("C", 0, 0), ("D", 0, 1))
-    identity = plan_from_maps(P4, {}, {}).as_pauli()
-    assert (identity.x_bits, identity.z_bits) == (0, 0)
-
-
 def test_pair_correction_matches_near_far_reading():
     # on a single edge the plan that works is X^near Z^far at each end;
     # the bits are AB@A (far at B) and AB@B (near at B)
-    for outcome in all_outcomes(K2):
-        plan = correction_plan(K2, outcome, "tree")
-        far, near = outcome.bits
+    for index in range(K2.outcome_count()):
+        plan = correction_plan(K2, index, "tree")
+        far, near = index >> 1, index & 1
         explicit = plan_from_maps(K2, {"B": near}, {"B": far})
         assert plan == explicit
-        assert corrected_fidelity(K2, outcome, plan) > 1.0 - 1e-12
+        assert corrected_fidelity(K2, index, plan) > 1.0 - 1e-12
 
 
 # -- published four-vertex formulas --------------------------------------------
 
 
 def test_l4_formula_exponents():
-    s = Outcome(P4, (1, 1, 0, 1, 0, 0))
-    plan = correction_plan(P4, s, "l4")
-    # (vertex, x, z): B gets X^{s2}, C X^{s1 xor s4}, D X^{s2 xor s3 xor s6}
-    # and Z^{s1 xor s4 xor s5}
-    assert plan.exponents == (("A", 0, 0), ("B", 1, 0), ("C", 0, 0), ("D", 1, 0))
+    # s1 = s2 = s4 = 1: B gets X^{s2}, C X^{s1 xor s4}, D X^{s2 xor s3 xor s6}
+    # and Z^{s1 xor s4 xor s5}, so X on B and D
+    plan = correction_plan(P4, 0b110100, "l4")
+    assert plan == PauliString(4, 0b1010, 0)
 
 
 def test_l4_passes_all_64_outcomes():
-    for outcome in all_outcomes(P4):
-        plan = correction_plan(P4, outcome, "l4")
-        assert corrected_fidelity(P4, outcome, plan) > 1.0 - 1e-12
+    for index in range(P4.outcome_count()):
+        plan = correction_plan(P4, index, "l4")
+        assert corrected_fidelity(P4, index, plan) > 1.0 - 1e-12
 
 
 def test_l4_rejects_other_graphs():
@@ -302,9 +275,9 @@ def test_l4_rejects_other_graphs():
 
 
 def test_c4_passes_all_256_outcomes():
-    for outcome in all_outcomes(C4):
-        plan = correction_plan(C4, outcome, "c4")
-        assert corrected_fidelity(C4, outcome, plan) > 1.0 - 1e-12
+    for index in range(C4.outcome_count()):
+        plan = correction_plan(C4, index, "c4")
+        assert corrected_fidelity(C4, index, plan) > 1.0 - 1e-12
 
 
 def test_c4_rejects_other_graphs():
@@ -325,19 +298,19 @@ def test_tree_correction_matches_l4_formula_exactly():
 @pytest.mark.parametrize("name", TREE_NAMES)
 def test_tree_correction_passes_exhaustively(name):
     graph = catalog_lookup(name)
-    for outcome in all_outcomes(graph):
-        plan = correction_plan(graph, outcome, "tree")
-        assert corrected_fidelity(graph, outcome, plan) > 1.0 - 1e-12
+    for index in range(graph.outcome_count()):
+        plan = correction_plan(graph, index, "tree")
+        assert corrected_fidelity(graph, index, plan) > 1.0 - 1e-12
 
 
 def test_tree_correction_reference_is_untouched():
     # the reference is the first leaf by label: A on the path, B on the
     # star whose hub is A
+    a = 1 << P4.vertex_index("A")
     for index in (5, 21, 40, 63):
-        outcome = Outcome.from_index(P4, index)
-        plan = correction_plan(P4, outcome, "tree")
-        assert plan.exponents[P4.vertex_index("A")] == ("A", 0, 0)
-        assert corrected_fidelity(P4, outcome, plan) > 1.0 - 1e-12
+        plan = correction_plan(P4, index, "tree")
+        assert not (plan.x_bits | plan.z_bits) & a
+        assert corrected_fidelity(P4, index, plan) > 1.0 - 1e-12
     star = catalog_lookup("K1_3")
     assert tree_correction(star)[star.vertex_index("B")] == (0, 0)
 
@@ -358,13 +331,13 @@ def test_verbatim_parity_reading_fails_on_the_path():
     # condition on some outcomes, where the delivered state is
     # orthogonal to the target
     worst = 1.0
-    for outcome in all_outcomes(P4):
+    for index in range(P4.outcome_count()):
         literal = plan_from_maps(
             P4,
-            {v: near_parity(outcome, v) for v in "BCD"},
-            {v: _g(P4, outcome, v) for v in "BCD"},
+            {v: near_parity(P4, index, v) for v in "BCD"},
+            {v: _g(P4, index, v) for v in "BCD"},
         )
-        worst = min(worst, corrected_fidelity(P4, outcome, literal))
+        worst = min(worst, corrected_fidelity(P4, index, literal))
     assert worst < 1e-12
 
 
@@ -385,28 +358,26 @@ def test_lone_x_is_not_equivalent_to_identity():
 
 
 def test_topology_plans_equivalent_to_universal():
-    for outcome in all_outcomes(P4):
+    for index in range(P4.outcome_count()):
         assert plans_equivalent(
-            correction_plan(P4, outcome, "l4"),
-            correction_plan(P4, outcome, "universal"),
+            correction_plan(P4, index, "l4"),
+            correction_plan(P4, index, "universal"),
             P4,
         )
     for index in (0, 100, 200, 255):
-        outcome = Outcome.from_index(C4, index)
         assert plans_equivalent(
-            correction_plan(C4, outcome, "c4"),
-            correction_plan(C4, outcome, "universal"),
+            correction_plan(C4, index, "c4"),
+            correction_plan(C4, index, "universal"),
             C4,
         )
 
 
 def test_plans_equivalent_rejects_foreign_plans():
-    with pytest.raises(ValueError, match="over the given graph"):
-        plans_equivalent(
-            plan_from_maps(P4, {}, {}),
-            plan_from_maps(C4, {}, {}),
-            P4,
-        )
+    # a plan is over the graph when it acts on one qubit per vertex
+    ours, foreign = plan_from_maps(P4, {}, {}), plan_from_maps(K2, {}, {})
+    for pair in ((ours, foreign), (foreign, ours)):
+        with pytest.raises(ValueError, match="over the given graph"):
+            plans_equivalent(*pair, P4)
 
 
 def test_correction_plan_dispatch():
@@ -416,7 +387,7 @@ def test_correction_plan_dispatch():
     assert correction_forms(C4, "c4") == c4_correction(C4)
     # s1, s3, s4 set: g_C = s3^s6 = 1 is the only odd far parity, and
     # the l4 formula puts X^{s2^s3^s6} on D instead
-    outcome = Outcome(P4, (1, 0, 1, 1, 0, 0))
+    outcome = 0b101100
     assert correction_plan(P4, outcome, "universal") == plan_from_maps(
         P4, {}, {"C": 1}
     )
@@ -425,10 +396,8 @@ def test_correction_plan_dispatch():
     )
     with pytest.raises(ValueError, match="unknown correction"):
         correction_plan(P4, outcome, "bogus")
-    with pytest.raises(ValueError, match="different graph"):
-        correction_plan(C4, outcome, "universal")
     with pytest.raises(ValueError, match="P4"):
-        correction_plan(C4, Outcome.from_index(C4, 0), "l4")
+        correction_plan(C4, 0, "l4")
 
 
 # -- the parity condition as forms -----------------------------------------------

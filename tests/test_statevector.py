@@ -191,32 +191,28 @@ def test_states_equal_tolerance():
     assert not states_equal(a, b)
 
 
-# -- bipartitions and Schmidt rank -------------------------------------------
+# -- Schmidt rank -------------------------------------------
 
 
-def test_bipartition_validation():
-    with pytest.raises(ValueError, match="non-empty"):
-        sv.Bipartition(frozenset(), frozenset({0}))
-    with pytest.raises(ValueError, match="overlap"):
-        sv.Bipartition(frozenset({0}), frozenset({0, 1}))
-    cut = sv.Bipartition.of([0, 2], 4)
-    assert cut.side_b == frozenset({1, 3})
-    assert cut.qubits() == frozenset(range(4))
+def test_schmidt_rank_refuses_an_empty_or_full_side():
+    state = sv.new_plus(2)
+    for side_a in ((), (0, 1)):
+        with pytest.raises(ValueError, match="non-empty proper subset"):
+            sv.schmidt_rank(state, side_a)
 
 
 def test_schmidt_rank_product_state():
-    cut = sv.Bipartition.of([0], 2)
-    assert sv.schmidt_rank(sv.new_plus(2), cut) == 1
+    assert sv.schmidt_rank(sv.new_plus(2), [0]) == 1
 
 
 def test_schmidt_rank_bell_pair():
     bell = sv.from_amplitudes([1, 0, 0, 1], normalize=True)
-    assert sv.schmidt_rank(bell, sv.Bipartition.of([0], 2)) == 2
+    assert sv.schmidt_rank(bell, [0]) == 2
 
 
 def test_schmidt_rank_invariant_under_local_gates():
     rng = np.random.default_rng(23)
-    cut = sv.Bipartition.of([0, 1], 4)
+    cut = (0, 1)
     for _ in range(5):
         state = random_state(rng, 4)
         rank = sv.schmidt_rank(state, cut)
@@ -229,5 +225,5 @@ def test_schmidt_rank_invariant_under_local_gates():
 def test_schmidt_rank_asymmetric_cut():
     # |000> + |111>: any split of GHZ has rank 2
     ghz = sv.from_amplitudes([1, 0, 0, 0, 0, 0, 0, 1], normalize=True)
-    assert sv.schmidt_rank(ghz, sv.Bipartition.of([1], 3)) == 2
-    assert sv.schmidt_rank(ghz, sv.Bipartition.of([0, 2], 3)) == 2
+    assert sv.schmidt_rank(ghz, [1]) == 2
+    assert sv.schmidt_rank(ghz, [0, 2]) == 2

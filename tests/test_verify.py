@@ -5,6 +5,7 @@ import contextlib
 import io
 import json
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +23,7 @@ from pqw.graphs import (
     stabilizer_generators,
 )
 from pqw.noise import NoiseChannel, noise_sweep
-from pqw.protocol import Outcome, symbolic_protocol_tableau
+from pqw.protocol import symbolic_protocol_tableau
 from pqw.stabilizer import PauliString, Tableau, extract_sign_form, extract_sign_forms
 from pqw.statevector import corrected_fidelity, ghz_state, graph_state, run_protocol
 from pqw.verify import (
@@ -100,14 +101,13 @@ def test_contraction_matches_per_outcome_reference(monkeypatch, name, kind):
     report = verify_all_outcomes(graph, kind, name=name)
     fidelities = list(report.fidelities())
     assert len(fidelities) == report.outcome_count == graph.outcome_count()
-    for index, fidelity in enumerate(fidelities):
-        outcome = Outcome.from_index(graph, index)
-        plan = protocol.correction_plan(graph, outcome, kind)
+    for index, fidelity in zip(range(graph.outcome_count()), fidelities):
+        plan = protocol.correction_plan(graph, index, kind)
         assert 1 / report.outcome_count == pytest.approx(
-            run_protocol(graph, outcome)[0], abs=1e-12
+            run_protocol(graph, index)[0], abs=1e-12
         )
         assert fidelity == pytest.approx(
-            corrected_fidelity(graph, outcome, plan), abs=1e-12
+            corrected_fidelity(graph, index, plan), abs=1e-12
         )
     if kind == "broken":
         assert report.min_fidelity < 1e-12
@@ -123,6 +123,29 @@ def test_contraction_applies_the_plan(monkeypatch):
     report = verify_all_outcomes(P4, "universal")
     assert report.passed is False
     assert min(report.fidelities()) == 0.0
+
+
+def test_verify_decides_a_grid_past_the_ceiling(monkeypatch):
+    # 10x10 grid: 180 edges, 460 qubits, 4^180 outcomes; the report is
+    # its sign conditions, so nothing in it grows with the outcome count
+    graph = grid(10, 10)
+    protocol.symbolic_protocol_tableau.cache_clear()
+    protocol.correction_forms.cache_clear()
+    start = time.perf_counter()
+    report = verify_all_outcomes(graph)
+    elapsed = time.perf_counter() - start
+    assert report.passed
+    assert report.outcome_count == 4**180
+    assert report.first_failure() is None
+    assert report.max_fidelity == 1.0
+    assert elapsed < 1.0, f"{elapsed:.2f} s"
+    # with every correction dropped, each K_v keeps its far-side sign
+    # form, so the first failure is the lowest bit of any of them
+    monkeypatch.setattr(
+        protocol, "correction_forms", lambda graph, kind: ((0, 0),) * graph.n_vertices
+    )
+    masks = [protocol.far_side_mask(graph, v) for v in graph.vertices]
+    assert verify_all_outcomes(graph).first_failure() == min(m & -m for m in masks)
 
 
 @settings(max_examples=30, deadline=None)
@@ -142,14 +165,13 @@ def test_tableau_engine_matches_the_dense_reference(graph, seed):
         report = verify_all_outcomes(graph)
         fidelities = list(report.fidelities())
         assert len(fidelities) == report.outcome_count == graph.outcome_count()
-        for index, fidelity in enumerate(fidelities):
-            outcome = Outcome.from_index(graph, index)
-            plan = protocol.correction_plan(graph, outcome, "universal")
+        for index, fidelity in zip(range(graph.outcome_count()), fidelities):
+            plan = protocol.correction_plan(graph, index, "universal")
             assert 1 / report.outcome_count == pytest.approx(
-                run_protocol(graph, outcome)[0], abs=1e-12
+                run_protocol(graph, index)[0], abs=1e-12
             )
             assert fidelity == pytest.approx(
-                corrected_fidelity(graph, outcome, plan), abs=1e-12
+                corrected_fidelity(graph, index, plan), abs=1e-12
             )
     if seed is None:
         assert report.passed
@@ -430,7 +452,7 @@ def test_cut_rank_matches_the_dense_schmidt_rank(graph, data):
     cuts = data.draw(st.lists(sides, min_size=1, max_size=8))
     state = graph_state(graph)
     for rec in lc_check(graph, graph, cuts).records:
-        dense = sv.schmidt_rank(state, sv.Bipartition.of(rec.cut, n))
+        dense = sv.schmidt_rank(state, rec.cut)
         assert rec.rank_a == rec.rank_b == dense
 
 
@@ -439,7 +461,7 @@ def test_ghz_ranks_are_the_star_graph_ranks():
     cuts = [frozenset(i for i in range(4) if m >> i & 1) for m in range(1, 15)]
     ghz = ghz_state(4)
     for rec in lc_check(K1_3, K1_3, cuts).records:
-        assert rec.rank_a == sv.schmidt_rank(ghz, sv.Bipartition.of(rec.cut, 4)) == 2
+        assert rec.rank_a == sv.schmidt_rank(ghz, rec.cut) == 2
 
 
 # one instance of every public value class of the symbolic modules, built
@@ -448,12 +470,6 @@ VALUE_INSTANCES = {
     "Graph": (lambda: P4, "edges"),
     "PauliString": (lambda: stabilizer_generators(P4).generators[0], "phase"),
     "Tableau": (lambda: stabilizer_generators(P4), "generators"),
-    "Layout": (lambda: protocol.build_layout(P4), "total_qubits"),
-    "Outcome": (lambda: Outcome.from_index(P4, 5), "bits"),
-    "CorrectionPlan": (
-        lambda: protocol.correction_plan(P4, Outcome.from_index(P4, 5), "universal"),
-        "exponents",
-    ),
     "NoiseChannel": (lambda: NoiseChannel("depolarizing", 0.1), "p"),
     "NoiseReport": (lambda: noise_sweep(P4, "dep", (0.1,)), "fidelities"),
     "VerificationReport": (
@@ -491,8 +507,6 @@ def test_reports_are_frozen(class_name):
 REPLACE_CASES = {
     "Graph": ({"edges": P4.edges + (("A", "A"),)}, "self-loop"),
     "Tableau": ({"n_qubits": 3}, "qubit count mismatch"),
-    "Outcome": ({"bits": (0, 1)}, "expected 6 bits"),
-    "CorrectionPlan": ({"exponents": ()}, "every vertex once"),
     "NoiseChannel": ({"p": 1.5}, "channel strength"),
     "NoiseReport": ({"fidelities": ()}, "equal length"),
 }
