@@ -11,10 +11,11 @@ qubits.
 
 Every exported name, and every submodule, loads on first access, so
 ``import pqw.cli`` loads only the engines a command runs.  Every command
-runs on the symbolic engines, and no module but pqw.statevector imports
-numpy.  The dense names (StateVector, graph_state, run_protocol,
-kraus_ops, ...) load pqw.statevector, and with it numpy; they are the
-oracles the tests check the symbolic engines against.
+runs on one symbolic engine, the walk run backwards in the Heisenberg
+picture (pqw.protocol), and no module but pqw.statevector imports numpy.
+The dense names (StateVector, graph_state, run_protocol, kraus_ops, ...)
+load pqw.statevector, and with it numpy; they are the oracle the tests
+check the symbolic engine against.
 """
 
 __version__ = "0.1.0"
@@ -37,8 +38,7 @@ _EXPORTS = {
         "universal_correction",
     ),
     "stabilizer": (
-        "PauliString", "Tableau", "ZeroProbabilityBranch", "conjugate",
-        "conjugate_circuit", "extract_sign", "extract_sign_forms", "measure_z",
+        "PauliString", "Tableau", "conjugate", "conjugate_circuit",
         "zero_state_tableau",
     ),
     "statevector": (

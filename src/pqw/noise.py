@@ -19,8 +19,8 @@ number:
   curves (1-3p/4)^k and ((1+sqrt(1-p))/2)^k to machine precision,
   identically for both insertion points.  The noiseless fidelity is the
   fraction of outcomes that meet the GF(2) sign conditions pqw.verify
-  reads off one symbolic run, so strict costs one elimination and has
-  no vertex budget.
+  reads off the sign forms of the K_v, so strict costs one elimination
+  and has no vertex budget.
 
 * metric="conditional" is the operational fidelity of the state
   actually delivered: every error branch runs through the remaining
@@ -38,11 +38,12 @@ M = sum_s |s><s| (x) C_s^dagger |G><G| C_s is the projector of a
 stabilizer code with one generator K_v (x) Z_R^{phi_v} per vertex, so
 F = tr(M rho) is 2^-|V| times the sum of the expectations of its 2^|V|
 elements, taken in Gray-code order.  After prep, each element is
-carried back through the walk and the adjoint channel to the prepared
-state, |+> per data qubit and CZ|++> per edge.  Before measurement the
-channel only reaches Z_R, and the walk fixes each expectation by two
-xor-linear outcome-bit masks.  Both conditional paths cost 2^|V|
-terms, so DEFAULT_VERTEX_BUDGET bounds |V| there.
+carried back through the walk (pqw.protocol's _walk_back) and the
+adjoint channel to the prepared state, |+> per data qubit and CZ|++> per
+edge.  Before measurement the channel only reaches Z_R, and each
+expectation is read off the sign forms of the K_v that the same backward
+run gives: xor-linear outcome-bit masks and a sign.  Both conditional
+paths cost 2^|V| terms, so DEFAULT_VERTEX_BUDGET bounds |V| there.
 
 The default is strict because the closed-form curves are the quantity
 the rest of the toolchain (effective-p extraction, channel comparisons)
@@ -57,9 +58,9 @@ from functools import lru_cache
 from itertools import product
 from typing import NamedTuple
 
-from .graphs import Graph, ResourceError, stabilizer_generators
-from .protocol import _bit_reversed, _sign_forms, far_side_mask, walk_gates
-from .stabilizer import PauliString, Tableau, _Checked, conjugate_circuit
+from .graphs import Graph, ResourceError
+from .protocol import _present_sign_forms, _sign_forms, _walk_back
+from .stabilizer import PauliString, _Checked
 from .verify import _pass_fraction, _sign_conditions
 
 CHANNEL_KINDS = ("depolarizing", "phase_damping", "amplitude_damping")
@@ -233,7 +234,7 @@ def noisy_protocol_fidelity(
     Every one of the 4^|E| measurement outcomes and every error branch
     over the k = 2|E| resource qubits is accounted for, with the
     noiseless correction formula applied per outcome.  Strict reads the
-    noiseless fidelity off the sign conditions of one symbolic run;
+    noiseless fidelity off the sign conditions of the K_v sign forms;
     every conditional channel and insertion point runs as one
     Heisenberg-picture sum over the 2^|V| elements of the code of the
     corrected fidelity, so DEFAULT_VERTEX_BUDGET bounds the vertex count
@@ -325,24 +326,28 @@ def _measured_sum(graph: Graph, correction_kind: str, a: float, b: float) -> flo
 
     E^dagger turns Z_R^{phi_A} into the sum over T subset phi_A of
     a^{|phi_A - T|} b^{|T|} Z_R^T, and the walk leaves
-    <K_A (x) Z_R^T> = [T = far_A] (the phase lemma that
-    phase_lemma_check proves), with far_A the xor of far_side_mask(v)
-    over A.  So per resource bit (phi_A, far_A) reads (0,0) -> 1,
-    (1,0) -> a, (1,1) -> b and (0,1) -> 0.  Both masks are xor-linear in
-    A, so a code element is the pair packed into one int.
+    <K_A (x) Z_R^T> = [T = sigma_A] sign_A, with (sign_v, sigma_v) the
+    sign form of K_v that the walk run backwards gives (_data_sign_forms)
+    and sigma_A and sign_A their xor and product over A.  So per resource
+    bit (phi_A, sigma_A) reads (0,0) -> 1, (1,0) -> a, (1,1) -> b and
+    (0,1) -> 0.  The masks and the sign bit are xor-linear in A, so a code
+    element is the three packed into one int.
     """
     k = 2 * graph.n_edges
     low = (1 << k) - 1
     generators = [
-        phi | far_side_mask(graph, v) << k
-        for v, phi in zip(graph.vertices, _sign_forms(graph, correction_kind))
+        phi | sigma << k | (sign == -1) << 2 * k
+        for (sign, sigma), phi in zip(
+            _present_sign_forms(graph), _sign_forms(graph, correction_kind)
+        )
     ]
 
     def read(term: int) -> float:
-        phi, far = term & low, term >> k
-        if far & ~phi:
+        phi, sigma = term & low, term >> k & low
+        if sigma & ~phi:
             return 0.0
-        return a ** (phi ^ far).bit_count() * b ** far.bit_count()
+        value = a ** (phi ^ sigma).bit_count() * b ** sigma.bit_count()
+        return -value if term >> 2 * k else value
 
     return _code_sum(0, generators, operator.xor, read)
 
@@ -356,20 +361,7 @@ def _heisenberg_generators(graph: Graph, correction_kind: str) -> tuple[PauliStr
     C_s^dagger K_v C_s = (-1)^{|phi_v & s|} K_v, and Z_R^{phi_v} reads that
     sign off the resource register, so M = prod_v (1 + S_v)/2.
     """
-    nv = graph.n_vertices
-    total = nv + 2 * graph.n_edges
-    generators = []
-    for k_v, phi in zip(
-        stabilizer_generators(graph).generators, _sign_forms(graph, correction_kind)
-    ):
-        # resource qubit nv + m holds sequence bit m of the outcome
-        z_r = _bit_reversed(graph, phi) << nv
-        generators.append(PauliString(total, k_v.x_bits, k_v.z_bits | z_r))
-    # every walk gate is its own inverse, so W^dagger P W is the walk run
-    # backwards in the Schroedinger rule U P U^dagger
-    return conjugate_circuit(
-        Tableau(total, tuple(generators)), reversed(walk_gates(graph))
-    ).generators
+    return _walk_back(graph, _sign_forms(graph, correction_kind))
 
 
 _PAIR = (0.5, 0.5, 0.5, -0.5)  # CZ|++>

@@ -28,8 +28,8 @@ condition
 
     z_v XOR (XOR of x_u over neighbors u of v)  ==  g_v(s)
 
-where g_v is the XOR of the far-side bits at v, which is exactly what
-the sign-tracking tableau run exhibits on the data stabilizers.
+where g_v is the XOR of the far-side bits at v, which is exactly the
+sign of K_v in the data group after the walk (the phase lemma).
 
 Every correction kind is a function of the graph alone: it returns
 per-vertex (x, z) outcome-bit forms, masks over the big-endian outcome
@@ -37,8 +37,16 @@ index like far_side_mask, and the plan of outcome s is those forms read
 at s by parity.  As X_u|G> = Z_{N(u)}|G>, a plan reaches |G> only through
 its sign forms phi_v = z_v xor (xor of x_u over u ~ v), and the parity
 condition is phi_v = g_v = far_side_mask(v).  verify and the noise sum
-read plans as phi, verify against the signs of symbolic_protocol_tableau.
-The circuit is written once, as the gate lists prep_gates and walk_gates.
+read plans as phi, verify against the sign forms (sign_v, sigma_v) that
+_data_sign_forms reads off the walk.
+
+The circuit is written once, as the gate lists prep_gates and walk_gates,
+and one function, _walk_back, runs the walk backwards in the Heisenberg
+picture: W^dagger (K_v (x) Z_R^{phi_v}) W for every v.  The prepared
+state |+>^V (x) CZ|++>^E has a stabilizer group local to each data qubit
+and each pair, so each K_v's sign form is read off that run bit by bit,
+with no measurement rule and no elimination; the noise sum takes the
+same run as its code.
 The dense per-outcome reference, which applies plans to amplitudes
 (run_protocol, corrected_fidelity), runs them in pqw.statevector; nothing
 here imports numpy.
@@ -49,13 +57,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .graphs import Graph, catalog_lookup, stabilizer_generators
-from .stabilizer import (
-    PauliString,
-    Tableau,
-    _checked_gates,
-    _conj_bits,
-    _measure_rows,
-)
+from .stabilizer import PauliString, Tableau, conjugate_circuit
 
 
 # -- protocol circuit ------------------------------------------------------
@@ -110,51 +112,62 @@ def far_side_mask(graph: Graph, v: str) -> int:
     return mask
 
 
-@lru_cache(maxsize=32)
-def symbolic_protocol_tableau(graph: Graph) -> Tableau:
-    """Track the stabilizer group through S1-S4 once for every outcome
-    and return the data-qubit group.
+def _walk_back(graph: Graph, phis) -> tuple[PauliString, ...]:
+    """W^dagger (K_v (x) Z_R^{phi_v}) W for each vertex v, W the walk and
+    phi_v an outcome-bit form, as strings on every qubit."""
+    nv = graph.n_vertices
+    total = nv + 2 * graph.n_edges
+    generators = []
+    for k_v, phi in zip(stabilizer_generators(graph).generators, phis):
+        # resource qubit nv + m holds sequence bit m of the outcome
+        z_r = _bit_reversed(graph, phi) << nv
+        generators.append(PauliString(total, k_v.x_bits, k_v.z_bits | z_r))
+    # every walk gate is its own inverse, so W^dagger P W is the walk run
+    # backwards in the Schroedinger rule U P U^dagger
+    return conjugate_circuit(
+        Tableau(total, tuple(generators)), reversed(walk_gates(graph))
+    ).generators
 
-    Every resource measurement is random, so each is left free: the
-    generator it installs carries its outcome bit, and every sign of the
-    result is i^phase (-1)^{|outcome_mask & s|} at outcome index s.  The
-    whole run works on [x, z, phase, mask] rows and builds one Tableau,
-    of the data generators, at the end.
+
+@lru_cache(maxsize=32)
+def _data_sign_forms(graph: Graph) -> tuple[tuple[int, int] | None, ...]:
+    """The sign form (sign_v, sigma_v) of each K_v after S1-S4, or None
+    where K_v is missing from the data group: at outcome s the data group
+    holds sign_v (-1)^{|sigma_v & s|} K_v.
+
+    Measuring resource qubit r gives (-1)^{s_r} Z_r, so K_v has that form
+    exactly when sign_v K_v (x) Z_R^{sigma_v} stabilizes the walked state,
+    that is when its walk run backwards lies in the prepared group.  That
+    group is local: X on each data qubit, and X(x)Z, Z(x)X and their
+    product on each pair, so an element is +-P with no Z on a data qubit
+    and its x bits the swap of its z bits on every pair.  Pass 1 runs K_v
+    back alone and reads sigma_v off the resource bits where x and the
+    swapped z differ, as a resource Z_r comes back as X_r Z_{d(r)}; pass 2
+    runs K_v (x) Z_R^{sigma_v} back through the same gates and checks it.
     """
     nv = graph.n_vertices
-    n_qubits = nv + 2 * graph.n_edges
-    gates = _checked_gates(n_qubits, prep_gates(graph) + walk_gates(graph))
-    # |+> on every qubit is stabilized by every X_q; then S1-S3
-    rows = [[*_conj_bits(1 << q, 0, 0, gates), 0] for q in range(n_qubits)]
-    masks = [_outcome_bit(graph, m) for m in range(2 * graph.n_edges)]
-    for m, mask in enumerate(masks):  # S4 measurements
-        _measure_rows(rows, nv + m, 0, mask)
-    # eliminate the measured register: clear every Z_r, except in the
-    # installed (-1)^{s_r} Z_r generator itself, by multiplying with that
-    # generator, then keep the data-only generators
-    for m, mask in enumerate(masks):
-        bit = 1 << (nv + m)
-        for row in rows:
-            if row[1] & bit and (row[0] or row[1] != bit):
-                row[1] ^= bit
-                row[3] ^= mask
-    data_mask = (1 << nv) - 1
-    data_gens = []
-    for x, z, phase, mask in rows:
-        if not (x or z):
+    data = (1 << nv) - 1
+    even = int("01" * graph.n_edges or "0", 2)  # the first half of each pair
+
+    def split(p: PauliString) -> tuple[int, int]:
+        """p's resource x bits and the pair swap of its resource z bits."""
+        z = p.z_bits >> nv
+        return p.x_bits >> nv, ((z & even) << 1) | ((z >> 1) & even)
+
+    sigmas = [
+        _bit_reversed(graph, x ^ swapped)
+        for x, swapped in map(split, _walk_back(graph, [0] * nv))
+    ]
+    forms = []
+    for sigma, p in zip(sigmas, _walk_back(graph, sigmas)):
+        x, swapped = split(p)
+        if p.z_bits & data or p.phase % 2 or x != swapped:
+            forms.append(None)
             continue
-        if (x | z) >> nv:
-            # purely-resource generator (one per measured qubit)
-            if x == 0 and (z & data_mask) == 0:
-                continue
-            mixed = PauliString(n_qubits, x, z, phase, mask)
-            raise AssertionError(f"unexpected mixed generator {mixed.label()}")
-        data_gens.append(PauliString(nv, x, z, phase, mask))
-    if len(data_gens) != nv:
-        raise AssertionError(
-            f"expected {nv} data generators, got {len(data_gens)}"
-        )
-    return Tableau(nv, tuple(data_gens))
+        # the product X(x)Z * Z(x)X is -(XZ)(x)(XZ) in the X^x Z^z form
+        flips = p.phase // 2 + (x & (x >> 1) & even).bit_count()
+        forms.append((-1 if flips % 2 else 1, sigma))
+    return tuple(forms)
 
 
 def _check_index(graph: Graph, index: int) -> int:
@@ -164,10 +177,28 @@ def _check_index(graph: Graph, index: int) -> int:
     return index
 
 
+def _present_sign_forms(graph: Graph) -> tuple[tuple[int, int], ...]:
+    """_data_sign_forms, or AssertionError naming the first K_v missing
+    from the data group, where no sign form can answer exactly."""
+    forms = _data_sign_forms(graph)
+    for v, form in zip(graph.vertices, forms):
+        if form is None:
+            raise AssertionError(f"K_{v} is missing from the data group")
+    return forms
+
+
 def run_protocol_tableau(graph: Graph, index: int) -> Tableau:
     """Symbolic mirror of run_protocol: the data-qubit stabilizer group
-    with its signs at outcome index, read off the symbolic run."""
-    return symbolic_protocol_tableau(graph).evaluate(_check_index(graph, index))
+    with its signs at outcome index, sign_v (-1)^{|sigma_v & s|} K_v for
+    each vertex v, read off the sign forms."""
+    _check_index(graph, index)
+    generators = tuple(
+        PauliString(k.n_qubits, k.x_bits, k.z_bits, 0 if sign == 1 else 2, sigma)
+        for k, (sign, sigma) in zip(
+            stabilizer_generators(graph).generators, _present_sign_forms(graph)
+        )
+    )
+    return Tableau(graph.n_vertices, generators).evaluate(index)
 
 
 # -- correction formulas ---------------------------------------------------
@@ -260,9 +291,14 @@ def plans_equivalent(plan_a: PauliString, plan_b: PauliString, graph: Graph) -> 
     they steer every outcome to the same corrected state up to phase."""
     if plan_a.n_qubits != graph.n_vertices or plan_b.n_qubits != graph.n_vertices:
         raise ValueError("plans must be over the given graph")
-    from .stabilizer import extract_sign
-
-    return extract_sign(stabilizer_generators(graph), plan_a * plan_b) is not None
+    # the one element of +-Stab(|G>) with the product's X bits is the
+    # product of the K_i at those bits; it must carry the product's Z bits
+    product = plan_a * plan_b
+    z_bits = 0
+    for i, k_i in enumerate(stabilizer_generators(graph).generators):
+        if product.x_bits >> i & 1:
+            z_bits ^= k_i.z_bits
+    return z_bits == product.z_bits and product.phase % 2 == 0
 
 
 CORRECTION_KINDS = ("universal", "l4", "c4", "tree")

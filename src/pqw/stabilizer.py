@@ -15,13 +15,11 @@ products computed along the way pass through imaginary phases, so the
 phase is tracked mod 4 throughout and collapsed to a sign only at the
 boundary (the .sign property).
 
-A sign may also depend on measurement outcomes that are left free: a
-string carries an outcome mask, and at outcome index s its full sign is
+A sign may also depend on the measurement outcomes: a string carries an
+outcome mask, and at outcome index s its full sign is
 i^phase (-1)^{|outcome_mask & s|}.  Products add the phases and XOR the
-masks, conjugation keeps the mask, and only a free measurement (measure_z
-with an outcome mask) puts a new outcome bit into a generator.  Pivots
-are chosen from x and z bits alone, so one symbolic run covers every
-outcome, and .evaluate(s) gives the run at outcome s.
+masks, and conjugation keeps the mask, so one tableau covers every
+outcome, and .evaluate(s) gives it at outcome s.
 """
 
 from __future__ import annotations
@@ -205,21 +203,6 @@ def _conj_bits(x: int, z: int, phase: int, rows) -> tuple[int, int, int]:
     return x, z, phase
 
 
-def _rows(tableau: Tableau) -> list[list[int]]:
-    """The generators as mutable [x, z, phase, mask] rows."""
-    return [[g.x_bits, g.z_bits, g.phase, g.outcome_mask] for g in tableau.generators]
-
-
-def _times(row: list[int], other) -> None:
-    """row <- row * other on [x, z, phase, mask] rows, in place; the
-    phase is left unreduced, as PauliString reduces it when built."""
-    x, z, phase, mask = row
-    ox, oz, ophase, omask = other
-    # moving other's X block left past row's Z block anticommutes once
-    # per overlapping site
-    row[:] = x ^ ox, z ^ oz, phase + ophase + 2 * (z & ox).bit_count(), mask ^ omask
-
-
 class _Checked:
     """Base of a named tuple whose checks run in __new__.
 
@@ -254,7 +237,7 @@ class Tableau(_Checked, _TableauFields):
         return super().__new__(cls, n_qubits, generators)
 
     def evaluate(self, outcome_index: int) -> "Tableau":
-        """The group at one outcome of the free measurements."""
+        """The group at one outcome: every mask folded into its sign."""
         return Tableau(
             self.n_qubits, tuple(g.evaluate(outcome_index) for g in self.generators)
         )
@@ -290,139 +273,3 @@ def conjugate(tableau: Tableau, gate: str, targets) -> Tableau:
     """Conjugate every generator by one gate; a generator with no support
     on the targets commutes with it and is kept as it is."""
     return conjugate_circuit(tableau, ((gate, targets),))
-
-
-def _reduce(tableau: Tableau) -> list[tuple[int, int, list[int]]]:
-    """Bring the generators to reduced form by Gauss-Jordan over GF(2).
-
-    Rows are [x, z, phase, mask] lists.  Returns (block, bit, row)
-    triples, block 0 for x and 1 for z, in pivot order, each pivot bit
-    present in its own row alone.  Generators commute pairwise, so no
-    multiplication order can change a sign.  Pivots are chosen from x
-    and z bits only, so every outcome shares one reduction.
-    """
-    rows = _rows(tableau)
-    unused = rows[:]
-    pivots = []
-    for block in (0, 1):  # x block first, then z block
-        for q in range(tableau.n_qubits):
-            bit = 1 << q
-            pick = next((i for i, row in enumerate(unused) if row[block] & bit), None)
-            if pick is None:
-                continue
-            pivot = unused.pop(pick)
-            for row in rows:
-                if row is not pivot and row[block] & bit:
-                    _times(row, pivot)
-            pivots.append((block, bit, pivot))
-    return pivots
-
-
-def extract_sign_forms(tableau: Tableau, targets) -> list:
-    """extract_sign_form of each target, from one reduction of the
-    generators: each target's pivot bits are cleared against the shared
-    rows, so k targets cost one elimination and k clearings."""
-    targets = tuple(targets)
-    if any(t.n_qubits != tableau.n_qubits for t in targets):
-        raise ValueError("qubit counts differ")
-    pivots = _reduce(tableau)
-    forms = []
-    for t in targets:
-        # clear every pivot bit of the target: the residual is the
-        # identity iff +-target or +-i*target lies in the group
-        residual = [t.x_bits, t.z_bits, t.phase, t.outcome_mask]
-        for block, bit, row in pivots:
-            if residual[block] & bit:
-                _times(residual, row)
-        x, z, phase, mask = residual
-        if x or z or phase % 2:
-            forms.append(None)  # absent, or only i * target is present
-        else:
-            # the residual's phase is the group element's times target's,
-            # so target's sign is the residual's inverse
-            forms.append((1 if phase % 4 == 0 else -1, mask))
-    return forms
-
-
-def extract_sign_form(tableau: Tableau, target: PauliString):
-    """Return (sign, mask) if sign (-1)^{|mask & s|} target lies in the
-    generated group at every outcome s, else None ("absent")."""
-    return extract_sign_forms(tableau, (target,))[0]
-
-
-def extract_sign(tableau: Tableau, target: PauliString):
-    """Return +1 or -1 if (sign * target) lies in the generated group,
-    else None ("absent").  Raises if the sign depends on the outcome."""
-    form = extract_sign_form(tableau, target)
-    if form is None:
-        return None
-    sign, mask = form
-    if mask:
-        raise ValueError("the sign depends on the outcome; use extract_sign_form")
-    return sign
-
-
-class ZeroProbabilityBranch(ValueError):
-    """Forced measurement outcome conflicts with a determined stabilizer."""
-
-
-def _measure_rows(
-    rows: list[list[int]], qubit: int, forced_outcome: int, outcome_mask: int
-) -> bool:
-    """The measurement rule of measure_z on [x, z, phase, mask] rows, in
-    place: the first row that anticommutes with Z_qubit is replaced by
-    (-1)^{forced_outcome + |outcome_mask & s|} Z_qubit and every other
-    anticommuting row is multiplied by it.
-
-    Returns False, with the rows untouched, when the measurement is
-    determined; a determined measurement cannot be free, so that case
-    raises when outcome_mask is nonzero.
-    """
-    bit = 1 << qubit
-    anti = [row for row in rows if row[0] & bit]
-    if not anti:
-        if outcome_mask:
-            raise ZeroProbabilityBranch(
-                f"qubit {qubit} is determined, so its outcome cannot be free"
-            )
-        return False
-    pivot = anti[0]
-    for row in anti[1:]:
-        _times(row, pivot)
-    pivot[:] = 0, bit, 2 * forced_outcome, outcome_mask
-    return True
-
-
-def measure_z(
-    tableau: Tableau, qubit: int, forced_outcome: int, outcome_mask: int = 0
-) -> Tableau:
-    """Measure Z on one qubit with an outcome imposed by the caller.
-
-    The verifier enumerates outcomes exogenously, so instead of sampling
-    this installs (-1)^forced_outcome Z_qubit.  When the measurement is
-    already determined and disagrees with the forced outcome, the branch
-    has probability zero and is rejected loudly.
-
-    A nonzero outcome_mask leaves the outcome free: the installed sign is
-    (-1)^{forced_outcome + |outcome_mask & s|} at outcome index s.  Only a
-    random measurement can be free, so a determined one is rejected.
-    """
-    n = tableau.n_qubits
-    if not 0 <= qubit < n:
-        raise ValueError(f"qubit {qubit} out of range")
-    if forced_outcome not in (0, 1):
-        raise ValueError(f"outcome must be 0 or 1, got {forced_outcome}")
-    rows = _rows(tableau)
-    if _measure_rows(rows, qubit, forced_outcome, outcome_mask):
-        return Tableau(n, tuple(PauliString(n, *row) for row in rows))
-    # deterministic: +-Z_qubit is in the group
-    have = extract_sign(tableau, single_z(n, qubit))
-    if have is None:
-        raise AssertionError("full-rank tableau must determine Z here")
-    want = 1 if forced_outcome == 0 else -1
-    if have != want:
-        raise ZeroProbabilityBranch(
-            f"outcome {forced_outcome} on qubit {qubit} has probability 0"
-        )
-    return tableau
-

@@ -8,8 +8,9 @@ and render elsewhere; two runs over the same inputs produce equal
 reports.  Every report is a named tuple, whose fields cannot be
 assigned.
 
-The outcome sweep reads the symbolic tableau run, not a statevector.
-After S1-S4 the data group holds each K_v with sign
+The outcome sweep reads sign forms, not a statevector: pqw.protocol's
+_data_sign_forms reads them off the walk run backwards.  After S1-S4 the
+data group holds each K_v with sign
 sign_v (-1)^{|sigma_v & s|} at outcome s, and the plan flips that sign by
 (-1)^{|phi_v & s|}, phi_v its sign form.  Every corrected state is
 therefore a Pauli times |G>: it has fidelity exactly 1 when every
@@ -36,9 +37,8 @@ from __future__ import annotations
 from itertools import repeat
 from typing import NamedTuple
 
-from .graphs import Graph, stabilizer_generators
-from .protocol import _sign_forms, far_side_mask, symbolic_protocol_tableau
-from .stabilizer import extract_sign_forms
+from .graphs import Graph
+from .protocol import _data_sign_forms, _present_sign_forms, _sign_forms, far_side_mask
 
 _FIDELITY = (0.0, 1.0)  # by whether an outcome meets every condition
 _FLIP = bytes.maketrans(b"\0\1", b"\1\0")
@@ -144,14 +144,6 @@ class VerificationReport(NamedTuple):
         return runs
 
 
-def _data_sign_forms(graph: Graph) -> list:
-    """The sign form (sign, mask) of each K_v in the data group after one
-    symbolic run, or None where K_v is missing from it."""
-    return extract_sign_forms(
-        symbolic_protocol_tableau(graph), stabilizer_generators(graph).generators
-    )
-
-
 def _sign_conditions(graph: Graph, correction_kind: str) -> tuple[tuple[int, bool], ...]:
     """The (mask, odd) conditions an outcome s must meet to reach |G>
     under the plan: sign_v (-1)^{|(sigma_v ^ phi_v) & s|} is +1 at every v.
@@ -159,10 +151,7 @@ def _sign_conditions(graph: Graph, correction_kind: str) -> tuple[tuple[int, boo
     only the others are kept, as (mask, parity needed)."""
     phis = _sign_forms(graph, correction_kind)
     conditions = []
-    for v, form, phi in zip(graph.vertices, _data_sign_forms(graph), phis):
-        if form is None:
-            raise AssertionError(f"K_{v} is missing from the data group")
-        sign, sigma = form
+    for (sign, sigma), phi in zip(_present_sign_forms(graph), phis):
         if sign == -1 or sigma != phi:
             conditions.append((sigma ^ phi, sign == -1))
     return tuple(conditions)
@@ -172,7 +161,7 @@ def verify_all_outcomes(
     graph: Graph, correction_kind: str = "universal", name: str | None = None
 ) -> VerificationReport:
     """Correct every outcome and compare it with the target graph state,
-    all from the sign forms of one symbolic run.  The report holds its
+    all from the sign forms of the K_v.  The report holds its
     conditions, not one entry per outcome, so it has no size limit; only
     listing its fidelities grows with the 4^|E| outcomes."""
     if name is None:
@@ -183,13 +172,13 @@ def verify_all_outcomes(
 
 
 def phase_lemma_check(graph: Graph) -> bool:
-    """Confirm the symbolic run: for each vertex v the data group after
+    """Confirm the phase lemma: for each vertex v the data group after
     the protocol contains K_v with sign (-1)^{g_v(s)} at every outcome s,
     g_v the XOR of far-side bits at v.
 
-    The tableau runs once with every sign an affine form in the outcome
-    bits, so comparing K_v's form with g_v's far-side mask checks all
-    4^|E| outcomes at once, at every graph size.
+    Each K_v's sign is read once as an affine form in the outcome bits,
+    so comparing it with g_v's far-side mask checks all 4^|E| outcomes
+    at once, at every graph size.
     """
     return all(
         form == (1, far_side_mask(graph, v))

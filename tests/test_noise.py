@@ -343,6 +343,7 @@ def test_strict_equals_the_noiseless_sum_on_broken_plans(monkeypatch):
     rng = random.Random(20260)
     graphs = [catalog_lookup(name) for name in ("P4", "C4", "K1_3", "diamond", "house")]
     current = {}
+    valid_forms, real_signs = protocol.correction_forms, protocol._data_sign_forms
 
     def random_forms(graph, kind):
         return current[graph]
@@ -357,6 +358,20 @@ def test_strict_equals_the_noiseless_sum_on_broken_plans(monkeypatch):
         )
         seen.add(_assert_strict_reads_the_noiseless_sum(graph, "universal"))
     assert len(seen) > 2
+    # one K_v negated under the valid plan: no outcome reaches |G>, and
+    # both the sign conditions and the noiseless sum must read 0
+    for graph in graphs:
+        current[graph] = valid_forms(graph, "universal")
+        negated = rng.randrange(graph.n_vertices)
+
+        def negating(graph, negated=negated):
+            forms = list(real_signs(graph))
+            sign, sigma = forms[negated]
+            forms[negated] = (-sign, sigma)
+            return tuple(forms)
+
+        monkeypatch.setattr(protocol, "_data_sign_forms", negating)
+        assert _assert_strict_reads_the_noiseless_sum(graph, "universal") == 0.0
 
 
 # -- noise engines against dense Kraus branches ----------------------------------

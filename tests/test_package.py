@@ -33,8 +33,7 @@ EXPORTS = {
         "universal_correction",
     ),
     "stabilizer": (
-        "PauliString", "Tableau", "ZeroProbabilityBranch", "conjugate",
-        "conjugate_circuit", "extract_sign", "extract_sign_forms", "measure_z",
+        "PauliString", "Tableau", "conjugate", "conjugate_circuit",
         "zero_state_tableau",
     ),
     "statevector": (

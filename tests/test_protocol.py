@@ -15,7 +15,7 @@ from helpers import (
 )
 from pqw import protocol
 from pqw import statevector as sv
-from pqw.graphs import TABLE_ORDER, Graph, catalog_lookup
+from pqw.graphs import TABLE_ORDER, Graph, catalog_lookup, stabilizer_generators
 from pqw.protocol import (
     CORRECTION_KINDS,
     c4_correction,
@@ -30,7 +30,7 @@ from pqw.protocol import (
     universal_correction,
     walk_gates,
 )
-from pqw.stabilizer import PauliString, ZeroProbabilityBranch, extract_sign
+from pqw.stabilizer import PauliString, Tableau
 from pqw.statevector import (
     byproduct_step,
     check_stabilizes,
@@ -39,7 +39,7 @@ from pqw.statevector import (
     graph_state,
     run_protocol,
 )
-from pqw.verify import phase_lemma_check
+from pqw.verify import phase_lemma_check, verify_all_outcomes
 
 P4 = catalog_lookup("P4")
 C4 = catalog_lookup("C4")
@@ -141,15 +141,13 @@ def test_universal_correction_steers_every_p3_outcome():
 
 
 def test_tableau_run_signs_match_far_parities():
-    from pqw.graphs import stabilizer_generators
-
     graph = catalog_lookup("P3")
     plain = stabilizer_generators(graph).generators
     for index in range(graph.outcome_count()):
         tableau = run_protocol_tableau(graph, index)
-        for gen, v in zip(plain, graph.vertices):
-            want = -1 if _g(graph, index, v) else 1
-            assert extract_sign(tableau, gen) == want
+        for gen, k_v, v in zip(tableau.generators, plain, graph.vertices):
+            assert (gen.x_bits, gen.z_bits) == (k_v.x_bits, k_v.z_bits)
+            assert gen.sign == (-1 if _g(graph, index, v) else 1)
 
 
 def test_far_side_mask_is_g_as_a_form():
@@ -193,36 +191,82 @@ def test_symbolic_run_matches_dense_on_random_graphs(graph, data):
     assert check_stabilizes(state, run_protocol_tableau(graph, index))
 
 
-def test_symbolic_run_keeps_its_checks(monkeypatch):
-    # the run works on plain rows; each refusal must still fire
-    run = protocol.symbolic_protocol_tableau.__wrapped__  # past the cache
-    P3 = catalog_lookup("P3")
-    real_measure = protocol._measure_rows
-    with monkeypatch.context() as mp:
-        # H on the first resource qubit leaves it in |0>, so its outcome is
-        # determined and cannot be free
-        mp.setattr(protocol, "prep_gates", lambda graph: ())
-        mp.setattr(protocol, "walk_gates", lambda graph: (("H", (graph.n_vertices,)),))
-        with pytest.raises(ZeroProbabilityBranch, match="qubit 3 is determined"):
-            run(P3)
-    with monkeypatch.context() as mp:
-        # unmeasured resource qubits stay entangled with the data
-        mp.setattr(protocol, "_measure_rows", lambda rows, *args: True)
-        with pytest.raises(AssertionError, match="unexpected mixed generator"):
-            run(P3)
+@pytest.fixture
+def altered_walk(monkeypatch):
+    """Set the walk that the dense and the symbolic engine both read, with
+    no run of another walk cached before or after."""
+    caches = (protocol._data_sign_forms, sv._premeasurement)
 
-    def dropping(rows, qubit, *args):
-        # after the last measurement, one generator on the data is lost
-        real_measure(rows, qubit, *args)
-        if qubit == 6:
-            next(row for row in rows if (row[0] | row[1]) & 0b111)[:] = 0, 0, 0, 0
-        return True
+    def alter(walk):
+        for module in (protocol, sv):
+            monkeypatch.setattr(module, "walk_gates", walk)
+        for cache in caches:
+            cache.cache_clear()
 
-    with monkeypatch.context() as mp:
-        mp.setattr(protocol, "_measure_rows", dropping)
-        with pytest.raises(AssertionError, match="expected 3 data generators, got 2"):
-            run(P3)
-    assert run(P3) == protocol.symbolic_protocol_tableau(P3)
+    yield alter
+    for cache in caches:
+        cache.cache_clear()
+
+
+def test_appended_x_negates_exactly_the_forms_that_hold_its_bit(altered_walk):
+    # X on resource qubit r after the walk flips its measured bit, so
+    # K_v turns -1 where sigma_v holds that bit, and only there
+    real = protocol.walk_gates
+    far = [far_side_mask(P4, v) for v in P4.vertices]
+    for m in range(2 * P4.n_edges):
+        altered_walk(lambda graph, r=P4.n_vertices + m: real(graph) + (("X", (r,)),))
+        bit = 1 << (2 * P4.n_edges - 1 - m)
+        assert protocol._data_sign_forms(P4) == tuple(
+            (-1 if sigma & bit else 1, sigma) for sigma in far
+        )
+        assert not phase_lemma_check(P4)
+        for index in range(P4.outcome_count()):
+            _, data = run_protocol(P4, index)
+            assert check_stabilizes(data, run_protocol_tableau(P4, index))
+
+
+def test_a_pair_read_as_y_y_carries_its_minus_sign(altered_walk):
+    # a CZ from A to B's half as well puts both bits of the pair in
+    # sigma_A, and the pair's element of CZ|++> is then Y(x)Y, which is
+    # -(XZ)(x)(XZ) in the X^x Z^z form
+    real = protocol.walk_gates
+    altered_walk(lambda graph: (("CZ", (0, 3)),) + real(graph))
+    assert protocol._data_sign_forms(K2) == ((-1, 0b11), (1, 0b10))
+    for index in range(K2.outcome_count()):
+        _, data = run_protocol(K2, index)
+        assert check_stabilizes(data, run_protocol_tableau(K2, index))
+
+
+def test_symbolic_run_keeps_its_checks(altered_walk):
+    # with the CZ between A and its half of AB dropped, K_A and K_B are
+    # missing from the data group: the engines refuse rather than guess
+    real = protocol.walk_gates
+    altered_walk(lambda graph: real(graph)[1:])
+    forms = protocol._data_sign_forms(P4)
+    assert [form is None for form in forms] == [True, True, False, False]
+    assert phase_lemma_check(P4) is False
+    with pytest.raises(AssertionError, match="K_A is missing"):
+        verify_all_outcomes(P4)
+    with pytest.raises(AssertionError, match="K_A is missing"):
+        run_protocol_tableau(P4, 0)
+    # H on A's half before the walk: no sign of either K_v fixes the
+    # dense data state at any outcome, and the reader finds neither
+    altered_walk(lambda graph: (("H", (2,)),) + real(graph))
+    assert protocol._data_sign_forms(K2) == (None, None)
+    for index in range(K2.outcome_count()):
+        _, data = run_protocol(K2, index)
+        for k_v in stabilizer_generators(K2).generators:
+            for phase in (0, 2):
+                signed = PauliString(2, k_v.x_bits, k_v.z_bits, phase)
+                assert not check_stabilizes(data, Tableau(2, (signed,)))
+
+
+def test_single_vertex_reads_one_plus_form():
+    # no edge, no resource qubit and one outcome: K_A = X_A stays +1
+    graph = Graph(("A",), ())
+    assert protocol._data_sign_forms(graph) == ((1, 0),)
+    assert run_protocol_tableau(graph, 0).generators == (PauliString(1, 1, 0),)
+    assert verify_all_outcomes(graph).passed
 
 
 # -- byproduct primitive ------------------------------------------------------
@@ -464,16 +508,9 @@ def test_parity_condition_rejects_a_dropped_bit(monkeypatch):
 def test_shared_pair_correlations_are_x_z_not_x_x():
     # the walk entangler and a bit-copy entangler leave incompatible
     # pair correlations; the correction formulas rely on the former
-    from pqw.stabilizer import PauliString, conjugate, zero_state_tableau
-
-    walk_pair = zero_state_tableau(2)
-    for q in (0, 1):
-        walk_pair = conjugate(walk_pair, "H", (q,))
-    walk_pair = conjugate(walk_pair, "CZ", (0, 1))
-    copy_pair = zero_state_tableau(2)
-    copy_pair = conjugate(copy_pair, "H", (0,))
-    copy_pair = conjugate(copy_pair, "CNOT", (0, 1))
-    xz = PauliString(2, 1, 2, 0)
-    xx = PauliString(2, 3, 0, 0)
-    assert extract_sign(walk_pair, xz) == 1 and extract_sign(walk_pair, xx) is None
-    assert extract_sign(copy_pair, xx) == 1 and extract_sign(copy_pair, xz) is None
+    walk_pair = sv.apply_gate(sv.new_plus(2), "CZ", (0, 1))
+    copy_pair = sv.apply_gate(sv.apply_gate(sv.new_zero(2), "H", (0,)), "CNOT", (0, 1))
+    xz = Tableau(2, (PauliString(2, 1, 2),))
+    xx = Tableau(2, (PauliString(2, 3, 0),))
+    assert check_stabilizes(walk_pair, xz) and not check_stabilizes(walk_pair, xx)
+    assert check_stabilizes(copy_pair, xx) and not check_stabilizes(copy_pair, xz)

@@ -1,5 +1,5 @@
-"""Symbolic engine: multiplication signs, conjugation rules against a
-dense oracle, group-membership extraction, and forced and free measurements."""
+"""Symbolic engine: multiplication signs, outcome masks, and conjugation
+rules against a dense oracle."""
 
 import copy
 import pickle
@@ -15,14 +15,9 @@ from pqw import statevector as sv
 from pqw.stabilizer import (
     PauliString,
     Tableau,
-    ZeroProbabilityBranch,
     conjugate,
     conjugate_circuit,
-    extract_sign,
-    extract_sign_form,
-    measure_z,
     single_x,
-    single_z,
     zero_state_tableau,
 )
 from pqw.statevector import apply_pauli, check_stabilizes
@@ -304,119 +299,6 @@ def pair_state_tableau() -> Tableau:
 def test_pair_state_generators():
     tab = pair_state_tableau()
     assert tab.generators == (PauliString(2, 1, 2, 0), PauliString(2, 2, 1, 0))
-
-
-def test_extract_sign_on_pair_state():
-    tab = pair_state_tableau()
-    assert extract_sign(tab, PauliString(2, 1, 2, 0)) == 1
-    assert extract_sign(tab, PauliString(2, 1, 2, 2)) == -1
-    assert extract_sign(tab, PauliString(2, 3, 3, 2)) == 1  # the YY element
-    assert extract_sign(tab, PauliString(2, 3, 3, 0)) == -1
-    assert extract_sign(tab, PauliString(2, 0, 0, 0)) == 1
-    assert extract_sign(tab, PauliString(2, 3, 0, 0)) is None  # XX absent
-    assert extract_sign(tab, PauliString(2, 0, 3, 0)) is None  # ZZ absent
-    assert extract_sign(tab, PauliString(2, 0, 0, 1)) is None
-
-
-def test_extract_sign_entangler_contrast():
-    # a bit-copy entangler on |+0> leaves XX/ZZ correlations instead;
-    # the two resource styles are distinguishable by membership alone
-    tab = zero_state_tableau(2)
-    tab = conjugate(tab, "H", (0,))
-    tab = conjugate(tab, "CNOT", (0, 1))
-    assert extract_sign(tab, PauliString(2, 3, 0, 0)) == 1
-    assert extract_sign(tab, PauliString(2, 0, 3, 0)) == 1
-    assert extract_sign(tab, PauliString(2, 1, 2, 0)) is None
-    assert extract_sign(tab, PauliString(2, 2, 1, 0)) is None
-
-
-def test_extract_sign_gauss_jordan_regression():
-    # overlapping generators force the elimination to revisit cleared
-    # columns; a forward-only sweep gets this wrong
-    gens = (
-        PauliString(3, 0b011, 0b100, 0),
-        PauliString(3, 0b110, 0b001, 2),
-        PauliString(3, 0b000, 0b111, 0),
-    )
-    tab = Tableau(3, gens)
-    element = gens[0] * gens[1] * gens[2]
-    assert extract_sign(tab, PauliString(3, element.x_bits, element.z_bits, 0)) == element.sign
-    assert extract_sign(tab, single_x(3, 0)) is None
-
-
-# -- forced measurement ------------------------------------------------------
-
-
-def test_measure_z_random_outcome_installs_sign():
-    plus = conjugate(zero_state_tableau(1), "H", (0,))
-    got0 = measure_z(plus, 0, 0)
-    assert got0.generators == (PauliString(1, 0, 1, 0),)
-    got1 = measure_z(plus, 0, 1)
-    assert got1.generators == (PauliString(1, 0, 1, 2),)
-
-
-def test_measure_z_deterministic_agreement():
-    tab = zero_state_tableau(1)
-    assert measure_z(tab, 0, 0) == tab
-    with pytest.raises(ZeroProbabilityBranch):
-        measure_z(tab, 0, 1)
-
-
-def test_measure_z_correlated_pair():
-    # after measuring one half of a bit-copied pair, the other half is
-    # determined and disagreeing outcomes are rejected
-    tab = zero_state_tableau(2)
-    tab = conjugate(tab, "H", (0,))
-    tab = conjugate(tab, "CNOT", (0, 1))
-    after = measure_z(tab, 0, 1)
-    assert extract_sign(after, single_z(2, 0)) == -1
-    assert extract_sign(after, single_z(2, 1)) == -1
-    with pytest.raises(ZeroProbabilityBranch):
-        measure_z(after, 1, 0)
-    assert measure_z(after, 1, 1) == after
-
-
-def test_free_measurement_installs_the_outcome_bit():
-    plus = conjugate(zero_state_tableau(1), "H", (0,))
-    free = measure_z(plus, 0, 0, outcome_mask=0b1)
-    assert free.generators == (PauliString(1, 0, 1, 0, 0b1),)
-    assert extract_sign_form(free, single_z(1, 0)) == (1, 0b1)
-    with pytest.raises(ValueError, match="depends on the outcome"):
-        extract_sign(free, single_z(1, 0))
-    for bit in (0, 1):
-        assert free.evaluate(bit) == measure_z(plus, 0, bit)
-    # a determined qubit has no free outcome
-    with pytest.raises(ZeroProbabilityBranch, match="determined"):
-        measure_z(zero_state_tableau(1), 0, 0, outcome_mask=0b1)
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=1, max_value=5))
-def test_free_measurements_evaluate_to_forced_ones(seed, n_qubits):
-    # measure every random qubit of a random circuit twice over: once
-    # free, once per forced outcome; the free run evaluated at each
-    # outcome must be the forced run, generator for generator
-    rng = random.Random(seed)
-    tableau = run_tableau(n_qubits, random_circuit(rng, n_qubits, depth=20))
-    free = tableau
-    qubits = []
-    for q in range(n_qubits):
-        if any((g.x_bits >> q) & 1 for g in free.generators):
-            free = measure_z(free, q, 0, outcome_mask=1 << len(qubits))
-            qubits.append(q)
-    for index in range(2 ** len(qubits)):
-        forced = tableau
-        for m, q in enumerate(qubits):
-            forced = measure_z(forced, q, (index >> m) & 1)
-        assert free.evaluate(index) == forced
-
-
-def test_measure_z_validates_arguments():
-    tab = zero_state_tableau(1)
-    with pytest.raises(ValueError, match="out of range"):
-        measure_z(tab, 1, 0)
-    with pytest.raises(ValueError, match="outcome"):
-        measure_z(tab, 0, 2)
 
 
 # -- dense/tableau agreement on random circuits ------------------------------

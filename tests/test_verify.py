@@ -18,13 +18,10 @@ from pqw.graphs import (
     TABLE_ORDER,
     Graph,
     catalog_lookup,
-    catalog_names,
     parse_edge_list,
     stabilizer_generators,
 )
 from pqw.noise import NoiseChannel, noise_sweep
-from pqw.protocol import symbolic_protocol_tableau
-from pqw.stabilizer import PauliString, Tableau, extract_sign_form, extract_sign_forms
 from pqw.statevector import corrected_fidelity, ghz_state, graph_state, run_protocol
 from pqw.verify import (
     LcReport,
@@ -129,7 +126,7 @@ def test_verify_decides_a_grid_past_the_ceiling(monkeypatch):
     # 10x10 grid: 180 edges, 460 qubits, 4^180 outcomes; the report is
     # its sign conditions, so nothing in it grows with the outcome count
     graph = grid(10, 10)
-    protocol.symbolic_protocol_tableau.cache_clear()
+    protocol._data_sign_forms.cache_clear()
     protocol.correction_forms.cache_clear()
     start = time.perf_counter()
     report = verify_all_outcomes(graph)
@@ -178,31 +175,30 @@ def test_tableau_engine_matches_the_dense_reference(graph, seed):
 
 
 def test_engine_follows_the_tableau_sign_forms(monkeypatch):
-    real = verify.extract_sign_forms
-    k_b = stabilizer_generators(P4).generators[P4.vertex_index("B")]
+    real = protocol._data_sign_forms
+    b = P4.vertex_index("B")
     s1 = 1 << (2 * P4.n_edges - 1)
 
     def patched(change):
-        return lambda tableau, targets: [
-            change(*form) if target == k_b else form
-            for target, form in zip(targets, real(tableau, targets))
-        ]
+        return lambda graph: tuple(
+            change(*form) if i == b else form for i, form in enumerate(real(graph))
+        )
 
     # K_B's sign negated: the plan now misses the target at every outcome
     monkeypatch.setattr(
-        verify, "extract_sign_forms", patched(lambda sign, mask: (-sign, mask))
+        protocol, "_data_sign_forms", patched(lambda sign, mask: (-sign, mask))
     )
     report = verify_all_outcomes(P4)
     assert not report.passed
     assert set(report.fidelities()) == {0.0}
     # negated and carrying s1 too: exactly the outcomes with s1 = 1 reach |G>
     monkeypatch.setattr(
-        verify, "extract_sign_forms", patched(lambda sign, mask: (-sign, mask ^ s1))
+        protocol, "_data_sign_forms", patched(lambda sign, mask: (-sign, mask ^ s1))
     )
     report = verify_all_outcomes(P4)
     assert list(report.fidelities()) == [float(i >= 32) for i in range(64)]
     # K_B absent: the engine cannot answer exactly, so it refuses
-    monkeypatch.setattr(verify, "extract_sign_forms", patched(lambda sign, mask: None))
+    monkeypatch.setattr(protocol, "_data_sign_forms", patched(lambda sign, mask: None))
     with pytest.raises(AssertionError, match="K_B"):
         verify_all_outcomes(P4)
 
@@ -225,15 +221,15 @@ def test_records_and_summaries_match_enumerating_the_conditions(graph, mode, see
             # one K_v negated under the universal plan: its condition reads
             # 0 = 1, so no outcome reaches |G>
             negated = rng.randrange(graph.n_vertices)
-            real = verify.extract_sign_forms
+            real = protocol._data_sign_forms
 
-            def negating(tableau, targets):
-                forms = real(tableau, targets)
+            def negating(graph):
+                forms = list(real(graph))
                 sign, mask = forms[negated]
                 forms[negated] = (-sign, mask)
-                return forms
+                return tuple(forms)
 
-            mp.setattr(verify, "extract_sign_forms", negating)
+            mp.setattr(protocol, "_data_sign_forms", negating)
         report = verify_all_outcomes(graph, name="G")
     count = graph.outcome_count()
     conditions = report.conditions
@@ -324,73 +320,6 @@ def test_phase_lemma_rejects_the_near_side_sign_form(monkeypatch):
     monkeypatch.setattr(verify, "far_side_mask", near_side_mask)
     assert phase_lemma_check(P4) is False
     assert phase_lemma_check(grid(3, 3)) is False
-
-
-def _form_by_search(tableau: Tableau, target: PauliString):
-    """extract_sign_form by search over all 2^n products of the generators."""
-    n = tableau.n_qubits
-    for chosen in range(1 << len(tableau.generators)):
-        element = PauliString(n, 0, 0)
-        for i, g in enumerate(tableau.generators):
-            if chosen >> i & 1:
-                element = element * g
-        if (element.x_bits, element.z_bits) == (target.x_bits, target.z_bits):
-            turn = (element.phase - target.phase) % 4
-            return None if turn % 2 else ((1 if turn == 0 else -1), element.outcome_mask)
-    return None
-
-
-def _forms_three_ways(tableau: Tableau, targets) -> list:
-    """The shared reduction's forms, checked against the per-target call
-    and the search."""
-    shared = extract_sign_forms(tableau, targets)
-    assert shared == [extract_sign_form(tableau, t) for t in targets]
-    assert shared == [_form_by_search(tableau, t) for t in targets]
-    return shared
-
-
-@pytest.mark.parametrize("name", catalog_names())
-def test_shared_reduction_matches_per_target_on_the_catalog(name):
-    graph = catalog_lookup(name)
-    generators = stabilizer_generators(graph).generators
-    # every K_v, a product of two, a Z that is absent and an i K_v
-    targets = generators + (
-        generators[0] * generators[1],
-        PauliString(graph.n_vertices, 0, 1),
-        PauliString(graph.n_vertices, generators[0].x_bits, generators[0].z_bits, 1),
-    )
-    forms = _forms_three_ways(symbolic_protocol_tableau(graph), targets)
-    assert forms[: graph.n_vertices] == [
-        (1, protocol.far_side_mask(graph, v)) for v in graph.vertices
-    ]
-    assert forms[-2:] == [None, None]
-
-
-@settings(max_examples=30, deadline=None)
-@given(
-    graph=small_connected_graphs(max_qubits=12),
-    change=st.sampled_from(("negated", "missing")),
-    seed=st.integers(min_value=0, max_value=2**32 - 1),
-)
-def test_shared_reduction_matches_per_target_on_changed_tableaus(graph, change, seed):
-    tableau = symbolic_protocol_tableau(graph)
-    targets = stabilizer_generators(graph).generators
-    before = _forms_three_ways(tableau, targets)
-    j = random.Random(seed).randrange(graph.n_vertices)
-    gens = list(tableau.generators)
-    if change == "negated":
-        g = gens[j]
-        gens[j] = PauliString(g.n_qubits, g.x_bits, g.z_bits, g.phase + 2, g.outcome_mask)
-    else:
-        del gens[j]
-    after = _forms_three_ways(Tableau(tableau.n_qubits, tuple(gens)), targets)
-    if change == "negated":
-        # some K_v uses generator j, and only its sign moves
-        flipped = [a != b for a, b in zip(after, before)]
-        assert any(flipped)
-        assert all(a == (-b[0], b[1]) for a, b, f in zip(after, before, flipped) if f)
-    else:
-        assert None in after
 
 
 # -- entanglement rank comparison -------------------------------------------------
