@@ -6,8 +6,8 @@ enumerates every measurement outcome, applies a correction formula, and
 checks the delivered state against the target: fidelities, outcome
 statistics, sign bookkeeping, noise curves, and Schmidt-rank
 separations, all computed exactly.  An outcome is its big-endian index
-in [0, 4^|E|), and a correction plan is a PauliString on the data
-qubits.
+in [0, 4^|E|), a correction plan is a PauliString on the data qubits,
+and a stabilizer group is a tuple of PauliStrings.
 
 Every exported name, and every submodule, loads on first access, so
 ``import pqw.cli`` loads only the engines a command runs.  Every command
@@ -37,10 +37,7 @@ _EXPORTS = {
         "plans_equivalent", "run_protocol_tableau", "tree_correction",
         "universal_correction",
     ),
-    "stabilizer": (
-        "PauliString", "Tableau", "conjugate", "conjugate_circuit",
-        "zero_state_tableau",
-    ),
+    "stabilizer": ("PauliString", "conjugate_circuit"),
     "statevector": (
         "StateVector", "ZeroProbabilityError", "apply_gate", "apply_pauli",
         "byproduct_step", "check_stabilizes", "corrected_fidelity", "fidelity",

@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .data.catalog import ALIASES, GRAPHS, TABLE_ORDER
-from .stabilizer import PauliString, Tableau, _Checked
+from .stabilizer import PauliString
 
 
 class CatalogError(KeyError):
@@ -32,6 +32,21 @@ class ResourceError(RuntimeError):
 # Refuse registers above this size unless the caller raises the ceiling.
 # 2^24 complex amplitudes is 256 MB; anything larger is not desk scale.
 DEFAULT_QUBIT_CEILING = 24
+
+
+class _Checked:
+    """Base of a named tuple whose checks run in __new__.
+
+    typing.NamedTuple refuses __new__ in its own body, so such a class
+    is a slotted subclass of (_Checked, its fields) that defines __new__.
+    Here _make, and _replace, which builds through it, run __new__ too.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
 class _GraphFields(NamedTuple):
@@ -129,7 +144,7 @@ def parse_edge_list(text: str) -> Graph:
     ordered by first appearance, which keeps qubit indices reproducible
     for a given file.
     """
-    vertices: list[str] = []
+    vertices: dict[str, None] = {}  # an ordered set
     edges: list[tuple[str, str]] = []
     for line_no, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -142,15 +157,14 @@ def parse_edge_list(text: str) -> Graph:
         for label in (u, v):
             if not label.isalnum():
                 raise ValueError(f"line {line_no}: label {label!r} is not alphanumeric")
-            if label not in vertices:
-                vertices.append(label)
+            vertices[label] = None
         edges.append((u, v))
     if not edges:
         raise ValueError("edge list is empty")
     return Graph(tuple(vertices), tuple(edges))
 
 
-def stabilizer_generators(graph: Graph) -> Tableau:
+def stabilizer_generators(graph: Graph) -> tuple[PauliString, ...]:
     """One generator per vertex: X there, Z on each neighbor."""
     n = graph.n_vertices
     gens = []
@@ -160,5 +174,5 @@ def stabilizer_generators(graph: Graph) -> Tableau:
         for u in graph.neighbors(v):
             z_bits |= 1 << graph.vertex_index(u)
         gens.append(PauliString(n, x_bits, z_bits))
-    return Tableau(n, tuple(gens))
+    return tuple(gens)
 

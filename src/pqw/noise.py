@@ -58,9 +58,9 @@ from functools import lru_cache
 from itertools import product
 from typing import NamedTuple
 
-from .graphs import Graph, ResourceError
+from .graphs import Graph, ResourceError, _Checked
 from .protocol import _present_sign_forms, _sign_forms, _walk_back
-from .stabilizer import PauliString, _Checked
+from .stabilizer import PauliString
 from .verify import _pass_fraction, _sign_conditions
 
 CHANNEL_KINDS = ("depolarizing", "phase_damping", "amplitude_damping")

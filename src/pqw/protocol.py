@@ -57,7 +57,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .graphs import Graph, catalog_lookup, stabilizer_generators
-from .stabilizer import PauliString, Tableau, conjugate_circuit
+from .stabilizer import PauliString, conjugate_circuit
 
 
 # -- protocol circuit ------------------------------------------------------
@@ -118,15 +118,13 @@ def _walk_back(graph: Graph, phis) -> tuple[PauliString, ...]:
     nv = graph.n_vertices
     total = nv + 2 * graph.n_edges
     generators = []
-    for k_v, phi in zip(stabilizer_generators(graph).generators, phis):
+    for k_v, phi in zip(stabilizer_generators(graph), phis):
         # resource qubit nv + m holds sequence bit m of the outcome
         z_r = _bit_reversed(graph, phi) << nv
         generators.append(PauliString(total, k_v.x_bits, k_v.z_bits | z_r))
     # every walk gate is its own inverse, so W^dagger P W is the walk run
     # backwards in the Schroedinger rule U P U^dagger
-    return conjugate_circuit(
-        Tableau(total, tuple(generators)), reversed(walk_gates(graph))
-    ).generators
+    return conjugate_circuit(generators, reversed(walk_gates(graph)))
 
 
 @lru_cache(maxsize=32)
@@ -187,18 +185,16 @@ def _present_sign_forms(graph: Graph) -> tuple[tuple[int, int], ...]:
     return forms
 
 
-def run_protocol_tableau(graph: Graph, index: int) -> Tableau:
+def run_protocol_tableau(graph: Graph, index: int) -> tuple[PauliString, ...]:
     """Symbolic mirror of run_protocol: the data-qubit stabilizer group
     with its signs at outcome index, sign_v (-1)^{|sigma_v & s|} K_v for
     each vertex v, read off the sign forms."""
     _check_index(graph, index)
-    generators = tuple(
-        PauliString(k.n_qubits, k.x_bits, k.z_bits, 0 if sign == 1 else 2, sigma)
-        for k, (sign, sigma) in zip(
-            stabilizer_generators(graph).generators, _present_sign_forms(graph)
-        )
-    )
-    return Tableau(graph.n_vertices, generators).evaluate(index)
+    generators = []
+    for k_v, (sign, sigma) in zip(stabilizer_generators(graph), _present_sign_forms(graph)):
+        flips = (sign < 0) + (sigma & index).bit_count()
+        generators.append(PauliString(k_v.n_qubits, k_v.x_bits, k_v.z_bits, 2 * flips))
+    return tuple(generators)
 
 
 # -- correction formulas ---------------------------------------------------
@@ -259,7 +255,10 @@ def tree_correction(graph: Graph) -> Forms:
     """
     if not graph.is_tree():
         raise ValueError("tree correction requires a tree")
-    reference = min(v for v in graph.vertices if graph.degree(v) == 1)
+    # the lone vertex of a one-vertex tree is its own reference
+    reference = min(
+        (v for v in graph.vertices if graph.degree(v) == 1), default=graph.vertices[0]
+    )
     g = {v: far_side_mask(graph, v) for v in graph.vertices}
     x: dict[str, int] = {v: 0 for v in graph.vertices}
     parent: dict[str, str | None] = {reference: None}
@@ -287,18 +286,20 @@ def tree_correction(graph: Graph) -> Forms:
 
 
 def plans_equivalent(plan_a: PauliString, plan_b: PauliString, graph: Graph) -> bool:
-    """True iff the two plans differ by an element of +-Stab(|G>), i.e.
-    they steer every outcome to the same corrected state up to phase."""
+    """True iff the two plans differ by an element of Stab(|G>) times a
+    phase, i.e. they steer every outcome to the same corrected state up
+    to a global phase."""
     if plan_a.n_qubits != graph.n_vertices or plan_b.n_qubits != graph.n_vertices:
         raise ValueError("plans must be over the given graph")
-    # the one element of +-Stab(|G>) with the product's X bits is the
-    # product of the K_i at those bits; it must carry the product's Z bits
+    # the one element of Stab(|G>) with the product's X bits is the
+    # product of the K_i at those bits; it must carry the product's Z
+    # bits, and any phase steers to the same state
     product = plan_a * plan_b
     z_bits = 0
-    for i, k_i in enumerate(stabilizer_generators(graph).generators):
+    for i, k_i in enumerate(stabilizer_generators(graph)):
         if product.x_bits >> i & 1:
             z_bits ^= k_i.z_bits
-    return z_bits == product.z_bits and product.phase % 2 == 0
+    return z_bits == product.z_bits
 
 
 CORRECTION_KINDS = ("universal", "l4", "c4", "tree")

@@ -13,8 +13,8 @@ against: graph_state and ghz_state; the per-outcome protocol reference
 (run_protocol, corrected_fidelity, byproduct_step), which names an
 outcome by its index and a plan by its Pauli string; the Pauli action
 apply_pauli with check_stabilizes; and the Kraus operators as matrices.
-Gates are checked by the tableau's gate table, so both engines accept
-and refuse the same gate lists.
+Gates are checked by pqw.stabilizer's gate table, so the dense and the
+symbolic engine accept and refuse the same gate lists: H, X, Z and CZ.
 
 States are value-like: every operation returns a fresh StateVector and
 never mutates its input, so instances are safe to share across threads.
@@ -32,7 +32,7 @@ import numpy as np
 from .graphs import DEFAULT_QUBIT_CEILING, Graph, ResourceError
 from .noise import NoiseChannel, _kraus_lists
 from .protocol import _bit_reversed, _check_index, prep_gates, walk_gates
-from .stabilizer import PauliString, Tableau, _checked_gates
+from .stabilizer import PauliString, _checked_gates
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -143,26 +143,11 @@ def _apply_cz(amps: np.ndarray, q1: int, q2: int) -> np.ndarray:
     return out.reshape(amps.size)
 
 
-def _apply_cnot(amps: np.ndarray, control: int, target: int) -> np.ndarray:
-    hi, lo = max(control, target), min(control, target)
-    view = _split2(amps, hi, lo)
-    out = view.copy()
-    if control > target:
-        out[:, 1, :, 0, :] = view[:, 1, :, 1, :]
-        out[:, 1, :, 1, :] = view[:, 1, :, 0, :]
-    else:
-        out[:, 0, :, 1, :] = view[:, 1, :, 1, :]
-        out[:, 1, :, 1, :] = view[:, 0, :, 1, :]
-    return out.reshape(amps.size)
-
-
-_KERNELS = {
-    "H": _apply_h, "X": _apply_x, "Z": _apply_z, "CZ": _apply_cz, "CNOT": _apply_cnot,
-}
+_KERNELS = {"H": _apply_h, "X": _apply_x, "Z": _apply_z, "CZ": _apply_cz}
 
 
 def apply_gate(state: StateVector, gate: str, targets) -> StateVector:
-    """Apply H, X, Z, CZ, or CNOT; CNOT targets are (control, target)."""
+    """Apply H, X, Z or CZ."""
     targets = tuple(targets)
     _checked_gates(state.n_qubits, ((gate, targets),))
     return StateVector(state.n_qubits, _KERNELS[gate](state.amplitudes, *targets))
@@ -251,8 +236,6 @@ def apply_pauli(state: StateVector, pauli: PauliString) -> StateVector:
     i^phase (-1)^{|j & z|}, then the X block permutes j to j ^ x."""
     if state.n_qubits != pauli.n_qubits:
         raise ValueError("qubit counts differ")
-    if pauli.outcome_mask:
-        raise ValueError("the sign depends on the outcome; evaluate it first")
     indices = np.arange(state.amplitudes.size, dtype=np.uint64)
     z_par = np.bitwise_count(indices & np.uint64(pauli.z_bits)) & np.uint64(1)
     signs = 1.0 - 2.0 * z_par.astype(float)
@@ -261,11 +244,10 @@ def apply_pauli(state: StateVector, pauli: PauliString) -> StateVector:
     return StateVector(state.n_qubits, out)
 
 
-def check_stabilizes(state: StateVector, tableau: Tableau, tol: float = 1e-10) -> bool:
-    """True iff every generator fixes the state with eigenvalue +1."""
-    if state.n_qubits != tableau.n_qubits:
-        raise ValueError("qubit counts differ")
-    for g in tableau.generators:
+def check_stabilizes(state: StateVector, generators, tol: float = 1e-10) -> bool:
+    """True iff every generator, a PauliString on the state's qubits,
+    fixes the state with eigenvalue +1."""
+    for g in generators:
         overlap = np.vdot(state.amplitudes, apply_pauli(state, g).amplitudes)
         if abs(overlap - 1.0) > tol:
             return False

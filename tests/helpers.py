@@ -17,12 +17,23 @@ from pqw import statevector as sv
 from pqw.graphs import Graph, catalog_lookup, parse_edge_list
 from pqw.protocol import _bit_reversed, _sign_forms, walk_gates
 from pqw.statevector import _after_prep, _premeasurement, _run_gates, graph_state
-from pqw.stabilizer import PauliString, Tableau, conjugate_circuit, zero_state_tableau
+from pqw.stabilizer import PauliString, conjugate_circuit
 
 GATE_ARITY = {"H": 1, "X": 1, "Z": 1, "CZ": 2, "CNOT": 2}
 
 
+def engine_gates(gate: str, targets) -> list:
+    """One gate as a list the engines run: CNOT(c, t), which neither
+    engine takes, as H(t) CZ(c, t) H(t); any other gate as itself."""
+    if gate != "CNOT":
+        return [(gate, tuple(targets))]
+    control, target = targets
+    return [("H", (target,)), ("CZ", (control, target)), ("H", (target,))]
+
+
 def random_circuit(rng: random.Random, n_qubits: int, depth: int):
+    """depth gates drawn from H, X, Z, CZ and CNOT, each CNOT written out
+    as H CZ H."""
     ops = []
     for _ in range(depth):
         gate = rng.choice(tuple(GATE_ARITY))
@@ -30,8 +41,7 @@ def random_circuit(rng: random.Random, n_qubits: int, depth: int):
             gate = gate if GATE_ARITY[gate] == 1 else "Z"
             ops.append((gate, (rng.randrange(n_qubits),)))
         else:
-            targets = rng.sample(range(n_qubits), 2)
-            ops.append((gate, tuple(targets)))
+            ops += engine_gates(gate, rng.sample(range(n_qubits), 2))
     return ops
 
 
@@ -42,8 +52,13 @@ def run_dense(n_qubits: int, ops) -> sv.StateVector:
     return state
 
 
-def run_tableau(n_qubits: int, ops) -> Tableau:
-    return conjugate_circuit(zero_state_tableau(n_qubits), ops)
+def zero_state(n_qubits: int) -> tuple[PauliString, ...]:
+    """The stabilizer group of |0>^n: Z on each qubit."""
+    return tuple(PauliString(n_qubits, 0, 1 << q) for q in range(n_qubits))
+
+
+def run_tableau(n_qubits: int, ops) -> tuple[PauliString, ...]:
+    return conjugate_circuit(zero_state(n_qubits), ops)
 
 
 # Explicit matrix construction, deliberately different from the reshape

@@ -164,7 +164,7 @@ def test_criterion_08_oracle_equivalence():
         circuit = random_circuit(rng, n, depth=30)
         dense = run_dense(n, circuit)
         tableau = run_tableau(n, circuit)
-        for gen in tableau.generators:
+        for gen in tableau:
             moved = sv.apply_pauli(dense, gen)
             worst = max(
                 worst, float(np.max(np.abs(moved.amplitudes - dense.amplitudes)))

@@ -175,7 +175,7 @@ def test_graph_state_is_edge_order_independent():
 
 
 def test_stabilizer_generators_structure():
-    gens = stabilizer_generators(catalog_lookup("P3")).generators
+    gens = stabilizer_generators(catalog_lookup("P3"))
     # X on the vertex, Z on each neighbor, vertex order A, B, C
     assert gens[0] == PauliString(3, 0b001, 0b010, 0)
     assert gens[1] == PauliString(3, 0b010, 0b101, 0)

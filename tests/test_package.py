@@ -32,10 +32,7 @@ EXPORTS = {
         "plans_equivalent", "run_protocol_tableau", "tree_correction",
         "universal_correction",
     ),
-    "stabilizer": (
-        "PauliString", "Tableau", "conjugate", "conjugate_circuit",
-        "zero_state_tableau",
-    ),
+    "stabilizer": ("PauliString", "conjugate_circuit"),
     "statevector": (
         "StateVector", "ZeroProbabilityError", "apply_gate", "apply_pauli",
         "byproduct_step", "check_stabilizes", "corrected_fidelity", "fidelity",

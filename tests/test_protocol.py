@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    engine_gates,
     grid,
     near_parity,
     near_side_mask,
@@ -30,7 +31,7 @@ from pqw.protocol import (
     universal_correction,
     walk_gates,
 )
-from pqw.stabilizer import PauliString, Tableau
+from pqw.stabilizer import PauliString
 from pqw.statevector import (
     byproduct_step,
     check_stabilizes,
@@ -142,10 +143,10 @@ def test_universal_correction_steers_every_p3_outcome():
 
 def test_tableau_run_signs_match_far_parities():
     graph = catalog_lookup("P3")
-    plain = stabilizer_generators(graph).generators
+    plain = stabilizer_generators(graph)
     for index in range(graph.outcome_count()):
         tableau = run_protocol_tableau(graph, index)
-        for gen, k_v, v in zip(tableau.generators, plain, graph.vertices):
+        for gen, k_v, v in zip(tableau, plain, graph.vertices):
             assert (gen.x_bits, gen.z_bits) == (k_v.x_bits, k_v.z_bits)
             assert gen.sign == (-1 if _g(graph, index, v) else 1)
 
@@ -255,17 +256,17 @@ def test_symbolic_run_keeps_its_checks(altered_walk):
     assert protocol._data_sign_forms(K2) == (None, None)
     for index in range(K2.outcome_count()):
         _, data = run_protocol(K2, index)
-        for k_v in stabilizer_generators(K2).generators:
+        for k_v in stabilizer_generators(K2):
             for phase in (0, 2):
                 signed = PauliString(2, k_v.x_bits, k_v.z_bits, phase)
-                assert not check_stabilizes(data, Tableau(2, (signed,)))
+                assert not check_stabilizes(data, (signed,))
 
 
 def test_single_vertex_reads_one_plus_form():
     # no edge, no resource qubit and one outcome: K_A = X_A stays +1
     graph = Graph(("A",), ())
     assert protocol._data_sign_forms(graph) == ((1, 0),)
-    assert run_protocol_tableau(graph, 0).generators == (PauliString(1, 1, 0),)
+    assert run_protocol_tableau(graph, 0) == (PauliString(1, 1, 0),)
     assert verify_all_outcomes(graph).passed
 
 
@@ -357,6 +358,10 @@ def test_tree_correction_reference_is_untouched():
         assert corrected_fidelity(P4, index, plan) > 1.0 - 1e-12
     star = catalog_lookup("K1_3")
     assert tree_correction(star)[star.vertex_index("B")] == (0, 0)
+    # a one-vertex tree has no leaf, and its lone vertex is the reference
+    lone = Graph(("A",), ())
+    assert tree_correction(lone) == ((0, 0),)
+    assert verify_all_outcomes(lone, "tree").passed
 
 
 def test_tree_correction_interior_vertices_are_z_free():
@@ -399,6 +404,11 @@ def test_lone_x_is_not_equivalent_to_identity():
     identity = plan_from_maps(P4, {}, {})
     lone = plan_from_maps(P4, {"B": 1}, {})
     assert not plans_equivalent(identity, lone, P4)
+    # i times a plan steers every outcome to the same state up to a
+    # global phase
+    assert plans_equivalent(PauliString(4, 0, 0, 1), identity, P4)
+    assert plans_equivalent(PauliString(4, 0b0010, 0, 3), lone, P4)
+    assert not plans_equivalent(PauliString(4, 0b0010, 0, 1), identity, P4)
 
 
 def test_topology_plans_equivalent_to_universal():
@@ -509,8 +519,10 @@ def test_shared_pair_correlations_are_x_z_not_x_x():
     # the walk entangler and a bit-copy entangler leave incompatible
     # pair correlations; the correction formulas rely on the former
     walk_pair = sv.apply_gate(sv.new_plus(2), "CZ", (0, 1))
-    copy_pair = sv.apply_gate(sv.apply_gate(sv.new_zero(2), "H", (0,)), "CNOT", (0, 1))
-    xz = Tableau(2, (PauliString(2, 1, 2),))
-    xx = Tableau(2, (PauliString(2, 3, 0),))
+    copy_pair = sv.apply_gate(sv.new_zero(2), "H", (0,))
+    for gate, targets in engine_gates("CNOT", (0, 1)):
+        copy_pair = sv.apply_gate(copy_pair, gate, targets)
+    xz = (PauliString(2, 1, 2),)
+    xx = (PauliString(2, 3, 0),)
     assert check_stabilizes(walk_pair, xz) and not check_stabilizes(walk_pair, xx)
     assert check_stabilizes(copy_pair, xx) and not check_stabilizes(copy_pair, xz)

@@ -1,5 +1,5 @@
-"""Symbolic engine: multiplication signs, outcome masks, and conjugation
-rules against a dense oracle."""
+"""Symbolic engine: multiplication signs and conjugation rules against a
+dense oracle."""
 
 import copy
 import pickle
@@ -10,16 +10,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import apply_matrix_oracle, random_circuit, run_dense, run_tableau
-from pqw import statevector as sv
-from pqw.stabilizer import (
-    PauliString,
-    Tableau,
-    conjugate,
-    conjugate_circuit,
-    single_x,
-    zero_state_tableau,
+from helpers import (
+    apply_matrix_oracle,
+    engine_gates,
+    random_circuit,
+    run_dense,
+    run_tableau,
+    zero_state,
 )
+from pqw import statevector as sv
+from pqw.stabilizer import PauliString, conjugate_circuit
 from pqw.statevector import apply_pauli, check_stabilizes
 
 X1 = PauliString(1, 1, 0)
@@ -53,39 +53,19 @@ def test_sign_property():
         _ = Y1.sign
 
 
-def test_outcome_mask_rides_along():
-    # products XOR the masks, conjugation keeps them, evaluation folds
-    # the outcome bits into the phase
-    a = PauliString(2, 0b01, 0b10, 0, 0b101)
-    b = PauliString(2, 0b10, 0b01, 2, 0b011)
-    assert (a * b).outcome_mask == 0b110
-    assert (a * b).evaluate(0b100) == a.evaluate(0b100) * b.evaluate(0b100)
-    assert conjugate(Tableau(2, (a,)), "H", (0,)).generators[0].outcome_mask == 0b101
-    assert a.evaluate(0b001) == PauliString(2, 0b01, 0b10, 2)
-    assert a.evaluate(0b101) == PauliString(2, 0b01, 0b10, 0)
-    with pytest.raises(ValueError, match="depends on the outcome"):
-        _ = a.sign
-    with pytest.raises(ValueError, match="depends on the outcome"):
-        apply_pauli(sv.new_plus(2), a)
-    with pytest.raises(ValueError, match="non-negative"):
-        PauliString(1, 0, 0, 0, -1)
-
-
 def test_mask_validation():
     with pytest.raises(ValueError, match="exceed"):
         PauliString(1, 2, 0)
 
 
 def test_pauli_string_is_a_value_not_a_tuple():
-    p = PauliString(3, 0b101, 0b011, 7, 0b110)
-    same = PauliString(3, 0b101, 0b011, 3, 0b110)
+    p = PauliString(3, 0b101, 0b011, 7)
+    same = PauliString(3, 0b101, 0b011, 3)
     assert p == same and hash(p) == hash(same)
-    assert p != PauliString(3, 0b101, 0b011, 3, 0b010)
+    assert p != PauliString(3, 0b101, 0b011, 1)
     assert not isinstance(p, tuple)
-    assert p != (3, 0b101, 0b011, 3, 0b110)
-    assert repr(p) == (
-        "PauliString(n_qubits=3, x_bits=5, z_bits=3, phase=3, outcome_mask=6)"
-    )
+    assert p != (3, 0b101, 0b011, 3)
+    assert repr(p) == "PauliString(n_qubits=3, x_bits=5, z_bits=3, phase=3)"
     # copies and pickles rebuild through the constructor
     assert copy.copy(p) == p and copy.deepcopy(p) == p
     assert pickle.loads(pickle.dumps(p)) == p
@@ -191,16 +171,14 @@ def gate_matrix(gate: str, targets, n_qubits: int) -> np.ndarray:
 
 @pytest.mark.parametrize("gate,targets", CONJ_CASES)
 def test_conjugation_matches_dense_for_every_pauli(gate, targets):
+    # CNOT runs as H CZ H against the oracle's basis permutation
     u = gate_matrix(gate, targets, 2)
     for x_bits in range(4):
         for z_bits in range(4):
             for phase in range(4):
                 p = PauliString(2, x_bits, z_bits, phase)
-                # a tableau holds real signs only; conjugation is linear,
-                # so the factor i^(phase & 1) rides outside it
-                real = PauliString(2, x_bits, z_bits, phase & 2)
-                conj = conjugate(Tableau(2, (real,)), gate, targets).generators[0]
-                got = 1j ** (phase & 1) * pauli_matrix(conj)
+                (conj,) = conjugate_circuit((p,), engine_gates(gate, targets))
+                got = pauli_matrix(conj)
                 want = u @ pauli_matrix(p) @ u.conj().T
                 assert np.allclose(got, want, atol=1e-12), (
                     gate,
@@ -210,103 +188,95 @@ def test_conjugation_matches_dense_for_every_pauli(gate, targets):
 
 
 def test_conjugate_validates_targets():
-    tab = zero_state_tableau(2)
+    zs = zero_state(2)
     with pytest.raises(ValueError, match="out of range"):
-        conjugate(tab, "H", (2,))
+        conjugate_circuit(zs, (("H", (2,)),))
     with pytest.raises(ValueError, match="duplicate"):
-        conjugate(tab, "CZ", (0, 0))
+        conjugate_circuit(zs, (("CZ", (0, 0)),))
     with pytest.raises(ValueError, match="unknown gate"):
-        conjugate(tab, "T", (0,))
+        conjugate_circuit(zs, (("T", (0,)),))
+    with pytest.raises(ValueError, match="unknown gate"):
+        conjugate_circuit(zs, (("CNOT", (0, 1)),))
 
 
 def test_conjugate_keeps_untouched_generators():
-    tab = conjugate(zero_state_tableau(3), "H", (0,))
-    moved = conjugate(tab, "CZ", (0, 1))
-    assert moved.generators[2] is tab.generators[2]
-    assert moved.generators[0] == PauliString(3, 0b001, 0b010)
+    strings = conjugate_circuit(zero_state(3), (("H", (0,)),))
+    moved = conjugate_circuit(strings, (("CZ", (0, 1)),))
+    assert moved[2] is strings[2]
+    assert moved[0] == PauliString(3, 0b001, 0b010)
     with pytest.raises(ValueError, match="takes 2 targets"):
-        conjugate(tab, "CZ", (2,))
+        conjugate_circuit(strings, (("CZ", (2,)),))
+
+
+def test_conjugate_circuit_rejects_size_mismatch():
+    with pytest.raises(ValueError, match="qubit counts differ"):
+        conjugate_circuit((X1, PauliString(2, 1, 0)), ())
 
 
 @st.composite
 def tableau_and_circuit(draw):
-    # generators need not commute here: conjugation acts on each one
-    # alone, and the Tableau type only asks for real phases
+    # the strings need not commute or be Hermitian here: conjugation
+    # acts on each one alone
     n = draw(st.integers(min_value=1, max_value=5))
     bits = st.integers(min_value=0, max_value=(1 << n) - 1)
-    generators = tuple(
-        PauliString(n, draw(bits), draw(bits), draw(st.sampled_from((0, 2))), mask)
-        for mask in draw(st.lists(st.integers(0, 255), min_size=1, max_size=6))
+    phases = st.sampled_from(range(4))
+    strings = tuple(
+        PauliString(n, draw(bits), draw(bits), draw(phases))
+        for _ in range(draw(st.integers(min_value=1, max_value=6)))
     )
     gates = []
     for _ in range(draw(st.integers(min_value=0, max_value=30))):
-        names = ("H", "X", "Z", "CZ", "CNOT") if n > 1 else ("H", "X", "Z")
+        names = ("H", "X", "Z", "CZ") if n > 1 else ("H", "X", "Z")
         gate = draw(st.sampled_from(names))
-        arity = 2 if gate in ("CZ", "CNOT") else 1
+        arity = 2 if gate == "CZ" else 1
         targets = draw(st.permutations(range(n)))[:arity]
         gates.append((gate, tuple(targets)))
-    return Tableau(n, generators), gates
+    return strings, gates
 
 
 @given(tableau_and_circuit())
 @settings(max_examples=200, deadline=None)
 def test_conjugate_circuit_equals_gate_by_gate(case):
-    tableau, gates = case
-    folded = tableau
-    for gate, targets in gates:
-        folded = conjugate(folded, gate, targets)
-    assert conjugate_circuit(tableau, gates) == folded
+    strings, gates = case
+    folded = strings
+    for gate in gates:
+        folded = conjugate_circuit(folded, [gate])
+    assert conjugate_circuit(strings, gates) == folded
 
 
-BAD_GATES = [("T", (0,)), ("CZ", (0,)), ("H", (3,)), ("CNOT", (1, 1))]
+BAD_GATES = [("T", (0,)), ("CZ", (0,)), ("H", (3,)), ("CZ", (1, 1))]
 
 
 @pytest.mark.parametrize("position", [0, 2, 4])
 @pytest.mark.parametrize("bad", BAD_GATES, ids=["unknown", "arity", "range", "duplicate"])
 def test_conjugate_circuit_rejects_a_bad_gate_anywhere(bad, position):
-    tab = zero_state_tableau(3)
+    zs = zero_state(3)
     with pytest.raises(ValueError) as single:
-        conjugate(tab, *bad)
-    gates = [("H", (0,)), ("CZ", (0, 1)), ("X", (2,)), ("CNOT", (2, 0))]
+        conjugate_circuit(zs, [bad])
+    gates = [("H", (0,)), ("CZ", (0, 1)), ("X", (2,)), ("CZ", (2, 0))]
     gates.insert(position, bad)
     with pytest.raises(ValueError) as batched:
-        conjugate_circuit(tab, gates)
+        conjugate_circuit(zs, gates)
     assert str(batched.value) == str(single.value)
 
 
-# -- tableau construction and membership -------------------------------------
-
-
-def test_tableau_rejects_imaginary_phase_generator():
-    # i*X is not Hermitian and cannot generate a stabilizer group
-    with pytest.raises(ValueError, match="imaginary"):
-        Tableau(1, (PauliString(1, 1, 0, 1),))
-
-
-def test_tableau_rejects_size_mismatch():
-    with pytest.raises(ValueError, match="mismatch"):
-        Tableau(2, (X1,))
-
-
-def pair_state_tableau() -> Tableau:
-    # CZ |++>: generators X(x)Z and Z(x)X
-    tab = zero_state_tableau(2)
-    tab = conjugate(tab, "H", (0,))
-    tab = conjugate(tab, "H", (1,))
-    return conjugate(tab, "CZ", (0, 1))
+# -- stabilizer groups ---------------------------------------------------------
 
 
 def test_pair_state_generators():
-    tab = pair_state_tableau()
-    assert tab.generators == (PauliString(2, 1, 2, 0), PauliString(2, 2, 1, 0))
+    # CZ |++>: generators X(x)Z and Z(x)X
+    pair = conjugate_circuit(zero_state(2), (("H", (0,)), ("H", (1,)), ("CZ", (0, 1))))
+    assert pair == (PauliString(2, 1, 2, 0), PauliString(2, 2, 1, 0))
 
 
-# -- dense/tableau agreement on random circuits ------------------------------
+# -- dense/symbolic agreement on random circuits ------------------------------
 
 
 def test_check_stabilizes_rejects_wrong_state():
-    assert not check_stabilizes(sv.new_zero(1), Tableau(1, (single_x(1, 0),)))
-    assert check_stabilizes(sv.new_plus(1), Tableau(1, (single_x(1, 0),)))
+    assert not check_stabilizes(sv.new_zero(1), (X1,))
+    assert check_stabilizes(sv.new_plus(1), (X1,))
+    with pytest.raises(ValueError, match="qubit counts differ"):
+        check_stabilizes(sv.new_plus(2), (X1,))
 
 
 @settings(max_examples=30, deadline=None)

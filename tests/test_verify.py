@@ -397,8 +397,7 @@ def test_ghz_ranks_are_the_star_graph_ranks():
 # when its case runs, and the field each case tries to change
 VALUE_INSTANCES = {
     "Graph": (lambda: P4, "edges"),
-    "PauliString": (lambda: stabilizer_generators(P4).generators[0], "phase"),
-    "Tableau": (lambda: stabilizer_generators(P4), "generators"),
+    "PauliString": (lambda: stabilizer_generators(P4)[0], "phase"),
     "NoiseChannel": (lambda: NoiseChannel("depolarizing", 0.1), "p"),
     "NoiseReport": (lambda: noise_sweep(P4, "dep", (0.1,)), "fidelities"),
     "VerificationReport": (
@@ -435,7 +434,6 @@ def test_reports_are_frozen(class_name):
 # as a new one
 REPLACE_CASES = {
     "Graph": ({"edges": P4.edges + (("A", "A"),)}, "self-loop"),
-    "Tableau": ({"n_qubits": 3}, "qubit count mismatch"),
     "NoiseChannel": ({"p": 1.5}, "channel strength"),
     "NoiseReport": ({"fidelities": ()}, "equal length"),
 }
