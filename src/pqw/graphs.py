@@ -29,7 +29,7 @@ class ResourceError(RuntimeError):
     """Raised when a request exceeds the configured memory or time budget."""
 
 
-# Refuse registers above this size unless the caller raises the ceiling.
+# Refuse dense registers above this size before allocating them.
 # 2^24 complex amplitudes is 256 MB; anything larger is not desk scale.
 DEFAULT_QUBIT_CEILING = 24
 
@@ -55,11 +55,13 @@ class _GraphFields(NamedTuple):
 
 
 class Graph(_Checked, _GraphFields):
-    """A connected simple graph with ordered vertices and edges."""
+    """A connected simple graph with ordered vertices and edges, stored as
+    tuples whatever sequences built it."""
 
     __slots__ = ()
 
     def __new__(cls, vertices: tuple[str, ...], edges: tuple[tuple[str, str], ...]):
+        vertices, edges = tuple(vertices), tuple((u, v) for u, v in edges)
         if len(set(vertices)) != len(vertices):
             raise ValueError("duplicate vertex labels")
         seen = set()

@@ -393,7 +393,8 @@ def _adjoint(ops: list, pauli) -> list[list[complex]]:
 def _edge_table(ops: list) -> list[complex]:
     """<CZ++| E^dagger(P_0) (x) E^dagger(P_1) |CZ++> for the pair's Paulis
     P_h = X^{x_h} Z^{z_h}, at index x + 4z with x = x_0 + 2 x_1 and
-    z = z_0 + 2 z_1; P_1 is the high factor of the pair's index."""
+    z = z_0 + 2 z_1; P_1 is the high factor of the pair's index, its first
+    endpoint, and as CZ|++> is symmetric either half may be the low one."""
     adjoint = {site: _adjoint(ops, pauli) for site, pauli in _SITE_PAULIS.items()}
     table = []
     for z in range(4):

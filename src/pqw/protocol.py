@@ -11,15 +11,18 @@ endpoint.  The steps are:
   S4  measure all resource qubits in the Z basis, broadcast the bits,
       apply a local correction on the data qubits
 
-Qubit order: vertex v is qubit graph.vertex_index(v), and endpoint e of
-edge j is qubit n_vertices + 2*j + e.  An outcome is its index s in
-[0, 4^|E|), used by every report and test: the resource bits are ordered
-edge by edge (catalog edge order), within an edge first endpoint then
-second endpoint, and s is the big-endian integer of that bit sequence.
-For the path A-B-C-D this reproduces the conventional labels s1=AB@A,
-s2=AB@B, s3=BC@B, s4=BC@C, s5=CD@C, s6=CD@D; for the cycle A-B-C-D-A it
-appends s7=DA@D, s8=DA@A.  Every function that takes s raises ValueError
-outside that range.
+An outcome is its index s in [0, 4^|E|), used by every report and test:
+the resource bits are ordered edge by edge (catalog edge order), within
+an edge first endpoint then second endpoint, and s is the big-endian
+integer of that bit sequence.  For the path A-B-C-D this reproduces the
+conventional labels s1=AB@A, s2=AB@B, s3=BC@B, s4=BC@C, s5=CD@C,
+s6=CD@D; for the cycle A-B-C-D-A it appends s7=DA@D, s8=DA@A.  Every
+function that takes s raises ValueError outside that range.
+Qubit order: vertex v is qubit graph.vertex_index(v), and sequence bit
+m = 2*j + e, endpoint e of edge j, is qubit n_vertices + 2|E| - 1 - m, so
+the resource register read as an integer is s and a form over s is a Z
+mask on it; each pair sits on two aligned bits, its second endpoint on
+the even one.
 
 A correction plan is a Pauli string X^x Z^z on the data qubits, bit i
 of x and z its exponents at vertex i; applying it means Z^z then X^x at
@@ -63,11 +66,24 @@ from .stabilizer import PauliString, conjugate_circuit
 # -- protocol circuit ------------------------------------------------------
 
 
+def _resource_qubit(graph: Graph, m: int) -> int:
+    """The qubit of sequence bit m, the one place the layout is decided:
+    register bit 2|E|-1-m, so the register reads as the outcome index."""
+    return graph.n_vertices + 2 * graph.n_edges - 1 - m
+
+
+def _outcome_bit(graph: Graph, m: int) -> int:
+    """Sequence bit m as a mask over the big-endian outcome index."""
+    return 1 << (_resource_qubit(graph, m) - graph.n_vertices)
+
+
 def prep_gates(graph: Graph) -> tuple[tuple[str, tuple[int, ...]], ...]:
     """S1 + S2 as a gate list, applied after |+> on every qubit: the CZ
     of each edge's resource pair, in edge order."""
-    nv = graph.n_vertices
-    return tuple(("CZ", (nv + 2 * j, nv + 2 * j + 1)) for j in range(graph.n_edges))
+    return tuple(
+        ("CZ", (_resource_qubit(graph, 2 * j), _resource_qubit(graph, 2 * j + 1)))
+        for j in range(graph.n_edges)
+    )
 
 
 def walk_gates(graph: Graph) -> tuple[tuple[str, tuple[int, ...]], ...]:
@@ -76,29 +92,12 @@ def walk_gates(graph: Graph) -> tuple[tuple[str, tuple[int, ...]], ...]:
     order, then H on every resource qubit."""
     nv = graph.n_vertices
     gates = [
-        ("CZ", (graph.vertex_index(v), nv + 2 * j + e))
+        ("CZ", (graph.vertex_index(v), _resource_qubit(graph, 2 * j + e)))
         for j, edge in enumerate(graph.edges)
         for e, v in enumerate(edge)
     ]
     gates += [("H", (q,)) for q in range(nv, nv + 2 * graph.n_edges)]
     return tuple(gates)
-
-
-def _bit_reversed(graph: Graph, value):
-    """Outcome index to resource row and back, for an int or an integer
-    array: resource qubit n_vertices + m holds sequence bit m, which is
-    bit m of the row in the (resources, data) reshape and bit 2|E|-1-m
-    of the big-endian index, so the map is its own inverse."""
-    k = 2 * graph.n_edges
-    out = 0
-    for m in range(k):
-        out = out | (((value >> (k - 1 - m)) & 1) << m)
-    return out
-
-
-def _outcome_bit(graph: Graph, m: int) -> int:
-    """Sequence bit m as a mask over the big-endian outcome index."""
-    return 1 << (2 * graph.n_edges - 1 - m)
 
 
 def far_side_mask(graph: Graph, v: str) -> int:
@@ -119,9 +118,8 @@ def _walk_back(graph: Graph, phis) -> tuple[PauliString, ...]:
     total = nv + 2 * graph.n_edges
     generators = []
     for k_v, phi in zip(stabilizer_generators(graph), phis):
-        # resource qubit nv + m holds sequence bit m of the outcome
-        z_r = _bit_reversed(graph, phi) << nv
-        generators.append(PauliString(total, k_v.x_bits, k_v.z_bits | z_r))
+        # the resource register is the outcome index, so phi is its Z mask
+        generators.append(PauliString(total, k_v.x_bits, k_v.z_bits | phi << nv))
     # every walk gate is its own inverse, so W^dagger P W is the walk run
     # backwards in the Schroedinger rule U P U^dagger
     return conjugate_circuit(generators, reversed(walk_gates(graph)))
@@ -145,17 +143,14 @@ def _data_sign_forms(graph: Graph) -> tuple[tuple[int, int] | None, ...]:
     """
     nv = graph.n_vertices
     data = (1 << nv) - 1
-    even = int("01" * graph.n_edges or "0", 2)  # the first half of each pair
+    even = int("01" * graph.n_edges or "0", 2)  # each pair's second endpoint
 
     def split(p: PauliString) -> tuple[int, int]:
         """p's resource x bits and the pair swap of its resource z bits."""
         z = p.z_bits >> nv
         return p.x_bits >> nv, ((z & even) << 1) | ((z >> 1) & even)
 
-    sigmas = [
-        _bit_reversed(graph, x ^ swapped)
-        for x, swapped in map(split, _walk_back(graph, [0] * nv))
-    ]
+    sigmas = [x ^ swapped for x, swapped in map(split, _walk_back(graph, [0] * nv))]
     forms = []
     for sigma, p in zip(sigmas, _walk_back(graph, sigmas)):
         x, swapped = split(p)

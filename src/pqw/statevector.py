@@ -31,7 +31,7 @@ import numpy as np
 # the same objects here
 from .graphs import DEFAULT_QUBIT_CEILING, Graph, ResourceError
 from .noise import NoiseChannel, _kraus_lists
-from .protocol import _bit_reversed, _check_index, prep_gates, walk_gates
+from .protocol import _check_index, prep_gates, walk_gates
 from .stabilizer import PauliString, _checked_gates
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
@@ -41,14 +41,12 @@ class ZeroProbabilityError(ValueError):
     """Raised when projecting a state onto an outcome of probability zero."""
 
 
-def _check_size(n_qubits: int, max_qubits: int | None) -> None:
-    ceiling = DEFAULT_QUBIT_CEILING if max_qubits is None else max_qubits
+def _check_size(n_qubits: int) -> None:
     if n_qubits < 1:
         raise ValueError(f"need at least one qubit, got {n_qubits}")
-    if n_qubits > ceiling:
+    if n_qubits > DEFAULT_QUBIT_CEILING:
         raise ResourceError(
-            f"{n_qubits} qubits exceeds the ceiling of {ceiling}; "
-            "pass max_qubits to override"
+            f"{n_qubits} qubits exceeds the ceiling of {DEFAULT_QUBIT_CEILING}"
         )
 
 
@@ -76,16 +74,16 @@ class StateVector:
         return float(abs(self.amplitudes[basis_index]) ** 2)
 
 
-def new_plus(n_qubits: int, max_qubits: int | None = None) -> StateVector:
+def new_plus(n_qubits: int) -> StateVector:
     """|+>^n: every amplitude is 2**(-n/2)."""
-    _check_size(n_qubits, max_qubits)
+    _check_size(n_qubits)
     amps = np.full(2**n_qubits, 2.0 ** (-n_qubits / 2.0), dtype=complex)
     return StateVector(n_qubits, amps)
 
 
-def new_zero(n_qubits: int, max_qubits: int | None = None) -> StateVector:
+def new_zero(n_qubits: int) -> StateVector:
     """|0>^n."""
-    _check_size(n_qubits, max_qubits)
+    _check_size(n_qubits)
     amps = np.zeros(2**n_qubits, dtype=complex)
     amps[0] = 1.0
     return StateVector(n_qubits, amps)
@@ -212,10 +210,10 @@ def schmidt_rank(state: StateVector, side_a, tol: float = 1e-9) -> int:
 # -- graph states ------------------------------------------------------------
 
 
-def graph_state(graph: Graph, max_qubits: int | None = None) -> StateVector:
+def graph_state(graph: Graph) -> StateVector:
     """CZ along every edge applied to |+> everywhere; qubit k hosts
     vertex graph.vertices[k]."""
-    state = new_plus(graph.n_vertices, max_qubits=max_qubits)
+    state = new_plus(graph.n_vertices)
     for u, v in graph.edges:
         state = apply_gate(state, "CZ", (graph.vertex_index(u), graph.vertex_index(v)))
     return state
@@ -284,9 +282,7 @@ def _premeasurement(graph: Graph) -> StateVector:
 def data_slab(graph: Graph, index: int) -> np.ndarray:
     """Unnormalized data-qubit amplitudes after projecting all resource
     qubits onto outcome index; squared norm is the outcome probability."""
-    # checked first: _bit_reversed would fold an index past the range
-    # onto some row
-    row = _bit_reversed(graph, _check_index(graph, index))
+    row = _check_index(graph, index)
     return _premeasurement(graph).amplitudes.reshape(-1, 2**graph.n_vertices)[row]
 
 

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from pqw import statevector as sv
 from pqw.graphs import Graph, catalog_lookup, parse_edge_list
-from pqw.protocol import _bit_reversed, _sign_forms, walk_gates
+from pqw.protocol import _outcome_bit, _sign_forms, walk_gates
 from pqw.statevector import _after_prep, _premeasurement, _run_gates, graph_state
 from pqw.stabilizer import PauliString, conjugate_circuit
 
@@ -120,11 +120,10 @@ def ghz_from_star() -> sv.StateVector:
 def near_side_mask(graph: Graph, v: str) -> int:
     """The near-side reading as an outcome-bit form: the bit at v's own
     half of each edge at v, in far_side_mask's big-endian convention."""
-    last = 2 * graph.n_edges - 1
     mask = 0
     for j, edge in enumerate(graph.edges):
         if v in edge:
-            mask |= 1 << (last - 2 * j - edge.index(v))
+            mask |= _outcome_bit(graph, 2 * j + edge.index(v))
     return mask
 
 
@@ -180,8 +179,8 @@ def apply_one_qubit_matrix(amps: np.ndarray, mat: np.ndarray, qubit: int) -> np.
 
 
 def correction_targets(graph: Graph, correction_kind: str) -> np.ndarray:
-    """Row r holds conj(C_s^dagger |G>) for the outcome s whose resource
-    register reads r, up to a sign per row, so that row . slab is
+    """Row s holds conj(C_s^dagger |G>) for outcome s, whose resource
+    register reads s, up to a sign per row, so that row . slab is
     <G| C_s |slab> up to that sign and its modulus is exact."""
     bra = graph_state(graph).amplitudes.conj()
     basis = np.arange(bra.size)
@@ -190,7 +189,7 @@ def correction_targets(graph: Graph, correction_kind: str) -> np.ndarray:
     # an odd number of bits
     table = (1.0 - 2.0 * (np.bitwise_count(basis[:, None] & basis) & 1)) * bra
     # phi(s) packs the sign forms read at each row's outcome index
-    index = _bit_reversed(graph, np.arange(graph.outcome_count()))
+    index = np.arange(graph.outcome_count())
     phi = np.zeros_like(index)
     for i, form in enumerate(_sign_forms(graph, correction_kind)):
         phi |= (np.bitwise_count(index & form) & 1).astype(index.dtype) << i

@@ -15,8 +15,10 @@ from pqw.graphs import (
     parse_edge_list,
     stabilizer_generators,
 )
+from pqw.noise import NoiseChannel, noisy_protocol_fidelity
 from pqw.stabilizer import PauliString
 from pqw.statevector import check_stabilizes, ghz_state, graph_state
+from pqw.verify import phase_lemma_check, verify_all_outcomes
 
 K2 = Graph(("A", "B"), (("A", "B"),))
 
@@ -59,6 +61,19 @@ def test_accessors():
     assert p4.is_tree()
     assert not catalog_lookup("C4").is_tree()
     assert p4.outcome_count() == 64
+
+
+def test_any_sequences_build_the_tuple_graph():
+    # lists are stored as tuples, so the graph is equal, hashes alike and
+    # keys the engines' caches
+    assert Graph(("A", "B"), (["A", "B"],)) == K2
+    built = Graph(["A", "B"], [("A", "B")])
+    assert built == K2 and hash(built) == hash(K2)
+    assert built.edges == (("A", "B"),)
+    assert verify_all_outcomes(built).passed
+    assert phase_lemma_check(built)
+    channel = NoiseChannel("depolarizing", 0.1)
+    assert noisy_protocol_fidelity(built, channel) == noisy_protocol_fidelity(K2, channel)
 
 
 # -- catalog ------------------------------------------------------------------

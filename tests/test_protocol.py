@@ -52,15 +52,27 @@ TREE_NAMES = ("P3", "P4", "P5", "K1_2", "K1_3", "K1_4", "spider", "fork")
 # -- qubit order and outcome indexing ------------------------------------------
 
 
-def test_layout_data_first_then_edge_pairs():
-    # data qubits 0-3 in vertex order, then edge j's endpoints at 4 + 2j
-    # and 5 + 2j
-    assert prep_gates(P4) == (("CZ", (4, 5)), ("CZ", (6, 7)), ("CZ", (8, 9)))
+def test_layout_resource_register_is_the_outcome_index():
+    # data qubits 0-3 in vertex order, then sequence bit m on qubit 9 - m:
+    # s1 = AB@A on qubit 9 down to s6 = CD@D on qubit 4
+    assert prep_gates(P4) == (("CZ", (9, 8)), ("CZ", (7, 6)), ("CZ", (5, 4)))
     assert walk_gates(P4) == (
-        ("CZ", (0, 4)), ("CZ", (1, 5)), ("CZ", (1, 6)),
-        ("CZ", (2, 7)), ("CZ", (2, 8)), ("CZ", (3, 9)),
+        ("CZ", (0, 9)), ("CZ", (1, 8)), ("CZ", (1, 7)),
+        ("CZ", (2, 6)), ("CZ", (2, 5)), ("CZ", (3, 4)),
         ("H", (4,)), ("H", (5,)), ("H", (6,)), ("H", (7,)), ("H", (8,)), ("H", (9,)),
     )
+
+
+def test_walk_cz_of_each_endpoint_lands_on_its_outcome_bit():
+    for name in TABLE_ORDER + ("K4",):
+        graph = catalog_lookup(name)
+        entanglers = walk_gates(graph)[: 2 * graph.n_edges]
+        for j, edge in enumerate(graph.edges):
+            for e, v in enumerate(edge):
+                gate, (data, qubit) = entanglers[2 * j + e]
+                assert (gate, data) == ("CZ", graph.vertex_index(v))
+                bit = 1 << (qubit - graph.n_vertices)
+                assert bit == protocol._outcome_bit(graph, 2 * j + e)
 
 
 def test_outcome_index_is_big_endian_over_the_bit_sequence():
@@ -210,13 +222,14 @@ def altered_walk(monkeypatch):
 
 
 def test_appended_x_negates_exactly_the_forms_that_hold_its_bit(altered_walk):
-    # X on resource qubit r after the walk flips its measured bit, so
-    # K_v turns -1 where sigma_v holds that bit, and only there
+    # X on resource qubit nv + m after the walk flips bit m of the
+    # outcome index, so K_v turns -1 where sigma_v holds that bit, and
+    # only there
     real = protocol.walk_gates
     far = [far_side_mask(P4, v) for v in P4.vertices]
     for m in range(2 * P4.n_edges):
         altered_walk(lambda graph, r=P4.n_vertices + m: real(graph) + (("X", (r,)),))
-        bit = 1 << (2 * P4.n_edges - 1 - m)
+        bit = 1 << m
         assert protocol._data_sign_forms(P4) == tuple(
             (-1 if sigma & bit else 1, sigma) for sigma in far
         )
@@ -231,7 +244,8 @@ def test_a_pair_read_as_y_y_carries_its_minus_sign(altered_walk):
     # sigma_A, and the pair's element of CZ|++> is then Y(x)Y, which is
     # -(XZ)(x)(XZ) in the X^x Z^z form
     real = protocol.walk_gates
-    altered_walk(lambda graph: (("CZ", (0, 3)),) + real(graph))
+    b_half = protocol._resource_qubit(K2, 1)
+    altered_walk(lambda graph: (("CZ", (0, b_half)),) + real(graph))
     assert protocol._data_sign_forms(K2) == ((-1, 0b11), (1, 0b10))
     for index in range(K2.outcome_count()):
         _, data = run_protocol(K2, index)
@@ -252,7 +266,8 @@ def test_symbolic_run_keeps_its_checks(altered_walk):
         run_protocol_tableau(P4, 0)
     # H on A's half before the walk: no sign of either K_v fixes the
     # dense data state at any outcome, and the reader finds neither
-    altered_walk(lambda graph: (("H", (2,)),) + real(graph))
+    a_half = protocol._resource_qubit(K2, 0)
+    altered_walk(lambda graph: (("H", (a_half,)),) + real(graph))
     assert protocol._data_sign_forms(K2) == (None, None)
     for index in range(K2.outcome_count()):
         _, data = run_protocol(K2, index)

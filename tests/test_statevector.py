@@ -15,6 +15,7 @@ from helpers import (
     states_equal,
 )
 from pqw import statevector as sv
+from pqw.graphs import parse_edge_list
 
 # -- construction and validation --------------------------------------------
 
@@ -51,11 +52,17 @@ def test_from_amplitudes_normalize_flag():
 
 
 def test_qubit_ceiling():
-    with pytest.raises(sv.ResourceError, match="ceiling"):
-        sv.new_plus(sv.DEFAULT_QUBIT_CEILING + 1)
-    with pytest.raises(sv.ResourceError):
-        sv.new_zero(3, max_qubits=2)
-    assert sv.new_zero(3, max_qubits=3).n_qubits == 3
+    # refused before any allocation, also where the protocol allocates
+    too_many = sv.DEFAULT_QUBIT_CEILING + 1
+    message = f"{too_many} qubits exceeds the ceiling of {sv.DEFAULT_QUBIT_CEILING}$"
+    for make in (sv.new_plus, sv.new_zero):
+        with pytest.raises(sv.ResourceError, match=message):
+            make(too_many)
+    path = parse_edge_list("\n".join(f"v{i} v{i + 1}" for i in range(8)))
+    assert path.n_vertices + 2 * path.n_edges == too_many
+    with pytest.raises(sv.ResourceError, match=message):
+        sv.run_protocol(path, 0)
+    assert sv.new_zero(3).n_qubits == 3
 
 
 # -- gate kernels vs matrix oracle -------------------------------------------
