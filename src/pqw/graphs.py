@@ -166,15 +166,25 @@ def parse_edge_list(text: str) -> Graph:
     return Graph(tuple(vertices), tuple(edges))
 
 
+def _neighbour_xor(graph: Graph, values: list[int]) -> list[int]:
+    """The XOR of values[u] over the neighbours u of each vertex, in
+    vertex order, read in one pass over the edges."""
+    index = {v: i for i, v in enumerate(graph.vertices)}
+    out = [0] * len(index)
+    for u, w in graph.edges:
+        i, j = index[u], index[w]
+        out[i] ^= values[j]
+        out[j] ^= values[i]
+    return out
+
+
+def adjacency(graph: Graph) -> list[int]:
+    """The adjacency matrix as one neighbour mask per vertex index; it is
+    symmetric, so row v is column v."""
+    return _neighbour_xor(graph, [1 << i for i in range(graph.n_vertices)])
+
+
 def stabilizer_generators(graph: Graph) -> tuple[PauliString, ...]:
     """One generator per vertex: X there, Z on each neighbor."""
     n = graph.n_vertices
-    gens = []
-    for v in graph.vertices:
-        x_bits = 1 << graph.vertex_index(v)
-        z_bits = 0
-        for u in graph.neighbors(v):
-            z_bits |= 1 << graph.vertex_index(u)
-        gens.append(PauliString(n, x_bits, z_bits))
-    return tuple(gens)
-
+    return tuple(PauliString(n, 1 << i, row) for i, row in enumerate(adjacency(graph)))

@@ -38,12 +38,13 @@ M = sum_s |s><s| (x) C_s^dagger |G><G| C_s is the projector of a
 stabilizer code with one generator K_v (x) Z_R^{phi_v} per vertex, so
 F = tr(M rho) is 2^-|V| times the sum of the expectations of its 2^|V|
 elements, taken in Gray-code order.  After prep, each element is
-carried back through the walk (pqw.protocol's _walk_back) and the
-adjoint channel to the prepared state, |+> per data qubit and CZ|++> per
-edge.  Before measurement the channel only reaches Z_R, and each
-expectation is read off the sign forms of the K_v that the same backward
-run gives: xor-linear outcome-bit masks and a sign.  Both conditional
-paths cost 2^|V| terms, so DEFAULT_VERTEX_BUDGET bounds |V| there.
+carried back through the walk (pqw.protocol's _walk_back, transposed
+into strings) and the adjoint channel to the prepared state, |+> per
+data qubit and CZ|++> per edge.  Before measurement the channel only
+reaches Z_R, and each expectation is read off the sign forms of the K_v
+that the same backward run gives: xor-linear outcome-bit masks and a
+sign.  Both conditional paths cost 2^|V| terms, so DEFAULT_VERTEX_BUDGET
+bounds |V| there.
 
 The default is strict because the closed-form curves are the quantity
 the rest of the toolchain (effective-p extraction, channel comparisons)
@@ -58,9 +59,9 @@ from functools import lru_cache
 from itertools import product
 from typing import NamedTuple
 
-from .graphs import Graph, ResourceError, _Checked
-from .protocol import _present_sign_forms, _sign_forms, _walk_back
-from .stabilizer import PauliString
+from .graphs import Graph, ResourceError, _Checked, adjacency
+from .protocol import _back_rows, _present_sign_forms, _sign_forms, _walk_back
+from .stabilizer import PauliString, _transpose
 from .verify import _pass_fraction, _sign_conditions
 
 CHANNEL_KINDS = ("depolarizing", "phase_damping", "amplitude_damping")
@@ -361,7 +362,13 @@ def _heisenberg_generators(graph: Graph, correction_kind: str) -> tuple[PauliStr
     C_s^dagger K_v C_s = (-1)^{|phi_v & s|} K_v, and Z_R^{phi_v} reads that
     sign off the resource register, so M = prod_v (1 + S_v)/2.
     """
-    return _walk_back(graph, _sign_forms(graph, correction_kind))
+    nv, k = graph.n_vertices, 2 * graph.n_edges
+    phi_columns = _transpose(_sign_forms(graph, correction_kind), k)
+    x, z, flips = _walk_back(_back_rows(graph), adjacency(graph), phi_columns)
+    return tuple(
+        PauliString(nv + k, x_bits, z_bits, 2 * (flips >> v & 1))
+        for v, (x_bits, z_bits) in enumerate(zip(_transpose(x, nv), _transpose(z, nv)))
+    )
 
 
 _PAIR = (0.5, 0.5, 0.5, -0.5)  # CZ|++>

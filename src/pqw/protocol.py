@@ -36,20 +36,20 @@ sign of K_v in the data group after the walk (the phase lemma).
 
 Every correction kind is a function of the graph alone: it returns
 per-vertex (x, z) outcome-bit forms, masks over the big-endian outcome
-index like far_side_mask, and the plan of outcome s is those forms read
+index like far_side_masks, and the plan of outcome s is those forms read
 at s by parity.  As X_u|G> = Z_{N(u)}|G>, a plan reaches |G> only through
 its sign forms phi_v = z_v xor (xor of x_u over u ~ v), and the parity
-condition is phi_v = g_v = far_side_mask(v).  verify and the noise sum
-read plans as phi, verify against the sign forms (sign_v, sigma_v) that
-_data_sign_forms reads off the walk.
+condition is phi_v = g_v, v's entry of far_side_masks.  verify and the
+noise sum read plans as phi, verify against the sign forms
+(sign_v, sigma_v) that _data_sign_forms reads off the walk.
 
 The circuit is written once, as the gate lists prep_gates and walk_gates,
 and one function, _walk_back, runs the walk backwards in the Heisenberg
-picture: W^dagger (K_v (x) Z_R^{phi_v}) W for every v.  The prepared
-state |+>^V (x) CZ|++>^E has a stabilizer group local to each data qubit
-and each pair, so each K_v's sign form is read off that run bit by bit,
-with no measurement rule and no elimination; the noise sum takes the
-same run as its code.
+picture: W^dagger (K_v (x) Z_R^{phi_v}) W for every v at once, as
+bit-packed columns.  The prepared state |+>^V (x) CZ|++>^E has a
+stabilizer group local to each data qubit and each pair, so each K_v's
+sign form is read off that run with no measurement rule and no
+elimination; the noise sum takes the same run as its code.
 The dense per-outcome reference, which applies plans to amplitudes
 (run_protocol, corrected_fidelity), runs them in pqw.statevector; nothing
 here imports numpy.
@@ -57,10 +57,11 @@ here imports numpy.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import or_, xor
 
-from .graphs import Graph, catalog_lookup, stabilizer_generators
-from .stabilizer import PauliString, conjugate_circuit
+from .graphs import Graph, _neighbour_xor, adjacency, catalog_lookup, stabilizer_generators
+from .stabilizer import PauliString, _checked_gates, _conj_columns, _set_bits, _transpose
 
 
 # -- protocol circuit ------------------------------------------------------
@@ -91,8 +92,9 @@ def walk_gates(graph: Graph) -> tuple[tuple[str, tuple[int, ...]], ...]:
     entangling CZ(data, own resource half) for every incidence in edge
     order, then H on every resource qubit."""
     nv = graph.n_vertices
+    index = {v: i for i, v in enumerate(graph.vertices)}
     gates = [
-        ("CZ", (graph.vertex_index(v), _resource_qubit(graph, 2 * j + e)))
+        ("CZ", (index[v], _resource_qubit(graph, 2 * j + e)))
         for j, edge in enumerate(graph.edges)
         for e, v in enumerate(edge)
     ]
@@ -100,29 +102,31 @@ def walk_gates(graph: Graph) -> tuple[tuple[str, tuple[int, ...]], ...]:
     return tuple(gates)
 
 
-def far_side_mask(graph: Graph, v: str) -> int:
-    """g_v as an outcome-bit form: the XOR of the far-side bits at v is
-    the parity of this mask AND-ed with the outcome index."""
-    mask = 0
-    for j, edge in enumerate(graph.edges):
-        if v in edge:
-            far = 2 * j + (1 if v == edge[0] else 0)
-            mask |= _outcome_bit(graph, far)
-    return mask
+def far_side_masks(graph: Graph) -> list[int]:
+    """g_v as an outcome-bit form per vertex, in vertex order: the XOR of
+    the far-side bits at v is the parity of its mask AND the outcome index."""
+    index = {v: i for i, v in enumerate(graph.vertices)}
+    masks = [0] * len(index)
+    for j, (u, w) in enumerate(graph.edges):
+        first = _outcome_bit(graph, 2 * j)  # big-endian: the second is first >> 1
+        masks[index[u]] |= first >> 1
+        masks[index[w]] |= first
+    return masks
 
 
-def _walk_back(graph: Graph, phis) -> tuple[PauliString, ...]:
-    """W^dagger (K_v (x) Z_R^{phi_v}) W for each vertex v, W the walk and
-    phi_v an outcome-bit form, as strings on every qubit."""
-    nv = graph.n_vertices
-    total = nv + 2 * graph.n_edges
-    generators = []
-    for k_v, phi in zip(stabilizer_generators(graph), phis):
-        # the resource register is the outcome index, so phi is its Z mask
-        generators.append(PauliString(total, k_v.x_bits, k_v.z_bits | phi << nv))
-    # every walk gate is its own inverse, so W^dagger P W is the walk run
-    # backwards in the Schroedinger rule U P U^dagger
-    return conjugate_circuit(generators, reversed(walk_gates(graph)))
+def _back_rows(graph: Graph) -> list[tuple[str, int, int]]:
+    """The walk as checked rows, last gate first: each gate is its own
+    inverse, so W^dagger P W is the walk run backwards as U P U^dagger."""
+    return _checked_gates(graph.n_vertices + 2 * graph.n_edges, reversed(walk_gates(graph)))
+
+
+def _walk_back(rows, neighbours, phi_columns) -> tuple[list[int], list[int], int]:
+    """W^dagger (K_v (x) Z_R^{phi_v}) W for every v, W the rows of _back_rows
+    and K_v seeded from its adjacency row, as _conj_columns' columns and
+    flip mask; phi_columns[t] holds bit t of every phi_v, on qubit nv + t."""
+    x = [1 << i for i in range(len(neighbours))] + [0] * len(phi_columns)
+    z = neighbours + list(phi_columns)
+    return x, z, _conj_columns(x, z, rows)
 
 
 @lru_cache(maxsize=32)
@@ -136,31 +140,25 @@ def _data_sign_forms(graph: Graph) -> tuple[tuple[int, int] | None, ...]:
     that is when its walk run backwards lies in the prepared group.  That
     group is local: X on each data qubit, and X(x)Z, Z(x)X and their
     product on each pair, so an element is +-P with no Z on a data qubit
-    and its x bits the swap of its z bits on every pair.  Pass 1 runs K_v
-    back alone and reads sigma_v off the resource bits where x and the
-    swapped z differ, as a resource Z_r comes back as X_r Z_{d(r)}; pass 2
-    runs K_v (x) Z_R^{sigma_v} back through the same gates and checks it.
+    and its x bit at each resource qubit equal to its z bit at the pair
+    partner.  Pass 1 runs every K_v back alone and reads sigma_v off the
+    resource qubits where the two differ, as a resource Z_r comes back as
+    X_r Z_{d(r)}; pass 2 runs every K_v (x) Z_R^{sigma_v} back and checks it.
     """
-    nv = graph.n_vertices
-    data = (1 << nv) - 1
-    even = int("01" * graph.n_edges or "0", 2)  # each pair's second endpoint
-
-    def split(p: PauliString) -> tuple[int, int]:
-        """p's resource x bits and the pair swap of its resource z bits."""
-        z = p.z_bits >> nv
-        return p.x_bits >> nv, ((z & even) << 1) | ((z >> 1) & even)
-
-    sigmas = [x ^ swapped for x, swapped in map(split, _walk_back(graph, [0] * nv))]
-    forms = []
-    for sigma, p in zip(sigmas, _walk_back(graph, sigmas)):
-        x, swapped = split(p)
-        if p.z_bits & data or p.phase % 2 or x != swapped:
-            forms.append(None)
-            continue
-        # the product X(x)Z * Z(x)X is -(XZ)(x)(XZ) in the X^x Z^z form
-        flips = p.phase // 2 + (x & (x >> 1) & even).bit_count()
-        forms.append((-1 if flips % 2 else 1, sigma))
-    return tuple(forms)
+    nv, k = graph.n_vertices, 2 * graph.n_edges
+    rows, neighbours = _back_rows(graph), adjacency(graph)
+    # resource qubit nv + t and its pair partner nv + (t ^ 1)
+    pairs = [(nv + t, nv + (t ^ 1)) for t in range(k)]
+    x, z, _ = _walk_back(rows, neighbours, [0] * k)
+    sigmas = [x[r] ^ z[partner] for r, partner in pairs]
+    x, z, flips = _walk_back(rows, neighbours, sigmas)
+    missing = reduce(or_, z[:nv] + [x[r] ^ z[partner] for r, partner in pairs], 0)
+    # the product X(x)Z * Z(x)X is -(XZ)(x)(XZ) in the X^x Z^z form
+    flips ^= reduce(xor, (x[r] & x[r + 1] for r in range(nv, nv + k, 2)), 0)
+    return tuple(
+        None if missing >> v & 1 else (-1 if flips >> v & 1 else 1, sigma)
+        for v, sigma in enumerate(_transpose(sigmas, nv))
+    )
 
 
 def _check_index(graph: Graph, index: int) -> int:
@@ -205,7 +203,7 @@ def _forms(graph: Graph, x: dict[str, int], z: dict[str, int]) -> Forms:
 def universal_correction(graph: Graph) -> Forms:
     """Z at exactly the vertices with odd far-side parity; valid for
     every connected graph and every outcome."""
-    return _forms(graph, {}, {v: far_side_mask(graph, v) for v in graph.vertices})
+    return tuple((0, g) for g in far_side_masks(graph))
 
 
 def l4_correction(graph: Graph) -> Forms:
@@ -250,34 +248,23 @@ def tree_correction(graph: Graph) -> Forms:
     """
     if not graph.is_tree():
         raise ValueError("tree correction requires a tree")
+    rows = adjacency(graph)
+    by_label = graph.vertices.__getitem__
     # the lone vertex of a one-vertex tree is its own reference
     reference = min(
-        (v for v in graph.vertices if graph.degree(v) == 1), default=graph.vertices[0]
+        (i for i, row in enumerate(rows) if row.bit_count() == 1), key=by_label, default=0
     )
-    g = {v: far_side_mask(graph, v) for v in graph.vertices}
-    x: dict[str, int] = {v: 0 for v in graph.vertices}
-    parent: dict[str, str | None] = {reference: None}
+    g = far_side_masks(graph)
+    x = [0] * len(rows)
+    parent = {reference: reference}  # never a child, so x[reference] is 0
     order = [reference]
-    seen = {reference}
-    i = 0
-    while i < len(order):
-        q = order[i]
-        i += 1
-        children = sorted(u for u in graph.neighbors(q) if u not in seen)
-        for c in children:
-            parent[c] = q
-            seen.add(c)
-            order.append(c)
+    for q in order:  # order grows as the walk reaches each child
+        children = sorted((u for u in _set_bits(rows[q]) if u not in parent), key=by_label)
+        parent.update(dict.fromkeys(children, q))
+        order += children
         if children:
-            inherited = 0 if parent[q] is None else x[parent[q]]
-            x[children[0]] = g[q] ^ inherited
-    z: dict[str, int] = {}
-    for v in graph.vertices:
-        acc = g[v]
-        for u in graph.neighbors(v):
-            acc ^= x[u]
-        z[v] = acc
-    return _forms(graph, x, z)
+            x[children[0]] = g[q] ^ x[parent[q]]
+    return tuple(zip(x, (gv ^ s for gv, s in zip(g, _neighbour_xor(graph, x)))))
 
 
 def plans_equivalent(plan_a: PauliString, plan_b: PauliString, graph: Graph) -> bool:
@@ -329,12 +316,8 @@ def correction_plan(graph: Graph, index: int, kind: str) -> PauliString:
 def _sign_forms(graph: Graph, correction_kind: str) -> list[int]:
     """phi_v = z_v xor (xor of x_u over u ~ v) per vertex, as outcome-bit
     forms: the plan for outcome s flips the sign of K_v by
-    (-1)^{|phi_v & s|}, so it is valid exactly when phi_v equals
-    far_side_mask(v)."""
+    (-1)^{|phi_v & s|}, so it is valid exactly when phi_v equals v's
+    far_side_masks entry."""
     forms = correction_forms(graph, correction_kind)
-    phis = []
-    for v, (_, z) in zip(graph.vertices, forms):
-        for u in graph.neighbors(v):
-            z ^= forms[graph.vertex_index(u)][0]
-        phis.append(z)
-    return phis
+    flips = _neighbour_xor(graph, [x for x, _ in forms])
+    return [z ^ f for (_, z), f in zip(forms, flips)]

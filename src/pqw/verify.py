@@ -37,8 +37,8 @@ from __future__ import annotations
 from itertools import repeat
 from typing import NamedTuple
 
-from .graphs import Graph
-from .protocol import _data_sign_forms, _present_sign_forms, _sign_forms, far_side_mask
+from .graphs import Graph, adjacency
+from .protocol import _data_sign_forms, _present_sign_forms, _sign_forms, far_side_masks
 
 _FIDELITY = (0.0, 1.0)  # by whether an outcome meets every condition
 _FLIP = bytes.maketrans(b"\0\1", b"\1\0")
@@ -181,8 +181,7 @@ def phase_lemma_check(graph: Graph) -> bool:
     at once, at every graph size.
     """
     return all(
-        form == (1, far_side_mask(graph, v))
-        for v, form in zip(graph.vertices, _data_sign_forms(graph))
+        form == (1, g) for form, g in zip(_data_sign_forms(graph), far_side_masks(graph))
     )
 
 
@@ -202,21 +201,11 @@ class LcReport(NamedTuple):
         return any(r.rank_a != r.rank_b for r in self.records)
 
 
-def _adjacency(graph: Graph) -> list[int]:
-    """The adjacency matrix as one neighbour mask per vertex index."""
-    rows = [0] * graph.n_vertices
-    for u, v in graph.edges:
-        i, j = graph.vertex_index(u), graph.vertex_index(v)
-        rows[i] |= 1 << j
-        rows[j] |= 1 << i
-    return rows
-
-
-def _schmidt_rank(adjacency: list[int], side_a: frozenset[int]) -> int:
+def _schmidt_rank(rows: list[int], side_a: frozenset[int]) -> int:
     """The graph state's Schmidt rank across (A, B): 2^r, r the GF(2)
     rank of the rows "neighbours of a that lie in B", one per a in A."""
     in_a = sum(1 << a for a in side_a)
-    return 1 << len(_pivots(adjacency[a] & ~in_a for a in side_a))
+    return 1 << len(_pivots(rows[a] & ~in_a for a in side_a))
 
 
 def lc_check(graph_a: Graph, graph_b: Graph, cuts) -> LcReport:
@@ -236,7 +225,7 @@ def lc_check(graph_a: Graph, graph_b: Graph, cuts) -> LcReport:
                 f"cut {sorted(side)} is not a non-empty proper subset of "
                 f"the {n} vertex indices"
             )
-    a, b = _adjacency(graph_a), _adjacency(graph_b)
+    a, b = adjacency(graph_a), adjacency(graph_b)
     return LcReport(
         tuple(CutRecord(side, _schmidt_rank(a, side), _schmidt_rank(b, side)) for side in sides)
     )

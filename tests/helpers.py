@@ -119,12 +119,18 @@ def ghz_from_star() -> sv.StateVector:
 
 def near_side_mask(graph: Graph, v: str) -> int:
     """The near-side reading as an outcome-bit form: the bit at v's own
-    half of each edge at v, in far_side_mask's big-endian convention."""
+    half of each edge at v, in far_side_masks' big-endian convention."""
     mask = 0
     for j, edge in enumerate(graph.edges):
         if v in edge:
             mask |= _outcome_bit(graph, 2 * j + edge.index(v))
     return mask
+
+
+def near_side_masks(graph: Graph) -> list[int]:
+    """near_side_mask of every vertex, in vertex order, shaped like
+    far_side_masks."""
+    return [near_side_mask(graph, v) for v in graph.vertices]
 
 
 def near_parity(graph: Graph, index: int, v: str) -> int:

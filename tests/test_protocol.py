@@ -22,7 +22,7 @@ from pqw.protocol import (
     c4_correction,
     correction_forms,
     correction_plan,
-    far_side_mask,
+    far_side_masks,
     l4_correction,
     plans_equivalent,
     run_protocol_tableau,
@@ -96,7 +96,7 @@ def test_index_out_of_range_is_refused():
 
 
 def _g(graph, index, v):
-    return (far_side_mask(graph, v) & index).bit_count() & 1
+    return (far_side_masks(graph)[graph.vertex_index(v)] & index).bit_count() & 1
 
 
 def test_near_far_parities():
@@ -107,7 +107,7 @@ def test_near_far_parities():
         "C": 0b000110,
         "D": 0b000001,
     }
-    assert {v: far_side_mask(P4, v) for v in "ABCD"} == {
+    assert dict(zip(P4.vertices, far_side_masks(P4))) == {
         "A": 0b010000,
         "B": 0b100100,
         "C": 0b001001,
@@ -173,7 +173,7 @@ def test_far_side_mask_is_g_as_a_form():
     }
     for name, want in masks.items():
         graph = catalog_lookup(name)
-        assert {v: far_side_mask(graph, v) for v in graph.vertices} == want
+        assert dict(zip(graph.vertices, far_side_masks(graph))) == want
     # C4 at s2 = s3 = s8 = 1: g_A = s2^s7, g_B = s1^s4, g_C = s3^s6, g_D = s5^s8
     assert [_g(C4, 0b01100001, v) for v in "ABCD"] == [1, 0, 1, 1]
 
@@ -226,7 +226,7 @@ def test_appended_x_negates_exactly_the_forms_that_hold_its_bit(altered_walk):
     # outcome index, so K_v turns -1 where sigma_v holds that bit, and
     # only there
     real = protocol.walk_gates
-    far = [far_side_mask(P4, v) for v in P4.vertices]
+    far = far_side_masks(P4)
     for m in range(2 * P4.n_edges):
         altered_walk(lambda graph, r=P4.n_vertices + m: real(graph) + (("X", (r,)),))
         bit = 1 << m
@@ -476,10 +476,10 @@ def _parity_condition_holds(graph, kind):
     # z_v xor (xor of x_u over u ~ v) must equal g_v as forms, which is
     # the plan's validity at every outcome at once
     forms = correction_forms(graph, kind)
-    for v, (_, z) in zip(graph.vertices, forms):
+    for v, (_, z), g in zip(graph.vertices, forms, far_side_masks(graph)):
         for u in graph.neighbors(v):
             z ^= forms[graph.vertex_index(u)][0]
-        if z != far_side_mask(graph, v):
+        if z != g:
             return False
     return True
 
@@ -515,9 +515,9 @@ def test_parity_condition_holds_as_forms_past_the_dense_ceiling():
 
 
 def test_parity_condition_rejects_a_dropped_bit(monkeypatch):
-    real = protocol.far_side_mask
+    real = protocol.far_side_masks
     monkeypatch.setattr(
-        protocol, "far_side_mask", lambda graph, v: real(graph, v) & (real(graph, v) - 1)
+        protocol, "far_side_masks", lambda graph: [m & (m - 1) for m in real(graph)]
     )
     protocol.correction_forms.cache_clear()
     try:

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import grid, near_side_mask, small_connected_graphs
+from helpers import grid, near_side_masks, small_connected_graphs
 from pqw import cli, protocol, verify
 from pqw import statevector as sv
 from pqw.graphs import (
@@ -21,7 +21,7 @@ from pqw.graphs import (
     parse_edge_list,
     stabilizer_generators,
 )
-from pqw.noise import NoiseChannel, noise_sweep
+from pqw.noise import NoiseChannel, f_star_dep, noise_sweep, noisy_protocol_fidelity
 from pqw.statevector import corrected_fidelity, ghz_state, graph_state, run_protocol
 from pqw.verify import (
     LcReport,
@@ -141,7 +141,7 @@ def test_verify_decides_a_grid_past_the_ceiling(monkeypatch):
     monkeypatch.setattr(
         protocol, "correction_forms", lambda graph, kind: ((0, 0),) * graph.n_vertices
     )
-    masks = [protocol.far_side_mask(graph, v) for v in graph.vertices]
+    masks = protocol.far_side_masks(graph)
     assert verify_all_outcomes(graph).first_failure() == min(m & -m for m in masks)
 
 
@@ -317,7 +317,7 @@ def test_phase_lemma_on_a_grid_past_the_dense_ceiling():
 
 
 def test_phase_lemma_rejects_the_near_side_sign_form(monkeypatch):
-    monkeypatch.setattr(verify, "far_side_mask", near_side_mask)
+    monkeypatch.setattr(verify, "far_side_masks", near_side_masks)
     assert phase_lemma_check(P4) is False
     assert phase_lemma_check(grid(3, 3)) is False
 
@@ -354,6 +354,30 @@ def test_lc_check_validation():
     for cut in ((), (0, 1, 2, 3), (0, 4)):
         with pytest.raises(ValueError, match="proper subset"):
             lc_check(P4, P4, (cut,))
+
+
+def test_engines_make_no_per_vertex_graph_lookup(monkeypatch):
+    # Graph.neighbors scans every edge and vertex_index every vertex, so a
+    # call per vertex makes an engine quadratic; each engine reads the
+    # graph in one pass over its edges instead
+    square = grid(6, 6)
+    path = parse_edge_list("\n".join(f"v{i} v{i + 1}" for i in range(39)))
+
+    def refuse(*args):
+        raise AssertionError("per-vertex graph lookup")
+
+    for name in ("neighbors", "vertex_index", "degree"):
+        monkeypatch.setattr(Graph, name, refuse)
+    protocol._data_sign_forms.cache_clear()
+    protocol.correction_forms.cache_clear()
+    assert verify_all_outcomes(square).passed
+    assert verify_all_outcomes(path, "tree").passed
+    assert phase_lemma_check(square) is True
+    channel = NoiseChannel("depolarizing", 0.1)
+    assert noisy_protocol_fidelity(square, channel) == pytest.approx(
+        f_star_dep(0.1, 2 * square.n_edges), rel=1e-12
+    )
+    assert lc_check(P4, K1_3, (_cut("ABCD", "AC"),)).inequivalent
 
 
 @st.composite
