@@ -264,7 +264,7 @@ def cmd_verify(config: RunConfig) -> int:
 
 
 def cmd_noise(config: RunConfig) -> int:
-    from .noise import f_star_dep, noise_sweep, parse_channel
+    from .noise import CHANNEL_ALIASES, f_star_dep, noise_sweep
 
     if config.compare is not None:
         rows = []
@@ -292,7 +292,7 @@ def cmd_noise(config: RunConfig) -> int:
     if config.fmt == "json":
         payload = {
             "graph": name,
-            "channel": parse_channel(config.channel, 0.0).kind,
+            "channel": CHANNEL_ALIASES[config.channel],
             "correction": config.correction,
             "insertion": config.insertion,
             "metric": config.metric,

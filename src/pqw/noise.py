@@ -44,7 +44,8 @@ data qubit and CZ|++> per edge.  Before measurement the channel only
 reaches Z_R, and each expectation is read off the sign forms of the K_v
 that the same backward run gives: xor-linear outcome-bit masks and a
 sign.  Both conditional paths cost 2^|V| terms, so DEFAULT_VERTEX_BUDGET
-bounds |V| there.
+bounds |V| there.  No channel changes the code, so a sweep builds it, or
+strict's noiseless fraction, once and reads every p off that one build.
 
 The default is strict because the closed-form curves are the quantity
 the rest of the toolchain (effective-p extraction, channel comparisons)
@@ -55,7 +56,6 @@ from __future__ import annotations
 
 import math
 import operator
-from functools import lru_cache
 from itertools import product
 from typing import NamedTuple
 
@@ -77,6 +77,11 @@ METRICS = ("strict", "conditional")
 DEFAULT_VERTEX_BUDGET = 12
 
 
+def _check_choice(what: str, value: str, choices: tuple[str, ...]) -> None:
+    if value not in choices:
+        raise ValueError(f"unknown {what} {value!r}; expected one of {choices}")
+
+
 class _ChannelFields(NamedTuple):
     kind: str
     p: float
@@ -88,10 +93,7 @@ class NoiseChannel(_Checked, _ChannelFields):
     __slots__ = ()
 
     def __new__(cls, kind: str, p: float):
-        if kind not in CHANNEL_KINDS:
-            raise ValueError(
-                f"unknown channel kind {kind!r}; expected one of {CHANNEL_KINDS}"
-            )
+        _check_choice("channel kind", kind, CHANNEL_KINDS)
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"channel strength must lie in [0, 1], got {p}")
         return super().__new__(cls, kind, p)
@@ -230,47 +232,16 @@ def noisy_protocol_fidelity(
     metric: str = "strict",
 ) -> float:
     """Exact fidelity of the distributed state under independent noise
-    on every resource qubit.
+    on every resource qubit: noise_sweep at one point.
 
     Every one of the 4^|E| measurement outcomes and every error branch
     over the k = 2|E| resource qubits is accounted for, with the
-    noiseless correction formula applied per outcome.  Strict reads the
-    noiseless fidelity off the sign conditions of the K_v sign forms;
-    every conditional channel and insertion point runs as one
-    Heisenberg-picture sum over the 2^|V| elements of the code of the
-    corrected fidelity, so DEFAULT_VERTEX_BUDGET bounds the vertex count
-    there.  See the module docstring for what the two metrics count.
+    noiseless correction formula applied per outcome.  See the module
+    docstring for what the two metrics count and how; conditional sums
+    2^|V| terms, so DEFAULT_VERTEX_BUDGET bounds the vertex count there.
     Both reduce to 1 at p=0.
     """
-    if insertion not in INSERTION_POINTS:
-        raise ValueError(
-            f"unknown insertion point {insertion!r}; expected one of {INSERTION_POINTS}"
-        )
-    if metric not in METRICS:
-        raise ValueError(f"unknown metric {metric!r}; expected one of {METRICS}")
-    # plain nested lists: a matrix product on 2x2 operands would only
-    # wake BLAS, which costs peak memory and buys no speed
-    ops = _kraus_lists(channel)
-    if metric == "strict":
-        # each qubit comes through error-free with probability
-        # sum_b |tr(K_b)/2|^2, independently of the others; that fraction
-        # multiplies the noiseless fidelity, the share of outcomes that
-        # meet every sign condition
-        retention = math.fsum(abs(op[0][0] + op[1][1]) ** 2 / 4.0 for op in ops)
-        noiseless = _pass_fraction(_sign_conditions(graph, correction_kind))
-        return retention ** (2 * graph.n_edges) * noiseless
-    if graph.n_vertices > DEFAULT_VERTEX_BUDGET:
-        raise ResourceError(
-            f"Heisenberg sum over {graph.n_vertices} vertices exceeds the budget "
-            f"of {DEFAULT_VERTEX_BUDGET}; pick a smaller graph"
-        )
-    if insertion == "post_prep":
-        return _prepared_sum(graph, ops, correction_kind)
-    # every channel here is diagonal in E^dagger(Z) = a + b Z
-    z = _adjoint(ops, _SITE_PAULIS[0, 1])
-    a = (z[0][0] + z[1][1]).real / 2.0
-    b = (z[0][0] - z[1][1]).real / 2.0
-    return _measured_sum(graph, correction_kind, a, b)
+    return _fidelities(graph, (channel,), correction_kind, insertion, metric)[0]
 
 
 def noise_sweep(
@@ -281,22 +252,16 @@ def noise_sweep(
     insertion: str = "post_prep",
     metric: str = "strict",
 ) -> NoiseReport:
-    """Enumerate the exact fidelity on each grid point and attach the
-    closed-form curve where one exists (depolarizing and phase damping;
-    amplitude damping has none and gets no overlay)."""
+    """noisy_protocol_fidelity at each grid point, from one build of the
+    code, with the closed-form curve where one exists (depolarizing and
+    phase damping; amplitude damping has none and gets no overlay).  Every
+    argument is checked before any point is computed."""
     kind = CHANNEL_ALIASES.get(channel_kind, channel_kind)
+    _check_choice("channel kind", kind, CHANNEL_KINDS)
     grid = tuple(float(p) for p in p_grid)
+    channels = [NoiseChannel(kind, p) for p in grid]
     k = 2 * graph.n_edges
-    fidelities = tuple(
-        noisy_protocol_fidelity(
-            graph,
-            NoiseChannel(kind, p),
-            correction_kind=correction_kind,
-            insertion=insertion,
-            metric=metric,
-        )
-        for p in grid
-    )
+    fidelities = tuple(_fidelities(graph, channels, correction_kind, insertion, metric))
     if kind == "depolarizing":
         analytic = tuple(f_star_dep(p, k) for p in grid)
     elif kind == "phase_damping":
@@ -306,21 +271,46 @@ def noise_sweep(
     return NoiseReport(grid, fidelities, analytic, k)
 
 
+def _fidelities(
+    graph: Graph, channels, correction_kind: str, insertion: str, metric: str
+) -> list[float]:
+    """The exact fidelity under each channel, from one build of what no
+    channel changes; the build reads the correction kind's forms, and so
+    checks it, before any channel is read."""
+    _check_choice("insertion point", insertion, INSERTION_POINTS)
+    _check_choice("metric", metric, METRICS)
+    if metric == "strict":
+        # the per-qubit retention sum_b |tr(K_b)/2|^2 to the power k, times
+        # the noiseless fidelity: the share of outcomes that meet every sign condition
+        noiseless = _pass_fraction(_sign_conditions(graph, correction_kind))
+        kraus = map(_kraus_lists, channels)
+        retention = [math.fsum(abs(op[0][0] + op[1][1]) ** 2 / 4.0 for op in ops) for ops in kraus]
+        return [r ** (2 * graph.n_edges) * noiseless for r in retention]
+    if graph.n_vertices > DEFAULT_VERTEX_BUDGET:
+        raise ResourceError(
+            f"Heisenberg sum over {graph.n_vertices} vertices exceeds the budget "
+            f"of {DEFAULT_VERTEX_BUDGET}; pick a smaller graph"
+        )
+    if insertion == "post_prep":
+        return _prepared_sums(graph, correction_kind, channels)
+    return _measured_sums(graph, correction_kind, channels)
+
+
 # -- Heisenberg-picture sum ----------------------------------------------------
 
 
-def _code_sum(identity, generators, multiply, read) -> float:
-    """2^-n times the sum of read(S_A) over the 2^n products S_A of the
-    n generators, in Gray-code order: one product a step."""
-    term, values = identity, [read(identity)]
+def _code(identity, generators, multiply):
+    """The 2^n products S_A of the n generators, in Gray-code order: one
+    product a step."""
+    term = identity
+    yield term
     for step in range(1, 1 << len(generators)):
         term = multiply(term, generators[(step & -step).bit_length() - 1])
-        values.append(read(term))
-    return math.fsum(values) / (1 << len(generators))
+        yield term
 
 
-def _measured_sum(graph: Graph, correction_kind: str, a: float, b: float) -> float:
-    """Conditional fidelity of a channel with E^dagger(Z) = a + b Z on
+def _measured_sums(graph: Graph, correction_kind: str, channels) -> list[float]:
+    """Conditional fidelity of each channel, E^dagger(Z) = a + b Z, on
     every resource qubit just before it is measured:
 
         F = 2^-|V| sum_{A subset V} <psi_pre| E^dagger(K_A (x) Z_R^{phi_A}) |psi_pre>
@@ -332,7 +322,8 @@ def _measured_sum(graph: Graph, correction_kind: str, a: float, b: float) -> flo
     and sigma_A and sign_A their xor and product over A.  So per resource
     bit (phi_A, sigma_A) reads (0,0) -> 1, (1,0) -> a, (1,1) -> b and
     (0,1) -> 0.  The masks and the sign bit are xor-linear in A, so a code
-    element is the three packed into one int.
+    element is the three packed into one int, kept, when sigma_A lies in
+    phi_A, as the exponents of a and b and the sign.
     """
     k = 2 * graph.n_edges
     low = (1 << k) - 1
@@ -342,18 +333,23 @@ def _measured_sum(graph: Graph, correction_kind: str, a: float, b: float) -> flo
             _present_sign_forms(graph), _sign_forms(graph, correction_kind)
         )
     ]
-
-    def read(term: int) -> float:
+    terms = []
+    for term in _code(0, generators, operator.xor):
         phi, sigma = term & low, term >> k & low
-        if sigma & ~phi:
-            return 0.0
-        value = a ** (phi ^ sigma).bit_count() * b ** sigma.bit_count()
-        return -value if term >> 2 * k else value
+        if not sigma & ~phi:
+            sign = -1.0 if term >> 2 * k else 1.0
+            terms.append(((phi ^ sigma).bit_count(), sigma.bit_count(), sign))
+    sums = []
+    for channel in channels:
+        # every channel here is diagonal in E^dagger(Z) = a + b Z
+        z = _adjoint(_kraus_lists(channel), _SITE_PAULIS[0, 1])
+        a = (z[0][0] + z[1][1]).real / 2.0
+        b = (z[0][0] - z[1][1]).real / 2.0
+        values = (sign * (a**m * b**n) for m, n, sign in terms)
+        sums.append(math.fsum(values) / (1 << len(generators)))
+    return sums
 
-    return _code_sum(0, generators, operator.xor, read)
 
-
-@lru_cache(maxsize=32)
 def _heisenberg_generators(graph: Graph, correction_kind: str) -> tuple[PauliString, ...]:
     """W^dagger S_v W for the generators S_v = K_v (x) Z_R^{phi_v} of the
     code whose projector is the corrected-fidelity operator
@@ -416,30 +412,34 @@ def _edge_table(ops: list) -> list[complex]:
     return table
 
 
-def _prepared_sum(graph: Graph, ops: list, correction_kind: str) -> float:
-    """Conditional fidelity of a channel with these Kraus operators on
-    every resource qubit right after the pairs are prepared:
+def _prepared_sums(graph: Graph, correction_kind: str, channels) -> list[float]:
+    """Conditional fidelity of each channel on every resource qubit right
+    after the pairs are prepared:
 
         F = 2^-|V| sum_{A subset V} <psi_prep| E^dagger(W^dagger S_A W) |psi_prep>
 
     with S_A the product of the code generators in A.  psi_prep is |+>
     on each data qubit, where a Z gives 0, and CZ|++> on each edge, where
     the adjoint channel on both halves gives one entry of the edge table.
+    So an element is kept, when it has no data Z, as its phase and the
+    table index of each edge from the low end of the register.
     """
-    table = _edge_table(ops)
-    nv = graph.n_vertices
+    nv, n_edges = graph.n_vertices, graph.n_edges
     data = (1 << nv) - 1
-
-    def read(term: PauliString) -> float:
-        if term.z_bits & data:
-            return 0.0
-        x, z = term.x_bits >> nv, term.z_bits >> nv
-        value = 1j**term.phase
-        for _ in range(graph.n_edges):
-            value *= table[(x & 3) | (z & 3) << 2]
-            x, z = x >> 2, z >> 2
-        return value.real
-
-    identity = PauliString(nv + 2 * graph.n_edges, 0, 0)
-    generators = _heisenberg_generators(graph, correction_kind)
-    return _code_sum(identity, generators, operator.mul, read)
+    identity = PauliString(nv + 2 * n_edges, 0, 0)
+    terms = []
+    for term in _code(identity, _heisenberg_generators(graph, correction_kind), operator.mul):
+        if not term.z_bits & data:
+            x, z = term.x_bits >> nv, term.z_bits >> nv
+            keys = [(x >> 2 * j & 3) | (z >> 2 * j & 3) << 2 for j in range(n_edges)]
+            terms.append((1j**term.phase, keys))
+    sums = []
+    for channel in channels:
+        table = _edge_table(_kraus_lists(channel))
+        values = []
+        for value, keys in terms:
+            for key in keys:
+                value *= table[key]
+            values.append(value.real)
+        sums.append(math.fsum(values) / (1 << nv))
+    return sums

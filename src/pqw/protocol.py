@@ -129,6 +129,7 @@ def _walk_back(rows, neighbours, phi_columns) -> tuple[list[int], list[int], int
     return x, z, _conj_columns(x, z, rows)
 
 
+# cached: phase_lemma_check and verify_all_outcomes both read it
 @lru_cache(maxsize=32)
 def _data_sign_forms(graph: Graph) -> tuple[tuple[int, int] | None, ...]:
     """The sign form (sign_v, sigma_v) of each K_v after S1-S4, or None
@@ -287,7 +288,6 @@ def plans_equivalent(plan_a: PauliString, plan_b: PauliString, graph: Graph) -> 
 CORRECTION_KINDS = ("universal", "l4", "c4", "tree")
 
 
-@lru_cache(maxsize=32)
 def correction_forms(graph: Graph, kind: str) -> Forms:
     """The kind's per-vertex (x, z) outcome-bit forms; raises ValueError
     when the kind does not apply to this graph."""

@@ -5,6 +5,7 @@ with an independent density-matrix enumeration and pasted in; the strict
 metric is checked against its closed forms directly.
 """
 
+import collections
 import math
 import random
 
@@ -313,9 +314,22 @@ def _retention(channel):
     return math.fsum(abs(op[0][0] + op[1][1]) ** 2 / 4.0 for op in noise._kraus_lists(channel))
 
 
+def _applicable_kinds(graph):
+    kinds = []
+    for kind in CORRECTION_KINDS:
+        try:
+            correction_forms(graph, kind)
+        except ValueError:
+            continue
+        kinds.append(kind)
+    return kinds
+
+
 def _assert_strict_reads_the_noiseless_sum(graph, kind):
     k = 2 * graph.n_edges
-    noiseless = noise._measured_sum(graph, kind, 0.0, 1.0)
+    # the noiseless sum: depolarizing at p = 0 just before measurement
+    clean = NoiseChannel("depolarizing", 0.0)
+    noiseless = noise._fidelities(graph, (clean,), kind, "pre_measure", "conditional")[0]
     for channel in CHANNEL_KINDS:
         channel = NoiseChannel(channel, 0.3)
         want = _retention(channel) ** k * noiseless
@@ -329,11 +343,7 @@ def test_strict_equals_the_noiseless_sum_on_the_catalog():
     # Heisenberg sum, bit for bit, under every plan that applies
     for name in catalog_names():
         graph = catalog_lookup(name)
-        for kind in CORRECTION_KINDS:
-            try:
-                correction_forms(graph, kind)
-            except ValueError:
-                continue
+        for kind in _applicable_kinds(graph):
             assert _assert_strict_reads_the_noiseless_sum(graph, kind) == 1.0
 
 
@@ -393,11 +403,7 @@ def _engine_vs_dense_cases():
         if graph in seen or graph.n_vertices + 2 * graph.n_edges > 12:
             continue
         seen.append(graph)
-        for kind in CORRECTION_KINDS:
-            try:
-                correction_forms(graph, kind)
-            except ValueError:
-                continue
+        for kind in _applicable_kinds(graph):
             for channel in _dense_channels(graph):
                 for insertion in INSERTION_POINTS:
                     cases.append((name, kind, channel, insertion))
@@ -438,24 +444,16 @@ def test_noise_engines_apply_the_plan(monkeypatch, name):
         return ((0, 0),) * graph.n_vertices
 
     monkeypatch.setattr(protocol, "correction_forms", identity_forms)
-    noise._heisenberg_generators.cache_clear()
-    try:
-        for kind in _dense_channels(graph):
-            for insertion in INSERTION_POINTS:
-                channel = NoiseChannel(kind, 0.3)
-                cond, strict = _assert_engines_match_dense(
-                    graph, "universal", channel, insertion
-                )
-                assert cond < 0.5 and strict < 0.5
+    for kind in _dense_channels(graph):
         for insertion in INSERTION_POINTS:
-            clean = NoiseChannel("depolarizing", 0.0)
-            for metric in METRICS:
-                got = noisy_protocol_fidelity(
-                    graph, clean, insertion=insertion, metric=metric
-                )
-                assert got == 2.0**-graph.n_vertices
-    finally:
-        noise._heisenberg_generators.cache_clear()
+            channel = NoiseChannel(kind, 0.3)
+            cond, strict = _assert_engines_match_dense(graph, "universal", channel, insertion)
+            assert cond < 0.5 and strict < 0.5
+    for insertion in INSERTION_POINTS:
+        clean = NoiseChannel("depolarizing", 0.0)
+        for metric in METRICS:
+            got = noisy_protocol_fidelity(graph, clean, insertion=insertion, metric=metric)
+            assert got == 2.0**-graph.n_vertices
 
 
 @settings(max_examples=20, deadline=None)
@@ -535,6 +533,80 @@ def test_noise_sweep_amplitude_damping_has_no_overlay():
     assert all(a >= b - 1e-12 for a, b in zip(fids, fids[1:]))
     pd = noise_sweep(P4, "pd", (0.0, 0.2, 0.4)).fidelities
     assert all(x <= y + 1e-12 for x, y in zip(fids, pd))
+
+
+@pytest.mark.parametrize(
+    "channel_kind,grid,options,match",
+    [
+        ("bogus", (), {}, "unknown channel kind"),
+        ("dep", (), {"insertion": "nowhere"}, "unknown insertion point"),
+        ("dep", (), {"insertion": "nowhere", "metric": "nonsense"}, "unknown insertion point"),
+        ("dep", (), {"metric": "nonsense"}, "unknown metric"),
+        ("dep", (), {"correction_kind": "bogus"}, "unknown correction kind"),
+        ("dep", (), {"correction_kind": "c4", "metric": "conditional"}, "specific to"),
+        ("dep", (0.1, 0.2, 7.0), {"metric": "conditional"}, "lie in"),
+    ],
+    ids=("kind", "insertion", "insertion-and-metric", "metric", "correction",
+         "inapplicable-correction", "strength"),
+)
+def test_noise_sweep_checks_every_argument_before_any_point(
+    monkeypatch, channel_kind, grid, options, match
+):
+    # an empty grid is checked too, and a bad strength anywhere in the
+    # grid stops the sweep before its first point
+    def refuse(channel):
+        raise AssertionError(f"a point was computed at {channel}")
+
+    monkeypatch.setattr(noise, "_kraus_lists", refuse)
+    with pytest.raises(ValueError, match=match):
+        noise_sweep(P4, channel_kind, grid, **options)
+
+
+@pytest.mark.parametrize(
+    "name,kind",
+    [
+        (name, kind)
+        for name in catalog_names()
+        if catalog_lookup(name).n_vertices <= noise.DEFAULT_VERTEX_BUDGET
+        for kind in _applicable_kinds(catalog_lookup(name))
+    ],
+)
+def test_a_sweep_equals_its_points(name, kind):
+    # bit for bit: nothing read at one p may carry over to the next
+    graph = catalog_lookup(name)
+    grid = (0.0, 0.3, 1.0)
+    for channel in CHANNEL_KINDS:
+        for insertion in INSERTION_POINTS:
+            for metric in METRICS:
+                swept = noise_sweep(graph, channel, grid, kind, insertion, metric).fidelities
+                points = tuple(
+                    noisy_protocol_fidelity(graph, point, kind, insertion, metric)
+                    for point in (NoiseChannel(channel, p) for p in grid)
+                )
+                assert swept == points, (channel, insertion, metric)
+
+
+@pytest.mark.parametrize(
+    "insertion,metric,builder",
+    [
+        ("post_prep", "strict", "_sign_conditions"),
+        ("pre_measure", "conditional", "_present_sign_forms"),
+        ("post_prep", "conditional", "_heisenberg_generators"),
+    ],
+)
+def test_a_sweep_builds_its_code_once(monkeypatch, insertion, metric, builder):
+    # no p changes the code, so an 11-point sweep builds it once
+    calls = collections.Counter()
+    for name in ("_sign_conditions", "_present_sign_forms", "_heisenberg_generators"):
+
+        def counted(*args, name=name, real=getattr(noise, name)):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(noise, name, counted)
+    grid = [p / 10 for p in range(11)]
+    noise_sweep(catalog_lookup("C4"), "ad", grid, insertion=insertion, metric=metric)
+    assert calls == {builder: 1}
 
 
 # -- report container ---------------------------------------------------------------

@@ -519,12 +519,8 @@ def test_parity_condition_rejects_a_dropped_bit(monkeypatch):
     monkeypatch.setattr(
         protocol, "far_side_masks", lambda graph: [m & (m - 1) for m in real(graph)]
     )
-    protocol.correction_forms.cache_clear()
-    try:
-        assert not _parity_condition_holds(P4, "universal")
-        assert not _parity_condition_holds(P4, "tree")
-    finally:
-        protocol.correction_forms.cache_clear()
+    assert not _parity_condition_holds(P4, "universal")
+    assert not _parity_condition_holds(P4, "tree")
 
 
 # -- resource-pair structure -----------------------------------------------------

@@ -127,7 +127,6 @@ def test_verify_decides_a_grid_past_the_ceiling(monkeypatch):
     # its sign conditions, so nothing in it grows with the outcome count
     graph = grid(10, 10)
     protocol._data_sign_forms.cache_clear()
-    protocol.correction_forms.cache_clear()
     start = time.perf_counter()
     report = verify_all_outcomes(graph)
     elapsed = time.perf_counter() - start
@@ -369,7 +368,6 @@ def test_engines_make_no_per_vertex_graph_lookup(monkeypatch):
     for name in ("neighbors", "vertex_index", "degree"):
         monkeypatch.setattr(Graph, name, refuse)
     protocol._data_sign_forms.cache_clear()
-    protocol.correction_forms.cache_clear()
     assert verify_all_outcomes(square).passed
     assert verify_all_outcomes(path, "tree").passed
     assert phase_lemma_check(square) is True
