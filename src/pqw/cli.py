@@ -191,47 +191,61 @@ def _emit(text: str, out: str | None) -> None:
 # -- commands ----------------------------------------------------------------
 
 
-def _report_dict(report: VerificationReport) -> dict:
-    probability = 1.0 / report.outcome_count
-    return {
-        "graph": report.graph_name,
-        "correction": report.correction_kind,
-        "outcome_count": report.outcome_count,
-        "min_fidelity": report.min_fidelity,
-        "max_fidelity": report.max_fidelity,
-        # kept so the bytes stay: every probability is exactly 1/outcome_count
-        "max_probability_deviation": 0.0,
-        "passed": report.passed,
-        "records": [
-            {"index": i, "probability": probability, "fidelity": f}
-            for i, f in enumerate(report.fidelities())
-        ],
-    }
-
-
-def _verify_csv(reports: list[VerificationReport]) -> str:
-    """The verify CSV, one line per outcome.  Lines of one report differ
-    only in their index and fidelity, so each run of equal fidelities is
-    one join over the index texts, which every report slices from one
-    list, and no text is built per outcome."""
+def _outcome_text(reports: list[VerificationReport], pieces: list[str], entry, sep="") -> str:
+    """pieces[0], then each report's outcomes, one entry each with sep
+    between, followed by the next piece.  Entries of one run of equal
+    fidelity differ only in their index: entry(report) maps a fidelity to
+    the (head, tail) about the index text, and each run is one join over
+    index texts sliced from one list, so no text is built per outcome."""
     index_text = list(map(str, range(max(r.outcome_count for r in reports))))
-    parts = ["graph,outcome_index,probability,fidelity\n"]
-    for report in reports:
-        name = _csv_field(report.graph_name) + ","
-        probability = _fmt(1.0 / report.outcome_count)
+    parts = [pieces[0]]
+    for report, piece in zip(reports, pieces[1:]):
+        around, runs = entry(report), []
         for start, stop, fidelity in report.fidelity_runs():
-            tail = f",{probability},{_fmt(fidelity)}\n"
-            parts += (name, (tail + name).join(index_text[start:stop]), tail)
+            head, tail = around(fidelity)
+            runs += (sep, head, (tail + sep + head).join(index_text[start:stop]), tail)
+        parts += (*runs[1:], piece)
     return "".join(parts)
 
 
+def _verify_csv(reports: list[VerificationReport]) -> str:
+    """The verify CSV, one line per outcome."""
+
+    def entry(r):
+        name, probability = _csv_field(r.graph_name) + ",", _fmt(1.0 / r.outcome_count)
+        return lambda f: (name, f",{probability},{_fmt(f)}\n")
+
+    header = "graph,outcome_index,probability,fidelity\n"
+    return _outcome_text(reports, [header] + [""] * len(reports), entry)
+
+
+def _verify_json(reports: list[VerificationReport]) -> str:
+    """The verify JSON as _render_json writes it, one record per outcome.
+    The payload is rendered with each report's records as one null on a
+    line of its own, which no other field can write, and the records,
+    joined run by run, replace it; json writes a float as its repr."""
+    fields = [
+        dict(graph=r.graph_name, correction=r.correction_kind, outcome_count=r.outcome_count,
+             min_fidelity=r.min_fidelity, max_fidelity=r.max_fidelity, passed=r.passed,
+             # kept so the bytes stay: every probability is exactly 1/outcome_count
+             max_probability_deviation=0.0, records=[None])
+        for r in reports
+    ]
+    single = len(reports) == 1
+    pad = " " * (4 if single else 8)  # a record's indent
+
+    def entry(r):
+        tail = f',\n{pad}  "probability": {1.0 / r.outcome_count!r}\n{pad}}}'
+        return lambda f: (f'\n{pad}{{\n{pad}  "fidelity": {f!r},\n{pad}  "index": ', tail)
+
+    payload = {"all_passed": all(r.passed for r in reports), "reports": fields}
+    text = _render_json(fields[0] if single else payload)
+    return _outcome_text(reports, text.split(f"\n{pad}null"), entry, ",")
+
+
 def cmd_verify(config: RunConfig) -> int:
-    if config.graph == "all":
-        names = TABLE_ORDER
-    else:
-        names = (config.graph,)
     reports = []
-    for spec in names:
+    for spec in TABLE_ORDER if config.graph == "all" else (config.graph,):
         name, graph = _resolve_graph(spec)
         # the writers list all 4^|E| outcomes, so the register size bounds
         # the output before anything is written
@@ -240,18 +254,11 @@ def cmd_verify(config: RunConfig) -> int:
             raise ResourceError(
                 f"{n_qubits} qubits exceeds the ceiling of {DEFAULT_QUBIT_CEILING}"
             )
-        reports.append(verify_all_outcomes(graph, config.correction, name=name))
-    if config.fmt == "json":
-        if len(reports) == 1:
-            payload = _report_dict(reports[0])
-        else:
-            payload = {
-                "all_passed": all(r.passed for r in reports),
-                "reports": [_report_dict(r) for r in reports],
-            }
-        _emit(_render_json(payload), config.out)
-    else:
-        _emit(_verify_csv(reports), config.out)
+        try:
+            reports.append(verify_all_outcomes(graph, config.correction, name=name))
+        except ValueError as err:  # a correction kind that does not apply
+            raise UsageError(f"{name}: {err}") from None
+    _emit((_verify_json if config.fmt == "json" else _verify_csv)(reports), config.out)
     # the first counterexample of each failing report, off the payload
     for rep in reports:
         index = rep.first_failure()

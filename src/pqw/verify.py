@@ -19,8 +19,9 @@ exactly 4^-|E|, as no measurement is determined.  So a report is the
 GF(2) conditions (sigma_v ^ phi_v) . s = [sign_v = -1] that do not hold
 at every outcome, and everything else is read from them: pass/fail and
 the first counterexample from the rows themselves, the maximum fidelity
-from one elimination, and the fidelity of each outcome as one column
-that builds no object per outcome.  Outcomes are named by their index,
+from one elimination, and the fidelities of all outcomes as the runs of
+equal fidelity in one column, which both writers of pqw verify join run
+by run, with no object per outcome.  Outcomes are named by their index,
 so a report is as small at 4^180 outcomes as at 64; only a writer that
 lists every outcome needs a size limit, and pqw verify holds it.
 
@@ -34,13 +35,11 @@ strict metric, which reads it from _sign_conditions and _pass_fraction.
 
 from __future__ import annotations
 
-from itertools import repeat
 from typing import NamedTuple
 
 from .graphs import Graph, adjacency
 from .protocol import _data_sign_forms, _present_sign_forms, _sign_forms, far_side_masks
 
-_FIDELITY = (0.0, 1.0)  # by whether an outcome meets every condition
 _FLIP = bytes.maketrans(b"\0\1", b"\1\0")
 
 
@@ -116,13 +115,6 @@ class VerificationReport(NamedTuple):
             return None
         return min(0 if odd else mask & -mask for mask, odd in self.conditions)
 
-    def fidelities(self):
-        """Each outcome's fidelity, 0.0 or 1.0, in index order, as an
-        iterator that builds no object per outcome."""
-        if not self.conditions:
-            return repeat(1.0, self.outcome_count)
-        return map(_FIDELITY.__getitem__, _met(self.outcome_count, self.conditions))
-
     def fidelity_runs(self) -> list[tuple[int, int, float]]:
         """The fidelity column as its maximal runs of equal fidelity, each
         (start, stop, fidelity) in index order: one run on a pass, and
@@ -139,7 +131,7 @@ class VerificationReport(NamedTuple):
             stop = column.find(b"\0" if met else b"\1", start)
             if stop < 0:
                 stop = count
-            runs.append((start, stop, _FIDELITY[met]))
+            runs.append((start, stop, float(met)))
             start = stop
         return runs
 

@@ -235,3 +235,9 @@ def branch_fidelity(
             math.fsum(outcome_overlaps(graph, amps, targets).tolist())
         )
     return math.fsum(branch_totals)
+
+
+def fidelity_column(report) -> list[float]:
+    """Each outcome's fidelity in index order: a VerificationReport's
+    fidelity_runs() expanded to one value per outcome."""
+    return [f for start, stop, f in report.fidelity_runs() for _ in range(start, stop)]

@@ -20,7 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pqw
-from helpers import branch_fidelity, grid, small_connected_graphs
+from helpers import branch_fidelity, fidelity_column, grid, small_connected_graphs
 from pqw import cli, protocol
 from pqw.cli import EXIT_BUDGET, EXIT_FAIL, EXIT_PASS, EXIT_USAGE, main
 from pqw.graphs import parse_edge_list
@@ -137,7 +137,7 @@ def test_verify_csv_formats_each_value_as_fmt_does(monkeypatch, capsys):
     assert main(["verify", "--graph", "P3", "--format", "csv"]) == EXIT_FAIL
     expected = "graph,outcome_index,probability,fidelity\n" + "".join(
         f"P3,{s},{cli._fmt(1 / 4)},{cli._fmt(f)}\n"
-        for s, f in enumerate(DOCTORED.fidelities())
+        for s, f in enumerate(fidelity_column(DOCTORED))
     )
     assert capsys.readouterr().out == expected
 
@@ -154,41 +154,92 @@ def _reports(draw):
     return VerificationReport(name, "universal", count, tuple(conditions))
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.lists(_reports(), min_size=1, max_size=4))
 # outcomes alternate; every outcome fails; two rows contradict each other
-@example([VerificationReport("a,b", "universal", 16, ((0b1, True),))])
-@example([VerificationReport("P3", "universal", 4, ((0, True),))])
-@example([
-    VerificationReport("big", "universal", 4096, ((0b110, False),)),
-    VerificationReport('"q"', "universal", 4, ((0b10, True), (0b10, False))),
-    VerificationReport("P3", "universal", 16, ()),
-])
+REPORT_EXAMPLES = (
+    [VerificationReport("a,b", "universal", 16, ((0b1, True),))],
+    [VerificationReport("P3", "universal", 4, ((0, True),))],
+    [
+        VerificationReport("big", "universal", 4096, ((0b110, False),)),
+        VerificationReport('"q"', "universal", 4, ((0b10, True), (0b10, False))),
+        VerificationReport("P3", "universal", 16, ()),
+    ],
+)
+
+
+def _over_reports(test):
+    """Run test on lists of 1 to 4 random reports, and on REPORT_EXAMPLES."""
+    for reports in REPORT_EXAMPLES:
+        test = example(reports)(test)
+    test = given(st.lists(_reports(), min_size=1, max_size=4))(test)
+    return settings(max_examples=60, deadline=None)(test)
+
+
+def _written(reports, fmt: str) -> tuple[str, bytes]:
+    """What `verify --graph all` writes to stdout and to --out when the
+    catalog's graphs yield reports."""
+    with pytest.MonkeyPatch.context() as patch, tempfile.TemporaryDirectory() as tmp:
+        produced = itertools.cycle(reports)
+        patch.setattr(cli, "TABLE_ORDER", ("P3",) * len(reports))
+        patch.setattr(cli, "verify_all_outcomes", lambda *a, **k: next(produced))
+        stdout, stderr = io.StringIO(), io.StringIO()
+        argv = ["verify", "--graph", "all", "--format", fmt]
+        code = EXIT_PASS if all(r.passed for r in reports) else EXIT_FAIL
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            assert main(argv) == code
+            assert main([*argv, "--out", f"{tmp}/out"]) == code
+        return stdout.getvalue(), Path(tmp, "out").read_bytes()
+
+
+@_over_reports
 def test_verify_csv_matches_one_line_per_outcome(reports):
     # the reports share one list of index texts, sliced by each run
     expected = "graph,outcome_index,probability,fidelity\n" + "".join(
         f"{cli._csv_field(r.graph_name)},{i},{cli._fmt(1 / r.outcome_count)},"
         f"{cli._fmt(f)}\n"
         for r in reports
-        for i, f in enumerate(r.fidelities())
+        for i, f in enumerate(fidelity_column(r))
     )
     assert cli._verify_csv(reports) == expected
     # and through the command, on stdout and to --out alike
-    with pytest.MonkeyPatch.context() as patch, tempfile.TemporaryDirectory() as tmp:
-        produced = itertools.cycle(reports)
-        patch.setattr(cli, "TABLE_ORDER", ("P3",) * len(reports))
-        patch.setattr(cli, "verify_all_outcomes", lambda *a, **k: next(produced))
-        stdout, stderr = io.StringIO(), io.StringIO()
-        argv = ["verify", "--graph", "all", "--format", "csv"]
-        code = EXIT_PASS if all(r.passed for r in reports) else EXIT_FAIL
-        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            assert main(argv) == code
-            assert main([*argv, "--out", f"{tmp}/out.csv"]) == code
-        assert stdout.getvalue() == expected
-        assert Path(tmp, "out.csv").read_bytes() == expected.encode("utf-8")
+    assert _written(reports, "csv") == (expected, expected.encode("utf-8"))
+
+
+def _report_dict(report: VerificationReport) -> dict:
+    """A report as JSON with one dict per outcome: the payload that the
+    run-by-run JSON writer must render byte for byte."""
+    probability = 1.0 / report.outcome_count
+    return {
+        "graph": report.graph_name,
+        "correction": report.correction_kind,
+        "outcome_count": report.outcome_count,
+        "min_fidelity": report.min_fidelity,
+        "max_fidelity": report.max_fidelity,
+        "max_probability_deviation": 0.0,
+        "passed": report.passed,
+        "records": [
+            {"index": i, "probability": probability, "fidelity": f}
+            for i, f in enumerate(fidelity_column(report))
+        ],
+    }
+
+
+@_over_reports
+def test_verify_json_matches_one_dict_per_outcome(reports):
+    # one report is the payload itself; more sit under "reports"
+    if len(reports) == 1:
+        payload = _report_dict(reports[0])
+    else:
+        payload = {
+            "all_passed": all(r.passed for r in reports),
+            "reports": [_report_dict(r) for r in reports],
+        }
+    expected = cli._render_json(payload)
+    assert cli._verify_json(reports) == expected
+    assert _written(reports, "json") == (expected, expected.encode("utf-8"))
 
 
 C8_CSV_SHA256 = "b4e495ae585d4ac91087a056e2a89e0d53f8cf0b056d2490087411836d524771"
+C8_JSON_SHA256 = "289e6931b091d465d12a41f3d7334d76c5e4407c31926055ae0ac24b73c960c0"
 
 
 def test_verify_8_cycle_csv_golden(tmp_path, capsys):
@@ -200,6 +251,9 @@ def test_verify_8_cycle_csv_golden(tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.count("\n") == 1 + 4**8
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == C8_CSV_SHA256
+    assert main(["verify", "--graph", f"@{edges}", "--format", "json"]) == EXIT_PASS
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == C8_JSON_SHA256
 
 
 def test_verify_failure_names_its_first_counterexample(monkeypatch, tmp_path, capsys):
@@ -225,6 +279,21 @@ def test_verify_formula_on_wrong_graph_is_usage_error(capsys):
     code = main(["verify", "--graph", "C4", "--correction", "l4"])
     assert code == EXIT_USAGE
     assert "P4" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "kind,message",
+    (
+        ("tree", "C3: tree correction requires a tree"),
+        ("l4", "P3: this formula is specific to the catalog P4 labeling"),
+        ("c4", "P3: this formula is specific to the catalog C4 labeling"),
+    ),
+    ids=("tree", "l4", "c4"),
+)
+def test_verify_names_the_graph_a_correction_refuses(kind, message, capsys):
+    # the catalog's first graph that the kind does not apply to
+    assert main(["verify", "--graph", "all", "--correction", kind]) == EXIT_USAGE
+    assert capsys.readouterr() == ("", f"pqw: {message}\n")
 
 
 def test_verify_unknown_graph_lists_names(capsys):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import grid, near_side_masks, small_connected_graphs
+from helpers import fidelity_column, grid, near_side_masks, small_connected_graphs
 from pqw import cli, protocol, verify
 from pqw import statevector as sv
 from pqw.graphs import (
@@ -47,7 +47,7 @@ def test_verify_p4_universal():
     assert report.min_fidelity == report.max_fidelity == 1.0
     assert report.first_failure() is None
     # read off the sign forms, so exact: 1, not merely close
-    assert list(report.fidelities()) == [1.0] * 64
+    assert fidelity_column(report) == [1.0] * 64
 
 
 def test_verify_is_deterministic():
@@ -96,7 +96,7 @@ def test_contraction_matches_per_outcome_reference(monkeypatch, name, kind):
         assert all(x for x, _ in forms)
         monkeypatch.setattr(protocol, "correction_forms", lambda graph, kind: forms)
     report = verify_all_outcomes(graph, kind, name=name)
-    fidelities = list(report.fidelities())
+    fidelities = fidelity_column(report)
     assert len(fidelities) == report.outcome_count == graph.outcome_count()
     for index, fidelity in zip(range(graph.outcome_count()), fidelities):
         plan = protocol.correction_plan(graph, index, kind)
@@ -119,7 +119,7 @@ def test_contraction_applies_the_plan(monkeypatch):
     )
     report = verify_all_outcomes(P4, "universal")
     assert report.passed is False
-    assert min(report.fidelities()) == 0.0
+    assert min(fidelity_column(report)) == 0.0
 
 
 def test_verify_decides_a_grid_past_the_ceiling(monkeypatch):
@@ -159,7 +159,7 @@ def test_tableau_engine_matches_the_dense_reference(graph, seed):
             forms = tuple((rng.getrandbits(k), rng.getrandbits(k)) for _ in graph.vertices)
             mp.setattr(protocol, "correction_forms", lambda graph, kind: forms)
         report = verify_all_outcomes(graph)
-        fidelities = list(report.fidelities())
+        fidelities = fidelity_column(report)
         assert len(fidelities) == report.outcome_count == graph.outcome_count()
         for index, fidelity in zip(range(graph.outcome_count()), fidelities):
             plan = protocol.correction_plan(graph, index, "universal")
@@ -189,13 +189,13 @@ def test_engine_follows_the_tableau_sign_forms(monkeypatch):
     )
     report = verify_all_outcomes(P4)
     assert not report.passed
-    assert set(report.fidelities()) == {0.0}
+    assert set(fidelity_column(report)) == {0.0}
     # negated and carrying s1 too: exactly the outcomes with s1 = 1 reach |G>
     monkeypatch.setattr(
         protocol, "_data_sign_forms", patched(lambda sign, mask: (-sign, mask ^ s1))
     )
     report = verify_all_outcomes(P4)
-    assert list(report.fidelities()) == [float(i >= 32) for i in range(64)]
+    assert fidelity_column(report) == [float(i >= 32) for i in range(64)]
     # K_B absent: the engine cannot answer exactly, so it refuses
     monkeypatch.setattr(protocol, "_data_sign_forms", patched(lambda sign, mask: None))
     with pytest.raises(AssertionError, match="K_B"):
@@ -236,7 +236,14 @@ def test_records_and_summaries_match_enumerating_the_conditions(graph, mode, see
         float(all(((mask & s).bit_count() & 1) == odd for mask, odd in conditions))
         for s in range(count)
     ]
-    assert list(report.fidelities()) == fidelities
+    assert fidelity_column(report) == fidelities
+    # the runs tile [0, count) in order, each non-empty and maximal, and
+    # the first failure starts the first run of 0.0
+    runs = list(report.fidelity_runs())
+    assert [start for start, _, _ in runs] == [0] + [stop for _, stop, _ in runs[:-1]]
+    assert runs[-1][1] == count and all(start < stop for start, stop, _ in runs)
+    assert all(a[2] != b[2] for a, b in zip(runs, runs[1:]))
+    assert report.first_failure() == next((start for start, _, f in runs if f == 0.0), None)
     assert report.min_fidelity == min(fidelities)
     assert report.max_fidelity == max(fidelities)
     assert report.passed is (min(fidelities) == 1.0)
@@ -276,19 +283,19 @@ def test_report_pass_logic():
     # outcome s meets (mask, odd) when |mask & s| has parity odd
     odd_only = VerificationReport("toy", "universal", 4, ((0b1, True),))
     assert not odd_only.passed and odd_only.first_failure() == 0
-    assert list(odd_only.fidelities()) == [0.0, 1.0, 0.0, 1.0]
+    assert fidelity_column(odd_only) == [0.0, 1.0, 0.0, 1.0]
     assert (odd_only.min_fidelity, odd_only.max_fidelity) == (0.0, 1.0)
     high_even = VerificationReport("toy", "universal", 4, ((0b10, False),))
     assert high_even.first_failure() == 2
-    assert list(high_even.fidelities()) == [1.0, 1.0, 0.0, 0.0]
+    assert fidelity_column(high_even) == [1.0, 1.0, 0.0, 0.0]
     # 0 = 1 fails every outcome, as do two contradicting rows
     for conditions in (((0, True),), ((0b11, True), (0b11, False))):
         never = VerificationReport("toy", "universal", 4, conditions)
         assert never.first_failure() == 0 and never.max_fidelity == 0.0
-        assert set(never.fidelities()) == {0.0}
+        assert set(fidelity_column(never)) == {0.0}
     clean = VerificationReport("toy", "universal", 4, ())
     assert clean.passed and clean.first_failure() is None
-    assert list(clean.fidelities()) == [1.0] * 4
+    assert fidelity_column(clean) == [1.0] * 4
 
 
 # -- symbolic sign check ---------------------------------------------------------
