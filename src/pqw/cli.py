@@ -86,7 +86,7 @@ def _parse_p_grid(spec: str) -> tuple[float, ...]:
     parts = spec.split(":")
     if len(parts) not in (1, 3):
         raise UsageError(f"bad p spec {spec!r}; expected P or START:STOP:STEP")
-    values = tuple(float(x) for x in parts)
+    values = tuple(float(x) + 0.0 for x in parts)  # + 0.0 turns -0 into 0
     if not all(math.isfinite(x) for x in values):
         raise UsageError(f"p values must be finite, got {spec!r}")
     if len(values) == 1:
@@ -117,7 +117,7 @@ def _parse_p_grid(spec: str) -> tuple[float, ...]:
 def _resolve_graph(spec: str) -> tuple[str, Graph]:
     if spec.startswith("@"):
         path = Path(spec[1:])
-        return path.stem, parse_edge_list(path.read_text(encoding="utf-8"))
+        return path.stem, parse_edge_list(path.read_text(encoding="utf-8-sig"))
     return spec, catalog_lookup(spec)
 
 
@@ -354,7 +354,7 @@ def cmd_lc(config: RunConfig) -> int:
 def _load_json_map(path: str, value_type) -> dict:
     import json
 
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
+    data = json.loads(Path(path).read_text(encoding="utf-8-sig"))
     if not isinstance(data, dict):
         raise UsageError(f"{path}: expected a JSON object")
     out = {}

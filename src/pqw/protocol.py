@@ -43,21 +43,21 @@ condition is phi_v = g_v, v's entry of far_side_masks.  verify and the
 noise sum read plans as phi, verify against the sign forms
 (sign_v, sigma_v) that _data_sign_forms reads off the walk.
 
-The circuit is written once, as the gate lists prep_gates and walk_gates,
-and one function, _walk_back, runs the walk backwards in the Heisenberg
-picture: W^dagger (K_v (x) Z_R^{phi_v}) W for every v at once, as
-bit-packed columns.  The prepared state |+>^V (x) CZ|++>^E has a
-stabilizer group local to each data qubit and each pair, so each K_v's
+The circuit is written once, as the gate lists prep_gates and
+walk_gates, and one function, _walk_back, runs the walk backwards in the
+Heisenberg picture: W^dagger (K_v (x) Z_R^{phi_v}) W for every v at
+once, as bit-packed columns.  The prepared state |+>^V (x) CZ|++>^E has
+a stabilizer group local to each data qubit and each pair, so each K_v's
 sign form is read off that run with no measurement rule and no
-elimination; the noise sum takes the same run as its code.
-The dense per-outcome reference, which applies plans to amplitudes
-(run_protocol, corrected_fidelity), runs them in pqw.statevector; nothing
-here imports numpy.
+elimination; the noise sum takes the same run as its code, and nothing
+is cached.  The dense per-outcome reference, which applies plans to
+amplitudes (run_protocol, corrected_fidelity), runs them in
+pqw.statevector; nothing here imports numpy.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache, reduce
+from functools import reduce
 from operator import or_, xor
 
 from .graphs import Graph, _neighbour_xor, adjacency, catalog_lookup, stabilizer_generators
@@ -129,8 +129,6 @@ def _walk_back(rows, neighbours, phi_columns) -> tuple[list[int], list[int], int
     return x, z, _conj_columns(x, z, rows)
 
 
-# cached: phase_lemma_check and verify_all_outcomes both read it
-@lru_cache(maxsize=32)
 def _data_sign_forms(graph: Graph) -> tuple[tuple[int, int] | None, ...]:
     """The sign form (sign_v, sigma_v) of each K_v after S1-S4, or None
     where K_v is missing from the data group: at outcome s the data group

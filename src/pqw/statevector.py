@@ -276,6 +276,7 @@ def _premeasurement(graph: Graph) -> StateVector:
     # no name holds the prepared register, so the walk frees it after
     # its first gate instead of keeping one more register alive
     amps = _run_gates(_after_prep(graph), walk_gates(graph))
+    amps.flags.writeable = False  # cached, so no caller may write into it
     return StateVector(graph.n_vertices + 2 * graph.n_edges, amps)
 
 

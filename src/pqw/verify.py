@@ -104,8 +104,8 @@ class VerificationReport(NamedTuple):
 
     @property
     def max_fidelity(self) -> float:
-        # some outcome passes exactly when the conditions can all hold
-        return 1.0 if _pass_fraction(self.conditions) else 0.0
+        # the conditions can all hold: a pivot test, as 2^-rank is 0.0 past 1074
+        return 0.0 if 0 in _pivots(m << 1 | odd for m, odd in self.conditions) else 1.0
 
     def first_failure(self) -> int | None:
         """The lowest index that misses |G>, or None: outcome 0 fails any

@@ -312,6 +312,30 @@ def test_verify_graph_from_edge_list_file(tmp_path, capsys):
     assert payload["outcome_count"] == 64
 
 
+def test_input_files_may_start_with_a_byte_order_mark(tmp_path, capsys):
+    # an edge list or a counts file saved with a UTF-8 BOM reads as the
+    # same file without one
+    def run(folder: str, bom: bytes) -> str:
+        files = tmp_path / folder
+        files.mkdir()
+        texts = {
+            "tri.txt": "A B\nB C\nC A\n",
+            "counts.json": json.dumps({"00": 45, "11": 55}),
+            "ideal.json": json.dumps({"00": 0.5, "11": 0.5}),
+        }
+        for name, text in texts.items():
+            (files / name).write_bytes(bom + text.encode())
+        edges, counts, ideal = (str(files / name) for name in texts)
+        assert main(["verify", "--graph", f"@{edges}", "--format", "csv"]) == EXIT_PASS
+        argv = ["counts", "--counts", counts, "--ideal", ideal, "--k", "2"]
+        assert main(argv) == EXIT_PASS
+        return capsys.readouterr().out
+
+    plain = run("plain", b"")
+    assert plain.startswith("graph,") and '"fidelity"' in plain
+    assert run("bom", "\ufeff".encode()) == plain
+
+
 # -- noise ----------------------------------------------------------------------
 
 
@@ -464,6 +488,16 @@ def test_unwritable_output_names_the_path(tmp_path, capsys):
     assert code == EXIT_USAGE
     err = capsys.readouterr().err
     assert "No such file or directory" in err and str(out) in err
+
+
+def test_negative_zero_p_reads_as_zero(capsys):
+    noise = ["noise", "--graph", "P4", "--channel", "dep"]
+    for spec in ("-0", "-0:0.1:0.1"):
+        assert main([*noise, "--p", spec, "--format", "csv"]) == EXIT_PASS
+        assert capsys.readouterr().out.splitlines()[1] == "0,1,1"
+    assert main([*noise, "--p", "-0", "--format", "json"]) == EXIT_PASS
+    (p,) = json.loads(capsys.readouterr().out)["p_grid"]
+    assert math.copysign(1.0, p) == 1.0
 
 
 def test_bad_p_grid_is_usage_error(capsys):

@@ -65,7 +65,7 @@ def test_accessors():
 
 def test_any_sequences_build_the_tuple_graph():
     # lists are stored as tuples, so the graph is equal, hashes alike and
-    # keys the engines' caches
+    # runs through every engine as the tuple graph does
     assert Graph(("A", "B"), (["A", "B"],)) == K2
     built = Graph(["A", "B"], [("A", "B")])
     assert built == K2 and hash(built) == hash(K2)

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import pqw
-from pqw import cli, graphs, noise, statevector
+from pqw import cli, graphs, noise, protocol, stabilizer, statevector, verify
 from pqw.cli import EXIT_BUDGET, main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -398,3 +398,14 @@ def test_commands_load_no_argparse_and_only_their_engine():
         ["counts --fidelity 0.9241 --k 6 --format csv", "0", "pqw.noise"],
         ["lc --a L4 --b GHZ4 --cut AB|CD --format csv", "0", "pqw.noise"],
     ]
+
+
+def test_only_the_dense_oracle_keeps_a_cache():
+    # the engines keep nothing between calls; the one cache holds the
+    # dense oracle's walked register, which is read-only
+    def cached(module):
+        return [name for name, value in vars(module).items() if hasattr(value, "cache_info")]
+
+    for module in (graphs, stabilizer, protocol, verify, noise, cli):
+        assert cached(module) == [], module.__name__
+    assert cached(statevector) == ["_premeasurement"]

@@ -142,6 +142,15 @@ def test_outcomes_are_uniform_on_p3():
         assert abs(prob - 1.0 / 16.0) < 1e-12
 
 
+def test_the_cached_dense_walk_is_read_only():
+    # data_slab is a view into the cached register, so a write through it
+    # would change every later run of the graph
+    graph = catalog_lookup("P3")
+    with pytest.raises(ValueError):
+        sv.data_slab(graph, 5)[:] *= 0.5
+    assert run_protocol(graph, 5)[0] == pytest.approx(1 / 16, abs=1e-12)
+
+
 def test_universal_correction_steers_every_p3_outcome():
     graph = catalog_lookup("P3")
     for index in range(graph.outcome_count()):
@@ -207,18 +216,16 @@ def test_symbolic_run_matches_dense_on_random_graphs(graph, data):
 @pytest.fixture
 def altered_walk(monkeypatch):
     """Set the walk that the dense and the symbolic engine both read, with
-    no run of another walk cached before or after."""
-    caches = (protocol._data_sign_forms, sv._premeasurement)
+    no dense run of another walk cached before or after; the symbolic
+    engine keeps nothing between calls."""
 
     def alter(walk):
         for module in (protocol, sv):
             monkeypatch.setattr(module, "walk_gates", walk)
-        for cache in caches:
-            cache.cache_clear()
+        sv._premeasurement.cache_clear()
 
     yield alter
-    for cache in caches:
-        cache.cache_clear()
+    sv._premeasurement.cache_clear()
 
 
 def test_appended_x_negates_exactly_the_forms_that_hold_its_bit(altered_walk):

@@ -126,7 +126,6 @@ def test_verify_decides_a_grid_past_the_ceiling(monkeypatch):
     # 10x10 grid: 180 edges, 460 qubits, 4^180 outcomes; the report is
     # its sign conditions, so nothing in it grows with the outcome count
     graph = grid(10, 10)
-    protocol._data_sign_forms.cache_clear()
     start = time.perf_counter()
     report = verify_all_outcomes(graph)
     elapsed = time.perf_counter() - start
@@ -298,6 +297,16 @@ def test_report_pass_logic():
     assert fidelity_column(clean) == [1.0] * 4
 
 
+def test_max_fidelity_is_decided_past_the_float_range():
+    # 1,100 independent conditions: their pass fraction 2^-1100 is 0.0 as
+    # a float, yet some outcome meets them all
+    independent = tuple((1 << i, False) for i in range(1100))
+    report = VerificationReport("G", "universal", 4**600, independent)
+    assert report.max_fidelity == 1.0
+    contradicted = independent + ((0b11, True), (0b11, False))
+    assert VerificationReport("G", "universal", 4**600, contradicted).max_fidelity == 0.0
+
+
 # -- symbolic sign check ---------------------------------------------------------
 
 
@@ -326,6 +335,16 @@ def test_phase_lemma_rejects_the_near_side_sign_form(monkeypatch):
     monkeypatch.setattr(verify, "far_side_masks", near_side_masks)
     assert phase_lemma_check(P4) is False
     assert phase_lemma_check(grid(3, 3)) is False
+
+
+def test_each_check_reads_the_walk_afresh(monkeypatch):
+    # the engines keep nothing between calls: with the first CZ of the
+    # walk dropped, the next check reads the altered walk, and no cache
+    # needs clearing
+    assert phase_lemma_check(P4) is True
+    real = protocol.walk_gates
+    monkeypatch.setattr(protocol, "walk_gates", lambda graph: real(graph)[1:])
+    assert phase_lemma_check(P4) is False
 
 
 # -- entanglement rank comparison -------------------------------------------------
@@ -374,7 +393,6 @@ def test_engines_make_no_per_vertex_graph_lookup(monkeypatch):
 
     for name in ("neighbors", "vertex_index", "degree"):
         monkeypatch.setattr(Graph, name, refuse)
-    protocol._data_sign_forms.cache_clear()
     assert verify_all_outcomes(square).passed
     assert verify_all_outcomes(path, "tree").passed
     assert phase_lemma_check(square) is True
