@@ -33,6 +33,7 @@ from .graphs import (
     Graph,
     ResourceError,
     TABLE_ORDER,
+    _index_of,
     catalog_lookup,
     parse_edge_list,
 )
@@ -96,21 +97,24 @@ def _parse_p_grid(spec: str) -> tuple[float, ...]:
         raise UsageError(f"p step must be positive, got {step}")
     if stop < start:
         raise UsageError(f"p range is empty: {spec!r}")
-    # the loop below keeps start + i * step while it is <= stop + 1e-9
-    span = (stop - start + 1e-9) / step
+    # keep start + i * step while it is <= stop + slack, a float-error
+    # allowance below a step, rounded to decimals that merge no two points
+    slack = min(1e-9, step / 1000)
+    decimals = max(12, 3 - math.floor(math.log10(step)))
+    span = (stop - start + slack) / step
     if not span < MAX_P_POINTS:
         points = f"{span + 1:.0f}" if span < 1e15 else f"about {span:.3g}"
         raise UsageError(
             f"p range {spec!r} has {points} points; the limit is {MAX_P_POINTS}"
         )
-    grid = []
+    grid: dict[float, None] = {}  # an ordered set: x repeats while it does not move
     # bounded by the count above: a step below the float spacing at start
     # would never move x past stop
     for i in range(int(span) + 2):
         x = start + i * step
-        if x > stop + 1e-9:
+        if x > stop + slack:
             break
-        grid.append(round(x, 12))
+        grid[round(x, decimals)] = None
     return tuple(grid)
 
 
@@ -138,17 +142,18 @@ def _parse_cut(spec: str, labels: tuple[str, ...]) -> frozenset[int]:
     halves = spec.split("|")
     if len(halves) != 2:
         raise UsageError(f"bad cut {spec!r}; expected SIDE|SIDE")
+    index = _index_of(labels)
 
     def side(text: str) -> frozenset[int]:
-        if text in labels:
+        if text in index:
             names = [text]
         else:
             names = text.split(",") if "," in text else list(text)
         out = set()
         for nm in names:
-            if nm not in labels:
+            if nm not in index:
                 raise UsageError(f"cut label {nm!r} not among vertices {labels}")
-            out.add(labels.index(nm))
+            out.add(index[nm])
         return frozenset(out)
 
     a, b = side(halves[0]), side(halves[1])

@@ -64,17 +64,14 @@ class Graph(_Checked, _GraphFields):
         vertices, edges = tuple(vertices), tuple((u, v) for u, v in edges)
         if len(set(vertices)) != len(vertices):
             raise ValueError("duplicate vertex labels")
-        seen = set()
         adjacency = {v: set() for v in vertices}
         for u, v in edges:
             if u == v:
                 raise ValueError(f"self-loop at {u}")
             if u not in adjacency or v not in adjacency:
                 raise ValueError(f"edge ({u},{v}) mentions an unknown vertex")
-            key = frozenset((u, v))
-            if key in seen:
+            if v in adjacency[u]:  # either order of the pair
                 raise ValueError(f"duplicate edge ({u},{v})")
-            seen.add(key)
             adjacency[u].add(v)
             adjacency[v].add(u)
         # connectivity required: the universal correction argument only
@@ -98,21 +95,6 @@ class Graph(_Checked, _GraphFields):
     @property
     def n_edges(self) -> int:
         return len(self.edges)
-
-    def vertex_index(self, v: str) -> int:
-        return self.vertices.index(v)
-
-    def neighbors(self, v: str) -> tuple[str, ...]:
-        out = []
-        for a, b in self.edges:
-            if a == v:
-                out.append(b)
-            elif b == v:
-                out.append(a)
-        return tuple(out)
-
-    def degree(self, v: str) -> int:
-        return len(self.neighbors(v))
 
     def is_tree(self) -> bool:
         # connected is guaranteed, so the edge count decides
@@ -166,10 +148,15 @@ def parse_edge_list(text: str) -> Graph:
     return Graph(tuple(vertices), tuple(edges))
 
 
+def _index_of(vertices: tuple[str, ...]) -> dict[str, int]:
+    """Each vertex label's qubit index, its place in the vertex tuple."""
+    return {v: i for i, v in enumerate(vertices)}
+
+
 def _neighbour_xor(graph: Graph, values: list[int]) -> list[int]:
     """The XOR of values[u] over the neighbours u of each vertex, in
     vertex order, read in one pass over the edges."""
-    index = {v: i for i, v in enumerate(graph.vertices)}
+    index = _index_of(graph.vertices)
     out = [0] * len(index)
     for u, w in graph.edges:
         i, j = index[u], index[w]

@@ -56,6 +56,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from itertools import product
 from typing import NamedTuple
 
@@ -154,6 +155,8 @@ def extract_p_eff(fidelity: float, k: int) -> float:
         raise ValueError(f"fidelity must be at most 1, got {fidelity}")
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
+    if k > sys.float_info.max:  # 1.0 / k would overflow
+        raise ValueError(f"k must be at most {sys.float_info.max:g}, the largest float")
     return (4.0 / 3.0) * (1.0 - min(fidelity, 1.0) ** (1.0 / k))
 
 

@@ -18,7 +18,7 @@ integer of that bit sequence.  For the path A-B-C-D this reproduces the
 conventional labels s1=AB@A, s2=AB@B, s3=BC@B, s4=BC@C, s5=CD@C,
 s6=CD@D; for the cycle A-B-C-D-A it appends s7=DA@D, s8=DA@A.  Every
 function that takes s raises ValueError outside that range.
-Qubit order: vertex v is qubit graph.vertex_index(v), and sequence bit
+Qubit order: vertex v is qubit graph.vertices.index(v), and sequence bit
 m = 2*j + e, endpoint e of edge j, is qubit n_vertices + 2|E| - 1 - m, so
 the resource register read as an integer is s and a form over s is a Z
 mask on it; each pair sits on two aligned bits, its second endpoint on
@@ -60,7 +60,9 @@ from __future__ import annotations
 from functools import reduce
 from operator import or_, xor
 
-from .graphs import Graph, _neighbour_xor, adjacency, catalog_lookup, stabilizer_generators
+from .graphs import (
+    Graph, _index_of, _neighbour_xor, adjacency, catalog_lookup, stabilizer_generators
+)
 from .stabilizer import PauliString, _checked_gates, _conj_columns, _set_bits, _transpose
 
 
@@ -92,7 +94,7 @@ def walk_gates(graph: Graph) -> tuple[tuple[str, tuple[int, ...]], ...]:
     entangling CZ(data, own resource half) for every incidence in edge
     order, then H on every resource qubit."""
     nv = graph.n_vertices
-    index = {v: i for i, v in enumerate(graph.vertices)}
+    index = _index_of(graph.vertices)
     gates = [
         ("CZ", (index[v], _resource_qubit(graph, 2 * j + e)))
         for j, edge in enumerate(graph.edges)
@@ -105,7 +107,7 @@ def walk_gates(graph: Graph) -> tuple[tuple[str, tuple[int, ...]], ...]:
 def far_side_masks(graph: Graph) -> list[int]:
     """g_v as an outcome-bit form per vertex, in vertex order: the XOR of
     the far-side bits at v is the parity of its mask AND the outcome index."""
-    index = {v: i for i, v in enumerate(graph.vertices)}
+    index = _index_of(graph.vertices)
     masks = [0] * len(index)
     for j, (u, w) in enumerate(graph.edges):
         first = _outcome_bit(graph, 2 * j)  # big-endian: the second is first >> 1

@@ -29,7 +29,7 @@ import numpy as np
 
 # defined numpy-free in graphs, where the CLI and the noise sum use them;
 # the same objects here
-from .graphs import DEFAULT_QUBIT_CEILING, Graph, ResourceError
+from .graphs import DEFAULT_QUBIT_CEILING, Graph, ResourceError, _index_of
 from .noise import NoiseChannel, _kraus_lists
 from .protocol import _check_index, prep_gates, walk_gates
 from .stabilizer import PauliString, _checked_gates
@@ -214,8 +214,9 @@ def graph_state(graph: Graph) -> StateVector:
     """CZ along every edge applied to |+> everywhere; qubit k hosts
     vertex graph.vertices[k]."""
     state = new_plus(graph.n_vertices)
+    index = _index_of(graph.vertices)
     for u, v in graph.edges:
-        state = apply_gate(state, "CZ", (graph.vertex_index(u), graph.vertex_index(v)))
+        state = apply_gate(state, "CZ", (index[u], index[v]))
     return state
 
 

@@ -113,7 +113,7 @@ def ghz_from_star() -> sv.StateVector:
     star = catalog_lookup("K1_3")
     state = graph_state(star)
     for leaf in ("B", "C", "D"):
-        state = sv.apply_gate(state, "H", (star.vertex_index(leaf),))
+        state = sv.apply_gate(state, "H", (star.vertices.index(leaf),))
     return state
 
 
@@ -153,8 +153,8 @@ def grid(rows: int, cols: int) -> Graph:
 
 def plan_from_maps(graph: Graph, x: dict[str, int], z: dict[str, int]) -> PauliString:
     """A plan from sparse exponent bit maps; a vertex not named gets 0."""
-    x_bits = sum(bit << graph.vertex_index(v) for v, bit in x.items())
-    z_bits = sum(bit << graph.vertex_index(v) for v, bit in z.items())
+    x_bits = sum(bit << graph.vertices.index(v) for v, bit in x.items())
+    z_bits = sum(bit << graph.vertices.index(v) for v, bit in z.items())
     return PauliString(graph.n_vertices, x_bits, z_bits)
 
 

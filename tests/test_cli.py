@@ -516,7 +516,7 @@ def test_non_finite_p_grid_is_usage_error(spec, capsys):
 @pytest.mark.parametrize(
     "spec, points",
     (
-        ("0:1:1e-9", "1000000002"),
+        ("0:1:1e-9", "1000000001"),
         ("0:1:1e-5", "100001"),
         ("0:1:1e-300", "about 1e+300"),
         ("-1e308:1e308:1e-10", "about inf"),
@@ -551,8 +551,15 @@ def test_bounded_p_grid_matches_the_old_loop():
 
 def test_p_grid_stops_when_the_step_is_below_the_float_spacing():
     # 1e-9 is below the spacing of floats at 1e9, so x never moves; the
-    # loop is bounded by the point count, floor(span) + 2 for a span of 1
-    assert cli._parse_p_grid("1e9:1e9:1e-9") == (1e9,) * 3
+    # loop is bounded by the point count, and the repeats are one point
+    assert cli._parse_p_grid("1e9:1e9:1e-9") == (1e9,)
+
+
+def test_p_grid_with_a_tiny_step_ends_at_stop_and_keeps_every_point():
+    # the slack past stop and the rounding both scale with the step, so
+    # no point lies past stop and no two points merge
+    assert cli._parse_p_grid("0:1e-10:1e-11") == tuple(i / 1e11 for i in range(11))
+    assert cli._parse_p_grid("0:3e-13:1e-13") == (0.0, 1e-13, 2e-13, 3e-13)
 
 
 def test_huge_p_grid_bound_exits_without_filling_memory():
@@ -737,6 +744,21 @@ def test_lc_cut_side_may_be_one_multi_character_label(tmp_path, capsys):
     assert "cut label ''" in capsys.readouterr().err
 
 
+def test_cut_labels_resolve_through_one_map():
+    # the labels are read once into a map, not scanned per label
+    class Unscannable(tuple):
+        def index(self, *args):
+            raise AssertionError("per-label scan")
+
+        def __contains__(self, item):
+            raise AssertionError("per-label scan")
+
+    labels = ("r0", "r1", "r2", "r3")
+    for spec in ("r0,r2|r1,r3", "r3|r0,r1,r2"):
+        side = cli._parse_cut(spec, labels)
+        assert cli._parse_cut(spec, Unscannable(labels)) == side
+
+
 def test_lc_vertex_count_mismatch_names_both_counts(capsys):
     assert main(["lc", "--a", "P3", "--b", "GHZ4", "--cut", "A|BC"]) == EXIT_USAGE
     assert capsys.readouterr().err == "pqw: vertex counts differ: 3 vs 4\n"
@@ -878,6 +900,13 @@ def _run_counts(tmp_path, counts_map):
     ideal.write_text(json.dumps({"00": 0.5, "11": 0.5}))
     return main(
         ["counts", "--counts", str(counts), "--ideal", str(ideal), "--k", "2"]
+    )
+
+
+def test_counts_k_past_the_float_range_is_usage_error(capsys):
+    argv = ["counts", "--fidelity", "0.9", "--k", "1" + "0" * 400]
+    assert _usage_error(argv, capsys) == (
+        f"pqw: k must be at most {sys.float_info.max:g}, the largest float\n"
     )
 
 

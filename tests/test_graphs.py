@@ -55,9 +55,10 @@ def test_accessors():
     p4 = catalog_lookup("P4")
     assert p4.vertices == ("A", "B", "C", "D")
     assert p4.n_vertices == 4 and p4.n_edges == 3
-    assert p4.neighbors("B") == ("A", "C")
-    assert p4.degree("A") == 1 and p4.degree("C") == 2
-    assert p4.vertex_index("D") == 3
+    # a label's index is its place in p4.vertices, and graphs.adjacency
+    # gives every vertex's neighbours in one pass
+    for name in ("vertex_index", "neighbors", "degree"):
+        assert not hasattr(Graph, name), name
     assert p4.is_tree()
     assert not catalog_lookup("C4").is_tree()
     assert p4.outcome_count() == 64

@@ -8,6 +8,7 @@ metric is checked against its closed forms directly.
 import collections
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -150,6 +151,10 @@ def test_p_eff_validation():
     assert extract_p_eff(1.0 + 1e-12, 6) == pytest.approx(0.0, abs=1e-12)
     # and it fits as 1, so p_eff is never negative
     assert extract_p_eff(1.0 + 1e-10, 3) == 0.0
+    # 1.0 / k overflows past the largest float, which itself still fits
+    with pytest.raises(ValueError, match="k must be at most"):
+        extract_p_eff(0.9, 10**400)
+    assert extract_p_eff(0.9, int(sys.float_info.max)) == 0.0
 
 
 # -- exact fidelities, strict metric -------------------------------------------
