@@ -7,6 +7,10 @@ malformed input files), 3 resource budget exceeded.
 
 Output is deterministic: JSON with sorted keys for structured reports,
 CSV with a header row and 12 significant digits for plot-ready curves.
+noise, lc and counts build one payload each and hand it, with CSV rows
+read lazily off it, to _write, the one function that picks the format
+and the destination; verify's two writers join outcomes run by run and
+build no payload.
 Every command runs in one thread; --jobs is still accepted, must be a
 positive integer, and is otherwise ignored, so that existing scripts
 keep running.
@@ -29,10 +33,10 @@ from typing import NamedTuple
 from . import __version__
 from .graphs import (
     CatalogError,
-    DEFAULT_QUBIT_CEILING,
     Graph,
     ResourceError,
     TABLE_ORDER,
+    _check_ceiling,
     _index_of,
     catalog_lookup,
     parse_edge_list,
@@ -152,7 +156,7 @@ def _parse_cut(spec: str, labels: tuple[str, ...]) -> frozenset[int]:
         out = set()
         for nm in names:
             if nm not in index:
-                raise UsageError(f"cut label {nm!r} not among vertices {labels}")
+                raise UsageError(f"cut label {nm!r} not among the {len(labels)} vertices of --a")
             out.add(index[nm])
         return frozenset(out)
 
@@ -191,6 +195,15 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
     else:
         Path(out).write_text(text, encoding="utf-8")
+
+
+def _write(config: RunConfig, payload, header: tuple[str, ...], rows) -> int:
+    """The one writer of noise, lc and counts: payload as JSON, or header
+    and rows as CSV, to stdout or --out.  rows is read off payload lazily,
+    so a JSON run formats no CSV field."""
+    text = _render_json(payload) if config.fmt == "json" else _render_csv(header, rows)
+    _emit(text, config.out)
+    return EXIT_PASS
 
 
 # -- commands ----------------------------------------------------------------
@@ -254,11 +267,7 @@ def cmd_verify(config: RunConfig) -> int:
         name, graph = _resolve_graph(spec)
         # the writers list all 4^|E| outcomes, so the register size bounds
         # the output before anything is written
-        n_qubits = graph.n_vertices + 2 * graph.n_edges
-        if n_qubits > DEFAULT_QUBIT_CEILING:
-            raise ResourceError(
-                f"{n_qubits} qubits exceeds the ceiling of {DEFAULT_QUBIT_CEILING}"
-            )
+        _check_ceiling(graph.n_vertices + 2 * graph.n_edges)
         try:
             reports.append(verify_all_outcomes(graph, config.correction, name=name))
         except ValueError as err:  # a correction kind that does not apply
@@ -279,18 +288,13 @@ def cmd_noise(config: RunConfig) -> int:
     from .noise import CHANNEL_ALIASES, f_star_dep, noise_sweep
 
     if config.compare is not None:
-        rows = []
-        payload = []
-        for p in config.p_grid:
-            for name, k in COMPARE_CURVES:
-                f = f_star_dep(p, k)
-                rows.append((name, str(k), _fmt(p), _fmt(f)))
-                payload.append({"name": name, "k": k, "p": p, "F": f})
-        if config.fmt == "json":
-            _emit(_render_json(payload), config.out)
-        else:
-            _emit(_render_csv(("name", "k", "p", "F"), rows), config.out)
-        return EXIT_PASS
+        curves = [
+            {"name": name, "k": k, "p": p, "F": f_star_dep(p, k)}
+            for p in config.p_grid
+            for name, k in COMPARE_CURVES
+        ]
+        rows = ((c["name"], str(c["k"]), _fmt(c["p"]), _fmt(c["F"])) for c in curves)
+        return _write(config, curves, ("name", "k", "p", "F"), rows)
 
     name, graph = _resolve_graph(config.graph)
     report = noise_sweep(
@@ -301,26 +305,23 @@ def cmd_noise(config: RunConfig) -> int:
         insertion=config.insertion,
         metric=config.metric,
     )
-    if config.fmt == "json":
-        payload = {
-            "graph": name,
-            "channel": CHANNEL_ALIASES[config.channel],
-            "correction": config.correction,
-            "insertion": config.insertion,
-            "metric": config.metric,
-            "k": report.k,
-            "p_grid": list(report.p_grid),
-            "fidelities": list(report.fidelities),
-            "analytic": None if report.analytic is None else list(report.analytic),
-        }
-        _emit(_render_json(payload), config.out)
-    else:
-        rows = []
-        for i, p in enumerate(report.p_grid):
-            analytic = "" if report.analytic is None else _fmt(report.analytic[i])
-            rows.append((_fmt(p), _fmt(report.fidelities[i]), analytic))
-        _emit(_render_csv(("p", "F_exact", "F_analytic"), rows), config.out)
-    return EXIT_PASS
+    payload = {
+        "graph": name,
+        "channel": CHANNEL_ALIASES[config.channel],
+        "correction": config.correction,
+        "insertion": config.insertion,
+        "metric": config.metric,
+        "k": report.k,
+        "p_grid": list(report.p_grid),
+        "fidelities": list(report.fidelities),
+        "analytic": None if report.analytic is None else list(report.analytic),
+    }
+    analytic = payload["analytic"] or [None] * len(report.p_grid)
+    rows = (
+        (_fmt(p), _fmt(f), "" if a is None else _fmt(a))
+        for p, f, a in zip(payload["p_grid"], payload["fidelities"], analytic)
+    )
+    return _write(config, payload, ("p", "F_exact", "F_analytic"), rows)
 
 
 def cmd_lc(config: RunConfig) -> int:
@@ -336,24 +337,17 @@ def cmd_lc(config: RunConfig) -> int:
                 raise UsageError(f"--b has no vertex {v!r} of --a")
         graph_b = Graph(graph_a.vertices, graph_b.edges)
     report = lc_check(graph_a, graph_b, cuts)
-    if config.fmt == "json":
-        payload = {
-            "a": config.state_a,
-            "b": config.state_b,
-            "cuts": [
-                {"cut": spec, "rank_a": rec.rank_a, "rank_b": rec.rank_b}
-                for spec, rec in zip(config.cuts, report.records)
-            ],
-            "inequivalent": report.inequivalent,
-        }
-        _emit(_render_json(payload), config.out)
-    else:
-        rows = [
-            (spec, str(rec.rank_a), str(rec.rank_b))
+    payload = {
+        "a": config.state_a,
+        "b": config.state_b,
+        "cuts": [
+            {"cut": spec, "rank_a": rec.rank_a, "rank_b": rec.rank_b}
             for spec, rec in zip(config.cuts, report.records)
-        ]
-        _emit(_render_csv(("cut", "rank_a", "rank_b"), rows), config.out)
-    return EXIT_PASS
+        ],
+        "inequivalent": report.inequivalent,
+    }
+    rows = ((c["cut"], str(c["rank_a"]), str(c["rank_b"])) for c in payload["cuts"])
+    return _write(config, payload, ("cut", "rank_a", "rank_b"), rows)
 
 
 def _load_json_map(path: str, value_type) -> dict:
@@ -383,19 +377,9 @@ def cmd_counts(config: RunConfig) -> int:
         counts = _load_json_map(config.counts_path, int)
         ideal = _load_json_map(config.ideal_path, float)
         fidelity = bhattacharyya_fidelity(counts, ideal, squared=not config.unsquared)
-    p_eff = extract_p_eff(fidelity, config.k)
-    if config.fmt == "json":
-        payload = {"fidelity": fidelity, "k": config.k, "p_eff": p_eff}
-        _emit(_render_json(payload), config.out)
-    else:
-        _emit(
-            _render_csv(
-                ("fidelity", "k", "p_eff"),
-                [(_fmt(fidelity), str(config.k), _fmt(p_eff))],
-            ),
-            config.out,
-        )
-    return EXIT_PASS
+    payload = {"fidelity": fidelity, "k": config.k, "p_eff": extract_p_eff(fidelity, config.k)}
+    rows = ((_fmt(r["fidelity"]), str(r["k"]), _fmt(r["p_eff"])) for r in (payload,))
+    return _write(config, payload, ("fidelity", "k", "p_eff"), rows)
 
 
 # -- argument parsing --------------------------------------------------------

@@ -34,6 +34,12 @@ class ResourceError(RuntimeError):
 DEFAULT_QUBIT_CEILING = 24
 
 
+def _check_ceiling(n_qubits: int) -> None:
+    """Refuse a register of n_qubits past the ceiling."""
+    if n_qubits > DEFAULT_QUBIT_CEILING:
+        raise ResourceError(f"{n_qubits} qubits exceeds the ceiling of {DEFAULT_QUBIT_CEILING}")
+
+
 class _Checked:
     """Base of a named tuple whose checks run in __new__.
 

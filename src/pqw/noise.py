@@ -163,9 +163,10 @@ def extract_p_eff(fidelity: float, k: int) -> float:
 def t1_damping_estimate(duration_us: float, t1_us: float) -> float:
     """Decay probability 1 - exp(-duration/T1) accumulated over a gate
     or delay of the given length."""
-    if duration_us < 0:
+    # written so that NaN fails them
+    if not duration_us >= 0:
         raise ValueError(f"duration must be non-negative, got {duration_us}")
-    if t1_us <= 0:
+    if not t1_us > 0:
         raise ValueError(f"T1 must be positive, got {t1_us}")
     return 1.0 - math.exp(-duration_us / t1_us)
 
@@ -177,6 +178,10 @@ def bhattacharyya_fidelity(
     (sum_x sqrt(phat_x * q_x))^2, or the unsquared sum when asked."""
     if not counts:
         raise ValueError("counts must be non-empty")
+    for what, values in (("count", counts), ("ideal probability", ideal)):
+        for x, v in values.items():
+            if not abs(v) < math.inf:  # NaN fails too
+                raise ValueError(f"{what} for {x!r} must be finite, got {v}")
     if any(c < 0 for c in counts.values()):
         raise ValueError("counts must be non-negative")
     total = sum(counts.values())
@@ -219,8 +224,11 @@ class NoiseReport(_Checked, _ReportFields):
             raise ValueError("p_grid and fidelities must have equal length")
         if analytic is not None and len(analytic) != len(p_grid):
             raise ValueError("analytic overlay must match the grid length")
-        if any(f < -1e-12 or f > 1.0 + 1e-12 for f in fidelities):
-            raise ValueError("fidelities must lie in [0, 1]")
+        # written so that NaN fails it
+        for what, values in (("fidelities", fidelities), ("analytic overlay", analytic or ())):
+            for f in values:
+                if not -1e-12 <= f <= 1.0 + 1e-12:
+                    raise ValueError(f"{what} must lie in [0, 1], got {f}")
         return super().__new__(cls, p_grid, fidelities, analytic, k)
 
 

@@ -29,7 +29,7 @@ import numpy as np
 
 # defined numpy-free in graphs, where the CLI and the noise sum use them;
 # the same objects here
-from .graphs import DEFAULT_QUBIT_CEILING, Graph, ResourceError, _index_of
+from .graphs import DEFAULT_QUBIT_CEILING, Graph, ResourceError, _check_ceiling, _index_of
 from .noise import NoiseChannel, _kraus_lists
 from .protocol import _check_index, prep_gates, walk_gates
 from .stabilizer import PauliString, _checked_gates
@@ -44,10 +44,7 @@ class ZeroProbabilityError(ValueError):
 def _check_size(n_qubits: int) -> None:
     if n_qubits < 1:
         raise ValueError(f"need at least one qubit, got {n_qubits}")
-    if n_qubits > DEFAULT_QUBIT_CEILING:
-        raise ResourceError(
-            f"{n_qubits} qubits exceeds the ceiling of {DEFAULT_QUBIT_CEILING}"
-        )
+    _check_ceiling(n_qubits)
 
 
 @dataclass(frozen=True, eq=False)

@@ -759,6 +759,18 @@ def test_cut_labels_resolve_through_one_map():
         assert cli._parse_cut(spec, Unscannable(labels)) == side
 
 
+def test_unknown_cut_label_names_it_and_the_vertex_count(tmp_path, capsys):
+    # one bad label in a 5,000|5,000 cut of a 100x100 grid: the message
+    # names that label and the vertex count, not all 10,000 labels
+    g = grid(100, 100)
+    path = tmp_path / "grid.txt"
+    path.write_text("".join(f"{u} {v}\n" for u, v in g.edges), encoding="utf-8")
+    cut = ",".join(g.vertices[:5000]) + ",r0c100|" + ",".join(g.vertices[5000:])
+    err = _usage_error(["lc", "--a", f"@{path}", "--b", f"@{path}", "--cut", cut], capsys)
+    assert err == "pqw: cut label 'r0c100' not among the 10000 vertices of --a\n"
+    assert len(err.encode()) < 200
+
+
 def test_lc_vertex_count_mismatch_names_both_counts(capsys):
     assert main(["lc", "--a", "P3", "--b", "GHZ4", "--cut", "A|BC"]) == EXIT_USAGE
     assert capsys.readouterr().err == "pqw: vertex counts differ: 3 vs 4\n"
@@ -959,6 +971,86 @@ def test_counts_unsquared_reports_the_overlap(tmp_path, capsys):
     assert unsquared == pytest.approx(math.sqrt(0.15) + math.sqrt(0.35), rel=1e-12)
     assert unsquared == pytest.approx(math.sqrt(squared), rel=1e-12)
     assert unsquared > squared
+
+
+# -- one writer -------------------------------------------------------------------
+
+# SHA-256 of the stdout of each form, (JSON, CSV), as written before noise,
+# lc and counts shared one writer; COUNTS and IDEAL name the files of
+# _writer_runs
+WRITER_SHA256 = {
+    "noise --graph P4 --channel dep --p 0:0.3:0.1": (
+        "15c868f00b7a77c02ce39e471f42c1749c6dd38fa395de8b963064119424fca7",
+        "1fecd0dca56a8c79397cb5c415e497606717a93895939c3d70080f96d92284de",
+    ),
+    "noise --graph P4 --channel ad --p 0:0.2:0.1 --metric conditional": (
+        "e00c8a22aa2b3802b19a570e45e67f8034a66e7306f96d8af7c2b76e99332408",
+        "e78980c302ee74583f208f0ccbbad6af8f042306f1ee26d8336757fbe3edcdf0",
+    ),
+    "noise --compare fig4 --p 0:0.2:0.1": (
+        "da1f77dd98c0ca5932c67e4d64cb831a35aa36b725b48165163e27af64d8bda7",
+        "d5462e9bf02697e9bb8252361e7d4c131ae8d807cb7c8f75bd4d7be1b1362a62",
+    ),
+    "lc --a L4 --b GHZ4 --cut AC|BD --cut AB|CD": (
+        "01344874978aaf8f0c76e42a4f738fa94e6e4055b0f94cc98a29f1b65ff58004",
+        "5f7a6542a5e1791c2e399c1dd8ad151e7add91253c0242cbfbe2f8f64ecc88e3",
+    ),
+    "counts --fidelity 0.9241 --k 6": (
+        "6fe2fd30ed0f8af746fd8f0ba3325896fbe0647c3382c6bb5ecfeeaa47b4243d",
+        "157f656f55d5cfe93aaf1f20c0a1c031acda517af89a840e417983f279b1def4",
+    ),
+    "counts --counts COUNTS --ideal IDEAL --k 6": (
+        "d20dac135b63753d9dda6bdc84d1bedb136863fc148cf913cc742f0f16b9f1fe",
+        "c8fdb19866b338df3a4f457090b9ca25ee0c3be26401727030b553139c8eddf9",
+    ),
+    "counts --counts COUNTS --ideal IDEAL --k 6 --unsquared": (
+        "433ab66de4dcfe4acae782e99388eab74aaa61f2daaa760b7ae729a01db16d72",
+        "162426cbb2b3f7e76533a9c9c1f1db23bc8a8cd894c4efb03cd83734f3a1664c",
+    ),
+}
+
+
+def _writer_runs(tmp_path):
+    """(argv, stdout SHA-256) for each form of WRITER_SHA256 in each format."""
+    files = {"COUNTS": tmp_path / "counts.json", "IDEAL": tmp_path / "ideal.json"}
+    files["COUNTS"].write_text('{"00": 480, "01": 15, "10": 25, "11": 480}')
+    files["IDEAL"].write_text('{"00": 0.5, "11": 0.5}')
+    for form, digests in WRITER_SHA256.items():
+        argv = [str(files.get(arg, arg)) for arg in form.split()]
+        for fmt, digest in zip(("json", "csv"), digests):
+            yield [*argv, "--format", fmt], digest
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_each_run_writes_its_bytes_to_stdout_or_out(tmp_path, capsys):
+    out = tmp_path / "out.txt"
+    for argv, digest in _writer_runs(tmp_path):
+        assert main(argv) == EXIT_PASS, argv
+        text = capsys.readouterr().out
+        assert _sha256(text) == digest, argv
+        assert main([*argv, "--out", str(out)]) == EXIT_PASS, argv
+        assert capsys.readouterr().out == ""
+        assert out.read_bytes() == text.encode(), argv
+
+
+def test_a_json_run_formats_no_csv_field(tmp_path, monkeypatch, capsys):
+    runs = list(_writer_runs(tmp_path))
+
+    def refuse(*args):
+        raise AssertionError("a CSV field was formatted")
+
+    monkeypatch.setattr(cli, "_fmt", refuse)
+    monkeypatch.setattr(cli, "_csv_field", refuse)
+    for argv, digest in runs:
+        if argv[-1] == "json":
+            assert main(argv) == EXIT_PASS, argv
+            assert _sha256(capsys.readouterr().out) == digest, argv
+        else:  # so the patch can fail a run
+            with pytest.raises(AssertionError, match="CSV field"):
+                main(argv)
 
 
 # -- shared plumbing --------------------------------------------------------------

@@ -8,6 +8,7 @@ metric is checked against its closed forms directly.
 import collections
 import math
 import random
+import re
 import sys
 
 import numpy as np
@@ -485,6 +486,11 @@ def test_t1_damping_estimate():
         t1_damping_estimate(-1.0, 50.0)
     with pytest.raises(ValueError, match="positive"):
         t1_damping_estimate(1.0, 0.0)
+    # NaN fails both checks, which name it
+    with pytest.raises(ValueError, match="duration must be non-negative, got nan$"):
+        t1_damping_estimate(math.nan, 1.0)
+    with pytest.raises(ValueError, match="T1 must be positive, got nan$"):
+        t1_damping_estimate(1.0, math.nan)
 
 
 def test_bhattacharyya_fidelity():
@@ -518,6 +524,16 @@ def test_bhattacharyya_validation():
         bhattacharyya_fidelity({"00": -1}, {"00": 1.0})
     with pytest.raises(ValueError, match="expected 1"):
         bhattacharyya_fidelity({"00": 1}, {"00": 0.7})
+    # NaN and infinities are refused by name, not returned or summed
+    for counts, ideal, message in (
+        ({"00": 1}, {"00": math.nan}, "ideal probability for '00' must be finite, got nan"),
+        ({"00": math.nan}, {"00": 1.0}, "count for '00' must be finite, got nan"),
+        ({"00": math.inf}, {"00": 1.0}, "count for '00' must be finite, got inf"),
+        ({"00": 1}, {"00": math.inf, "11": -math.inf}, "got inf"),
+        ({"00": 1}, {"00": -math.inf, "11": math.inf}, "got -inf"),
+    ):
+        with pytest.raises(ValueError, match=re.escape(message) + "$"):
+            bhattacharyya_fidelity(counts, ideal)
 
 
 # -- noise sweeps -----------------------------------------------------------------
@@ -623,3 +639,8 @@ def test_noise_report_validation():
         NoiseReport((0.0, 0.1), (1.0,), (1.0, 0.925), 1)
     with pytest.raises(ValueError, match="fidelit"):
         NoiseReport((0.0,), (1.5,), (1.0,), 1)
+    # NaN fails the range check, in either column
+    with pytest.raises(ValueError, match=r"fidelities must lie in \[0, 1\], got nan$"):
+        NoiseReport((0.1,), (math.nan,), None, 2)
+    with pytest.raises(ValueError, match=r"analytic overlay must lie in \[0, 1\], got nan$"):
+        NoiseReport((0.1,), (0.9,), (math.nan,), 2)

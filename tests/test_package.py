@@ -297,6 +297,7 @@ run(["verify", "--graph", "all", "--format", "csv"])
 run(["noise", "--channel", "dep", "--p", "0:0.2:0.1", "--format", "csv"])
 run(["noise", "--compare", "fig4", "--p", "0.2", "--format", "csv"])
 run(["counts", "--fidelity", "0.9241", "--k", "6", "--format", "csv"])
+run(["lc", "--a", "L4", "--b", "GHZ4", "--cut", "AC|BD", "--format", "csv"])
 from pqw.graphs import catalog_lookup
 from pqw.verify import phase_lemma_check
 
@@ -316,6 +317,7 @@ def test_csv_runs_do_not_import_json():
         "noise --channel dep --p 0:0.2:0.1 --format csv",
         "noise --compare fig4 --p 0.2 --format csv",
         "counts --fidelity 0.9241 --k 6 --format csv",
+        "lc --a L4 --b GHZ4 --cut AC|BD --format csv",
         "phase_lemma_check C5",
         "verify --graph P4 --format json",
     ]
