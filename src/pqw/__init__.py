@@ -50,7 +50,7 @@ _EXPORTS = {
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
-_MODULE_OF.update((module, module) for module in ("data", "cli", *_EXPORTS))
+_MODULE_OF.update((module, module) for module in ("cli", *_EXPORTS))
 
 
 def __getattr__(name: str):

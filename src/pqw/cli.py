@@ -129,16 +129,6 @@ def _resolve_graph(spec: str) -> tuple[str, Graph]:
     return spec, catalog_lookup(spec)
 
 
-def _resolve_state(spec: str) -> Graph:
-    """The graph a state selector names: L4 the path P4, any catalog name
-    or @edge-list its graph.  GHZ4 is the catalog alias of the star K1_3,
-    whose graph state is GHZ4 up to H on every leaf, which changes no
-    Schmidt rank."""
-    if spec == "L4":
-        return catalog_lookup("P4")
-    return _resolve_graph(spec)[1]
-
-
 def _parse_cut(spec: str, labels: tuple[str, ...]) -> frozenset[int]:
     """The vertex indices of side A.  AC|BD puts vertices A,C on one side
     and B,D on the other; comma separation supports multi-character
@@ -325,8 +315,8 @@ def cmd_noise(config: RunConfig) -> int:
 
 
 def cmd_lc(config: RunConfig) -> int:
-    graph_a = _resolve_state(config.state_a)
-    graph_b = _resolve_state(config.state_b)
+    graph_a = _resolve_graph(config.state_a)[1]
+    graph_b = _resolve_graph(config.state_b)[1]
     cuts = [_parse_cut(spec, graph_a.vertices) for spec in config.cuts]
     # lc_check names both counts when they differ; else a cut, given by
     # --a's labels, must split --b by the same labels, not the same indices

@@ -137,14 +137,19 @@ def _data_sign_forms(graph: Graph) -> tuple[tuple[int, int] | None, ...]:
     holds sign_v (-1)^{|sigma_v & s|} K_v.
 
     Measuring resource qubit r gives (-1)^{s_r} Z_r, so K_v has that form
-    exactly when sign_v K_v (x) Z_R^{sigma_v} stabilizes the walked state,
-    that is when its walk run backwards lies in the prepared group.  That
-    group is local: X on each data qubit, and X(x)Z, Z(x)X and their
-    product on each pair, so an element is +-P with no Z on a data qubit
-    and its x bit at each resource qubit equal to its z bit at the pair
-    partner.  Pass 1 runs every K_v back alone and reads sigma_v off the
-    resource qubits where the two differ, as a resource Z_r comes back as
-    X_r Z_{d(r)}; pass 2 runs every K_v (x) Z_R^{sigma_v} back and checks it.
+    when sign_v K_v (x) Z_R^{sigma_v} stabilizes the walked state, that is
+    when its walk run backwards lies in the prepared group.  That group is
+    local: X on each data qubit, and X(x)Z, Z(x)X and their product on
+    each pair, so an element is +-P with no Z on a data qubit and its x
+    bit at each resource qubit equal to its z bit at the pair partner.
+    Pass 1 runs every K_v back alone and reads sigma_v off the resource
+    qubits where the two differ, as on the real walk a resource Z_r comes
+    back as X_r Z_{d(r)}; pass 2 runs every K_v (x) Z_R^{sigma_v} back and
+    checks it.  So a form returned holds on any walk, but on a walk other
+    than walk_gates pass 1 may pick a sigma_v that fails and report a K_v
+    missing that the data group holds: on K2 with CZ(3, 2) before the walk
+    and H(0) after it the reader returns (None, None), though K_A is there
+    at every outcome with sign (-1)^{|s|}.
     """
     nv, k = graph.n_vertices, 2 * graph.n_edges
     rows, neighbours = _back_rows(graph), adjacency(graph)

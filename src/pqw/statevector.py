@@ -96,15 +96,16 @@ def from_amplitudes(amps, normalize: bool = False) -> StateVector:
     return StateVector(n, a.copy())
 
 
-# Gate kernels work on a view reshaped to (high bits, 2, low bits) so the
-# middle axis is the target qubit; no 2^n x 2^n matrices are ever built.
+# Gate kernels take a checked row's targets a and b (b = a for a one-qubit
+# gate) and work on a view reshaped to (high bits, 2, low bits), the middle
+# axis the target qubit; no 2^n x 2^n matrices are ever built.
 
 
 def _split(amps: np.ndarray, qubit: int) -> np.ndarray:
     return amps.reshape(-1, 2, 2**qubit)
 
 
-def _apply_h(amps: np.ndarray, qubit: int) -> np.ndarray:
+def _apply_h(amps: np.ndarray, qubit: int, _: int) -> np.ndarray:
     view = _split(amps, qubit)
     out = np.empty_like(view)
     out[:, 0, :] = (view[:, 0, :] + view[:, 1, :]) * _INV_SQRT2
@@ -112,7 +113,7 @@ def _apply_h(amps: np.ndarray, qubit: int) -> np.ndarray:
     return out.reshape(amps.size)
 
 
-def _apply_x(amps: np.ndarray, qubit: int) -> np.ndarray:
+def _apply_x(amps: np.ndarray, qubit: int, _: int) -> np.ndarray:
     view = _split(amps, qubit)
     out = np.empty_like(view)
     out[:, 0, :] = view[:, 1, :]
@@ -120,7 +121,7 @@ def _apply_x(amps: np.ndarray, qubit: int) -> np.ndarray:
     return out.reshape(amps.size)
 
 
-def _apply_z(amps: np.ndarray, qubit: int) -> np.ndarray:
+def _apply_z(amps: np.ndarray, qubit: int, _: int) -> np.ndarray:
     out = _split(amps, qubit).copy()
     out[:, 1, :] *= -1.0
     return out.reshape(amps.size)
@@ -141,11 +142,18 @@ def _apply_cz(amps: np.ndarray, q1: int, q2: int) -> np.ndarray:
 _KERNELS = {"H": _apply_h, "X": _apply_x, "Z": _apply_z, "CZ": _apply_cz}
 
 
+def _run_gates(amps: np.ndarray, rows) -> np.ndarray:
+    """Checked (gate, a, b) rows, as pqw.stabilizer._checked_gates returns
+    them, on raw, possibly unnormalized amplitudes."""
+    for gate, a, b in rows:
+        amps = _KERNELS[gate](amps, a, b)
+    return amps
+
+
 def apply_gate(state: StateVector, gate: str, targets) -> StateVector:
     """Apply H, X, Z or CZ."""
-    targets = tuple(targets)
-    _checked_gates(state.n_qubits, ((gate, targets),))
-    return StateVector(state.n_qubits, _KERNELS[gate](state.amplitudes, *targets))
+    rows = _checked_gates(state.n_qubits, ((gate, targets),))
+    return StateVector(state.n_qubits, _run_gates(state.amplitudes, rows))
 
 
 def measure_project(state: StateVector, qubit: int, outcome: int):
@@ -252,30 +260,25 @@ def check_stabilizes(state: StateVector, generators, tol: float = 1e-10) -> bool
 
 # -- the protocol, run densely -------------------------------------------------
 # The per-outcome reference the symbolic engines are checked against; the
-# circuit is pqw.protocol's gate lists, run through the kernels above.
-
-
-def _run_gates(amps: np.ndarray, gates) -> np.ndarray:
-    """A gate list on raw, possibly unnormalized amplitudes."""
-    for gate, targets in gates:
-        amps = _KERNELS[gate](amps, *targets)
-    return amps
+# circuit is pqw.protocol's gate lists, checked once each, on the kernels.
 
 
 def _after_prep(graph: Graph) -> np.ndarray:
     """Raw amplitudes after S1 + S2, every qubit prepared."""
     # no name holds the |+> register, so the first gate frees it
     n_qubits = graph.n_vertices + 2 * graph.n_edges
-    return _run_gates(new_plus(n_qubits).amplitudes, prep_gates(graph))
+    rows = _checked_gates(n_qubits, prep_gates(graph))
+    return _run_gates(new_plus(n_qubits).amplitudes, rows)
 
 
 @lru_cache(maxsize=32)
 def _premeasurement(graph: Graph) -> StateVector:
     # no name holds the prepared register, so the walk frees it after
     # its first gate instead of keeping one more register alive
-    amps = _run_gates(_after_prep(graph), walk_gates(graph))
+    n_qubits = graph.n_vertices + 2 * graph.n_edges
+    amps = _run_gates(_after_prep(graph), _checked_gates(n_qubits, walk_gates(graph)))
     amps.flags.writeable = False  # cached, so no caller may write into it
-    return StateVector(graph.n_vertices + 2 * graph.n_edges, amps)
+    return StateVector(n_qubits, amps)
 
 
 def data_slab(graph: Graph, index: int) -> np.ndarray:

@@ -73,13 +73,20 @@ def _pivots(rows) -> dict[int, int]:
     return pivots
 
 
+def _consistent_rank(conditions) -> int | None:
+    """The GF(2) rank of the rows mask . s = odd of the (mask, odd)
+    conditions, or None when no outcome meets them all: each row is kept
+    as mask << 1 | odd, and the rows are inconsistent exactly when one
+    reduces to 0 = 1, a pivot at bit 0."""
+    pivots = _pivots(mask << 1 | odd for mask, odd in conditions)
+    return None if 0 in pivots else len(pivots)
+
+
 def _pass_fraction(conditions) -> float:
     """The fraction of outcomes that meet every (mask, odd) condition:
-    the rows mask . s = odd, each kept as mask << 1 | odd, are
-    inconsistent exactly when one reduces to 0 = 1, a pivot at bit 0, and
-    else each pivot halves the outcomes that meet them."""
-    pivots = _pivots(mask << 1 | odd for mask, odd in conditions)
-    return 0.0 if 0 in pivots else 2.0 ** -len(pivots)
+    each pivot of consistent rows halves the outcomes that meet them."""
+    rank = _consistent_rank(conditions)
+    return 0.0 if rank is None else 2.0 ** -rank
 
 
 class VerificationReport(NamedTuple):
@@ -104,8 +111,8 @@ class VerificationReport(NamedTuple):
 
     @property
     def max_fidelity(self) -> float:
-        # the conditions can all hold: a pivot test, as 2^-rank is 0.0 past 1074
-        return 0.0 if 0 in _pivots(m << 1 | odd for m, odd in self.conditions) else 1.0
+        # the conditions can all hold: a rank test, as 2^-rank is 0.0 past 1074
+        return 0.0 if _consistent_rank(self.conditions) is None else 1.0
 
     def first_failure(self) -> int | None:
         """The lowest index that misses |G>, or None: outcome 0 fails any

@@ -17,7 +17,7 @@ from pqw import statevector as sv
 from pqw.graphs import Graph, catalog_lookup, parse_edge_list
 from pqw.protocol import _outcome_bit, _sign_forms, walk_gates
 from pqw.statevector import _after_prep, _premeasurement, _run_gates, graph_state
-from pqw.stabilizer import PauliString, conjugate_circuit
+from pqw.stabilizer import PauliString, _checked_gates, conjugate_circuit
 
 GATE_ARITY = {"H": 1, "X": 1, "Z": 1, "CZ": 2, "CNOT": 2}
 
@@ -221,12 +221,13 @@ def branch_fidelity(
     k = len(resource_qubits)
     branch_totals = []
     prepped = _after_prep(graph)
+    walk = _checked_gates(graph.n_vertices + k, walk_gates(graph))
     for branch in iter_product(range(len(ops)), repeat=k):
         if insertion == "post_prep":
             amps = prepped
             for q, b in zip(resource_qubits, branch):
                 amps = apply_one_qubit_matrix(amps, ops[b], q)
-            amps = _run_gates(amps, walk_gates(graph))
+            amps = _run_gates(amps, walk)
         else:
             amps = _premeasurement(graph).amplitudes
             for q, b in zip(resource_qubits, branch):

@@ -299,7 +299,25 @@ def test_verify_names_the_graph_a_correction_refuses(kind, message, capsys):
 def test_verify_unknown_graph_lists_names(capsys):
     code = main(["verify", "--graph", "pentagon"])
     assert code == EXIT_USAGE
-    assert "valid names" in capsys.readouterr().err
+    assert "valid names: C3, C4, C5, GHZ4, K1_2, K1_3, K1_4, K3, K4, L4, P3," in (
+        capsys.readouterr().err
+    )
+
+
+@pytest.mark.parametrize("fmt", ("json", "csv"))
+def test_paper_names_are_catalog_aliases_in_every_command(fmt, capsys):
+    # verify and noise take L4 and GHZ4 as lc does, and write the bytes
+    # of the graph each names with only the name changed
+    def run(*argv):
+        assert main([*argv, "--format", fmt]) == EXIT_PASS
+        return capsys.readouterr().out
+
+    noise = ("--channel", "dep", "--p", "0.1:0.3:0.1", "--metric", "conditional")
+    for alias, name in (("L4", "P4"), ("GHZ4", "K1_3")):
+        for command, options in (("verify", ()), ("noise", noise)):
+            text = run(command, "--graph", alias, *options)
+            assert text == run(command, "--graph", name, *options).replace(name, alias)
+            assert alias in text or (command, fmt) == ("noise", "csv")
 
 
 def test_verify_graph_from_edge_list_file(tmp_path, capsys):

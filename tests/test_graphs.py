@@ -126,6 +126,7 @@ CATALOG_GOLDEN = {
     "fork": ("ABCDE", "AB BC CD BE"),
     "K4": ("ABCD", "AB AC AD BC BD CD"),
     "GHZ4": ("ABCD", "AB AC AD"),
+    "L4": ("ABCD", "AB BC CD"),
 }
 
 

@@ -47,7 +47,7 @@ EXPORTS = {
 # each submodule after every submodule it imports, so that reading
 # pqw.<name> in this order is always the first import of that module
 SUBMODULES = (
-    "data", "stabilizer", "graphs", "protocol", "verify", "noise", "statevector", "cli",
+    "stabilizer", "graphs", "protocol", "verify", "noise", "statevector", "cli",
 )
 
 # Runs in a fresh interpreter that has imported nothing of pqw but the

@@ -1,6 +1,8 @@
 """The protocol itself: qubit order and outcome indexing, the dense and
 symbolic runs, the byproduct primitive, and every correction formula."""
 
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -282,6 +284,60 @@ def test_symbolic_run_keeps_its_checks(altered_walk):
             for phase in (0, 2):
                 signed = PauliString(2, k_v.x_bits, k_v.z_bits, phase)
                 assert not check_stabilizes(data, (signed,))
+
+
+@pytest.mark.parametrize(
+    "bad,message",
+    [
+        (("CZ", (0, 0)), "duplicate targets (0, 0)"),
+        (("CZ", (0, 99)), "qubit 99 out of range"),
+        (("Y", (0,)), "unknown gate 'Y'"),
+        (("H", (0, 1)), "H takes 1 targets, got (0, 1)"),
+    ],
+    ids=("duplicate", "out-of-range", "unknown", "arity"),
+)
+def test_both_engines_refuse_a_bad_walk_alike(altered_walk, bad, message):
+    # the dense run checks its gate lists by the symbolic engine's table
+    real = protocol.walk_gates
+    altered_walk(lambda graph: real(graph) + (bad,))
+    for run in (verify_all_outcomes, lambda graph: run_protocol(graph, 0)):
+        with pytest.raises(ValueError) as refused:
+            run(catalog_lookup("P3"))
+        assert str(refused.value) == message
+
+
+def test_a_sign_form_read_off_any_walk_holds(altered_walk):
+    # the reader may miss a K_v on a walk other than walk_gates, but a
+    # form it returns fixes the dense data state at every outcome
+    rng = random.Random(2903)
+    real = protocol.walk_gates
+    checks = 0
+    for _ in range(300):
+        graph = rng.choice((K2, catalog_lookup("P3"), catalog_lookup("C3")))
+        n_qubits = graph.n_vertices + 2 * graph.n_edges
+        walk = list(real(graph))
+        for _ in range(rng.randint(1, 3)):
+            if walk and rng.random() < 0.5:
+                del walk[rng.randrange(len(walk))]
+            else:
+                gate = rng.choice(("H", "X", "Z", "CZ"))
+                targets = rng.sample(range(n_qubits), 2 if gate == "CZ" else 1)
+                walk.insert(rng.randint(0, len(walk)), (gate, tuple(targets)))
+        altered_walk(lambda _, walk=tuple(walk): walk)
+        forms = protocol._data_sign_forms(graph)
+        for index in range(graph.outcome_count()):
+            try:
+                _, data = run_protocol(graph, index)
+            except sv.ZeroProbabilityError:
+                continue
+            for k_v, form in zip(stabilizer_generators(graph), forms):
+                if form is not None:
+                    sign, sigma = form
+                    phase = 2 * ((sign < 0) + (sigma & index).bit_count())
+                    signed = PauliString(k_v.n_qubits, k_v.x_bits, k_v.z_bits, phase)
+                    assert check_stabilizes(data, (signed,)), (walk, index, k_v)
+                    checks += 1
+    assert checks > 1000
 
 
 def test_single_vertex_reads_one_plus_form():
