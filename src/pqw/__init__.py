@@ -10,7 +10,8 @@ in [0, 4^|E|), a correction plan is a PauliString on the data qubits,
 and a stabilizer group is a tuple of PauliStrings.
 
 Every exported name, and every submodule, loads on first access, so
-``import pqw.cli`` loads only the engines a command runs.  Every command
+``import pqw.cli`` loads only pqw.graphs, and a command loads the engine
+it runs when it runs; no module imports typing or pathlib.  Every command
 runs on one symbolic engine, the walk run backwards in the Heisenberg
 picture (pqw.protocol), and no module but pqw.statevector imports numpy.
 The dense names (StateVector, graph_state, run_protocol, kraus_ops, ...)

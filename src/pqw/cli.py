@@ -19,19 +19,23 @@ The command line is parsed from one table, COMMANDS, which maps each
 option to the RunConfig field it fills, with its type, choices, default
 and help; parse_args reads it for parsing, defaults and --help alike,
 with no argparse.  An option may be abbreviated to a unique prefix and
-written as --flag value or --flag=value, and a later use of it wins.  A
-command imports only the engine it runs: verify never loads pqw.noise.
+written as --flag value or --flag=value, and a later use of it wins.
+Importing this module loads pqw.graphs and no engine, so help, version
+and usage errors load none; a command imports the engine it runs when it
+runs: verify and lc pqw.verify, noise and counts pqw.noise.  Files are
+read and written with open, and a path is quoted in a message as given.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import sys
-from pathlib import Path
-from typing import NamedTuple
+from collections import namedtuple
 
 from . import __version__
 from .graphs import (
+    CORRECTION_KINDS,
     CatalogError,
     Graph,
     ResourceError,
@@ -41,8 +45,6 @@ from .graphs import (
     catalog_lookup,
     parse_edge_list,
 )
-from .protocol import CORRECTION_KINDS
-from .verify import VerificationReport, lc_check, verify_all_outcomes
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -62,28 +64,15 @@ class UsageError(ValueError):
     """Inconsistent or malformed command configuration."""
 
 
-class RunConfig(NamedTuple):
-    """One fully resolved command invocation; parse_args, its only
-    constructor, refuses inconsistent flags."""
-
-    command: str
-    graph: str | None = None
-    correction: str = "universal"
-    channel: str | None = None
-    p_grid: tuple[float, ...] | None = None
-    compare: str | None = None
-    insertion: str = "post_prep"
-    metric: str = "strict"
-    fmt: str = "json"
-    out: str | None = None
-    cuts: tuple[str, ...] = ()
-    state_a: str | None = None
-    state_b: str | None = None
-    counts_path: str | None = None
-    ideal_path: str | None = None
-    k: int | None = None
-    fidelity: float | None = None
-    unsquared: bool = False
+# One fully resolved command invocation; parse_args, its only
+# constructor, refuses inconsistent flags.  Every field after command has
+# the default given here.
+_RUN_DEFAULTS = dict(
+    graph=None, correction="universal", channel=None, p_grid=None, compare=None,
+    insertion="post_prep", metric="strict", fmt="json", out=None, cuts=(), state_a=None,
+    state_b=None, counts_path=None, ideal_path=None, k=None, fidelity=None, unsquared=False,
+)
+RunConfig = namedtuple("RunConfig", ("command", *_RUN_DEFAULTS), defaults=_RUN_DEFAULTS.values())
 
 
 def _parse_p_grid(spec: str) -> tuple[float, ...]:
@@ -122,10 +111,21 @@ def _parse_p_grid(spec: str) -> tuple[float, ...]:
     return tuple(grid)
 
 
+def _read(path: str) -> str:
+    with open(path, encoding="utf-8-sig") as f:
+        return f.read()
+
+
 def _resolve_graph(spec: str) -> tuple[str, Graph]:
+    """A selector's name and graph: a catalog name names itself, and an
+    @file its stem, the file name up to its last dot unless that dot
+    leads or ends the name."""
     if spec.startswith("@"):
-        path = Path(spec[1:])
-        return path.stem, parse_edge_list(path.read_text(encoding="utf-8-sig"))
+        path = spec[1:]
+        name = os.path.basename(path)
+        dot = name.rfind(".")
+        stem = name[:dot] if 0 < dot < len(name) - 1 else name
+        return stem, parse_edge_list(_read(path))
     return spec, catalog_lookup(spec)
 
 
@@ -184,7 +184,8 @@ def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        Path(out).write_text(text, encoding="utf-8")
+        with open(out, "w", encoding="utf-8") as f:
+            f.write(text)
 
 
 def _write(config: RunConfig, payload, header: tuple[str, ...], rows) -> int:
@@ -199,7 +200,7 @@ def _write(config: RunConfig, payload, header: tuple[str, ...], rows) -> int:
 # -- commands ----------------------------------------------------------------
 
 
-def _outcome_text(reports: list[VerificationReport], pieces: list[str], entry, sep="") -> str:
+def _outcome_text(reports: list, pieces: list[str], entry, sep="") -> str:
     """pieces[0], then each report's outcomes, one entry each with sep
     between, followed by the next piece.  Entries of one run of equal
     fidelity differ only in their index: entry(report) maps a fidelity to
@@ -216,8 +217,8 @@ def _outcome_text(reports: list[VerificationReport], pieces: list[str], entry, s
     return "".join(parts)
 
 
-def _verify_csv(reports: list[VerificationReport]) -> str:
-    """The verify CSV, one line per outcome."""
+def _verify_csv(reports: list) -> str:
+    """The verify CSV, one line per outcome, from VerificationReports."""
 
     def entry(r):
         name, probability = _csv_field(r.graph_name) + ",", _fmt(1.0 / r.outcome_count)
@@ -227,7 +228,7 @@ def _verify_csv(reports: list[VerificationReport]) -> str:
     return _outcome_text(reports, [header] + [""] * len(reports), entry)
 
 
-def _verify_json(reports: list[VerificationReport]) -> str:
+def _verify_json(reports: list) -> str:
     """The verify JSON as _render_json writes it, one record per outcome.
     The payload is rendered with each report's records as one null on a
     line of its own, which no other field can write, and the records,
@@ -252,6 +253,8 @@ def _verify_json(reports: list[VerificationReport]) -> str:
 
 
 def cmd_verify(config: RunConfig) -> int:
+    from .verify import verify_all_outcomes
+
     reports = []
     for spec in TABLE_ORDER if config.graph == "all" else (config.graph,):
         name, graph = _resolve_graph(spec)
@@ -315,8 +318,10 @@ def cmd_noise(config: RunConfig) -> int:
 
 
 def cmd_lc(config: RunConfig) -> int:
-    graph_a = _resolve_graph(config.state_a)[1]
-    graph_b = _resolve_graph(config.state_b)[1]
+    from .verify import lc_check
+
+    name_a, graph_a = _resolve_graph(config.state_a)
+    name_b, graph_b = _resolve_graph(config.state_b)
     cuts = [_parse_cut(spec, graph_a.vertices) for spec in config.cuts]
     # lc_check names both counts when they differ; else a cut, given by
     # --a's labels, must split --b by the same labels, not the same indices
@@ -328,8 +333,8 @@ def cmd_lc(config: RunConfig) -> int:
         graph_b = Graph(graph_a.vertices, graph_b.edges)
     report = lc_check(graph_a, graph_b, cuts)
     payload = {
-        "a": config.state_a,
-        "b": config.state_b,
+        "a": name_a,
+        "b": name_b,
         "cuts": [
             {"cut": spec, "rank_a": rec.rank_a, "rank_b": rec.rank_b}
             for spec, rec in zip(config.cuts, report.records)
@@ -343,7 +348,7 @@ def cmd_lc(config: RunConfig) -> int:
 def _load_json_map(path: str, value_type) -> dict:
     import json
 
-    data = json.loads(Path(path).read_text(encoding="utf-8-sig"))
+    data = json.loads(_read(path))
     if not isinstance(data, dict):
         raise UsageError(f"{path}: expected a JSON object")
     out = {}
@@ -375,18 +380,14 @@ def cmd_counts(config: RunConfig) -> int:
 # -- argument parsing --------------------------------------------------------
 
 
-class Option(NamedTuple):
-    """One option of a command: the RunConfig field its value fills, the
-    type its text converts to (None for a switch, which takes no text),
-    the texts it accepts, and what help prints for it."""
-
-    field: str
-    help: str = ""
-    type: object = str
-    choices: tuple[str, ...] = ()
-    default: object = None
-    required: bool = False
-    repeat: bool = False  # each use appends to a tuple
+# One option of a command: the RunConfig field its value fills, what
+# --help prints for it, the type its text converts to (None for a switch,
+# which takes no text), the texts it accepts, its default, whether it is
+# required, and whether each use appends to a tuple.
+Option = namedtuple(
+    "Option", "field help type choices default required repeat",
+    defaults=("", str, (), None, False, False),
+)
 
 
 def _common(fmt: str) -> dict[str, Option]:

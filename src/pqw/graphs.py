@@ -17,9 +17,7 @@ order is fixed, as it fixes qubit and outcome indices.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
-from .stabilizer import PauliString
+from collections import namedtuple
 
 
 # the 18 topologies `verify --graph all` runs, in order; K4 is outside them
@@ -132,12 +130,18 @@ def _check_ceiling(n_qubits: int) -> None:
         raise ResourceError(f"{n_qubits} qubits exceeds the ceiling of {DEFAULT_QUBIT_CEILING}")
 
 
+# the plan kinds pqw.protocol.correction_forms builds; here, so that the
+# CLI lists them without loading an engine
+CORRECTION_KINDS = ("universal", "l4", "c4", "tree")
+
+
 class _Checked:
     """Base of a named tuple whose checks run in __new__.
 
-    typing.NamedTuple refuses __new__ in its own body, so such a class
-    is a slotted subclass of (_Checked, its fields) that defines __new__.
-    Here _make, and _replace, which builds through it, run __new__ too.
+    Such a class is a slotted subclass of (_Checked, a
+    collections.namedtuple) that defines __new__.  namedtuple's _make
+    builds through tuple.__new__ and skips it; here _make, and _replace,
+    which builds through it, run __new__ too.
     """
 
     __slots__ = ()
@@ -147,12 +151,7 @@ class _Checked:
         return cls(*iterable)
 
 
-class _GraphFields(NamedTuple):
-    vertices: tuple[str, ...]
-    edges: tuple[tuple[str, str], ...]
-
-
-class Graph(_Checked, _GraphFields):
+class Graph(_Checked, namedtuple("Graph", "vertices edges")):
     """A connected simple graph with ordered vertices and edges, stored as
     tuples whatever sequences built it."""
 
@@ -269,7 +268,9 @@ def adjacency(graph: Graph) -> list[int]:
     return _neighbour_xor(graph, [1 << i for i in range(graph.n_vertices)])
 
 
-def stabilizer_generators(graph: Graph) -> tuple[PauliString, ...]:
-    """One generator per vertex: X there, Z on each neighbor."""
+def stabilizer_generators(graph: Graph) -> tuple:
+    """One PauliString per vertex: X there, Z on each neighbor."""
+    from .stabilizer import PauliString  # here, so that pqw.cli loads no engine
+
     n = graph.n_vertices
     return tuple(PauliString(n, 1 << i, row) for i, row in enumerate(adjacency(graph)))

@@ -57,8 +57,8 @@ from __future__ import annotations
 import math
 import operator
 import sys
+from collections import namedtuple
 from itertools import product
-from typing import NamedTuple
 
 from .graphs import Graph, ResourceError, _Checked, adjacency
 from .protocol import _back_rows, _present_sign_forms, _sign_forms, _walk_back
@@ -83,12 +83,7 @@ def _check_choice(what: str, value: str, choices: tuple[str, ...]) -> None:
         raise ValueError(f"unknown {what} {value!r}; expected one of {choices}")
 
 
-class _ChannelFields(NamedTuple):
-    kind: str
-    p: float
-
-
-class NoiseChannel(_Checked, _ChannelFields):
+class NoiseChannel(_Checked, namedtuple("NoiseChannel", "kind p")):
     """A single-qubit channel and its strength."""
 
     __slots__ = ()
@@ -200,14 +195,7 @@ def bhattacharyya_fidelity(
     return overlap**2 if squared else overlap
 
 
-class _ReportFields(NamedTuple):
-    p_grid: tuple[float, ...]
-    fidelities: tuple[float, ...]
-    analytic: tuple[float, ...] | None
-    k: int
-
-
-class NoiseReport(_Checked, _ReportFields):
+class NoiseReport(_Checked, namedtuple("NoiseReport", "p_grid fidelities analytic k")):
     """One fidelity curve: the grid, the enumerated values, and the
     closed-form overlay when one exists for the channel."""
 

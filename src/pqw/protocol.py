@@ -61,7 +61,8 @@ from functools import reduce
 from operator import or_, xor
 
 from .graphs import (
-    Graph, _index_of, _neighbour_xor, adjacency, catalog_lookup, stabilizer_generators
+    CORRECTION_KINDS, Graph, _index_of, _neighbour_xor, adjacency, catalog_lookup,
+    stabilizer_generators,
 )
 from .stabilizer import PauliString, _checked_gates, _conj_columns, _set_bits, _transpose
 
@@ -288,9 +289,6 @@ def plans_equivalent(plan_a: PauliString, plan_b: PauliString, graph: Graph) -> 
         if product.x_bits >> i & 1:
             z_bits ^= k_i.z_bits
     return z_bits == product.z_bits
-
-
-CORRECTION_KINDS = ("universal", "l4", "c4", "tree")
 
 
 def correction_forms(graph: Graph, kind: str) -> Forms:

@@ -35,7 +35,7 @@ strict metric, which reads it from _sign_conditions and _pass_fraction.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from .graphs import Graph, adjacency
 from .protocol import _data_sign_forms, _present_sign_forms, _sign_forms, far_side_masks
@@ -89,17 +89,16 @@ def _pass_fraction(conditions) -> float:
     return 0.0 if rank is None else 2.0 ** -rank
 
 
-class VerificationReport(NamedTuple):
+class VerificationReport(
+    namedtuple("VerificationReport", "graph_name correction_kind outcome_count conditions")
+):
     """The outcome sweep of one graph under one plan, as its sign
-    conditions: outcome s reaches |G> exactly when |mask & s| has parity
-    odd for every (mask, odd) condition, and has probability
-    1/outcome_count.  Each condition fails some outcome, as
-    verify_all_outcomes keeps only those."""
+    conditions, a tuple of (mask, odd) pairs of int and bool: outcome s
+    reaches |G> exactly when |mask & s| has parity odd for every
+    condition, and has probability 1/outcome_count.  Each condition
+    fails some outcome, as verify_all_outcomes keeps only those."""
 
-    graph_name: str
-    correction_kind: str
-    outcome_count: int
-    conditions: tuple[tuple[int, bool], ...]
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
@@ -184,14 +183,14 @@ def phase_lemma_check(graph: Graph) -> bool:
     )
 
 
-class CutRecord(NamedTuple):
-    cut: frozenset[int]  # the vertex indices of side A
-    rank_a: int
-    rank_b: int
+# cut is the frozenset of side A's vertex indices
+CutRecord = namedtuple("CutRecord", "cut rank_a rank_b")
 
 
-class LcReport(NamedTuple):
-    records: tuple[CutRecord, ...]
+class LcReport(namedtuple("LcReport", "records")):
+    """The CutRecords of lc_check, one per cut."""
+
+    __slots__ = ()
 
     @property
     def inequivalent(self) -> bool:

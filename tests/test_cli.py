@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 import pqw
 from helpers import branch_fidelity, fidelity_column, grid, small_connected_graphs
-from pqw import cli, protocol
+from pqw import cli, protocol, verify
 from pqw.cli import EXIT_BUDGET, EXIT_FAIL, EXIT_PASS, EXIT_USAGE, main
 from pqw.graphs import parse_edge_list
 from pqw.noise import NoiseChannel
@@ -119,7 +119,7 @@ DOCTORED = VerificationReport("P3", "universal", 4, ((0b1, True),))
 
 
 def test_verify_exit_fail_on_doctored_report(monkeypatch, capsys):
-    monkeypatch.setattr(cli, "verify_all_outcomes", lambda *a, **k: DOCTORED)
+    monkeypatch.setattr(verify, "verify_all_outcomes", lambda *a, **k: DOCTORED)
     code = main(["verify", "--graph", "P3"])
     assert code == EXIT_FAIL
     captured = capsys.readouterr()
@@ -133,7 +133,7 @@ def test_verify_exit_fail_on_doctored_report(monkeypatch, capsys):
 def test_verify_csv_formats_each_value_as_fmt_does(monkeypatch, capsys):
     # each distinct value is formatted once per report; the text must be
     # what _fmt gives record by record
-    monkeypatch.setattr(cli, "verify_all_outcomes", lambda *a, **k: DOCTORED)
+    monkeypatch.setattr(verify, "verify_all_outcomes", lambda *a, **k: DOCTORED)
     assert main(["verify", "--graph", "P3", "--format", "csv"]) == EXIT_FAIL
     expected = "graph,outcome_index,probability,fidelity\n" + "".join(
         f"P3,{s},{cli._fmt(1 / 4)},{cli._fmt(f)}\n"
@@ -180,7 +180,7 @@ def _written(reports, fmt: str) -> tuple[str, bytes]:
     with pytest.MonkeyPatch.context() as patch, tempfile.TemporaryDirectory() as tmp:
         produced = itertools.cycle(reports)
         patch.setattr(cli, "TABLE_ORDER", ("P3",) * len(reports))
-        patch.setattr(cli, "verify_all_outcomes", lambda *a, **k: next(produced))
+        patch.setattr(verify, "verify_all_outcomes", lambda *a, **k: next(produced))
         stdout, stderr = io.StringIO(), io.StringIO()
         argv = ["verify", "--graph", "all", "--format", fmt]
         code = EXIT_PASS if all(r.passed for r in reports) else EXIT_FAIL
@@ -508,6 +508,40 @@ def test_unwritable_output_names_the_path(tmp_path, capsys):
     assert "No such file or directory" in err and str(out) in err
 
 
+# each file that cannot be opened, as argv with {tmp} for a folder that
+# holds a folder sub and a file ideal.json, and the one line pqw writes;
+# the path is quoted as given, so "" stays "" and a trailing / stays
+FILE_ERRORS = {
+    "empty graph name": (
+        "verify --graph @", "[Errno 2] No such file or directory: ''",
+    ),
+    "graph is a folder": (
+        "verify --graph @{tmp}/sub/", "[Errno 21] Is a directory: '{tmp}/sub/'",
+    ),
+    "missing edge list": (
+        "noise --graph @{tmp}/p4.txt --channel dep --p 0.1",
+        "[Errno 2] No such file or directory: '{tmp}/p4.txt'",
+    ),
+    "out is a folder": (
+        "counts --fidelity 0.9 --k 6 --out {tmp}/sub", "[Errno 21] Is a directory: '{tmp}/sub'",
+    ),
+    "missing counts": (
+        "counts --counts {tmp}/counts.json --ideal {tmp}/ideal.json --k 2",
+        "[Errno 2] No such file or directory: '{tmp}/counts.json'",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FILE_ERRORS))
+def test_file_errors_are_one_usage_line(case, tmp_path, capsys):
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "ideal.json").write_text(json.dumps({"00": 1.0}))
+    argv, message = FILE_ERRORS[case]
+    argv = [token.replace("{tmp}", str(tmp_path)) for token in argv.split()]
+    message = message.replace("{tmp}", str(tmp_path))
+    assert _usage_error(argv, capsys) == f"pqw: {message}\n"
+
+
 def test_negative_zero_p_reads_as_zero(capsys):
     noise = ["noise", "--graph", "P4", "--channel", "dep"]
     for spec in ("-0", "-0:0.1:0.1"):
@@ -693,6 +727,20 @@ def test_lc_golden_json(capsys):
         "cuts": [{"cut": "AC|BD", "rank_a": 4, "rank_b": 2}],
         "inequivalent": True,
     }
+
+
+def test_lc_names_an_edge_list_by_its_stem(tmp_path, capsys):
+    # as verify and noise name it: the file name up to its last dot, unless
+    # that dot leads or ends the name
+    stems = {"p4.txt": "p4", "g.v2.txt": "g.v2", ".p4": ".p4", "p4.": "p4."}
+    for file_name, stem in stems.items():
+        path = tmp_path / file_name
+        path.write_text("A B\nB C\nC D\n", encoding="utf-8")
+        assert main(["lc", "--a", f"@{path}", "--b", "GHZ4", "--cut", "AC|BD"]) == EXIT_PASS
+        payload = json.loads(capsys.readouterr().out)
+        assert (payload["a"], payload["b"]) == (stem, "GHZ4")
+        assert main(["verify", "--graph", f"@{path}"]) == EXIT_PASS
+        assert json.loads(capsys.readouterr().out)["graph"] == stem
 
 
 def test_lc_same_state_is_not_inequivalent(capsys):
@@ -1089,7 +1137,7 @@ def test_explicit_jobs_must_be_positive():
 )
 def test_console_entry_exits_with_the_command_code(monkeypatch, argv, report, code):
     if report is not None:
-        monkeypatch.setattr(cli, "verify_all_outcomes", lambda *a, **k: report)
+        monkeypatch.setattr(verify, "verify_all_outcomes", lambda *a, **k: report)
     monkeypatch.setattr("sys.argv", ["pqw", *argv])
     with pytest.raises(SystemExit) as exit_info:
         cli.entry()

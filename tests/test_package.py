@@ -343,6 +343,21 @@ def test_cli_import_loads_no_resource_machinery():
     assert not added & {"importlib.resources", "inspect", "zipfile", "tempfile"}
 
 
+def test_cli_import_loads_no_engine_typing_or_pathlib():
+    # -S skips the site hook, which may load typing and pathlib itself, so
+    # this is the start-up of a bare venv: the CLI loads only the module
+    # that owns graph names, and neither of the two
+    def loaded(line):
+        return set(_fresh(["-S", "-c", MODULES_SCRIPT.format(line)]).stdout.split())
+
+    bare, after = loaded("pass"), loaded("import pqw.cli")
+    assert not bare & {"typing", "pathlib"}
+    assert {name for name in after - bare if name.split(".")[0] == "pqw"} == {
+        "pqw", "pqw.cli", "pqw.graphs",
+    }
+    assert not after & {"typing", "pathlib"}
+
+
 # Runs in a fresh interpreter.  Each step prints its label, exit code and
 # the watched modules it finds loaded that the bare interpreter had not,
 # tab-separated; the steps share the interpreter, as in GUARD_SCRIPT.
@@ -351,7 +366,9 @@ import contextlib
 import io
 import sys
 
-WATCHED = ("argparse", "gettext", "locale", "pqw.noise")
+WATCHED = (
+    "argparse", "gettext", "locale", "pqw.noise", "pqw.verify", "pqw.protocol", "pqw.stabilizer",
+)
 bare = {name for name in WATCHED if name in sys.modules}
 
 
@@ -369,6 +386,9 @@ import pqw.cli
 from pqw.cli import main
 
 report("import pqw.cli", 0)
+run(["--help"])
+run(["--version"])
+run(["verify"])
 run(["verify", "--graph", "all", "--format", "csv"])
 from pqw.graphs import catalog_lookup
 from pqw.verify import phase_lemma_check
@@ -384,21 +404,28 @@ run(["lc", "--a", "L4", "--b", "GHZ4", "--cut", "AB|CD", "--format", "csv"])
 
 def test_commands_load_no_argparse_and_only_their_engine():
     # argparse brings gettext and, through it, locale; the CLI parses its
-    # own arguments, and only noise and counts need pqw.noise
+    # own arguments, help, version and a usage error load no engine,
+    # verify loads the symbolic engine, and only noise and counts need
+    # pqw.noise.  A step lists every watched module loaded so far.
+    engine = ["pqw.verify", "pqw.protocol", "pqw.stabilizer"]
     steps = [line.split("\t") for line in _run_fresh(STARTUP_GUARD_SCRIPT).splitlines()]
     assert steps == [
         ["import pqw.cli", "0"],
-        ["verify --graph all --format csv", "0"],
-        ["phase_lemma_check", "0"],
-        ["noise --channel dep --p 0:0.2:0.1 --format csv", "0", "pqw.noise"],
+        ["--help", "0"],
+        ["--version", "0"],
+        ["verify", "2"],
+        ["verify --graph all --format csv", "0", *engine],
+        ["phase_lemma_check", "0", *engine],
+        ["noise --channel dep --p 0:0.2:0.1 --format csv", "0", "pqw.noise", *engine],
         [
             "noise --graph C4 --channel ad --p 0.1 --metric conditional --format csv",
             "0",
             "pqw.noise",
+            *engine,
         ],
-        ["noise --compare fig4 --p 0.2 --format csv", "0", "pqw.noise"],
-        ["counts --fidelity 0.9241 --k 6 --format csv", "0", "pqw.noise"],
-        ["lc --a L4 --b GHZ4 --cut AB|CD --format csv", "0", "pqw.noise"],
+        ["noise --compare fig4 --p 0.2 --format csv", "0", "pqw.noise", *engine],
+        ["counts --fidelity 0.9241 --k 6 --format csv", "0", "pqw.noise", *engine],
+        ["lc --a L4 --b GHZ4 --cut AB|CD --format csv", "0", "pqw.noise", *engine],
     ]
 
 

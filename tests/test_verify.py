@@ -256,7 +256,7 @@ def test_records_and_summaries_match_enumerating_the_conditions(graph, mode, see
     outputs = {}
     for fmt in ("csv", "json"):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(cli, "verify_all_outcomes", lambda *args, **kwargs: report)
+            mp.setattr(verify, "verify_all_outcomes", lambda *args, **kwargs: report)
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = cli.main(["verify", "--graph", "P3", "--format", fmt])
