@@ -13,16 +13,13 @@ Every exported name, and every submodule, loads on first access, so
 ``import pqw.cli`` loads only pqw.graphs, and a command loads the engine
 it runs when it runs; no module imports typing or pathlib.  Every command
 runs on one symbolic engine, the walk run backwards in the Heisenberg
-picture (pqw.protocol), and no module but pqw.statevector imports numpy.
-The dense names (StateVector, graph_state, run_protocol, kraus_ops, ...)
-load pqw.statevector, and with it numpy; they are the oracle the tests
-check the symbolic engine against.
+picture (pqw.protocol), and the package imports nothing outside the
+standard library.
 """
 
 __version__ = "0.1.0"
 
-# every exported name, by the submodule that defines it (ResourceError is
-# also re-exported by statevector, but graphs loads without numpy)
+# every exported name, by the submodule that defines it
 _EXPORTS = {
     "graphs": (
         "CatalogError", "Graph", "ResourceError", "TABLE_ORDER", "catalog_lookup",
@@ -39,12 +36,6 @@ _EXPORTS = {
         "universal_correction",
     ),
     "stabilizer": ("PauliString", "conjugate_circuit"),
-    "statevector": (
-        "StateVector", "ZeroProbabilityError", "apply_gate", "apply_pauli",
-        "byproduct_step", "check_stabilizes", "corrected_fidelity", "fidelity",
-        "from_amplitudes", "ghz_state", "graph_state", "kraus_ops", "measure_project",
-        "new_plus", "new_zero", "run_protocol", "schmidt_rank",
-    ),
     "verify": (
         "LcReport", "VerificationReport", "lc_check", "phase_lemma_check",
         "verify_all_outcomes",

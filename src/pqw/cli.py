@@ -26,8 +26,6 @@ runs: verify and lc pqw.verify, noise and counts pqw.noise.  Files are
 read and written with open, and a path is quoted in a message as given.
 """
 
-from __future__ import annotations
-
 import math
 import os
 import sys

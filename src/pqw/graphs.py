@@ -3,10 +3,9 @@
 A graph state |G> is prepared by applying CZ along every edge of G to
 |+> on every vertex; it is the unique joint +1 eigenstate of the
 generators K_v = X_v * prod_{u~v} Z_u that stabilizer_generators
-returns (pqw.statevector.graph_state builds its amplitudes).  Vertex
-order is significant here: it fixes qubit indices, measurement-outcome
-indexing, and report ordering, which is why Graph keeps ordered tuples
-instead of sets.
+returns.  Vertex order is significant here: it fixes qubit indices,
+measurement-outcome indexing, and report ordering, which is why Graph
+keeps ordered tuples instead of sets.
 
 The catalog's entries are a Python literal below, so the interpreter
 loads them from cached bytecode with no file to open and no JSON to
@@ -14,8 +13,6 @@ parse; catalog_lookup validates each one as a Graph on lookup.  Edge
 lists follow the standard small-graph atlas, and their vertex and edge
 order is fixed, as it fixes qubit and outcome indices.
 """
-
-from __future__ import annotations
 
 from collections import namedtuple
 
@@ -119,8 +116,8 @@ class ResourceError(RuntimeError):
     """Raised when a request exceeds the configured memory or time budget."""
 
 
-# Refuse dense registers above this size before allocating them.
-# 2^24 complex amplitudes is 256 MB; anything larger is not desk scale.
+# Refuse a graph whose register passes this size before verify lists its
+# 4^|E| outcome records; 24 qubits is 65,536 records on an 8-cycle.
 DEFAULT_QUBIT_CEILING = 24
 
 

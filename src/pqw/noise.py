@@ -52,8 +52,6 @@ the rest of the toolchain (effective-p extraction, channel comparisons)
 is built around.
 """
 
-from __future__ import annotations
-
 import math
 import operator
 import sys
@@ -102,7 +100,7 @@ def parse_channel(name: str, p: float) -> NoiseChannel:
 
 def _kraus_lists(channel: NoiseChannel) -> tuple[list[list[complex]], ...]:
     """The Kraus operators as 2x2 nested lists of complex, signed zeros
-    included; pqw.statevector.kraus_ops gives them as matrices."""
+    included."""
     p = channel.p
     if channel.kind == "depolarizing":
         c, s = math.sqrt(1.0 - 0.75 * p), math.sqrt(p / 4.0)

@@ -50,12 +50,9 @@ once, as bit-packed columns.  The prepared state |+>^V (x) CZ|++>^E has
 a stabilizer group local to each data qubit and each pair, so each K_v's
 sign form is read off that run with no measurement rule and no
 elimination; the noise sum takes the same run as its code, and nothing
-is cached.  The dense per-outcome reference, which applies plans to
-amplitudes (run_protocol, corrected_fidelity), runs them in
-pqw.statevector; nothing here imports numpy.
+is cached.  The tests' dense per-outcome reference runs the same two
+gate lists on amplitudes.
 """
-
-from __future__ import annotations
 
 from functools import reduce
 from operator import or_, xor

@@ -21,8 +21,6 @@ Gottesman (quant-ph/0406196) that Stim also uses, so each gate costs a
 few integer operations for all its strings at once.
 """
 
-from __future__ import annotations
-
 
 class PauliString:
     """An immutable Pauli string, equal and hashed by its four fields.

@@ -33,8 +33,6 @@ that pass.  That fraction is also the noiseless factor of pqw.noise's
 strict metric, which reads it from _sign_conditions and _pass_fraction.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 
 from .graphs import Graph, adjacency

@@ -29,10 +29,10 @@ import numpy as np
 
 # defined numpy-free in graphs, where the CLI and the noise sum use them;
 # the same objects here
-from .graphs import DEFAULT_QUBIT_CEILING, Graph, ResourceError, _check_ceiling, _index_of
-from .noise import NoiseChannel, _kraus_lists
-from .protocol import _check_index, prep_gates, walk_gates
-from .stabilizer import PauliString, _checked_gates
+from pqw.graphs import DEFAULT_QUBIT_CEILING, Graph, ResourceError, _check_ceiling, _index_of
+from pqw.noise import NoiseChannel, _kraus_lists
+from pqw.protocol import _check_index, prep_gates, walk_gates
+from pqw.stabilizer import PauliString, _checked_gates
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 

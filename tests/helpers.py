@@ -13,10 +13,10 @@ from itertools import product as iter_product
 import numpy as np
 from hypothesis import strategies as st
 
-from pqw import statevector as sv
+import dense as sv
+from dense import _after_prep, _premeasurement, _run_gates, graph_state
 from pqw.graphs import Graph, catalog_lookup, parse_edge_list
 from pqw.protocol import _outcome_bit, _sign_forms, walk_gates
-from pqw.statevector import _after_prep, _premeasurement, _run_gates, graph_state
 from pqw.stabilizer import PauliString, _checked_gates, conjugate_circuit
 
 GATE_ARITY = {"H": 1, "X": 1, "Z": 1, "CZ": 2, "CNOT": 2}

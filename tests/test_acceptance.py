@@ -10,7 +10,14 @@ import time
 
 import numpy as np
 
-from pqw import statevector as sv
+import dense as sv
+from dense import (
+    byproduct_step,
+    corrected_fidelity,
+    ghz_state,
+    graph_state,
+    run_protocol,
+)
 from pqw.graphs import TABLE_ORDER, catalog_lookup
 from pqw.noise import (
     NoiseChannel,
@@ -21,13 +28,6 @@ from pqw.noise import (
     t1_damping_estimate,
 )
 from pqw.protocol import correction_plan, plans_equivalent
-from pqw.statevector import (
-    byproduct_step,
-    corrected_fidelity,
-    ghz_state,
-    graph_state,
-    run_protocol,
-)
 from pqw.verify import phase_lemma_check, verify_all_outcomes
 
 from helpers import random_circuit, run_dense, run_tableau

@@ -20,12 +20,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pqw
+from dense import kraus_ops
 from helpers import branch_fidelity, fidelity_column, grid, small_connected_graphs
 from pqw import cli, protocol, verify
 from pqw.cli import EXIT_BUDGET, EXIT_FAIL, EXIT_PASS, EXIT_USAGE, main
 from pqw.graphs import parse_edge_list
 from pqw.noise import NoiseChannel
-from pqw.statevector import kraus_ops
 from pqw.verify import VerificationReport
 
 FIG4_CSV = (
@@ -1172,3 +1172,164 @@ def test_help_exits_zero(capsys):
         out = capsys.readouterr().out
         for name in names:
             assert re.search(rf"(?<![\w-]){re.escape(name)}(?![\w-])", out), (command, name)
+
+
+# -- seeded fuzz -----------------------------------------------------------------
+
+# the graph selectors a case may name, good then bad; {edges} and {json}
+# stand for a file of the case's own, {tmp} for the test's folder, and an
+# edge list is often broken itself
+FUZZ_GRAPHS = (
+    ("P3", "P4", "C4", "K4", "L4", "GHZ4", "house", "{edges}", "{edges}"),
+    ("all", "nope", "", "@", "@{tmp}", "@{tmp}/missing.txt", "{json}"),
+)
+# the values tried for each RunConfig field, good then bad
+FUZZ_VALUES = {
+    "graph": FUZZ_GRAPHS,
+    "state_a": FUZZ_GRAPHS,
+    "state_b": FUZZ_GRAPHS,
+    "correction": (("universal",), ("c4", "l4", "tree", "bogus", "")),
+    "channel": (("dep", "pd", "ad"), ("depolarizing", "x")),
+    "p_grid": (
+        ("0.1", "0:0.2:0.1", "-0", "0", "1", "0:1:0.25", "1e-3", "-1e-3:0:1e-3"),
+        ("1.5", "-0.1", "nan", "inf", "0:1:0", "1:0:0.1", "0:1:1e-9", "a:b:c", "0.1:0.3"),
+    ),
+    "insertion": (("post_prep", "pre_measure"), ("mid",)),
+    "metric": (("strict", "conditional"), ("best",)),
+    "compare": (("fig4",), ("fig5",)),
+    "fmt": (("json", "csv"), ("xml",)),
+    "out": (("{tmp}/out.txt",), ("{tmp}", "{tmp}/missing/out.txt", "")),
+    "jobs": (("1", "2"), ("0", "-1", "x", "1.5")),
+    "cuts": (
+        ("AC|BD", "AB|CD", "A|BCD", "A,B|C,D", "u0,u1|u2,u3", "u0|u1", "A|B"),
+        ("|", "AC", "A|B|C", "X|Y", "AA|BCD"),
+    ),
+    "counts_path": (("{json}",), ("{tmp}", "{tmp}/missing.json")),
+    "ideal_path": (("{json}",), ("{tmp}", "{tmp}/missing.json")),
+    "fidelity": (("0.9241", "1", "0", "1e-300"), ("1.5", "-0.1", "nan", "inf", "x")),
+    "k": (("6", "1", "100000"), ("0", "-1", "1.5", "x", "99999999999")),
+}
+FUZZ_FLAGS = sorted({flag for _, options in cli.COMMANDS.values() for flag in options})
+
+
+def _fuzz_edge_list(rng: random.Random) -> bytes:
+    """A connected edge list of at most 6 edges, then one mutation."""
+    labels = rng.sample(("A", "B", "C", "D", "E", "u0", "u1", "u2", "u3"), rng.randint(2, 5))
+    edges = [(rng.choice(labels[:i]), labels[i]) for i in range(1, len(labels))]
+    pairs = list(itertools.combinations(labels, 2))
+    while len(edges) < 6 and rng.random() < 0.4:
+        u, v = rng.choice(pairs)
+        if (u, v) not in edges and (v, u) not in edges:
+            edges.append((u, v))
+    lines = [f"{u} {v}" for u, v in edges]
+    mutation = rng.randrange(12)  # 9 to 11 leave the list as it is
+    if mutation == 0:
+        lines.append(f"{labels[0]} {labels[0]}")  # a self-loop
+    elif mutation == 1:
+        lines.append(f"{labels[0]} b-d")  # a label that is not alphanumeric
+    elif mutation == 2:
+        lines.append("Y Z")  # a second component
+    elif mutation == 3:
+        lines.append(rng.choice(("A", "A B C", "\t", "# a comment", "A\tB", "A  B ")))
+    elif mutation == 4:
+        lines.append(f"{edges[0][1]} {edges[0][0]}")  # the first edge again, reversed
+    elif mutation == 5:
+        lines = []
+    text = ("\r\n" if rng.random() < 0.2 else "\n").join(lines)
+    data = (text + rng.choice(("", "\n"))).encode("utf-8")
+    if mutation == 6:
+        data = b"\xef\xbb\xbf" + data  # a BOM, which pqw skips
+    elif mutation == 7:
+        data = data[: rng.randrange(len(data) + 1)]  # cut short
+    elif mutation == 8:
+        data += b"\xff\xfe"  # not UTF-8
+    return data
+
+
+def _fuzz_json(rng: random.Random) -> bytes:
+    """A counts or ideal file: a map of bitstrings to numbers, or not."""
+    keys = rng.sample(("00", "01", "10", "11", "0", "111"), rng.randint(0, 4))
+    value = {key: rng.choice((rng.randint(0, 50), rng.random())) for key in keys}
+    if keys and rng.random() < 0.5:
+        value[keys[0]] = rng.choice((
+            True, None, "3", [1], {"a": 1}, 2.5, 3.0, -1, 10**400, float("nan"),
+            float("inf"), 1e308,
+        ))
+    if rng.random() < 0.15:
+        value = rng.choice(([], [1, 2], "00", 7, None, True))
+    text = json.dumps(value)
+    if rng.random() < 0.1:
+        text = text[: rng.randrange(len(text) + 1)]  # malformed
+    return (("\ufeff" if rng.random() < 0.1 else "") + text).encode("utf-8")
+
+
+def _fuzz_flag(rng: random.Random, flag: str) -> str:
+    """flag in full, or cut to a prefix that may be ambiguous."""
+    if rng.random() < 0.7:
+        return flag
+    return flag[: rng.randint(3, len(flag))]
+
+
+def _fuzz_argv(rng: random.Random, files: dict) -> list[str]:
+    command = rng.choice((*cli.COMMANDS,) * 6 + ("bogus", "--help", "--version", "--vers", "-h"))
+    if command not in cli.COMMANDS:
+        return rng.choice(([command], [command, "verify"], []))
+    argv = [command]
+    options = list(cli.COMMANDS[command][1].items())
+    rng.shuffle(options)
+    if rng.random() < 0.1:  # a flag this command may not take, given a --jobs value
+        options.append((rng.choice(FUZZ_FLAGS + ["--help", "--nope"]), None))
+    for flag, opt in options:
+        if opt is not None and rng.random() > (0.9 if opt.required else 0.3):
+            continue
+        spelled = _fuzz_flag(rng, flag)
+        if opt is not None and opt.type is None:  # a switch
+            argv.append(spelled + ("=x" if rng.random() < 0.1 else ""))
+            continue
+        field = opt.field if opt is not None else "jobs"
+        good, bad = FUZZ_VALUES[field]
+        value = rng.choice(bad if rng.random() < 0.1 else good)
+        value = value.format(tmp=files["tmp"], edges="@" + rng.choice(files["edges"]),
+                             json=rng.choice(files["json"]))
+        form = rng.random()
+        if form < 0.25:
+            argv.append(f"{spelled}={value}")
+        elif form < 0.95:
+            argv += [spelled, value]
+        else:
+            argv.append(spelled)  # the value left out
+    if rng.random() < 0.05:
+        argv.insert(rng.randrange(1, len(argv) + 1), rng.choice(("stray", "-", "-1", "--")))
+    return argv
+
+
+def test_seeded_fuzz_of_main_exits_with_one_message(tmp_path, monkeypatch):
+    # structured command lines over every command and flag, abbreviated
+    # and --flag=value forms, mutated edge lists, JSON count files and
+    # --out paths: each returns an exit code, and each refusal writes one
+    # line, never a traceback.  A value may land on --out, so every
+    # relative path is in the test's folder.
+    monkeypatch.chdir(tmp_path)
+    rng = random.Random(31)
+    files = {"tmp": str(tmp_path), "edges": [], "json": []}
+    for i in range(40):
+        path = tmp_path / f"g{i}.txt"
+        path.write_bytes(_fuzz_edge_list(rng))
+        files["edges"].append(str(path))
+        path = tmp_path / f"c{i}.json"
+        path.write_bytes(_fuzz_json(rng))
+        files["json"].append(str(path))
+    codes = []
+    for _ in range(2000):
+        argv = _fuzz_argv(rng, files)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        codes.append(code)
+        assert code in (EXIT_PASS, EXIT_FAIL, EXIT_USAGE, EXIT_BUDGET), argv
+        if code in (EXIT_USAGE, EXIT_BUDGET):
+            assert re.fullmatch(r"pqw: [^\n]*\n", err.getvalue()), (argv, err.getvalue())
+        elif code == EXIT_PASS:
+            assert err.getvalue() == "", argv
+    # the cases reach the engines as well as the refusals
+    assert codes.count(EXIT_PASS) > 100 and codes.count(EXIT_USAGE) > 1000

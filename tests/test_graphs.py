@@ -4,8 +4,9 @@ states built from graphs."""
 import numpy as np
 import pytest
 
+import dense as sv
+from dense import check_stabilizes, ghz_state, graph_state
 from helpers import ghz_from_star, states_equal
-from pqw import statevector as sv
 from pqw.graphs import (
     CatalogError,
     Graph,
@@ -17,7 +18,6 @@ from pqw.graphs import (
 )
 from pqw.noise import NoiseChannel, noisy_protocol_fidelity
 from pqw.stabilizer import PauliString
-from pqw.statevector import check_stabilizes, ghz_state, graph_state
 from pqw.verify import phase_lemma_check, verify_all_outcomes
 
 K2 = Graph(("A", "B"), (("A", "B"),))

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dense import kraus_ops
 from helpers import branch_fidelity, grid, small_connected_graphs
 from pqw import noise, protocol
 from pqw.graphs import Graph, catalog_lookup, catalog_names, parse_edge_list
@@ -36,7 +37,6 @@ from pqw.noise import (
     t1_damping_estimate,
 )
 from pqw.protocol import CORRECTION_KINDS, correction_forms
-from pqw.statevector import kraus_ops
 
 P4 = catalog_lookup("P4")
 K2 = Graph(("A", "B"), (("A", "B"),))

@@ -1,6 +1,7 @@
 """Package surface: the names pqw exports, its version, and which modules
 each entry point loads."""
 
+import ast
 import json
 import os
 import re
@@ -10,8 +11,9 @@ from pathlib import Path
 
 import pytest
 
+import dense
 import pqw
-from pqw import cli, graphs, noise, protocol, stabilizer, statevector, verify
+from pqw import cli, graphs, noise, protocol, stabilizer, verify
 from pqw.cli import EXIT_BUDGET, main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -33,12 +35,6 @@ EXPORTS = {
         "universal_correction",
     ),
     "stabilizer": ("PauliString", "conjugate_circuit"),
-    "statevector": (
-        "StateVector", "ZeroProbabilityError", "apply_gate", "apply_pauli",
-        "byproduct_step", "check_stabilizes", "corrected_fidelity", "fidelity",
-        "from_amplitudes", "ghz_state", "graph_state", "kraus_ops", "measure_project",
-        "new_plus", "new_zero", "run_protocol", "schmidt_rank",
-    ),
     "verify": (
         "LcReport", "VerificationReport", "lc_check", "phase_lemma_check",
         "verify_all_outcomes",
@@ -47,7 +43,7 @@ EXPORTS = {
 # each submodule after every submodule it imports, so that reading
 # pqw.<name> in this order is always the first import of that module
 SUBMODULES = (
-    "stabilizer", "graphs", "protocol", "verify", "noise", "statevector", "cli",
+    "stabilizer", "graphs", "protocol", "verify", "noise", "cli",
 )
 
 # Runs in a fresh interpreter that has imported nothing of pqw but the
@@ -85,23 +81,24 @@ def test_exports_resolve_to_their_defining_module():
         assert not loaded_before, f"pqw.{module} loaded before it was read"
         assert identical, module
     exported = [(name, module) for module, names in EXPORTS.items() for name in names]
-    # ResourceError first: it resolves through graphs, not statevector
-    exported.sort(key=lambda pair: pair[0] != "ResourceError")
     rows, names = _fresh_exports(exported)
-    assert rows[0] == ["ResourceError", False, True, False]
-    for name, _, identical, _ in rows:
+    for name, _, identical, numpy_loaded in rows:
         assert identical, name
-    assert {name for name, _ in exported} | set(SUBMODULES) <= set(names)
-    assert statevector.ResourceError is pqw.ResourceError
+        assert not numpy_loaded, f"numpy loaded by {name}"
+    public = {name for name in names if not name.startswith("_")}
+    assert {name for name, _ in exported} | set(SUBMODULES) == public
+    # the oracle in tests/dense.py raises the package's ResourceError
+    assert dense.ResourceError is pqw.ResourceError
 
 
 def test_unknown_attribute_still_raises():
-    with pytest.raises(AttributeError, match="no_such_name"):
-        pqw.no_such_name
+    for name in ("no_such_name", "statevector", "StateVector", "kraus_ops"):
+        with pytest.raises(AttributeError, match=name):
+            getattr(pqw, name)
 
 
 def test_resource_error_is_one_class(tmp_path, capsys):
-    assert statevector.ResourceError is graphs.ResourceError
+    assert dense.ResourceError is graphs.ResourceError
     assert noise.ResourceError is graphs.ResourceError
     assert cli.ResourceError is graphs.ResourceError
     # 9 vertices and 8 edges make 25 qubits, past the dense ceiling,
@@ -116,6 +113,32 @@ def test_resource_error_is_one_class(tmp_path, capsys):
     argv = ["noise", "--graph", f"@{path13}", "--channel", "ad", "--p", "0.1"]
     assert main([*argv, "--metric", "conditional"]) == EXIT_BUDGET
     assert "13 vertices" in capsys.readouterr().err
+
+
+def test_the_package_imports_only_the_standard_library():
+    # pyproject.toml declares no dependencies.  This reads every import
+    # statement, lazy ones inside functions included, where the blocked-
+    # numpy run below sees only the imports that its steps execute.
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    assert re.search(r"^dependencies = \[\]$", text, re.MULTILINE)
+    imported = {}
+    for path in sorted((ROOT / "src" / "pqw").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                imported.setdefault(name.split(".")[0], path.name)
+    # pqw.__getattr__ imports importlib inside the function
+    assert imported["importlib"] == "__init__.py"
+    outside = {
+        name: module for name, module in imported.items()
+        if name != "pqw" and name not in sys.stdlib_module_names
+    }
+    assert outside == {}
 
 
 def test_package_version_matches_pyproject():
@@ -172,17 +195,18 @@ report("pqw.ResourceError", 0 if pqw.ResourceError is pqw.graphs.ResourceError e
 run(["verify", "--graph", "P4"])
 run(["verify", "--graph", "all", "--format", "csv"])
 run(["lc", "--a", "L4", "--b", "GHZ4", "--cut", "AB|CD"])
-from pqw.statevector import run_protocol
+from dense import run_protocol
 
 report("run_protocol P4", 0 if run_protocol(catalog_lookup("P4"), 0)[0] > 0 else 1)
 """
 
 
 def _fresh(argv: list[str], check: bool = True) -> subprocess.CompletedProcess:
-    """A fresh interpreter run with argv, importing pqw from src."""
+    """A fresh interpreter run with argv, importing pqw from src and the
+    dense oracle from tests."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, (str(ROOT / "src"), env.get("PYTHONPATH")))
+        filter(None, (str(ROOT / "src"), str(ROOT / "tests"), env.get("PYTHONPATH")))
     )
     return subprocess.run(
         [sys.executable, *argv],
@@ -218,25 +242,34 @@ def test_python_m_pqw_runs_the_cli(argv, module, capsys):
 def test_symbolic_entry_points_do_not_import_numpy():
     steps = [json.loads(line) for line in _run_fresh(GUARD_SCRIPT).splitlines()]
     assert len(steps) == 23
-    *symbolic, dense = steps
+    *symbolic, oracle = steps
     for label, code, numpy_loaded, dataclasses_loaded in symbolic:
         assert code == 0, label
         assert not numpy_loaded, f"numpy loaded by {label}"
         assert not dataclasses_loaded, f"dataclasses loaded by {label}"
-    # the dense protocol reference loads both, through pqw.statevector, so
-    # the check can fail
-    assert dense == ["run_protocol P4", 0, True, True]
+    # the dense protocol reference in tests/dense.py loads both, so the
+    # check can fail
+    assert oracle == ["run_protocol P4", 0, True, True]
 
 
 # Runs in a fresh interpreter in which numpy cannot be imported.  Each
-# step prints its label and exit code, tab-separated; the last step
-# imports the dense simulator, which must fail, so the check can fail.
+# step prints its label and exit code, tab-separated: one import of each
+# module in the package, then the commands; the last step imports the
+# dense oracle, which must fail on numpy, so the check can fail.
 NO_NUMPY_SCRIPT = r"""
 import contextlib
+import importlib
 import io
+import pkgutil
 import sys
 
 sys.modules["numpy"] = None  # every import of numpy now raises ImportError
+
+import pqw
+
+for module in sorted(info.name for info in pkgutil.iter_modules(pqw.__path__)):
+    importlib.import_module(f"pqw.{module}")
+    print(f"import pqw.{module}", 0, sep="\t")
 
 from pqw.cli import main
 
@@ -254,19 +287,21 @@ for argv in (
         code = main(argv)
     print(" ".join(argv), code, sep="\t")
 try:
-    import pqw.statevector
-except ImportError:
-    print("import pqw.statevector", "ImportError", sep="\t")
+    import dense
+except ImportError as error:
+    print("import dense", "ImportError", error.name, sep="\t")
 """
 
 
 def test_every_command_runs_without_numpy():
     steps = [line.split("\t") for line in _run_fresh(NO_NUMPY_SCRIPT).splitlines()]
-    assert len(steps) == 9
-    *commands, dense = steps
-    for label, code in commands:
+    imports = [f"import pqw.{module}" for module in sorted(("__main__", *SUBMODULES))]
+    assert [label for label, *_ in steps[: len(imports)]] == imports
+    assert len(steps) == len(imports) + 9
+    *steps, oracle = steps
+    for label, code in steps:
         assert code == "0", label
-    assert dense == ["import pqw.statevector", "ImportError"]
+    assert oracle == ["import dense", "ImportError", "numpy"]
 
 
 # Runs in a fresh interpreter and imports no json itself.  Each step
@@ -346,16 +381,16 @@ def test_cli_import_loads_no_resource_machinery():
 def test_cli_import_loads_no_engine_typing_or_pathlib():
     # -S skips the site hook, which may load typing and pathlib itself, so
     # this is the start-up of a bare venv: the CLI loads only the module
-    # that owns graph names, and neither of the two
+    # that owns graph names, and none of the three
     def loaded(line):
         return set(_fresh(["-S", "-c", MODULES_SCRIPT.format(line)]).stdout.split())
 
     bare, after = loaded("pass"), loaded("import pqw.cli")
-    assert not bare & {"typing", "pathlib"}
+    assert not bare & {"typing", "pathlib", "__future__"}
     assert {name for name in after - bare if name.split(".")[0] == "pqw"} == {
         "pqw", "pqw.cli", "pqw.graphs",
     }
-    assert not after & {"typing", "pathlib"}
+    assert not after & {"typing", "pathlib", "__future__"}
 
 
 # Runs in a fresh interpreter.  Each step prints its label, exit code and
@@ -437,4 +472,4 @@ def test_only_the_dense_oracle_keeps_a_cache():
 
     for module in (graphs, stabilizer, protocol, verify, noise, cli):
         assert cached(module) == [], module.__name__
-    assert cached(statevector) == ["_premeasurement"]
+    assert cached(dense) == ["_premeasurement"]

@@ -8,6 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dense as sv
+from dense import (
+    byproduct_step,
+    check_stabilizes,
+    corrected_fidelity,
+    data_slab,
+    graph_state,
+    run_protocol,
+)
 from helpers import (
     engine_gates,
     grid,
@@ -17,7 +26,6 @@ from helpers import (
     small_connected_graphs,
 )
 from pqw import protocol
-from pqw import statevector as sv
 from pqw.graphs import TABLE_ORDER, Graph, catalog_lookup, stabilizer_generators
 from pqw.protocol import (
     CORRECTION_KINDS,
@@ -34,14 +42,6 @@ from pqw.protocol import (
     walk_gates,
 )
 from pqw.stabilizer import PauliString
-from pqw.statevector import (
-    byproduct_step,
-    check_stabilizes,
-    corrected_fidelity,
-    data_slab,
-    graph_state,
-    run_protocol,
-)
 from pqw.verify import phase_lemma_check, verify_all_outcomes
 
 P4 = catalog_lookup("P4")

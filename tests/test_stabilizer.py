@@ -10,6 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dense as sv
+from dense import apply_pauli, check_stabilizes
 from helpers import (
     apply_matrix_oracle,
     engine_gates,
@@ -18,9 +20,7 @@ from helpers import (
     run_tableau,
     zero_state,
 )
-from pqw import statevector as sv
 from pqw.stabilizer import PauliString, conjugate_circuit
-from pqw.statevector import apply_pauli, check_stabilizes
 
 X1 = PauliString(1, 1, 0)
 Z1 = PauliString(1, 0, 1)

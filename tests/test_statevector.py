@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dense as sv
 from helpers import (
     apply_matrix_oracle,
     engine_gates,
@@ -14,7 +15,6 @@ from helpers import (
     run_dense,
     states_equal,
 )
-from pqw import statevector as sv
 from pqw.graphs import parse_edge_list
 
 # -- construction and validation --------------------------------------------

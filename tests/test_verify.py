@@ -11,9 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dense as sv
+from dense import corrected_fidelity, ghz_state, graph_state, run_protocol
 from helpers import fidelity_column, grid, near_side_masks, small_connected_graphs
 from pqw import cli, protocol, verify
-from pqw import statevector as sv
 from pqw.graphs import (
     TABLE_ORDER,
     Graph,
@@ -22,7 +23,6 @@ from pqw.graphs import (
     stabilizer_generators,
 )
 from pqw.noise import NoiseChannel, f_star_dep, noise_sweep, noisy_protocol_fidelity
-from pqw.statevector import corrected_fidelity, ghz_state, graph_state, run_protocol
 from pqw.verify import (
     LcReport,
     VerificationReport,
