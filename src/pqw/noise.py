@@ -38,14 +38,15 @@ M = sum_s |s><s| (x) C_s^dagger |G><G| C_s is the projector of a
 stabilizer code with one generator K_v (x) Z_R^{phi_v} per vertex, so
 F = tr(M rho) is 2^-|V| times the sum of the expectations of its 2^|V|
 elements, taken in Gray-code order.  After prep, each element is
-carried back through the walk (pqw.protocol's _walk_back, transposed
-into strings) and the adjoint channel to the prepared state, |+> per
-data qubit and CZ|++> per edge.  Before measurement the channel only
-reaches Z_R, and each expectation is read off the sign forms of the K_v
-that the same backward run gives: xor-linear outcome-bit masks and a
-sign.  Both conditional paths cost 2^|V| terms, so DEFAULT_VERTEX_BUDGET
-bounds |V| there.  No channel changes the code, so a sweep builds it, or
-strict's noiseless fraction, once and reads every p off that one build.
+carried back through the walk (pqw.stabilizer's conjugate_circuit over
+pqw.protocol's walk_gates, last gate first) and the adjoint channel to
+the prepared state, |+> per data qubit and CZ|++> per edge.  Before
+measurement the channel only reaches Z_R, and each expectation is read
+off the sign forms of the K_v that pqw.protocol reads off the walk run
+backwards: xor-linear outcome-bit masks and a sign.  Both conditional
+paths cost 2^|V| terms, so DEFAULT_VERTEX_BUDGET bounds |V| there.  No
+channel changes the code, so a sweep builds it, or strict's noiseless
+fraction, once and reads every p off that one build.
 
 The default is strict because the closed-form curves are the quantity
 the rest of the toolchain (effective-p extraction, channel comparisons)
@@ -58,9 +59,10 @@ import sys
 from collections import namedtuple
 from itertools import product
 
+from . import protocol
 from .graphs import Graph, ResourceError, _Checked, adjacency
-from .protocol import _back_rows, _present_sign_forms, _sign_forms, _walk_back
-from .stabilizer import PauliString, _transpose
+from .protocol import _present_sign_forms, _sign_forms
+from .stabilizer import PauliString, conjugate_circuit
 from .verify import _pass_fraction, _sign_conditions
 
 CHANNEL_KINDS = ("depolarizing", "phase_damping", "amplitude_damping")
@@ -120,20 +122,22 @@ def _kraus_lists(channel: NoiseChannel) -> tuple[list[list[complex]], ...]:
 # -- closed forms and count arithmetic --------------------------------------
 
 
-def f_star_dep(p: float, k: int) -> float:
-    """No-error retention of k resource qubits under depolarizing noise."""
+def _check_closed_form(p: float, k: int) -> None:
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must lie in [0, 1], got {p}")
-    if k < 0:
+    if not k >= 0:  # NaN fails it
         raise ValueError(f"k must be non-negative, got {k}")
+
+
+def f_star_dep(p: float, k: int) -> float:
+    """No-error retention of k resource qubits under depolarizing noise."""
+    _check_closed_form(p, k)
     return (1.0 - 0.75 * p) ** k
+
 
 def f_star_pd(p: float, k: int) -> float:
     """Same for phase damping."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must lie in [0, 1], got {p}")
-    if k < 0:
-        raise ValueError(f"k must be non-negative, got {k}")
+    _check_closed_form(p, k)
     return ((1.0 + math.sqrt(1.0 - p)) / 2.0) ** k
 
 
@@ -146,7 +150,7 @@ def extract_p_eff(fidelity: float, k: int) -> float:
     # sum; a fidelity inside it fits as 1, so p_eff is never negative
     if fidelity > 1.0 + 1e-9:
         raise ValueError(f"fidelity must be at most 1, got {fidelity}")
-    if k < 1:
+    if not k >= 1:  # NaN fails it
         raise ValueError(f"k must be at least 1, got {k}")
     if k > sys.float_info.max:  # 1.0 / k would overflow
         raise ValueError(f"k must be at most {sys.float_info.max:g}, the largest float")
@@ -353,15 +357,13 @@ def _heisenberg_generators(graph: Graph, correction_kind: str) -> tuple[PauliStr
     M = sum_s |s><s| (x) C_s^dagger |G><G| C_s, W the walk.
 
     C_s^dagger K_v C_s = (-1)^{|phi_v & s|} K_v, and Z_R^{phi_v} reads that
-    sign off the resource register, so M = prod_v (1 + S_v)/2.
+    sign off the resource register, so M = prod_v (1 + S_v)/2.  Every gate
+    is its own inverse, so W^dagger S_v W runs the walk last gate first.
     """
-    nv, k = graph.n_vertices, 2 * graph.n_edges
-    phi_columns = _transpose(_sign_forms(graph, correction_kind), k)
-    x, z, flips = _walk_back(_back_rows(graph), adjacency(graph), phi_columns)
-    return tuple(
-        PauliString(nv + k, x_bits, z_bits, 2 * (flips >> v & 1))
-        for v, (x_bits, z_bits) in enumerate(zip(_transpose(x, nv), _transpose(z, nv)))
-    )
+    nv, n = graph.n_vertices, graph.n_vertices + 2 * graph.n_edges
+    forms = zip(adjacency(graph), _sign_forms(graph, correction_kind))
+    seeds = [PauliString(n, 1 << v, row | phi << nv) for v, (row, phi) in enumerate(forms)]
+    return conjugate_circuit(seeds, reversed(protocol.walk_gates(graph)))
 
 
 _PAIR = (0.5, 0.5, 0.5, -0.5)  # CZ|++>
@@ -418,8 +420,9 @@ def _prepared_sums(graph: Graph, correction_kind: str, channels) -> list[float]:
     with S_A the product of the code generators in A.  psi_prep is |+>
     on each data qubit, where a Z gives 0, and CZ|++> on each edge, where
     the adjoint channel on both halves gives one entry of the edge table.
-    So an element is kept, when it has no data Z, as its phase and the
-    table index of each edge from the low end of the register.
+    So an element is kept, when it has no data Z, as its sign (the S_v and
+    the gates are real, so it has one) and the table index of each edge
+    from the low end of the register.
     """
     nv, n_edges = graph.n_vertices, graph.n_edges
     data = (1 << nv) - 1
@@ -429,7 +432,7 @@ def _prepared_sums(graph: Graph, correction_kind: str, channels) -> list[float]:
         if not term.z_bits & data:
             x, z = term.x_bits >> nv, term.z_bits >> nv
             keys = [(x >> 2 * j & 3) | (z >> 2 * j & 3) << 2 for j in range(n_edges)]
-            terms.append((1j**term.phase, keys))
+            terms.append((term.sign, keys))
     sums = []
     for channel in channels:
         table = _edge_table(_kraus_lists(channel))

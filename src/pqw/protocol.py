@@ -49,9 +49,9 @@ Heisenberg picture: W^dagger (K_v (x) Z_R^{phi_v}) W for every v at
 once, as bit-packed columns.  The prepared state |+>^V (x) CZ|++>^E has
 a stabilizer group local to each data qubit and each pair, so each K_v's
 sign form is read off that run with no measurement rule and no
-elimination; the noise sum takes the same run as its code, and nothing
-is cached.  The tests' dense per-outcome reference runs the same two
-gate lists on amplitudes.
+elimination, and nothing is cached.  The noise sum runs its code back
+through walk_gates as strings, with stabilizer.conjugate_circuit; the
+tests' dense per-outcome reference runs the same two lists on amplitudes.
 """
 
 from functools import reduce
@@ -278,14 +278,11 @@ def plans_equivalent(plan_a: PauliString, plan_b: PauliString, graph: Graph) -> 
     if plan_a.n_qubits != graph.n_vertices or plan_b.n_qubits != graph.n_vertices:
         raise ValueError("plans must be over the given graph")
     # the one element of Stab(|G>) with the product's X bits is the
-    # product of the K_i at those bits; it must carry the product's Z
-    # bits, and any phase steers to the same state
+    # product of the K_i there, whose Z bits xor their adjacency rows; it
+    # must carry the product's Z bits, and any phase steers to the same state
     product = plan_a * plan_b
-    z_bits = 0
-    for i, k_i in enumerate(stabilizer_generators(graph)):
-        if product.x_bits >> i & 1:
-            z_bits ^= k_i.z_bits
-    return z_bits == product.z_bits
+    rows = adjacency(graph)
+    return reduce(xor, (rows[i] for i in _set_bits(product.x_bits)), 0) == product.z_bits
 
 
 def correction_forms(graph: Graph, kind: str) -> Forms:

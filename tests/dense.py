@@ -12,7 +12,8 @@ simulator it holds the dense oracles the tests check those engines
 against: graph_state and ghz_state; the per-outcome protocol reference
 (run_protocol, corrected_fidelity, byproduct_step), which names an
 outcome by its index and a plan by its Pauli string; the Pauli action
-apply_pauli with check_stabilizes; and the Kraus operators as matrices.
+apply_pauli with check_stabilizes; and the Kraus operators as matrices,
+written from the channels' definitions.
 Gates are checked by pqw.stabilizer's gate table, so the dense and the
 symbolic engine accept and refuse the same gate lists: H, X, Z and CZ.
 
@@ -30,7 +31,7 @@ import numpy as np
 # defined numpy-free in graphs, where the CLI and the noise sum use them;
 # the same objects here
 from pqw.graphs import DEFAULT_QUBIT_CEILING, Graph, ResourceError, _check_ceiling, _index_of
-from pqw.noise import NoiseChannel, _kraus_lists
+from pqw.noise import NoiseChannel
 from pqw.protocol import _check_index, prep_gates, walk_gates
 from pqw.stabilizer import PauliString, _checked_gates
 
@@ -333,5 +334,25 @@ def corrected_fidelity(graph: Graph, index: int, plan: PauliString) -> float:
 
 
 def kraus_ops(channel: NoiseChannel) -> tuple[np.ndarray, ...]:
-    """The channel's Kraus operators as 2x2 complex matrices."""
-    return tuple(np.array(op, dtype=complex) for op in _kraus_lists(channel))
+    """The channel's Kraus operators as 2x2 complex matrices, written from
+    the channels' definitions rather than read off the engine's table:
+
+      depolarizing       rho -> (1 - 3p/4) rho + (p/4)(X rho X + Y rho Y + Z rho Z)
+      phase damping      populations kept, coherences scaled by sqrt(1 - p)
+      amplitude damping  |1> decays to |0> with probability p
+    """
+    p = channel.p
+    if channel.kind == "depolarizing":
+        paulis = (
+            np.array([[0, 1], [1, 0]], dtype=complex),
+            np.array([[0, -1j], [1j, 0]], dtype=complex),
+            np.array([[1, 0], [0, -1]], dtype=complex),
+        )
+        return (np.sqrt(1 - 0.75 * p) * np.eye(2, dtype=complex),) + tuple(
+            np.sqrt(p / 4) * pauli for pauli in paulis
+        )
+    no_jump = np.array([[1, 0], [0, np.sqrt(1 - p)]], dtype=complex)
+    if channel.kind == "phase_damping":
+        return no_jump, np.array([[0, 0], [0, np.sqrt(p)]], dtype=complex)
+    # amplitude damping
+    return no_jump, np.array([[0, np.sqrt(p)], [0, 0]], dtype=complex)

@@ -1102,6 +1102,28 @@ def test_each_run_writes_its_bytes_to_stdout_or_out(tmp_path, capsys):
         assert out.read_bytes() == text.encode(), argv
 
 
+# SHA-256 of the stdout of each form, (JSON, CSV), for the conditional runs
+# no other golden reaches: the post-prep code of a graph with two cycles
+# that share an edge (house, a 5-cycle with a chord), and the pre-measure sum
+NOISE_SHA256 = {
+    "noise --graph house --channel pd --p 0:0.3:0.1 --metric conditional": (
+        "4628c99424681d6aa755fb0c96de1656ceb7c4b8d671000c9edb779a3840dab6",
+        "0dffea280432dbe05cab3e61c06a20941992a02feaed8cd21f5304160241df23",
+    ),
+    "noise --graph C4 --channel dep --p 0:0.2:0.1 --insertion pre_measure --metric conditional": (
+        "7e381638583b60dd2f58240a4db7f2088451fda794925d4880033c8e21de535c",
+        "f4a0b00b0dc2e9f89f1023391eb0fd86b63f36899f30a739c342966067103490",
+    ),
+}
+
+
+@pytest.mark.parametrize("form", NOISE_SHA256)
+def test_conditional_noise_keeps_its_bytes(form, capsys):
+    for fmt, digest in zip(("json", "csv"), NOISE_SHA256[form]):
+        assert main([*form.split(), "--format", fmt]) == EXIT_PASS
+        assert _sha256(capsys.readouterr().out) == digest, fmt
+
+
 def test_a_json_run_formats_no_csv_field(tmp_path, monkeypatch, capsys):
     runs = list(_writer_runs(tmp_path))
 

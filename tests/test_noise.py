@@ -56,6 +56,22 @@ def test_kraus_completeness(kind, p):
     assert np.allclose(total, np.eye(2), atol=1e-14)
 
 
+def _choi(ops):
+    # sum_b |K_b>><<K_b|, |K>> the row-major vectorisation of K
+    return sum(np.outer(op.ravel(), op.ravel().conj()) for op in map(np.asarray, ops))
+
+
+@pytest.mark.parametrize("kind", CHANNEL_KINDS)
+@pytest.mark.parametrize("p", (0.0, 0.1, 0.37, 1.0))
+def test_engine_kraus_table_matches_the_dense_oracle(kind, p):
+    # the oracle spells its matrices from the definitions, so a wrong entry
+    # in the engine's table shows here; the Choi matrix is blind only to the
+    # unitary freedom of a Kraus set
+    channel = NoiseChannel(kind, p)
+    engine, oracle = _choi(noise._kraus_lists(channel)), _choi(kraus_ops(channel))
+    assert np.abs(engine - oracle).max() <= 1e-14
+
+
 def test_noiseless_channel_is_identity_only():
     for kind in CHANNEL_KINDS:
         ops = kraus_ops(NoiseChannel(kind, 0.0))
@@ -87,19 +103,9 @@ def test_phase_damping_equals_phase_flip_channel():
         q = (1.0 - math.sqrt(1.0 - p)) / 2.0
         z = np.diag([1.0, -1.0])
         flip_ops = [math.sqrt(1.0 - q) * np.eye(2), math.sqrt(q) * z]
-        bell = np.zeros(4, dtype=complex)
-        bell[0] = bell[3] = 1.0 / math.sqrt(2.0)
-
-        def choi(ops):
-            acc = np.zeros((4, 4), dtype=complex)
-            for op in ops:
-                v = np.kron(op, np.eye(2)) @ bell
-                acc += np.outer(v, v.conj())
-            return acc
-
         assert np.allclose(
-            choi(kraus_ops(NoiseChannel("phase_damping", p))),
-            choi(flip_ops),
+            _choi(kraus_ops(NoiseChannel("phase_damping", p))),
+            _choi(flip_ops),
             atol=1e-12,
         )
 
@@ -156,6 +162,21 @@ def test_p_eff_validation():
     with pytest.raises(ValueError, match="k must be at most"):
         extract_p_eff(0.9, 10**400)
     assert extract_p_eff(0.9, int(sys.float_info.max)) == 0.0
+
+
+@pytest.mark.parametrize(
+    "fn,first,message",
+    [
+        (f_star_dep, 0.1, "k must be non-negative, got nan"),
+        (f_star_pd, 0.1, "k must be non-negative, got nan"),
+        (extract_p_eff, 0.9, "k must be at least 1, got nan"),
+    ],
+    ids=("f_star_dep", "f_star_pd", "extract_p_eff"),
+)
+def test_a_nan_resource_count_is_refused(fn, first, message):
+    # NaN fails the k check by name, not returned as a fidelity or strength
+    with pytest.raises(ValueError, match=message + "$"):
+        fn(first, math.nan)
 
 
 # -- exact fidelities, strict metric -------------------------------------------

@@ -25,8 +25,10 @@ from helpers import (
     plan_from_maps,
     small_connected_graphs,
 )
-from pqw import protocol
-from pqw.graphs import TABLE_ORDER, Graph, catalog_lookup, stabilizer_generators
+from pqw import noise, protocol
+from pqw.graphs import (
+    TABLE_ORDER, Graph, adjacency, catalog_lookup, catalog_names, stabilizer_generators,
+)
 from pqw.protocol import (
     CORRECTION_KINDS,
     c4_correction,
@@ -41,7 +43,7 @@ from pqw.protocol import (
     universal_correction,
     walk_gates,
 )
-from pqw.stabilizer import PauliString
+from pqw.stabilizer import PauliString, _transpose
 from pqw.verify import phase_lemma_check, verify_all_outcomes
 
 P4 = catalog_lookup("P4")
@@ -346,6 +348,74 @@ def test_single_vertex_reads_one_plus_form():
     assert protocol._data_sign_forms(graph) == ((1, 0),)
     assert run_protocol_tableau(graph, 0) == (PauliString(1, 1, 0),)
     assert verify_all_outcomes(graph).passed
+
+
+def _column_run(graph, kind):
+    # the noise code as the walk's columns: phi as resource columns run
+    # back by _walk_back, then transposed into strings with phase 2 flip
+    nv, k = graph.n_vertices, 2 * graph.n_edges
+    phi_columns = _transpose(protocol._sign_forms(graph, kind), k)
+    x, z, flips = protocol._walk_back(protocol._back_rows(graph), adjacency(graph), phi_columns)
+    return tuple(
+        PauliString(nv + k, x_bits, z_bits, 2 * (flips >> v & 1))
+        for v, (x_bits, z_bits) in enumerate(zip(_transpose(x, nv), _transpose(z, nv)))
+    )
+
+
+def test_noise_code_equals_the_column_run(monkeypatch, altered_walk):
+    # the post-prep code is built from strings by conjugate_circuit; it
+    # must equal the column run, sign included, for every plan and walk
+    runs = 0
+
+    def check(graph, kind="universal"):
+        nonlocal runs
+        assert noise._heisenberg_generators(graph, kind) == _column_run(graph, kind)
+        runs += 1
+
+    for graph in [catalog_lookup(name) for name in catalog_names()] + [Graph(("A",), ())]:
+        for kind in CORRECTION_KINDS:
+            try:
+                correction_forms(graph, kind)
+            except ValueError:
+                continue
+            check(graph, kind)
+    # seeded random (x, z) forms: phi is no longer the far-side mask
+    rng = random.Random(3201)
+    graphs = [catalog_lookup(name) for name in ("P4", "C4", "K1_3", "diamond", "house")]
+    current = {}
+    with monkeypatch.context() as patch:
+        patch.setattr(protocol, "correction_forms", lambda graph, kind: current[graph])
+        for _ in range(40):
+            graph = rng.choice(graphs)
+            bits = 2 * graph.n_edges
+            current[graph] = tuple(
+                (rng.getrandbits(bits), rng.getrandbits(bits)) for _ in graph.vertices
+            )
+            check(graph)
+    # the altered walks: the noise code must read the walk pqw.protocol
+    # holds at call time, not one bound when pqw.noise was imported
+    real = protocol.walk_gates
+    for m in range(2 * P4.n_edges):
+        altered_walk(lambda graph, r=P4.n_vertices + m: real(graph) + (("X", (r,)),))
+        check(P4)
+    b_half, a_half = protocol._resource_qubit(K2, 1), protocol._resource_qubit(K2, 0)
+    for walk, graph in (
+        (lambda graph: (("CZ", (0, b_half)),) + real(graph), K2),
+        (lambda graph: real(graph)[1:], P4),
+        (lambda graph: (("H", (a_half,)),) + real(graph), K2),
+    ):
+        altered_walk(walk)
+        check(graph)
+    for _ in range(100):
+        graph = rng.choice((K2, catalog_lookup("P3"), catalog_lookup("C3")))
+        n_qubits = graph.n_vertices + 2 * graph.n_edges
+        walk = list(real(graph))
+        gate = rng.choice(("H", "X", "Z", "CZ"))
+        targets = rng.sample(range(n_qubits), 2 if gate == "CZ" else 1)
+        walk.insert(rng.randint(0, len(walk)), (gate, tuple(targets)))
+        altered_walk(lambda _, walk=tuple(walk): walk)
+        check(graph)
+    assert runs > 160
 
 
 # -- byproduct primitive ------------------------------------------------------
