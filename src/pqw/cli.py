@@ -33,7 +33,10 @@ from collections import namedtuple
 
 from . import __version__
 from .graphs import (
+    CHANNEL_ALIASES,
     CORRECTION_KINDS,
+    INSERTION_POINTS,
+    METRICS,
     CatalogError,
     Graph,
     ResourceError,
@@ -66,8 +69,8 @@ class UsageError(ValueError):
 # constructor, refuses inconsistent flags.  Every field after command has
 # the default given here.
 _RUN_DEFAULTS = dict(
-    graph=None, correction="universal", channel=None, p_grid=None, compare=None,
-    insertion="post_prep", metric="strict", fmt="json", out=None, cuts=(), state_a=None,
+    graph=None, correction=CORRECTION_KINDS[0], channel=None, p_grid=None, compare=None,
+    insertion=INSERTION_POINTS[0], metric=METRICS[0], fmt="json", out=None, cuts=(), state_a=None,
     state_b=None, counts_path=None, ideal_path=None, k=None, fidelity=None, unsquared=False,
 )
 RunConfig = namedtuple("RunConfig", ("command", *_RUN_DEFAULTS), defaults=_RUN_DEFAULTS.values())
@@ -276,7 +279,7 @@ def cmd_verify(config: RunConfig) -> int:
 
 
 def cmd_noise(config: RunConfig) -> int:
-    from .noise import CHANNEL_ALIASES, f_star_dep, noise_sweep
+    from .noise import f_star_dep, noise_sweep
 
     if config.compare is not None:
         curves = [
@@ -402,18 +405,16 @@ def _common(fmt: str) -> dict[str, Option]:
 COMMANDS = {
     "verify": ("enumerate every outcome and check the corrected state", {
         "--graph": Option("graph", "catalog name, @edge-list-file, or 'all'", required=True),
-        "--correction": Option("correction", choices=CORRECTION_KINDS, default="universal"),
+        "--correction": Option("correction", choices=CORRECTION_KINDS, default=CORRECTION_KINDS[0]),
         **_common("json"),
     }),
     "noise": ("exact noisy fidelity curves", {
         "--graph": Option("graph", "catalog name or @edge-list-file (default P4)"),
-        "--channel": Option("channel", choices=("dep", "pd", "ad")),
-        "--correction": Option("correction", choices=CORRECTION_KINDS, default="universal"),
+        "--channel": Option("channel", choices=tuple(CHANNEL_ALIASES)),
+        "--correction": Option("correction", choices=CORRECTION_KINDS, default=CORRECTION_KINDS[0]),
         "--p": Option("p_grid", "value or START:STOP:STEP", required=True),
-        "--insertion": Option(
-            "insertion", choices=("post_prep", "pre_measure"), default="post_prep"
-        ),
-        "--metric": Option("metric", choices=("strict", "conditional"), default="strict"),
+        "--insertion": Option("insertion", choices=INSERTION_POINTS, default=INSERTION_POINTS[0]),
+        "--metric": Option("metric", choices=METRICS, default=METRICS[0]),
         "--compare": Option("compare", "closed-form curves, not one graph", choices=("fig4",)),
         **_common("csv"),
     }),

@@ -127,9 +127,13 @@ def _check_ceiling(n_qubits: int) -> None:
         raise ResourceError(f"{n_qubits} qubits exceeds the ceiling of {DEFAULT_QUBIT_CEILING}")
 
 
-# the plan kinds pqw.protocol.correction_forms builds; here, so that the
-# CLI lists them without loading an engine
+# the plan kinds pqw.protocol.correction_forms builds and the noise
+# vocabulary pqw.noise checks; here, so that the CLI lists them without
+# loading an engine.  The first entry of each tuple is its default.
 CORRECTION_KINDS = ("universal", "l4", "c4", "tree")
+CHANNEL_ALIASES = {"dep": "depolarizing", "pd": "phase_damping", "ad": "amplitude_damping"}
+INSERTION_POINTS = ("post_prep", "pre_measure")
+METRICS = ("strict", "conditional")
 
 
 class _Checked:

@@ -60,20 +60,14 @@ from collections import namedtuple
 from itertools import product
 
 from . import protocol
-from .graphs import Graph, ResourceError, _Checked, adjacency
+from .graphs import (
+    CHANNEL_ALIASES, INSERTION_POINTS, METRICS, Graph, ResourceError, _Checked, adjacency,
+)
 from .protocol import _present_sign_forms, _sign_forms
 from .stabilizer import PauliString, conjugate_circuit
 from .verify import _pass_fraction, _sign_conditions
 
 CHANNEL_KINDS = ("depolarizing", "phase_damping", "amplitude_damping")
-CHANNEL_ALIASES = {
-    "dep": "depolarizing",
-    "pd": "phase_damping",
-    "ad": "amplitude_damping",
-}
-
-INSERTION_POINTS = ("post_prep", "pre_measure")
-METRICS = ("strict", "conditional")
 
 DEFAULT_VERTEX_BUDGET = 12
 
@@ -122,22 +116,30 @@ def _kraus_lists(channel: NoiseChannel) -> tuple[list[list[complex]], ...]:
 # -- closed forms and count arithmetic --------------------------------------
 
 
-def _check_closed_form(p: float, k: int) -> None:
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must lie in [0, 1], got {p}")
-    if not k >= 0:  # NaN fails it
-        raise ValueError(f"k must be non-negative, got {k}")
+def _check_resource_count(k: int, least: int) -> None:
+    """Refuse a k that is not a whole number of resource qubits from
+    least up to the largest float."""
+    if not k >= least:  # NaN fails it
+        raise ValueError(f"k must be {'at least 1' if least else 'non-negative'}, got {k}")
+    if k > sys.float_info.max:  # infinity, or past what a float power takes
+        raise ValueError(f"k must be at most {sys.float_info.max:g}, the largest float")
+    if k != int(k):
+        raise ValueError(f"k must be a whole number, got {k}")
 
 
 def f_star_dep(p: float, k: int) -> float:
     """No-error retention of k resource qubits under depolarizing noise."""
-    _check_closed_form(p, k)
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"p must lie in [0, 1], got {p}")
+    _check_resource_count(k, 0)
     return (1.0 - 0.75 * p) ** k
 
 
 def f_star_pd(p: float, k: int) -> float:
     """Same for phase damping."""
-    _check_closed_form(p, k)
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"p must lie in [0, 1], got {p}")
+    _check_resource_count(k, 0)
     return ((1.0 + math.sqrt(1.0 - p)) / 2.0) ** k
 
 
@@ -150,10 +152,7 @@ def extract_p_eff(fidelity: float, k: int) -> float:
     # sum; a fidelity inside it fits as 1, so p_eff is never negative
     if fidelity > 1.0 + 1e-9:
         raise ValueError(f"fidelity must be at most 1, got {fidelity}")
-    if not k >= 1:  # NaN fails it
-        raise ValueError(f"k must be at least 1, got {k}")
-    if k > sys.float_info.max:  # 1.0 / k would overflow
-        raise ValueError(f"k must be at most {sys.float_info.max:g}, the largest float")
+    _check_resource_count(k, 1)
     return (4.0 / 3.0) * (1.0 - min(fidelity, 1.0) ** (1.0 / k))
 
 

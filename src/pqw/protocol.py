@@ -44,14 +44,15 @@ noise sum read plans as phi, verify against the sign forms
 (sign_v, sigma_v) that _data_sign_forms reads off the walk.
 
 The circuit is written once, as the gate lists prep_gates and
-walk_gates, and one function, _walk_back, runs the walk backwards in the
-Heisenberg picture: W^dagger (K_v (x) Z_R^{phi_v}) W for every v at
-once, as bit-packed columns.  The prepared state |+>^V (x) CZ|++>^E has
-a stabilizer group local to each data qubit and each pair, so each K_v's
-sign form is read off that run with no measurement rule and no
-elimination, and nothing is cached.  The noise sum runs its code back
-through walk_gates as strings, with stabilizer.conjugate_circuit; the
-tests' dense per-outcome reference runs the same two lists on amplitudes.
+walk_gates, and one function, _data_sign_forms, runs the walk backwards
+on its own columns in the Heisenberg picture: W^dagger (K_v (x)
+Z_R^{sigma_v}) W for every v at once, as bit-packed columns.  The
+prepared state |+>^V (x) CZ|++>^E has a stabilizer group local to each
+data qubit and each pair, so each K_v's sign form is read off that run
+with no measurement rule and no elimination, and nothing is cached.  The
+noise sum runs its code back through walk_gates as strings, with
+stabilizer.conjugate_circuit; the tests' dense per-outcome reference runs
+the same two lists on amplitudes.
 """
 
 from functools import reduce
@@ -114,21 +115,6 @@ def far_side_masks(graph: Graph) -> list[int]:
     return masks
 
 
-def _back_rows(graph: Graph) -> list[tuple[str, int, int]]:
-    """The walk as checked rows, last gate first: each gate is its own
-    inverse, so W^dagger P W is the walk run backwards as U P U^dagger."""
-    return _checked_gates(graph.n_vertices + 2 * graph.n_edges, reversed(walk_gates(graph)))
-
-
-def _walk_back(rows, neighbours, phi_columns) -> tuple[list[int], list[int], int]:
-    """W^dagger (K_v (x) Z_R^{phi_v}) W for every v, W the rows of _back_rows
-    and K_v seeded from its adjacency row, as _conj_columns' columns and
-    flip mask; phi_columns[t] holds bit t of every phi_v, on qubit nv + t."""
-    x = [1 << i for i in range(len(neighbours))] + [0] * len(phi_columns)
-    z = neighbours + list(phi_columns)
-    return x, z, _conj_columns(x, z, rows)
-
-
 def _data_sign_forms(graph: Graph) -> tuple[tuple[int, int] | None, ...]:
     """The sign form (sign_v, sigma_v) of each K_v after S1-S4, or None
     where K_v is missing from the data group: at outcome s the data group
@@ -150,12 +136,17 @@ def _data_sign_forms(graph: Graph) -> tuple[tuple[int, int] | None, ...]:
     at every outcome with sign (-1)^{|s|}.
     """
     nv, k = graph.n_vertices, 2 * graph.n_edges
-    rows, neighbours = _back_rows(graph), adjacency(graph)
+    # each gate is its own inverse, so W^dagger P W runs the walk last gate first
+    rows = _checked_gates(nv + k, reversed(walk_gates(graph)))
+    neighbours = adjacency(graph)
     # resource qubit nv + t and its pair partner nv + (t ^ 1)
     pairs = [(nv + t, nv + (t ^ 1)) for t in range(k)]
-    x, z, _ = _walk_back(rows, neighbours, [0] * k)
+    # bit v of the columns x[q], z[q] is K_v: X_v, Z on v's neighbours, none on R
+    x, z = [1 << v for v in range(nv)] + [0] * k, neighbours + [0] * k
+    _conj_columns(x, z, rows)
     sigmas = [x[r] ^ z[partner] for r, partner in pairs]
-    x, z, flips = _walk_back(rows, neighbours, sigmas)
+    x, z = [1 << v for v in range(nv)] + [0] * k, neighbours + sigmas
+    flips = _conj_columns(x, z, rows)
     missing = reduce(or_, z[:nv] + [x[r] ^ z[partner] for r, partner in pairs], 0)
     # the product X(x)Z * Z(x)X is -(XZ)(x)(XZ) in the X^x Z^z form
     flips ^= reduce(xor, (x[r] & x[r + 1] for r in range(nv, nv + k, 2)), 0)

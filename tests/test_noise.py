@@ -179,6 +179,20 @@ def test_a_nan_resource_count_is_refused(fn, first, message):
         fn(first, math.nan)
 
 
+@pytest.mark.parametrize("k", [2.5, math.inf, 10**400], ids=("half", "inf", "past_float"))
+@pytest.mark.parametrize(
+    "fn,first",
+    [(f_star_dep, 0.1), (f_star_pd, 0.1), (extract_p_eff, 0.9)],
+    ids=("f_star_dep", "f_star_pd", "extract_p_eff"),
+)
+def test_a_resource_count_is_a_whole_float_range_number(fn, first, k):
+    # a retention over 2.5 or infinitely many qubits is no number of the
+    # protocol, and a count past the float range overflows the power
+    message = "k must be a whole number, got 2.5" if k == 2.5 else "k must be at most "
+    with pytest.raises(ValueError, match=re.escape(message)):
+        fn(first, k)
+
+
 # -- exact fidelities, strict metric -------------------------------------------
 
 

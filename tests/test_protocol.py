@@ -43,7 +43,7 @@ from pqw.protocol import (
     universal_correction,
     walk_gates,
 )
-from pqw.stabilizer import PauliString, _transpose
+from pqw.stabilizer import PauliString, _checked_gates, _conj_columns, _transpose
 from pqw.verify import phase_lemma_check, verify_all_outcomes
 
 P4 = catalog_lookup("P4")
@@ -351,11 +351,14 @@ def test_single_vertex_reads_one_plus_form():
 
 
 def _column_run(graph, kind):
-    # the noise code as the walk's columns: phi as resource columns run
-    # back by _walk_back, then transposed into strings with phase 2 flip
+    # the noise code as the walk's columns: K_v on the data columns and
+    # phi on the resource columns, run through the walk last gate first,
+    # then transposed into strings with phase 2 flip
     nv, k = graph.n_vertices, 2 * graph.n_edges
-    phi_columns = _transpose(protocol._sign_forms(graph, kind), k)
-    x, z, flips = protocol._walk_back(protocol._back_rows(graph), adjacency(graph), phi_columns)
+    rows = _checked_gates(nv + k, reversed(protocol.walk_gates(graph)))
+    x = [1 << v for v in range(nv)] + [0] * k
+    z = adjacency(graph) + _transpose(protocol._sign_forms(graph, kind), k)
+    flips = _conj_columns(x, z, rows)
     return tuple(
         PauliString(nv + k, x_bits, z_bits, 2 * (flips >> v & 1))
         for v, (x_bits, z_bits) in enumerate(zip(_transpose(x, nv), _transpose(z, nv)))
