@@ -41,7 +41,6 @@ from .graphs import (
     Graph,
     ResourceError,
     TABLE_ORDER,
-    _check_ceiling,
     _index_of,
     catalog_lookup,
     parse_edge_list,
@@ -59,6 +58,10 @@ COMPARE_CURVES = (("Bell", 1), ("GHZ4", 2), ("L4", 6))
 
 # the most points a --p range may hold; checked before the grid is built
 MAX_P_POINTS = 100_000
+
+# the most outcome records verify lists for one graph: 4^9, any graph of
+# at most nine edges, about 26 MB of JSON; checked before the walk runs
+MAX_VERIFY_RECORDS = 4**9
 
 
 class UsageError(ValueError):
@@ -259,9 +262,11 @@ def cmd_verify(config: RunConfig) -> int:
     reports = []
     for spec in TABLE_ORDER if config.graph == "all" else (config.graph,):
         name, graph = _resolve_graph(spec)
-        # the writers list all 4^|E| outcomes, so the register size bounds
-        # the output before anything is written
-        _check_ceiling(graph.n_vertices + 2 * graph.n_edges)
+        if graph.outcome_count() > MAX_VERIFY_RECORDS:
+            raise ResourceError(
+                f"{name}: 4^{graph.n_edges} outcome records exceed the ceiling of "
+                f"{MAX_VERIFY_RECORDS:,}"
+            )
         try:
             reports.append(verify_all_outcomes(graph, config.correction, name=name))
         except ValueError as err:  # a correction kind that does not apply

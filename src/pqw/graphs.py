@@ -116,17 +116,6 @@ class ResourceError(RuntimeError):
     """Raised when a request exceeds the configured memory or time budget."""
 
 
-# Refuse a graph whose register passes this size before verify lists its
-# 4^|E| outcome records; 24 qubits is 65,536 records on an 8-cycle.
-DEFAULT_QUBIT_CEILING = 24
-
-
-def _check_ceiling(n_qubits: int) -> None:
-    """Refuse a register of n_qubits past the ceiling."""
-    if n_qubits > DEFAULT_QUBIT_CEILING:
-        raise ResourceError(f"{n_qubits} qubits exceeds the ceiling of {DEFAULT_QUBIT_CEILING}")
-
-
 # the plan kinds pqw.protocol.correction_forms builds and the noise
 # vocabulary pqw.noise checks; here, so that the CLI lists them without
 # loading an engine.  The first entry of each tuple is its default.

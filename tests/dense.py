@@ -28,14 +28,16 @@ from functools import lru_cache
 
 import numpy as np
 
-# defined numpy-free in graphs, where the CLI and the noise sum use them;
-# the same objects here
-from pqw.graphs import DEFAULT_QUBIT_CEILING, Graph, ResourceError, _check_ceiling, _index_of
+# the same ResourceError the CLI and the noise sum raise
+from pqw.graphs import Graph, ResourceError, _index_of
 from pqw.noise import NoiseChannel
 from pqw.protocol import _check_index, prep_gates, walk_gates
 from pqw.stabilizer import PauliString, _checked_gates
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
+
+# the largest register built: 2^24 complex amplitudes are 256 MiB
+DEFAULT_QUBIT_CEILING = 24
 
 
 class ZeroProbabilityError(ValueError):
@@ -45,7 +47,8 @@ class ZeroProbabilityError(ValueError):
 def _check_size(n_qubits: int) -> None:
     if n_qubits < 1:
         raise ValueError(f"need at least one qubit, got {n_qubits}")
-    _check_ceiling(n_qubits)
+    if n_qubits > DEFAULT_QUBIT_CEILING:
+        raise ResourceError(f"{n_qubits} qubits exceeds the ceiling of {DEFAULT_QUBIT_CEILING}")
 
 
 @dataclass(frozen=True, eq=False)

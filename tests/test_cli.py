@@ -243,7 +243,7 @@ C8_JSON_SHA256 = "289e6931b091d465d12a41f3d7334d76c5e4407c31926055ae0ac24b73c960
 
 
 def test_verify_8_cycle_csv_golden(tmp_path, capsys):
-    # the largest input verify takes: 8 + 2 * 8 = 24 qubits, 65,536 outcomes
+    # an 8-cycle: 8 + 2 * 8 = 24 qubits, 65,536 outcomes
     cycle = "ABCDEFGH"
     edges = tmp_path / "c8.txt"
     edges.write_text("".join(f"{a} {b}\n" for a, b in zip(cycle, cycle[1:] + cycle[0])))
@@ -254,6 +254,39 @@ def test_verify_8_cycle_csv_golden(tmp_path, capsys):
     assert main(["verify", "--graph", f"@{edges}", "--format", "json"]) == EXIT_PASS
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == C8_JSON_SHA256
+
+
+CEILING_SHAPES = {
+    "K1_8": [("hub", f"leaf{i}") for i in range(8)],
+    "K3_3": [(f"a{i}", f"b{j}") for i in range(3) for j in range(3)],
+    "K5_minus_edge": list(itertools.combinations("ABCDE", 2))[1:],
+    "P11": [(f"v{i}", f"v{i + 1}") for i in range(10)],
+}
+
+
+@pytest.mark.parametrize("name", CEILING_SHAPES)
+def test_verify_ceiling_counts_outcome_records(name, monkeypatch, tmp_path, capsys):
+    # the writers list 4^|E| records, and that count is the ceiling, not
+    # the register size: K1_8 is 25 qubits, and K3_3 and K5_minus_edge
+    # sit at the ceiling with nine edges each
+    edges = CEILING_SHAPES[name]
+    path = tmp_path / f"{name}.txt"
+    path.write_text("".join(f"{u} {v}\n" for u, v in edges))
+    argv = ["verify", "--graph", f"@{path}", "--format", "csv"]
+    if 4 ** len(edges) <= cli.MAX_VERIFY_RECORDS:
+        assert main(argv) == EXIT_PASS
+        assert capsys.readouterr().out.count("\n") == 1 + 4 ** len(edges)
+        return
+
+    # refused before the walk runs
+    def refuse(*args, **kwargs):
+        raise AssertionError("the walk ran past the ceiling")
+
+    monkeypatch.setattr(verify, "verify_all_outcomes", refuse)
+    assert main(argv) == EXIT_BUDGET
+    assert capsys.readouterr() == (
+        "", f"pqw: {name}: 4^10 outcome records exceed the ceiling of 262,144\n"
+    )
 
 
 def test_verify_failure_names_its_first_counterexample(monkeypatch, tmp_path, capsys):

@@ -101,12 +101,12 @@ def test_resource_error_is_one_class(tmp_path, capsys):
     assert dense.ResourceError is graphs.ResourceError
     assert noise.ResourceError is graphs.ResourceError
     assert cli.ResourceError is graphs.ResourceError
-    # 9 vertices and 8 edges make 25 qubits, past the dense ceiling,
-    # which raises before anything is allocated
-    path9 = tmp_path / "path9.txt"
-    path9.write_text("".join(f"v{i} v{i + 1}\n" for i in range(8)))
-    assert main(["verify", "--graph", f"@{path9}"]) == EXIT_BUDGET
-    assert "25 qubits" in capsys.readouterr().err
+    # 10 edges make 4^10 outcome records, past verify's ceiling, which
+    # raises before the walk runs
+    path11 = tmp_path / "path11.txt"
+    path11.write_text("".join(f"v{i} v{i + 1}\n" for i in range(10)))
+    assert main(["verify", "--graph", f"@{path11}"]) == EXIT_BUDGET
+    assert "4^10 outcome records" in capsys.readouterr().err
     # 13 vertices exceed the conditional noise sum's vertex budget
     path13 = tmp_path / "path13.txt"
     path13.write_text("".join(f"v{i} v{i + 1}\n" for i in range(12)))
