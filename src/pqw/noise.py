@@ -19,8 +19,9 @@ number:
   curves (1-3p/4)^k and ((1+sqrt(1-p))/2)^k to machine precision,
   identically for both insertion points.  The noiseless fidelity is the
   fraction of outcomes that meet the GF(2) sign conditions pqw.verify
-  reads off the sign forms of the K_v, so strict costs one elimination
-  and has no vertex budget.
+  reads off the sign forms of the K_v, the pass_count of its report over
+  the outcome count, so strict costs one elimination and has no vertex
+  budget.
 
 * metric="conditional" is the operational fidelity of the state
   actually delivered: every error branch runs through the remaining
@@ -65,9 +66,9 @@ from .graphs import (
 )
 from .protocol import _present_sign_forms, _sign_forms
 from .stabilizer import PauliString, conjugate_circuit
-from .verify import _pass_fraction, _sign_conditions
+from .verify import verify_all_outcomes
 
-CHANNEL_KINDS = ("depolarizing", "phase_damping", "amplitude_damping")
+CHANNEL_KINDS = tuple(CHANNEL_ALIASES.values())
 
 DEFAULT_VERTEX_BUDGET = 12
 
@@ -282,7 +283,8 @@ def _fidelities(
     if metric == "strict":
         # the per-qubit retention sum_b |tr(K_b)/2|^2 to the power k, times
         # the noiseless fidelity: the share of outcomes that meet every sign condition
-        noiseless = _pass_fraction(_sign_conditions(graph, correction_kind))
+        report = verify_all_outcomes(graph, correction_kind)
+        noiseless = report.pass_count / report.outcome_count
         kraus = map(_kraus_lists, channels)
         retention = [math.fsum(abs(op[0][0] + op[1][1]) ** 2 / 4.0 for op in ops) for ops in kraus]
         return [r ** (2 * graph.n_edges) * noiseless for r in retention]

@@ -28,9 +28,10 @@ lists every outcome needs a size limit, and pqw verify holds it.
 The rank comparison is symbolic as well.  Across a cut (A, B) a graph
 state has Schmidt rank 2^r, r the GF(2) rank of the cut's block of the
 adjacency matrix (Hein, Eisert & Briegel, quant-ph/0307130), so one
-elimination, _pivots, gives both that rank and the fraction of outcomes
-that pass.  That fraction is also the noiseless factor of pqw.noise's
-strict metric, which reads it from _sign_conditions and _pass_fraction.
+elimination, _pivots, gives both that rank and a report's pass_count,
+the number of outcomes that pass.  That count over the outcome count is
+also the noiseless factor of pqw.noise's strict metric, which reads it
+off the report of verify_all_outcomes.
 """
 
 from collections import namedtuple
@@ -71,22 +72,6 @@ def _pivots(rows) -> dict[int, int]:
     return pivots
 
 
-def _consistent_rank(conditions) -> int | None:
-    """The GF(2) rank of the rows mask . s = odd of the (mask, odd)
-    conditions, or None when no outcome meets them all: each row is kept
-    as mask << 1 | odd, and the rows are inconsistent exactly when one
-    reduces to 0 = 1, a pivot at bit 0."""
-    pivots = _pivots(mask << 1 | odd for mask, odd in conditions)
-    return None if 0 in pivots else len(pivots)
-
-
-def _pass_fraction(conditions) -> float:
-    """The fraction of outcomes that meet every (mask, odd) condition:
-    each pivot of consistent rows halves the outcomes that meet them."""
-    rank = _consistent_rank(conditions)
-    return 0.0 if rank is None else 2.0 ** -rank
-
-
 class VerificationReport(
     namedtuple("VerificationReport", "graph_name correction_kind outcome_count conditions")
 ):
@@ -107,9 +92,18 @@ class VerificationReport(
         return 0.0 if self.conditions else 1.0
 
     @property
+    def pass_count(self) -> int:
+        """The number of outcomes that meet every condition, exact at any
+        size: each row is kept as mask << 1 | odd, each pivot of
+        consistent rows halves the outcomes, and the rows are
+        inconsistent exactly when one reduces to 0 = 1, a pivot at bit 0."""
+        pivots = _pivots(mask << 1 | odd for mask, odd in self.conditions)
+        return 0 if 0 in pivots else self.outcome_count >> len(pivots)
+
+    @property
     def max_fidelity(self) -> float:
-        # the conditions can all hold: a rank test, as 2^-rank is 0.0 past 1074
-        return 0.0 if _consistent_rank(self.conditions) is None else 1.0
+        # an int count, as 2^-rank is 0.0 past 1074 conditions
+        return 1.0 if self.pass_count else 0.0
 
     def first_failure(self) -> int | None:
         """The lowest index that misses |G>, or None: outcome 0 fails any

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from dense import kraus_ops
 from helpers import branch_fidelity, grid, small_connected_graphs
-from pqw import noise, protocol
+from pqw import noise, protocol, verify
 from pqw.graphs import Graph, catalog_lookup, catalog_names, parse_edge_list
 from pqw.noise import (
     CHANNEL_KINDS,
@@ -651,15 +651,20 @@ def test_a_sweep_equals_its_points(name, kind):
     ],
 )
 def test_a_sweep_builds_its_code_once(monkeypatch, insertion, metric, builder):
-    # no p changes the code, so an 11-point sweep builds it once
+    # no p changes the code, so an 11-point sweep builds it once; strict
+    # reads its conditions through verify_all_outcomes
     calls = collections.Counter()
-    for name in ("_sign_conditions", "_present_sign_forms", "_heisenberg_generators"):
+    for module, name in (
+        (verify, "_sign_conditions"),
+        (noise, "_present_sign_forms"),
+        (noise, "_heisenberg_generators"),
+    ):
 
-        def counted(*args, name=name, real=getattr(noise, name)):
+        def counted(*args, name=name, real=getattr(module, name)):
             calls[name] += 1
             return real(*args)
 
-        monkeypatch.setattr(noise, name, counted)
+        monkeypatch.setattr(module, name, counted)
     grid = [p / 10 for p in range(11)]
     noise_sweep(catalog_lookup("C4"), "ad", grid, insertion=insertion, metric=metric)
     assert calls == {builder: 1}

@@ -243,6 +243,7 @@ def test_records_and_summaries_match_enumerating_the_conditions(graph, mode, see
     assert runs[-1][1] == count and all(start < stop for start, stop, _ in runs)
     assert all(a[2] != b[2] for a, b in zip(runs, runs[1:]))
     assert report.first_failure() == next((start for start, _, f in runs if f == 0.0), None)
+    assert report.pass_count == sum(fidelities)
     assert report.min_fidelity == min(fidelities)
     assert report.max_fidelity == max(fidelities)
     assert report.passed is (min(fidelities) == 1.0)
@@ -284,16 +285,18 @@ def test_report_pass_logic():
     assert not odd_only.passed and odd_only.first_failure() == 0
     assert fidelity_column(odd_only) == [0.0, 1.0, 0.0, 1.0]
     assert (odd_only.min_fidelity, odd_only.max_fidelity) == (0.0, 1.0)
+    assert odd_only.pass_count == 2
     high_even = VerificationReport("toy", "universal", 4, ((0b10, False),))
-    assert high_even.first_failure() == 2
+    assert high_even.first_failure() == 2 and high_even.pass_count == 2
     assert fidelity_column(high_even) == [1.0, 1.0, 0.0, 0.0]
     # 0 = 1 fails every outcome, as do two contradicting rows
     for conditions in (((0, True),), ((0b11, True), (0b11, False))):
         never = VerificationReport("toy", "universal", 4, conditions)
         assert never.first_failure() == 0 and never.max_fidelity == 0.0
+        assert never.pass_count == 0
         assert set(fidelity_column(never)) == {0.0}
     clean = VerificationReport("toy", "universal", 4, ())
-    assert clean.passed and clean.first_failure() is None
+    assert clean.passed and clean.first_failure() is None and clean.pass_count == 4
     assert fidelity_column(clean) == [1.0] * 4
 
 
@@ -302,9 +305,10 @@ def test_max_fidelity_is_decided_past_the_float_range():
     # a float, yet some outcome meets them all
     independent = tuple((1 << i, False) for i in range(1100))
     report = VerificationReport("G", "universal", 4**600, independent)
-    assert report.max_fidelity == 1.0
+    assert report.max_fidelity == 1.0 and report.pass_count == 4**600 >> 1100
     contradicted = independent + ((0b11, True), (0b11, False))
-    assert VerificationReport("G", "universal", 4**600, contradicted).max_fidelity == 0.0
+    never = VerificationReport("G", "universal", 4**600, contradicted)
+    assert never.max_fidelity == 0.0 and never.pass_count == 0
 
 
 # -- symbolic sign check ---------------------------------------------------------
