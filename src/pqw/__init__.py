@@ -6,8 +6,9 @@ enumerates every measurement outcome, applies a correction formula, and
 checks the delivered state against the target: fidelities, outcome
 statistics, sign bookkeeping, noise curves, and Schmidt-rank
 separations, all computed exactly.  An outcome is its big-endian index
-in [0, 4^|E|), a correction plan is a PauliString on the data qubits,
-and a stabilizer group is a tuple of PauliStrings.
+in [0, 4^|E|), a correction plan is its per-vertex (x, z) outcome-bit
+forms, and the sign of a stabilizer K_v is a (sign_v, sigma_v) form over
+the outcome bits; the package keeps no object per Pauli string.
 
 Every exported name, and every submodule, loads on first access, so
 ``import pqw.cli`` loads only pqw.graphs, and a command loads the engine
@@ -23,7 +24,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "graphs": (
         "CatalogError", "Graph", "ResourceError", "TABLE_ORDER", "catalog_lookup",
-        "catalog_names", "parse_edge_list", "stabilizer_generators",
+        "catalog_names", "parse_edge_list",
     ),
     "noise": (
         "NoiseChannel", "NoiseReport", "bhattacharyya_fidelity", "extract_p_eff",
@@ -31,11 +32,9 @@ _EXPORTS = {
         "parse_channel", "t1_damping_estimate",
     ),
     "protocol": (
-        "c4_correction", "correction_forms", "correction_plan", "l4_correction",
-        "plans_equivalent", "run_protocol_tableau", "tree_correction",
+        "c4_correction", "correction_forms", "l4_correction", "tree_correction",
         "universal_correction",
     ),
-    "stabilizer": ("PauliString", "conjugate_circuit"),
     "verify": (
         "LcReport", "VerificationReport", "lc_check", "phase_lemma_check",
         "verify_all_outcomes",

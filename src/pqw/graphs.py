@@ -2,8 +2,8 @@
 
 A graph state |G> is prepared by applying CZ along every edge of G to
 |+> on every vertex; it is the unique joint +1 eigenstate of the
-generators K_v = X_v * prod_{u~v} Z_u that stabilizer_generators
-returns.  Vertex order is significant here: it fixes qubit indices,
+generators K_v = X_v * prod_{u~v} Z_u, whose Z parts are the rows that
+adjacency returns.  Vertex order is significant here: it fixes qubit indices,
 measurement-outcome indexing, and report ordering, which is why Graph
 keeps ordered tuples instead of sets.
 
@@ -257,10 +257,3 @@ def adjacency(graph: Graph) -> list[int]:
     symmetric, so row v is column v."""
     return _neighbour_xor(graph, [1 << i for i in range(graph.n_vertices)])
 
-
-def stabilizer_generators(graph: Graph) -> tuple:
-    """One PauliString per vertex: X there, Z on each neighbor."""
-    from .stabilizer import PauliString  # here, so that pqw.cli loads no engine
-
-    n = graph.n_vertices
-    return tuple(PauliString(n, 1 << i, row) for i, row in enumerate(adjacency(graph)))

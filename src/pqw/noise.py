@@ -39,9 +39,10 @@ M = sum_s |s><s| (x) C_s^dagger |G><G| C_s is the projector of a
 stabilizer code with one generator K_v (x) Z_R^{phi_v} per vertex, so
 F = tr(M rho) is 2^-|V| times the sum of the expectations of its 2^|V|
 elements, taken in Gray-code order.  After prep, each element is
-carried back through the walk (pqw.stabilizer's conjugate_circuit over
-pqw.protocol's walk_gates, last gate first) and the adjoint channel to
-the prepared state, |+> per data qubit and CZ|++> per edge.  Before
+carried back through the walk (pqw.protocol runs the generators back as
+bit-packed columns and hands each over as (x, z, phase) ints, which
+multiply with a few int operations) and the adjoint channel to the
+prepared state, |+> per data qubit and CZ|++> per edge.  Before
 measurement the channel only reaches Z_R, and each expectation is read
 off the sign forms of the K_v that pqw.protocol reads off the walk run
 backwards: xor-linear outcome-bit masks and a sign.  Both conditional
@@ -61,11 +62,8 @@ from collections import namedtuple
 from itertools import product
 
 from . import protocol
-from .graphs import (
-    CHANNEL_ALIASES, INSERTION_POINTS, METRICS, Graph, ResourceError, _Checked, adjacency,
-)
+from .graphs import CHANNEL_ALIASES, INSERTION_POINTS, METRICS, Graph, ResourceError, _Checked
 from .protocol import _present_sign_forms, _sign_forms
-from .stabilizer import PauliString, conjugate_circuit
 from .verify import verify_all_outcomes
 
 CHANNEL_KINDS = tuple(CHANNEL_ALIASES.values())
@@ -311,6 +309,13 @@ def _code(identity, generators, multiply):
         yield term
 
 
+def _times(a: tuple[int, int, int], b: tuple[int, int, int]) -> tuple[int, int, int]:
+    """The product of two strings i^phase X^x Z^z given as (x, z, phase):
+    moving b's X block left past a's Z block anticommutes once per
+    overlapping site, each time adding 2 to the phase."""
+    return a[0] ^ b[0], a[1] ^ b[1], a[2] + b[2] + 2 * (a[1] & b[0]).bit_count()
+
+
 def _measured_sums(graph: Graph, correction_kind: str, channels) -> list[float]:
     """Conditional fidelity of each channel, E^dagger(Z) = a + b Z, on
     every resource qubit just before it is measured:
@@ -350,21 +355,6 @@ def _measured_sums(graph: Graph, correction_kind: str, channels) -> list[float]:
         values = (sign * (a**m * b**n) for m, n, sign in terms)
         sums.append(math.fsum(values) / (1 << len(generators)))
     return sums
-
-
-def _heisenberg_generators(graph: Graph, correction_kind: str) -> tuple[PauliString, ...]:
-    """W^dagger S_v W for the generators S_v = K_v (x) Z_R^{phi_v} of the
-    code whose projector is the corrected-fidelity operator
-    M = sum_s |s><s| (x) C_s^dagger |G><G| C_s, W the walk.
-
-    C_s^dagger K_v C_s = (-1)^{|phi_v & s|} K_v, and Z_R^{phi_v} reads that
-    sign off the resource register, so M = prod_v (1 + S_v)/2.  Every gate
-    is its own inverse, so W^dagger S_v W runs the walk last gate first.
-    """
-    nv, n = graph.n_vertices, graph.n_vertices + 2 * graph.n_edges
-    forms = zip(adjacency(graph), _sign_forms(graph, correction_kind))
-    seeds = [PauliString(n, 1 << v, row | phi << nv) for v, (row, phi) in enumerate(forms)]
-    return conjugate_circuit(seeds, reversed(protocol.walk_gates(graph)))
 
 
 _PAIR = (0.5, 0.5, 0.5, -0.5)  # CZ|++>
@@ -422,18 +412,19 @@ def _prepared_sums(graph: Graph, correction_kind: str, channels) -> list[float]:
     on each data qubit, where a Z gives 0, and CZ|++> on each edge, where
     the adjoint channel on both halves gives one entry of the edge table.
     So an element is kept, when it has no data Z, as its sign (the S_v and
-    the gates are real, so it has one) and the table index of each edge
-    from the low end of the register.
+    the gates are real, so its phase is even, and the sign is -1 exactly
+    when phase & 2) and the table index of each edge from the low end of
+    the register.
     """
     nv, n_edges = graph.n_vertices, graph.n_edges
     data = (1 << nv) - 1
-    identity = PauliString(nv + 2 * n_edges, 0, 0)
+    generators = protocol._heisenberg_generators(graph, correction_kind)
     terms = []
-    for term in _code(identity, _heisenberg_generators(graph, correction_kind), operator.mul):
-        if not term.z_bits & data:
-            x, z = term.x_bits >> nv, term.z_bits >> nv
+    for x, z, phase in _code((0, 0, 0), generators, _times):
+        if not z & data:
+            x, z = x >> nv, z >> nv
             keys = [(x >> 2 * j & 3) | (z >> 2 * j & 3) << 2 for j in range(n_edges)]
-            terms.append((term.sign, keys))
+            terms.append((-1 if phase & 2 else 1, keys))
     sums = []
     for channel in channels:
         table = _edge_table(_kraus_lists(channel))

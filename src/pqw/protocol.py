@@ -17,7 +17,7 @@ an edge first endpoint then second endpoint, and s is the big-endian
 integer of that bit sequence.  For the path A-B-C-D this reproduces the
 conventional labels s1=AB@A, s2=AB@B, s3=BC@B, s4=BC@C, s5=CD@C,
 s6=CD@D; for the cycle A-B-C-D-A it appends s7=DA@D, s8=DA@A.  Every
-function that takes s raises ValueError outside that range.
+form here covers all outcomes at once, so no function takes s.
 Qubit order: vertex v is qubit graph.vertices.index(v), and sequence bit
 m = 2*j + e, endpoint e of edge j, is qubit n_vertices + 2|E| - 1 - m, so
 the resource register read as an integer is s and a form over s is a Z
@@ -49,20 +49,94 @@ on its own columns in the Heisenberg picture: W^dagger (K_v (x)
 Z_R^{sigma_v}) W for every v at once, as bit-packed columns.  The
 prepared state |+>^V (x) CZ|++>^E has a stabilizer group local to each
 data qubit and each pair, so each K_v's sign form is read off that run
-with no measurement rule and no elimination, and nothing is cached.  The
-noise sum runs its code back through walk_gates as strings, with
-stabilizer.conjugate_circuit; the tests' dense per-outcome reference runs
-the same two lists on amplitudes.
+with no measurement rule and no elimination, and nothing is cached.
+_heisenberg_generators runs the noise sum's code back the same way and
+hands each generator over as plain ints; the tests' dense per-outcome
+reference runs the same two lists on amplitudes.
+
+The columns are the layout of Aaronson & Gottesman (quant-ph/0406196)
+that Stim also uses: a set of Pauli strings X^x Z^z is one pair of int
+columns per qubit, bit v of x[q] and z[q] string v's exponent at qubit
+q, so each gate costs a few integer operations for all the strings at
+once.  No other module of the package knows that layout.
 """
 
 from functools import reduce
 from operator import or_, xor
 
-from .graphs import (
-    CORRECTION_KINDS, Graph, _index_of, _neighbour_xor, adjacency, catalog_lookup,
-    stabilizer_generators,
-)
-from .stabilizer import PauliString, _checked_gates, _conj_columns, _set_bits, _transpose
+from .graphs import CORRECTION_KINDS, Graph, _index_of, _neighbour_xor, adjacency, catalog_lookup
+
+
+# -- bit-packed columns ----------------------------------------------------
+
+_GATE_ARITY = {"H": 1, "X": 1, "Z": 1, "CZ": 2}
+
+
+def _checked_gates(n_qubits: int, gates) -> list[tuple[str, int, int]]:
+    """Validate a gate list and return it as (gate, a, b) rows, a and b
+    the targets (b = a for a one-qubit gate)."""
+    rows = []
+    for gate, targets in gates:
+        targets = tuple(targets)
+        arity = _GATE_ARITY.get(gate)
+        if arity is None:
+            raise ValueError(f"unknown gate {gate!r}")
+        if len(targets) != arity:
+            raise ValueError(f"{gate} takes {arity} targets, got {targets}")
+        a, b = targets[0], targets[-1]
+        for q in (a, b):
+            if not 0 <= q < n_qubits:
+                raise ValueError(f"qubit {q} out of range")
+        if arity == 2 and a == b:
+            raise ValueError(f"duplicate targets {targets}")
+        rows.append((gate, a, b))
+    return rows
+
+
+def _set_bits(mask: int):
+    """The indices of mask's set bits, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _transpose(rows, width: int) -> list[int]:
+    """The width columns of a bit matrix given as int rows: bit i of
+    column j is bit j of row i."""
+    columns = [0] * width
+    for i, row in enumerate(rows):
+        for j in _set_bits(row):
+            columns[j] |= 1 << i
+    return columns
+
+
+def _conj_columns(x: list[int], z: list[int], rows) -> int:
+    """Run strings X^x Z^z through checked gate rows in order, each step
+    U P U^dagger, on columns updated in place: bit v of x[q] and z[q] is
+    string v's exponent at qubit q.  Returns the mask of the strings
+    whose sign flipped.
+
+    Sign bookkeeping, derived once in the X^x Z^z normal form:
+      H(q):    swap x_q and z_q; an occupied XZ site reorders, phase += 2.
+      X(q):    Z_q present flips sign.
+      Z(q):    X_q present flips sign.
+      CZ(a,b): z_a ^= x_b, z_b ^= x_a; both X's present, phase += 2.
+    """
+    flips = 0
+    for gate, a, b in rows:
+        if gate == "CZ":
+            flips ^= x[a] & x[b]
+            z[a] ^= x[b]
+            z[b] ^= x[a]
+        elif gate == "H":
+            flips ^= x[a] & z[a]
+            x[a], z[a] = z[a], x[a]
+        elif gate == "X":
+            flips ^= z[a]
+        else:  # Z(q)
+            flips ^= x[a]
+    return flips
 
 
 # -- protocol circuit ------------------------------------------------------
@@ -156,13 +230,6 @@ def _data_sign_forms(graph: Graph) -> tuple[tuple[int, int] | None, ...]:
     )
 
 
-def _check_index(graph: Graph, index: int) -> int:
-    """index, or ValueError when it names no outcome of graph."""
-    if not 0 <= index < graph.outcome_count():
-        raise ValueError(f"outcome index {index} out of range")
-    return index
-
-
 def _present_sign_forms(graph: Graph) -> tuple[tuple[int, int], ...]:
     """_data_sign_forms, or AssertionError naming the first K_v missing
     from the data group, where no sign form can answer exactly."""
@@ -171,18 +238,6 @@ def _present_sign_forms(graph: Graph) -> tuple[tuple[int, int], ...]:
         if form is None:
             raise AssertionError(f"K_{v} is missing from the data group")
     return forms
-
-
-def run_protocol_tableau(graph: Graph, index: int) -> tuple[PauliString, ...]:
-    """Symbolic mirror of run_protocol: the data-qubit stabilizer group
-    with its signs at outcome index, sign_v (-1)^{|sigma_v & s|} K_v for
-    each vertex v, read off the sign forms."""
-    _check_index(graph, index)
-    generators = []
-    for k_v, (sign, sigma) in zip(stabilizer_generators(graph), _present_sign_forms(graph)):
-        flips = (sign < 0) + (sigma & index).bit_count()
-        generators.append(PauliString(k_v.n_qubits, k_v.x_bits, k_v.z_bits, 2 * flips))
-    return tuple(generators)
 
 
 # -- correction formulas ---------------------------------------------------
@@ -262,20 +317,6 @@ def tree_correction(graph: Graph) -> Forms:
     return tuple(zip(x, (gv ^ s for gv, s in zip(g, _neighbour_xor(graph, x)))))
 
 
-def plans_equivalent(plan_a: PauliString, plan_b: PauliString, graph: Graph) -> bool:
-    """True iff the two plans differ by an element of Stab(|G>) times a
-    phase, i.e. they steer every outcome to the same corrected state up
-    to a global phase."""
-    if plan_a.n_qubits != graph.n_vertices or plan_b.n_qubits != graph.n_vertices:
-        raise ValueError("plans must be over the given graph")
-    # the one element of Stab(|G>) with the product's X bits is the
-    # product of the K_i there, whose Z bits xor their adjacency rows; it
-    # must carry the product's Z bits, and any phase steers to the same state
-    product = plan_a * plan_b
-    rows = adjacency(graph)
-    return reduce(xor, (rows[i] for i in _set_bits(product.x_bits)), 0) == product.z_bits
-
-
 def correction_forms(graph: Graph, kind: str) -> Forms:
     """The kind's per-vertex (x, z) outcome-bit forms; raises ValueError
     when the kind does not apply to this graph."""
@@ -290,17 +331,6 @@ def correction_forms(graph: Graph, kind: str) -> Forms:
     raise ValueError(f"unknown correction kind {kind!r}; expected {CORRECTION_KINDS}")
 
 
-def correction_plan(graph: Graph, index: int, kind: str) -> PauliString:
-    """The kind's plan for outcome index: X^x Z^z on the data qubits,
-    bit i of x and z the parity of vertex i's forms read at index."""
-    _check_index(graph, index)
-    x_bits = z_bits = 0
-    for i, (x, z) in enumerate(correction_forms(graph, kind)):
-        x_bits |= ((x & index).bit_count() & 1) << i
-        z_bits |= ((z & index).bit_count() & 1) << i
-    return PauliString(graph.n_vertices, x_bits, z_bits)
-
-
 def _sign_forms(graph: Graph, correction_kind: str) -> list[int]:
     """phi_v = z_v xor (xor of x_u over u ~ v) per vertex, as outcome-bit
     forms: the plan for outcome s flips the sign of K_v by
@@ -309,3 +339,26 @@ def _sign_forms(graph: Graph, correction_kind: str) -> list[int]:
     forms = correction_forms(graph, correction_kind)
     flips = _neighbour_xor(graph, [x for x, _ in forms])
     return [z ^ f for (_, z), f in zip(forms, flips)]
+
+
+def _heisenberg_generators(graph: Graph, correction_kind: str) -> tuple[tuple[int, int, int], ...]:
+    """W^dagger S_v W for the generators S_v = K_v (x) Z_R^{phi_v} of the
+    code whose projector is the corrected-fidelity operator
+    M = sum_s |s><s| (x) C_s^dagger |G><G| C_s, W the walk, each as an
+    (x, z, phase) triple: the string i^phase X^x Z^z, bit q of x and z its
+    exponents at qubit q.
+
+    C_s^dagger K_v C_s = (-1)^{|phi_v & s|} K_v, and Z_R^{phi_v} reads that
+    sign off the resource register, so M = prod_v (1 + S_v)/2.  Every gate
+    is its own inverse, so W^dagger S_v W runs the walk last gate first.
+    """
+    nv, k = graph.n_vertices, 2 * graph.n_edges
+    rows = _checked_gates(nv + k, reversed(walk_gates(graph)))
+    # bit v of the columns is S_v: K_v on the data qubits, phi_v on R
+    x = [1 << v for v in range(nv)] + [0] * k
+    z = adjacency(graph) + _transpose(_sign_forms(graph, correction_kind), k)
+    flips = _conj_columns(x, z, rows)
+    return tuple(
+        (x_bits, z_bits, 2 * (flips >> v & 1))
+        for v, (x_bits, z_bits) in enumerate(zip(_transpose(x, nv), _transpose(z, nv)))
+    )

@@ -14,7 +14,7 @@ against: graph_state and ghz_state; the per-outcome protocol reference
 outcome by its index and a plan by its Pauli string; the Pauli action
 apply_pauli with check_stabilizes; and the Kraus operators as matrices,
 written from the channels' definitions.
-Gates are checked by pqw.stabilizer's gate table, so the dense and the
+Gates are checked by pqw.protocol's gate table, so the dense and the
 symbolic engine accept and refuse the same gate lists: H, X, Z and CZ.
 
 States are value-like: every operation returns a fresh StateVector and
@@ -28,11 +28,12 @@ from functools import lru_cache
 
 import numpy as np
 
+from pauli import PauliString, _check_index
+
 # the same ResourceError the CLI and the noise sum raise
 from pqw.graphs import Graph, ResourceError, _index_of
 from pqw.noise import NoiseChannel
-from pqw.protocol import _check_index, prep_gates, walk_gates
-from pqw.stabilizer import PauliString, _checked_gates
+from pqw.protocol import _checked_gates, prep_gates, walk_gates
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -147,7 +148,7 @@ _KERNELS = {"H": _apply_h, "X": _apply_x, "Z": _apply_z, "CZ": _apply_cz}
 
 
 def _run_gates(amps: np.ndarray, rows) -> np.ndarray:
-    """Checked (gate, a, b) rows, as pqw.stabilizer._checked_gates returns
+    """Checked (gate, a, b) rows, as pqw.protocol._checked_gates returns
     them, on raw, possibly unnormalized amplitudes."""
     for gate, a, b in rows:
         amps = _KERNELS[gate](amps, a, b)

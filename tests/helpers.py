@@ -15,9 +15,9 @@ from hypothesis import strategies as st
 
 import dense as sv
 from dense import _after_prep, _premeasurement, _run_gates, graph_state
+from pauli import PauliString, conjugate_circuit
 from pqw.graphs import Graph, catalog_lookup, parse_edge_list
-from pqw.protocol import _outcome_bit, _sign_forms, walk_gates
-from pqw.stabilizer import PauliString, _checked_gates, conjugate_circuit
+from pqw.protocol import _checked_gates, _outcome_bit, _sign_forms, walk_gates
 
 GATE_ARITY = {"H": 1, "X": 1, "Z": 1, "CZ": 2, "CNOT": 2}
 

@@ -1,4 +1,5 @@
-"""Bit-packed Pauli strings and their conjugation by Clifford gates.
+"""Pauli strings as objects, and the per-outcome protocol API built on
+them: the test-side reference for the package's int columns and forms.
 
 A Pauli operator is stored in the normal form
 
@@ -6,20 +7,24 @@ A Pauli operator is stored in the normal form
 
 with x and z packed into Python ints (bit k = qubit k) and phase mod 4.
 The site value x_k = z_k = 1 therefore means X_k Z_k = -i Y_k; a plain
-Y_k is phase=1, x=z=1.  Every conjugation and multiplication rule below
-is derived in this normal form; none of them are copied from elsewhere,
-and the dense engine cross-checks all of them in the test suite.
+Y_k is phase=1, x=z=1.  The dense engine in tests/dense.py acts with
+these strings, and the tests cross-check every rule here against it.
 
-A stabilizer group is a plain tuple of its generators.  The protocol
-circuits only ever produce generators with real signs, but products
+A stabilizer group is a plain tuple of its generators.  Products
 computed along the way pass through imaginary phases, so the phase is
 tracked mod 4 throughout and collapsed to a sign only at the boundary
-(the .sign property).  A sign that depends on the measurement outcome
-is not a string: pqw.protocol keeps it as a form (sign_v, sigma_v).
-A group is conjugated as bit-packed columns, the layout of Aaronson &
-Gottesman (quant-ph/0406196) that Stim also uses, so each gate costs a
-few integer operations for all its strings at once.
+(the .sign property).  conjugate_circuit runs strings through
+pqw.protocol's column engine, transposed in and out; the per-outcome
+functions read pqw.protocol's forms at one outcome index.  No command
+reaches any of them.
 """
+
+from functools import reduce
+from operator import xor
+
+from pqw import protocol
+from pqw.graphs import Graph, adjacency
+from pqw.protocol import _checked_gates, _conj_columns, _present_sign_forms, _set_bits, _transpose
 
 
 class PauliString:
@@ -104,76 +109,6 @@ class PauliString:
         return {0: "+", 1: "+i", 2: "-", 3: "-i"}[self.phase] + body
 
 
-_GATE_ARITY = {"H": 1, "X": 1, "Z": 1, "CZ": 2}
-
-
-def _checked_gates(n_qubits: int, gates) -> list[tuple[str, int, int]]:
-    """Validate a gate list and return it as (gate, a, b) rows, a and b
-    the targets (b = a for a one-qubit gate)."""
-    rows = []
-    for gate, targets in gates:
-        targets = tuple(targets)
-        arity = _GATE_ARITY.get(gate)
-        if arity is None:
-            raise ValueError(f"unknown gate {gate!r}")
-        if len(targets) != arity:
-            raise ValueError(f"{gate} takes {arity} targets, got {targets}")
-        a, b = targets[0], targets[-1]
-        for q in (a, b):
-            if not 0 <= q < n_qubits:
-                raise ValueError(f"qubit {q} out of range")
-        if arity == 2 and a == b:
-            raise ValueError(f"duplicate targets {targets}")
-        rows.append((gate, a, b))
-    return rows
-
-
-def _set_bits(mask: int):
-    """The indices of mask's set bits, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
-def _transpose(rows, width: int) -> list[int]:
-    """The width columns of a bit matrix given as int rows: bit i of
-    column j is bit j of row i."""
-    columns = [0] * width
-    for i, row in enumerate(rows):
-        for j in _set_bits(row):
-            columns[j] |= 1 << i
-    return columns
-
-
-def _conj_columns(x: list[int], z: list[int], rows) -> int:
-    """Run strings X^x Z^z through checked gate rows in order, each step
-    U P U^dagger, on columns updated in place: bit v of x[q] and z[q] is
-    string v's exponent at qubit q.  Returns the mask of the strings
-    whose sign flipped.
-
-    Sign bookkeeping, derived once in the X^x Z^z normal form:
-      H(q):    swap x_q and z_q; an occupied XZ site reorders, phase += 2.
-      X(q):    Z_q present flips sign.
-      Z(q):    X_q present flips sign.
-      CZ(a,b): z_a ^= x_b, z_b ^= x_a; both X's present, phase += 2.
-    """
-    flips = 0
-    for gate, a, b in rows:
-        if gate == "CZ":
-            flips ^= x[a] & x[b]
-            z[a] ^= x[b]
-            z[b] ^= x[a]
-        elif gate == "H":
-            flips ^= x[a] & z[a]
-            x[a], z[a] = z[a], x[a]
-        elif gate == "X":
-            flips ^= z[a]
-        else:  # Z(q)
-            flips ^= x[a]
-    return flips
-
-
 def conjugate_circuit(paulis, gates) -> tuple[PauliString, ...]:
     """Conjugate every string by a gate list, first gate first.
 
@@ -194,3 +129,55 @@ def conjugate_circuit(paulis, gates) -> tuple[PauliString, ...]:
         PauliString(n, x_bits, z_bits, p.phase + 2 * (flips >> v & 1))
         for v, (p, x_bits, z_bits) in enumerate(zip(paulis, _transpose(x, m), _transpose(z, m)))
     )
+
+
+def stabilizer_generators(graph: Graph) -> tuple[PauliString, ...]:
+    """One PauliString per vertex: X there, Z on each neighbor."""
+    n = graph.n_vertices
+    return tuple(PauliString(n, 1 << i, row) for i, row in enumerate(adjacency(graph)))
+
+
+def _check_index(graph: Graph, index: int) -> int:
+    """index, or ValueError when it names no outcome of graph."""
+    if not 0 <= index < graph.outcome_count():
+        raise ValueError(f"outcome index {index} out of range")
+    return index
+
+
+def run_protocol_tableau(graph: Graph, index: int) -> tuple[PauliString, ...]:
+    """Symbolic mirror of the dense run_protocol: the data-qubit
+    stabilizer group with its signs at outcome index, sign_v
+    (-1)^{|sigma_v & s|} K_v for each vertex v, read off the sign forms."""
+    _check_index(graph, index)
+    generators = []
+    for k_v, (sign, sigma) in zip(stabilizer_generators(graph), _present_sign_forms(graph)):
+        flips = (sign < 0) + (sigma & index).bit_count()
+        generators.append(PauliString(k_v.n_qubits, k_v.x_bits, k_v.z_bits, 2 * flips))
+    return tuple(generators)
+
+
+def correction_plan(graph: Graph, index: int, kind: str) -> PauliString:
+    """The kind's plan for outcome index: X^x Z^z on the data qubits,
+    bit i of x and z the parity of vertex i's forms read at index.  The
+    forms are read through the module, so a test that replaces
+    protocol.correction_forms changes the plan too."""
+    _check_index(graph, index)
+    x_bits = z_bits = 0
+    for i, (x, z) in enumerate(protocol.correction_forms(graph, kind)):
+        x_bits |= ((x & index).bit_count() & 1) << i
+        z_bits |= ((z & index).bit_count() & 1) << i
+    return PauliString(graph.n_vertices, x_bits, z_bits)
+
+
+def plans_equivalent(plan_a: PauliString, plan_b: PauliString, graph: Graph) -> bool:
+    """True iff the two plans differ by an element of Stab(|G>) times a
+    phase, i.e. they steer every outcome to the same corrected state up
+    to a global phase."""
+    if plan_a.n_qubits != graph.n_vertices or plan_b.n_qubits != graph.n_vertices:
+        raise ValueError("plans must be over the given graph")
+    # the one element of Stab(|G>) with the product's X bits is the
+    # product of the K_i there, whose Z bits xor their adjacency rows; it
+    # must carry the product's Z bits, and any phase steers to the same state
+    product = plan_a * plan_b
+    rows = adjacency(graph)
+    return reduce(xor, (rows[i] for i in _set_bits(product.x_bits)), 0) == product.z_bits

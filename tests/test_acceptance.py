@@ -27,10 +27,10 @@ from pqw.noise import (
     noisy_protocol_fidelity,
     t1_damping_estimate,
 )
-from pqw.protocol import correction_plan, plans_equivalent
 from pqw.verify import phase_lemma_check, verify_all_outcomes
 
 from helpers import random_circuit, run_dense, run_tableau
+from pauli import correction_plan, plans_equivalent
 
 P4 = catalog_lookup("P4")
 C4 = catalog_lookup("C4")

@@ -7,6 +7,7 @@ import pytest
 import dense as sv
 from dense import check_stabilizes, ghz_state, graph_state
 from helpers import ghz_from_star, states_equal
+from pauli import PauliString, stabilizer_generators
 from pqw.graphs import (
     CatalogError,
     Graph,
@@ -14,10 +15,8 @@ from pqw.graphs import (
     catalog_lookup,
     catalog_names,
     parse_edge_list,
-    stabilizer_generators,
 )
 from pqw.noise import NoiseChannel, noisy_protocol_fidelity
-from pqw.stabilizer import PauliString
 from pqw.verify import phase_lemma_check, verify_all_outcomes
 
 K2 = Graph(("A", "B"), (("A", "B"),))

@@ -657,7 +657,7 @@ def test_a_sweep_builds_its_code_once(monkeypatch, insertion, metric, builder):
     for module, name in (
         (verify, "_sign_conditions"),
         (noise, "_present_sign_forms"),
-        (noise, "_heisenberg_generators"),
+        (protocol, "_heisenberg_generators"),
     ):
 
         def counted(*args, name=name, real=getattr(module, name)):

@@ -13,7 +13,7 @@ import pytest
 
 import dense
 import pqw
-from pqw import cli, graphs, noise, protocol, stabilizer, verify
+from pqw import cli, graphs, noise, protocol, verify
 from pqw.cli import EXIT_BUDGET, main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -22,7 +22,7 @@ ROOT = Path(__file__).resolve().parents[1]
 EXPORTS = {
     "graphs": (
         "CatalogError", "Graph", "ResourceError", "TABLE_ORDER", "catalog_lookup",
-        "catalog_names", "parse_edge_list", "stabilizer_generators",
+        "catalog_names", "parse_edge_list",
     ),
     "noise": (
         "NoiseChannel", "NoiseReport", "bhattacharyya_fidelity", "extract_p_eff",
@@ -30,11 +30,9 @@ EXPORTS = {
         "parse_channel", "t1_damping_estimate",
     ),
     "protocol": (
-        "c4_correction", "correction_forms", "correction_plan", "l4_correction",
-        "plans_equivalent", "run_protocol_tableau", "tree_correction",
+        "c4_correction", "correction_forms", "l4_correction", "tree_correction",
         "universal_correction",
     ),
-    "stabilizer": ("PauliString", "conjugate_circuit"),
     "verify": (
         "LcReport", "VerificationReport", "lc_check", "phase_lemma_check",
         "verify_all_outcomes",
@@ -43,7 +41,7 @@ EXPORTS = {
 # each submodule after every submodule it imports, so that reading
 # pqw.<name> in this order is always the first import of that module
 SUBMODULES = (
-    "stabilizer", "graphs", "protocol", "verify", "noise", "cli",
+    "graphs", "protocol", "verify", "noise", "cli",
 )
 
 # Runs in a fresh interpreter that has imported nothing of pqw but the
@@ -92,7 +90,12 @@ def test_exports_resolve_to_their_defining_module():
 
 
 def test_unknown_attribute_still_raises():
-    for name in ("no_such_name", "statevector", "StateVector", "kraus_ops"):
+    # the dense oracle and the Pauli objects live in tests/, not here
+    for name in (
+        "no_such_name", "statevector", "StateVector", "kraus_ops", "stabilizer",
+        "PauliString", "conjugate_circuit", "run_protocol_tableau", "correction_plan",
+        "plans_equivalent", "stabilizer_generators",
+    ):
         with pytest.raises(AttributeError, match=name):
             getattr(pqw, name)
 
@@ -115,6 +118,23 @@ def test_resource_error_is_one_class(tmp_path, capsys):
     assert "13 vertices" in capsys.readouterr().err
 
 
+def _identifiers(tree: ast.AST):
+    """Every name a module's code defines, binds, imports or reads, module
+    paths of imports split at their dots; strings are not names."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node.name
+        elif isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield from node.name.split(".")
+            yield node.asname
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            yield from node.module.split(".")
+
+
 def test_the_package_imports_only_the_standard_library():
     # pyproject.toml declares no dependencies.  This reads every import
     # statement, lazy ones inside functions included, where the blocked-
@@ -122,8 +142,17 @@ def test_the_package_imports_only_the_standard_library():
     text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
     assert re.search(r"^dependencies = \[\]$", text, re.MULTILINE)
     imported = {}
+    # the engine owns no Pauli object: no module is named stabilizer, and
+    # none defines or imports PauliString or conjugate_circuit, which
+    # live in tests/pauli.py
+    pauli_names = {"stabilizer", "PauliString", "conjugate_circuit"}
+    pauli_objects = {}
     for path in sorted((ROOT / "src" / "pqw").glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found = pauli_names & ({path.stem} | set(_identifiers(tree)))
+        if found:
+            pauli_objects[path.name] = sorted(found)
+        for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
@@ -139,6 +168,7 @@ def test_the_package_imports_only_the_standard_library():
         if name != "pqw" and name not in sys.stdlib_module_names
     }
     assert outside == {}
+    assert pauli_objects == {}
 
 
 def test_package_version_matches_pyproject():
@@ -402,7 +432,7 @@ import io
 import sys
 
 WATCHED = (
-    "argparse", "gettext", "locale", "pqw.noise", "pqw.verify", "pqw.protocol", "pqw.stabilizer",
+    "argparse", "gettext", "locale", "pqw.noise", "pqw.verify", "pqw.protocol",
 )
 bare = {name for name in WATCHED if name in sys.modules}
 
@@ -442,7 +472,7 @@ def test_commands_load_no_argparse_and_only_their_engine():
     # own arguments, help, version and a usage error load no engine,
     # verify loads the symbolic engine, and only noise and counts need
     # pqw.noise.  A step lists every watched module loaded so far.
-    engine = ["pqw.verify", "pqw.protocol", "pqw.stabilizer"]
+    engine = ["pqw.verify", "pqw.protocol"]
     steps = [line.split("\t") for line in _run_fresh(STARTUP_GUARD_SCRIPT).splitlines()]
     assert steps == [
         ["import pqw.cli", "0"],
@@ -470,6 +500,6 @@ def test_only_the_dense_oracle_keeps_a_cache():
     def cached(module):
         return [name for name, value in vars(module).items() if hasattr(value, "cache_info")]
 
-    for module in (graphs, stabilizer, protocol, verify, noise, cli):
+    for module in (graphs, protocol, verify, noise, cli):
         assert cached(module) == [], module.__name__
     assert cached(dense) == ["_premeasurement"]

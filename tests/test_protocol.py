@@ -25,25 +25,27 @@ from helpers import (
     plan_from_maps,
     small_connected_graphs,
 )
-from pqw import noise, protocol
-from pqw.graphs import (
-    TABLE_ORDER, Graph, adjacency, catalog_lookup, catalog_names, stabilizer_generators,
+from pauli import (
+    PauliString,
+    conjugate_circuit,
+    correction_plan,
+    plans_equivalent,
+    run_protocol_tableau,
+    stabilizer_generators,
 )
+from pqw import protocol
+from pqw.graphs import TABLE_ORDER, Graph, adjacency, catalog_lookup, catalog_names
 from pqw.protocol import (
     CORRECTION_KINDS,
     c4_correction,
     correction_forms,
-    correction_plan,
     far_side_masks,
     l4_correction,
-    plans_equivalent,
-    run_protocol_tableau,
     tree_correction,
     prep_gates,
     universal_correction,
     walk_gates,
 )
-from pqw.stabilizer import PauliString, _checked_gates, _conj_columns, _transpose
 from pqw.verify import phase_lemma_check, verify_all_outcomes
 
 P4 = catalog_lookup("P4")
@@ -350,29 +352,21 @@ def test_single_vertex_reads_one_plus_form():
     assert verify_all_outcomes(graph).passed
 
 
-def _column_run(graph, kind):
-    # the noise code as the walk's columns: K_v on the data columns and
-    # phi on the resource columns, run through the walk last gate first,
-    # then transposed into strings with phase 2 flip
-    nv, k = graph.n_vertices, 2 * graph.n_edges
-    rows = _checked_gates(nv + k, reversed(protocol.walk_gates(graph)))
-    x = [1 << v for v in range(nv)] + [0] * k
-    z = adjacency(graph) + _transpose(protocol._sign_forms(graph, kind), k)
-    flips = _conj_columns(x, z, rows)
-    return tuple(
-        PauliString(nv + k, x_bits, z_bits, 2 * (flips >> v & 1))
-        for v, (x_bits, z_bits) in enumerate(zip(_transpose(x, nv), _transpose(z, nv)))
-    )
-
-
 def test_noise_code_equals_the_column_run(monkeypatch, altered_walk):
-    # the post-prep code is built from strings by conjugate_circuit; it
-    # must equal the column run, sign included, for every plan and walk
+    # the engine runs the post-prep code back on columns and hands over
+    # (x, z, phase) ints; they must equal the strings K_v (x) Z_R^{phi_v}
+    # run back by conjugate_circuit, sign included, for every plan and walk
     runs = 0
 
     def check(graph, kind="universal"):
         nonlocal runs
-        assert noise._heisenberg_generators(graph, kind) == _column_run(graph, kind)
+        nv, n = graph.n_vertices, graph.n_vertices + 2 * graph.n_edges
+        forms = zip(adjacency(graph), protocol._sign_forms(graph, kind))
+        seeds = [PauliString(n, 1 << v, row | phi << nv) for v, (row, phi) in enumerate(forms)]
+        strings = conjugate_circuit(seeds, reversed(protocol.walk_gates(graph)))
+        assert protocol._heisenberg_generators(graph, kind) == tuple(
+            (p.x_bits, p.z_bits, p.phase) for p in strings
+        )
         runs += 1
 
     for graph in [catalog_lookup(name) for name in catalog_names()] + [Graph(("A",), ())]:
@@ -396,7 +390,7 @@ def test_noise_code_equals_the_column_run(monkeypatch, altered_walk):
             )
             check(graph)
     # the altered walks: the noise code must read the walk pqw.protocol
-    # holds at call time, not one bound when pqw.noise was imported
+    # holds at call time, not one bound at import
     real = protocol.walk_gates
     for m in range(2 * P4.n_edges):
         altered_walk(lambda graph, r=P4.n_vertices + m: real(graph) + (("X", (r,)),))

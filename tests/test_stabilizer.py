@@ -1,5 +1,6 @@
-"""Symbolic engine: multiplication signs and conjugation rules against a
-dense oracle."""
+"""The test-side Pauli strings of tests/pauli.py, and through them the
+engine's column run: multiplication signs and conjugation rules against
+a dense oracle."""
 
 import copy
 import pickle
@@ -20,7 +21,8 @@ from helpers import (
     run_tableau,
     zero_state,
 )
-from pqw.stabilizer import PauliString, conjugate_circuit
+from pauli import PauliString, conjugate_circuit
+from pqw import noise
 
 X1 = PauliString(1, 1, 0)
 Z1 = PauliString(1, 0, 1)
@@ -95,6 +97,10 @@ def test_multiplication_associative(a, b, c):
 @given(pauli_strategy, pauli_strategy)
 def test_commutator_phase(a, b):
     ab, ba = a * b, b * a
+    # the post-prep noise sum multiplies (x, z, phase) triples, with the
+    # phase left unreduced; mod 4 it is the string product's
+    x, z, phase = noise._times((a.x_bits, a.z_bits, a.phase), (b.x_bits, b.z_bits, b.phase))
+    assert PauliString(3, x, z, phase) == ab
     assert (ab.x_bits, ab.z_bits) == (ba.x_bits, ba.z_bits)
     # the symplectic product decides whether a and b commute
     if ((a.x_bits & b.z_bits).bit_count() + (a.z_bits & b.x_bits).bit_count()) % 2 == 0:

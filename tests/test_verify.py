@@ -14,14 +14,9 @@ from hypothesis import strategies as st
 import dense as sv
 from dense import corrected_fidelity, ghz_state, graph_state, run_protocol
 from helpers import fidelity_column, grid, near_side_masks, small_connected_graphs
+from pauli import correction_plan, stabilizer_generators
 from pqw import cli, protocol, verify
-from pqw.graphs import (
-    TABLE_ORDER,
-    Graph,
-    catalog_lookup,
-    parse_edge_list,
-    stabilizer_generators,
-)
+from pqw.graphs import TABLE_ORDER, Graph, catalog_lookup, parse_edge_list
 from pqw.noise import NoiseChannel, f_star_dep, noise_sweep, noisy_protocol_fidelity
 from pqw.verify import (
     LcReport,
@@ -99,7 +94,7 @@ def test_contraction_matches_per_outcome_reference(monkeypatch, name, kind):
     fidelities = fidelity_column(report)
     assert len(fidelities) == report.outcome_count == graph.outcome_count()
     for index, fidelity in zip(range(graph.outcome_count()), fidelities):
-        plan = protocol.correction_plan(graph, index, kind)
+        plan = correction_plan(graph, index, kind)
         assert 1 / report.outcome_count == pytest.approx(
             run_protocol(graph, index)[0], abs=1e-12
         )
@@ -161,7 +156,7 @@ def test_tableau_engine_matches_the_dense_reference(graph, seed):
         fidelities = fidelity_column(report)
         assert len(fidelities) == report.outcome_count == graph.outcome_count()
         for index, fidelity in zip(range(graph.outcome_count()), fidelities):
-            plan = protocol.correction_plan(graph, index, "universal")
+            plan = correction_plan(graph, index, "universal")
             assert 1 / report.outcome_count == pytest.approx(
                 run_protocol(graph, index)[0], abs=1e-12
             )
