@@ -12,7 +12,7 @@ number:
 
 * metric="strict" charges every resource-qubit error as a loss.  A
   qubit comes through error-free with probability
-  sum_b |tr(K_b)/2|^2, independently of the others, so the no-error
+  sum_b (tr(K_b)/2)^2, independently of the others, so the no-error
   fraction is that per-qubit retention to the power k; it multiplies
   the exact noiseless fidelity, which is 1 for a valid plan and below 1
   for a broken one.  This is why the result matches the closed-form
@@ -34,7 +34,7 @@ number:
   The two metrics agree at p=0 and conditional >= strict everywhere.
 
 One exact engine computes every conditional value, with no
-statevector and no numpy.  The corrected-fidelity operator
+statevector, no numpy and no complex number.  The corrected-fidelity operator
 M = sum_s |s><s| (x) C_s^dagger |G><G| C_s is the projector of a
 stabilizer code with one generator K_v (x) Z_R^{phi_v} per vertex, so
 F = tr(M rho) is 2^-|V| times the sum of the expectations of its 2^|V|
@@ -93,23 +93,23 @@ def parse_channel(name: str, p: float) -> NoiseChannel:
     return NoiseChannel(CHANNEL_ALIASES.get(name, name), p)
 
 
-def _kraus_lists(channel: NoiseChannel) -> tuple[list[list[complex]], ...]:
-    """The Kraus operators as 2x2 nested lists of complex, signed zeros
-    included."""
+def _kraus_lists(channel: NoiseChannel) -> tuple[list[list[float]], ...]:
+    """Real 2x2 Kraus lists.  Depolarizing's Y branch is sqrt(p/4) XZ = -i sqrt(p/4) Y:
+    a global phase on one Kraus operator leaves the channel unchanged."""
     p = channel.p
     if channel.kind == "depolarizing":
         c, s = math.sqrt(1.0 - 0.75 * p), math.sqrt(p / 4.0)
         return (
-            [[complex(c, 0.0), 0j], [0j, complex(c, 0.0)]],
-            [[0j, complex(s, 0.0)], [complex(s, 0.0), 0j]],
-            [[0j, complex(0.0, -s)], [complex(0.0, s), 0j]],
-            [[complex(s, 0.0), 0j], [0j, complex(-s, 0.0)]],
+            [[c, 0.0], [0.0, c]],
+            [[0.0, s], [s, 0.0]],
+            [[0.0, -s], [s, 0.0]],
+            [[s, 0.0], [0.0, -s]],
         )
-    kept = [[1 + 0j, 0j], [0j, complex(math.sqrt(1.0 - p), 0.0)]]
+    kept = [[1.0, 0.0], [0.0, math.sqrt(1.0 - p)]]
     if channel.kind == "phase_damping":
-        return kept, [[0j, 0j], [0j, complex(math.sqrt(p), 0.0)]]
+        return kept, [[0.0, 0.0], [0.0, math.sqrt(p)]]
     # amplitude damping: decay |1> -> |0>
-    return kept, [[0j, complex(math.sqrt(p), 0.0)], [0j, 0j]]
+    return kept, [[0.0, math.sqrt(p)], [0.0, 0.0]]
 
 
 # -- closed forms and count arithmetic --------------------------------------
@@ -196,7 +196,7 @@ def bhattacharyya_fidelity(
 
 
 class NoiseReport(_Checked, namedtuple("NoiseReport", "p_grid fidelities analytic k")):
-    """One fidelity curve: the grid, the enumerated values, and the
+    """One fidelity curve: the grid, the exact values, and the
     closed-form overlay when one exists for the channel."""
 
     __slots__ = ()
@@ -220,7 +220,7 @@ class NoiseReport(_Checked, namedtuple("NoiseReport", "p_grid fidelities analyti
         return super().__new__(cls, p_grid, fidelities, analytic, k)
 
 
-# -- exact enumeration -------------------------------------------------------
+# -- exact fidelities --------------------------------------------------------
 
 
 def noisy_protocol_fidelity(
@@ -233,12 +233,12 @@ def noisy_protocol_fidelity(
     """Exact fidelity of the distributed state under independent noise
     on every resource qubit: noise_sweep at one point.
 
-    Every one of the 4^|E| measurement outcomes and every error branch
-    over the k = 2|E| resource qubits is accounted for, with the
-    noiseless correction formula applied per outcome.  See the module
-    docstring for what the two metrics count and how; conditional sums
-    2^|V| terms, so DEFAULT_VERTEX_BUDGET bounds the vertex count there.
-    Both reduce to 1 at p=0.
+    Neither metric enumerates outcomes or error branches.  Strict is the
+    per-qubit retention to the power k = 2|E|, times the share
+    pass_count / outcome_count of the 4^|E| outcomes that pass the
+    noiseless sign conditions.  Conditional sums the 2^|V| code elements
+    of the module docstring, not Kraus branches, so DEFAULT_VERTEX_BUDGET
+    bounds the vertex count there.  Both reduce to 1 at p=0.
     """
     return _fidelities(graph, (channel,), correction_kind, insertion, metric)[0]
 
@@ -279,12 +279,12 @@ def _fidelities(
     _check_choice("insertion point", insertion, INSERTION_POINTS)
     _check_choice("metric", metric, METRICS)
     if metric == "strict":
-        # the per-qubit retention sum_b |tr(K_b)/2|^2 to the power k, times
+        # the per-qubit retention sum_b (tr(K_b)/2)^2 to the power k, times
         # the noiseless fidelity: the share of outcomes that meet every sign condition
         report = verify_all_outcomes(graph, correction_kind)
         noiseless = report.pass_count / report.outcome_count
         kraus = map(_kraus_lists, channels)
-        retention = [math.fsum(abs(op[0][0] + op[1][1]) ** 2 / 4.0 for op in ops) for ops in kraus]
+        retention = [math.fsum((op[0][0] + op[1][1]) ** 2 / 4.0 for op in ops) for ops in kraus]
         return [r ** (2 * graph.n_edges) * noiseless for r in retention]
     if graph.n_vertices > DEFAULT_VERTEX_BUDGET:
         raise ResourceError(
@@ -350,8 +350,8 @@ def _measured_sums(graph: Graph, correction_kind: str, channels) -> list[float]:
     for channel in channels:
         # every channel here is diagonal in E^dagger(Z) = a + b Z
         z = _adjoint(_kraus_lists(channel), _SITE_PAULIS[0, 1])
-        a = (z[0][0] + z[1][1]).real / 2.0
-        b = (z[0][0] - z[1][1]).real / 2.0
+        a = (z[0][0] + z[1][1]) / 2.0
+        b = (z[0][0] - z[1][1]) / 2.0
         values = (sign * (a**m * b**n) for m, n, sign in terms)
         sums.append(math.fsum(values) / (1 << len(generators)))
     return sums
@@ -366,14 +366,14 @@ _SITE_PAULIS = {  # X^x Z^z at key (x, z)
 }
 
 
-def _adjoint(ops: list, pauli) -> list[list[complex]]:
-    """E^dagger(P) = sum_b K_b^dagger P K_b, the adjoint channel, on 2x2
+def _adjoint(ops: list, pauli) -> list[list[float]]:
+    """E^dagger(P) = sum_b K_b^T P K_b, the adjoint channel, on real 2x2
     nested lists."""
     pairs = tuple(product((0, 1), repeat=2))
     return [
         [
             sum(
-                op[r][i].conjugate() * pauli[r][c] * op[c][j]
+                op[r][i] * pauli[r][c] * op[c][j]
                 for op in ops
                 for r, c in pairs
             )
@@ -383,7 +383,7 @@ def _adjoint(ops: list, pauli) -> list[list[complex]]:
     ]
 
 
-def _edge_table(ops: list) -> list[complex]:
+def _edge_table(ops: list) -> list[float]:
     """<CZ++| E^dagger(P_0) (x) E^dagger(P_1) |CZ++> for the pair's Paulis
     P_h = X^{x_h} Z^{z_h}, at index x + 4z with x = x_0 + 2 x_1 and
     z = z_0 + 2 z_1; P_1 is the high factor of the pair's index, its first
@@ -432,6 +432,6 @@ def _prepared_sums(graph: Graph, correction_kind: str, channels) -> list[float]:
         for value, keys in terms:
             for key in keys:
                 value *= table[key]
-            values.append(value.real)
+            values.append(value)
         sums.append(math.fsum(values) / (1 << nv))
     return sums

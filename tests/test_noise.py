@@ -6,6 +6,7 @@ metric is checked against its closed forms directly.
 """
 
 import collections
+import hashlib
 import math
 import random
 import re
@@ -640,6 +641,34 @@ def test_a_sweep_equals_its_points(name, kind):
                     for point in (NoiseChannel(channel, p) for p in grid)
                 )
                 assert swept == points, (channel, insertion, metric)
+
+
+# SHA-256 of repr(report.fidelities) over every catalog sweep at
+# p = 0, 0.1, ..., 1: each name, each plan that applies, each channel,
+# insertion and metric, in the order of the loops below.  Only a change
+# meant to move a number (exact evaluation, ROADMAP item 9) re-pins it,
+# and records the old and the new values in CHANGES.md.
+CATALOG_NOISE_SHA256 = "3b02d96025aa1eb5ab1328cc53adac2b2d0e7d374bb3d74b441a91dad0a97aeb"
+
+
+def test_every_catalog_noise_value_keeps_its_bits():
+    grid = [i / 10 for i in range(11)]
+    digest, count = hashlib.sha256(), 0
+    for name in catalog_names():
+        graph = catalog_lookup(name)
+        for kind in ("universal", "tree", "l4", "c4"):
+            try:
+                correction_forms(graph, kind)
+            except ValueError:
+                continue
+            for channel in ("dep", "pd", "ad"):
+                for insertion in ("post_prep", "pre_measure"):
+                    for metric in ("conditional", "strict"):
+                        report = noise_sweep(graph, channel, grid, kind, insertion, metric)
+                        digest.update(repr(report.fidelities).encode())
+                        count += len(report.fidelities)
+    assert count == 4488
+    assert digest.hexdigest() == CATALOG_NOISE_SHA256
 
 
 @pytest.mark.parametrize(

@@ -147,11 +147,23 @@ def test_the_package_imports_only_the_standard_library():
     # live in tests/pauli.py
     pauli_names = {"stabilizer", "PauliString", "conjugate_circuit"}
     pauli_objects = {}
+    # one number type: no module uses complex, cmath, conjugate, real or
+    # imag as a name, attribute or import, or writes an imaginary literal;
+    # the complex Kraus operators live in tests/dense.py
+    complex_names = {"complex", "cmath", "conjugate", "real", "imag"}
+    complex_uses = {}
     for path in sorted((ROOT / "src" / "pqw").glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        found = pauli_names & ({path.stem} | set(_identifiers(tree)))
+        identifiers = set(_identifiers(tree))
+        found = pauli_names & ({path.stem} | identifiers)
         if found:
             pauli_objects[path.name] = sorted(found)
+        found = complex_names & identifiers
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Constant) and isinstance(node.value, complex):
+                found.add("imaginary literal")
+        if found:
+            complex_uses[path.name] = sorted(found)
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
@@ -169,6 +181,7 @@ def test_the_package_imports_only_the_standard_library():
     }
     assert outside == {}
     assert pauli_objects == {}
+    assert complex_uses == {}
 
 
 def test_package_version_matches_pyproject():
