@@ -13,7 +13,7 @@ the outcome bits; the package keeps no object per Pauli string.
 Every exported name, and every submodule, loads on first access, so
 ``import pqw.cli`` loads only pqw.graphs, and a command loads the engine
 it runs when it runs; no module imports typing or pathlib.  Every command
-runs on one symbolic engine, the walk run backwards in the Heisenberg
+runs on one symbolic engine, the circuit run backwards in the Heisenberg
 picture (pqw.protocol), and the package imports nothing outside the
 standard library.
 """

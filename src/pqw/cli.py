@@ -155,8 +155,8 @@ def _parse_cut(spec: str, labels: tuple[str, ...]) -> frozenset[int]:
         return frozenset(out)
 
     a, b = side(halves[0]), side(halves[1])
-    if a | b != frozenset(range(len(labels))) or a & b:
-        raise UsageError(f"cut {spec!r} must split the vertices into two disjoint sides")
+    if a | b != frozenset(range(len(labels))) or a & b or not (a and b):
+        raise UsageError(f"cut {spec!r} must split the vertices into two disjoint non-empty sides")
     return a
 
 

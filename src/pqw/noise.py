@@ -44,7 +44,7 @@ bit-packed columns and hands each over as (x, z, phase) ints, which
 multiply with a few int operations) and the adjoint channel to the
 prepared state, |+> per data qubit and CZ|++> per edge.  Before
 measurement the channel only reaches Z_R, and each expectation is read
-off the sign forms of the K_v that pqw.protocol reads off the walk run
+off the sign forms of the K_v that pqw.protocol reads off the circuit run
 backwards: xor-linear outcome-bit masks and a sign.  Both conditional
 paths cost 2^|V| terms, so DEFAULT_VERTEX_BUDGET bounds |V| there.  No
 channel changes the code, so a sweep builds it, or strict's noiseless
@@ -152,7 +152,10 @@ def extract_p_eff(fidelity: float, k: int) -> float:
     if fidelity > 1.0 + 1e-9:
         raise ValueError(f"fidelity must be at most 1, got {fidelity}")
     _check_resource_count(k, 1)
-    return (4.0 / 3.0) * (1.0 - min(fidelity, 1.0) ** (1.0 / k))
+    floor = 0.25**k  # p = 1; the same slack below it fits as 1, so p_eff is never above 1
+    if fidelity < floor * (1.0 - 1e-9):
+        raise ValueError(f"fidelity must be at least 4^-k = {floor:.12g} (p = 1), got {fidelity}")
+    return min((4.0 / 3.0) * (1.0 - min(fidelity, 1.0) ** (1.0 / k)), 1.0)
 
 
 def t1_damping_estimate(duration_us: float, t1_us: float) -> float:
@@ -325,7 +328,7 @@ def _measured_sums(graph: Graph, correction_kind: str, channels) -> list[float]:
     E^dagger turns Z_R^{phi_A} into the sum over T subset phi_A of
     a^{|phi_A - T|} b^{|T|} Z_R^T, and the walk leaves
     <K_A (x) Z_R^T> = [T = sigma_A] sign_A, with (sign_v, sigma_v) the
-    sign form of K_v that the walk run backwards gives (_data_sign_forms)
+    sign form of K_v that the circuit run backwards gives (_data_sign_forms)
     and sigma_A and sign_A their xor and product over A.  So per resource
     bit (phi_A, sigma_A) reads (0,0) -> 1, (1,0) -> a, (1,1) -> b and
     (0,1) -> 0.  The masks and the sign bit are xor-linear in A, so a code
@@ -387,7 +390,9 @@ def _edge_table(ops: list) -> list[float]:
     """<CZ++| E^dagger(P_0) (x) E^dagger(P_1) |CZ++> for the pair's Paulis
     P_h = X^{x_h} Z^{z_h}, at index x + 4z with x = x_0 + 2 x_1 and
     z = z_0 + 2 z_1; P_1 is the high factor of the pair's index, its first
-    endpoint, and as CZ|++> is symmetric either half may be the low one."""
+    endpoint, and as CZ|++> is symmetric either half may be the low one.
+    _PAIR is the one hand copy of the resource beside prep_gates: the table
+    is taken on amplitudes, which prep_gates would need a simulator for."""
     adjoint = {site: _adjoint(ops, pauli) for site, pauli in _SITE_PAULIS.items()}
     table = []
     for z in range(4):

@@ -41,18 +41,17 @@ at s by parity.  As X_u|G> = Z_{N(u)}|G>, a plan reaches |G> only through
 its sign forms phi_v = z_v xor (xor of x_u over u ~ v), and the parity
 condition is phi_v = g_v, v's entry of far_side_masks.  verify and the
 noise sum read plans as phi, verify against the sign forms
-(sign_v, sigma_v) that _data_sign_forms reads off the walk.
+(sign_v, sigma_v) that _data_sign_forms reads off the circuit.
 
 The circuit is written once, as the gate lists prep_gates and
-walk_gates, and one function, _data_sign_forms, runs the walk backwards
-on its own columns in the Heisenberg picture: W^dagger (K_v (x)
-Z_R^{sigma_v}) W for every v at once, as bit-packed columns.  The
-prepared state |+>^V (x) CZ|++>^E has a stabilizer group local to each
-data qubit and each pair, so each K_v's sign form is read off that run
-with no measurement rule and no elimination, and nothing is cached.
-_heisenberg_generators runs the noise sum's code back the same way and
-hands each generator over as plain ints; the tests' dense per-outcome
-reference runs the same two lists on amplitudes.
+walk_gates, and one function, _data_sign_forms, runs both backwards to
+|+> on every qubit, in the Heisenberg picture on its own bit-packed
+columns, for every K_v (x) Z_R^{sigma_v} at once.  |+>^n is stabilized by
+exactly the Z-free strings, so each sign form is read off that run with
+no measurement rule and no elimination, and nothing is cached.
+_heisenberg_generators runs the noise code back through the walk alone,
+as post-prep noise acts between the two lists, and hands it over as
+plain ints; the tests' dense reference runs both lists on amplitudes.
 
 The columns are the layout of Aaronson & Gottesman (quant-ph/0406196)
 that Stim also uses: a set of Pauli strings X^x Z^z is one pair of int
@@ -62,7 +61,7 @@ once.  No other module of the package knows that layout.
 """
 
 from functools import reduce
-from operator import or_, xor
+from operator import or_
 
 from .graphs import CORRECTION_KINDS, Graph, _index_of, _neighbour_xor, adjacency, catalog_lookup
 
@@ -196,34 +195,29 @@ def _data_sign_forms(graph: Graph) -> tuple[tuple[int, int] | None, ...]:
 
     Measuring resource qubit r gives (-1)^{s_r} Z_r, so K_v has that form
     when sign_v K_v (x) Z_R^{sigma_v} stabilizes the walked state, that is
-    when its walk run backwards lies in the prepared group.  That group is
-    local: X on each data qubit, and X(x)Z, Z(x)X and their product on
-    each pair, so an element is +-P with no Z on a data qubit and its x
-    bit at each resource qubit equal to its z bit at the pair partner.
-    Pass 1 runs every K_v back alone and reads sigma_v off the resource
-    qubits where the two differ, as on the real walk a resource Z_r comes
-    back as X_r Z_{d(r)}; pass 2 runs every K_v (x) Z_R^{sigma_v} back and
-    checks it.  So a form returned holds on any walk, but on a walk other
-    than walk_gates pass 1 may pick a sigma_v that fails and report a K_v
-    missing that the data group holds: on K2 with CZ(3, 2) before the walk
-    and H(0) after it the reader returns (None, None), though K_A is there
-    at every outcome with sign (-1)^{|s|}.
+    when prep_gates then walk_gates, run backwards, take it to +P with no
+    Z on any qubit, a stabilizer of |+>^n; the prep CZ rows carry each
+    pair's sign.  Pass 1 runs every K_v back alone and reads sigma_v off
+    the Z it leaves on each pair partner, as on the real walk a resource
+    Z_r comes back as X_r Z_{r'} Z_{d(r)}; pass 2 runs every K_v (x)
+    Z_R^{sigma_v} back and checks it.  So a form returned holds on any
+    circuit, but on another circuit pass 1 may pick a sigma_v that fails
+    and report a K_v missing that the data group holds: on K2 with CZ(3, 2)
+    before the walk and H(0) after it the reader returns (None, None),
+    though K_A is there at every outcome with sign (-1)^{|s|}.
     """
     nv, k = graph.n_vertices, 2 * graph.n_edges
-    # each gate is its own inverse, so W^dagger P W runs the walk last gate first
-    rows = _checked_gates(nv + k, reversed(walk_gates(graph)))
+    # each gate is its own inverse, so the circuit runs back last gate first
+    rows = _checked_gates(nv + k, reversed(prep_gates(graph) + walk_gates(graph)))
     neighbours = adjacency(graph)
-    # resource qubit nv + t and its pair partner nv + (t ^ 1)
-    pairs = [(nv + t, nv + (t ^ 1)) for t in range(k)]
     # bit v of the columns x[q], z[q] is K_v: X_v, Z on v's neighbours, none on R
     x, z = [1 << v for v in range(nv)] + [0] * k, neighbours + [0] * k
     _conj_columns(x, z, rows)
-    sigmas = [x[r] ^ z[partner] for r, partner in pairs]
+    # resource qubit nv + t; its pair partner nv + (t ^ 1) holds the Z it leaves
+    sigmas = [z[nv + (t ^ 1)] for t in range(k)]
     x, z = [1 << v for v in range(nv)] + [0] * k, neighbours + sigmas
     flips = _conj_columns(x, z, rows)
-    missing = reduce(or_, z[:nv] + [x[r] ^ z[partner] for r, partner in pairs], 0)
-    # the product X(x)Z * Z(x)X is -(XZ)(x)(XZ) in the X^x Z^z form
-    flips ^= reduce(xor, (x[r] & x[r + 1] for r in range(nv, nv + k, 2)), 0)
+    missing = reduce(or_, z, 0)
     return tuple(
         None if missing >> v & 1 else (-1 if flips >> v & 1 else 1, sigma)
         for v, sigma in enumerate(_transpose(sigmas, nv))

@@ -9,7 +9,7 @@ reports.  Every report is a named tuple, whose fields cannot be
 assigned.
 
 The outcome sweep reads sign forms, not a statevector: pqw.protocol's
-_data_sign_forms reads them off the walk run backwards.  After S1-S4 the
+_data_sign_forms reads them off the circuit run backwards.  After S1-S4 the
 data group holds each K_v with sign
 sign_v (-1)^{|sigma_v & s|} at outcome s, and the plan flips that sign by
 (-1)^{|phi_v & s|}, phi_v its sign form.  Every corrected state is

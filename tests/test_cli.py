@@ -821,9 +821,14 @@ def test_render_csv_round_trips_every_special_character():
 
 
 def test_lc_bad_cut_is_usage_error(capsys):
-    assert main(["lc", "--a", "L4", "--b", "GHZ4", "--cut", "AX|BD"]) == EXIT_USAGE
-    assert main(["lc", "--a", "L4", "--b", "GHZ4", "--cut", "AB|BD"]) == EXIT_USAGE
-    assert main(["lc", "--a", "L4", "--b", "GHZ4", "--cut", "A|B"]) == EXIT_USAGE
+    _usage_error(["lc", "--a", "L4", "--b", "GHZ4", "--cut", "AX|BD"], capsys)
+    _usage_error(["lc", "--a", "L4", "--b", "GHZ4", "--cut", "AB|BD"], capsys)
+    _usage_error(["lc", "--a", "L4", "--b", "GHZ4", "--cut", "A|B"], capsys)
+    # an empty side is refused with the spec the user typed, not an index list
+    for spec in ("ABCD|", "|ABCD"):
+        assert _usage_error(["lc", "--a", "P4", "--b", "K1_3", "--cut", spec], capsys) == (
+            f"pqw: cut {spec!r} must split the vertices into two disjoint non-empty sides\n"
+        )
 
 
 def test_lc_cut_side_may_be_one_multi_character_label(tmp_path, capsys):
@@ -995,6 +1000,15 @@ def test_counts_fidelity_above_one_is_usage_error(capsys):
     assert main(["counts", "--fidelity", "1.5", "--k", "2"]) == EXIT_USAGE
     captured = capsys.readouterr()
     assert captured.out == "" and "at most 1" in captured.err
+
+
+def test_counts_fidelity_below_the_p_one_floor_is_usage_error(capsys):
+    # 4^-6 is the fidelity at p = 1; below it p_eff would exceed 1
+    for value in ("0.0002", "1e-320"):
+        argv = ["counts", "--fidelity", value, "--k", "6"]
+        assert _usage_error(argv, capsys) == (
+            f"pqw: fidelity must be at least 4^-k = 0.000244140625 (p = 1), got {float(value)}\n"
+        )
 
 
 def test_counts_fidelity_within_the_slack_fits_as_one(capsys):

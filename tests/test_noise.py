@@ -134,11 +134,13 @@ def test_closed_form_validation():
 
 @settings(max_examples=60, deadline=None)
 @given(
-    st.floats(min_value=0.0, max_value=0.5, allow_nan=False),
+    st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
     st.integers(min_value=1, max_value=8),
 )
 def test_p_eff_inverts_the_depolarizing_form(p, k):
-    assert abs(extract_p_eff(f_star_dep(p, k), k) - p) < 1e-12
+    p_eff = extract_p_eff(f_star_dep(p, k), k)
+    assert abs(p_eff - p) < 1e-12
+    assert 0.0 <= p_eff <= 1.0
 
 
 def test_p_eff_validation():
@@ -163,6 +165,14 @@ def test_p_eff_validation():
     with pytest.raises(ValueError, match="k must be at most"):
         extract_p_eff(0.9, 10**400)
     assert extract_p_eff(0.9, int(sys.float_info.max)) == 0.0
+    # below the p = 1 floor 4^-k no strength fits: f_star_dep refuses p > 1
+    for fidelity, k in ((0.0002, 6), (1e-320, 6), (0.2, 1)):
+        with pytest.raises(ValueError, match=r"at least 4\^-k = .* \(p = 1\), got"):
+            extract_p_eff(fidelity, k)
+    # the floor itself fits as exactly 1, and float slack below it as 1
+    for k in range(1, 65):
+        assert extract_p_eff(f_star_dep(1.0, k), k) == 1.0
+    assert extract_p_eff(0.25**6 * (1.0 - 1e-12), 6) == 1.0
 
 
 @pytest.mark.parametrize(

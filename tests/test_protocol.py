@@ -221,13 +221,15 @@ def test_symbolic_run_matches_dense_on_random_graphs(graph, data):
 
 @pytest.fixture
 def altered_walk(monkeypatch):
-    """Set the walk that the dense and the symbolic engine both read, with
-    no dense run of another walk cached before or after; the symbolic
-    engine keeps nothing between calls."""
+    """Set the walk, and optionally the prep, that the dense and the
+    symbolic engine both read, with no dense run of another circuit cached
+    before or after; the symbolic engine keeps nothing between calls."""
+    real_prep = protocol.prep_gates
 
-    def alter(walk):
+    def alter(walk, prep=real_prep):
         for module in (protocol, sv):
             monkeypatch.setattr(module, "walk_gates", walk)
+            monkeypatch.setattr(module, "prep_gates", prep)
         sv._premeasurement.cache_clear()
 
     yield alter
@@ -268,7 +270,7 @@ def test_a_pair_read_as_y_y_carries_its_minus_sign(altered_walk):
 def test_symbolic_run_keeps_its_checks(altered_walk):
     # with the CZ between A and its half of AB dropped, K_A and K_B are
     # missing from the data group: the engines refuse rather than guess
-    real = protocol.walk_gates
+    real, real_prep = protocol.walk_gates, protocol.prep_gates
     altered_walk(lambda graph: real(graph)[1:])
     forms = protocol._data_sign_forms(P4)
     assert [form is None for form in forms] == [True, True, False, False]
@@ -277,6 +279,21 @@ def test_symbolic_run_keeps_its_checks(altered_walk):
         verify_all_outcomes(P4)
     with pytest.raises(AssertionError, match="K_A is missing"):
         run_protocol_tableau(P4, 0)
+    # with the CZ of pair AB dropped from the prep instead, the reader
+    # follows prep_gates: no sign of K_A or K_B fixes the dense data state
+    altered_walk(real, lambda graph: real_prep(graph)[1:])
+    forms = protocol._data_sign_forms(P4)
+    assert [form is None for form in forms] == [True, True, False, False]
+    assert phase_lemma_check(P4) is False
+    with pytest.raises(AssertionError, match="K_A is missing"):
+        verify_all_outcomes(P4)
+    generators = stabilizer_generators(P4)
+    for index in range(P4.outcome_count()):
+        _, data = run_protocol(P4, index)
+        for k_v in generators[:2]:
+            for phase in (0, 2):
+                signed = PauliString(4, k_v.x_bits, k_v.z_bits, phase)
+                assert not check_stabilizes(data, (signed,))
     # H on A's half before the walk: no sign of either K_v fixes the
     # dense data state at any outcome, and the reader finds neither
     a_half = protocol._resource_qubit(K2, 0)
@@ -311,23 +328,25 @@ def test_both_engines_refuse_a_bad_walk_alike(altered_walk, bad, message):
 
 
 def test_a_sign_form_read_off_any_walk_holds(altered_walk):
-    # the reader may miss a K_v on a walk other than walk_gates, but a
-    # form it returns fixes the dense data state at every outcome
+    # the reader may miss a K_v on a circuit other than prep_gates and
+    # walk_gates, but a form it returns fixes the dense data state at
+    # every outcome
     rng = random.Random(2903)
-    real = protocol.walk_gates
+    real, real_prep = protocol.walk_gates, protocol.prep_gates
     checks = 0
     for _ in range(300):
         graph = rng.choice((K2, catalog_lookup("P3"), catalog_lookup("C3")))
         n_qubits = graph.n_vertices + 2 * graph.n_edges
-        walk = list(real(graph))
+        walk, prep = list(real(graph)), list(real_prep(graph))
         for _ in range(rng.randint(1, 3)):
-            if walk and rng.random() < 0.5:
-                del walk[rng.randrange(len(walk))]
+            gates = rng.choice((walk, prep))
+            if gates and rng.random() < 0.5:
+                del gates[rng.randrange(len(gates))]
             else:
                 gate = rng.choice(("H", "X", "Z", "CZ"))
                 targets = rng.sample(range(n_qubits), 2 if gate == "CZ" else 1)
-                walk.insert(rng.randint(0, len(walk)), (gate, tuple(targets)))
-        altered_walk(lambda _, walk=tuple(walk): walk)
+                gates.insert(rng.randint(0, len(gates)), (gate, tuple(targets)))
+        altered_walk(lambda _, walk=tuple(walk): walk, lambda _, prep=tuple(prep): prep)
         forms = protocol._data_sign_forms(graph)
         for index in range(graph.outcome_count()):
             try:
