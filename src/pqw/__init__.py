@@ -7,8 +7,9 @@ checks the delivered state against the target: fidelities, outcome
 statistics, sign bookkeeping, noise curves, and Schmidt-rank
 separations, all computed exactly.  An outcome is its big-endian index
 in [0, 4^|E|), a correction plan is its per-vertex (x, z) outcome-bit
-forms, and the sign of a stabilizer K_v is a (sign_v, sigma_v) form over
-the outcome bits; the package keeps no object per Pauli string.
+forms, and the sign of a stabilizer K_v is one int, the GF(2) sign form
+sigma_v << 1 | odd_v over the outcome bits (pqw.protocol defines it);
+the package keeps no object per Pauli string.
 
 Every exported name, and every submodule, loads on first access, so
 ``import pqw.cli`` loads only pqw.graphs, and a command loads the engine

@@ -40,15 +40,15 @@ stabilizer code with one generator K_v (x) Z_R^{phi_v} per vertex, so
 F = tr(M rho) is 2^-|V| times the sum of the expectations of its 2^|V|
 elements, taken in Gray-code order.  After prep, each element is
 carried back through the walk (pqw.protocol runs the generators back as
-bit-packed columns and hands each over as (x, z, phase) ints, which
-multiply with a few int operations) and the adjoint channel to the
-prepared state, |+> per data qubit and CZ|++> per edge.  Before
-measurement the channel only reaches Z_R, and each expectation is read
-off the sign forms of the K_v that pqw.protocol reads off the circuit run
-backwards: xor-linear outcome-bit masks and a sign.  Both conditional
-paths cost 2^|V| terms, so DEFAULT_VERTEX_BUDGET bounds |V| there.  No
-channel changes the code, so a sweep builds it, or strict's noiseless
-fraction, once and reads every p off that one build.
+bit-packed columns and hands each over as (x, z, odd) ints, a real
+string and its sign bit, which multiply with a few int operations) and
+the adjoint channel to the prepared state, |+> per data qubit and
+CZ|++> per edge.  Before measurement the channel only reaches Z_R, and
+each expectation is read off the sign forms of the K_v, defined in
+pqw.protocol's docstring.  Both conditional paths cost 2^|V| terms, so
+DEFAULT_VERTEX_BUDGET bounds |V| there.  No channel changes the code, so
+a sweep builds it, or strict's noiseless fraction, once and reads every
+p off that one build.
 
 The default is strict because the closed-form curves are the quantity
 the rest of the toolchain (effective-p extraction, channel comparisons)
@@ -313,10 +313,10 @@ def _code(identity, generators, multiply):
 
 
 def _times(a: tuple[int, int, int], b: tuple[int, int, int]) -> tuple[int, int, int]:
-    """The product of two strings i^phase X^x Z^z given as (x, z, phase):
-    moving b's X block left past a's Z block anticommutes once per
-    overlapping site, each time adding 2 to the phase."""
-    return a[0] ^ b[0], a[1] ^ b[1], a[2] + b[2] + 2 * (a[1] & b[0]).bit_count()
+    """The product of two real strings (-1)^odd X^x Z^z given as
+    (x, z, odd): moving b's X block left past a's Z block anticommutes
+    once per overlapping site, each time flipping the sign."""
+    return a[0] ^ b[0], a[1] ^ b[1], (a[2] + b[2] + (a[1] & b[0]).bit_count()) & 1
 
 
 def _measured_sums(graph: Graph, correction_kind: str, channels) -> list[float]:
@@ -327,27 +327,25 @@ def _measured_sums(graph: Graph, correction_kind: str, channels) -> list[float]:
 
     E^dagger turns Z_R^{phi_A} into the sum over T subset phi_A of
     a^{|phi_A - T|} b^{|T|} Z_R^T, and the walk leaves
-    <K_A (x) Z_R^T> = [T = sigma_A] sign_A, with (sign_v, sigma_v) the
-    sign form of K_v that the circuit run backwards gives (_data_sign_forms)
-    and sigma_A and sign_A their xor and product over A.  So per resource
-    bit (phi_A, sigma_A) reads (0,0) -> 1, (1,0) -> a, (1,1) -> b and
-    (0,1) -> 0.  The masks and the sign bit are xor-linear in A, so a code
-    element is the three packed into one int, kept, when sigma_A lies in
-    phi_A, as the exponents of a and b and the sign.
+    <K_A (x) Z_R^T> = [T = sigma_A] (-1)^{odd_A}, with sigma_v << 1 | odd_v
+    the sign form of K_v that the circuit run backwards gives
+    (_data_sign_forms) and sigma_A << 1 | odd_A the xor of those over A.
+    So per resource bit (phi_A, sigma_A) reads (0,0) -> 1, (1,0) -> a,
+    (1,1) -> b and (0,1) -> 0.  phi_A and the sign form are xor-linear in
+    A, so a code element is phi_A | form_A << k, kept, when sigma_A lies
+    in phi_A, as the exponents of a and b and the sign.
     """
     k = 2 * graph.n_edges
     low = (1 << k) - 1
     generators = [
-        phi | sigma << k | (sign == -1) << 2 * k
-        for (sign, sigma), phi in zip(
-            _present_sign_forms(graph), _sign_forms(graph, correction_kind)
-        )
+        phi | form << k
+        for form, phi in zip(_present_sign_forms(graph), _sign_forms(graph, correction_kind))
     ]
     terms = []
     for term in _code(0, generators, operator.xor):
-        phi, sigma = term & low, term >> k & low
+        phi, sigma = term & low, term >> k + 1
         if not sigma & ~phi:
-            sign = -1.0 if term >> 2 * k else 1.0
+            sign = -1.0 if term >> k & 1 else 1.0
             terms.append(((phi ^ sigma).bit_count(), sigma.bit_count(), sign))
     sums = []
     for channel in channels:
@@ -416,20 +414,18 @@ def _prepared_sums(graph: Graph, correction_kind: str, channels) -> list[float]:
     with S_A the product of the code generators in A.  psi_prep is |+>
     on each data qubit, where a Z gives 0, and CZ|++> on each edge, where
     the adjoint channel on both halves gives one entry of the edge table.
-    So an element is kept, when it has no data Z, as its sign (the S_v and
-    the gates are real, so its phase is even, and the sign is -1 exactly
-    when phase & 2) and the table index of each edge from the low end of
-    the register.
+    So an element is kept, when it has no data Z, as its sign and the
+    table index of each edge from the low end of the register.
     """
     nv, n_edges = graph.n_vertices, graph.n_edges
     data = (1 << nv) - 1
     generators = protocol._heisenberg_generators(graph, correction_kind)
     terms = []
-    for x, z, phase in _code((0, 0, 0), generators, _times):
+    for x, z, odd in _code((0, 0, 0), generators, _times):
         if not z & data:
             x, z = x >> nv, z >> nv
             keys = [(x >> 2 * j & 3) | (z >> 2 * j & 3) << 2 for j in range(n_edges)]
-            terms.append((-1 if phase & 2 else 1, keys))
+            terms.append((-1 if odd else 1, keys))
     sums = []
     for channel in channels:
         table = _edge_table(_kraus_lists(channel))

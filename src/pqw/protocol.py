@@ -38,10 +38,14 @@ Every correction kind is a function of the graph alone: it returns
 per-vertex (x, z) outcome-bit forms, masks over the big-endian outcome
 index like far_side_masks, and the plan of outcome s is those forms read
 at s by parity.  As X_u|G> = Z_{N(u)}|G>, a plan reaches |G> only through
-its sign forms phi_v = z_v xor (xor of x_u over u ~ v), and the parity
-condition is phi_v = g_v, v's entry of far_side_masks.  verify and the
-noise sum read plans as phi, verify against the sign forms
-(sign_v, sigma_v) that _data_sign_forms reads off the circuit.
+its flip masks phi_v = z_v xor (xor of x_u over u ~ v), and the parity
+condition is phi_v = g_v, v's entry of far_side_masks.
+
+A sign is one GF(2) bit, and a sign that depends on the outcome is one
+int, its sign form mask << 1 | odd, which gives (-1)^{|form & (s << 1 | 1)|}
+at outcome s.  _data_sign_forms gives K_v's as sigma_v << 1 | odd_v, the
+plan flips it by phi_v << 1, and pqw.verify and pqw.noise read the
+corrected form ^ phi_v << 1.
 
 The circuit is written once, as the gate lists prep_gates and
 walk_gates, and one function, _data_sign_forms, runs both backwards to
@@ -117,10 +121,10 @@ def _conj_columns(x: list[int], z: list[int], rows) -> int:
     whose sign flipped.
 
     Sign bookkeeping, derived once in the X^x Z^z normal form:
-      H(q):    swap x_q and z_q; an occupied XZ site reorders, phase += 2.
+      H(q):    swap x_q and z_q; an occupied XZ site reorders, sign flips.
       X(q):    Z_q present flips sign.
       Z(q):    X_q present flips sign.
-      CZ(a,b): z_a ^= x_b, z_b ^= x_a; both X's present, phase += 2.
+      CZ(a,b): z_a ^= x_b, z_b ^= x_a; both X's present, sign flips.
     """
     flips = 0
     for gate, a, b in rows:
@@ -188,13 +192,13 @@ def far_side_masks(graph: Graph) -> list[int]:
     return masks
 
 
-def _data_sign_forms(graph: Graph) -> tuple[tuple[int, int] | None, ...]:
-    """The sign form (sign_v, sigma_v) of each K_v after S1-S4, or None
+def _data_sign_forms(graph: Graph) -> tuple[int | None, ...]:
+    """The sign form sigma_v << 1 | odd_v of each K_v after S1-S4, or None
     where K_v is missing from the data group: at outcome s the data group
-    holds sign_v (-1)^{|sigma_v & s|} K_v.
+    holds (-1)^{odd_v + |sigma_v & s|} K_v.
 
     Measuring resource qubit r gives (-1)^{s_r} Z_r, so K_v has that form
-    when sign_v K_v (x) Z_R^{sigma_v} stabilizes the walked state, that is
+    when (-1)^{odd_v} K_v (x) Z_R^{sigma_v} stabilizes the walked state, that is
     when prep_gates then walk_gates, run backwards, take it to +P with no
     Z on any qubit, a stabilizer of |+>^n; the prep CZ rows carry each
     pair's sign.  Pass 1 runs every K_v back alone and reads sigma_v off
@@ -219,12 +223,12 @@ def _data_sign_forms(graph: Graph) -> tuple[tuple[int, int] | None, ...]:
     flips = _conj_columns(x, z, rows)
     missing = reduce(or_, z, 0)
     return tuple(
-        None if missing >> v & 1 else (-1 if flips >> v & 1 else 1, sigma)
+        None if missing >> v & 1 else sigma << 1 | flips >> v & 1
         for v, sigma in enumerate(_transpose(sigmas, nv))
     )
 
 
-def _present_sign_forms(graph: Graph) -> tuple[tuple[int, int], ...]:
+def _present_sign_forms(graph: Graph) -> tuple[int, ...]:
     """_data_sign_forms, or AssertionError naming the first K_v missing
     from the data group, where no sign form can answer exactly."""
     forms = _data_sign_forms(graph)
@@ -327,7 +331,7 @@ def correction_forms(graph: Graph, kind: str) -> Forms:
 
 def _sign_forms(graph: Graph, correction_kind: str) -> list[int]:
     """phi_v = z_v xor (xor of x_u over u ~ v) per vertex, as outcome-bit
-    forms: the plan for outcome s flips the sign of K_v by
+    masks: the plan for outcome s flips the sign of K_v by
     (-1)^{|phi_v & s|}, so it is valid exactly when phi_v equals v's
     far_side_masks entry."""
     forms = correction_forms(graph, correction_kind)
@@ -339,8 +343,8 @@ def _heisenberg_generators(graph: Graph, correction_kind: str) -> tuple[tuple[in
     """W^dagger S_v W for the generators S_v = K_v (x) Z_R^{phi_v} of the
     code whose projector is the corrected-fidelity operator
     M = sum_s |s><s| (x) C_s^dagger |G><G| C_s, W the walk, each as an
-    (x, z, phase) triple: the string i^phase X^x Z^z, bit q of x and z its
-    exponents at qubit q.
+    (x, z, odd) triple: the string (-1)^odd X^x Z^z, real as every gate
+    is, bit q of x and z its exponents at qubit q.
 
     C_s^dagger K_v C_s = (-1)^{|phi_v & s|} K_v, and Z_R^{phi_v} reads that
     sign off the resource register, so M = prod_v (1 + S_v)/2.  Every gate
@@ -353,6 +357,6 @@ def _heisenberg_generators(graph: Graph, correction_kind: str) -> tuple[tuple[in
     z = adjacency(graph) + _transpose(_sign_forms(graph, correction_kind), k)
     flips = _conj_columns(x, z, rows)
     return tuple(
-        (x_bits, z_bits, 2 * (flips >> v & 1))
+        (x_bits, z_bits, flips >> v & 1)
         for v, (x_bits, z_bits) in enumerate(zip(_transpose(x, nv), _transpose(z, nv)))
     )

@@ -8,16 +8,13 @@ and render elsewhere; two runs over the same inputs produce equal
 reports.  Every report is a named tuple, whose fields cannot be
 assigned.
 
-The outcome sweep reads sign forms, not a statevector: pqw.protocol's
-_data_sign_forms reads them off the circuit run backwards.  After S1-S4 the
-data group holds each K_v with sign
-sign_v (-1)^{|sigma_v & s|} at outcome s, and the plan flips that sign by
-(-1)^{|phi_v & s|}, phi_v its sign form.  Every corrected state is
-therefore a Pauli times |G>: it has fidelity exactly 1 when every
-product is +1 and exactly 0 otherwise, and every outcome has probability
-exactly 4^-|E|, as no measurement is determined.  So a report is the
-GF(2) conditions (sigma_v ^ phi_v) . s = [sign_v = -1] that do not hold
-at every outcome, and everything else is read from them: pass/fail and
+The outcome sweep reads sign forms, defined in pqw.protocol's
+docstring, not a statevector: every corrected state is a Pauli times
+|G>, with fidelity exactly 1 when each K_v's corrected sign form gives
++1 and exactly 0 otherwise, and every outcome has probability exactly
+4^-|E|, as no measurement is determined.  So a report is the corrected
+sign forms that are not 0, the GF(2) conditions that do not hold at
+every outcome, and everything else is read from them: pass/fail and
 the first counterexample from the rows themselves, the maximum fidelity
 from one elimination, and the fidelities of all outcomes as the runs of
 equal fidelity in one column, which both writers of pqw verify join run
@@ -48,10 +45,10 @@ def _met(count: int, conditions) -> bytes:
     flipped where the mask has that bit, and the columns are ANDed as
     integers."""
     met = int.from_bytes(b"\1" * count, "little")
-    for mask, odd in conditions:
-        column = b"\0" if odd else b"\1"  # outcome 0 has parity 0
+    for row in conditions:
+        column = b"\0" if row & 1 else b"\1"  # outcome 0 has parity 0
         while len(column) < count:
-            column += column.translate(_FLIP) if mask & len(column) else column
+            column += column.translate(_FLIP) if row >> 1 & len(column) else column
         met &= int.from_bytes(column, "little")
     return met.to_bytes(count, "little")
 
@@ -76,10 +73,10 @@ class VerificationReport(
     namedtuple("VerificationReport", "graph_name correction_kind outcome_count conditions")
 ):
     """The outcome sweep of one graph under one plan, as its sign
-    conditions, a tuple of (mask, odd) pairs of int and bool: outcome s
-    reaches |G> exactly when |mask & s| has parity odd for every
-    condition, and has probability 1/outcome_count.  Each condition
-    fails some outcome, as verify_all_outcomes keeps only those."""
+    conditions, a tuple of int sign forms: outcome s reaches |G> exactly
+    when every condition gives +1 there, |row & (s << 1 | 1)| even, and
+    has probability 1/outcome_count.  Each condition fails some outcome,
+    as verify_all_outcomes keeps only those."""
 
     __slots__ = ()
 
@@ -94,10 +91,10 @@ class VerificationReport(
     @property
     def pass_count(self) -> int:
         """The number of outcomes that meet every condition, exact at any
-        size: each row is kept as mask << 1 | odd, each pivot of
-        consistent rows halves the outcomes, and the rows are
-        inconsistent exactly when one reduces to 0 = 1, a pivot at bit 0."""
-        pivots = _pivots(mask << 1 | odd for mask, odd in self.conditions)
+        size: each pivot of consistent rows halves the outcomes, and the
+        rows are inconsistent exactly when one reduces to 0 = 1, a pivot
+        at bit 0."""
+        pivots = _pivots(self.conditions)
         return 0 if 0 in pivots else self.outcome_count >> len(pivots)
 
     @property
@@ -108,10 +105,11 @@ class VerificationReport(
     def first_failure(self) -> int | None:
         """The lowest index that misses |G>, or None: outcome 0 fails any
         odd condition, and else the lowest set bit of a mask is the first
-        index whose parity flips."""
+        index whose parity flips; row & -row is bit 0 for the first and
+        that bit shifted up for the second."""
         if not self.conditions:
             return None
-        return min(0 if odd else mask & -mask for mask, odd in self.conditions)
+        return min(row & -row for row in self.conditions) >> 1
 
     def fidelity_runs(self) -> list[tuple[int, int, float]]:
         """The fidelity column as its maximal runs of equal fidelity, each
@@ -134,17 +132,14 @@ class VerificationReport(
         return runs
 
 
-def _sign_conditions(graph: Graph, correction_kind: str) -> tuple[tuple[int, bool], ...]:
-    """The (mask, odd) conditions an outcome s must meet to reach |G>
-    under the plan: sign_v (-1)^{|(sigma_v ^ phi_v) & s|} is +1 at every v.
-    A vertex with sign_v = +1 and sigma_v = phi_v holds at every s, so
-    only the others are kept, as (mask, parity needed)."""
+def _sign_conditions(graph: Graph, correction_kind: str) -> tuple[int, ...]:
+    """The conditions an outcome s must meet to reach |G> under the plan:
+    the corrected sign form form_v ^ phi_v << 1 of every K_v gives +1 at
+    s.  A form that is 0 holds at every s, so only the others are kept."""
     phis = _sign_forms(graph, correction_kind)
-    conditions = []
-    for (sign, sigma), phi in zip(_present_sign_forms(graph), phis):
-        if sign == -1 or sigma != phi:
-            conditions.append((sigma ^ phi, sign == -1))
-    return tuple(conditions)
+    return tuple(
+        filter(None, (form ^ phi << 1 for form, phi in zip(_present_sign_forms(graph), phis)))
+    )
 
 
 def verify_all_outcomes(
@@ -170,9 +165,7 @@ def phase_lemma_check(graph: Graph) -> bool:
     so comparing it with g_v's far-side mask checks all 4^|E| outcomes
     at once, at every graph size.
     """
-    return all(
-        form == (1, g) for form, g in zip(_data_sign_forms(graph), far_side_masks(graph))
-    )
+    return all(form == g << 1 for form, g in zip(_data_sign_forms(graph), far_side_masks(graph)))
 
 
 # cut is the frozenset of side A's vertex indices

@@ -146,12 +146,12 @@ def _check_index(graph: Graph, index: int) -> int:
 
 def run_protocol_tableau(graph: Graph, index: int) -> tuple[PauliString, ...]:
     """Symbolic mirror of the dense run_protocol: the data-qubit
-    stabilizer group with its signs at outcome index, sign_v
-    (-1)^{|sigma_v & s|} K_v for each vertex v, read off the sign forms."""
+    stabilizer group with its signs at outcome index, K_v with the sign
+    its sign form gives at index for each vertex v."""
     _check_index(graph, index)
     generators = []
-    for k_v, (sign, sigma) in zip(stabilizer_generators(graph), _present_sign_forms(graph)):
-        flips = (sign < 0) + (sigma & index).bit_count()
+    for k_v, form in zip(stabilizer_generators(graph), _present_sign_forms(graph)):
+        flips = (form & (index << 1 | 1)).bit_count()
         generators.append(PauliString(k_v.n_qubits, k_v.x_bits, k_v.z_bits, 2 * flips))
     return tuple(generators)
 

@@ -113,9 +113,10 @@ def test_verify_all_matches_the_catalog_goldens(capsys):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == ALL_JSON_SHA256
 
 
-# outcome s of a doctored report meets (mask, odd) when |mask & s| has
-# parity odd: this one fails outcomes 0 and 2 of 4
-DOCTORED = VerificationReport("P3", "universal", 4, ((0b1, True),))
+# outcome s of a doctored report meets a condition, the sign form
+# mask << 1 | odd, when |mask & s| has parity odd: this one fails
+# outcomes 0 and 2 of 4
+DOCTORED = VerificationReport("P3", "universal", 4, (0b11,))
 
 
 def test_verify_exit_fail_on_doctored_report(monkeypatch, capsys):
@@ -144,23 +145,21 @@ def test_verify_csv_formats_each_value_as_fmt_does(monkeypatch, capsys):
 
 @st.composite
 def _reports(draw):
-    """A report on 1 to 6 edges, under random (mask, odd) conditions,
+    """A report on 1 to 6 edges, under random conditions mask << 1 | odd,
     named with the characters CSV must quote."""
     count = 4 ** draw(st.integers(1, 6))
     name = draw(st.text(alphabet='A,"\r\n', min_size=1, max_size=4))
-    conditions = draw(
-        st.lists(st.tuples(st.integers(0, count - 1), st.booleans()), max_size=4)
-    )
+    conditions = draw(st.lists(st.integers(0, 2 * count - 1), max_size=4))
     return VerificationReport(name, "universal", count, tuple(conditions))
 
 
 # outcomes alternate; every outcome fails; two rows contradict each other
 REPORT_EXAMPLES = (
-    [VerificationReport("a,b", "universal", 16, ((0b1, True),))],
-    [VerificationReport("P3", "universal", 4, ((0, True),))],
+    [VerificationReport("a,b", "universal", 16, (0b11,))],
+    [VerificationReport("P3", "universal", 4, (0b1,))],
     [
-        VerificationReport("big", "universal", 4096, ((0b110, False),)),
-        VerificationReport('"q"', "universal", 4, ((0b10, True), (0b10, False))),
+        VerificationReport("big", "universal", 4096, (0b1100,)),
+        VerificationReport('"q"', "universal", 4, (0b101, 0b100)),
         VerificationReport("P3", "universal", 16, ()),
     ],
 )

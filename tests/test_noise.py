@@ -428,8 +428,7 @@ def test_strict_equals_the_noiseless_sum_on_broken_plans(monkeypatch):
 
         def negating(graph, negated=negated):
             forms = list(real_signs(graph))
-            sign, sigma = forms[negated]
-            forms[negated] = (-sign, sigma)
+            forms[negated] ^= 1  # the constant bit of K_v's sign form
             return tuple(forms)
 
         monkeypatch.setattr(protocol, "_data_sign_forms", negating)

@@ -135,6 +135,31 @@ def _identifiers(tree: ast.AST):
             yield from node.module.split(".")
 
 
+def _is_minus_one(node: ast.AST) -> bool:
+    try:
+        return ast.literal_eval(node) == -1
+    except ValueError:  # not a literal
+        return False
+
+
+def _sign_spellings(tree: ast.AST, module: str):
+    """module.function for each place where a module binds the name
+    phase or compares a value with the literal -1."""
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef)
+    functions = [node for node in ast.walk(tree) if isinstance(node, kinds)]
+    for node in ast.walk(tree):
+        binds = (
+            isinstance(node, ast.Name) and node.id == "phase" and isinstance(node.ctx, ast.Store)
+        ) or (isinstance(node, ast.arg) and node.arg == "phase")
+        compares = isinstance(node, ast.Compare) and any(
+            map(_is_minus_one, (node.left, *node.comparators))
+        )
+        if binds or compares:
+            # ast.walk reaches a function before the functions inside it
+            inside = [f.name for f in functions if f.lineno <= node.lineno <= f.end_lineno]
+            yield ".".join((module, *inside[-1:]))
+
+
 def test_the_package_imports_only_the_standard_library():
     # pyproject.toml declares no dependencies.  This reads every import
     # statement, lazy ones inside functions included, where the blocked-
@@ -152,6 +177,10 @@ def test_the_package_imports_only_the_standard_library():
     # the complex Kraus operators live in tests/dense.py
     complex_names = {"complex", "cmath", "conjugate", "real", "imag"}
     complex_uses = {}
+    # one sign type: a sign is a GF(2) bit, so no module keeps a mod-4
+    # phase under that name or tests a sign against -1; PauliString's
+    # phase lives in tests/pauli.py
+    sign_spellings = set()
     for path in sorted((ROOT / "src" / "pqw").glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         identifiers = set(_identifiers(tree))
@@ -164,6 +193,7 @@ def test_the_package_imports_only_the_standard_library():
                 found.add("imaginary literal")
         if found:
             complex_uses[path.name] = sorted(found)
+        sign_spellings.update(_sign_spellings(tree, path.stem))
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
@@ -182,6 +212,7 @@ def test_the_package_imports_only_the_standard_library():
     assert outside == {}
     assert pauli_objects == {}
     assert complex_uses == {}
+    assert sign_spellings == set()
 
 
 def test_package_version_matches_pyproject():

@@ -238,15 +238,14 @@ def altered_walk(monkeypatch):
 
 def test_appended_x_negates_exactly_the_forms_that_hold_its_bit(altered_walk):
     # X on resource qubit nv + m after the walk flips bit m of the
-    # outcome index, so K_v turns -1 where sigma_v holds that bit, and
-    # only there
+    # outcome index, so K_v's sign form gains the constant 1 where sigma_v
+    # holds that bit, and only there
     real = protocol.walk_gates
     far = far_side_masks(P4)
     for m in range(2 * P4.n_edges):
         altered_walk(lambda graph, r=P4.n_vertices + m: real(graph) + (("X", (r,)),))
-        bit = 1 << m
         assert protocol._data_sign_forms(P4) == tuple(
-            (-1 if sigma & bit else 1, sigma) for sigma in far
+            sigma << 1 | sigma >> m & 1 for sigma in far
         )
         assert not phase_lemma_check(P4)
         for index in range(P4.outcome_count()):
@@ -257,11 +256,11 @@ def test_appended_x_negates_exactly_the_forms_that_hold_its_bit(altered_walk):
 def test_a_pair_read_as_y_y_carries_its_minus_sign(altered_walk):
     # a CZ from A to B's half as well puts both bits of the pair in
     # sigma_A, and the pair's element of CZ|++> is then Y(x)Y, which is
-    # -(XZ)(x)(XZ) in the X^x Z^z form
+    # -(XZ)(x)(XZ) in the X^x Z^z form: K_A's sign form is 0b11 << 1 | 1
     real = protocol.walk_gates
     b_half = protocol._resource_qubit(K2, 1)
     altered_walk(lambda graph: (("CZ", (0, b_half)),) + real(graph))
-    assert protocol._data_sign_forms(K2) == ((-1, 0b11), (1, 0b10))
+    assert protocol._data_sign_forms(K2) == (0b111, 0b100)
     for index in range(K2.outcome_count()):
         _, data = run_protocol(K2, index)
         assert check_stabilizes(data, run_protocol_tableau(K2, index))
@@ -355,9 +354,8 @@ def test_a_sign_form_read_off_any_walk_holds(altered_walk):
                 continue
             for k_v, form in zip(stabilizer_generators(graph), forms):
                 if form is not None:
-                    sign, sigma = form
-                    phase = 2 * ((sign < 0) + (sigma & index).bit_count())
-                    signed = PauliString(k_v.n_qubits, k_v.x_bits, k_v.z_bits, phase)
+                    flips = (form & (index << 1 | 1)).bit_count()
+                    signed = PauliString(k_v.n_qubits, k_v.x_bits, k_v.z_bits, 2 * flips)
                     assert check_stabilizes(data, (signed,)), (walk, index, k_v)
                     checks += 1
     assert checks > 1000
@@ -366,15 +364,17 @@ def test_a_sign_form_read_off_any_walk_holds(altered_walk):
 def test_single_vertex_reads_one_plus_form():
     # no edge, no resource qubit and one outcome: K_A = X_A stays +1
     graph = Graph(("A",), ())
-    assert protocol._data_sign_forms(graph) == ((1, 0),)
+    assert protocol._data_sign_forms(graph) == (0,)
     assert run_protocol_tableau(graph, 0) == (PauliString(1, 1, 0),)
     assert verify_all_outcomes(graph).passed
 
 
 def test_noise_code_equals_the_column_run(monkeypatch, altered_walk):
     # the engine runs the post-prep code back on columns and hands over
-    # (x, z, phase) ints; they must equal the strings K_v (x) Z_R^{phi_v}
-    # run back by conjugate_circuit, sign included, for every plan and walk
+    # (x, z, odd) ints; they must equal the strings K_v (x) Z_R^{phi_v}
+    # run back by conjugate_circuit, sign included, for every plan and
+    # walk.  Each string comes back real, phase 0 or 2 mod 4, which is
+    # what lets the engine carry its sign as one bit
     runs = 0
 
     def check(graph, kind="universal"):
@@ -383,8 +383,9 @@ def test_noise_code_equals_the_column_run(monkeypatch, altered_walk):
         forms = zip(adjacency(graph), protocol._sign_forms(graph, kind))
         seeds = [PauliString(n, 1 << v, row | phi << nv) for v, (row, phi) in enumerate(forms)]
         strings = conjugate_circuit(seeds, reversed(protocol.walk_gates(graph)))
+        assert all(p.phase in (0, 2) for p in strings)
         assert protocol._heisenberg_generators(graph, kind) == tuple(
-            (p.x_bits, p.z_bits, p.phase) for p in strings
+            (p.x_bits, p.z_bits, p.phase >> 1) for p in strings
         )
         runs += 1
 

@@ -3,6 +3,7 @@ engine's column run: multiplication signs and conjugation rules against
 a dense oracle."""
 
 import copy
+import itertools
 import pickle
 import random
 
@@ -97,10 +98,17 @@ def test_multiplication_associative(a, b, c):
 @given(pauli_strategy, pauli_strategy)
 def test_commutator_phase(a, b):
     ab, ba = a * b, b * a
-    # the post-prep noise sum multiplies (x, z, phase) triples, with the
-    # phase left unreduced; mod 4 it is the string product's
-    x, z, phase = noise._times((a.x_bits, a.z_bits, a.phase), (b.x_bits, b.z_bits, b.phase))
-    assert PauliString(3, x, z, phase) == ab
+    # the post-prep noise sum multiplies real strings as (x, z, odd)
+    # triples: with a and b's strings signed each way, the product is
+    # real again and its sign bit is the string product's
+    for odd_a, odd_b in itertools.product((0, 1), repeat=2):
+        real_a = PauliString(3, a.x_bits, a.z_bits, 2 * odd_a)
+        real_b = PauliString(3, b.x_bits, b.z_bits, 2 * odd_b)
+        product = real_a * real_b
+        assert product.phase in (0, 2)
+        assert noise._times((a.x_bits, a.z_bits, odd_a), (b.x_bits, b.z_bits, odd_b)) == (
+            product.x_bits, product.z_bits, product.phase >> 1
+        )
     assert (ab.x_bits, ab.z_bits) == (ba.x_bits, ba.z_bits)
     # the symplectic product decides whether a and b commute
     if ((a.x_bits & b.z_bits).bit_count() + (a.z_bits & b.x_bits).bit_count()) % 2 == 0:

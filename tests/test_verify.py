@@ -3,6 +3,7 @@ check on the symbolic run, and entanglement-rank comparison."""
 
 import contextlib
 import io
+import itertools
 import json
 import random
 import time
@@ -174,24 +175,22 @@ def test_engine_follows_the_tableau_sign_forms(monkeypatch):
 
     def patched(change):
         return lambda graph: tuple(
-            change(*form) if i == b else form for i, form in enumerate(real(graph))
+            change(form) if i == b else form for i, form in enumerate(real(graph))
         )
 
     # K_B's sign negated: the plan now misses the target at every outcome
-    monkeypatch.setattr(
-        protocol, "_data_sign_forms", patched(lambda sign, mask: (-sign, mask))
-    )
+    monkeypatch.setattr(protocol, "_data_sign_forms", patched(lambda form: form ^ 1))
     report = verify_all_outcomes(P4)
     assert not report.passed
     assert set(fidelity_column(report)) == {0.0}
     # negated and carrying s1 too: exactly the outcomes with s1 = 1 reach |G>
     monkeypatch.setattr(
-        protocol, "_data_sign_forms", patched(lambda sign, mask: (-sign, mask ^ s1))
+        protocol, "_data_sign_forms", patched(lambda form: form ^ (s1 << 1 | 1))
     )
     report = verify_all_outcomes(P4)
     assert fidelity_column(report) == [float(i >= 32) for i in range(64)]
     # K_B absent: the engine cannot answer exactly, so it refuses
-    monkeypatch.setattr(protocol, "_data_sign_forms", patched(lambda sign, mask: None))
+    monkeypatch.setattr(protocol, "_data_sign_forms", patched(lambda form: None))
     with pytest.raises(AssertionError, match="K_B"):
         verify_all_outcomes(P4)
 
@@ -218,8 +217,7 @@ def test_records_and_summaries_match_enumerating_the_conditions(graph, mode, see
 
             def negating(graph):
                 forms = list(real(graph))
-                sign, mask = forms[negated]
-                forms[negated] = (-sign, mask)
+                forms[negated] ^= 1  # the constant bit of K_v's sign form
                 return tuple(forms)
 
             mp.setattr(protocol, "_data_sign_forms", negating)
@@ -227,7 +225,7 @@ def test_records_and_summaries_match_enumerating_the_conditions(graph, mode, see
     count = graph.outcome_count()
     conditions = report.conditions
     fidelities = [
-        float(all(((mask & s).bit_count() & 1) == odd for mask, odd in conditions))
+        float(not any((row & (s << 1 | 1)).bit_count() & 1 for row in conditions))
         for s in range(count)
     ]
     assert fidelity_column(report) == fidelities
@@ -275,17 +273,18 @@ def test_records_and_summaries_match_enumerating_the_conditions(graph, mode, see
 
 
 def test_report_pass_logic():
-    # outcome s meets (mask, odd) when |mask & s| has parity odd
-    odd_only = VerificationReport("toy", "universal", 4, ((0b1, True),))
+    # outcome s meets the sign form mask << 1 | odd when |mask & s| has
+    # parity odd, that is when |row & (s << 1 | 1)| is even
+    odd_only = VerificationReport("toy", "universal", 4, (0b11,))
     assert not odd_only.passed and odd_only.first_failure() == 0
     assert fidelity_column(odd_only) == [0.0, 1.0, 0.0, 1.0]
     assert (odd_only.min_fidelity, odd_only.max_fidelity) == (0.0, 1.0)
     assert odd_only.pass_count == 2
-    high_even = VerificationReport("toy", "universal", 4, ((0b10, False),))
+    high_even = VerificationReport("toy", "universal", 4, (0b100,))
     assert high_even.first_failure() == 2 and high_even.pass_count == 2
     assert fidelity_column(high_even) == [1.0, 1.0, 0.0, 0.0]
     # 0 = 1 fails every outcome, as do two contradicting rows
-    for conditions in (((0, True),), ((0b11, True), (0b11, False))):
+    for conditions in ((0b1,), (0b111, 0b110)):
         never = VerificationReport("toy", "universal", 4, conditions)
         assert never.first_failure() == 0 and never.max_fidelity == 0.0
         assert never.pass_count == 0
@@ -293,15 +292,46 @@ def test_report_pass_logic():
     clean = VerificationReport("toy", "universal", 4, ())
     assert clean.passed and clean.first_failure() is None and clean.pass_count == 4
     assert fidelity_column(clean) == [1.0] * 4
+    # seeded row sets over 2^6 outcomes against each row's sign read at
+    # every outcome: duplicate and dependent rows, rows that are only the
+    # constant, and contradicting pairs such as {0b11, 0b10}
+    rng = random.Random(3906)
+    count, kinds = 64, set()
+    for _ in range(400):
+        rows = [rng.randrange(1, 2 * count) for _ in range(rng.randint(0, 4))]
+        for kind, chance in (("duplicate", 0.3), ("dependent", 0.3), ("contradiction", 0.3)):
+            if rows and rng.random() < chance:
+                a, b = rng.choice(rows), rng.choice(rows)
+                row = {"duplicate": a, "dependent": a ^ b, "contradiction": a ^ 1}[kind]
+                if row:
+                    rows.append(row)
+                    kinds.add(kind)
+        if rng.random() < 0.2:
+            rows.append(0b1)
+            kinds.add("odd-only")
+        rng.shuffle(rows)
+        report = VerificationReport("toy", "universal", count, tuple(rows))
+        met = [not any((row & (s << 1 | 1)).bit_count() & 1 for row in rows) for s in range(count)]
+        runs, start = [], 0
+        for value, group in itertools.groupby(met):
+            stop = start + len(list(group))
+            runs.append((start, stop, float(value)))
+            start = stop
+        assert report.passed is all(met)
+        assert report.pass_count == sum(met)
+        assert report.first_failure() == next((s for s, m in enumerate(met) if not m), None)
+        assert report.fidelity_runs() == runs
+        kinds.add(("never", "some", "all")[(sum(met) > 0) + all(met)])
+    assert kinds == {"duplicate", "dependent", "contradiction", "odd-only", "never", "some", "all"}
 
 
 def test_max_fidelity_is_decided_past_the_float_range():
     # 1,100 independent conditions: their pass fraction 2^-1100 is 0.0 as
     # a float, yet some outcome meets them all
-    independent = tuple((1 << i, False) for i in range(1100))
+    independent = tuple(1 << i + 1 for i in range(1100))
     report = VerificationReport("G", "universal", 4**600, independent)
     assert report.max_fidelity == 1.0 and report.pass_count == 4**600 >> 1100
-    contradicted = independent + ((0b11, True), (0b11, False))
+    contradicted = independent + (0b111, 0b110)
     never = VerificationReport("G", "universal", 4**600, contradicted)
     assert never.max_fidelity == 0.0 and never.pass_count == 0
 
