@@ -22,8 +22,10 @@ with no argparse.  An option may be abbreviated to a unique prefix and
 written as --flag value or --flag=value, and a later use of it wins.
 Importing this module loads pqw.graphs and no engine, so help, version
 and usage errors load none; a command imports the engine it runs when it
-runs: verify and lc pqw.verify, noise and counts pqw.noise.  Files are
-read and written with open, and a path is quoted in a message as given.
+runs: verify and lc pqw.verify, noise and counts pqw.noise, which loads
+pqw.verify and pqw.protocol only when a sweep runs, so counts and
+noise --compare load neither.  Files are read and written with open,
+and a path is quoted in a message as given.
 """
 
 import math

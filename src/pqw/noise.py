@@ -48,7 +48,10 @@ each expectation is read off the sign forms of the K_v, defined in
 pqw.protocol's docstring.  Both conditional paths cost 2^|V| terms, so
 DEFAULT_VERTEX_BUDGET bounds |V| there.  No channel changes the code, so
 a sweep builds it, or strict's noiseless fraction, once and reads every
-p off that one build.
+p off that one build.  noise_sweep is the one function here that calls
+the engine; it imports pqw.protocol and pqw.verify when it runs, and the
+sums read only the ints it hands them and the channel tables, so the
+closed forms and the count arithmetic load no engine.
 
 The default is strict because the closed-form curves are the quantity
 the rest of the toolchain (effective-p extraction, channel comparisons)
@@ -61,10 +64,7 @@ import sys
 from collections import namedtuple
 from itertools import product
 
-from . import protocol
 from .graphs import CHANNEL_ALIASES, INSERTION_POINTS, METRICS, Graph, ResourceError, _Checked
-from .protocol import _present_sign_forms, _sign_forms
-from .verify import verify_all_outcomes
 
 CHANNEL_KINDS = tuple(CHANNEL_ALIASES.values())
 
@@ -243,7 +243,8 @@ def noisy_protocol_fidelity(
     of the module docstring, not Kraus branches, so DEFAULT_VERTEX_BUDGET
     bounds the vertex count there.  Both reduce to 1 at p=0.
     """
-    return _fidelities(graph, (channel,), correction_kind, insertion, metric)[0]
+    sweep = noise_sweep(graph, channel.kind, (channel.p,), correction_kind, insertion, metric)
+    return sweep.fidelities[0]
 
 
 def noise_sweep(
@@ -254,49 +255,47 @@ def noise_sweep(
     insertion: str = "post_prep",
     metric: str = "strict",
 ) -> NoiseReport:
-    """noisy_protocol_fidelity at each grid point, from one build of the
-    code, with the closed-form curve where one exists (depolarizing and
-    phase damping; amplitude damping has none and gets no overlay).  Every
-    argument is checked before any point is computed."""
+    """noisy_protocol_fidelity at each grid point, with the closed-form
+    curve where one exists (depolarizing and phase damping; amplitude
+    damping has none and gets no overlay).  Every argument is checked
+    before any point is computed; the sweep's one engine call reads the
+    correction kind's forms, and so checks it, before any channel is read."""
+    from . import protocol, verify
+
     kind = CHANNEL_ALIASES.get(channel_kind, channel_kind)
     _check_choice("channel kind", kind, CHANNEL_KINDS)
     grid = tuple(float(p) for p in p_grid)
     channels = [NoiseChannel(kind, p) for p in grid]
+    _check_choice("insertion point", insertion, INSERTION_POINTS)
+    _check_choice("metric", metric, METRICS)
     k = 2 * graph.n_edges
-    fidelities = tuple(_fidelities(graph, channels, correction_kind, insertion, metric))
+    if metric == "strict":
+        # the per-qubit retention sum_b (tr(K_b)/2)^2 to the power k, times
+        # the noiseless fidelity: the share of outcomes that meet every sign condition
+        report = verify.verify_all_outcomes(graph, correction_kind)
+        noiseless = report.pass_count / report.outcome_count
+        kraus = map(_kraus_lists, channels)
+        retention = [math.fsum((op[0][0] + op[1][1]) ** 2 / 4.0 for op in ops) for ops in kraus]
+        fidelities = [r**k * noiseless for r in retention]
+    elif graph.n_vertices > DEFAULT_VERTEX_BUDGET:
+        raise ResourceError(
+            f"Heisenberg sum over {graph.n_vertices} vertices exceeds the budget "
+            f"of {DEFAULT_VERTEX_BUDGET}; pick a smaller graph"
+        )
+    elif insertion == "post_prep":
+        generators = protocol._heisenberg_generators(graph, correction_kind)
+        fidelities = _prepared_sums(graph, generators, channels)
+    else:
+        forms = protocol._present_sign_forms(graph)
+        phis = protocol._sign_forms(graph, correction_kind)
+        fidelities = _measured_sums(graph, forms, phis, channels)
     if kind == "depolarizing":
         analytic = tuple(f_star_dep(p, k) for p in grid)
     elif kind == "phase_damping":
         analytic = tuple(f_star_pd(p, k) for p in grid)
     else:
         analytic = None
-    return NoiseReport(grid, fidelities, analytic, k)
-
-
-def _fidelities(
-    graph: Graph, channels, correction_kind: str, insertion: str, metric: str
-) -> list[float]:
-    """The exact fidelity under each channel, from one build of what no
-    channel changes; the build reads the correction kind's forms, and so
-    checks it, before any channel is read."""
-    _check_choice("insertion point", insertion, INSERTION_POINTS)
-    _check_choice("metric", metric, METRICS)
-    if metric == "strict":
-        # the per-qubit retention sum_b (tr(K_b)/2)^2 to the power k, times
-        # the noiseless fidelity: the share of outcomes that meet every sign condition
-        report = verify_all_outcomes(graph, correction_kind)
-        noiseless = report.pass_count / report.outcome_count
-        kraus = map(_kraus_lists, channels)
-        retention = [math.fsum((op[0][0] + op[1][1]) ** 2 / 4.0 for op in ops) for ops in kraus]
-        return [r ** (2 * graph.n_edges) * noiseless for r in retention]
-    if graph.n_vertices > DEFAULT_VERTEX_BUDGET:
-        raise ResourceError(
-            f"Heisenberg sum over {graph.n_vertices} vertices exceeds the budget "
-            f"of {DEFAULT_VERTEX_BUDGET}; pick a smaller graph"
-        )
-    if insertion == "post_prep":
-        return _prepared_sums(graph, correction_kind, channels)
-    return _measured_sums(graph, correction_kind, channels)
+    return NoiseReport(grid, tuple(fidelities), analytic, k)
 
 
 # -- Heisenberg-picture sum ----------------------------------------------------
@@ -319,7 +318,7 @@ def _times(a: tuple[int, int, int], b: tuple[int, int, int]) -> tuple[int, int, 
     return a[0] ^ b[0], a[1] ^ b[1], (a[2] + b[2] + (a[1] & b[0]).bit_count()) & 1
 
 
-def _measured_sums(graph: Graph, correction_kind: str, channels) -> list[float]:
+def _measured_sums(graph: Graph, forms, phis, channels) -> list[float]:
     """Conditional fidelity of each channel, E^dagger(Z) = a + b Z, on
     every resource qubit just before it is measured:
 
@@ -333,14 +332,12 @@ def _measured_sums(graph: Graph, correction_kind: str, channels) -> list[float]:
     So per resource bit (phi_A, sigma_A) reads (0,0) -> 1, (1,0) -> a,
     (1,1) -> b and (0,1) -> 0.  phi_A and the sign form are xor-linear in
     A, so a code element is phi_A | form_A << k, kept, when sigma_A lies
-    in phi_A, as the exponents of a and b and the sign.
+    in phi_A, as the exponents of a and b and the sign.  forms are the
+    sign forms of the K_v and phis the plan's masks phi_v, as ints.
     """
     k = 2 * graph.n_edges
     low = (1 << k) - 1
-    generators = [
-        phi | form << k
-        for form, phi in zip(_present_sign_forms(graph), _sign_forms(graph, correction_kind))
-    ]
+    generators = [phi | form << k for form, phi in zip(forms, phis)]
     terms = []
     for term in _code(0, generators, operator.xor):
         phi, sigma = term & low, term >> k + 1
@@ -405,13 +402,14 @@ def _edge_table(ops: list) -> list[float]:
     return table
 
 
-def _prepared_sums(graph: Graph, correction_kind: str, channels) -> list[float]:
+def _prepared_sums(graph: Graph, generators, channels) -> list[float]:
     """Conditional fidelity of each channel on every resource qubit right
     after the pairs are prepared:
 
         F = 2^-|V| sum_{A subset V} <psi_prep| E^dagger(W^dagger S_A W) |psi_prep>
 
-    with S_A the product of the code generators in A.  psi_prep is |+>
+    with S_A the product of the code generators in A, given walked back
+    as (x, z, odd) ints.  psi_prep is |+>
     on each data qubit, where a Z gives 0, and CZ|++> on each edge, where
     the adjoint channel on both halves gives one entry of the edge table.
     So an element is kept, when it has no data Z, as its sign and the
@@ -419,7 +417,6 @@ def _prepared_sums(graph: Graph, correction_kind: str, channels) -> list[float]:
     """
     nv, n_edges = graph.n_vertices, graph.n_edges
     data = (1 << nv) - 1
-    generators = protocol._heisenberg_generators(graph, correction_kind)
     terms = []
     for x, z, odd in _code((0, 0, 0), generators, _times):
         if not z & data:

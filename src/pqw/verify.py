@@ -75,18 +75,18 @@ class VerificationReport(
     """The outcome sweep of one graph under one plan, as its sign
     conditions, a tuple of int sign forms: outcome s reaches |G> exactly
     when every condition gives +1 there, |row & (s << 1 | 1)| even, and
-    has probability 1/outcome_count.  Each condition fails some outcome,
-    as verify_all_outcomes keeps only those."""
+    has probability 1/outcome_count.  A row that is 0 holds at every
+    outcome."""
 
     __slots__ = ()
 
     @property
     def passed(self) -> bool:
-        return not self.conditions
+        return not any(self.conditions)
 
     @property
     def min_fidelity(self) -> float:
-        return 0.0 if self.conditions else 1.0
+        return 0.0 if any(self.conditions) else 1.0
 
     @property
     def pass_count(self) -> int:
@@ -107,9 +107,7 @@ class VerificationReport(
         odd condition, and else the lowest set bit of a mask is the first
         index whose parity flips; row & -row is bit 0 for the first and
         that bit shifted up for the second."""
-        if not self.conditions:
-            return None
-        return min(row & -row for row in self.conditions) >> 1
+        return min(((row & -row) >> 1 for row in self.conditions if row), default=None)
 
     def fidelity_runs(self) -> list[tuple[int, int, float]]:
         """The fidelity column as its maximal runs of equal fidelity, each
@@ -117,7 +115,7 @@ class VerificationReport(
         else one bytes.find over the column per run, with no step per
         outcome."""
         count = self.outcome_count
-        if not self.conditions:
+        if not any(self.conditions):
             return [(0, count, 1.0)]
         column = _met(count, self.conditions)
         runs = []

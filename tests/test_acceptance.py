@@ -124,7 +124,7 @@ def test_criterion_05_noise_closed_forms():
     ok = worst < 1e-10 and ordered
     _report(
         5,
-        "exact branch sums match both closed forms; damping is least destructive",
+        "strict retention to the power k matches both closed forms; damping is least destructive",
         ok,
         f"max |dF|={worst:.1e}, ordering={'yes' if ordered else 'no'}",
     )

@@ -153,10 +153,12 @@ def _reports(draw):
     return VerificationReport(name, "universal", count, tuple(conditions))
 
 
-# outcomes alternate; every outcome fails; two rows contradict each other
+# outcomes alternate; every outcome fails; a row that is 0 holds at
+# every outcome; two rows contradict each other
 REPORT_EXAMPLES = (
     [VerificationReport("a,b", "universal", 16, (0b11,))],
     [VerificationReport("P3", "universal", 4, (0b1,))],
+    [VerificationReport("x", "universal", 4, (0,))],
     [
         VerificationReport("big", "universal", 4096, (0b1100,)),
         VerificationReport('"q"', "universal", 4, (0b101, 0b100)),
@@ -182,10 +184,18 @@ def _written(reports, fmt: str) -> tuple[str, bytes]:
         patch.setattr(verify, "verify_all_outcomes", lambda *a, **k: next(produced))
         stdout, stderr = io.StringIO(), io.StringIO()
         argv = ["verify", "--graph", "all", "--format", fmt]
-        code = EXIT_PASS if all(r.passed for r in reports) else EXIT_FAIL
+        columns = [fidelity_column(r) for r in reports]
+        code = EXIT_PASS if all(0.0 not in c for c in columns) else EXIT_FAIL
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
             assert main(argv) == code
             assert main([*argv, "--out", f"{tmp}/out"]) == code
+        # each run names the first outcome of fidelity 0 of each report that has one
+        failures = "".join(
+            f"pqw: {r.graph_name}: outcome {c.index(0.0)} has fidelity 0\n"
+            for r, c in zip(reports, columns)
+            if 0.0 in c
+        )
+        assert stderr.getvalue() == 2 * failures
         return stdout.getvalue(), Path(tmp, "out").read_bytes()
 
 
@@ -234,7 +244,14 @@ def test_verify_json_matches_one_dict_per_outcome(reports):
         }
     expected = cli._render_json(payload)
     assert cli._verify_json(reports) == expected
-    assert _written(reports, "json") == (expected, expected.encode("utf-8"))
+    out, saved = _written(reports, "json")
+    assert (out, saved) == (expected, expected.encode("utf-8"))
+    # passed and min_fidelity are what the records written beside them say
+    written = json.loads(out)
+    for entry in written["reports"] if len(reports) > 1 else [written]:
+        fidelities = [record["fidelity"] for record in entry["records"]]
+        assert entry["passed"] is (min(fidelities) == 1.0)
+        assert entry["min_fidelity"] == min(fidelities)
 
 
 C8_CSV_SHA256 = "b4e495ae585d4ac91087a056e2a89e0d53f8cf0b056d2490087411836d524771"

@@ -381,7 +381,7 @@ def _assert_strict_reads_the_noiseless_sum(graph, kind):
     k = 2 * graph.n_edges
     # the noiseless sum: depolarizing at p = 0 just before measurement
     clean = NoiseChannel("depolarizing", 0.0)
-    noiseless = noise._fidelities(graph, (clean,), kind, "pre_measure", "conditional")[0]
+    noiseless = noisy_protocol_fidelity(graph, clean, kind, "pre_measure", "conditional")
     for channel in CHANNEL_KINDS:
         channel = NoiseChannel(channel, 0.3)
         want = _retention(channel) ** k * noiseless
@@ -694,7 +694,7 @@ def test_a_sweep_builds_its_code_once(monkeypatch, insertion, metric, builder):
     calls = collections.Counter()
     for module, name in (
         (verify, "_sign_conditions"),
-        (noise, "_present_sign_forms"),
+        (protocol, "_present_sign_forms"),
         (protocol, "_heisenberg_generators"),
     ):
 

@@ -538,6 +538,37 @@ def test_commands_load_no_argparse_and_only_their_engine():
     ]
 
 
+# Runs the command given as its arguments in a fresh interpreter and
+# prints its exit code and then the pqw modules loaded once it has run.
+ONE_COMMAND_SCRIPT = r"""
+import contextlib
+import io
+import sys
+
+from pqw.cli import main
+
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+print(code, *sorted(name for name in sys.modules if name.split(".")[0] == "pqw"))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    (
+        ["counts", "--fidelity", "0.9241", "--k", "6"],
+        ["noise", "--compare", "fig4", "--p", "0.2"],
+    ),
+    ids=("counts", "compare"),
+)
+def test_closed_forms_load_no_engine(argv):
+    # counts and noise --compare run only closed forms and count
+    # arithmetic: pqw.noise imports the engine inside noise_sweep alone,
+    # so neither pqw.protocol nor pqw.verify is loaded
+    loaded = _run_fresh(ONE_COMMAND_SCRIPT, *argv).split()
+    assert loaded == ["0", "pqw", "pqw.cli", "pqw.graphs", "pqw.noise"]
+
+
 def test_only_the_dense_oracle_keeps_a_cache():
     # the engines keep nothing between calls; the one cache holds the
     # dense oracle's walked register, which is read-only

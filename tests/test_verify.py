@@ -294,7 +294,7 @@ def test_report_pass_logic():
     assert fidelity_column(clean) == [1.0] * 4
     # seeded row sets over 2^6 outcomes against each row's sign read at
     # every outcome: duplicate and dependent rows, rows that are only the
-    # constant, and contradicting pairs such as {0b11, 0b10}
+    # constant, rows that are 0, and contradicting pairs such as {0b11, 0b10}
     rng = random.Random(3906)
     count, kinds = 64, set()
     for _ in range(400):
@@ -309,6 +309,9 @@ def test_report_pass_logic():
         if rng.random() < 0.2:
             rows.append(0b1)
             kinds.add("odd-only")
+        if rng.random() < 0.2:
+            rows.append(0)
+            kinds.add("zero")
         rng.shuffle(rows)
         report = VerificationReport("toy", "universal", count, tuple(rows))
         met = [not any((row & (s << 1 | 1)).bit_count() & 1 for row in rows) for s in range(count)]
@@ -318,11 +321,14 @@ def test_report_pass_logic():
             runs.append((start, stop, float(value)))
             start = stop
         assert report.passed is all(met)
+        assert (report.min_fidelity, report.max_fidelity) == (float(all(met)), float(any(met)))
         assert report.pass_count == sum(met)
         assert report.first_failure() == next((s for s, m in enumerate(met) if not m), None)
         assert report.fidelity_runs() == runs
         kinds.add(("never", "some", "all")[(sum(met) > 0) + all(met)])
-    assert kinds == {"duplicate", "dependent", "contradiction", "odd-only", "never", "some", "all"}
+    assert kinds == {
+        "duplicate", "dependent", "contradiction", "odd-only", "zero", "never", "some", "all",
+    }
 
 
 def test_max_fidelity_is_decided_past_the_float_range():
