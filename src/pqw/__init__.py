@@ -29,8 +29,7 @@ _EXPORTS = {
     ),
     "noise": (
         "NoiseChannel", "NoiseReport", "bhattacharyya_fidelity", "extract_p_eff",
-        "f_star_dep", "f_star_pd", "noise_sweep", "noisy_protocol_fidelity",
-        "parse_channel", "t1_damping_estimate",
+        "f_star_dep", "f_star_pd", "noise_sweep",
     ),
     "protocol": (
         "c4_correction", "correction_forms", "l4_correction", "tree_correction",

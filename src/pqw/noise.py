@@ -49,9 +49,10 @@ pqw.protocol's docstring.  Both conditional paths cost 2^|V| terms, so
 DEFAULT_VERTEX_BUDGET bounds |V| there.  No channel changes the code, so
 a sweep builds it, or strict's noiseless fraction, once and reads every
 p off that one build.  noise_sweep is the one function here that calls
-the engine; it imports pqw.protocol and pqw.verify when it runs, and the
-sums read only the ints it hands them and the channel tables, so the
-closed forms and the count arithmetic load no engine.
+the engine; it imports pqw.verify when it runs strict and pqw.protocol
+when it runs conditional, and the sums read only the ints it hands them
+and the channel tables, so the closed forms and the count arithmetic
+load no engine.
 
 The default is strict because the closed-form curves are the quantity
 the rest of the toolchain (effective-p extraction, channel comparisons)
@@ -86,11 +87,6 @@ class NoiseChannel(_Checked, namedtuple("NoiseChannel", "kind p")):
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"channel strength must lie in [0, 1], got {p}")
         return super().__new__(cls, kind, p)
-
-
-def parse_channel(name: str, p: float) -> NoiseChannel:
-    """Accepts both the full kind names and the short aliases dep, pd, ad."""
-    return NoiseChannel(CHANNEL_ALIASES.get(name, name), p)
 
 
 def _kraus_lists(channel: NoiseChannel) -> tuple[list[list[float]], ...]:
@@ -158,17 +154,6 @@ def extract_p_eff(fidelity: float, k: int) -> float:
     return min((4.0 / 3.0) * (1.0 - min(fidelity, 1.0) ** (1.0 / k)), 1.0)
 
 
-def t1_damping_estimate(duration_us: float, t1_us: float) -> float:
-    """Decay probability 1 - exp(-duration/T1) accumulated over a gate
-    or delay of the given length."""
-    # written so that NaN fails them
-    if not duration_us >= 0:
-        raise ValueError(f"duration must be non-negative, got {duration_us}")
-    if not t1_us > 0:
-        raise ValueError(f"T1 must be positive, got {t1_us}")
-    return 1.0 - math.exp(-duration_us / t1_us)
-
-
 def bhattacharyya_fidelity(
     counts: dict[str, int], ideal: dict[str, float], squared: bool = True
 ) -> float:
@@ -226,27 +211,6 @@ class NoiseReport(_Checked, namedtuple("NoiseReport", "p_grid fidelities analyti
 # -- exact fidelities --------------------------------------------------------
 
 
-def noisy_protocol_fidelity(
-    graph: Graph,
-    channel: NoiseChannel,
-    correction_kind: str = "universal",
-    insertion: str = "post_prep",
-    metric: str = "strict",
-) -> float:
-    """Exact fidelity of the distributed state under independent noise
-    on every resource qubit: noise_sweep at one point.
-
-    Neither metric enumerates outcomes or error branches.  Strict is the
-    per-qubit retention to the power k = 2|E|, times the share
-    pass_count / outcome_count of the 4^|E| outcomes that pass the
-    noiseless sign conditions.  Conditional sums the 2^|V| code elements
-    of the module docstring, not Kraus branches, so DEFAULT_VERTEX_BUDGET
-    bounds the vertex count there.  Both reduce to 1 at p=0.
-    """
-    sweep = noise_sweep(graph, channel.kind, (channel.p,), correction_kind, insertion, metric)
-    return sweep.fidelities[0]
-
-
 def noise_sweep(
     graph: Graph,
     channel_kind: str,
@@ -255,13 +219,18 @@ def noise_sweep(
     insertion: str = "post_prep",
     metric: str = "strict",
 ) -> NoiseReport:
-    """noisy_protocol_fidelity at each grid point, with the closed-form
-    curve where one exists (depolarizing and phase damping; amplitude
-    damping has none and gets no overlay).  Every argument is checked
-    before any point is computed; the sweep's one engine call reads the
-    correction kind's forms, and so checks it, before any channel is read."""
-    from . import protocol, verify
+    """Exact fidelity under independent noise of each strength in p_grid
+    on every resource qubit, with the closed-form curve where one exists
+    (depolarizing and phase damping; amplitude damping gets no overlay).
 
+    Neither metric enumerates outcomes or error branches.  Strict is the
+    per-qubit retention to the power k = 2|E| times the share
+    pass_count / outcome_count of the outcomes that pass the noiseless
+    sign conditions.  Conditional sums the 2^|V| code elements of the
+    module docstring, so DEFAULT_VERTEX_BUDGET bounds |V| there.  Under a
+    valid plan both are 1 at p=0.  Every argument is checked before any
+    point is computed; the one engine call reads the correction kind's
+    forms, and so checks it, before any channel is read."""
     kind = CHANNEL_ALIASES.get(channel_kind, channel_kind)
     _check_choice("channel kind", kind, CHANNEL_KINDS)
     grid = tuple(float(p) for p in p_grid)
@@ -272,6 +241,8 @@ def noise_sweep(
     if metric == "strict":
         # the per-qubit retention sum_b (tr(K_b)/2)^2 to the power k, times
         # the noiseless fidelity: the share of outcomes that meet every sign condition
+        from . import verify
+
         report = verify.verify_all_outcomes(graph, correction_kind)
         noiseless = report.pass_count / report.outcome_count
         kraus = map(_kraus_lists, channels)
@@ -282,13 +253,16 @@ def noise_sweep(
             f"Heisenberg sum over {graph.n_vertices} vertices exceeds the budget "
             f"of {DEFAULT_VERTEX_BUDGET}; pick a smaller graph"
         )
-    elif insertion == "post_prep":
-        generators = protocol._heisenberg_generators(graph, correction_kind)
-        fidelities = _prepared_sums(graph, generators, channels)
     else:
-        forms = protocol._present_sign_forms(graph)
-        phis = protocol._sign_forms(graph, correction_kind)
-        fidelities = _measured_sums(graph, forms, phis, channels)
+        from . import protocol
+
+        if insertion == "post_prep":
+            generators = protocol._heisenberg_generators(graph, correction_kind)
+            fidelities = _prepared_sums(graph, generators, channels)
+        else:
+            forms = protocol._present_sign_forms(graph)
+            phis = protocol._sign_forms(graph, correction_kind)
+            fidelities = _measured_sums(graph, forms, phis, channels)
     if kind == "depolarizing":
         analytic = tuple(f_star_dep(p, k) for p in grid)
     elif kind == "phase_damping":

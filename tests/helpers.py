@@ -1,8 +1,8 @@
 """Shared test machinery: random Clifford circuits applied both densely
 and symbolically, explicit matrix builders used as oracles for the
 reshape-based gate kernels, the dense Kraus-branch reference for the
-noise engines, random graphs, and small comparisons that only tests
-use."""
+noise engines, random graphs, the T1 decay arithmetic, and small
+comparisons that only tests use."""
 
 from __future__ import annotations
 
@@ -242,3 +242,15 @@ def fidelity_column(report) -> list[float]:
     """Each outcome's fidelity in index order: a VerificationReport's
     fidelity_runs() expanded to one value per outcome."""
     return [f for start, stop, f in report.fidelity_runs() for _ in range(start, stop)]
+
+
+def t1_damping_estimate(duration_us: float, t1_us: float) -> float:
+    """Decay probability 1 - exp(-duration/T1) accumulated over a gate
+    or delay of the given length: the amplitude-damping p of a hardware
+    step."""
+    # written so that NaN fails them
+    if not duration_us >= 0:
+        raise ValueError(f"duration must be non-negative, got {duration_us}")
+    if not t1_us > 0:
+        raise ValueError(f"T1 must be positive, got {t1_us}")
+    return 1.0 - math.exp(-duration_us / t1_us)

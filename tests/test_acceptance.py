@@ -19,17 +19,10 @@ from dense import (
     run_protocol,
 )
 from pqw.graphs import TABLE_ORDER, catalog_lookup
-from pqw.noise import (
-    NoiseChannel,
-    extract_p_eff,
-    f_star_dep,
-    f_star_pd,
-    noisy_protocol_fidelity,
-    t1_damping_estimate,
-)
+from pqw.noise import extract_p_eff, f_star_dep, f_star_pd, noise_sweep
 from pqw.verify import phase_lemma_check, verify_all_outcomes
 
-from helpers import random_circuit, run_dense, run_tableau
+from helpers import random_circuit, run_dense, run_tableau, t1_damping_estimate
 from pauli import correction_plan, plans_equivalent
 
 P4 = catalog_lookup("P4")
@@ -116,9 +109,9 @@ def test_criterion_05_noise_closed_forms():
     worst = 0.0
     ordered = True
     for p in points:
-        dep = noisy_protocol_fidelity(P4, NoiseChannel("depolarizing", p))
-        pd = noisy_protocol_fidelity(P4, NoiseChannel("phase_damping", p))
-        ad = noisy_protocol_fidelity(P4, NoiseChannel("amplitude_damping", p))
+        dep = noise_sweep(P4, "depolarizing", (p,)).fidelities[0]
+        pd = noise_sweep(P4, "phase_damping", (p,)).fidelities[0]
+        ad = noise_sweep(P4, "amplitude_damping", (p,)).fidelities[0]
         worst = max(worst, abs(dep - f_star_dep(p, 6)), abs(pd - f_star_pd(p, 6)))
         ordered = ordered and pd >= dep and pd >= ad >= dep
     ok = worst < 1e-10 and ordered

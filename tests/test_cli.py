@@ -604,7 +604,10 @@ def test_negative_zero_p_reads_as_zero(capsys):
 def test_bad_p_grid_is_usage_error(capsys):
     assert main(["noise", "--channel", "dep", "--p", "0.5:0.1:0.1"]) == EXIT_USAGE
     assert main(["noise", "--channel", "dep", "--p", "nope"]) == EXIT_USAGE
+    capsys.readouterr()
+    # a zero step is refused by name, before the grid's size is worked out
     assert main(["noise", "--channel", "dep", "--p", "0:1:0"]) == EXIT_USAGE
+    assert "p step must be positive, got 0.0" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("spec", ("0:inf:0.1", "0:nan:0.1", "nan:1:0.1", "0:1:nan"))
@@ -781,7 +784,7 @@ def test_lc_golden_json(capsys):
 def test_lc_names_an_edge_list_by_its_stem(tmp_path, capsys):
     # as verify and noise name it: the file name up to its last dot, unless
     # that dot leads or ends the name
-    stems = {"p4.txt": "p4", "g.v2.txt": "g.v2", ".p4": ".p4", "p4.": "p4."}
+    stems = {"p4.txt": "p4", "g.v2.txt": "g.v2", "p4.x": "p4", ".p4": ".p4", "p4.": "p4."}
     for file_name, stem in stems.items():
         path = tmp_path / file_name
         path.write_text("A B\nB C\nC D\n", encoding="utf-8")

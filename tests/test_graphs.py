@@ -16,7 +16,7 @@ from pqw.graphs import (
     catalog_names,
     parse_edge_list,
 )
-from pqw.noise import NoiseChannel, noisy_protocol_fidelity
+from pqw.noise import noise_sweep
 from pqw.verify import phase_lemma_check, verify_all_outcomes
 
 K2 = Graph(("A", "B"), (("A", "B"),))
@@ -72,8 +72,8 @@ def test_any_sequences_build_the_tuple_graph():
     assert built.edges == (("A", "B"),)
     assert verify_all_outcomes(built).passed
     assert phase_lemma_check(built)
-    channel = NoiseChannel("depolarizing", 0.1)
-    assert noisy_protocol_fidelity(built, channel) == noisy_protocol_fidelity(K2, channel)
+    dep = [noise_sweep(graph, "depolarizing", (0.1,)).fidelities[0] for graph in (built, K2)]
+    assert dep[0] == dep[1]
 
 
 # -- catalog ------------------------------------------------------------------

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dense import kraus_ops
-from helpers import branch_fidelity, grid, small_connected_graphs
+from helpers import branch_fidelity, grid, small_connected_graphs, t1_damping_estimate
 from pqw import noise, protocol, verify
 from pqw.graphs import Graph, catalog_lookup, catalog_names, parse_edge_list
 from pqw.noise import (
@@ -33,9 +33,6 @@ from pqw.noise import (
     f_star_dep,
     f_star_pd,
     noise_sweep,
-    noisy_protocol_fidelity,
-    parse_channel,
-    t1_damping_estimate,
 )
 from pqw.protocol import CORRECTION_KINDS, correction_forms
 
@@ -87,15 +84,15 @@ def test_channel_validation():
         NoiseChannel("depolarizing", 1.5)
     with pytest.raises(ValueError, match="unknown channel"):
         NoiseChannel("bitflip", 0.1)
-    with pytest.raises(ValueError, match="unknown channel"):
-        parse_channel("bogus", 0.1)
 
 
 def test_channel_aliases():
-    assert parse_channel("dep", 0.2) == NoiseChannel("depolarizing", 0.2)
-    assert parse_channel("pd", 0.2) == NoiseChannel("phase_damping", 0.2)
-    assert parse_channel("ad", 0.2) == NoiseChannel("amplitude_damping", 0.2)
-    assert parse_channel("phase_damping", 0.2).kind == "phase_damping"
+    # a short alias and its full name give the same sweep
+    aliases = {"dep": "depolarizing", "pd": "phase_damping", "ad": "amplitude_damping"}
+    for alias, kind in aliases.items():
+        for metric in METRICS:
+            short = noise_sweep(P4, alias, (0.2,), metric=metric)
+            assert short == noise_sweep(P4, kind, (0.2,), metric=metric)
 
 
 def test_phase_damping_equals_phase_flip_channel():
@@ -209,23 +206,20 @@ def test_a_resource_count_is_a_whole_float_range_number(fn, first, k):
 
 @pytest.mark.parametrize("p", P_POINTS)
 def test_strict_metric_matches_depolarizing_form(p):
-    channel = NoiseChannel("depolarizing", p)
-    got = noisy_protocol_fidelity(P4, channel, metric="strict")
+    got = noise_sweep(P4, "depolarizing", (p,), metric="strict").fidelities[0]
     assert abs(got - f_star_dep(p, 6)) < 1e-10
 
 
 @pytest.mark.parametrize("p", P_POINTS)
 def test_strict_metric_matches_phase_damping_form(p):
-    channel = NoiseChannel("phase_damping", p)
-    got = noisy_protocol_fidelity(P4, channel, metric="strict")
+    got = noise_sweep(P4, "phase_damping", (p,), metric="strict").fidelities[0]
     assert abs(got - f_star_pd(p, 6)) < 1e-10
 
 
 def test_strict_metric_ignores_insertion_point():
     for kind in CHANNEL_KINDS:
-        channel = NoiseChannel(kind, 0.23)
-        a = noisy_protocol_fidelity(P4, channel, insertion="post_prep")
-        b = noisy_protocol_fidelity(P4, channel, insertion="pre_measure")
+        a = noise_sweep(P4, kind, (0.23,), insertion="post_prep").fidelities[0]
+        b = noise_sweep(P4, kind, (0.23,), insertion="pre_measure").fidelities[0]
         assert abs(a - b) < 1e-14
 
 
@@ -233,16 +227,16 @@ def test_strict_channel_ordering():
     # retention per noisy qubit: phase damping >= amplitude damping
     # >= depolarizing, strictly between the endpoints
     for p in np.arange(0.02, 1.0, 0.02):
-        dep = noisy_protocol_fidelity(P4, NoiseChannel("depolarizing", p))
-        pd = noisy_protocol_fidelity(P4, NoiseChannel("phase_damping", p))
-        ad = noisy_protocol_fidelity(P4, NoiseChannel("amplitude_damping", p))
+        dep = noise_sweep(P4, "depolarizing", (p,)).fidelities[0]
+        pd = noise_sweep(P4, "phase_damping", (p,)).fidelities[0]
+        ad = noise_sweep(P4, "amplitude_damping", (p,)).fidelities[0]
         assert pd > ad > dep or p == 1.0
 
 
 def test_amplitude_damping_strict_form():
     # |tr K0 / 2|^2 with tr K1 = 0 gives the squared phase-damping factor
     for p in (0.1, 0.4, 0.8):
-        got = noisy_protocol_fidelity(P4, NoiseChannel("amplitude_damping", p))
+        got = noise_sweep(P4, "amplitude_damping", (p,)).fidelities[0]
         want = (((1.0 + math.sqrt(1.0 - p)) / 2.0) ** 2) ** 6
         assert abs(got - want) < 1e-12
 
@@ -260,7 +254,7 @@ CONDITIONAL_ORACLES = (
 
 @pytest.mark.parametrize("kind,p,want", CONDITIONAL_ORACLES)
 def test_conditional_metric_frozen_oracles(kind, p, want):
-    got = noisy_protocol_fidelity(P4, NoiseChannel(kind, p), metric="conditional")
+    got = noise_sweep(P4, kind, (p,), metric="conditional").fidelities[0]
     assert abs(got - want) < 1e-9
 
 
@@ -269,9 +263,8 @@ def test_conditional_dominates_strict():
     # conditional average sits at or above the strict lower bound
     for kind in CHANNEL_KINDS:
         for p in (0.0, 0.1, 0.3):
-            channel = NoiseChannel(kind, p)
-            strict = noisy_protocol_fidelity(P4, channel, metric="strict")
-            cond = noisy_protocol_fidelity(P4, channel, metric="conditional")
+            strict = noise_sweep(P4, kind, (p,), metric="strict").fidelities[0]
+            cond = noise_sweep(P4, kind, (p,), metric="conditional").fidelities[0]
             assert cond >= strict - 1e-12
             if p == 0.0:
                 assert abs(cond - strict) < 1e-12
@@ -281,9 +274,7 @@ def test_single_edge_conditional_depolarizing_analytic():
     # one edge, two noisy qubits: the pair errors XZ, ZX and YY land
     # back in the shared state, so the branch sum is (1-3p/4)^2 + 3(p/4)^2
     for p in (0.1, 0.3):
-        got = noisy_protocol_fidelity(
-            K2, NoiseChannel("depolarizing", p), metric="conditional"
-        )
+        got = noise_sweep(K2, "depolarizing", (p,), metric="conditional").fidelities[0]
         want = (1.0 - 0.75 * p) ** 2 + 3.0 * (p / 4.0) ** 2
         assert abs(got - want) < 1e-12
 
@@ -291,9 +282,7 @@ def test_single_edge_conditional_depolarizing_analytic():
 def test_single_edge_conditional_phase_damping_analytic():
     # the surviving cross terms cancel for diagonal damping on one edge
     for p in (0.1, 0.3):
-        got = noisy_protocol_fidelity(
-            K2, NoiseChannel("phase_damping", p), metric="conditional"
-        )
+        got = noise_sweep(K2, "phase_damping", (p,), metric="conditional").fidelities[0]
         want = f_star_pd(p, 2)
         assert abs(got - want) < 1e-12
 
@@ -301,21 +290,15 @@ def test_single_edge_conditional_phase_damping_analytic():
 def test_phase_damping_before_measurement_is_invisible():
     # diagonal Kraus operators commute with the computational-basis
     # measurement, so damping inserted right before it changes nothing
-    got = noisy_protocol_fidelity(
-        P4,
-        NoiseChannel("phase_damping", 0.3),
-        insertion="pre_measure",
-        metric="conditional",
-    )
+    got = noise_sweep(
+        P4, "phase_damping", (0.3,), insertion="pre_measure", metric="conditional"
+    ).fidelities[0]
     assert abs(got - 1.0) < 1e-12
 
 
 def test_amplitude_damping_is_monotone_and_analytic_free():
     grid = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
-    values = [
-        noisy_protocol_fidelity(P4, NoiseChannel("amplitude_damping", p))
-        for p in grid
-    ]
+    values = [noise_sweep(P4, "amplitude_damping", (p,)).fidelities[0] for p in grid]
     assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
 
 
@@ -326,26 +309,23 @@ def test_qubit_budget_guard():
     # each conditional sum costs 2^|V| terms, so both check the vertex
     # count; strict reads its noiseless factor off the sign conditions
     path13 = parse_edge_list("".join(f"v{i} v{i + 1}\n" for i in range(12)))
-    strict = noisy_protocol_fidelity(path13, NoiseChannel("depolarizing", 0.1))
+    strict = noise_sweep(path13, "depolarizing", (0.1,)).fidelities[0]
     assert abs(strict - f_star_dep(0.1, 24)) < 1e-12
     for insertion in INSERTION_POINTS:
         with pytest.raises(ResourceError, match="13 vertices"):
-            noisy_protocol_fidelity(
-                path13,
-                NoiseChannel("amplitude_damping", 0.1),
-                insertion=insertion,
-                metric="conditional",
+            noise_sweep(
+                path13, "amplitude_damping", (0.1,), insertion=insertion, metric="conditional"
             )
 
 
 def test_vertex_budget_counts_vertices(monkeypatch):
     house = catalog_lookup("house")
-    pd = NoiseChannel("phase_damping", 0.1)
     monkeypatch.setattr(noise, "DEFAULT_VERTEX_BUDGET", 4)
     with pytest.raises(ResourceError, match="5 vertices"):
-        noisy_protocol_fidelity(house, pd, metric="conditional")
+        noise_sweep(house, "phase_damping", (0.1,), metric="conditional")
     monkeypatch.setattr(noise, "DEFAULT_VERTEX_BUDGET", 5)
-    assert noisy_protocol_fidelity(house, pd, metric="conditional") < 1.0
+    pd = noise_sweep(house, "phase_damping", (0.1,), metric="conditional").fidelities[0]
+    assert pd < 1.0
 
 
 @pytest.mark.parametrize(
@@ -356,8 +336,8 @@ def test_strict_has_no_vertex_budget(graph):
     # symbolic run and one elimination
     k = 2 * graph.n_edges
     for p in (0.0, 0.05, 0.3):
-        dep = noisy_protocol_fidelity(graph, NoiseChannel("depolarizing", p))
-        pd = noisy_protocol_fidelity(graph, NoiseChannel("phase_damping", p))
+        dep = noise_sweep(graph, "depolarizing", (p,)).fidelities[0]
+        pd = noise_sweep(graph, "phase_damping", (p,)).fidelities[0]
         assert dep == pytest.approx(f_star_dep(p, k), rel=1e-12, abs=0.0)
         assert pd == pytest.approx(f_star_pd(p, k), rel=1e-12, abs=0.0)
 
@@ -380,13 +360,12 @@ def _applicable_kinds(graph):
 def _assert_strict_reads_the_noiseless_sum(graph, kind):
     k = 2 * graph.n_edges
     # the noiseless sum: depolarizing at p = 0 just before measurement
-    clean = NoiseChannel("depolarizing", 0.0)
-    noiseless = noisy_protocol_fidelity(graph, clean, kind, "pre_measure", "conditional")
+    clean = noise_sweep(graph, "depolarizing", (0.0,), kind, "pre_measure", "conditional")
+    noiseless = clean.fidelities[0]
     for channel in CHANNEL_KINDS:
-        channel = NoiseChannel(channel, 0.3)
-        want = _retention(channel) ** k * noiseless
+        want = _retention(NoiseChannel(channel, 0.3)) ** k * noiseless
         for insertion in INSERTION_POINTS:
-            assert noisy_protocol_fidelity(graph, channel, kind, insertion) == want
+            assert noise_sweep(graph, channel, (0.3,), kind, insertion).fidelities[0] == want
     return noiseless
 
 
@@ -466,11 +445,12 @@ def _assert_engines_match_dense(graph, kind, channel, insertion):
     # retention times the same sum with no channel
     ops = kraus_ops(channel)
     dense = branch_fidelity(graph, ops, kind, insertion)
-    got = noisy_protocol_fidelity(graph, channel, kind, insertion, metric="conditional")
+    point = (graph, channel.kind, (channel.p,), kind, insertion)
+    got = noise_sweep(*point, metric="conditional").fidelities[0]
     assert abs(got - dense) < 1e-12
     retention = sum(abs(np.trace(op)) ** 2 for op in ops) / 4.0
     noiseless = branch_fidelity(graph, (np.eye(2),), kind, insertion)
-    strict = noisy_protocol_fidelity(graph, channel, kind, insertion, metric="strict")
+    strict = noise_sweep(*point, metric="strict").fidelities[0]
     assert abs(strict - retention ** (2 * graph.n_edges) * noiseless) < 1e-12
     return got, strict
 
@@ -501,9 +481,9 @@ def test_noise_engines_apply_the_plan(monkeypatch, name):
             cond, strict = _assert_engines_match_dense(graph, "universal", channel, insertion)
             assert cond < 0.5 and strict < 0.5
     for insertion in INSERTION_POINTS:
-        clean = NoiseChannel("depolarizing", 0.0)
         for metric in METRICS:
-            got = noisy_protocol_fidelity(graph, clean, insertion=insertion, metric=metric)
+            clean = noise_sweep(graph, "depolarizing", (0.0,), insertion=insertion, metric=metric)
+            got = clean.fidelities[0]
             assert got == 2.0**-graph.n_vertices
 
 
@@ -560,6 +540,8 @@ def test_bhattacharyya_fidelity():
     a = bhattacharyya_fidelity({"00": 3, "11": 1}, ideal4)
     b = bhattacharyya_fidelity({"00": 300, "11": 100}, ideal4)
     assert abs(a - b) < 1e-15
+    # a zero count is an outcome never seen: accepted, and the same as no key
+    assert bhattacharyya_fidelity({"00": 3, "01": 0, "11": 1}, ideal4) == a
 
 
 def test_bhattacharyya_validation():
@@ -646,8 +628,8 @@ def test_a_sweep_equals_its_points(name, kind):
             for metric in METRICS:
                 swept = noise_sweep(graph, channel, grid, kind, insertion, metric).fidelities
                 points = tuple(
-                    noisy_protocol_fidelity(graph, point, kind, insertion, metric)
-                    for point in (NoiseChannel(channel, p) for p in grid)
+                    noise_sweep(graph, channel, (p,), kind, insertion, metric).fidelities[0]
+                    for p in grid
                 )
                 assert swept == points, (channel, insertion, metric)
 
@@ -722,3 +704,9 @@ def test_noise_report_validation():
         NoiseReport((0.1,), (math.nan,), None, 2)
     with pytest.raises(ValueError, match=r"analytic overlay must lie in \[0, 1\], got nan$"):
         NoiseReport((0.1,), (0.9,), (math.nan,), 2)
+    # the range allows 1e-12 of float slack at each end, and no more
+    for f in (-1e-12, 1.0 + 1e-12):
+        NoiseReport((0.1,), (f,), (f,), 2)
+    for f in (-2e-12, 1.0 + 2e-12):
+        with pytest.raises(ValueError, match=r"fidelities must lie in \[0, 1\]"):
+            NoiseReport((0.1,), (f,), None, 2)

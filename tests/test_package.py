@@ -26,8 +26,7 @@ EXPORTS = {
     ),
     "noise": (
         "NoiseChannel", "NoiseReport", "bhattacharyya_fidelity", "extract_p_eff",
-        "f_star_dep", "f_star_pd", "noise_sweep", "noisy_protocol_fidelity",
-        "parse_channel", "t1_damping_estimate",
+        "f_star_dep", "f_star_pd", "noise_sweep",
     ),
     "protocol": (
         "c4_correction", "correction_forms", "l4_correction", "tree_correction",
@@ -90,11 +89,13 @@ def test_exports_resolve_to_their_defining_module():
 
 
 def test_unknown_attribute_still_raises():
-    # the dense oracle and the Pauli objects live in tests/, not here
+    # the dense oracle, the Pauli objects and the T1 arithmetic live in
+    # tests/, not here; noise_sweep is the one noise call
     for name in (
         "no_such_name", "statevector", "StateVector", "kraus_ops", "stabilizer",
         "PauliString", "conjugate_circuit", "run_protocol_tableau", "correction_plan",
-        "plans_equivalent", "stabilizer_generators",
+        "plans_equivalent", "stabilizer_generators", "noisy_protocol_fidelity",
+        "parse_channel", "t1_damping_estimate",
     ):
         with pytest.raises(AttributeError, match=name):
             getattr(pqw, name)
@@ -567,6 +568,20 @@ def test_closed_forms_load_no_engine(argv):
     # so neither pqw.protocol nor pqw.verify is loaded
     loaded = _run_fresh(ONE_COMMAND_SCRIPT, *argv).split()
     assert loaded == ["0", "pqw", "pqw.cli", "pqw.graphs", "pqw.noise"]
+
+
+@pytest.mark.parametrize("insertion", ("post_prep", "pre_measure"))
+@pytest.mark.parametrize(
+    "metric,engine",
+    [("conditional", ["pqw.protocol"]), ("strict", ["pqw.protocol", "pqw.verify"])],
+    ids=("conditional", "strict"),
+)
+def test_noise_loads_only_the_engine_its_metric_runs(metric, engine, insertion):
+    # conditional reads the walked generators or sign forms off
+    # pqw.protocol; only strict's noiseless fraction needs pqw.verify
+    argv = ["noise", "--graph", "C4", "--channel", "ad", "--p", "0.1"]
+    loaded = _run_fresh(ONE_COMMAND_SCRIPT, *argv, "--metric", metric, "--insertion", insertion)
+    assert loaded.split() == ["0", "pqw", "pqw.cli", "pqw.graphs", "pqw.noise", *engine]
 
 
 def test_only_the_dense_oracle_keeps_a_cache():

@@ -76,6 +76,8 @@ ACCEPTED = {
         ["verify", "--gr", "P4", "--corr", "l4", "--form", "csv"],
         RunConfig("verify", graph="P4", correction="l4", fmt="csv"),
     ),
+    # one letter after "--" is enough when it is a unique prefix
+    "one-letter-prefix": (["verify", "--g", "P4"], RunConfig("verify", graph="P4", fmt="json")),
     "prefix-equals": (
         ["noise", "--ch=pd", "--p=0.3", "--ins=pre_measure"],
         RunConfig("noise", graph="P4", channel="pd", p_grid=(0.3,),

@@ -18,7 +18,7 @@ from helpers import fidelity_column, grid, near_side_masks, small_connected_grap
 from pauli import correction_plan, stabilizer_generators
 from pqw import cli, protocol, verify
 from pqw.graphs import TABLE_ORDER, Graph, catalog_lookup, parse_edge_list
-from pqw.noise import NoiseChannel, f_star_dep, noise_sweep, noisy_protocol_fidelity
+from pqw.noise import NoiseChannel, f_star_dep, noise_sweep
 from pqw.verify import (
     LcReport,
     VerificationReport,
@@ -427,8 +427,7 @@ def test_engines_make_no_per_vertex_graph_lookup():
     assert verify_all_outcomes(square).passed
     assert verify_all_outcomes(path, "tree").passed
     assert phase_lemma_check(square) is True
-    channel = NoiseChannel("depolarizing", 0.1)
-    assert noisy_protocol_fidelity(square, channel) == pytest.approx(
+    assert noise_sweep(square, "depolarizing", (0.1,)).fidelities[0] == pytest.approx(
         f_star_dep(0.1, 2 * square.n_edges), rel=1e-12
     )
     assert lc_check(P4, K1_3, (_cut("ABCD", "AC"),)).inequivalent
