@@ -260,8 +260,8 @@ def noise_sweep(
             generators = protocol._heisenberg_generators(graph, correction_kind)
             fidelities = _prepared_sums(graph, generators, channels)
         else:
-            forms = protocol._present_sign_forms(graph)
             phis = protocol._sign_forms(graph, correction_kind)
+            forms = protocol._data_sign_forms(graph)
             fidelities = _measured_sums(graph, forms, phis, channels)
     if kind == "depolarizing":
         analytic = tuple(f_star_dep(p, k) for p in grid)

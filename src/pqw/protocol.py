@@ -192,10 +192,11 @@ def far_side_masks(graph: Graph) -> list[int]:
     return masks
 
 
-def _data_sign_forms(graph: Graph) -> tuple[int | None, ...]:
-    """The sign form sigma_v << 1 | odd_v of each K_v after S1-S4, or None
-    where K_v is missing from the data group: at outcome s the data group
-    holds (-1)^{odd_v + |sigma_v & s|} K_v.
+def _data_sign_forms(graph: Graph) -> tuple[int, ...]:
+    """The sign form sigma_v << 1 | odd_v of each K_v after S1-S4: at
+    outcome s the data group holds (-1)^{odd_v + |sigma_v & s|} K_v.
+    Raises AssertionError naming the first K_v in vertex order that it
+    cannot read, as no sign form answers for that K_v exactly.
 
     Measuring resource qubit r gives (-1)^{s_r} Z_r, so K_v has that form
     when (-1)^{odd_v} K_v (x) Z_R^{sigma_v} stabilizes the walked state, that is
@@ -206,9 +207,9 @@ def _data_sign_forms(graph: Graph) -> tuple[int | None, ...]:
     Z_r comes back as X_r Z_{r'} Z_{d(r)}; pass 2 runs every K_v (x)
     Z_R^{sigma_v} back and checks it.  So a form returned holds on any
     circuit, but on another circuit pass 1 may pick a sigma_v that fails
-    and report a K_v missing that the data group holds: on K2 with CZ(3, 2)
-    before the walk and H(0) after it the reader returns (None, None),
-    though K_A is there at every outcome with sign (-1)^{|s|}.
+    and refuse a K_v that the data group holds: on K2 with CZ(3, 2)
+    before the walk and H(0) after it the reader refuses K_A, though K_A
+    is there at every outcome with sign (-1)^{|s|}.
     """
     nv, k = graph.n_vertices, 2 * graph.n_edges
     # each gate is its own inverse, so the circuit runs back last gate first
@@ -222,20 +223,10 @@ def _data_sign_forms(graph: Graph) -> tuple[int | None, ...]:
     x, z = [1 << v for v in range(nv)] + [0] * k, neighbours + sigmas
     flips = _conj_columns(x, z, rows)
     missing = reduce(or_, z, 0)
-    return tuple(
-        None if missing >> v & 1 else sigma << 1 | flips >> v & 1
-        for v, sigma in enumerate(_transpose(sigmas, nv))
-    )
-
-
-def _present_sign_forms(graph: Graph) -> tuple[int, ...]:
-    """_data_sign_forms, or AssertionError naming the first K_v missing
-    from the data group, where no sign form can answer exactly."""
-    forms = _data_sign_forms(graph)
-    for v, form in zip(graph.vertices, forms):
-        if form is None:
-            raise AssertionError(f"K_{v} is missing from the data group")
-    return forms
+    if missing:
+        first = graph.vertices[next(_set_bits(missing))]
+        raise AssertionError(f"K_{first} is missing from the data group")
+    return tuple(sigma << 1 | flips >> v & 1 for v, sigma in enumerate(_transpose(sigmas, nv)))
 
 
 # -- correction formulas ---------------------------------------------------

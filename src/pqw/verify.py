@@ -33,8 +33,9 @@ off the report of verify_all_outcomes.
 
 from collections import namedtuple
 
+from . import protocol
 from .graphs import Graph, adjacency
-from .protocol import _data_sign_forms, _present_sign_forms, _sign_forms, far_side_masks
+from .protocol import _sign_forms, far_side_masks
 
 _FLIP = bytes.maketrans(b"\0\1", b"\1\0")
 
@@ -135,9 +136,8 @@ def _sign_conditions(graph: Graph, correction_kind: str) -> tuple[int, ...]:
     the corrected sign form form_v ^ phi_v << 1 of every K_v gives +1 at
     s.  A form that is 0 holds at every s, so only the others are kept."""
     phis = _sign_forms(graph, correction_kind)
-    return tuple(
-        filter(None, (form ^ phi << 1 for form, phi in zip(_present_sign_forms(graph), phis)))
-    )
+    forms = protocol._data_sign_forms(graph)
+    return tuple(filter(None, (form ^ phi << 1 for form, phi in zip(forms, phis))))
 
 
 def verify_all_outcomes(
@@ -161,9 +161,12 @@ def phase_lemma_check(graph: Graph) -> bool:
 
     Each K_v's sign is read once as an affine form in the outcome bits,
     so comparing it with g_v's far-side mask checks all 4^|E| outcomes
-    at once, at every graph size.
+    at once, at every graph size.  Where the reader finds no sign form
+    for some K_v, it raises AssertionError naming the first such vertex
+    rather than answer False.
     """
-    return all(form == g << 1 for form, g in zip(_data_sign_forms(graph), far_side_masks(graph)))
+    forms = protocol._data_sign_forms(graph)
+    return all(form == g << 1 for form, g in zip(forms, far_side_masks(graph)))
 
 
 # cut is the frozenset of side A's vertex indices

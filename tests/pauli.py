@@ -24,7 +24,7 @@ from operator import xor
 
 from pqw import protocol
 from pqw.graphs import Graph, adjacency
-from pqw.protocol import _checked_gates, _conj_columns, _present_sign_forms, _set_bits, _transpose
+from pqw.protocol import _checked_gates, _conj_columns, _set_bits, _transpose
 
 
 class PauliString:
@@ -147,10 +147,12 @@ def _check_index(graph: Graph, index: int) -> int:
 def run_protocol_tableau(graph: Graph, index: int) -> tuple[PauliString, ...]:
     """Symbolic mirror of the dense run_protocol: the data-qubit
     stabilizer group with its signs at outcome index, K_v with the sign
-    its sign form gives at index for each vertex v."""
+    its sign form gives at index for each vertex v.  The forms are read
+    through the module, so a test that replaces protocol._data_sign_forms
+    reaches this reader too."""
     _check_index(graph, index)
     generators = []
-    for k_v, form in zip(stabilizer_generators(graph), _present_sign_forms(graph)):
+    for k_v, form in zip(stabilizer_generators(graph), protocol._data_sign_forms(graph)):
         flips = (form & (index << 1 | 1)).bit_count()
         generators.append(PauliString(k_v.n_qubits, k_v.x_bits, k_v.z_bits, 2 * flips))
     return tuple(generators)

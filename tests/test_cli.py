@@ -784,7 +784,9 @@ def test_lc_golden_json(capsys):
 def test_lc_names_an_edge_list_by_its_stem(tmp_path, capsys):
     # as verify and noise name it: the file name up to its last dot, unless
     # that dot leads or ends the name
-    stems = {"p4.txt": "p4", "g.v2.txt": "g.v2", "p4.x": "p4", ".p4": ".p4", "p4.": "p4."}
+    stems = {
+        "p4.txt": "p4", "g.v2.txt": "g.v2", "p4.x": "p4", "a.txt": "a", ".p4": ".p4", "p4.": "p4.",
+    }
     for file_name, stem in stems.items():
         path = tmp_path / file_name
         path.write_text("A B\nB C\nC D\n", encoding="utf-8")
@@ -1260,6 +1262,14 @@ def test_help_exits_zero(capsys):
         out = capsys.readouterr().out
         for name in names:
             assert re.search(rf"(?<![\w-]){re.escape(name)}(?![\w-])", out), (command, name)
+        # each entry is indented two spaces, its help text six
+        entries = [line for line in out.splitlines() if re.match(r"  \S", line)]
+        assert entries[0] == "  -h, --help", command
+
+
+def test_exit_codes_are_the_documented_ones():
+    # the codes the pqw.cli docstring lists; every other test reads the names
+    assert (EXIT_PASS, EXIT_FAIL, EXIT_USAGE, EXIT_BUDGET) == (0, 1, 2, 3)
 
 
 # -- seeded fuzz -----------------------------------------------------------------

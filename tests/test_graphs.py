@@ -171,6 +171,9 @@ def test_parse_edge_list_vertex_order_is_appearance_order():
 def test_parse_edge_list_rejects_bad_lines():
     with pytest.raises(ValueError, match="expected 'u v'"):
         parse_edge_list("A B C\n")
+    # lines are counted from 1, blank and comment lines included
+    with pytest.raises(ValueError, match="^line 2: "):
+        parse_edge_list("a b\nbad\n")
     with pytest.raises(ValueError, match="empty"):
         parse_edge_list("# nothing\n")
 

@@ -154,6 +154,8 @@ def test_p_eff_validation():
         extract_p_eff(1.5, 2)
     with pytest.raises(ValueError, match="at most 1"):
         extract_p_eff(1.0 + 2e-9, 6)
+    # the slack's edge itself still fits
+    assert extract_p_eff(1.0 + 1e-9, 6) == 0.0
     # within the slack an ideal sum may carry, the fit is still made
     assert extract_p_eff(1.0 + 1e-12, 6) == pytest.approx(0.0, abs=1e-12)
     # and it fits as 1, so p_eff is never negative
@@ -170,6 +172,7 @@ def test_p_eff_validation():
     for k in range(1, 65):
         assert extract_p_eff(f_star_dep(1.0, k), k) == 1.0
     assert extract_p_eff(0.25**6 * (1.0 - 1e-12), 6) == 1.0
+    assert extract_p_eff(0.25**6 * (1 - 1e-9), 6) == 1.0
 
 
 @pytest.mark.parametrize(
@@ -663,20 +666,26 @@ def test_every_catalog_noise_value_keeps_its_bits():
 
 
 @pytest.mark.parametrize(
-    "insertion,metric,builder",
+    "insertion,metric,builders",
     [
-        ("post_prep", "strict", "_sign_conditions"),
-        ("pre_measure", "conditional", "_present_sign_forms"),
-        ("post_prep", "conditional", "_heisenberg_generators"),
+        ("post_prep", "strict", ("_sign_conditions", "_data_sign_forms")),
+        ("pre_measure", "conditional", ("_data_sign_forms",)),
+        ("post_prep", "conditional", ("_heisenberg_generators",)),
     ],
+    ids=(
+        "post_prep-strict-_sign_conditions",
+        "pre_measure-conditional-_data_sign_forms",
+        "post_prep-conditional-_heisenberg_generators",
+    ),
 )
-def test_a_sweep_builds_its_code_once(monkeypatch, insertion, metric, builder):
+def test_a_sweep_builds_its_code_once(monkeypatch, insertion, metric, builders):
     # no p changes the code, so an 11-point sweep builds it once; strict
-    # reads its conditions through verify_all_outcomes
+    # reads its conditions through verify_all_outcomes, whose conditions
+    # read the sign forms once
     calls = collections.Counter()
     for module, name in (
         (verify, "_sign_conditions"),
-        (protocol, "_present_sign_forms"),
+        (protocol, "_data_sign_forms"),
         (protocol, "_heisenberg_generators"),
     ):
 
@@ -687,7 +696,23 @@ def test_a_sweep_builds_its_code_once(monkeypatch, insertion, metric, builder):
         monkeypatch.setattr(module, name, counted)
     grid = [p / 10 for p in range(11)]
     noise_sweep(catalog_lookup("C4"), "ad", grid, insertion=insertion, metric=metric)
-    assert calls == {builder: 1}
+    assert calls == dict.fromkeys(builders, 1)
+
+
+def test_pre_measure_checks_the_plan_before_reading_signs(monkeypatch):
+    # a plan that does not apply is refused before the reader runs the
+    # circuit back
+    reads = []
+    real = protocol._data_sign_forms
+
+    def counted(graph):
+        reads.append(graph)
+        return real(graph)
+
+    monkeypatch.setattr(protocol, "_data_sign_forms", counted)
+    with pytest.raises(ValueError, match="tree correction requires a tree"):
+        noise_sweep(catalog_lookup("K4"), "ad", (0.1,), "tree", "pre_measure", "conditional")
+    assert reads == []
 
 
 # -- report container ---------------------------------------------------------------

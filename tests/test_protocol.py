@@ -35,6 +35,7 @@ from pauli import (
 )
 from pqw import protocol
 from pqw.graphs import TABLE_ORDER, Graph, adjacency, catalog_lookup, catalog_names
+from pqw.noise import noise_sweep
 from pqw.protocol import (
     CORRECTION_KINDS,
     c4_correction,
@@ -266,44 +267,47 @@ def test_a_pair_read_as_y_y_carries_its_minus_sign(altered_walk):
         assert check_stabilizes(data, run_protocol_tableau(K2, index))
 
 
+def _assert_every_reader_refuses(graph, vertex):
+    # each engine reads the sign forms through the one reader, so each
+    # refuses with its message rather than guess
+    readers = (
+        verify_all_outcomes,
+        phase_lemma_check,
+        lambda graph: noise_sweep(graph, "dep", (0.1,), metric="strict"),
+        lambda graph: noise_sweep(graph, "dep", (0.1,), "universal", "pre_measure", "conditional"),
+        lambda graph: run_protocol_tableau(graph, 0),
+    )
+    for read in readers:
+        with pytest.raises(AssertionError, match=f"^K_{vertex} is missing from the data group$"):
+            read(graph)
+
+
+def _assert_no_sign_fixes_the_data(graph, generators):
+    for index in range(graph.outcome_count()):
+        _, data = run_protocol(graph, index)
+        for k_v in generators:
+            for phase in (0, 2):
+                signed = PauliString(graph.n_vertices, k_v.x_bits, k_v.z_bits, phase)
+                assert not check_stabilizes(data, (signed,))
+
+
 def test_symbolic_run_keeps_its_checks(altered_walk):
     # with the CZ between A and its half of AB dropped, K_A and K_B are
     # missing from the data group: the engines refuse rather than guess
     real, real_prep = protocol.walk_gates, protocol.prep_gates
     altered_walk(lambda graph: real(graph)[1:])
-    forms = protocol._data_sign_forms(P4)
-    assert [form is None for form in forms] == [True, True, False, False]
-    assert phase_lemma_check(P4) is False
-    with pytest.raises(AssertionError, match="K_A is missing"):
-        verify_all_outcomes(P4)
-    with pytest.raises(AssertionError, match="K_A is missing"):
-        run_protocol_tableau(P4, 0)
+    _assert_every_reader_refuses(P4, "A")
     # with the CZ of pair AB dropped from the prep instead, the reader
     # follows prep_gates: no sign of K_A or K_B fixes the dense data state
     altered_walk(real, lambda graph: real_prep(graph)[1:])
-    forms = protocol._data_sign_forms(P4)
-    assert [form is None for form in forms] == [True, True, False, False]
-    assert phase_lemma_check(P4) is False
-    with pytest.raises(AssertionError, match="K_A is missing"):
-        verify_all_outcomes(P4)
-    generators = stabilizer_generators(P4)
-    for index in range(P4.outcome_count()):
-        _, data = run_protocol(P4, index)
-        for k_v in generators[:2]:
-            for phase in (0, 2):
-                signed = PauliString(4, k_v.x_bits, k_v.z_bits, phase)
-                assert not check_stabilizes(data, (signed,))
+    _assert_every_reader_refuses(P4, "A")
+    _assert_no_sign_fixes_the_data(P4, stabilizer_generators(P4)[:2])
     # H on A's half before the walk: no sign of either K_v fixes the
-    # dense data state at any outcome, and the reader finds neither
+    # dense data state at any outcome, and the reader refuses K_A
     a_half = protocol._resource_qubit(K2, 0)
     altered_walk(lambda graph: (("H", (a_half,)),) + real(graph))
-    assert protocol._data_sign_forms(K2) == (None, None)
-    for index in range(K2.outcome_count()):
-        _, data = run_protocol(K2, index)
-        for k_v in stabilizer_generators(K2):
-            for phase in (0, 2):
-                signed = PauliString(2, k_v.x_bits, k_v.z_bits, phase)
-                assert not check_stabilizes(data, (signed,))
+    _assert_every_reader_refuses(K2, "A")
+    _assert_no_sign_fixes_the_data(K2, stabilizer_generators(K2))
 
 
 @pytest.mark.parametrize(
@@ -327,13 +331,13 @@ def test_both_engines_refuse_a_bad_walk_alike(altered_walk, bad, message):
 
 
 def test_a_sign_form_read_off_any_walk_holds(altered_walk):
-    # the reader may miss a K_v on a circuit other than prep_gates and
-    # walk_gates, but a form it returns fixes the dense data state at
-    # every outcome
+    # on a circuit other than prep_gates and walk_gates the reader may
+    # refuse a K_v, but the forms it returns fix the dense data state at
+    # every outcome; circuits are drawn until 9076 forms are checked
     rng = random.Random(2903)
     real, real_prep = protocol.walk_gates, protocol.prep_gates
-    checks = 0
-    for _ in range(300):
+    checks = reads = refusals = 0
+    while checks < 9076:
         graph = rng.choice((K2, catalog_lookup("P3"), catalog_lookup("C3")))
         n_qubits = graph.n_vertices + 2 * graph.n_edges
         walk, prep = list(real(graph)), list(real_prep(graph))
@@ -346,19 +350,24 @@ def test_a_sign_form_read_off_any_walk_holds(altered_walk):
                 targets = rng.sample(range(n_qubits), 2 if gate == "CZ" else 1)
                 gates.insert(rng.randint(0, len(gates)), (gate, tuple(targets)))
         altered_walk(lambda _, walk=tuple(walk): walk, lambda _, prep=tuple(prep): prep)
-        forms = protocol._data_sign_forms(graph)
+        try:
+            forms = protocol._data_sign_forms(graph)
+        except AssertionError as refusal:
+            assert str(refusal) in {f"K_{v} is missing from the data group" for v in graph.vertices}
+            refusals += 1
+            continue
+        reads += 1
         for index in range(graph.outcome_count()):
             try:
                 _, data = run_protocol(graph, index)
             except sv.ZeroProbabilityError:
                 continue
             for k_v, form in zip(stabilizer_generators(graph), forms):
-                if form is not None:
-                    flips = (form & (index << 1 | 1)).bit_count()
-                    signed = PauliString(k_v.n_qubits, k_v.x_bits, k_v.z_bits, 2 * flips)
-                    assert check_stabilizes(data, (signed,)), (walk, index, k_v)
-                    checks += 1
-    assert checks > 1000
+                flips = (form & (index << 1 | 1)).bit_count()
+                signed = PauliString(k_v.n_qubits, k_v.x_bits, k_v.z_bits, 2 * flips)
+                assert check_stabilizes(data, (signed,)), (walk, index, k_v)
+                checks += 1
+    assert reads and refusals
 
 
 def test_single_vertex_reads_one_plus_form():

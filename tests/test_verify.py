@@ -189,9 +189,13 @@ def test_engine_follows_the_tableau_sign_forms(monkeypatch):
     )
     report = verify_all_outcomes(P4)
     assert fidelity_column(report) == [float(i >= 32) for i in range(64)]
-    # K_B absent: the engine cannot answer exactly, so it refuses
-    monkeypatch.setattr(protocol, "_data_sign_forms", patched(lambda form: None))
-    with pytest.raises(AssertionError, match="K_B"):
+    # with the walk's CZ between B and its half of BC dropped, the reader
+    # finds no sign form for K_B: the engine cannot answer exactly, so it
+    # passes the reader's refusal on
+    monkeypatch.setattr(protocol, "_data_sign_forms", real)
+    walk = protocol.walk_gates
+    monkeypatch.setattr(protocol, "walk_gates", lambda graph: walk(graph)[:2] + walk(graph)[3:])
+    with pytest.raises(AssertionError, match="^K_B is missing from the data group$"):
         verify_all_outcomes(P4)
 
 
@@ -374,12 +378,13 @@ def test_phase_lemma_rejects_the_near_side_sign_form(monkeypatch):
 
 def test_each_check_reads_the_walk_afresh(monkeypatch):
     # the engines keep nothing between calls: with the first CZ of the
-    # walk dropped, the next check reads the altered walk, and no cache
-    # needs clearing
+    # walk dropped, the next check reads the altered walk, which leaves
+    # K_A missing, and no cache needs clearing
     assert phase_lemma_check(P4) is True
     real = protocol.walk_gates
     monkeypatch.setattr(protocol, "walk_gates", lambda graph: real(graph)[1:])
-    assert phase_lemma_check(P4) is False
+    with pytest.raises(AssertionError, match="^K_A is missing from the data group$"):
+        phase_lemma_check(P4)
 
 
 # -- entanglement rank comparison -------------------------------------------------
