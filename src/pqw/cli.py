@@ -25,7 +25,8 @@ and usage errors load none; a command imports the engine it runs when it
 runs: verify and lc pqw.verify, noise and counts pqw.noise, which loads
 pqw.verify and pqw.protocol only when a sweep runs, so counts and
 noise --compare load neither.  Files are read and written with open,
-and a path is quoted in a message as given.
+and a path is quoted in a message as given; a file whose text does not
+decode or parse is refused with its path in front of the error.
 """
 
 import math
@@ -83,10 +84,12 @@ RunConfig = namedtuple("RunConfig", ("command", *_RUN_DEFAULTS), defaults=_RUN_D
 
 def _parse_p_grid(spec: str) -> tuple[float, ...]:
     """Either a single value or an inclusive start:stop:step range."""
-    parts = spec.split(":")
-    if len(parts) not in (1, 3):
+    try:
+        values = tuple(float(x) + 0.0 for x in spec.split(":"))  # + 0.0 turns -0 into 0
+    except ValueError:  # a field that is not a number
+        values = ()
+    if len(values) not in (1, 3):
         raise UsageError(f"bad p spec {spec!r}; expected P or START:STOP:STEP")
-    values = tuple(float(x) + 0.0 for x in parts)  # + 0.0 turns -0 into 0
     if not all(math.isfinite(x) for x in values):
         raise UsageError(f"p values must be finite, got {spec!r}")
     if len(values) == 1:
@@ -117,9 +120,14 @@ def _parse_p_grid(spec: str) -> tuple[float, ...]:
     return tuple(grid)
 
 
-def _read(path: str) -> str:
+def _read(path: str, parse):
+    """parse applied to the text of the file at path; a ValueError that
+    decoding or parse raises is refused with the path in front."""
     with open(path, encoding="utf-8-sig") as f:
-        return f.read()
+        try:
+            return parse(f.read())
+        except ValueError as err:
+            raise UsageError(f"{path}: {err}") from None
 
 
 def _resolve_graph(spec: str) -> tuple[str, Graph]:
@@ -131,7 +139,7 @@ def _resolve_graph(spec: str) -> tuple[str, Graph]:
         name = os.path.basename(path)
         dot = name.rfind(".")
         stem = name[:dot] if 0 < dot < len(name) - 1 else name
-        return stem, parse_edge_list(_read(path))
+        return stem, _read(path, parse_edge_list)
     return spec, catalog_lookup(spec)
 
 
@@ -356,7 +364,7 @@ def cmd_lc(config: RunConfig) -> int:
 def _load_json_map(path: str, value_type) -> dict:
     import json
 
-    data = json.loads(_read(path))
+    data = _read(path, json.loads)
     if not isinstance(data, dict):
         raise UsageError(f"{path}: expected a JSON object")
     out = {}

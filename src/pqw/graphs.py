@@ -7,11 +7,13 @@ adjacency returns.  Vertex order is significant here: it fixes qubit indices,
 measurement-outcome indexing, and report ordering, which is why Graph
 keeps ordered tuples instead of sets.
 
-The catalog's entries are a Python literal below, so the interpreter
-loads them from cached bytecode with no file to open and no JSON to
-parse; catalog_lookup validates each one as a Graph on lookup.  Edge
-lists follow the standard small-graph atlas, and their vertex and edge
-order is fixed, as it fixes qubit and outcome indices.
+The catalog's entries are edge-list texts in a Python literal below, so
+the interpreter loads them from cached bytecode with no file to open;
+catalog_lookup reads each one on lookup with parse_edge_list, the reader
+of an edge-list file, so one parser and one vertex-order rule, first
+appearance, serve every graph.  Edge lists follow the standard
+small-graph atlas, and their edge order is fixed, as it fixes qubit and
+outcome indices.
 """
 
 from collections import namedtuple
@@ -27,84 +29,27 @@ TABLE_ORDER: tuple[str, ...] = (
 # is the star K1_3 up to H on every leaf, which changes no Schmidt rank
 ALIASES: dict[str, str] = {"GHZ4": "K1_3", "L4": "P4"}
 
-# name -> (vertices, edges)
-GRAPHS: dict[str, tuple[tuple[str, ...], tuple[tuple[str, str], ...]]] = {
-    "P3": (
-        ("A", "B", "C"),
-        (("A", "B"), ("B", "C")),
-    ),
-    "P4": (
-        ("A", "B", "C", "D"),
-        (("A", "B"), ("B", "C"), ("C", "D")),
-    ),
-    "P5": (
-        ("A", "B", "C", "D", "E"),
-        (("A", "B"), ("B", "C"), ("C", "D"), ("D", "E")),
-    ),
-    "K1_2": (
-        ("A", "B", "C"),
-        (("A", "B"), ("A", "C")),
-    ),
-    "K1_3": (
-        ("A", "B", "C", "D"),
-        (("A", "B"), ("A", "C"), ("A", "D")),
-    ),
-    "K1_4": (
-        ("A", "B", "C", "D", "E"),
-        (("A", "B"), ("A", "C"), ("A", "D"), ("A", "E")),
-    ),
-    "spider": (
-        ("A", "B", "C", "D", "E"),
-        (("A", "B"), ("A", "C"), ("A", "D"), ("D", "E")),
-    ),
-    "C3": (
-        ("A", "B", "C"),
-        (("A", "B"), ("B", "C"), ("C", "A")),
-    ),
-    "C4": (
-        ("A", "B", "C", "D"),
-        (("A", "B"), ("B", "C"), ("C", "D"), ("D", "A")),
-    ),
-    "C5": (
-        ("A", "B", "C", "D", "E"),
-        (("A", "B"), ("B", "C"), ("C", "D"), ("D", "E"), ("E", "A")),
-    ),
-    "diamond": (
-        ("A", "B", "C", "D"),
-        (("A", "B"), ("A", "C"), ("B", "C"), ("B", "D"), ("C", "D")),
-    ),
-    "paw": (
-        ("A", "B", "C", "D"),
-        (("A", "B"), ("B", "C"), ("C", "A"), ("A", "D")),
-    ),
-    "K3": (
-        ("A", "B", "C"),
-        (("A", "B"), ("B", "C"), ("C", "A")),
-    ),
-    "bull": (
-        ("A", "B", "C", "D", "E"),
-        (("A", "B"), ("B", "C"), ("C", "A"), ("B", "D"), ("C", "E")),
-    ),
-    "house": (
-        ("A", "B", "C", "D", "E"),
-        (("A", "B"), ("B", "C"), ("C", "D"), ("D", "E"), ("E", "A"), ("A", "C")),
-    ),
-    "cricket": (
-        ("A", "B", "C", "D", "E"),
-        (("A", "B"), ("B", "C"), ("C", "A"), ("A", "D"), ("A", "E")),
-    ),
-    "kite": (
-        ("A", "B", "C", "D", "E"),
-        (("A", "B"), ("A", "C"), ("B", "C"), ("B", "D"), ("C", "D"), ("C", "E")),
-    ),
-    "fork": (
-        ("A", "B", "C", "D", "E"),
-        (("A", "B"), ("B", "C"), ("C", "D"), ("B", "E")),
-    ),
-    "K4": (
-        ("A", "B", "C", "D"),
-        (("A", "B"), ("A", "C"), ("A", "D"), ("B", "C"), ("B", "D"), ("C", "D")),
-    ),
+# name -> its edge list, one "u v" line per edge
+GRAPHS: dict[str, str] = {
+    "P3": "A B\nB C",
+    "P4": "A B\nB C\nC D",
+    "P5": "A B\nB C\nC D\nD E",
+    "K1_2": "A B\nA C",
+    "K1_3": "A B\nA C\nA D",
+    "K1_4": "A B\nA C\nA D\nA E",
+    "spider": "A B\nA C\nA D\nD E",
+    "C3": "A B\nB C\nC A",
+    "C4": "A B\nB C\nC D\nD A",
+    "C5": "A B\nB C\nC D\nD E\nE A",
+    "diamond": "A B\nA C\nB C\nB D\nC D",
+    "paw": "A B\nB C\nC A\nA D",
+    "K3": "A B\nB C\nC A",
+    "bull": "A B\nB C\nC A\nB D\nC E",
+    "house": "A B\nB C\nC D\nD E\nE A\nA C",
+    "cricket": "A B\nB C\nC A\nA D\nA E",
+    "kite": "A B\nA C\nB C\nB D\nC D\nC E",
+    "fork": "A B\nB C\nC D\nB E",
+    "K4": "A B\nA C\nA D\nB C\nB D\nC D",
 }
 
 
@@ -200,12 +145,12 @@ def catalog_names() -> tuple[str, ...]:
 def catalog_lookup(name: str) -> Graph:
     """Resolve a catalog name (or alias) to its documented graph."""
     try:
-        vertices, edges = GRAPHS[ALIASES.get(name, name)]
+        text = GRAPHS[ALIASES.get(name, name)]
     except KeyError:
         raise CatalogError(
             f"unknown graph {name!r}; valid names: {', '.join(sorted(catalog_names()))}"
         ) from None
-    return Graph(vertices, edges)
+    return parse_edge_list(text)
 
 
 def parse_edge_list(text: str) -> Graph:

@@ -151,7 +151,9 @@ def extract_p_eff(fidelity: float, k: int) -> float:
     floor = 0.25**k  # p = 1; the same slack below it fits as 1, so p_eff is never above 1
     if fidelity < floor * (1.0 - 1e-9):
         raise ValueError(f"fidelity must be at least 4^-k = {floor:.12g} (p = 1), got {fidelity}")
-    return min((4.0 / 3.0) * (1.0 - min(fidelity, 1.0) ** (1.0 / k)), 1.0)
+    # 1 - F^(1/k) as -expm1(log(F) / k), which keeps the digits the
+    # subtraction cancels near F = 1; 0.0 - turns -0 into 0
+    return min((4.0 / 3.0) * (0.0 - math.expm1(math.log(min(fidelity, 1.0)) / k)), 1.0)
 
 
 def bhattacharyya_fidelity(

@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import decimal
 import hashlib
 import io
 import itertools
@@ -557,9 +558,10 @@ def test_unwritable_output_names_the_path(tmp_path, capsys):
     assert "No such file or directory" in err and str(out) in err
 
 
-# each file that cannot be opened, as argv with {tmp} for a folder that
-# holds a folder sub and a file ideal.json, and the one line pqw writes;
-# the path is quoted as given, so "" stays "" and a trailing / stays
+# each file that cannot be opened or read, as argv with {tmp} for a folder
+# that holds a folder sub and the files FILE_TEXTS names, and the one line
+# pqw writes; the path is quoted as given, so "" stays "" and a trailing /
+# stays, and a file that opens but does not read is named before its error
 FILE_ERRORS = {
     "empty graph name": (
         "verify --graph @", "[Errno 2] No such file or directory: ''",
@@ -578,13 +580,34 @@ FILE_ERRORS = {
         "counts --counts {tmp}/counts.json --ideal {tmp}/ideal.json --k 2",
         "[Errno 2] No such file or directory: '{tmp}/counts.json'",
     ),
+    "edge list not UTF-8": (
+        "verify --graph @{tmp}/latin1.txt",
+        "{tmp}/latin1.txt: 'utf-8' codec can't decode byte 0xc9 in position 2: "
+        "invalid continuation byte",
+    ),
+    "malformed edge list": (
+        "lc --a @{tmp}/l4.txt --b @{tmp}/bad.txt --cut AB|CD",
+        "{tmp}/bad.txt: line 1: expected 'u v', got 'A B C'",
+    ),
+    "counts not JSON": (
+        "counts --counts {tmp}/counts.txt --ideal {tmp}/ideal.json --k 2",
+        "{tmp}/counts.txt: Expecting value: line 1 column 1 (char 0)",
+    ),
+}
+FILE_TEXTS = {
+    "ideal.json": json.dumps({"00": 1.0}).encode(),
+    "latin1.txt": b"A \xc9\n",
+    "l4.txt": b"A B\nB C\nC D\n",
+    "bad.txt": b"A B C\n",
+    "counts.txt": b"not json\n",
 }
 
 
 @pytest.mark.parametrize("case", sorted(FILE_ERRORS))
 def test_file_errors_are_one_usage_line(case, tmp_path, capsys):
     (tmp_path / "sub").mkdir()
-    (tmp_path / "ideal.json").write_text(json.dumps({"00": 1.0}))
+    for name, data in FILE_TEXTS.items():
+        (tmp_path / name).write_bytes(data)
     argv, message = FILE_ERRORS[case]
     argv = [token.replace("{tmp}", str(tmp_path)) for token in argv.split()]
     message = message.replace("{tmp}", str(tmp_path))
@@ -603,8 +626,11 @@ def test_negative_zero_p_reads_as_zero(capsys):
 
 def test_bad_p_grid_is_usage_error(capsys):
     assert main(["noise", "--channel", "dep", "--p", "0.5:0.1:0.1"]) == EXIT_USAGE
-    assert main(["noise", "--channel", "dep", "--p", "nope"]) == EXIT_USAGE
     capsys.readouterr()
+    # a value that is not a number names the spec, not the float parser
+    assert _usage_error(["noise", "--channel", "dep", "--p", "nope"], capsys) == (
+        "pqw: bad p spec 'nope'; expected P or START:STOP:STEP\n"
+    )
     # a zero step is refused by name, before the grid's size is worked out
     assert main(["noise", "--channel", "dep", "--p", "0:1:0"]) == EXIT_USAGE
     assert "p step must be positive, got 0.0" in capsys.readouterr().err
@@ -1039,6 +1065,19 @@ def test_counts_fidelity_within_the_slack_fits_as_one(capsys):
     assert capsys.readouterr().out == "fidelity,k,p_eff\n1.0000000001,3,0\n"
 
 
+def test_counts_fidelity_near_one_keeps_its_digits(capsys):
+    # 1 - F^(1/k) cancels near F = 1; the 60-digit decimal value of
+    # (4/3)(1 - F^(1/k)) at the float F agrees with the CSV field to all
+    # 12 digits, where 2.22192634662e-13 was wrong from the fourth
+    argv = ["counts", "--fidelity", "0.999999999999", "--k", "6", "--format", "csv"]
+    assert main(argv) == EXIT_PASS
+    assert capsys.readouterr().out == "fidelity,k,p_eff\n0.999999999999,6,2.22217306285e-13\n"
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        root = (decimal.Decimal(0.999999999999).ln() / 6).exp()
+        assert format(decimal.Decimal(4) / 3 * (1 - root), ".12g") == "2.22217306285e-13"
+
+
 def _run_counts(tmp_path, counts_map):
     counts = tmp_path / "counts.json"
     ideal = tmp_path / "ideal.json"
@@ -1130,15 +1169,15 @@ WRITER_SHA256 = {
         "5f7a6542a5e1791c2e399c1dd8ad151e7add91253c0242cbfbe2f8f64ecc88e3",
     ),
     "counts --fidelity 0.9241 --k 6": (
-        "6fe2fd30ed0f8af746fd8f0ba3325896fbe0647c3382c6bb5ecfeeaa47b4243d",
+        "6023a18fbcc2c865238fc1ae9d5e707674b18b0abb59c1c8cb4f4a0198be8a50",
         "157f656f55d5cfe93aaf1f20c0a1c031acda517af89a840e417983f279b1def4",
     ),
     "counts --counts COUNTS --ideal IDEAL --k 6": (
-        "d20dac135b63753d9dda6bdc84d1bedb136863fc148cf913cc742f0f16b9f1fe",
+        "33166c07e6c2082e852bebbd2d4c1e150e49e1966f44ae8658aa8e2f39a68b8d",
         "c8fdb19866b338df3a4f457090b9ca25ee0c3be26401727030b553139c8eddf9",
     ),
     "counts --counts COUNTS --ideal IDEAL --k 6 --unsquared": (
-        "433ab66de4dcfe4acae782e99388eab74aaa61f2daaa760b7ae729a01db16d72",
+        "7126276a44f98fd71223448e6a82417699d4ff5177755ea68cbfdfdd4d6bad50",
         "162426cbb2b3f7e76533a9c9c1f1db23bc8a8cd894c4efb03cd83734f3a1664c",
     ),
 }

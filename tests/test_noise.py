@@ -6,6 +6,7 @@ metric is checked against its closed forms directly.
 """
 
 import collections
+import decimal
 import hashlib
 import math
 import random
@@ -160,10 +161,11 @@ def test_p_eff_validation():
     assert extract_p_eff(1.0 + 1e-12, 6) == pytest.approx(0.0, abs=1e-12)
     # and it fits as 1, so p_eff is never negative
     assert extract_p_eff(1.0 + 1e-10, 3) == 0.0
-    # 1.0 / k overflows past the largest float, which itself still fits
+    # a k past the largest float does not convert, which itself still fits:
+    # log(F) / k is subnormal there, and p_eff is its true value, not 0
     with pytest.raises(ValueError, match="k must be at most"):
         extract_p_eff(0.9, 10**400)
-    assert extract_p_eff(0.9, int(sys.float_info.max)) == 0.0
+    assert extract_p_eff(0.9, int(sys.float_info.max)) == pytest.approx(7.8144976369689e-310)
     # below the p = 1 floor 4^-k no strength fits: f_star_dep refuses p > 1
     for fidelity, k in ((0.0002, 6), (1e-320, 6), (0.2, 1)):
         with pytest.raises(ValueError, match=r"at least 4\^-k = .* \(p = 1\), got"):
@@ -173,6 +175,25 @@ def test_p_eff_validation():
         assert extract_p_eff(f_star_dep(1.0, k), k) == 1.0
     assert extract_p_eff(0.25**6 * (1.0 - 1e-12), 6) == 1.0
     assert extract_p_eff(0.25**6 * (1 - 1e-9), 6) == 1.0
+
+
+def _p_eff_exact(fidelity: float, k: int) -> float:
+    """(4/3)(1 - F^(1/k)) in 60-digit decimal arithmetic, rounded once."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        root = (decimal.Decimal(fidelity).ln() / k).exp()
+        return float(decimal.Decimal(4) / 3 * (1 - root))
+
+
+@pytest.mark.parametrize(
+    "fidelity,k",
+    [(0.999999999999, 6), (1 - 1e-15, 6), (1 - 2**-53, 1), (0.9241, 6), (0.9999999, 64),
+     (0.5, 3), (1e-3, 5)],
+)
+def test_p_eff_keeps_its_digits_near_one(fidelity, k):
+    # 1 - F^(1/k) cancels near F = 1: at 1 - 1e-15 it was 33% off
+    exact = _p_eff_exact(fidelity, k)
+    assert abs(extract_p_eff(fidelity, k) - exact) <= math.ulp(exact)
 
 
 @pytest.mark.parametrize(
@@ -545,6 +566,10 @@ def test_bhattacharyya_fidelity():
     assert abs(a - b) < 1e-15
     # a zero count is an outcome never seen: accepted, and the same as no key
     assert bhattacharyya_fidelity({"00": 3, "01": 0, "11": 1}, ideal4) == a
+    # and a zero ideal probability is an outcome the state never gives
+    assert bhattacharyya_fidelity({"00": 3, "01": 1}, {"00": 1.0, "01": 0.0}) == (
+        bhattacharyya_fidelity({"00": 3, "01": 1}, {"00": 1.0})
+    )
 
 
 def test_bhattacharyya_validation():
