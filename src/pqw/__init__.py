@@ -28,8 +28,8 @@ _EXPORTS = {
         "catalog_names", "parse_edge_list",
     ),
     "noise": (
-        "NoiseChannel", "NoiseReport", "bhattacharyya_fidelity", "extract_p_eff",
-        "f_star_dep", "f_star_pd", "noise_sweep",
+        "NoiseReport", "bhattacharyya_fidelity", "extract_p_eff", "f_star_dep",
+        "f_star_pd", "noise_sweep",
     ),
     "protocol": (
         "c4_correction", "correction_forms", "l4_correction", "tree_correction",

@@ -47,12 +47,12 @@ CZ|++> per edge.  Before measurement the channel only reaches Z_R, and
 each expectation is read off the sign forms of the K_v, defined in
 pqw.protocol's docstring.  Both conditional paths cost 2^|V| terms, so
 DEFAULT_VERTEX_BUDGET bounds |V| there.  No channel changes the code, so
-a sweep builds it, or strict's noiseless fraction, once and reads every
-p off that one build.  noise_sweep is the one function here that calls
-the engine; it imports pqw.verify when it runs strict and pqw.protocol
-when it runs conditional, and the sums read only the ints it hands them
-and the channel tables, so the closed forms and the count arithmetic
-load no engine.
+a sweep builds it, or strict's noiseless fraction, once, as one reader of
+a Kraus list, and reads every p off that one build.  noise_sweep is the
+one function here that calls the engine; it imports pqw.verify when it
+runs strict and pqw.protocol when it runs conditional, and the readers
+read only the ints it hands them and the Kraus lists, so the closed
+forms and the count arithmetic load no engine.
 
 The default is strict because the closed-form curves are the quantity
 the rest of the toolchain (effective-p extraction, channel comparisons)
@@ -77,23 +77,15 @@ def _check_choice(what: str, value: str, choices: tuple[str, ...]) -> None:
         raise ValueError(f"unknown {what} {value!r}; expected one of {choices}")
 
 
-class NoiseChannel(_Checked, namedtuple("NoiseChannel", "kind p")):
-    """A single-qubit channel and its strength."""
-
-    __slots__ = ()
-
-    def __new__(cls, kind: str, p: float):
-        _check_choice("channel kind", kind, CHANNEL_KINDS)
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"channel strength must lie in [0, 1], got {p}")
-        return super().__new__(cls, kind, p)
+def _check_strength(p: float) -> None:
+    if not 0.0 <= p <= 1.0:  # NaN fails it
+        raise ValueError(f"channel strength must lie in [0, 1], got {p}")
 
 
-def _kraus_lists(channel: NoiseChannel) -> tuple[list[list[float]], ...]:
+def _kraus_lists(kind: str, p: float) -> tuple[list[list[float]], ...]:
     """Real 2x2 Kraus lists.  Depolarizing's Y branch is sqrt(p/4) XZ = -i sqrt(p/4) Y:
     a global phase on one Kraus operator leaves the channel unchanged."""
-    p = channel.p
-    if channel.kind == "depolarizing":
+    if kind == "depolarizing":
         c, s = math.sqrt(1.0 - 0.75 * p), math.sqrt(p / 4.0)
         return (
             [[c, 0.0], [0.0, c]],
@@ -102,7 +94,7 @@ def _kraus_lists(channel: NoiseChannel) -> tuple[list[list[float]], ...]:
             [[s, 0.0], [0.0, -s]],
         )
     kept = [[1.0, 0.0], [0.0, math.sqrt(1.0 - p)]]
-    if channel.kind == "phase_damping":
+    if kind == "phase_damping":
         return kept, [[0.0, 0.0], [0.0, math.sqrt(p)]]
     # amplitude damping: decay |1> -> |0>
     return kept, [[0.0, math.sqrt(p)], [0.0, 0.0]]
@@ -124,16 +116,14 @@ def _check_resource_count(k: int, least: int) -> None:
 
 def f_star_dep(p: float, k: int) -> float:
     """No-error retention of k resource qubits under depolarizing noise."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must lie in [0, 1], got {p}")
+    _check_strength(p)
     _check_resource_count(k, 0)
     return (1.0 - 0.75 * p) ** k
 
 
 def f_star_pd(p: float, k: int) -> float:
     """Same for phase damping."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must lie in [0, 1], got {p}")
+    _check_strength(p)
     _check_resource_count(k, 0)
     return ((1.0 + math.sqrt(1.0 - p)) / 2.0) ** k
 
@@ -230,13 +220,15 @@ def noise_sweep(
     pass_count / outcome_count of the outcomes that pass the noiseless
     sign conditions.  Conditional sums the 2^|V| code elements of the
     module docstring, so DEFAULT_VERTEX_BUDGET bounds |V| there.  Under a
-    valid plan both are 1 at p=0.  Every argument is checked before any
-    point is computed; the one engine call reads the correction kind's
-    forms, and so checks it, before any channel is read."""
+    valid plan both are 1 at p=0.  Each argument is checked once, all before
+    any point is computed; the one engine call reads the correction kind's
+    forms, and so checks it, before the walk runs back, and builds one
+    reader that one loop reads at the Kraus list of each p."""
     kind = CHANNEL_ALIASES.get(channel_kind, channel_kind)
     _check_choice("channel kind", kind, CHANNEL_KINDS)
     grid = tuple(float(p) for p in p_grid)
-    channels = [NoiseChannel(kind, p) for p in grid]
+    for p in grid:
+        _check_strength(p)
     _check_choice("insertion point", insertion, INSERTION_POINTS)
     _check_choice("metric", metric, METRICS)
     k = 2 * graph.n_edges
@@ -247,9 +239,10 @@ def noise_sweep(
 
         report = verify.verify_all_outcomes(graph, correction_kind)
         noiseless = report.pass_count / report.outcome_count
-        kraus = map(_kraus_lists, channels)
-        retention = [math.fsum((op[0][0] + op[1][1]) ** 2 / 4.0 for op in ops) for ops in kraus]
-        fidelities = [r**k * noiseless for r in retention]
+
+        def read(ops):
+            return math.fsum((op[0][0] + op[1][1]) ** 2 / 4.0 for op in ops) ** k * noiseless
+
     elif graph.n_vertices > DEFAULT_VERTEX_BUDGET:
         raise ResourceError(
             f"Heisenberg sum over {graph.n_vertices} vertices exceeds the budget "
@@ -258,20 +251,19 @@ def noise_sweep(
     else:
         from . import protocol
 
+        phis = protocol._sign_forms(graph, correction_kind)
         if insertion == "post_prep":
-            generators = protocol._heisenberg_generators(graph, correction_kind)
-            fidelities = _prepared_sums(graph, generators, channels)
+            read = _prepared_sums(graph, protocol._heisenberg_generators(graph, phis))
         else:
-            phis = protocol._sign_forms(graph, correction_kind)
-            forms = protocol._data_sign_forms(graph)
-            fidelities = _measured_sums(graph, forms, phis, channels)
+            read = _measured_sums(graph, protocol._data_sign_forms(graph), phis)
+    fidelities = tuple(read(_kraus_lists(kind, p)) for p in grid)
     if kind == "depolarizing":
         analytic = tuple(f_star_dep(p, k) for p in grid)
     elif kind == "phase_damping":
         analytic = tuple(f_star_pd(p, k) for p in grid)
     else:
         analytic = None
-    return NoiseReport(grid, tuple(fidelities), analytic, k)
+    return NoiseReport(grid, fidelities, analytic, k)
 
 
 # -- Heisenberg-picture sum ----------------------------------------------------
@@ -294,9 +286,9 @@ def _times(a: tuple[int, int, int], b: tuple[int, int, int]) -> tuple[int, int, 
     return a[0] ^ b[0], a[1] ^ b[1], (a[2] + b[2] + (a[1] & b[0]).bit_count()) & 1
 
 
-def _measured_sums(graph: Graph, forms, phis, channels) -> list[float]:
-    """Conditional fidelity of each channel, E^dagger(Z) = a + b Z, on
-    every resource qubit just before it is measured:
+def _measured_sums(graph: Graph, forms, phis):
+    """The reader of the conditional fidelity under a channel's Kraus list,
+    E^dagger(Z) = a + b Z, on every resource qubit just before it is measured:
 
         F = 2^-|V| sum_{A subset V} <psi_pre| E^dagger(K_A (x) Z_R^{phi_A}) |psi_pre>
 
@@ -320,15 +312,16 @@ def _measured_sums(graph: Graph, forms, phis, channels) -> list[float]:
         if not sigma & ~phi:
             sign = -1.0 if term >> k & 1 else 1.0
             terms.append(((phi ^ sigma).bit_count(), sigma.bit_count(), sign))
-    sums = []
-    for channel in channels:
+
+    def read(ops):
         # every channel here is diagonal in E^dagger(Z) = a + b Z
-        z = _adjoint(_kraus_lists(channel), _SITE_PAULIS[0, 1])
+        z = _adjoint(ops, _SITE_PAULIS[0, 1])
         a = (z[0][0] + z[1][1]) / 2.0
         b = (z[0][0] - z[1][1]) / 2.0
         values = (sign * (a**m * b**n) for m, n, sign in terms)
-        sums.append(math.fsum(values) / (1 << len(generators)))
-    return sums
+        return math.fsum(values) / (1 << len(generators))
+
+    return read
 
 
 _PAIR = (0.5, 0.5, 0.5, -0.5)  # CZ|++>
@@ -378,9 +371,9 @@ def _edge_table(ops: list) -> list[float]:
     return table
 
 
-def _prepared_sums(graph: Graph, generators, channels) -> list[float]:
-    """Conditional fidelity of each channel on every resource qubit right
-    after the pairs are prepared:
+def _prepared_sums(graph: Graph, generators):
+    """The reader of the conditional fidelity under a channel's Kraus list
+    on every resource qubit right after the pairs are prepared:
 
         F = 2^-|V| sum_{A subset V} <psi_prep| E^dagger(W^dagger S_A W) |psi_prep>
 
@@ -399,13 +392,14 @@ def _prepared_sums(graph: Graph, generators, channels) -> list[float]:
             x, z = x >> nv, z >> nv
             keys = [(x >> 2 * j & 3) | (z >> 2 * j & 3) << 2 for j in range(n_edges)]
             terms.append((-1 if odd else 1, keys))
-    sums = []
-    for channel in channels:
-        table = _edge_table(_kraus_lists(channel))
+
+    def read(ops):
+        table = _edge_table(ops)
         values = []
         for value, keys in terms:
             for key in keys:
                 value *= table[key]
             values.append(value)
-        sums.append(math.fsum(values) / (1 << nv))
-    return sums
+        return math.fsum(values) / (1 << nv)
+
+    return read

@@ -53,9 +53,9 @@ walk_gates, and one function, _data_sign_forms, runs both backwards to
 columns, for every K_v (x) Z_R^{sigma_v} at once.  |+>^n is stabilized by
 exactly the Z-free strings, so each sign form is read off that run with
 no measurement rule and no elimination, and nothing is cached.
-_heisenberg_generators runs the noise code back through the walk alone,
-as post-prep noise acts between the two lists, and hands it over as
-plain ints; the tests' dense reference runs both lists on amplitudes.
+_heisenberg_generators runs the noise code of a plan's masks back through
+the walk alone, as post-prep noise acts between the two lists, and hands
+it over as plain ints; the tests' dense reference runs both lists on amplitudes.
 
 The columns are the layout of Aaronson & Gottesman (quant-ph/0406196)
 that Stim also uses: a set of Pauli strings X^x Z^z is one pair of int
@@ -330,12 +330,13 @@ def _sign_forms(graph: Graph, correction_kind: str) -> list[int]:
     return [z ^ f for (_, z), f in zip(forms, flips)]
 
 
-def _heisenberg_generators(graph: Graph, correction_kind: str) -> tuple[tuple[int, int, int], ...]:
+def _heisenberg_generators(graph: Graph, phis: list[int]) -> tuple[tuple[int, int, int], ...]:
     """W^dagger S_v W for the generators S_v = K_v (x) Z_R^{phi_v} of the
     code whose projector is the corrected-fidelity operator
     M = sum_s |s><s| (x) C_s^dagger |G><G| C_s, W the walk, each as an
     (x, z, odd) triple: the string (-1)^odd X^x Z^z, real as every gate
-    is, bit q of x and z its exponents at qubit q.
+    is, bit q of x and z its exponents at qubit q, and phis the masks phi_v
+    that _sign_forms reads, and checks, before the walk runs back.
 
     C_s^dagger K_v C_s = (-1)^{|phi_v & s|} K_v, and Z_R^{phi_v} reads that
     sign off the resource register, so M = prod_v (1 + S_v)/2.  Every gate
@@ -345,7 +346,7 @@ def _heisenberg_generators(graph: Graph, correction_kind: str) -> tuple[tuple[in
     rows = _checked_gates(nv + k, reversed(walk_gates(graph)))
     # bit v of the columns is S_v: K_v on the data qubits, phi_v on R
     x = [1 << v for v in range(nv)] + [0] * k
-    z = adjacency(graph) + _transpose(_sign_forms(graph, correction_kind), k)
+    z = adjacency(graph) + _transpose(phis, k)
     flips = _conj_columns(x, z, rows)
     return tuple(
         (x_bits, z_bits, flips >> v & 1)

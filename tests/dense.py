@@ -32,7 +32,6 @@ from pauli import PauliString, _check_index
 
 # the same ResourceError the CLI and the noise sum raise
 from pqw.graphs import Graph, ResourceError, _index_of
-from pqw.noise import NoiseChannel
 from pqw.protocol import _checked_gates, prep_gates, walk_gates
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
@@ -337,16 +336,16 @@ def corrected_fidelity(graph: Graph, index: int, plan: PauliString) -> float:
 # -- noise ---------------------------------------------------------------------
 
 
-def kraus_ops(channel: NoiseChannel) -> tuple[np.ndarray, ...]:
-    """The channel's Kraus operators as 2x2 complex matrices, written from
-    the channels' definitions rather than read off the engine's table:
+def kraus_ops(kind: str, p: float) -> tuple[np.ndarray, ...]:
+    """The Kraus operators of a channel kind at strength p as 2x2 complex
+    matrices, written from the channels' definitions rather than read off
+    the engine's table:
 
       depolarizing       rho -> (1 - 3p/4) rho + (p/4)(X rho X + Y rho Y + Z rho Z)
       phase damping      populations kept, coherences scaled by sqrt(1 - p)
       amplitude damping  |1> decays to |0> with probability p
     """
-    p = channel.p
-    if channel.kind == "depolarizing":
+    if kind == "depolarizing":
         paulis = (
             np.array([[0, 1], [1, 0]], dtype=complex),
             np.array([[0, -1j], [1j, 0]], dtype=complex),
@@ -356,7 +355,7 @@ def kraus_ops(channel: NoiseChannel) -> tuple[np.ndarray, ...]:
             np.sqrt(p / 4) * pauli for pauli in paulis
         )
     no_jump = np.array([[1, 0], [0, np.sqrt(1 - p)]], dtype=complex)
-    if channel.kind == "phase_damping":
+    if kind == "phase_damping":
         return no_jump, np.array([[0, 0], [0, np.sqrt(p)]], dtype=complex)
     # amplitude damping
     return no_jump, np.array([[0, np.sqrt(p)], [0, 0]], dtype=complex)

@@ -26,7 +26,6 @@ from helpers import branch_fidelity, fidelity_column, grid, small_connected_grap
 from pqw import cli, protocol, verify
 from pqw.cli import EXIT_BUDGET, EXIT_FAIL, EXIT_PASS, EXIT_USAGE, main
 from pqw.graphs import parse_edge_list
-from pqw.noise import NoiseChannel
 from pqw.verify import VerificationReport
 
 FIG4_CSV = (
@@ -769,7 +768,7 @@ def test_graph_file_matches_dense_reference(graph):
         )
         assert code == EXIT_PASS
         (got,) = json.loads(out.read_text())["fidelities"]
-        ops = kraus_ops(NoiseChannel("amplitude_damping", 0.3))
+        ops = kraus_ops("amplitude_damping", 0.3)
         dense = branch_fidelity(parse_edge_list(text), ops, "universal", "post_prep")
         assert abs(got - dense) < 1e-12
         code = main(

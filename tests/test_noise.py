@@ -26,7 +26,6 @@ from pqw.noise import (
     CHANNEL_KINDS,
     INSERTION_POINTS,
     METRICS,
-    NoiseChannel,
     NoiseReport,
     ResourceError,
     bhattacharyya_fidelity,
@@ -42,6 +41,9 @@ K2 = Graph(("A", "B"), (("A", "B"),))
 
 P_POINTS = (0.0, 0.05, 0.1, 0.3, 0.5)
 
+# the one refusal of a strength outside [0, 1], from every noise call
+STRENGTH_REFUSAL = "channel strength must lie in [0, 1], got {}"
+
 
 # -- channels -----------------------------------------------------------------
 
@@ -50,7 +52,7 @@ P_POINTS = (0.0, 0.05, 0.1, 0.3, 0.5)
 @pytest.mark.parametrize("p", (0.0, 0.1, 0.37, 1.0))
 def test_kraus_completeness(kind, p):
     total = np.zeros((2, 2), dtype=complex)
-    for op in kraus_ops(NoiseChannel(kind, p)):
+    for op in kraus_ops(kind, p):
         total += op.conj().T @ op
     assert np.allclose(total, np.eye(2), atol=1e-14)
 
@@ -66,25 +68,15 @@ def test_engine_kraus_table_matches_the_dense_oracle(kind, p):
     # the oracle spells its matrices from the definitions, so a wrong entry
     # in the engine's table shows here; the Choi matrix is blind only to the
     # unitary freedom of a Kraus set
-    channel = NoiseChannel(kind, p)
-    engine, oracle = _choi(noise._kraus_lists(channel)), _choi(kraus_ops(channel))
+    engine, oracle = _choi(noise._kraus_lists(kind, p)), _choi(kraus_ops(kind, p))
     assert np.abs(engine - oracle).max() <= 1e-14
 
 
 def test_noiseless_channel_is_identity_only():
     for kind in CHANNEL_KINDS:
-        ops = kraus_ops(NoiseChannel(kind, 0.0))
+        ops = kraus_ops(kind, 0.0)
         nontrivial = [op for op in ops if not np.allclose(op, np.eye(2))]
         assert all(np.allclose(op, 0) for op in nontrivial)
-
-
-def test_channel_validation():
-    with pytest.raises(ValueError, match="lie in"):
-        NoiseChannel("depolarizing", -0.1)
-    with pytest.raises(ValueError, match="lie in"):
-        NoiseChannel("depolarizing", 1.5)
-    with pytest.raises(ValueError, match="unknown channel"):
-        NoiseChannel("bitflip", 0.1)
 
 
 def test_channel_aliases():
@@ -103,7 +95,7 @@ def test_phase_damping_equals_phase_flip_channel():
         z = np.diag([1.0, -1.0])
         flip_ops = [math.sqrt(1.0 - q) * np.eye(2), math.sqrt(q) * z]
         assert np.allclose(
-            _choi(kraus_ops(NoiseChannel("phase_damping", p))),
+            _choi(kraus_ops("phase_damping", p)),
             _choi(flip_ops),
             atol=1e-12,
         )
@@ -121,11 +113,11 @@ def test_closed_forms_at_pinned_points():
 
 
 def test_closed_form_validation():
+    # the closed forms refuse a strength with noise_sweep's own message
     for fn in (f_star_dep, f_star_pd):
-        with pytest.raises(ValueError, match="lie in"):
-            fn(-0.01, 3)
-        with pytest.raises(ValueError, match="lie in"):
-            fn(1.01, 3)
+        for p in (-0.01, 1.01, math.nan):
+            with pytest.raises(ValueError, match=re.escape(STRENGTH_REFUSAL.format(p)) + "$"):
+                fn(p, 3)
         with pytest.raises(ValueError, match="non-negative"):
             fn(0.1, -1)
 
@@ -366,8 +358,8 @@ def test_strict_has_no_vertex_budget(graph):
         assert pd == pytest.approx(f_star_pd(p, k), rel=1e-12, abs=0.0)
 
 
-def _retention(channel):
-    return math.fsum(abs(op[0][0] + op[1][1]) ** 2 / 4.0 for op in noise._kraus_lists(channel))
+def _retention(kind, p):
+    return math.fsum(abs(op[0][0] + op[1][1]) ** 2 / 4.0 for op in noise._kraus_lists(kind, p))
 
 
 def _applicable_kinds(graph):
@@ -387,7 +379,7 @@ def _assert_strict_reads_the_noiseless_sum(graph, kind):
     clean = noise_sweep(graph, "depolarizing", (0.0,), kind, "pre_measure", "conditional")
     noiseless = clean.fidelities[0]
     for channel in CHANNEL_KINDS:
-        want = _retention(NoiseChannel(channel, 0.3)) ** k * noiseless
+        want = _retention(channel, 0.3) ** k * noiseless
         for insertion in INSERTION_POINTS:
             assert noise_sweep(graph, channel, (0.3,), kind, insertion).fidelities[0] == want
     return noiseless
@@ -464,12 +456,12 @@ def _engine_vs_dense_cases():
     return cases
 
 
-def _assert_engines_match_dense(graph, kind, channel, insertion):
+def _assert_engines_match_dense(graph, kind, channel, p, insertion):
     # conditional is the Heisenberg sum; strict is the per-qubit
     # retention times the same sum with no channel
-    ops = kraus_ops(channel)
+    ops = kraus_ops(channel, p)
     dense = branch_fidelity(graph, ops, kind, insertion)
-    point = (graph, channel.kind, (channel.p,), kind, insertion)
+    point = (graph, channel, (p,), kind, insertion)
     got = noise_sweep(*point, metric="conditional").fidelities[0]
     assert abs(got - dense) < 1e-12
     retention = sum(abs(np.trace(op)) ** 2 for op in ops) / 4.0
@@ -483,9 +475,7 @@ def _assert_engines_match_dense(graph, kind, channel, insertion):
 def test_frame_engine_matches_dense_branches(name, kind, channel, insertion):
     # the name predates the single Heisenberg engine and is kept so the
     # case IDs stay stable; every case checks both metrics
-    _assert_engines_match_dense(
-        catalog_lookup(name), kind, NoiseChannel(channel, 0.3), insertion
-    )
+    _assert_engines_match_dense(catalog_lookup(name), kind, channel, 0.3, insertion)
 
 
 @pytest.mark.parametrize("name", ("P4", "C4", "K1_3"))
@@ -501,14 +491,25 @@ def test_noise_engines_apply_the_plan(monkeypatch, name):
     monkeypatch.setattr(protocol, "correction_forms", identity_forms)
     for kind in _dense_channels(graph):
         for insertion in INSERTION_POINTS:
-            channel = NoiseChannel(kind, 0.3)
-            cond, strict = _assert_engines_match_dense(graph, "universal", channel, insertion)
+            cond, strict = _assert_engines_match_dense(graph, "universal", kind, 0.3, insertion)
             assert cond < 0.5 and strict < 0.5
     for insertion in INSERTION_POINTS:
         for metric in METRICS:
             clean = noise_sweep(graph, "depolarizing", (0.0,), insertion=insertion, metric=metric)
             got = clean.fidelities[0]
             assert got == 2.0**-graph.n_vertices
+    # Z on every outcome bit at every vertex flips more resource bits than
+    # any sign form reads, so pre-measure amplitude damping reaches the
+    # part a of E^dagger(Z) = a + b Z that no valid or empty plan reads;
+    # a is 0 for the two Pauli-diagonal channels
+    every_bit = (1 << 2 * graph.n_edges) - 1
+
+    def every_z_forms(graph, kind):
+        return ((0, every_bit),) * graph.n_vertices
+
+    monkeypatch.setattr(protocol, "correction_forms", every_z_forms)
+    for insertion in INSERTION_POINTS:
+        _assert_engines_match_dense(graph, "universal", "amplitude_damping", 0.3, insertion)
 
 
 @settings(max_examples=20, deadline=None)
@@ -521,7 +522,7 @@ def test_noise_engines_apply_the_plan(monkeypatch, name):
 def test_noise_engines_match_dense_on_random_graphs(graph, p, insertion, data):
     assert graph.n_vertices + 2 * graph.n_edges <= 12
     kind = data.draw(st.sampled_from(_dense_channels(graph)))
-    _assert_engines_match_dense(graph, "universal", NoiseChannel(kind, p), insertion)
+    _assert_engines_match_dense(graph, "universal", kind, p, insertion)
 
 
 # -- calibration helpers ----------------------------------------------------------
@@ -620,21 +621,23 @@ def test_noise_sweep_amplitude_damping_has_no_overlay():
         ("dep", (), {"metric": "nonsense"}, "unknown metric"),
         ("dep", (), {"correction_kind": "bogus"}, "unknown correction kind"),
         ("dep", (), {"correction_kind": "c4", "metric": "conditional"}, "specific to"),
-        ("dep", (0.1, 0.2, 7.0), {"metric": "conditional"}, "lie in"),
+        ("dep", (0.1, 0.2, 7.0), {"metric": "conditional"}, STRENGTH_REFUSAL.format(7.0)),
+        ("ad", (0.1, -0.1), {}, STRENGTH_REFUSAL.format(-0.1)),
+        ("pd", (math.nan,), {"metric": "conditional"}, STRENGTH_REFUSAL.format(math.nan)),
     ],
     ids=("kind", "insertion", "insertion-and-metric", "metric", "correction",
-         "inapplicable-correction", "strength"),
+         "inapplicable-correction", "strength", "negative-strength", "nan-strength"),
 )
 def test_noise_sweep_checks_every_argument_before_any_point(
     monkeypatch, channel_kind, grid, options, match
 ):
     # an empty grid is checked too, and a bad strength anywhere in the
     # grid stops the sweep before its first point
-    def refuse(channel):
-        raise AssertionError(f"a point was computed at {channel}")
+    def refuse(kind, p):
+        raise AssertionError(f"a point was computed at {kind} {p}")
 
     monkeypatch.setattr(noise, "_kraus_lists", refuse)
-    with pytest.raises(ValueError, match=match):
+    with pytest.raises(ValueError, match=re.escape(match)):
         noise_sweep(P4, channel_kind, grid, **options)
 
 
@@ -725,19 +728,21 @@ def test_a_sweep_builds_its_code_once(monkeypatch, insertion, metric, builders):
 
 
 def test_pre_measure_checks_the_plan_before_reading_signs(monkeypatch):
-    # a plan that does not apply is refused before the reader runs the
-    # circuit back
-    reads = []
-    real = protocol._data_sign_forms
+    # a plan that does not apply is refused before either insertion point
+    # runs the circuit back: pre-measure through the sign-form reader,
+    # post-prep through the code's generators
+    reads = collections.Counter()
+    for name in ("_data_sign_forms", "_heisenberg_generators"):
 
-    def counted(graph):
-        reads.append(graph)
-        return real(graph)
+        def counted(*args, name=name, real=getattr(protocol, name)):
+            reads[name] += 1
+            return real(*args)
 
-    monkeypatch.setattr(protocol, "_data_sign_forms", counted)
-    with pytest.raises(ValueError, match="tree correction requires a tree"):
-        noise_sweep(catalog_lookup("K4"), "ad", (0.1,), "tree", "pre_measure", "conditional")
-    assert reads == []
+        monkeypatch.setattr(protocol, name, counted)
+    for insertion in ("pre_measure", "post_prep"):
+        with pytest.raises(ValueError, match="tree correction requires a tree"):
+            noise_sweep(catalog_lookup("K4"), "ad", (0.1,), "tree", insertion, "conditional")
+    assert reads == {}
 
 
 # -- report container ---------------------------------------------------------------

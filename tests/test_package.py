@@ -25,8 +25,8 @@ EXPORTS = {
         "catalog_names", "parse_edge_list",
     ),
     "noise": (
-        "NoiseChannel", "NoiseReport", "bhattacharyya_fidelity", "extract_p_eff",
-        "f_star_dep", "f_star_pd", "noise_sweep",
+        "NoiseReport", "bhattacharyya_fidelity", "extract_p_eff", "f_star_dep",
+        "f_star_pd", "noise_sweep",
     ),
     "protocol": (
         "c4_correction", "correction_forms", "l4_correction", "tree_correction",
@@ -90,12 +90,13 @@ def test_exports_resolve_to_their_defining_module():
 
 def test_unknown_attribute_still_raises():
     # the dense oracle, the Pauli objects and the T1 arithmetic live in
-    # tests/, not here; noise_sweep is the one noise call
+    # tests/, not here; noise_sweep is the one noise call, and it takes a
+    # point as a channel kind and a strength
     for name in (
         "no_such_name", "statevector", "StateVector", "kraus_ops", "stabilizer",
         "PauliString", "conjugate_circuit", "run_protocol_tableau", "correction_plan",
         "plans_equivalent", "stabilizer_generators", "noisy_protocol_fidelity",
-        "parse_channel", "t1_damping_estimate",
+        "parse_channel", "t1_damping_estimate", "NoiseChannel",
     ):
         with pytest.raises(AttributeError, match=name):
             getattr(pqw, name)

@@ -389,11 +389,12 @@ def test_noise_code_equals_the_column_run(monkeypatch, altered_walk):
     def check(graph, kind="universal"):
         nonlocal runs
         nv, n = graph.n_vertices, graph.n_vertices + 2 * graph.n_edges
-        forms = zip(adjacency(graph), protocol._sign_forms(graph, kind))
+        phis = protocol._sign_forms(graph, kind)
+        forms = zip(adjacency(graph), phis)
         seeds = [PauliString(n, 1 << v, row | phi << nv) for v, (row, phi) in enumerate(forms)]
         strings = conjugate_circuit(seeds, reversed(protocol.walk_gates(graph)))
         assert all(p.phase in (0, 2) for p in strings)
-        assert protocol._heisenberg_generators(graph, kind) == tuple(
+        assert protocol._heisenberg_generators(graph, phis) == tuple(
             (p.x_bits, p.z_bits, p.phase >> 1) for p in strings
         )
         runs += 1

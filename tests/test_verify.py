@@ -18,7 +18,7 @@ from helpers import fidelity_column, grid, near_side_masks, small_connected_grap
 from pauli import correction_plan, stabilizer_generators
 from pqw import cli, protocol, verify
 from pqw.graphs import TABLE_ORDER, Graph, catalog_lookup, parse_edge_list
-from pqw.noise import NoiseChannel, f_star_dep, noise_sweep
+from pqw.noise import f_star_dep, noise_sweep
 from pqw.verify import (
     LcReport,
     VerificationReport,
@@ -480,7 +480,6 @@ def test_ghz_ranks_are_the_star_graph_ranks():
 VALUE_INSTANCES = {
     "Graph": (lambda: P4, "edges"),
     "PauliString": (lambda: stabilizer_generators(P4)[0], "phase"),
-    "NoiseChannel": (lambda: NoiseChannel("depolarizing", 0.1), "p"),
     "NoiseReport": (lambda: noise_sweep(P4, "dep", (0.1,)), "fidelities"),
     "VerificationReport": (
         lambda: verify_all_outcomes(catalog_lookup("P3"), "universal"),
@@ -516,7 +515,6 @@ def test_reports_are_frozen(class_name):
 # as a new one
 REPLACE_CASES = {
     "Graph": ({"edges": P4.edges + (("A", "A"),)}, "self-loop"),
-    "NoiseChannel": ({"p": 1.5}, "channel strength"),
     "NoiseReport": ({"fidelities": ()}, "equal length"),
 }
 
