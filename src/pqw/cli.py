@@ -3,14 +3,13 @@ comparisons, and hardware-count post-processing.
 
 Exit codes: 0 success (and verification pass), 1 verification failure,
 2 usage error (bad arguments, unknown graph, inapplicable correction,
-malformed input files), 3 resource budget exceeded.
+malformed input files), 3 resource budget exceeded, 141 a closed pipe.
 
 Output is deterministic: JSON with sorted keys for structured reports,
 CSV with a header row and 12 significant digits for plot-ready curves.
-noise, lc and counts build one payload each and hand it, with CSV rows
-read lazily off it, to _write, the one function that picks the format
-and the destination; verify's two writers join outcomes run by run and
-build no payload.
+Every command hands _write, the one function that picks the format and
+the destination, one lazy generator of text pieces per format, so no
+command holds its whole output.
 Every command runs in one thread; --jobs is still accepted, must be a
 positive integer, and is otherwise ignored, so that existing scripts
 keep running.
@@ -29,6 +28,8 @@ and a path is quoted in a message as given; a file whose text does not
 decode or parse is refused with its path in front of the error.
 """
 
+import contextlib
+import itertools
 import math
 import os
 import sys
@@ -53,6 +54,7 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+EXIT_PIPE = 141  # 128 + SIGPIPE, as a shell reports a tool that SIGPIPE ended
 
 # the three transmitted-qubit counts of the standard comparison plot:
 # one Bell pair, a four-party GHZ from one central source, and the
@@ -62,9 +64,10 @@ COMPARE_CURVES = (("Bell", 1), ("GHZ4", 2), ("L4", 6))
 # the most points a --p range may hold; checked before the grid is built
 MAX_P_POINTS = 100_000
 
-# the most outcome records verify lists for one graph: 4^9, any graph of
-# at most nine edges, about 26 MB of JSON; checked before the walk runs
+# the most outcome records verify lists for one graph (4^9: any graph of
+# at most nine edges; checked before the walk runs), and holds at a time
 MAX_VERIFY_RECORDS = 4**9
+PIECE = 4096
 
 
 class UsageError(ValueError):
@@ -182,56 +185,57 @@ def _csv_field(text: str) -> str:
     return text
 
 
-def _render_csv(header: tuple[str, ...], rows) -> str:
-    lines = [",".join(header)]
-    lines.extend(",".join(map(_csv_field, row)) for row in rows)
-    return "\n".join(lines) + "\n"
+def _render_csv(header: tuple[str, ...], rows):
+    lines = itertools.chain((header,), rows)
+    while batch := tuple(itertools.islice(lines, PIECE)):
+        yield "\n".join([",".join(map(_csv_field, row)) for row in batch]) + "\n"
 
 
-def _render_json(obj) -> str:
+def _render_json(obj):
     import json  # here, so that no CSV run loads it
 
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    chunks = itertools.chain(json.JSONEncoder(indent=2, sort_keys=True).iterencode(obj), ("\n",))
+    while piece := "".join(itertools.islice(chunks, PIECE)):
+        yield piece
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8") as f:
-            f.write(text)
-
-
-def _write(config: RunConfig, payload, header: tuple[str, ...], rows) -> int:
-    """The one writer of noise, lc and counts: payload as JSON, or header
-    and rows as CSV, to stdout or --out.  rows is read off payload lazily,
-    so a JSON run formats no CSV field."""
-    text = _render_json(payload) if config.fmt == "json" else _render_csv(header, rows)
-    _emit(text, config.out)
+def _write(config: RunConfig, json_pieces, csv_pieces) -> int:
+    """The one writer of every command: the pieces of the generator that
+    --format names, as they come, to stdout or --out.  The other never
+    runs, so a JSON run formats no CSV field and a CSV run loads no json.
+    A piece joins up to PIECE records, lines or JSON chunks, so even an
+    unbuffered stdout takes few writes."""
+    stdout = contextlib.nullcontext(sys.stdout)  # which the with leaves open
+    with stdout if config.out is None else open(config.out, "w", encoding="utf-8") as f:
+        f.writelines(json_pieces if config.fmt == "json" else csv_pieces)
+        f.flush()  # so that a closed pipe raises here, not at exit
     return EXIT_PASS
 
 
 # -- commands ----------------------------------------------------------------
 
 
-def _outcome_text(reports: list, pieces: list[str], entry, sep="") -> str:
+def _outcome_text(reports: list, pieces: list[str], entry, sep=""):
     """pieces[0], then each report's outcomes, one entry each with sep
     between, followed by the next piece.  Entries of one run of equal
     fidelity differ only in their index: entry(report) maps a fidelity to
-    the (head, tail) about the index text, and each run is one join over
-    index texts sliced from one list, so no text is built per outcome."""
-    index_text = list(map(str, range(max(r.outcome_count for r in reports))))
-    parts = [pieces[0]]
+    the (head, tail) about the index text, and a run is joined in pieces cut
+    at multiples of PIECE, over the first PIECE index texts or converted ones."""
+    index_text = list(map(str, range(min(PIECE, max(r.outcome_count for r in reports)))))
+    yield pieces[0]
     for report, piece in zip(reports, pieces[1:]):
-        around, runs = entry(report), []
+        around, lead = entry(report), ""
         for start, stop, fidelity in report.fidelity_runs():
             head, tail = around(fidelity)
-            runs += (sep, head, (tail + sep + head).join(index_text[start:stop]), tail)
-        parts += (*runs[1:], piece)
-    return "".join(parts)
+            while start < stop:
+                cut = min(stop, start - start % PIECE + PIECE)
+                texts = index_text[start:cut] if cut <= PIECE else map(str, range(start, cut))
+                yield lead + head + (tail + sep + head).join(texts) + tail
+                lead, start = sep, cut
+        yield piece
 
 
-def _verify_csv(reports: list) -> str:
+def _verify_csv(reports: list):
     """The verify CSV, one line per outcome, from VerificationReports."""
 
     def entry(r):
@@ -242,11 +246,11 @@ def _verify_csv(reports: list) -> str:
     return _outcome_text(reports, [header] + [""] * len(reports), entry)
 
 
-def _verify_json(reports: list) -> str:
+def _verify_json(reports: list):
     """The verify JSON as _render_json writes it, one record per outcome.
     The payload is rendered with each report's records as one null on a
     line of its own, which no other field can write, and the records,
-    joined run by run, replace it; json writes a float as its repr."""
+    joined piece by piece, replace it; json writes a float as its repr."""
     fields = [
         dict(graph=r.graph_name, correction=r.correction_kind, outcome_count=r.outcome_count,
              min_fidelity=r.min_fidelity, max_fidelity=r.max_fidelity, passed=r.passed,
@@ -262,8 +266,8 @@ def _verify_json(reports: list) -> str:
         return lambda f: (f'\n{pad}{{\n{pad}  "fidelity": {f!r},\n{pad}  "index": ', tail)
 
     payload = {"all_passed": all(r.passed for r in reports), "reports": fields}
-    text = _render_json(fields[0] if single else payload)
-    return _outcome_text(reports, text.split(f"\n{pad}null"), entry, ",")
+    text = "".join(_render_json(fields[0] if single else payload))
+    yield from _outcome_text(reports, text.split(f"\n{pad}null"), entry, ",")
 
 
 def cmd_verify(config: RunConfig) -> int:
@@ -281,15 +285,11 @@ def cmd_verify(config: RunConfig) -> int:
             reports.append(verify_all_outcomes(graph, config.correction, name=name))
         except ValueError as err:  # a correction kind that does not apply
             raise UsageError(f"{name}: {err}") from None
-    _emit((_verify_json if config.fmt == "json" else _verify_csv)(reports), config.out)
-    # the first counterexample of each failing report, off the payload
-    for rep in reports:
+    _write(config, _verify_json(reports), _verify_csv(reports))
+    for rep in reports:  # the first counterexample of each failing report
         index = rep.first_failure()
         if index is not None:
-            print(
-                f"pqw: {rep.graph_name}: outcome {index} has fidelity 0",
-                file=sys.stderr,
-            )
+            print(f"pqw: {rep.graph_name}: outcome {index} has fidelity 0", file=sys.stderr)
     return EXIT_PASS if all(r.passed for r in reports) else EXIT_FAIL
 
 
@@ -303,7 +303,7 @@ def cmd_noise(config: RunConfig) -> int:
             for name, k in COMPARE_CURVES
         ]
         rows = ((c["name"], str(c["k"]), _fmt(c["p"]), _fmt(c["F"])) for c in curves)
-        return _write(config, curves, ("name", "k", "p", "F"), rows)
+        return _write(config, _render_json(curves), _render_csv(("name", "k", "p", "F"), rows))
 
     name, graph = _resolve_graph(config.graph)
     report = noise_sweep(
@@ -330,7 +330,7 @@ def cmd_noise(config: RunConfig) -> int:
         (_fmt(p), _fmt(f), "" if a is None else _fmt(a))
         for p, f, a in zip(payload["p_grid"], payload["fidelities"], analytic)
     )
-    return _write(config, payload, ("p", "F_exact", "F_analytic"), rows)
+    return _write(config, _render_json(payload), _render_csv(("p", "F_exact", "F_analytic"), rows))
 
 
 def cmd_lc(config: RunConfig) -> int:
@@ -358,7 +358,7 @@ def cmd_lc(config: RunConfig) -> int:
         "inequivalent": report.inequivalent,
     }
     rows = ((c["cut"], str(c["rank_a"]), str(c["rank_b"])) for c in payload["cuts"])
-    return _write(config, payload, ("cut", "rank_a", "rank_b"), rows)
+    return _write(config, _render_json(payload), _render_csv(("cut", "rank_a", "rank_b"), rows))
 
 
 def _load_json_map(path: str, value_type) -> dict:
@@ -390,7 +390,7 @@ def cmd_counts(config: RunConfig) -> int:
         fidelity = bhattacharyya_fidelity(counts, ideal, squared=not config.unsquared)
     payload = {"fidelity": fidelity, "k": config.k, "p_eff": extract_p_eff(fidelity, config.k)}
     rows = ((_fmt(r["fidelity"]), str(r["k"]), _fmt(r["p_eff"])) for r in (payload,))
-    return _write(config, payload, ("fidelity", "k", "p_eff"), rows)
+    return _write(config, _render_json(payload), _render_csv(("fidelity", "k", "p_eff"), rows))
 
 
 # -- argument parsing --------------------------------------------------------
@@ -577,16 +577,15 @@ def main(argv=None) -> int:
         if isinstance(config, str):  # the help or version text
             sys.stdout.write(config)
             return EXIT_PASS
-        if config.command == "verify":
-            return cmd_verify(config)
-        if config.command == "noise":
-            return cmd_noise(config)
-        if config.command == "lc":
-            return cmd_lc(config)
-        return cmd_counts(config)
+        run = {"verify": cmd_verify, "noise": cmd_noise, "lc": cmd_lc, "counts": cmd_counts}
+        return run[config.command](config)
     except ResourceError as err:
         print(f"pqw: {err}", file=sys.stderr)
         return EXIT_BUDGET
+    except BrokenPipeError:
+        # the reader has gone; stdout goes to os.devnull, so exit flushes nothing
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except (UsageError, CatalogError, ValueError, OSError) as err:
         # CatalogError carries a quoted message; unwrap the KeyError repr
         message = err.args[0] if isinstance(err, CatalogError) else err

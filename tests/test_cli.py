@@ -14,6 +14,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -154,7 +155,11 @@ def _reports(draw):
 
 
 # outcomes alternate; every outcome fails; a row that is 0 holds at
-# every outcome; two rows contradict each other
+# every outcome; two rows contradict each other; and runs that cross the
+# boundaries of verify's pieces, multiples of PIECE: outcomes of 4^8
+# alternate at bit 0, and under bits 12 and 0 of 4^7 the runs of failures
+# from 4095 to 8192 and from 12287 to 16384 each start off a boundary and
+# cross one
 REPORT_EXAMPLES = (
     [VerificationReport("a,b", "universal", 16, (0b11,))],
     [VerificationReport("P3", "universal", 4, (0b1,))],
@@ -162,6 +167,11 @@ REPORT_EXAMPLES = (
     [
         VerificationReport("big", "universal", 4096, (0b1100,)),
         VerificationReport('"q"', "universal", 4, (0b101, 0b100)),
+        VerificationReport("P3", "universal", 16, ()),
+    ],
+    [VerificationReport("C8", "universal", 4**8, (0b11,))],
+    [
+        VerificationReport("high", "universal", 4**7, (1 << 13, 0b10)),
         VerificationReport("P3", "universal", 16, ()),
     ],
 )
@@ -201,14 +211,15 @@ def _written(reports, fmt: str) -> tuple[str, bytes]:
 
 @_over_reports
 def test_verify_csv_matches_one_line_per_outcome(reports):
-    # the reports share one list of index texts, sliced by each run
+    # a piece slices one list of the first PIECE index texts, or converts
+    # the indices past it
     expected = "graph,outcome_index,probability,fidelity\n" + "".join(
         f"{cli._csv_field(r.graph_name)},{i},{cli._fmt(1 / r.outcome_count)},"
         f"{cli._fmt(f)}\n"
         for r in reports
         for i, f in enumerate(fidelity_column(r))
     )
-    assert cli._verify_csv(reports) == expected
+    assert "".join(cli._verify_csv(reports)) == expected
     # and through the command, on stdout and to --out alike
     assert _written(reports, "csv") == (expected, expected.encode("utf-8"))
 
@@ -242,8 +253,11 @@ def test_verify_json_matches_one_dict_per_outcome(reports):
             "all_passed": all(r.passed for r in reports),
             "reports": [_report_dict(r) for r in reports],
         }
-    expected = cli._render_json(payload)
-    assert cli._verify_json(reports) == expected
+    expected = "".join(cli._render_json(payload))
+    pieces = list(cli._verify_json(reports))
+    assert "".join(pieces) == expected
+    # each piece holds at most PIECE records; a name cannot spell the key
+    assert max(piece.count('"index": ') for piece in pieces) <= cli.PIECE
     out, saved = _written(reports, "json")
     assert (out, saved) == (expected, expected.encode("utf-8"))
     # passed and min_fidelity are what the records written beside them say
@@ -258,18 +272,53 @@ C8_CSV_SHA256 = "b4e495ae585d4ac91087a056e2a89e0d53f8cf0b056d2490087411836d52477
 C8_JSON_SHA256 = "289e6931b091d465d12a41f3d7334d76c5e4407c31926055ae0ac24b73c960c0"
 
 
-def test_verify_8_cycle_csv_golden(tmp_path, capsys):
-    # an 8-cycle: 8 + 2 * 8 = 24 qubits, 65,536 outcomes
+def _c8(tmp_path) -> str:
+    """The selector of an 8-cycle's edge-list file: 8 + 2 * 8 = 24 qubits,
+    65,536 outcomes."""
     cycle = "ABCDEFGH"
     edges = tmp_path / "c8.txt"
     edges.write_text("".join(f"{a} {b}\n" for a, b in zip(cycle, cycle[1:] + cycle[0])))
-    assert main(["verify", "--graph", f"@{edges}", "--format", "csv"]) == EXIT_PASS
+    return f"@{edges}"
+
+
+def test_verify_8_cycle_csv_golden(tmp_path, capsys):
+    c8 = _c8(tmp_path)
+    assert main(["verify", "--graph", c8, "--format", "csv"]) == EXIT_PASS
     out = capsys.readouterr().out
     assert out.count("\n") == 1 + 4**8
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == C8_CSV_SHA256
-    assert main(["verify", "--graph", f"@{edges}", "--format", "json"]) == EXIT_PASS
+    assert main(["verify", "--graph", c8, "--format", "json"]) == EXIT_PASS
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == C8_JSON_SHA256
+
+
+def test_verify_holds_one_piece_at_a_time(tmp_path):
+    # under tracemalloc the 8-cycle peaks near 1 MiB a piece at a time; its
+    # whole text at once would peak at 16 MiB (JSON) and 7.5 MiB (CSV)
+    c8, out = _c8(tmp_path), tmp_path / "out"
+    for fmt, digest in (("json", C8_JSON_SHA256), ("csv", C8_CSV_SHA256)):
+        tracemalloc.start()
+        try:
+            assert main(["verify", "--graph", c8, "--format", fmt, "--out", str(out)]) == EXIT_PASS
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20, (fmt, peak)
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, fmt
+
+
+@pytest.mark.parametrize("unbuffered", ("", "1"), ids=("buffered", "unbuffered"))
+def test_a_closed_pipe_exits_141_and_writes_no_error(unbuffered):
+    # the catalog's CSV is 362 KB, more than a pipe holds, so pqw is still
+    # writing when the reader closes the pipe after one line
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    env["PYTHONUNBUFFERED"] = unbuffered  # an empty value leaves stdout buffered
+    argv = [sys.executable, "-m", "pqw", "verify", "--graph", "all", "--format", "csv"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as run:
+        assert run.stdout.readline() == b"graph,outcome_index,probability,fidelity\n"
+        run.stdout.close()
+        assert run.wait(timeout=60) == 141  # 128 + SIGPIPE
+        assert run.stderr.read() == b""
 
 
 CEILING_SHAPES = {
@@ -649,6 +698,10 @@ def test_non_finite_p_grid_is_usage_error(spec, capsys):
         ("0:1:1e-5", "100001"),
         ("0:1:1e-300", "about 1e+300"),
         ("-1e308:1e308:1e-10", "about inf"),
+        # a span of exactly 100,000 steps is one point past the limit, and
+        # one of exactly 1e15 steps is the first given as "about"
+        ("0:99999.999999999:1", "100001"),
+        ("0:1e15:1", "about 1e+15"),
     ),
 )
 def test_oversized_p_grid_is_usage_error(spec, points, capsys):
@@ -860,7 +913,7 @@ def test_csv_quotes_a_comma_separated_cut(capsys):
 def test_render_csv_round_trips_every_special_character():
     header = ("h0", "h1", "h2", "h3", "h4")
     row = ("plain", "a,b", 'say "hi"', "two\nlines", "carriage\rreturn")
-    text = cli._render_csv(header, [row])
+    text = "".join(cli._render_csv(header, [row]))
     assert _csv_rows(text) == [list(header), list(row)]
     # a field without a special character is written as it is
     assert text.startswith("h0,h1,h2,h3,h4\nplain,")
@@ -1032,6 +1085,19 @@ def test_counts_non_finite_file_value_is_usage_error(
         ["counts", "--counts", str(counts), "--ideal", str(ideal), "--k", "2"]
     )
     assert code == EXIT_USAGE
+    assert "not a finite number" in capsys.readouterr().err
+
+
+def test_counts_file_value_may_be_the_largest_float(tmp_path, capsys):
+    # finite up to and including the largest float; an int past it is not
+    counts, ideal = tmp_path / "counts.json", tmp_path / "ideal.json"
+    ideal.write_text('{"00": 1.0}')
+    argv = ["counts", "--counts", str(counts), "--ideal", str(ideal), "--k", "2"]
+    counts.write_text(json.dumps({"00": sys.float_info.max}))
+    assert main(argv) == EXIT_PASS
+    assert json.loads(capsys.readouterr().out)["fidelity"] == 1.0
+    counts.write_text(json.dumps({"00": 2**1024}))
+    assert main(argv) == EXIT_USAGE
     assert "not a finite number" in capsys.readouterr().err
 
 
@@ -1305,9 +1371,34 @@ def test_help_exits_zero(capsys):
         assert entries[0] == "  -h, --help", command
 
 
+VERIFY_HELP = """usage: pqw verify [options]
+
+enumerate every outcome and check the corrected state
+
+  -h, --help
+      show this help and exit
+  --graph GRAPH
+      catalog name, @edge-list-file, or 'all' (required)
+  --correction {universal,l4,c4,tree}
+      (default universal)
+  --format {json,csv}
+      (default json)
+  --out OUT
+      output file (default stdout)
+  --jobs JOBS
+      ignored: every command runs in one thread
+"""
+
+
+def test_verify_help_golden(capsys):
+    # an option that takes text shows it as its name in capitals
+    assert main(["verify", "--help"]) == EXIT_PASS
+    assert capsys.readouterr().out == VERIFY_HELP
+
+
 def test_exit_codes_are_the_documented_ones():
     # the codes the pqw.cli docstring lists; every other test reads the names
-    assert (EXIT_PASS, EXIT_FAIL, EXIT_USAGE, EXIT_BUDGET) == (0, 1, 2, 3)
+    assert (EXIT_PASS, EXIT_FAIL, EXIT_USAGE, EXIT_BUDGET, cli.EXIT_PIPE) == (0, 1, 2, 3, 141)
 
 
 # -- seeded fuzz -----------------------------------------------------------------

@@ -4,6 +4,8 @@ resolves to, and the exit code of each form it refuses.
 The commands themselves are replaced by a recorder, so these tests pin
 the parser alone and run no engine."""
 
+import sys
+
 import pytest
 
 import pqw
@@ -160,6 +162,13 @@ def test_refused_argv_exits_2(argv, configs, capsys):
     assert err.splitlines()[-1].startswith("pqw")
 
 
+def test_a_bare_double_dash_prefixes_no_option(configs, capsys):
+    # "--" spells no letter of a name, so it matches none, not every option
+    assert main(["verify", "--", "--graph", "P3"]) == EXIT_USAGE
+    assert configs == []
+    assert capsys.readouterr() == ("", "pqw: unrecognized arguments: --\n")
+
+
 @pytest.mark.parametrize(
     "argv, missing",
     (
@@ -182,6 +191,12 @@ def test_missing_required_options_are_named(argv, missing, configs, capsys):
 def test_version_prints_and_exits_zero(argv, configs, capsys):
     assert main(argv) == EXIT_PASS
     assert configs == []
+    assert capsys.readouterr() == (f"pqw {pqw.__version__}\n", "")
+
+
+def test_main_reads_sys_argv_when_given_none(monkeypatch, configs, capsys):
+    monkeypatch.setattr(sys, "argv", ["pqw", "--version"])
+    assert main() == EXIT_PASS
     assert capsys.readouterr() == (f"pqw {pqw.__version__}\n", "")
 
 
