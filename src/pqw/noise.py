@@ -5,65 +5,49 @@ Noise model: one single-qubit channel applied independently to each of
 the k = 2|E| resource qubits, either right after the pairs are prepared
 (insertion "post_prep", the default: the halves are what get shipped)
 or just before they are measured ("pre_measure").  Data qubits stay
-clean.
+clean.  A channel is its Pauli transfer matrix R (_transfer), whose
+entries are int polynomials in p and s = sqrt(1-p).
 
-Two fidelity accountings are provided, and they are not the same
-number:
+* metric="strict", the default, as effective-p extraction and the
+  channel comparisons are built on its closed forms, charges every
+  resource-qubit error as a loss: it is the per-qubit retention tr R / 4
+  to the power k times the share of outcomes that meet the sign
+  conditions pqw.verify reads (1 for a valid plan, which gives the closed
+  forms (1-3p/4)^k and ((1+sqrt(1-p))/2)^k at both insertion points).
 
-* metric="strict" charges every resource-qubit error as a loss.  A
-  qubit comes through error-free with probability
-  sum_b (tr(K_b)/2)^2, independently of the others, so the no-error
-  fraction is that per-qubit retention to the power k; it multiplies
-  the exact noiseless fidelity, which is 1 for a valid plan and below 1
-  for a broken one.  This is why the result matches the closed-form
-  curves (1-3p/4)^k and ((1+sqrt(1-p))/2)^k to machine precision,
-  identically for both insertion points.  The noiseless fidelity is the
-  fraction of outcomes that meet the GF(2) sign conditions pqw.verify
-  reads off the sign forms of the K_v, the pass_count of its report over
-  the outcome count, so strict costs one elimination and has no vertex
-  budget.
+* metric="conditional" is the fidelity of the state actually delivered:
+  every error branch runs through the rest of the circuit and every
+  outcome is corrected and compared with the target.  It sits above
+  strict from order p^2 on, as on any edge the pair errors X(x)Z, Z(x)X
+  and Y(x)Y leave the shared pair state invariant; the two agree at p=0.
 
-* metric="conditional" is the operational fidelity of the state
-  actually delivered: every error branch runs through the remaining
-  circuit, every outcome is projected and corrected, and the squared
-  overlaps with the target state are summed.  It sits above the strict
-  value at order p^2 and cannot reproduce the closed forms: on any
-  single edge the pair errors X(x)Z, Z(x)X and Y(x)Y leave the shared
-  pair state invariant, so the correction step silently repairs some
-  multi-error patterns that the strict accounting already wrote off.
-  The two metrics agree at p=0 and conditional >= strict everywhere.
-
-One exact engine computes every conditional value, with no
-statevector, no numpy and no complex number.  The corrected-fidelity operator
+One exact engine computes every conditional value, with no statevector,
+no numpy and no complex number.  The corrected-fidelity operator
 M = sum_s |s><s| (x) C_s^dagger |G><G| C_s is the projector of a
 stabilizer code with one generator K_v (x) Z_R^{phi_v} per vertex, so
 F = tr(M rho) is 2^-|V| times the sum of the expectations of its 2^|V|
-elements, taken in Gray-code order.  After prep, each element is
-carried back through the walk (pqw.protocol runs the generators back as
-bit-packed columns and hands each over as (x, z, odd) ints, a real
-string and its sign bit, which multiply with a few int operations) and
-the adjoint channel to the prepared state, |+> per data qubit and
-CZ|++> per edge.  Before measurement the channel only reaches Z_R, and
-each expectation is read off the sign forms of the K_v, defined in
-pqw.protocol's docstring.  Both conditional paths cost 2^|V| terms, so
-DEFAULT_VERTEX_BUDGET bounds |V| there.  No channel changes the code, so
-a sweep builds it, or strict's noiseless fraction, once, as one reader of
-a Kraus list, and reads every p off that one build.  noise_sweep is the
-one function here that calls the engine; it imports pqw.verify when it
-runs strict and pqw.protocol when it runs conditional, and the readers
-read only the ints it hands them and the Kraus lists, so the closed
-forms and the count arithmetic load no engine.
+elements, in Gray-code order; DEFAULT_VERTEX_BUDGET bounds |V|.  After
+prep, each element is carried back through the walk (pqw.protocol hands
+each generator over as (x, z, odd) ints) and through R to |+> per data
+qubit and CZ|++> per edge, whose 16 pair expectations pqw.protocol reads
+off prep_gates.  Before measurement the channel only reaches Z_R, and
+each expectation is read off the sign forms of the K_v.
 
-The default is strict because the closed-form curves are the quantity
-the rest of the toolchain (effective-p extraction, channel comparisons)
-is built around.
+No p changes the code, so a sweep builds it once, as one polynomial in p
+and s: the elements fall into few classes of equal factors, each with a
+signed int multiplicity.  At the float p = n/d a value is exactly
+(a + b sqrt(q)) / 2^e in ints, and it is rounded once: a rational one by
+one int true division, which CPython rounds correctly, and an irrational
+one by isqrt brackets of doubling precision; strict takes its power on
+such a bracket.  No float sum or product computes a value.  noise_sweep,
+the one caller of the engine, imports pqw.verify for strict and
+pqw.protocol for conditional when it runs.
 """
 
 import math
 import operator
 import sys
-from collections import namedtuple
-from itertools import product
+from collections import Counter, namedtuple
 
 from .graphs import CHANNEL_ALIASES, INSERTION_POINTS, METRICS, Graph, ResourceError, _Checked
 
@@ -80,24 +64,6 @@ def _check_choice(what: str, value: str, choices: tuple[str, ...]) -> None:
 def _check_strength(p: float) -> None:
     if not 0.0 <= p <= 1.0:  # NaN fails it
         raise ValueError(f"channel strength must lie in [0, 1], got {p}")
-
-
-def _kraus_lists(kind: str, p: float) -> tuple[list[list[float]], ...]:
-    """Real 2x2 Kraus lists.  Depolarizing's Y branch is sqrt(p/4) XZ = -i sqrt(p/4) Y:
-    a global phase on one Kraus operator leaves the channel unchanged."""
-    if kind == "depolarizing":
-        c, s = math.sqrt(1.0 - 0.75 * p), math.sqrt(p / 4.0)
-        return (
-            [[c, 0.0], [0.0, c]],
-            [[0.0, s], [s, 0.0]],
-            [[0.0, -s], [s, 0.0]],
-            [[s, 0.0], [0.0, -s]],
-        )
-    kept = [[1.0, 0.0], [0.0, math.sqrt(1.0 - p)]]
-    if kind == "phase_damping":
-        return kept, [[0.0, 0.0], [0.0, math.sqrt(p)]]
-    # amplitude damping: decay |1> -> |0>
-    return kept, [[0.0, math.sqrt(p)], [0.0, 0.0]]
 
 
 # -- closed forms and count arithmetic --------------------------------------
@@ -213,17 +179,11 @@ def noise_sweep(
 ) -> NoiseReport:
     """Exact fidelity under independent noise of each strength in p_grid
     on every resource qubit, with the closed-form curve where one exists
-    (depolarizing and phase damping; amplitude damping gets no overlay).
-
-    Neither metric enumerates outcomes or error branches.  Strict is the
-    per-qubit retention to the power k = 2|E| times the share
-    pass_count / outcome_count of the outcomes that pass the noiseless
-    sign conditions.  Conditional sums the 2^|V| code elements of the
-    module docstring, so DEFAULT_VERTEX_BUDGET bounds |V| there.  Under a
-    valid plan both are 1 at p=0.  Each argument is checked once, all before
-    any point is computed; the one engine call reads the correction kind's
-    forms, and so checks it, before the walk runs back, and builds one
-    reader that one loop reads at the Kraus list of each p."""
+    (depolarizing and phase damping), each value rounded once.  Neither metric
+    enumerates outcomes or error branches (module docstring).  Each argument
+    is checked once, all before any point is computed, and the one engine
+    call reads, and so checks, the correction kind's forms before the walk
+    runs back."""
     kind = CHANNEL_ALIASES.get(channel_kind, channel_kind)
     _check_choice("channel kind", kind, CHANNEL_KINDS)
     grid = tuple(float(p) for p in p_grid)
@@ -233,16 +193,12 @@ def noise_sweep(
     _check_choice("metric", metric, METRICS)
     k = 2 * graph.n_edges
     if metric == "strict":
-        # the per-qubit retention sum_b (tr(K_b)/2)^2 to the power k, times
-        # the noiseless fidelity: the share of outcomes that meet every sign condition
+        # the retention tr R / 4 to the power k times the noiseless pass share
         from . import verify
 
-        report = verify.verify_all_outcomes(graph, correction_kind)
-        noiseless = report.pass_count / report.outcome_count
-
-        def read(ops):
-            return math.fsum((op[0][0] + op[1][1]) ** 2 / 4.0 for op in ops) ** k * noiseless
-
+        passed = verify.verify_all_outcomes(graph, correction_kind).pass_count
+        trace = _collect({(i,): 1 for i in (0, 5, 10, 15)}, _transfer(kind))  # tr R
+        fidelities = tuple(_nearest(_strict_bounds, trace, p, k, passed) for p in grid)
     elif graph.n_vertices > DEFAULT_VERTEX_BUDGET:
         raise ResourceError(
             f"Heisenberg sum over {graph.n_vertices} vertices exceeds the budget "
@@ -252,18 +208,97 @@ def noise_sweep(
         from . import protocol
 
         phis = protocol._sign_forms(graph, correction_kind)
+        transfer = _transfer(kind)
         if insertion == "post_prep":
-            read = _prepared_sums(graph, protocol._heisenberg_generators(graph, phis))
-        else:
-            read = _measured_sums(graph, protocol._data_sign_forms(graph), phis)
-    fidelities = tuple(read(_kraus_lists(kind, p)) for p in grid)
-    if kind == "depolarizing":
-        analytic = tuple(f_star_dep(p, k) for p in grid)
-    elif kind == "phase_damping":
-        analytic = tuple(f_star_pd(p, k) for p in grid)
-    else:
-        analytic = None
+            table = _edge_table(transfer, protocol._pair_expectations(graph))
+            poly = _prepared_sums(graph, protocol._heisenberg_generators(graph, phis), table)
+        else:  # R's Z row: E^dagger(Z) = a + b Z
+            poly = _measured_sums(graph, protocol._data_sign_forms(graph), phis, transfer[8:12])
+        fidelities = tuple(_nearest(_bracket, poly, p, graph.n_vertices) for p in grid)
+    analytic = None
+    if kind != "amplitude_damping":  # the closed forms: strict with every outcome passing
+        trace = _collect({(i,): 1 for i in (0, 5, 10, 15)}, _transfer(kind))
+        analytic = tuple(_nearest(_strict_bounds, trace, p, k, 1 << k) for p in grid)
     return NoiseReport(grid, fidelities, analytic, k)
+
+
+# -- exact values, rounded once -------------------------------------------------
+
+
+def _product(*factors: dict) -> dict:
+    """The product of polynomials in p and s = sqrt(1-p), each a dict from
+    the exponents (i, j) of p^i s^j to an int coefficient."""
+    product = {(0, 0): 1}
+    for f in factors:
+        h = {}
+        for (i, j), a in product.items():
+            for (m, n), b in f.items():
+                h[i + m, j + n] = h.get((i + m, j + n), 0) + a * b
+        product = h
+    return product
+
+
+def _transfer(kind: str) -> list[dict]:
+    """The channel's Pauli transfer matrix, E^dagger(P) = sum_Q R[P][Q] Q
+    over the strings X^x Z^z at index x + 2z, flat with R[P][Q] at 4P + Q,
+    each entry a polynomial in p and s ({} for 0):
+
+      depolarizing       diag(1, 1-p, 1-p, 1-p)
+      phase damping      diag(1, s, 1, s)
+      amplitude damping  I -> I, X -> s X, XZ -> s XZ, Z -> p I + (1-p) Z
+    """
+    one, s, u = {(0, 0): 1}, {(0, 1): 1}, {(0, 2): 1}  # u = 1 - p = s^2
+    diagonal = {"depolarizing": (one, u, u, u), "phase_damping": (one, s, one, s)}
+    flat = [diagonal.get(kind, (one, s, u, s))[i // 5] if i % 5 == 0 else {} for i in range(16)]
+    flat[8] = {(1, 0): 1} if kind == "amplitude_damping" else {}  # R[Z][I]
+    return flat
+
+
+def _bracket(poly: dict, p: float, shift: int, bits: int) -> tuple[int, int, int]:
+    """(low, high, scale) with low <= poly(p, s) / 2^shift * 2^scale <= high:
+    at the float p = n/d the value is (a + b sqrt(q)) / 2^e in ints, as
+    s = sqrt(q)/d for q = d(d - n), d a power of two, and sqrt(q) is cut to
+    bits fraction bits, so low == high when b is 0 or q is a square."""
+    n, d = p.as_integer_ratio()
+    e = d.bit_length() - 1
+    top = max((i + (j + 1) // 2 for i, j in poly), default=0)
+    a, b, q = 0, 0, d * (d - n) << 2 * bits
+    for (i, j), c in poly.items():
+        term = c * n**i * (d - n) ** (j >> 1) << e * (top - i - (j + 1) // 2)
+        a, b = (a, b + term) if j & 1 else (a + term, b)
+    root = math.isqrt(q)
+    low, high = (a << bits) + b * root, (a << bits) + b * (root + (root * root != q))
+    return min(low, high), max(low, high), e * top + shift + bits
+
+
+def _strict_bounds(trace: dict, p: float, k: int, passed: int, bits: int) -> tuple[int, int, int]:
+    """A bracket on (trace / 4)^k * passed / 2^k, the strict fidelity (the
+    outcome count is 4^|E| = 2^k), by squaring a bracket on the retention
+    trace / 4 with each product cut to bits bits, low down and high up."""
+
+    def cut(f, g):
+        drop = max((f[1] * g[1]).bit_length() - bits, 0)
+        return f[0] * g[0] >> drop, -(-f[1] * g[1] >> drop), f[2] + g[2] - drop
+
+    result, base = (passed, passed, k), _bracket(trace, p, 2, bits)
+    while k:
+        if k & 1:
+            result = cut(result, base)
+        k, base = k >> 1, cut(base, base)
+    return result
+
+
+def _nearest(bounds, *args) -> float:
+    """The float nearest an exact value, rounded once: bounds(*args, bits)
+    brackets it, and bits doubles until both ends round to the same float.
+    A rational value's ends are equal, so it is one int true division; an
+    irrational one is never a float or a tie, so the loop ends."""
+    bits = 64
+    while True:
+        low, high, scale = bounds(*args, bits)
+        if low / (1 << scale) == high / (1 << scale):
+            return low / (1 << scale)
+        bits *= 2
 
 
 # -- Heisenberg-picture sum ----------------------------------------------------
@@ -286,120 +321,70 @@ def _times(a: tuple[int, int, int], b: tuple[int, int, int]) -> tuple[int, int, 
     return a[0] ^ b[0], a[1] ^ b[1], (a[2] + b[2] + (a[1] & b[0]).bit_count()) & 1
 
 
-def _measured_sums(graph: Graph, forms, phis):
-    """The reader of the conditional fidelity under a channel's Kraus list,
-    E^dagger(Z) = a + b Z, on every resource qubit just before it is measured:
+def _collect(classes: dict, factors) -> Counter:
+    """The sum over classes of multiplicity * prod of factors[i], i in key."""
+    total = Counter()
+    for key, count in classes.items():
+        total.update(_product({(0, 0): count}, *(factors[i] for i in key)))
+    return total
+
+
+def _measured_sums(graph: Graph, forms, phis, z_row: list[dict]) -> Counter:
+    """2^|V| F with the channel on every resource qubit just before it is
+    measured, E^dagger(Z) = a + b Z with z_row R's Z row (a, 0, b, 0):
 
         F = 2^-|V| sum_{A subset V} <psi_pre| E^dagger(K_A (x) Z_R^{phi_A}) |psi_pre>
 
     E^dagger turns Z_R^{phi_A} into the sum over T subset phi_A of
-    a^{|phi_A - T|} b^{|T|} Z_R^T, and the walk leaves
-    <K_A (x) Z_R^T> = [T = sigma_A] (-1)^{odd_A}, with sigma_v << 1 | odd_v
-    the sign form of K_v that the circuit run backwards gives
-    (_data_sign_forms) and sigma_A << 1 | odd_A the xor of those over A.
-    So per resource bit (phi_A, sigma_A) reads (0,0) -> 1, (1,0) -> a,
-    (1,1) -> b and (0,1) -> 0.  phi_A and the sign form are xor-linear in
-    A, so a code element is phi_A | form_A << k, kept, when sigma_A lies
-    in phi_A, as the exponents of a and b and the sign.  forms are the
-    sign forms of the K_v and phis the plan's masks phi_v, as ints.
+    a^{|phi_A - T|} b^{|T|} Z_R^T, and the walk leaves <K_A (x) Z_R^T> =
+    [T = sigma_A] (-1)^{odd_A}, sigma_A << 1 | odd_A the xor over A of the
+    K_v's sign forms (_data_sign_forms).  So an element phi_A | form_A << k,
+    phis the plan's masks, is kept when sigma_A lies in phi_A, in the class
+    of its exponents of a and b.
     """
     k = 2 * graph.n_edges
     low = (1 << k) - 1
     generators = [phi | form << k for form, phi in zip(forms, phis)]
-    terms = []
+    classes = Counter()
     for term in _code(0, generators, operator.xor):
         phi, sigma = term & low, term >> k + 1
         if not sigma & ~phi:
-            sign = -1.0 if term >> k & 1 else 1.0
-            terms.append(((phi ^ sigma).bit_count(), sigma.bit_count(), sign))
-
-    def read(ops):
-        # every channel here is diagonal in E^dagger(Z) = a + b Z
-        z = _adjoint(ops, _SITE_PAULIS[0, 1])
-        a = (z[0][0] + z[1][1]) / 2.0
-        b = (z[0][0] - z[1][1]) / 2.0
-        values = (sign * (a**m * b**n) for m, n, sign in terms)
-        return math.fsum(values) / (1 << len(generators))
-
-    return read
+            classes[(phi ^ sigma).bit_count(), sigma.bit_count()] += -1 if term >> k & 1 else 1
+    return _collect({(0,) * m + (2,) * n: c for (m, n), c in classes.items()}, z_row)
 
 
-_PAIR = (0.5, 0.5, 0.5, -0.5)  # CZ|++>
-_SITE_PAULIS = {  # X^x Z^z at key (x, z)
-    (0, 0): ((1.0, 0.0), (0.0, 1.0)),
-    (1, 0): ((0.0, 1.0), (1.0, 0.0)),
-    (0, 1): ((1.0, 0.0), (0.0, -1.0)),
-    (1, 1): ((0.0, -1.0), (1.0, 0.0)),
-}
-
-
-def _adjoint(ops: list, pauli) -> list[list[float]]:
-    """E^dagger(P) = sum_b K_b^T P K_b, the adjoint channel, on real 2x2
-    nested lists."""
-    pairs = tuple(product((0, 1), repeat=2))
+def _edge_table(transfer: list[dict], pair: tuple[int, ...]) -> list[dict]:
+    """<CZ++| E^dagger(P_1) (x) E^dagger(P_0) |CZ++> at the pair index
+    4 P_1 + P_0, P_1 on the first endpoint:
+    sum_{Q_1, Q_0} R[P_1][Q_1] R[P_0][Q_0] pair[4 Q_1 + Q_0], with pair the
+    expectations protocol._pair_expectations reads off prep_gates."""
     return [
-        [
-            sum(
-                op[r][i] * pauli[r][c] * op[c][j]
-                for op in ops
-                for r, c in pairs
-            )
-            for j in (0, 1)
-        ]
-        for i in (0, 1)
+        _collect({(4 * (key >> 2) + (q >> 2), 4 * (key & 3) + (q & 3)): sign
+                  for q, sign in enumerate(pair) if sign}, transfer)
+        for key in range(16)
     ]
 
 
-def _edge_table(ops: list) -> list[float]:
-    """<CZ++| E^dagger(P_0) (x) E^dagger(P_1) |CZ++> for the pair's Paulis
-    P_h = X^{x_h} Z^{z_h}, at index x + 4z with x = x_0 + 2 x_1 and
-    z = z_0 + 2 z_1; P_1 is the high factor of the pair's index, its first
-    endpoint, and as CZ|++> is symmetric either half may be the low one.
-    _PAIR is the one hand copy of the resource beside prep_gates: the table
-    is taken on amplitudes, which prep_gates would need a simulator for."""
-    adjoint = {site: _adjoint(ops, pauli) for site, pauli in _SITE_PAULIS.items()}
-    table = []
-    for z in range(4):
-        for x in range(4):
-            high, low = adjoint[x >> 1, z >> 1], adjoint[x & 1, z & 1]
-            table.append(
-                sum(
-                    _PAIR[2 * i + k] * high[i][j] * low[k][l] * _PAIR[2 * j + l]
-                    for i, j, k, l in product((0, 1), repeat=4)
-                )
-            )
-    return table
-
-
-def _prepared_sums(graph: Graph, generators):
-    """The reader of the conditional fidelity under a channel's Kraus list
-    on every resource qubit right after the pairs are prepared:
-
-        F = 2^-|V| sum_{A subset V} <psi_prep| E^dagger(W^dagger S_A W) |psi_prep>
-
-    with S_A the product of the code generators in A, given walked back
-    as (x, z, odd) ints.  psi_prep is |+>
-    on each data qubit, where a Z gives 0, and CZ|++> on each edge, where
-    the adjoint channel on both halves gives one entry of the edge table.
-    So an element is kept, when it has no data Z, as its sign and the
-    table index of each edge from the low end of the register.
+def _prepared_sums(graph: Graph, generators, table: list[dict]) -> Counter:
+    """2^|V| F with the channel on every resource qubit right after the
+    pairs are prepared, F = 2^-|V| sum_{A subset V} <psi_prep|
+    E^dagger(W^dagger S_A W) |psi_prep>, S_A the product of the generators
+    in A, walked back as (x, z, odd) ints.  psi_prep is |+> per data qubit,
+    where a Z gives 0, and CZ|++> per pair, which gives one table entry.
+    So an element with no data Z is its sign times those entries, in the
+    class of its sorted table indices: the hex digits of x | z << 1 with
+    its strings spread to two bits a qubit, so that a pair is a nibble.
     """
-    nv, n_edges = graph.n_vertices, graph.n_edges
-    data = (1 << nv) - 1
-    terms = []
-    for x, z, odd in _code((0, 0, 0), generators, _times):
+    nv = graph.n_vertices
+
+    def spread(bits):  # qubit i, counted from an even first pair, to bit 2i
+        bits <<= nv & 1
+        return sum((bits >> i & 1) << 2 * i for i in range(bits.bit_length()))
+
+    data, shift, width = spread((1 << nv) - 1), 2 * (nv + (nv & 1)), f"0{graph.n_edges}x"
+    spread_generators = [(spread(x), spread(z), odd) for x, z, odd in generators]
+    classes = Counter()
+    for x, z, odd in _code((0, 0, 0), spread_generators, _times):
         if not z & data:
-            x, z = x >> nv, z >> nv
-            keys = [(x >> 2 * j & 3) | (z >> 2 * j & 3) << 2 for j in range(n_edges)]
-            terms.append((-1 if odd else 1, keys))
-
-    def read(ops):
-        table = _edge_table(ops)
-        values = []
-        for value, keys in terms:
-            for key in keys:
-                value *= table[key]
-            values.append(value)
-        return math.fsum(values) / (1 << nv)
-
-    return read
+            classes["".join(sorted(format((x | z << 1) >> shift, width)))] += -1 if odd else 1
+    return _collect(classes, dict(zip("0123456789abcdef", table)))

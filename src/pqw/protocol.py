@@ -165,6 +165,18 @@ def prep_gates(graph: Graph) -> tuple[tuple[str, tuple[int, ...]], ...]:
     )
 
 
+def _pair_expectations(graph: Graph) -> tuple[int, ...]:
+    """<++| CZ (Q_1 (x) Q_0) CZ |++> on the first pair of prep_gates(graph),
+    for Q_h = X^{x_h} Z^{z_h} at index 4 Q_1 + Q_0, Q_h read as x_h + 2 z_h
+    and Q_1 on the first endpoint: +-1 for each string the CZ leaves Z-free."""
+    n = graph.n_vertices + 2 * graph.n_edges
+    rows = _checked_gates(n, prep_gates(graph)[:1])
+    (_, high, low), x, z = rows[0], [0] * n, [0] * n
+    x[low], z[low], x[high], z[high] = 0xAAAA, 0xCCCC, 0xF0F0, 0xFF00
+    flips, left = _conj_columns(x, z, rows), z[low] | z[high]
+    return tuple(0 if left >> i & 1 else 1 - 2 * (flips >> i & 1) for i in range(16))
+
+
 def walk_gates(graph: Graph) -> tuple[tuple[str, tuple[int, ...]], ...]:
     """S3 as a gate list, the one copy of the walk circuit: the
     entangling CZ(data, own resource half) for every incidence in edge

@@ -1,13 +1,16 @@
 """Shared test machinery: random Clifford circuits applied both densely
 and symbolically, explicit matrix builders used as oracles for the
-reshape-based gate kernels, the dense Kraus-branch reference for the
-noise engines, random graphs, the T1 decay arithmetic, and small
-comparisons that only tests use."""
+reshape-based gate kernels, the dense references for the noise engine
+(every Kraus branch, and the pairs' mixture for post-prep noise), its
+exact 100-digit reference, random graphs, the T1 decay arithmetic, and
+small comparisons that only tests use."""
 
 from __future__ import annotations
 
+import decimal
 import math
 import random
+from decimal import Decimal
 from itertools import product as iter_product
 
 import numpy as np
@@ -17,7 +20,14 @@ import dense as sv
 from dense import _after_prep, _premeasurement, _run_gates, graph_state
 from pauli import PauliString, conjugate_circuit
 from pqw.graphs import Graph, catalog_lookup, parse_edge_list
-from pqw.protocol import _checked_gates, _outcome_bit, _sign_forms, walk_gates
+from pqw.protocol import (
+    _checked_gates,
+    _data_sign_forms,
+    _heisenberg_generators,
+    _outcome_bit,
+    _sign_forms,
+    walk_gates,
+)
 
 GATE_ARITY = {"H": 1, "X": 1, "Z": 1, "CZ": 2, "CNOT": 2}
 
@@ -236,6 +246,169 @@ def branch_fidelity(
             math.fsum(outcome_overlaps(graph, amps, targets).tolist())
         )
     return math.fsum(branch_totals)
+
+
+# -- exact 100-digit reference for the noise engine ---------------------------
+
+# CZ|++> over |b_1 b_0>, b_1 the pair's first endpoint
+_PAIR_AMPLITUDES = (1, 1, 1, -1)
+
+
+def _exact_kraus(kind: str, p: Decimal) -> list[list[list[Decimal]]]:
+    """Real 2x2 Kraus lists at the context's precision, spelled from the
+    definitions dense.kraus_ops writes.  Depolarizing's Y branch is
+    sqrt(p/4) XZ = -i sqrt(p/4) Y: a global phase on one Kraus operator
+    leaves the channel unchanged."""
+    zero, one = Decimal(0), Decimal(1)
+    if kind == "depolarizing":
+        c, r = (1 - 3 * p / 4).sqrt(), (p / 4).sqrt()
+        return [[[c, zero], [zero, c]], [[zero, r], [r, zero]],
+                [[zero, -r], [r, zero]], [[r, zero], [zero, -r]]]
+    kept = [[one, zero], [zero, (1 - p).sqrt()]]
+    if kind == "phase_damping":
+        return [kept, [[zero, zero], [zero, p.sqrt()]]]
+    return [kept, [[zero, p.sqrt()], [zero, zero]]]
+
+
+def _exact_adjoint(ops, x: int, z: int) -> list[list[Decimal]]:
+    """E^dagger(X^x Z^z) = sum_b K_b^T X^x Z^z K_b on real 2x2 lists."""
+    pauli = [[(1 - 2 * (z and j)) * (i ^ j == x) for j in (0, 1)] for i in (0, 1)]
+    return [
+        [sum(op[r][i] * pauli[r][c] * op[c][j] for op in ops for r in (0, 1) for c in (0, 1))
+         for j in (0, 1)]
+        for i in (0, 1)
+    ]
+
+
+def _string_times(a, b):
+    """The product of two real strings (-1)^odd X^x Z^z as (x, z, odd)."""
+    return a[0] ^ b[0], a[1] ^ b[1], (a[2] + b[2] + (a[1] & b[0]).bit_count()) & 1
+
+
+def _prepared_elements(graph: Graph, correction_kind: str) -> list[tuple[int, list[int]]]:
+    """Each element of the post-prep code with no data Z, as its sign and
+    the edge-table index of each pair, from the low end of the register."""
+    nv = graph.n_vertices
+    generators = _heisenberg_generators(graph, _sign_forms(graph, correction_kind))
+    elements = []
+    for subset in range(1 << nv):
+        x, z, odd = 0, 0, 0
+        for v, generator in enumerate(generators):
+            if subset >> v & 1:
+                x, z, odd = _string_times((x, z, odd), generator)
+        if not z & (1 << nv) - 1:
+            x, z = x >> nv, z >> nv
+            keys = [(x >> j & 3) | (z >> j & 3) << 2 for j in range(0, 2 * graph.n_edges, 2)]
+            elements.append((1 - 2 * odd, keys))
+    return elements
+
+
+def _prepared_value(elements, nv: int, ops) -> Decimal:
+    adjoint = {(x, z): _exact_adjoint(ops, x, z) for x in (0, 1) for z in (0, 1)}
+    table = []
+    for key in range(16):
+        high, low = adjoint[key >> 1 & 1, key >> 3], adjoint[key & 1, key >> 2 & 1]
+        table.append(sum(
+            _PAIR_AMPLITUDES[2 * i + k] * high[i][j] * low[k][l] * _PAIR_AMPLITUDES[2 * j + l]
+            for i, j, k, l in iter_product((0, 1), repeat=4)
+        ) / 4)
+    return sum(math.prod((table[key] for key in keys), start=Decimal(sign))
+               for sign, keys in elements) / 2**nv
+
+
+def _measured_value(graph: Graph, correction_kind: str, ops) -> Decimal:
+    k = 2 * graph.n_edges
+    z = _exact_adjoint(ops, 0, 1)
+    a, b = (z[0][0] + z[1][1]) / 2, (z[0][0] - z[1][1]) / 2
+    pairs = list(zip(_data_sign_forms(graph), _sign_forms(graph, correction_kind)))
+    total = Decimal(0)
+    for subset in range(1 << graph.n_vertices):
+        form = phi = 0
+        for v, (form_v, phi_v) in enumerate(pairs):
+            if subset >> v & 1:
+                form, phi = form ^ form_v, phi ^ phi_v
+        sigma = form >> 1
+        if not sigma & ~phi & (1 << k) - 1:
+            factors = (a,) * (phi ^ sigma).bit_count() + (b,) * sigma.bit_count()
+            total += math.prod(factors, start=Decimal(1 - 2 * (form & 1)))
+    return total / 2**graph.n_vertices
+
+
+def round_once(value: Decimal) -> float:
+    """The float nearest a 100-digit value, checked to lie more than
+    10^-90 of the value away from either rounding boundary, so that the
+    exact value it approximates rounds to the same float."""
+    nearest = float(value)
+    for neighbour in (math.nextafter(nearest, -math.inf), math.nextafter(nearest, math.inf)):
+        boundary = (Decimal(nearest) + Decimal(neighbour)) / 2
+        assert abs(value - boundary) > abs(value).scaleb(-90), value
+    return nearest
+
+
+def exact_strict(channel: str, p: float, k: int, noiseless) -> float:
+    """The strict fidelity by its definition: the retention
+    sum_b (tr K_b / 2)^2 to the power k times the noiseless fidelity, in
+    100-digit decimal arithmetic at the float p, rounded once."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 100
+        ops = _exact_kraus(channel, Decimal(p))
+        retention = sum((op[0][0] + op[1][1]) ** 2 for op in ops) / 4
+        return round_once(retention**k * Decimal(noiseless))
+
+
+def exact_noise_sweep(
+    graph: Graph, correction_kind: str, channel: str, grid, insertion: str, metric: str
+) -> tuple[float, ...]:
+    """noise_sweep's fidelities by the definitions, per code element, in
+    100-digit decimal arithmetic at each float p of the grid, each rounded
+    once: conditional sums the code elements under the channel's Kraus
+    lists, and strict is exact_strict of the noiseless post-prep sum."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 100
+        elements = _prepared_elements(graph, correction_kind)
+        if metric == "strict":
+            identity = [[[Decimal(1), Decimal(0)], [Decimal(0), Decimal(1)]]]
+            noiseless = _prepared_value(elements, graph.n_vertices, identity)
+            return tuple(exact_strict(channel, p, 2 * graph.n_edges, noiseless) for p in grid)
+        values = []
+        for p in grid:
+            ops = _exact_kraus(channel, Decimal(p))
+            if insertion == "post_prep":
+                value = _prepared_value(elements, graph.n_vertices, ops)
+            else:
+                value = _measured_value(graph, correction_kind, ops)
+            values.append(round_once(value))
+        return tuple(values)
+
+
+def mixture_fidelity(graph: Graph, ops: tuple[np.ndarray, ...], correction_kind: str) -> float:
+    """Conditional fidelity under post-prep noise by the pairs' mixture:
+    the channel acts on each prepared pair CZ|++> alone, so each pair's
+    noisy state is one 4x4 density matrix, which eigh splits into at most
+    4 weighted pure states, and the 4^|E| products of those run through
+    the dense walk.  The post-prep reference, in place of branch_fidelity's
+    m^(2|E|) Kraus branches."""
+    pair = _run_gates(sv.new_plus(2).amplitudes, _checked_gates(2, (("CZ", (1, 0)),)))
+    noisy = sum(
+        np.kron(a, b) @ np.outer(pair, pair.conj()) @ np.kron(a, b).conj().T
+        for a in ops
+        for b in ops
+    )
+    weights, vectors = np.linalg.eigh(noisy)
+    # parts under 1e-15 are dropped: at most 4 a pair, so the sum moves by under 4|E| * 1e-15
+    parts = [(w, vectors[:, i]) for i, w in enumerate(weights) if w > 1e-15]
+    nv = graph.n_vertices
+    targets = correction_targets(graph, correction_kind)
+    walk = _checked_gates(nv + 2 * graph.n_edges, walk_gates(graph))
+    total = []
+    for branch in iter_product(parts, repeat=graph.n_edges):
+        amps = np.full(2**nv, 2.0 ** (-nv / 2), dtype=complex)
+        weight = 1.0
+        for w, vector in branch:  # each pair above the data qubits and the pairs before it
+            amps, weight = np.kron(vector, amps), weight * w
+        overlaps = outcome_overlaps(graph, _run_gates(amps, walk), targets)
+        total.append(weight * math.fsum(overlaps.tolist()))
+    return math.fsum(total)
 
 
 def fidelity_column(report) -> list[float]:

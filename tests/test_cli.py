@@ -526,6 +526,16 @@ def test_noise_strict_runs_a_10x10_grid(tmp_path, capsys):
     assert exact == analytic == cli._fmt(0.925**360)
 
 
+def test_noise_strict_on_a_100x100_grid_still_underflows(tmp_path, capsys):
+    # 0.925^39,600 is about 10^-1,341, so the exact value rounded once is 0,
+    # as the float power was; writing it past the float range is ROADMAP item 4's
+    path = tmp_path / "grid100.txt"
+    path.write_text("".join(f"{u} {v}\n" for u, v in grid(100, 100).edges), encoding="utf-8")
+    argv = ["noise", "--graph", f"@{path}", "--channel", "dep", "--p", "0.1"]
+    assert main(argv) == EXIT_PASS
+    assert capsys.readouterr().out == "p,F_exact,F_analytic\n0.1,0,0\n"
+
+
 def test_noise_strict_reaches_p5(capsys):
     # 13 qubits in all, but the strict sum only needs 2^5 terms
     code = main(["noise", "--graph", "P5", "--channel", "dep", "--p", "0.1:0.3:0.1"])
@@ -1214,15 +1224,16 @@ def test_counts_unsquared_reports_the_overlap(tmp_path, capsys):
 # -- one writer -------------------------------------------------------------------
 
 # SHA-256 of the stdout of each form, (JSON, CSV), as written before noise,
-# lc and counts shared one writer; COUNTS and IDEAL name the files of
-# _writer_runs
+# lc and counts shared one writer, bar the noise JSON, re-pinned when each
+# noise value became its exact value rounded once; COUNTS and IDEAL name
+# the files of _writer_runs
 WRITER_SHA256 = {
     "noise --graph P4 --channel dep --p 0:0.3:0.1": (
-        "15c868f00b7a77c02ce39e471f42c1749c6dd38fa395de8b963064119424fca7",
+        "f15a9a5d0b828e0ca99e53719cbdb089d99ed8ef958fdba3e3f3a68a41a320c0",
         "1fecd0dca56a8c79397cb5c415e497606717a93895939c3d70080f96d92284de",
     ),
     "noise --graph P4 --channel ad --p 0:0.2:0.1 --metric conditional": (
-        "e00c8a22aa2b3802b19a570e45e67f8034a66e7306f96d8af7c2b76e99332408",
+        "a99381457371202561f18f8b2a6cd8ddcf2ccc54a41d809e64371e6e1ceba2bc",
         "e78980c302ee74583f208f0ccbbad6af8f042306f1ee26d8336757fbe3edcdf0",
     ),
     "noise --compare fig4 --p 0:0.2:0.1": (
@@ -1276,14 +1287,15 @@ def test_each_run_writes_its_bytes_to_stdout_or_out(tmp_path, capsys):
 
 # SHA-256 of the stdout of each form, (JSON, CSV), for the conditional runs
 # no other golden reaches: the post-prep code of a graph with two cycles
-# that share an edge (house, a 5-cycle with a chord), and the pre-measure sum
+# that share an edge (house, a 5-cycle with a chord), and the pre-measure
+# sum; the JSON forms were re-pinned when each value became exact, rounded once
 NOISE_SHA256 = {
     "noise --graph house --channel pd --p 0:0.3:0.1 --metric conditional": (
-        "4628c99424681d6aa755fb0c96de1656ceb7c4b8d671000c9edb779a3840dab6",
+        "bc8552d77a57e8f0b4a6d2074f53449181a2faddb8e938faf369e2baffd8e7be",
         "0dffea280432dbe05cab3e61c06a20941992a02feaed8cd21f5304160241df23",
     ),
     "noise --graph C4 --channel dep --p 0:0.2:0.1 --insertion pre_measure --metric conditional": (
-        "7e381638583b60dd2f58240a4db7f2088451fda794925d4880033c8e21de535c",
+        "d5e4e55d79c0d7160fe9ae65a2de3d85f0fa5e909b22045cfa75a4be2a00b453",
         "f4a0b00b0dc2e9f89f1023391eb0fd86b63f36899f30a739c342966067103490",
     ),
 }

@@ -19,9 +19,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dense import kraus_ops
-from helpers import branch_fidelity, grid, small_connected_graphs, t1_damping_estimate
+from helpers import (
+    branch_fidelity,
+    exact_noise_sweep,
+    exact_strict,
+    grid,
+    mixture_fidelity,
+    small_connected_graphs,
+    t1_damping_estimate,
+)
 from pqw import noise, protocol, verify
-from pqw.graphs import Graph, catalog_lookup, catalog_names, parse_edge_list
+from pqw.graphs import CHANNEL_ALIASES, Graph, catalog_lookup, catalog_names, parse_edge_list
 from pqw.noise import (
     CHANNEL_KINDS,
     INSERTION_POINTS,
@@ -62,13 +70,30 @@ def _choi(ops):
     return sum(np.outer(op.ravel(), op.ravel().conj()) for op in map(np.asarray, ops))
 
 
+# the real strings X^x Z^z at index x + 2z, the basis of the engine's R
+_SITE_STRINGS = tuple(
+    np.linalg.matrix_power(np.array([[0, 1], [1, 0]]), x) @ np.diag([1, -1 if z else 1])
+    for z in (0, 1)
+    for x in (0, 1)
+)
+
+
+def _at(poly, p):
+    # one of the engine's polynomials in p and s = sqrt(1-p), in floats
+    return sum(c * p**i * math.sqrt(1.0 - p) ** j for (i, j), c in poly.items())
+
+
 @pytest.mark.parametrize("kind", CHANNEL_KINDS)
 @pytest.mark.parametrize("p", (0.0, 0.1, 0.37, 1.0))
 def test_engine_kraus_table_matches_the_dense_oracle(kind, p):
-    # the oracle spells its matrices from the definitions, so a wrong entry
-    # in the engine's table shows here; the Choi matrix is blind only to the
-    # unitary freedom of a Kraus set
-    engine, oracle = _choi(noise._kraus_lists(kind, p)), _choi(kraus_ops(kind, p))
+    # the oracle spells its Kraus matrices from the definitions and reads
+    # R[P][Q] = tr(Q^dagger E^dagger(P)) / 2 off them, so a wrong entry in
+    # the engine's transfer matrix shows here
+    ops = kraus_ops(kind, p)
+    adjoints = [sum(op.conj().T @ pauli @ op for op in ops) for pauli in _SITE_STRINGS]
+    oracle = np.array([[np.trace(q.conj().T @ a) / 2 for q in _SITE_STRINGS] for a in adjoints])
+    # the engine's R is flat, R[P][Q] at 4P + Q
+    engine = np.array([_at(entry, p) for entry in noise._transfer(kind)]).reshape(4, 4)
     assert np.abs(engine - oracle).max() <= 1e-14
 
 
@@ -358,8 +383,9 @@ def test_strict_has_no_vertex_budget(graph):
         assert pd == pytest.approx(f_star_pd(p, k), rel=1e-12, abs=0.0)
 
 
-def _retention(kind, p):
-    return math.fsum(abs(op[0][0] + op[1][1]) ** 2 / 4.0 for op in noise._kraus_lists(kind, p))
+def _retention(ops):
+    # sum_b |tr K_b / 2|^2, the per-qubit retention, off the oracle's Kraus matrices
+    return sum(abs(np.trace(op)) ** 2 for op in ops) / 4.0
 
 
 def _applicable_kinds(graph):
@@ -379,7 +405,9 @@ def _assert_strict_reads_the_noiseless_sum(graph, kind):
     clean = noise_sweep(graph, "depolarizing", (0.0,), kind, "pre_measure", "conditional")
     noiseless = clean.fidelities[0]
     for channel in CHANNEL_KINDS:
-        want = _retention(channel, 0.3) ** k * noiseless
+        want = exact_strict(channel, 0.3, k, noiseless)
+        retention = _retention(kraus_ops(channel, 0.3))
+        assert want == pytest.approx(retention**k * noiseless, rel=1e-14)
         for insertion in INSERTION_POINTS:
             assert noise_sweep(graph, channel, (0.3,), kind, insertion).fidelities[0] == want
     return noiseless
@@ -434,7 +462,8 @@ def test_strict_equals_the_noiseless_sum_on_broken_plans(monkeypatch):
 
 
 def _dense_channels(graph):
-    # dense depolarizing costs 4^(2|E|) branches, so it stops at three edges
+    # dense depolarizing costs 4^(2|E|) branches before measurement, so it
+    # stops at three edges
     if graph.n_edges <= 3:
         return CHANNEL_KINDS
     return ("phase_damping", "amplitude_damping")
@@ -460,15 +489,39 @@ def _assert_engines_match_dense(graph, kind, channel, p, insertion):
     # conditional is the Heisenberg sum; strict is the per-qubit
     # retention times the same sum with no channel
     ops = kraus_ops(channel, p)
-    dense = branch_fidelity(graph, ops, kind, insertion)
+    if insertion == "post_prep":
+        dense = mixture_fidelity(graph, ops, kind)
+    else:
+        dense = branch_fidelity(graph, ops, kind, insertion)
     point = (graph, channel, (p,), kind, insertion)
     got = noise_sweep(*point, metric="conditional").fidelities[0]
     assert abs(got - dense) < 1e-12
-    retention = sum(abs(np.trace(op)) ** 2 for op in ops) / 4.0
+    retention = _retention(ops)
     noiseless = branch_fidelity(graph, (np.eye(2),), kind, insertion)
     strict = noise_sweep(*point, metric="strict").fidelities[0]
     assert abs(strict - retention ** (2 * graph.n_edges) * noiseless) < 1e-12
     return got, strict
+
+
+def test_the_mixture_oracle_equals_the_branch_oracle():
+    # the post-prep reference runs each pair's noisy state as a mixture of
+    # at most 4 pure states; on every catalog graph the dense engine reaches,
+    # it must give what every Kraus branch run through the walk gives, for
+    # each channel whose branch loop takes at most 256 branches
+    seen = []
+    for name in catalog_names():
+        graph = catalog_lookup(name)
+        if graph in seen or graph.n_vertices + 2 * graph.n_edges > 12:
+            continue
+        seen.append(graph)
+        for channel in CHANNEL_KINDS:
+            ops = kraus_ops(channel, 0.3)
+            if len(ops) ** (2 * graph.n_edges) > 256:
+                continue
+            mixture = mixture_fidelity(graph, ops, "universal")
+            branches = branch_fidelity(graph, ops, "universal", "post_prep")
+            assert abs(mixture - branches) < 1e-12, (name, channel)
+    assert len(seen) == 7
 
 
 @pytest.mark.parametrize("name,kind,channel,insertion", _engine_vs_dense_cases())
@@ -633,10 +686,10 @@ def test_noise_sweep_checks_every_argument_before_any_point(
 ):
     # an empty grid is checked too, and a bad strength anywhere in the
     # grid stops the sweep before its first point
-    def refuse(kind, p):
-        raise AssertionError(f"a point was computed at {kind} {p}")
+    def refuse(kind):
+        raise AssertionError(f"a point was computed at {kind}")
 
-    monkeypatch.setattr(noise, "_kraus_lists", refuse)
+    monkeypatch.setattr(noise, "_transfer", refuse)
     with pytest.raises(ValueError, match=re.escape(match)):
         noise_sweep(P4, channel_kind, grid, **options)
 
@@ -665,17 +718,50 @@ def test_a_sweep_equals_its_points(name, kind):
                 assert swept == points, (channel, insertion, metric)
 
 
-# SHA-256 of repr(report.fidelities) over every catalog sweep at
-# p = 0, 0.1, ..., 1: each name, each plan that applies, each channel,
-# insertion and metric, in the order of the loops below.  Only a change
-# meant to move a number (exact evaluation, ROADMAP item 9) re-pins it,
-# and records the old and the new values in CHANGES.md.
-CATALOG_NOISE_SHA256 = "3b02d96025aa1eb5ab1328cc53adac2b2d0e7d374bb3d74b441a91dad0a97aeb"
+@pytest.mark.parametrize("p", (0.0, 0.75, 1.0))
+def test_a_square_one_minus_p_is_read_in_one_division(p):
+    # 1 - p is a square here, so s = sqrt(1-p) is rational, both ends of
+    # the bracket are the value, and the first division returns it: the
+    # precision never has to double past a value that is exactly a float
+    low, high, scale = noise._bracket({(0, 1): 1}, p, 0, 64)  # s itself
+    assert low == high and low / (1 << scale) == math.sqrt(1.0 - p)
+    for channel in ("pd", "ad"):
+        for insertion in INSERTION_POINTS:
+            for metric in METRICS:
+                got = noise_sweep(P4, channel, (p,), "universal", insertion, metric).fidelities
+                kind = CHANNEL_ALIASES[channel]
+                assert got == exact_noise_sweep(P4, "universal", kind, (p,), insertion, metric)
 
 
-def test_every_catalog_noise_value_keeps_its_bits():
-    grid = [i / 10 for i in range(11)]
-    digest, count = hashlib.sha256(), 0
+def test_a_value_at_a_float_midpoint_rounds_to_even():
+    # 1 + 2^-53 lies halfway between 1 and the next float, and 1 + 3 * 2^-53
+    # halfway between that float and the one after: each goes to the even
+    # significand, conditional as one bracket and strict through its power
+    for top, want in (((1 << 53) + 1, 1.0), ((1 << 53) + 3, 1.0 + 2.0**-51)):
+        assert noise._nearest(noise._bracket, {(0, 0): top}, 0.3, 53) == want
+    # retention 2/4 over k = 54 qubits with 2^53 + 1 of the 2^54 outcomes
+    # passing: (1/2)^54 * (2^53 + 1) / 2^54 = (1 + 2^-53) * 2^-55
+    assert noise._nearest(noise._strict_bounds, {(0, 0): 2}, 0.3, 54, (1 << 53) + 1) == 2.0**-55
+
+
+def test_a_value_nearer_a_tie_than_the_first_bracket_rounds_once():
+    # sqrt(1/2) + 122,602 / 2^70 lies above the tie between two floats by
+    # less than the first 64-bit bracket's width, so only a finer bracket
+    # rounds it; so do strict's (1 + 2^-100)^2 (2^53 + 1), above the tie
+    # 2^53 + 1, and (1 - 2^-100)^2 (2^53 + 3), below the tie 2^53 + 3, once
+    # their products are cut to 64 bits
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        want = float(decimal.Decimal(122602) / 2**70 + decimal.Decimal(0.5).sqrt())
+    assert noise._nearest(noise._bracket, {(0, 0): 122602, (0, 1): 1 << 70}, 0.5, 70) == want
+    for sign, passed in ((1, (1 << 55) + 4), (-1, (1 << 55) + 12)):
+        trace = {(0, 0): 4, (1, 0): 4 * sign}  # retention 1 +- p
+        assert noise._nearest(noise._strict_bounds, trace, 2.0**-100, 2, passed) == 2.0**53 + 2
+
+
+def _catalog_sweeps():
+    """Every catalog sweep: each name, each plan that applies, each channel,
+    insertion and metric, as noise_sweep's arguments bar the grid."""
     for name in catalog_names():
         graph = catalog_lookup(name)
         for kind in ("universal", "tree", "l4", "c4"):
@@ -686,11 +772,36 @@ def test_every_catalog_noise_value_keeps_its_bits():
             for channel in ("dep", "pd", "ad"):
                 for insertion in ("post_prep", "pre_measure"):
                     for metric in ("conditional", "strict"):
-                        report = noise_sweep(graph, channel, grid, kind, insertion, metric)
-                        digest.update(repr(report.fidelities).encode())
-                        count += len(report.fidelities)
+                        yield graph, channel, kind, insertion, metric
+
+
+CATALOG_GRID = [i / 10 for i in range(11)]
+
+# SHA-256 of repr(report.fidelities) over every catalog sweep at
+# p = 0, 0.1, ..., 1, in the order of _catalog_sweeps.  Only a change
+# meant to move a number re-pins it, and records the old and the new
+# values in CHANGES.md.
+CATALOG_NOISE_SHA256 = "2edb791d014be8e50a34bc815bfd76253a953824e40d03aa7ca3bcc5389d5c30"
+
+
+def test_every_catalog_noise_value_keeps_its_bits():
+    digest, count = hashlib.sha256(), 0
+    for sweep in _catalog_sweeps():
+        report = noise_sweep(sweep[0], sweep[1], CATALOG_GRID, *sweep[2:])
+        digest.update(repr(report.fidelities).encode())
+        count += len(report.fidelities)
     assert count == 4488
     assert digest.hexdigest() == CATALOG_NOISE_SHA256
+
+
+def test_every_catalog_noise_value_is_the_exact_value_rounded_once():
+    # the reference sums each code element's expectation under the Kraus
+    # lists in 100-digit decimals, so a value off by one float step shows
+    names = {"dep": "depolarizing", "pd": "phase_damping", "ad": "amplitude_damping"}
+    for graph, channel, kind, insertion, metric in _catalog_sweeps():
+        got = noise_sweep(graph, channel, CATALOG_GRID, kind, insertion, metric).fidelities
+        want = exact_noise_sweep(graph, kind, names[channel], CATALOG_GRID, insertion, metric)
+        assert got == want, (graph, channel, kind, insertion, metric)
 
 
 @pytest.mark.parametrize(

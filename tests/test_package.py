@@ -479,6 +479,7 @@ import sys
 
 WATCHED = (
     "argparse", "gettext", "locale", "pqw.noise", "pqw.verify", "pqw.protocol",
+    "fractions", "decimal",
 )
 bare = {name for name in WATCHED if name in sys.modules}
 
@@ -517,7 +518,8 @@ def test_commands_load_no_argparse_and_only_their_engine():
     # argparse brings gettext and, through it, locale; the CLI parses its
     # own arguments, help, version and a usage error load no engine,
     # verify loads the symbolic engine, and only noise and counts need
-    # pqw.noise.  A step lists every watched module loaded so far.
+    # pqw.noise.  Exact noise values are ints, so neither metric loads
+    # fractions or decimal.  A step lists every watched module loaded so far.
     engine = ["pqw.verify", "pqw.protocol"]
     steps = [line.split("\t") for line in _run_fresh(STARTUP_GUARD_SCRIPT).splitlines()]
     assert steps == [
