@@ -209,6 +209,7 @@ def noise_sweep(
 
         phis = protocol._sign_forms(graph, correction_kind)
         transfer = _transfer(kind)
+        trace = _collect({(i,): 1 for i in (0, 5, 10, 15)}, transfer)  # tr R, for the closed forms
         if insertion == "post_prep":
             table = _edge_table(transfer, protocol._pair_expectations(graph))
             poly = _prepared_sums(graph, protocol._heisenberg_generators(graph, phis), table)
@@ -217,7 +218,6 @@ def noise_sweep(
         fidelities = tuple(_nearest(_bracket, poly, p, graph.n_vertices) for p in grid)
     analytic = None
     if kind != "amplitude_damping":  # the closed forms: strict with every outcome passing
-        trace = _collect({(i,): 1 for i in (0, 5, 10, 15)}, _transfer(kind))
         analytic = tuple(_nearest(_strict_bounds, trace, p, k, 1 << k) for p in grid)
     return NoiseReport(grid, fidelities, analytic, k)
 

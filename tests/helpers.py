@@ -1,9 +1,10 @@
 """Shared test machinery: random Clifford circuits applied both densely
 and symbolically, explicit matrix builders used as oracles for the
 reshape-based gate kernels, the dense references for the noise engine
-(every Kraus branch, and the pairs' mixture for post-prep noise), its
-exact 100-digit reference, random graphs, the T1 decay arithmetic, and
-small comparisons that only tests use."""
+(every Kraus branch, the pairs' mixture for post-prep noise and the
+outcome slabs' mixture for pre-measure noise), its exact 100-digit
+reference, the T1 decay arithmetic, and small comparisons that only
+tests use."""
 
 from __future__ import annotations
 
@@ -14,7 +15,6 @@ from decimal import Decimal
 from itertools import product as iter_product
 
 import numpy as np
-from hypothesis import strategies as st
 
 import dense as sv
 from dense import _after_prep, _premeasurement, _run_gates, graph_state
@@ -168,23 +168,6 @@ def plan_from_maps(graph: Graph, x: dict[str, int], z: dict[str, int]) -> PauliS
     return PauliString(graph.n_vertices, x_bits, z_bits)
 
 
-@st.composite
-def small_connected_graphs(draw, max_qubits: int = 14):
-    """Connected graphs of at most max_qubits total qubits: a random
-    spanning tree plus the extra edges that still fit, each edge drawn in
-    either orientation and the edge list shuffled."""
-    # a tree on n vertices takes n + 2(n - 1) qubits
-    n = draw(st.integers(min_value=2, max_value=min(5, (max_qubits + 2) // 3)))
-    tree = {(draw(st.integers(min_value=0, max_value=i - 1)), i) for i in range(1, n)}
-    spare = [(i, j) for i in range(n) for j in range(i + 1, n) if (i, j) not in tree]
-    room = (max_qubits - n) // 2 - len(tree)
-    extra = draw(st.sets(st.sampled_from(spare), max_size=room)) if spare else set()
-    edges = []
-    for i, j in draw(st.permutations(sorted(tree | extra))):
-        edges.append((f"v{j}", f"v{i}") if draw(st.booleans()) else (f"v{i}", f"v{j}"))
-    return Graph(tuple(f"v{i}" for i in range(n)), tuple(edges))
-
-
 # -- dense Kraus-branch reference for the noise engines ----------------------
 
 
@@ -212,13 +195,6 @@ def correction_targets(graph: Graph, correction_kind: str) -> np.ndarray:
     return table[phi]
 
 
-def outcome_overlaps(graph: Graph, amps: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """|<G| C_s |slab_s>|^2 per resource row of a full, possibly
-    unnormalized protocol register."""
-    slabs = amps.reshape(-1, 2**graph.n_vertices)
-    return np.abs(np.einsum("ij,ij->i", targets, slabs)) ** 2
-
-
 def branch_fidelity(
     graph: Graph, ops: tuple[np.ndarray, ...], correction_kind: str, insertion: str
 ) -> float:
@@ -242,9 +218,9 @@ def branch_fidelity(
             amps = _premeasurement(graph).amplitudes
             for q, b in zip(resource_qubits, branch):
                 amps = apply_one_qubit_matrix(amps, ops[b], q)
-        branch_totals.append(
-            math.fsum(outcome_overlaps(graph, amps, targets).tolist())
-        )
+        # <G| C_s |slab_s> per resource row s
+        overlaps = np.einsum("sj,sj->s", targets, amps.reshape(-1, 2**graph.n_vertices))
+        branch_totals.append(math.fsum((np.abs(overlaps) ** 2).tolist()))
     return math.fsum(branch_totals)
 
 
@@ -386,8 +362,8 @@ def mixture_fidelity(graph: Graph, ops: tuple[np.ndarray, ...], correction_kind:
     the channel acts on each prepared pair CZ|++> alone, so each pair's
     noisy state is one 4x4 density matrix, which eigh splits into at most
     4 weighted pure states, and the 4^|E| products of those run through
-    the dense walk.  The post-prep reference, in place of branch_fidelity's
-    m^(2|E|) Kraus branches."""
+    the dense walk together, one product a row.  The post-prep reference,
+    in place of branch_fidelity's m^(2|E|) Kraus branches."""
     pair = _run_gates(sv.new_plus(2).amplitudes, _checked_gates(2, (("CZ", (1, 0)),)))
     noisy = sum(
         np.kron(a, b) @ np.outer(pair, pair.conj()) @ np.kron(a, b).conj().T
@@ -396,19 +372,36 @@ def mixture_fidelity(graph: Graph, ops: tuple[np.ndarray, ...], correction_kind:
     )
     weights, vectors = np.linalg.eigh(noisy)
     # parts under 1e-15 are dropped: at most 4 a pair, so the sum moves by under 4|E| * 1e-15
-    parts = [(w, vectors[:, i]) for i, w in enumerate(weights) if w > 1e-15]
+    kept = weights > 1e-15
     nv = graph.n_vertices
-    targets = correction_targets(graph, correction_kind)
+    rows, row_weights = np.full((1, 2**nv), 2.0 ** (-nv / 2), dtype=complex), np.ones(1)
+    for _ in range(graph.n_edges):  # each pair above the data qubits and the pairs before it
+        rows = np.einsum("pi,rj->rpij", vectors[:, kept].T, rows).reshape(-1, 4 * rows.shape[1])
+        row_weights = np.outer(row_weights, weights[kept]).ravel()
+    # the rows are the high bits of one register that the walk never touches
     walk = _checked_gates(nv + 2 * graph.n_edges, walk_gates(graph))
-    total = []
-    for branch in iter_product(parts, repeat=graph.n_edges):
-        amps = np.full(2**nv, 2.0 ** (-nv / 2), dtype=complex)
-        weight = 1.0
-        for w, vector in branch:  # each pair above the data qubits and the pairs before it
-            amps, weight = np.kron(vector, amps), weight * w
-        overlaps = outcome_overlaps(graph, _run_gates(amps, walk), targets)
-        total.append(weight * math.fsum(overlaps.tolist()))
-    return math.fsum(total)
+    slabs = _run_gates(rows.ravel(), walk).reshape(len(rows), -1, 2**nv)
+    overlaps = np.einsum("sj,rsj->rs", correction_targets(graph, correction_kind), slabs)
+    return math.fsum((row_weights[:, None] * np.abs(overlaps) ** 2).ravel().tolist())
+
+
+def slab_fidelity(graph: Graph, ops: tuple[np.ndarray, ...], correction_kind: str) -> float:
+    """Conditional fidelity under pre-measure noise by mixing outcome
+    slabs: each channel here leaves E^dagger(|s><s|) diagonal on the
+    measured bit, so the data state read as s' is
+    sum_s w(s'|s) |slab_s><slab_s|, with w(s'|s) the product over the
+    resource qubits of the 2x2 classical matrix sum_b |K_b[s', s]|^2.  The
+    pre-measure reference, in place of branch_fidelity's m^(2|E|) Kraus
+    branches."""
+    # the off-diagonal entry of E^dagger(|r><r|) is sum_b conj(K_b[r, 0]) K_b[r, 1]
+    assert all(abs(sum(op[r, 0].conjugate() * op[r, 1] for op in ops)) == 0 for r in (0, 1))
+    weights = np.ones((1, 1))
+    for _ in range(2 * graph.n_edges):
+        weights = np.kron(weights, sum(np.abs(op) ** 2 for op in ops))
+    slabs = _premeasurement(graph).amplitudes.reshape(-1, 2**graph.n_vertices)
+    # row s', column s: <G| C_s' |slab_s>
+    overlaps = correction_targets(graph, correction_kind) @ slabs.T
+    return math.fsum((weights * np.abs(overlaps) ** 2).ravel().tolist())
 
 
 def fidelity_column(report) -> list[float]:

@@ -150,6 +150,7 @@ def test_criterion_07_schmidt_ranks():
 
 
 def test_criterion_08_oracle_equivalence():
+    # a seeded sample: circuits of 30 gates on up to 12 qubits are too many to enumerate
     rng = random.Random(424242)
     worst = 0.0
     for _ in range(100):

@@ -18,16 +18,15 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 import pqw
 from dense import kraus_ops
-from helpers import branch_fidelity, fidelity_column, grid, small_connected_graphs
+from helpers import branch_fidelity, fidelity_column, grid
 from pqw import cli, protocol, verify
 from pqw.cli import EXIT_BUDGET, EXIT_FAIL, EXIT_PASS, EXIT_USAGE, main
 from pqw.graphs import parse_edge_list
 from pqw.verify import VerificationReport
+from scope import ordered_graphs, report_lists
 
 FIG4_CSV = (
     "name,k,p,F\n"
@@ -144,47 +143,6 @@ def test_verify_csv_formats_each_value_as_fmt_does(monkeypatch, capsys):
     assert capsys.readouterr().out == expected
 
 
-@st.composite
-def _reports(draw):
-    """A report on 1 to 6 edges, under random conditions mask << 1 | odd,
-    named with the characters CSV must quote."""
-    count = 4 ** draw(st.integers(1, 6))
-    name = draw(st.text(alphabet='A,"\r\n', min_size=1, max_size=4))
-    conditions = draw(st.lists(st.integers(0, 2 * count - 1), max_size=4))
-    return VerificationReport(name, "universal", count, tuple(conditions))
-
-
-# outcomes alternate; every outcome fails; a row that is 0 holds at
-# every outcome; two rows contradict each other; and runs that cross the
-# boundaries of verify's pieces, multiples of PIECE: outcomes of 4^8
-# alternate at bit 0, and under bits 12 and 0 of 4^7 the runs of failures
-# from 4095 to 8192 and from 12287 to 16384 each start off a boundary and
-# cross one
-REPORT_EXAMPLES = (
-    [VerificationReport("a,b", "universal", 16, (0b11,))],
-    [VerificationReport("P3", "universal", 4, (0b1,))],
-    [VerificationReport("x", "universal", 4, (0,))],
-    [
-        VerificationReport("big", "universal", 4096, (0b1100,)),
-        VerificationReport('"q"', "universal", 4, (0b101, 0b100)),
-        VerificationReport("P3", "universal", 16, ()),
-    ],
-    [VerificationReport("C8", "universal", 4**8, (0b11,))],
-    [
-        VerificationReport("high", "universal", 4**7, (1 << 13, 0b10)),
-        VerificationReport("P3", "universal", 16, ()),
-    ],
-)
-
-
-def _over_reports(test):
-    """Run test on lists of 1 to 4 random reports, and on REPORT_EXAMPLES."""
-    for reports in REPORT_EXAMPLES:
-        test = example(reports)(test)
-    test = given(st.lists(_reports(), min_size=1, max_size=4))(test)
-    return settings(max_examples=60, deadline=None)(test)
-
-
 def _written(reports, fmt: str) -> tuple[str, bytes]:
     """What `verify --graph all` writes to stdout and to --out when the
     catalog's graphs yield reports."""
@@ -209,19 +167,20 @@ def _written(reports, fmt: str) -> tuple[str, bytes]:
         return stdout.getvalue(), Path(tmp, "out").read_bytes()
 
 
-@_over_reports
-def test_verify_csv_matches_one_line_per_outcome(reports):
-    # a piece slices one list of the first PIECE index texts, or converts
-    # the indices past it
-    expected = "graph,outcome_index,probability,fidelity\n" + "".join(
-        f"{cli._csv_field(r.graph_name)},{i},{cli._fmt(1 / r.outcome_count)},"
-        f"{cli._fmt(f)}\n"
-        for r in reports
-        for i, f in enumerate(fidelity_column(r))
-    )
-    assert "".join(cli._verify_csv(reports)) == expected
-    # and through the command, on stdout and to --out alike
-    assert _written(reports, "csv") == (expected, expected.encode("utf-8"))
+def test_verify_csv_matches_one_line_per_outcome():
+    """Every list of scope.report_lists(): 50 lists, 121 reports."""
+    for reports in report_lists():
+        # a piece slices one list of the first PIECE index texts, or converts
+        # the indices past it
+        expected = "graph,outcome_index,probability,fidelity\n" + "".join(
+            f"{cli._csv_field(r.graph_name)},{i},{cli._fmt(1 / r.outcome_count)},"
+            f"{cli._fmt(f)}\n"
+            for r in reports
+            for i, f in enumerate(fidelity_column(r))
+        )
+        assert "".join(cli._verify_csv(reports)) == expected, reports
+        # and through the command, on stdout and to --out alike
+        assert _written(reports, "csv") == (expected, expected.encode("utf-8")), reports
 
 
 def _report_dict(report: VerificationReport) -> dict:
@@ -243,29 +202,30 @@ def _report_dict(report: VerificationReport) -> dict:
     }
 
 
-@_over_reports
-def test_verify_json_matches_one_dict_per_outcome(reports):
-    # one report is the payload itself; more sit under "reports"
-    if len(reports) == 1:
-        payload = _report_dict(reports[0])
-    else:
-        payload = {
-            "all_passed": all(r.passed for r in reports),
-            "reports": [_report_dict(r) for r in reports],
-        }
-    expected = "".join(cli._render_json(payload))
-    pieces = list(cli._verify_json(reports))
-    assert "".join(pieces) == expected
-    # each piece holds at most PIECE records; a name cannot spell the key
-    assert max(piece.count('"index": ') for piece in pieces) <= cli.PIECE
-    out, saved = _written(reports, "json")
-    assert (out, saved) == (expected, expected.encode("utf-8"))
-    # passed and min_fidelity are what the records written beside them say
-    written = json.loads(out)
-    for entry in written["reports"] if len(reports) > 1 else [written]:
-        fidelities = [record["fidelity"] for record in entry["records"]]
-        assert entry["passed"] is (min(fidelities) == 1.0)
-        assert entry["min_fidelity"] == min(fidelities)
+def test_verify_json_matches_one_dict_per_outcome():
+    """Every list of scope.report_lists(): 50 lists, 121 reports."""
+    for reports in report_lists():
+        # one report is the payload itself; more sit under "reports"
+        if len(reports) == 1:
+            payload = _report_dict(reports[0])
+        else:
+            payload = {
+                "all_passed": all(r.passed for r in reports),
+                "reports": [_report_dict(r) for r in reports],
+            }
+        expected = "".join(cli._render_json(payload))
+        pieces = list(cli._verify_json(reports))
+        assert "".join(pieces) == expected, reports
+        # each piece holds at most PIECE records; a name cannot spell the key
+        assert max(piece.count('"index": ') for piece in pieces) <= cli.PIECE
+        out, saved = _written(reports, "json")
+        assert (out, saved) == (expected, expected.encode("utf-8")), reports
+        # passed and min_fidelity are what the records written beside them say
+        written = json.loads(out)
+        for entry in written["reports"] if len(reports) > 1 else [written]:
+            fidelities = [record["fidelity"] for record in entry["records"]]
+            assert entry["passed"] is (min(fidelities) == 1.0)
+            assert entry["min_fidelity"] == min(fidelities)
 
 
 C8_CSV_SHA256 = "b4e495ae585d4ac91087a056e2a89e0d53f8cf0b056d2490087411836d524771"
@@ -733,6 +693,7 @@ def _old_p_grid(start, stop, step):
 
 
 def test_bounded_p_grid_matches_the_old_loop():
+    # a seeded sample: float start, stop and step triples form no finite scope
     rng = random.Random(7)
     for _ in range(2000):
         start, stop = sorted(round(rng.random(), rng.randrange(1, 6)) for _ in "ab")
@@ -815,16 +776,14 @@ def test_compare_refuses_each_graph_option(flag, value, capsys):
     )
 
 
-@settings(max_examples=10, deadline=None)
-@given(small_connected_graphs(max_qubits=12))
-def test_graph_file_matches_dense_reference(graph):
-    # the edge file goes through the parser and both commands; the dense
-    # Kraus-branch loop on the parsed graph is the reference
-    text = "".join(f"{u} {v}\n" for u, v in graph.edges)
-    with tempfile.TemporaryDirectory() as scratch:
-        edges = Path(scratch) / "graph.txt"
+def test_graph_file_matches_dense_reference(tmp_path):
+    """Every order and orientation within 9 qubits: 74 edge files."""
+    edges, out = tmp_path / "graph.txt", tmp_path / "out.json"
+    for graph in ordered_graphs(9):
+        # the edge file goes through the parser and both commands; the dense
+        # Kraus-branch loop on the parsed graph is the reference
+        text = "".join(f"{u} {v}\n" for u, v in graph.edges)
         edges.write_text(text)
-        out = Path(scratch) / "out.json"
         code = main(
             ["noise", "--graph", f"@{edges}", "--channel", "ad", "--metric",
              "conditional", "--p", "0.3", "--format", "json", "--out", str(out)]
@@ -833,12 +792,12 @@ def test_graph_file_matches_dense_reference(graph):
         (got,) = json.loads(out.read_text())["fidelities"]
         ops = kraus_ops("amplitude_damping", 0.3)
         dense = branch_fidelity(parse_edge_list(text), ops, "universal", "post_prep")
-        assert abs(got - dense) < 1e-12
+        assert abs(got - dense) < 1e-12, graph
         code = main(
             ["verify", "--graph", f"@{edges}", "--format", "json", "--out", str(out)]
         )
         assert code == EXIT_PASS
-        assert json.loads(out.read_text())["passed"] is True
+        assert json.loads(out.read_text())["passed"] is True, graph
 
 
 # -- lc -------------------------------------------------------------------------
@@ -1549,6 +1508,7 @@ def test_seeded_fuzz_of_main_exits_with_one_message(tmp_path, monkeypatch):
     # line, never a traceback.  A value may land on --out, so every
     # relative path is in the test's folder.
     monkeypatch.chdir(tmp_path)
+    # a seeded sample: command lines of free text form no finite scope
     rng = random.Random(31)
     files = {"tmp": str(tmp_path), "edges": [], "json": []}
     for i in range(40):

@@ -15,8 +15,6 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from dense import kraus_ops
 from helpers import (
@@ -25,7 +23,7 @@ from helpers import (
     exact_strict,
     grid,
     mixture_fidelity,
-    small_connected_graphs,
+    slab_fidelity,
     t1_damping_estimate,
 )
 from pqw import noise, protocol, verify
@@ -43,6 +41,7 @@ from pqw.noise import (
     noise_sweep,
 )
 from pqw.protocol import CORRECTION_KINDS, correction_forms
+from scope import dense_graphs, ordered_graphs
 
 P4 = catalog_lookup("P4")
 K2 = Graph(("A", "B"), (("A", "B"),))
@@ -147,15 +146,15 @@ def test_closed_form_validation():
             fn(0.1, -1)
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
-    st.integers(min_value=1, max_value=8),
-)
-def test_p_eff_inverts_the_depolarizing_form(p, k):
-    p_eff = extract_p_eff(f_star_dep(p, k), k)
-    assert abs(p_eff - p) < 1e-12
-    assert 0.0 <= p_eff <= 1.0
+def test_p_eff_inverts_the_depolarizing_form():
+    """k = 1 .. 8 at every p = i/1000 and at the floats nearest 0 and 1:
+    8,040 points."""
+    ends = (5e-324, 2.2250738585072014e-308, 1e-300, math.nextafter(1.0, 0.0))
+    for k in range(1, 9):
+        for p in [i / 1000 for i in range(1001)] + list(ends):
+            p_eff = extract_p_eff(f_star_dep(p, k), k)
+            assert abs(p_eff - p) < 1e-12, (p, k)
+            assert 0.0 <= p_eff <= 1.0
 
 
 def test_p_eff_validation():
@@ -424,7 +423,8 @@ def test_strict_equals_the_noiseless_sum_on_the_catalog():
 
 def test_strict_equals_the_noiseless_sum_on_broken_plans(monkeypatch):
     # seeded random (x, z) forms: most plans fail on some outcomes, and
-    # strict must follow the noiseless sum down
+    # strict must follow the noiseless sum down; a sample, as a graph's
+    # forms number 2^(4|E||V|)
     rng = random.Random(20260)
     graphs = [catalog_lookup(name) for name in ("P4", "C4", "K1_3", "diamond", "house")]
     current = {}
@@ -492,7 +492,7 @@ def _assert_engines_match_dense(graph, kind, channel, p, insertion):
     if insertion == "post_prep":
         dense = mixture_fidelity(graph, ops, kind)
     else:
-        dense = branch_fidelity(graph, ops, kind, insertion)
+        dense = slab_fidelity(graph, ops, kind)
     point = (graph, channel, (p,), kind, insertion)
     got = noise_sweep(*point, metric="conditional").fidelities[0]
     assert abs(got - dense) < 1e-12
@@ -505,9 +505,10 @@ def _assert_engines_match_dense(graph, kind, channel, p, insertion):
 
 def test_the_mixture_oracle_equals_the_branch_oracle():
     # the post-prep reference runs each pair's noisy state as a mixture of
-    # at most 4 pure states; on every catalog graph the dense engine reaches,
-    # it must give what every Kraus branch run through the walk gives, for
-    # each channel whose branch loop takes at most 256 branches
+    # at most 4 pure states, and the pre-measure one mixes the outcome
+    # slabs; on every catalog graph the dense engine reaches, each must give
+    # what every Kraus branch run through the walk gives, for each channel
+    # whose branch loop takes at most 256 branches
     seen = []
     for name in catalog_names():
         graph = catalog_lookup(name)
@@ -518,9 +519,9 @@ def test_the_mixture_oracle_equals_the_branch_oracle():
             ops = kraus_ops(channel, 0.3)
             if len(ops) ** (2 * graph.n_edges) > 256:
                 continue
-            mixture = mixture_fidelity(graph, ops, "universal")
-            branches = branch_fidelity(graph, ops, "universal", "post_prep")
-            assert abs(mixture - branches) < 1e-12, (name, channel)
+            for insertion, oracle in zip(INSERTION_POINTS, (mixture_fidelity, slab_fidelity)):
+                branches = branch_fidelity(graph, ops, "universal", insertion)
+                assert abs(oracle(graph, ops, "universal") - branches) < 1e-12, (name, insertion)
     assert len(seen) == 7
 
 
@@ -565,17 +566,14 @@ def test_noise_engines_apply_the_plan(monkeypatch, name):
         _assert_engines_match_dense(graph, "universal", "amplitude_damping", 0.3, insertion)
 
 
-@settings(max_examples=20, deadline=None)
-@given(
-    small_connected_graphs(max_qubits=12),
-    st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
-    st.sampled_from(INSERTION_POINTS),
-    st.data(),
-)
-def test_noise_engines_match_dense_on_random_graphs(graph, p, insertion, data):
-    assert graph.n_vertices + 2 * graph.n_edges <= 12
-    kind = data.draw(st.sampled_from(_dense_channels(graph)))
-    _assert_engines_match_dense(graph, "universal", kind, p, insertion)
+def test_noise_engines_match_dense_on_random_graphs():
+    """Each dense channel at p = 0.3: before measurement on every graph of
+    scope.dense_graphs() (105 graphs, 300 cases), and after prep on every
+    order and orientation within 9 qubits (74 graphs, 222 cases)."""
+    for insertion, graphs in (("pre_measure", dense_graphs()), ("post_prep", ordered_graphs(9))):
+        for graph in graphs:
+            for kind in _dense_channels(graph):
+                _assert_engines_match_dense(graph, "universal", kind, 0.3, insertion)
 
 
 # -- calibration helpers ----------------------------------------------------------

@@ -162,6 +162,16 @@ def _sign_spellings(tree: ast.AST, module: str):
             yield ".".join((module, *inside[-1:]))
 
 
+def _imports(tree: ast.AST):
+    """The top-level package of every absolute import in tree, lazy ones
+    inside functions included."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module.split(".")[0]
+
+
 def test_the_package_imports_only_the_standard_library():
     # pyproject.toml declares no dependencies.  This reads every import
     # statement, lazy ones inside functions included, where the blocked-
@@ -196,15 +206,8 @@ def test_the_package_imports_only_the_standard_library():
         if found:
             complex_uses[path.name] = sorted(found)
         sign_spellings.update(_sign_spellings(tree, path.stem))
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                names = [node.module]
-            else:
-                continue
-            for name in names:
-                imported.setdefault(name.split(".")[0], path.name)
+        for name in _imports(tree):
+            imported.setdefault(name, path.name)
     # pqw.__getattr__ imports importlib inside the function
     assert imported["importlib"] == "__init__.py"
     outside = {
@@ -215,6 +218,19 @@ def test_the_package_imports_only_the_standard_library():
     assert pauli_objects == {}
     assert complex_uses == {}
     assert sign_spellings == set()
+
+
+def test_the_tests_import_only_the_test_extra():
+    # each package a test module imports is the standard library, pqw, a
+    # module of tests/ or a name in the test extra, and each name there is
+    # imported; the extra is read with a regex, as 3.10 has no tomllib
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    extra = re.search(r"^test = \[(.*)\]$", text, re.MULTILINE)
+    declared = set(re.findall(r'"([A-Za-z0-9_]+)', extra.group(1)))
+    modules = sorted((ROOT / "tests").glob("*.py"))
+    imported = {name for path in modules for name in _imports(ast.parse(path.read_text("utf-8")))}
+    known = set(sys.stdlib_module_names) | {"pqw"} | {path.stem for path in modules}
+    assert imported - known == declared
 
 
 def test_package_version_matches_pyproject():

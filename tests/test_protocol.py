@@ -2,11 +2,9 @@
 symbolic runs, the byproduct primitive, and every correction formula."""
 
 import random
+from itertools import chain
 
-import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import dense as sv
 from dense import (
@@ -23,7 +21,6 @@ from helpers import (
     near_parity,
     near_side_mask,
     plan_from_maps,
-    small_connected_graphs,
 )
 from pauli import (
     PauliString,
@@ -48,6 +45,7 @@ from pqw.protocol import (
     walk_gates,
 )
 from pqw.verify import phase_lemma_check, verify_all_outcomes
+from scope import dense_graphs, gate_alphabet, labelled_graphs, ordered_graphs
 
 P4 = catalog_lookup("P4")
 C4 = catalog_lookup("C4")
@@ -210,14 +208,17 @@ def test_tableau_run_stabilizes_dense_state():
             assert check_stabilizes(data, run_protocol_tableau(graph, index))
 
 
-@settings(max_examples=40, deadline=None)
-@given(small_connected_graphs(), st.data())
-def test_symbolic_run_matches_dense_on_random_graphs(graph, data):
-    assert graph.n_vertices + 2 * graph.n_edges <= 14
-    assert phase_lemma_check(graph) is True
-    index = data.draw(st.integers(min_value=0, max_value=graph.outcome_count() - 1))
-    _, state = run_protocol(graph, index)
-    assert check_stabilizes(state, run_protocol_tableau(graph, index))
+def test_symbolic_run_matches_dense_on_random_graphs():
+    """The phase lemma on every labelled graph with n <= 5 (771) and every
+    order and orientation within 12 qubits (6,602); the symbolic run
+    against the dense state at every outcome of scope.dense_graphs() (105
+    graphs, 8,328 outcomes)."""
+    for graph in chain(labelled_graphs(), ordered_graphs(12)):
+        assert phase_lemma_check(graph) is True, graph
+    for graph in dense_graphs():
+        for index in range(graph.outcome_count()):
+            _, state = run_protocol(graph, index)
+            assert check_stabilizes(state, run_protocol_tableau(graph, index)), (graph, index)
 
 
 @pytest.fixture
@@ -334,6 +335,7 @@ def test_a_sign_form_read_off_any_walk_holds(altered_walk):
     # on a circuit other than prep_gates and walk_gates the reader may
     # refuse a K_v, but the forms it returns fix the dense data state at
     # every outcome; circuits are drawn until 9076 forms are checked
+    # (a seeded sample: one to three edits of a walk are too many to run densely)
     rng = random.Random(2903)
     real, real_prep = protocol.walk_gates, protocol.prep_gates
     checks = reads = refusals = 0
@@ -406,7 +408,8 @@ def test_noise_code_equals_the_column_run(monkeypatch, altered_walk):
             except ValueError:
                 continue
             check(graph, kind)
-    # seeded random (x, z) forms: phi is no longer the far-side mask
+    # seeded random (x, z) forms: phi is no longer the far-side mask; a
+    # sample, as a graph's forms number 2^(4|E||V|)
     rng = random.Random(3201)
     graphs = [catalog_lookup(name) for name in ("P4", "C4", "K1_3", "diamond", "house")]
     current = {}
@@ -433,16 +436,15 @@ def test_noise_code_equals_the_column_run(monkeypatch, altered_walk):
     ):
         altered_walk(walk)
         check(graph)
-    for _ in range(100):
-        graph = rng.choice((K2, catalog_lookup("P3"), catalog_lookup("C3")))
-        n_qubits = graph.n_vertices + 2 * graph.n_edges
-        walk = list(real(graph))
-        gate = rng.choice(("H", "X", "Z", "CZ"))
-        targets = rng.sample(range(n_qubits), 2 if gate == "CZ" else 1)
-        walk.insert(rng.randint(0, len(walk)), (gate, tuple(targets)))
-        altered_walk(lambda _, walk=tuple(walk): walk)
-        check(graph)
-    assert runs > 160
+    # every gate of the alphabet inserted at every place in the walks of
+    # K2, P3 and C3: 1,974 walks
+    for graph in (K2, catalog_lookup("P3"), catalog_lookup("C3")):
+        walk = real(graph)
+        for gate in gate_alphabet(graph.n_vertices + 2 * graph.n_edges):
+            for at in range(len(walk) + 1):
+                altered_walk(lambda _, w=walk[:at] + (gate,) + walk[at:]: w)
+                check(graph)
+    assert runs > 2034
 
 
 # -- byproduct primitive ------------------------------------------------------
@@ -662,12 +664,13 @@ def test_parity_condition_holds_as_forms(name, kind):
     assert _parity_condition_holds(catalog_lookup(name), kind)
 
 
-@settings(max_examples=40, deadline=None)
-@given(small_connected_graphs())
-def test_parity_condition_holds_as_forms_on_random_graphs(graph):
-    assert _parity_condition_holds(graph, "universal")
-    if graph.is_tree():
-        assert _parity_condition_holds(graph, "tree")
+def test_parity_condition_holds_as_forms_on_random_graphs():
+    """Every labelled graph with n <= 5 (771) and every order and
+    orientation within 12 qubits (6,602)."""
+    for graph in chain(labelled_graphs(), ordered_graphs(12)):
+        assert _parity_condition_holds(graph, "universal"), graph
+        if graph.is_tree():
+            assert _parity_condition_holds(graph, "tree"), graph
 
 
 def test_parity_condition_holds_as_forms_past_the_dense_ceiling():

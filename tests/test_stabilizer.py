@@ -5,25 +5,16 @@ a dense oracle."""
 import copy
 import itertools
 import pickle
-import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import dense as sv
 from dense import apply_pauli, check_stabilizes
-from helpers import (
-    apply_matrix_oracle,
-    engine_gates,
-    random_circuit,
-    run_dense,
-    run_tableau,
-    zero_state,
-)
+from helpers import apply_matrix_oracle, engine_gates, run_dense, run_tableau, zero_state
 from pauli import PauliString, conjugate_circuit
 from pqw import noise
+from scope import circuits, pauli_strings
 
 X1 = PauliString(1, 1, 0)
 Z1 = PauliString(1, 0, 1)
@@ -81,40 +72,37 @@ def test_label():
     assert PauliString(2, 0, 0, 1).label() == "+i.."
 
 
-pauli_strategy = st.builds(
-    PauliString,
-    st.just(3),
-    st.integers(min_value=0, max_value=7),
-    st.integers(min_value=0, max_value=7),
-    st.integers(min_value=0, max_value=3),
-)
+def test_multiplication_associative():
+    """Every triple of strings on one qubit, every phase (16^3 = 4,096),
+    and of phase-0 strings on two qubits (16^3 = 4,096)."""
+    for strings in (pauli_strings(1), pauli_strings(2, (0,))):
+        for a, b, c in itertools.product(strings, repeat=3):
+            assert (a * b) * c == a * (b * c), (a, b, c)
 
 
-@given(pauli_strategy, pauli_strategy, pauli_strategy)
-def test_multiplication_associative(a, b, c):
-    assert (a * b) * c == a * (b * c)
-
-
-@given(pauli_strategy, pauli_strategy)
-def test_commutator_phase(a, b):
-    ab, ba = a * b, b * a
-    # the post-prep noise sum multiplies real strings as (x, z, odd)
-    # triples: with a and b's strings signed each way, the product is
-    # real again and its sign bit is the string product's
-    for odd_a, odd_b in itertools.product((0, 1), repeat=2):
-        real_a = PauliString(3, a.x_bits, a.z_bits, 2 * odd_a)
-        real_b = PauliString(3, b.x_bits, b.z_bits, 2 * odd_b)
-        product = real_a * real_b
-        assert product.phase in (0, 2)
-        assert noise._times((a.x_bits, a.z_bits, odd_a), (b.x_bits, b.z_bits, odd_b)) == (
-            product.x_bits, product.z_bits, product.phase >> 1
-        )
-    assert (ab.x_bits, ab.z_bits) == (ba.x_bits, ba.z_bits)
-    # the symplectic product decides whether a and b commute
-    if ((a.x_bits & b.z_bits).bit_count() + (a.z_bits & b.x_bits).bit_count()) % 2 == 0:
-        assert ab.phase == ba.phase
-    else:
-        assert (ab.phase - ba.phase) % 4 == 2
+def test_commutator_phase():
+    """Every pair of strings on two qubits, every phase (64^2 = 4,096),
+    and of phase-0 strings on three qubits (64^2 = 4,096)."""
+    for strings in (pauli_strings(2), pauli_strings(3, (0,))):
+        for a, b in itertools.product(strings, repeat=2):
+            n, ab, ba = a.n_qubits, a * b, b * a
+            # the post-prep noise sum multiplies real strings as (x, z, odd)
+            # triples: with a and b's strings signed each way, the product is
+            # real again and its sign bit is the string product's
+            for odd_a, odd_b in itertools.product((0, 1), repeat=2):
+                real_a = PauliString(n, a.x_bits, a.z_bits, 2 * odd_a)
+                real_b = PauliString(n, b.x_bits, b.z_bits, 2 * odd_b)
+                product = real_a * real_b
+                assert product.phase in (0, 2)
+                assert noise._times((a.x_bits, a.z_bits, odd_a), (b.x_bits, b.z_bits, odd_b)) == (
+                    product.x_bits, product.z_bits, product.phase >> 1
+                )
+            assert (ab.x_bits, ab.z_bits) == (ba.x_bits, ba.z_bits)
+            # the symplectic product decides whether a and b commute
+            if ((a.x_bits & b.z_bits).bit_count() + (a.z_bits & b.x_bits).bit_count()) % 2 == 0:
+                assert ab.phase == ba.phase
+            else:
+                assert (ab.phase - ba.phase) % 4 == 2
 
 
 # -- dense action oracle -----------------------------------------------------
@@ -135,6 +123,8 @@ def pauli_matrix(p: PauliString) -> np.ndarray:
 
 
 def test_apply_to_matches_matrix_oracle():
+    """Every string on two qubits, every phase (64), on three states."""
+    # a seeded sample: random complex amplitudes form no finite scope
     rng = np.random.default_rng(3)
     states = [
         sv.from_amplitudes(
@@ -142,14 +132,11 @@ def test_apply_to_matches_matrix_oracle():
         )
         for _ in range(3)
     ]
-    for x_bits in range(4):
-        for z_bits in range(4):
-            for phase in range(4):
-                p = PauliString(2, x_bits, z_bits, phase)
-                mat = pauli_matrix(p)
-                for state in states:
-                    got = apply_pauli(state, p).amplitudes
-                    assert np.allclose(got, mat @ state.amplitudes, atol=1e-12)
+    for p in pauli_strings(2):
+        mat = pauli_matrix(p)
+        for state in states:
+            got = apply_pauli(state, p).amplitudes
+            assert np.allclose(got, mat @ state.amplitudes, atol=1e-12)
 
 
 def test_apply_to_pinned_case():
@@ -227,35 +214,17 @@ def test_conjugate_circuit_rejects_size_mismatch():
         conjugate_circuit((X1, PauliString(2, 1, 0)), ())
 
 
-@st.composite
-def tableau_and_circuit(draw):
-    # the strings need not commute or be Hermitian here: conjugation
-    # acts on each one alone
-    n = draw(st.integers(min_value=1, max_value=5))
-    bits = st.integers(min_value=0, max_value=(1 << n) - 1)
-    phases = st.sampled_from(range(4))
-    strings = tuple(
-        PauliString(n, draw(bits), draw(bits), draw(phases))
-        for _ in range(draw(st.integers(min_value=1, max_value=6)))
-    )
-    gates = []
-    for _ in range(draw(st.integers(min_value=0, max_value=30))):
-        names = ("H", "X", "Z", "CZ") if n > 1 else ("H", "X", "Z")
-        gate = draw(st.sampled_from(names))
-        arity = 2 if gate == "CZ" else 1
-        targets = draw(st.permutations(range(n)))[:arity]
-        gates.append((gate, tuple(targets)))
-    return strings, gates
-
-
-@given(tableau_and_circuit())
-@settings(max_examples=200, deadline=None)
-def test_conjugate_circuit_equals_gate_by_gate(case):
-    strings, gates = case
-    folded = strings
-    for gate in gates:
-        folded = conjugate_circuit(folded, [gate])
-    assert conjugate_circuit(strings, gates) == folded
+def test_conjugate_circuit_equals_gate_by_gate():
+    """Every gate list of scope.circuits(3), 1,193 lists on one to three
+    qubits, each run on every string of phase 0 and 1 at once (32, 128 or
+    512 strings).  The strings need not commute or be Hermitian here:
+    conjugation acts on each one alone."""
+    for n, gates in circuits(3):
+        strings = pauli_strings(n, (0, 1))
+        folded = strings
+        for gate in gates:
+            folded = conjugate_circuit(folded, [gate])
+        assert conjugate_circuit(strings, gates) == folded, gates
 
 
 BAD_GATES = [("T", (0,)), ("CZ", (0,)), ("H", (3,)), ("CZ", (1, 1))]
@@ -283,7 +252,7 @@ def test_pair_state_generators():
     assert pair == (PauliString(2, 1, 2, 0), PauliString(2, 2, 1, 0))
 
 
-# -- dense/symbolic agreement on random circuits ------------------------------
+# -- dense/symbolic agreement on every short circuit ---------------------------
 
 
 def test_check_stabilizes_rejects_wrong_state():
@@ -293,10 +262,10 @@ def test_check_stabilizes_rejects_wrong_state():
         check_stabilizes(sv.new_plus(2), (X1,))
 
 
-@settings(max_examples=30, deadline=None)
-@given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=1, max_value=5))
-def test_random_circuit_dense_matches_tableau(seed, n_qubits):
-    ops = random_circuit(random.Random(seed), n_qubits, depth=20)
-    state = run_dense(n_qubits, ops)
-    tableau = run_tableau(n_qubits, ops)
-    assert check_stabilizes(state, tableau, tol=1e-10)
+def test_random_circuit_dense_matches_tableau():
+    """Every gate list of scope.circuits(5): 1,832 lists on one to five
+    qubits."""
+    for n_qubits, ops in circuits(5):
+        state = run_dense(n_qubits, ops)
+        tableau = run_tableau(n_qubits, ops)
+        assert check_stabilizes(state, tableau, tol=1e-10), ops

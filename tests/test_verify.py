@@ -9,12 +9,10 @@ import random
 import time
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import dense as sv
 from dense import corrected_fidelity, ghz_state, graph_state, run_protocol
-from helpers import fidelity_column, grid, near_side_masks, small_connected_graphs
+from helpers import fidelity_column, grid, near_side_masks
 from pauli import correction_plan, stabilizer_generators
 from pqw import cli, protocol, verify
 from pqw.graphs import TABLE_ORDER, Graph, catalog_lookup, parse_edge_list
@@ -26,6 +24,7 @@ from pqw.verify import (
     phase_lemma_check,
     verify_all_outcomes,
 )
+from scope import dense_graphs, labelled_graphs
 
 P4 = catalog_lookup("P4")
 
@@ -85,7 +84,8 @@ def test_contraction_matches_per_outcome_reference(monkeypatch, name, kind):
     graph = catalog_lookup(name)
     if kind == "broken":
         # seeded random (x, z) forms: X parts move the sign forms of the
-        # neighbours, and the plan misses the target at some outcomes
+        # neighbours, and the plan misses the target at some outcomes; a
+        # sample, as a graph's forms number 2^(4|E||V|)
         rng = random.Random(8)
         k = 2 * graph.n_edges
         forms = tuple((rng.getrandbits(k), rng.getrandbits(k)) for _ in graph.vertices)
@@ -139,33 +139,30 @@ def test_verify_decides_a_grid_past_the_ceiling(monkeypatch):
     assert verify_all_outcomes(graph).first_failure() == min(m & -m for m in masks)
 
 
-@settings(max_examples=30, deadline=None)
-@given(
-    graph=small_connected_graphs(max_qubits=12),
-    seed=st.none() | st.integers(min_value=0, max_value=2**32 - 1),
-)
-def test_tableau_engine_matches_the_dense_reference(graph, seed):
-    # universal forms when no seed is drawn, else seeded random (x, z)
-    # forms, which miss the target at some outcomes
-    with pytest.MonkeyPatch.context() as mp:
-        if seed is not None:
-            rng = random.Random(seed)
-            k = 2 * graph.n_edges
-            forms = tuple((rng.getrandbits(k), rng.getrandbits(k)) for _ in graph.vertices)
-            mp.setattr(protocol, "correction_forms", lambda graph, kind: forms)
-        report = verify_all_outcomes(graph)
-        fidelities = fidelity_column(report)
-        assert len(fidelities) == report.outcome_count == graph.outcome_count()
-        for index, fidelity in zip(range(graph.outcome_count()), fidelities):
-            plan = correction_plan(graph, index, "universal")
-            assert 1 / report.outcome_count == pytest.approx(
-                run_protocol(graph, index)[0], abs=1e-12
-            )
-            assert fidelity == pytest.approx(
-                corrected_fidelity(graph, index, plan), abs=1e-12
-            )
-    if seed is None:
-        assert report.passed
+def test_tableau_engine_matches_the_dense_reference():
+    """Every graph of scope.dense_graphs() (105 graphs, 8,328 outcomes)
+    under the universal forms, and under seeded random (x, z) forms, which
+    miss the target at some outcomes."""
+    # a seeded sample of forms, as a graph's forms number 2^(4|E||V|)
+    rng = random.Random(8)
+    for graph, broken in itertools.product(dense_graphs(), (False, True)):
+        with pytest.MonkeyPatch.context() as mp:
+            if broken:
+                k = 2 * graph.n_edges
+                forms = tuple((rng.getrandbits(k), rng.getrandbits(k)) for _ in graph.vertices)
+                mp.setattr(protocol, "correction_forms", lambda graph, kind: forms)
+            report = verify_all_outcomes(graph)
+            fidelities = fidelity_column(report)
+            assert len(fidelities) == report.outcome_count == graph.outcome_count()
+            for index, fidelity in zip(range(graph.outcome_count()), fidelities):
+                plan = correction_plan(graph, index, "universal")
+                assert 1 / report.outcome_count == pytest.approx(
+                    run_protocol(graph, index)[0], abs=1e-12
+                )
+                assert fidelity == pytest.approx(
+                    corrected_fidelity(graph, index, plan), abs=1e-12
+                ), (graph, broken, index)
+        assert broken or report.passed
 
 
 def test_engine_follows_the_tableau_sign_forms(monkeypatch):
@@ -199,81 +196,81 @@ def test_engine_follows_the_tableau_sign_forms(monkeypatch):
         verify_all_outcomes(P4)
 
 
-@settings(max_examples=40, deadline=None)
-@given(
-    graph=small_connected_graphs(max_qubits=12),
-    mode=st.sampled_from(("universal", "broken", "negated")),
-    seed=st.integers(min_value=0, max_value=2**32 - 1),
-)
-def test_records_and_summaries_match_enumerating_the_conditions(graph, mode, seed):
-    rng = random.Random(seed)
-    with pytest.MonkeyPatch.context() as mp:
-        if mode == "broken":
-            # seeded random (x, z) forms, which miss the target at some outcomes
-            k = 2 * graph.n_edges
-            forms = tuple((rng.getrandbits(k), rng.getrandbits(k)) for _ in graph.vertices)
-            mp.setattr(protocol, "correction_forms", lambda graph, kind: forms)
-        if mode == "negated":
-            # one K_v negated under the universal plan: its condition reads
-            # 0 = 1, so no outcome reaches |G>
-            negated = rng.randrange(graph.n_vertices)
-            real = protocol._data_sign_forms
-
-            def negating(graph):
-                forms = list(real(graph))
-                forms[negated] ^= 1  # the constant bit of K_v's sign form
-                return tuple(forms)
-
-            mp.setattr(protocol, "_data_sign_forms", negating)
-        report = verify_all_outcomes(graph, name="G")
-    count = graph.outcome_count()
-    conditions = report.conditions
-    fidelities = [
-        float(not any((row & (s << 1 | 1)).bit_count() & 1 for row in conditions))
-        for s in range(count)
-    ]
-    assert fidelity_column(report) == fidelities
-    # the runs tile [0, count) in order, each non-empty and maximal, and
-    # the first failure starts the first run of 0.0
-    runs = list(report.fidelity_runs())
-    assert [start for start, _, _ in runs] == [0] + [stop for _, stop, _ in runs[:-1]]
-    assert runs[-1][1] == count and all(start < stop for start, stop, _ in runs)
-    assert all(a[2] != b[2] for a, b in zip(runs, runs[1:]))
-    assert report.first_failure() == next((start for start, _, f in runs if f == 0.0), None)
-    assert report.pass_count == sum(fidelities)
-    assert report.min_fidelity == min(fidelities)
-    assert report.max_fidelity == max(fidelities)
-    assert report.passed is (min(fidelities) == 1.0)
-    first = next((s for s, f in enumerate(fidelities) if f < 1.0), None)
-    assert report.first_failure() == first
-    if mode == "universal":
-        assert report.passed
-    if mode == "negated":
-        assert report.max_fidelity == 0.0
-    # both CLI formats write the same records and name the first failing index
-    outputs = {}
-    for fmt in ("csv", "json"):
+def test_records_and_summaries_match_enumerating_the_conditions():
+    """Every labelled graph within 12 qubits (36) under the universal
+    forms, under seeded random (x, z) forms, and with each K_v negated in
+    turn: 210 reports."""
+    # a seeded sample of forms, as a graph's forms number 2^(4|E||V|)
+    rng = random.Random(3907)
+    # a mode is "universal", "broken" or the index of the K_v to negate
+    for graph, mode in [(graph, mode) for graph in labelled_graphs(12)
+                        for mode in ("universal", "broken", *range(graph.n_vertices))]:
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(verify, "verify_all_outcomes", lambda *args, **kwargs: report)
-            out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = cli.main(["verify", "--graph", "P3", "--format", fmt])
-        assert code == (cli.EXIT_PASS if report.passed else cli.EXIT_FAIL)
-        assert err.getvalue() == (
-            "" if first is None else f"pqw: G: outcome {first} has fidelity 0\n"
-        )
-        outputs[fmt] = out.getvalue()
-    assert outputs["csv"].splitlines()[1:] == [
-        f"G,{s},{cli._fmt(1 / count)},{cli._fmt(f)}" for s, f in enumerate(fidelities)
-    ]
-    payload = json.loads(outputs["json"])
-    assert payload["records"] == [
-        {"index": s, "probability": 1 / count, "fidelity": f}
-        for s, f in enumerate(fidelities)
-    ]
-    assert payload["min_fidelity"] == min(fidelities)
-    assert payload["max_fidelity"] == max(fidelities)
-    assert payload["passed"] is (first is None)
+            if mode == "broken":
+                # random (x, z) forms, which miss the target at some outcomes
+                k = 2 * graph.n_edges
+                forms = tuple((rng.getrandbits(k), rng.getrandbits(k)) for _ in graph.vertices)
+                mp.setattr(protocol, "correction_forms", lambda graph, kind: forms)
+            if isinstance(mode, int):
+                # K_v negated under the universal plan: its condition reads
+                # 0 = 1, so no outcome reaches |G>
+                real = protocol._data_sign_forms
+
+                def negating(graph):
+                    forms = list(real(graph))
+                    forms[mode] ^= 1  # the constant bit of K_v's sign form
+                    return tuple(forms)
+
+                mp.setattr(protocol, "_data_sign_forms", negating)
+            report = verify_all_outcomes(graph, name="G")
+        count = graph.outcome_count()
+        conditions = report.conditions
+        fidelities = [
+            float(not any((row & (s << 1 | 1)).bit_count() & 1 for row in conditions))
+            for s in range(count)
+        ]
+        assert fidelity_column(report) == fidelities
+        # the runs tile [0, count) in order, each non-empty and maximal, and
+        # the first failure starts the first run of 0.0
+        runs = list(report.fidelity_runs())
+        assert [start for start, _, _ in runs] == [0] + [stop for _, stop, _ in runs[:-1]]
+        assert runs[-1][1] == count and all(start < stop for start, stop, _ in runs)
+        assert all(a[2] != b[2] for a, b in zip(runs, runs[1:]))
+        assert report.first_failure() == next((start for start, _, f in runs if f == 0.0), None)
+        assert report.pass_count == sum(fidelities)
+        assert report.min_fidelity == min(fidelities)
+        assert report.max_fidelity == max(fidelities)
+        assert report.passed is (min(fidelities) == 1.0)
+        first = next((s for s, f in enumerate(fidelities) if f < 1.0), None)
+        assert report.first_failure() == first
+        if mode == "universal":
+            assert report.passed
+        if isinstance(mode, int):
+            assert report.max_fidelity == 0.0
+        # both CLI formats write the same records and name the first failing index
+        outputs = {}
+        for fmt in ("csv", "json"):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(verify, "verify_all_outcomes", lambda *args, **kwargs: report)
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = cli.main(["verify", "--graph", "P3", "--format", fmt])
+            assert code == (cli.EXIT_PASS if report.passed else cli.EXIT_FAIL)
+            assert err.getvalue() == (
+                "" if first is None else f"pqw: G: outcome {first} has fidelity 0\n"
+            )
+            outputs[fmt] = out.getvalue()
+        assert outputs["csv"].splitlines()[1:] == [
+            f"G,{s},{cli._fmt(1 / count)},{cli._fmt(f)}" for s, f in enumerate(fidelities)
+        ]
+        payload = json.loads(outputs["json"])
+        assert payload["records"] == [
+            {"index": s, "probability": 1 / count, "fidelity": f}
+            for s, f in enumerate(fidelities)
+        ]
+        assert payload["min_fidelity"] == min(fidelities)
+        assert payload["max_fidelity"] == max(fidelities)
+        assert payload["passed"] is (first is None)
 
 
 def test_report_pass_logic():
@@ -298,7 +295,8 @@ def test_report_pass_logic():
     assert fidelity_column(clean) == [1.0] * 4
     # seeded row sets over 2^6 outcomes against each row's sign read at
     # every outcome: duplicate and dependent rows, rows that are only the
-    # constant, rows that are 0, and contradicting pairs such as {0b11, 0b10}
+    # constant, rows that are 0, and contradicting pairs such as {0b11, 0b10};
+    # a sample, as lists of up to nine rows of 7 bits are too many to enumerate
     rng = random.Random(3906)
     count, kinds = 64, set()
     for _ in range(400):
@@ -438,33 +436,20 @@ def test_engines_make_no_per_vertex_graph_lookup():
     assert lc_check(P4, K1_3, (_cut("ABCD", "AC"),)).inequivalent
 
 
-@st.composite
-def connected_graphs(draw, max_vertices: int = 12):
-    """Connected graphs on 2 to max_vertices vertices: a random spanning
-    tree plus any set of further edges."""
-    n = draw(st.integers(min_value=2, max_value=max_vertices))
-    edges = {(draw(st.integers(min_value=0, max_value=i - 1)), i) for i in range(1, n)}
-    spare = [(i, j) for i in range(n) for j in range(i + 1, n) if (i, j) not in edges]
-    if spare:
-        edges |= draw(st.sets(st.sampled_from(spare)))
-    return Graph(
-        tuple(f"v{i}" for i in range(n)),
-        tuple((f"v{i}", f"v{j}") for i, j in sorted(edges)),
-    )
-
-
-@settings(max_examples=60, deadline=None)
-@given(graph=connected_graphs(), data=st.data())
-def test_cut_rank_matches_the_dense_schmidt_rank(graph, data):
-    n = graph.n_vertices
-    sides = st.integers(min_value=1, max_value=2**n - 2).map(
-        lambda m: frozenset(i for i in range(n) if m >> i & 1)
-    )
-    cuts = data.draw(st.lists(sides, min_size=1, max_size=8))
-    state = graph_state(graph)
-    for rec in lc_check(graph, graph, cuts).records:
-        dense = sv.schmidt_rank(state, rec.cut)
-        assert rec.rank_a == rec.rank_b == dense
+def test_cut_rank_matches_the_dense_schmidt_rank():
+    """Every cut of every labelled graph with n <= 5 (771 graphs, 22,398
+    cuts), and every cut up to its complement of the 3x4 grid and the
+    12-cycle (2,047 each)."""
+    cycle = parse_edge_list("".join(f"c{i} c{(i + 1) % 12}\n" for i in range(12)))
+    for graph in itertools.chain(labelled_graphs(), (grid(3, 4), cycle)):
+        n = graph.n_vertices
+        # a side and its complement are one cut; past five vertices, the side without the last
+        sides = range(1, 2**n - 1) if n <= 5 else range(1, 2 ** (n - 1))
+        cuts = [frozenset(i for i in range(n) if m >> i & 1) for m in sides]
+        state = graph_state(graph)
+        for rec in lc_check(graph, graph, cuts).records:
+            dense = sv.schmidt_rank(state, rec.cut)
+            assert rec.rank_a == rec.rank_b == dense, (graph, rec.cut)
 
 
 def test_ghz_ranks_are_the_star_graph_ranks():
